@@ -16,7 +16,7 @@ from .items import Item, ItemStore, ItemVersion
 from .locks import LockManager, LockMode
 from .operations import (Operation, OperationType, TransactionProgram,
                          make_program, read, write)
-from .recovery import install_checkpoint, redo_from_log
+from .recovery import redo_from_log
 from .serializability import (CommittedTransaction, SerializabilityReport,
                               check_one_copy_serializability, has_cycle,
                               precedence_graph)
@@ -49,7 +49,6 @@ __all__ = [
     "StableLog",
     "TestableTransactionRegistry",
     "redo_from_log",
-    "install_checkpoint",
     "CommittedTransaction",
     "SerializabilityReport",
     "check_one_copy_serializability",

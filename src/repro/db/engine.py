@@ -196,10 +196,10 @@ class LocalDatabase:
         certifying the next message, the outcome is identical everywhere —
         this is what makes the technique *non-voting*.
         """
+        lookup = self.items.lookup
         for key, version in payload.read_versions.items():
-            if key not in self.items:
-                return False
-            if self.items.get(key).version != version:
+            item = lookup(key)
+            if item is None or item.version != version:
                 return False
         return True
 
@@ -217,10 +217,12 @@ class LocalDatabase:
             commit_order = self.commit_counter
         else:
             self.commit_counter = max(self.commit_counter, commit_order)
+        items = self.items
         for key, value in payload.write_values.items():
-            if key not in self.items:
-                self.items.create(key)
-            self.items.get(key).install(value, payload.txn_id, commit_order)
+            item = items.lookup(key)
+            if item is None:
+                item = items.create(key)
+            item.install(value, payload.txn_id, commit_order)
         return commit_order
 
     def apply_physical_writes(self, keys: Iterable[str], synchronous: bool):
@@ -310,16 +312,20 @@ class LocalDatabase:
 
     # ------------------------------------------------------------------ queries
     def value_of(self, key: str) -> object:
-        """Current committed value of ``key`` (logical read, no timing)."""
+        """Current committed value of ``key`` (logical read, no timing).
+
+        Like :meth:`version_of` a pure query: audits and migration scans call
+        it for whole key ranges, so it must not materialise the item.
+        """
         if key not in self.items:
             raise UnknownItemError(key)
-        return self.items.get(key).value
+        return self.items.committed(key).value
 
     def version_of(self, key: str) -> int:
         """Current committed version of ``key``."""
         if key not in self.items:
             raise UnknownItemError(key)
-        return self.items.get(key).version
+        return self.items.committed(key).version
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"<LocalDatabase {self.node.name} items={len(self.items)} "

@@ -1,23 +1,25 @@
 """Crash recovery of the local database: redo from the write-ahead log.
 
 The durable state of a server is the flushed prefix of its write-ahead log.
-Recovery therefore resets the in-memory item store and *redoes* every durable
-commit record in log-sequence order.  Redo is idempotent (the Thomas write
-rule in :meth:`~repro.db.items.Item.install` skips out-of-date installs), so
+Recovery therefore resets the in-memory item store (every touched item is
+dropped back to its initial state) and *redoes* every durable commit record
+in log-sequence order.  Redo is idempotent (the Thomas write rule in
+:meth:`~repro.db.items.Item.install` skips out-of-date installs), so
 repeating recovery — for instance because a server crashes again while
 recovering — is harmless.
 
-This module also provides the checkpoint-based alternative used by the
-*state-transfer* recovery of classical group communication (Sect. 2.3 of the
-paper): :func:`install_checkpoint` replaces the local state wholesale with a
-snapshot taken on another replica.
+The checkpoint-based alternative used by the *state-transfer* recovery of
+classical group communication (Sect. 2.3 of the paper) replaces the local
+state wholesale with a snapshot taken on another replica:
+:func:`repro.gcs.state_transfer.install_checkpoint`, over
+:meth:`ItemStore.restore <repro.db.items.ItemStore.restore>`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Iterable, List
 
-from .items import ItemStore, ItemVersion
+from .items import ItemStore
 from .wal import LogRecord, LogRecordType
 
 
@@ -28,7 +30,7 @@ def redo_from_log(items: ItemStore, records: Iterable[LogRecord]) -> int:
     checkpoint records are ignored (redo-only logging: nothing was installed
     before the commit record reached the log, so there is nothing to undo).
     """
-    _reset(items)
+    items.reset()
     redone = 0
     for record in records:
         if record.record_type is not LogRecordType.COMMIT:
@@ -36,31 +38,15 @@ def redo_from_log(items: ItemStore, records: Iterable[LogRecord]) -> int:
         commit_order = record.commit_order if record.commit_order is not None \
             else redone + 1
         for key, value in record.payload.items():
-            if key not in items:
-                items.create(key)
-            items.get(key).install(value, record.txn_id, commit_order)
+            item = items.lookup(key)
+            if item is None:
+                item = items.create(key)
+            item.install(value, record.txn_id, commit_order)
         redone += 1
     return redone
-
-
-def install_checkpoint(items: ItemStore,
-                       checkpoint: Dict[str, ItemVersion]) -> None:
-    """Replace the local item state with ``checkpoint`` (state transfer)."""
-    _reset(items)
-    items.restore(checkpoint)
 
 
 def committed_in_log(records: Iterable[LogRecord]) -> List[str]:
     """Transaction ids with a commit record among ``records``, in order."""
     return [record.txn_id for record in records
             if record.record_type is LogRecordType.COMMIT]
-
-
-def _reset(items: ItemStore) -> None:
-    """Reset every item to its initial (version 0) state."""
-    for item in items:
-        item.value = 0
-        item.version = 0
-        item.writer = None
-        item.commit_order = 0
-        item.history = []

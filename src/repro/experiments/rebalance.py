@@ -157,7 +157,7 @@ def audit_commit_integrity(cluster: PartitionedCluster,
         for key in database.items.keys():
             if not report.key_range.contains(cluster.routing.position_of(key)):
                 continue
-            writer = database.items.get(key).writer
+            writer = database.items.committed(key).writer
             if writer is not None and writer not in allowed:
                 failures.append(f"unknown writer {writer!r} for migrated "
                                 f"key {key!r}")

@@ -46,7 +46,10 @@ def install_checkpoint(database: LocalDatabase,
                        checkpoint: ApplicationCheckpoint) -> None:
     """Replace ``database``'s state with the transferred ``checkpoint``.
 
-    The testable-transaction registry is updated so the receiving replica
+    The item snapshot is sparse and :meth:`ItemStore.restore` replaces the
+    store wholesale: an item the checkpoint does not mention ends at version
+    0, whatever the rejoining replica had installed locally.  The
+    testable-transaction registry is updated so the receiving replica
     knows which transactions are already reflected in the installed state and
     will not commit them a second time.
     """

@@ -462,8 +462,8 @@ class ShardWorld:
         for chunk in chunks:
             yield self.sim.timeout(plan.chunk_service_ms)
             snapshot = tuple(
-                (key, store.get(key).value, store.get(key).version)
-                for key in chunk)
+                (key, state.value, state.version)
+                for key, state in zip(chunk, map(store.committed, chunk)))
             self._send(plan.dest_shard, "copy", (migration_id, snapshot))
             self._fire_failpoint("migration.copy-chunk")
         fence_event = self.sim.event()

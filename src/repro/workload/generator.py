@@ -31,8 +31,10 @@ strictly opt-in and off for every pinned-figure configuration.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import List, Optional, Sequence
+from functools import lru_cache
+from typing import List, Optional, Sequence, Tuple
 
+from ..db.items import item_keys as conventional_item_keys
 from ..db.operations import Operation, OperationType, TransactionProgram
 from ..sim.engine import Simulator
 from .params import SimulationParameters
@@ -108,11 +110,10 @@ class WorkloadGenerator:
         self.sim = sim
         self.params = params
         self.stream_prefix = stream_prefix
-        if item_keys is not None:
-            self.item_keys: List[str] = list(item_keys)
-        else:
-            self.item_keys = [f"item-{index}"
-                              for index in range(params.item_count)]
+        #: The keyspace; by default the item stores' own (shared) key tuple.
+        self.item_keys: Sequence[str] = (
+            list(item_keys) if item_keys is not None
+            else conventional_item_keys(params.item_count))
         if not self.item_keys:
             raise ValueError("the workload needs at least one item")
         #: Zipf skew of item accesses (0 = the paper's uniform model).
@@ -224,11 +225,14 @@ class WorkloadGenerator:
         return self._arrival_stream.expovariate(load_tps / 1000.0)
 
 
-def zipf_cumulative(population_size: int, skew: float) -> List[float]:
+@lru_cache(maxsize=16)
+def zipf_cumulative(population_size: int, skew: float) -> Tuple[float, ...]:
     """Cumulative (unnormalised) Zipf weights for ranks ``1..population_size``.
 
     Rank ``r`` carries weight ``r ** -skew``; drawing a uniform position in
     ``[0, total]`` and bisecting into this table samples the distribution.
+    One immutable table per ``(population_size, skew)`` and process: every
+    generator of a partitioned cluster draws from the same one.
     """
     if population_size <= 0:
         raise ValueError("population must be non-empty")
@@ -237,4 +241,4 @@ def zipf_cumulative(population_size: int, skew: float) -> List[float]:
     for rank in range(1, population_size + 1):
         total += rank ** -skew
         cumulative.append(total)
-    return cumulative
+    return tuple(cumulative)

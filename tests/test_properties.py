@@ -4,13 +4,17 @@ from __future__ import annotations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core import (DeliveredOn, LoggedOn, SafetyLevel, classify,
                         classify_notification, group_failure_probability,
                         loss_condition, pairwise_conflict_probability)
-from repro.db import (CommittedTransaction, Item, LockManager, LockMode,
-                      check_one_copy_serializability)
+from repro.db import (CommittedTransaction, Item, ItemStore, LockManager,
+                      LockMode, check_one_copy_serializability, redo_from_log)
+from repro.db.items import INITIAL
+from repro.db.wal import LogRecord, LogRecordType
 from repro.sim import RandomStreams, Simulator, Tally
+from tests.reference_item_store import ReferenceItemStore
 
 
 # --------------------------------------------------------------------------- sim
@@ -127,6 +131,118 @@ def test_serial_histories_in_commit_order_are_serializable(spec):
         for key in write_keys:
             current_version[key] = current_version.get(key, 0) + 1
     assert check_one_copy_serializability(transactions).serializable
+
+
+#: Keys the store model draws from: the implicit population of six, two
+#: conventional keys beyond it and two foreign ones.
+MODEL_KEYS = [f"item-{index}" for index in range(8)] + ["extra-a", "extra-b"]
+
+
+def _item_state(item):
+    return None if item is None else (
+        item.key, item.value, item.version, item.writer, item.commit_order,
+        list(item.history))
+
+
+class ItemStoreModel(RuleBasedStateMachine):
+    """The sparse store against the eager reference, call for call.
+
+    Two (sparse, reference) pairs over a population of six, so snapshots
+    travel between stores.  After every step both stores of a pair must be
+    indistinguishable through the public queries — and those queries must
+    not have materialised anything.
+    """
+
+    POPULATION = 6
+    KEYS = st.sampled_from(MODEL_KEYS)
+    PAIRS = st.integers(min_value=0, max_value=1)
+
+    def __init__(self):
+        super().__init__()
+        self.pairs = [(ItemStore(self.POPULATION),
+                       ReferenceItemStore(self.POPULATION)) for _ in range(2)]
+
+    def _both(self, pair, call):
+        """Run ``call(store)`` on both stores; results or errors must agree."""
+        outcomes = []
+        for store in self.pairs[pair]:
+            try:
+                outcomes.append(("ok", call(store)))
+            except (KeyError, ValueError) as error:
+                outcomes.append((type(error).__name__, None))
+        assert outcomes[0] == outcomes[1]
+
+    @rule(pair=PAIRS, key=KEYS, value=st.integers())
+    def create(self, pair, key, value):
+        self._both(pair, lambda store: _item_state(store.create(key, value)))
+
+    @rule(pair=PAIRS, key=KEYS)
+    def lookup(self, pair, key):
+        self._both(pair, lambda store: _item_state(store.lookup(key)))
+        sparse = self.pairs[pair][0]
+        assert sparse.lookup(key) is sparse.lookup(key)
+
+    @rule(pair=PAIRS, key=KEYS)
+    def get(self, pair, key):
+        self._both(pair, lambda store: _item_state(store.get(key)))
+
+    @rule(pair=PAIRS, key=KEYS, value=st.integers(),
+          commit_order=st.integers(min_value=0, max_value=12))
+    def install(self, pair, key, value, commit_order):
+        def call(store):
+            item = store.get(key)
+            item.install(value, f"t{commit_order}", commit_order)
+            return _item_state(item)
+        self._both(pair, call)
+
+    @rule(sender=PAIRS, receiver=PAIRS)
+    def transfer(self, sender, receiver):
+        for index in (0, 1):
+            snapshot = self.pairs[sender][index].snapshot()
+            self.pairs[receiver][index].restore(snapshot)
+
+    @rule(pair=PAIRS)
+    def reset(self, pair):
+        self._both(pair, lambda store: store.reset())
+
+    @rule(pair=PAIRS, commits=st.lists(st.tuples(
+        st.dictionaries(KEYS, st.integers(), min_size=1, max_size=3),
+        st.one_of(st.none(), st.integers(min_value=1, max_value=12)),
+        st.sampled_from([LogRecordType.COMMIT, LogRecordType.ABORT])),
+        max_size=4))
+    def redo(self, pair, commits):
+        records = [LogRecord(record_type, f"t{index}", payload, commit_order)
+                   for index, (payload, commit_order, record_type)
+                   in enumerate(commits)]
+        self._both(pair, lambda store: redo_from_log(store, records))
+
+    @rule(pair=PAIRS)
+    def iterate(self, pair):
+        self._both(pair, lambda store: [_item_state(item) for item in store])
+
+    @invariant()
+    def indistinguishable(self):
+        for sparse, reference in self.pairs:
+            held = sparse.materialised
+            keys = reference.keys()
+            assert sparse.keys() == keys
+            assert len(sparse) == len(reference) == len(keys)
+            assert list(sparse.versions().items()) == \
+                list(reference.versions().items())
+            for key in MODEL_KEYS:
+                assert (key in sparse) == (key in reference)
+            assert [sparse.committed(key) for key in keys] == \
+                [reference.committed(key) for key in keys]
+            snapshot = sparse.snapshot()
+            assert set(snapshot) <= set(keys)
+            assert {key: snapshot.get(key, INITIAL) for key in keys} == \
+                reference.snapshot()
+            assert sparse.materialised == held <= len(keys)
+
+
+TestItemStoreModel = ItemStoreModel.TestCase
+TestItemStoreModel.settings = settings(max_examples=60,
+                                       stateful_step_count=30, deadline=None)
 
 
 # --------------------------------------------------------------------------- core
