@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md.
+"""Ablation benchmarks for the simulator's modelling decisions.
 
 These do not correspond to a specific table or figure of the paper; they
 probe the modelling decisions behind the Fig. 9 reproduction:

@@ -17,14 +17,9 @@ partitioned failure-injection ISSUE:
 
 from __future__ import annotations
 
-from repro.experiments import (PARTITIONED_CRASH_PATTERNS,
+from repro.experiments import (PARTITIONED_CRASH_PATTERNS, demonstrated,
                                missing_pattern_classes,
-                               partitioned_demonstrated_losses,
-                               partitioned_soundness_violations,
-                               render_partitioned_matrix,
-                               run_partitioned_failure_matrix)
-
-from conftest import write_report
+                               run_partitioned_failure_matrix, violations)
 
 
 def test_partitioned_failure_matrix_is_sound_and_demonstrates(benchmark):
@@ -38,19 +33,16 @@ def test_partitioned_failure_matrix_is_sound_and_demonstrates(benchmark):
     assert missing_pattern_classes(entries) == []
 
     # Soundness: no "No Transaction Loss" cell lost, no invariant broke.
-    assert partitioned_soundness_violations(entries) == []
+    assert violations(entries) == []
 
     # Demonstration: the possible-loss cells that should lose actually do.
-    demonstrated = {(entry.technique, entry.crash_pattern)
-                    for entry in partitioned_demonstrated_losses(entries)}
-    assert ("group-safe", "shard-outage") in demonstrated
-    assert ("group-1-safe", "shard-outage") in demonstrated
-    assert ("1-safe", "shard-delegate") in demonstrated
-    assert not any(technique == "2-safe" for technique, _ in demonstrated)
+    losing = {(entry.technique, entry.crash_pattern)
+              for entry in demonstrated(entries)}
+    assert ("group-safe", "shard-outage") in losing
+    assert ("group-1-safe", "shard-outage") in losing
+    assert ("1-safe", "shard-delegate") in losing
+    assert not any(technique == "2-safe" for technique, _ in losing)
 
     # The contained-outage dividend: every cell's unaffected shards kept
     # serving while the pattern ran.
     assert all(entry.outcome.fresh_commit_ok for entry in entries)
-
-    write_report("partition_failure_matrix",
-                 render_partitioned_matrix(entries))

@@ -3,10 +3,9 @@
 
 from __future__ import annotations
 
-from repro.experiments import (crash_tolerance_summary, demonstrated_losses,
+from repro.experiments import (crash_tolerance_summary, demonstrated,
                                figure5_scenario, figure7_scenario,
-                               render_matrix, run_failure_matrix,
-                               soundness_violations)
+                               run_failure_matrix, violations)
 
 from conftest import write_report
 
@@ -46,12 +45,11 @@ def test_fig7_recovered_transaction(benchmark):
 def test_failure_matrix_tables_2_and_3(benchmark):
     """Measured counterpart of Tables 2/3: inject crashes, audit the losses."""
     entries = benchmark.pedantic(run_failure_matrix, rounds=1, iterations=1)
-    assert soundness_violations(entries) == []
-    demonstrated = {(entry.technique, entry.crash_pattern)
-                    for entry in demonstrated_losses(entries)}
-    assert ("1-safe", "delegate") in demonstrated
-    assert ("group-safe", "all-delegate-stays-down") in demonstrated
-    assert not any(technique == "2-safe" for technique, _pattern in demonstrated)
+    assert violations(entries) == []
+    losing = {(entry.technique, entry.crash_pattern)
+              for entry in demonstrated(entries)}
+    assert ("1-safe", "delegate") in losing
+    assert ("group-safe", "all-delegate-stays-down") in losing
+    assert not any(technique == "2-safe" for technique, _pattern in losing)
     tolerance = crash_tolerance_summary(entries)
     assert tolerance["2-safe"] == 3
-    write_report("tables_2_3_failure_matrix", render_matrix(entries))

@@ -1,8 +1,8 @@
 """Shared helpers for the benchmark harness.
 
 Every benchmark writes the table / figure it regenerates into
-``benchmark_reports/`` next to this directory, so the paper-vs-measured
-comparison of EXPERIMENTS.md can be refreshed from the files after a run.
+``benchmark_reports/`` next to this directory; README.md lists, for every
+tracked report there, the one command that produces it.
 """
 
 from __future__ import annotations

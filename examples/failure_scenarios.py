@@ -19,7 +19,7 @@ from __future__ import annotations
 from repro.experiments import (crash_tolerance_summary, figure5_scenario,
                                figure7_scenario, render_matrix,
                                run_failure_matrix, single_crash_scenario,
-                               soundness_violations)
+                               violations)
 
 
 def describe(outcome) -> None:
@@ -68,9 +68,9 @@ def main() -> None:
     print("=" * 72)
     entries = run_failure_matrix()
     print(render_matrix(entries))
-    violations = soundness_violations(entries)
+    broken = violations(entries)
     print(f"\nsoundness violations (losses where the criterion forbids them): "
-          f"{len(violations)}")
+          f"{len(broken)}")
     print("observed crash tolerance (largest crash count survived):")
     for technique, tolerated in sorted(crash_tolerance_summary(entries).items()):
         print(f"  {technique:>14}: {tolerated} simultaneous crashes")

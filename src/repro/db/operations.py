@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Mapping, Sequence, Tuple
 
 _program_ids = itertools.count(1)
 
@@ -82,6 +82,14 @@ class TransactionProgram:
         self.operations = tuple(self.operations)
         if not self.operations:
             raise ValueError("a transaction program needs at least one operation")
+
+    @classmethod
+    def of_writes(cls, values: Mapping[str, object],
+                  client: str = "client") -> "TransactionProgram":
+        """The write-only program installing ``values`` (one write per key)."""
+        return cls(operations=tuple(write(key, value)
+                                    for key, value in values.items()),
+                   client=client)
 
     # -- structural queries -------------------------------------------------
     @property

@@ -12,43 +12,21 @@ techniques under concrete crash schedules.  Two properties are checked:
   is actually lost (where such a schedule exists for our implementation; the
   cells where the paper's "possible" is not realised by this implementation
   are reported as ``demonstrated=False`` rather than asserted).
+
+The cell fan-out, the :class:`~repro.experiments.harness.LossCell` entry, the
+``violations`` / ``demonstrated`` filters and the CLI gate are the shared
+:mod:`repro.experiments.harness`; this module is the cell table, the cell
+function and the renderer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
-from ..core.criteria import safety_of_technique
-from ..core.matrix import loss_condition
-from ..core.safety import SafetyLevel
 from ..workload.params import SimulationParameters
-from .scenarios import ScenarioOutcome, run_crash_scenario
-
-
-@dataclass
-class MatrixEntry:
-    """One (technique, crash pattern) cell of the failure matrix."""
-
-    technique: str
-    level: SafetyLevel
-    crash_pattern: str
-    group_failed: bool
-    delegate_crashed: bool
-    predicted_possible_loss: bool
-    observed_loss: bool
-    outcome: ScenarioOutcome
-
-    @property
-    def sound(self) -> bool:
-        """True if the observation does not contradict the prediction.
-
-        An observed loss in a cell where the criterion promises no loss is a
-        soundness violation; an observed survival in a "possible loss" cell is
-        fine (possible, not certain).
-        """
-        return self.predicted_possible_loss or not self.observed_loss
-
+from .harness import (SMOKE_TECHNIQUES, TECHNIQUES, TRACE_ARGUMENT, LossCell,
+                      loss_bars, loss_cell, matrix_cli, run_cells)
+from .scenarios import run_crash_scenario
 
 #: The crash patterns exercised for every technique, with the gate setting
 #: that makes the pattern meaningful (freeze = crash between delivery and
@@ -62,60 +40,28 @@ _PATTERNS = (
 )
 
 
-def _matrix_cell(cell) -> MatrixEntry:
-    """Run one (technique, crash pattern) cell — module-level so a process
-    pool can pickle it; each cell is an independent simulation."""
+def _matrix_cell(cell) -> LossCell:
+    """Run one (technique, crash pattern) cell."""
     technique, pattern, freeze, seed, params = cell
-    level = safety_of_technique(technique)
     outcome = run_crash_scenario(technique, crash_pattern=pattern,
                                  seed=seed, params=params,
                                  freeze_non_delegates=freeze)
-    predicted = loss_condition(level, outcome.group_failed,
-                               outcome.delegate_crashed)
-    return MatrixEntry(
-        technique=technique, level=level, crash_pattern=pattern,
-        group_failed=outcome.group_failed,
-        delegate_crashed=outcome.delegate_crashed,
-        predicted_possible_loss=predicted,
-        observed_loss=outcome.transaction_lost,
-        outcome=outcome)
+    return loss_cell(technique, pattern, outcome,
+                     [(outcome.group_failed, outcome.delegate_crashed)])
 
 
-def run_failure_matrix(techniques: Optional[List[str]] = None,
+def run_failure_matrix(techniques: Optional[Sequence[str]] = None,
                        seed: int = 1,
                        params: Optional[SimulationParameters] = None,
-                       workers: int = 1) -> List[MatrixEntry]:
-    """Run every (technique, crash pattern) scenario and collect the matrix.
-
-    With ``workers > 1`` the cells fan out over a process pool; the entry
-    list keeps the serial (technique-major) order either way, because
-    ``Pool.map`` returns results in submission order regardless of which
-    worker finished first.
-    """
-    chosen = techniques or ["0-safe", "1-safe", "group-safe", "group-1-safe",
-                            "2-safe"]
-    cells = [(technique, pattern, freeze, seed, params)
-             for technique in chosen
-             for pattern, freeze in _PATTERNS]
-    if workers > 1:
-        import multiprocessing
-        with multiprocessing.Pool(min(workers, len(cells))) as pool:
-            return pool.map(_matrix_cell, cells)
-    return [_matrix_cell(cell) for cell in cells]
+                       workers: int = 1) -> List[LossCell]:
+    """Run every (technique, crash pattern) scenario, technique-major."""
+    return run_cells(_matrix_cell,
+                     ((technique, pattern, freeze, seed, params)
+                      for technique in techniques or TECHNIQUES
+                      for pattern, freeze in _PATTERNS), workers)
 
 
-def soundness_violations(entries: List[MatrixEntry]) -> List[MatrixEntry]:
-    """Cells where a loss was observed although the criterion forbids it."""
-    return [entry for entry in entries if not entry.sound]
-
-
-def demonstrated_losses(entries: List[MatrixEntry]) -> List[MatrixEntry]:
-    """Cells where a possible loss was actually demonstrated."""
-    return [entry for entry in entries
-            if entry.predicted_possible_loss and entry.observed_loss]
-
-
-def crash_tolerance_summary(entries: List[MatrixEntry]) -> Dict[str, int]:
+def crash_tolerance_summary(entries: List[LossCell]) -> Dict[str, int]:
     """Observed crash tolerance per technique (Table 2, measured side).
 
     For each technique, the largest number of crashed servers in any pattern
@@ -130,7 +76,7 @@ def crash_tolerance_summary(entries: List[MatrixEntry]) -> Dict[str, int]:
     return summary
 
 
-def render_matrix(entries: List[MatrixEntry]) -> str:
+def render_matrix(entries: List[LossCell]) -> str:
     """Human-readable rendering of the failure matrix (benchmark report)."""
     lines = [f"{'technique':>14} | {'pattern':>24} | {'predicted':>10} | "
              f"{'observed':>9} | sound"]
@@ -143,54 +89,17 @@ def render_matrix(entries: List[MatrixEntry]) -> str:
     return "\n".join(lines)
 
 
-#: The reduced technique set of the ``--smoke`` CLI run (mirrors the
-#: partitioned matrix: one lazy, one group-based, one end-to-end level).
-SMOKE_TECHNIQUES = ("1-safe", "group-safe", "2-safe")
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI / CI smoke entry, consistent with ``repro.experiments.autobalance``
-    and ``repro.experiments.partition_failure_matrix``.
-
-    Runs the single-group matrix, prints and writes the report, and exits
-    non-zero on a soundness violation or when no predicted-possible-loss
-    cell demonstrated a concrete losing schedule.
-    """
-    from ..gcs.engines import DEFAULT_ENGINE
-    from .report import matrix_cli
-
-    def run(arguments):
-        techniques = list(SMOKE_TECHNIQUES) if arguments.smoke else None
-        # Only materialise a parameter set when deviating from the default
-        # engine, so default runs keep the scenarios' own parameters.
-        params = None if arguments.engine == DEFAULT_ENGINE else \
-            SimulationParameters.small(server_count=3, item_count=100) \
-            .with_overrides(broadcast_engine=arguments.engine)
-        entries = run_failure_matrix(techniques=techniques,
-                                     seed=arguments.seed,
-                                     params=params,
-                                     workers=arguments.workers)
-        from .traced import maybe_write_scenario_trace
-        maybe_write_scenario_trace(arguments.trace, seed=arguments.seed)
-        return entries, render_matrix(entries)
-
-    def problems_of(entries) -> List[str]:
-        problems: List[str] = []
-        violations = soundness_violations(entries)
-        if violations:
-            problems.append(f"{len(violations)} soundness violations")
-        if not demonstrated_losses(entries):
-            problems.append("no predicted-possible-loss cell demonstrated "
-                            "a loss schedule")
-        return problems
-
+    """CLI / CI smoke entry: exits non-zero on a soundness violation or when
+    no predicted-possible-loss cell demonstrated a concrete losing schedule."""
     return matrix_cli(
         argv, description=__doc__.splitlines()[0],
-        report_name="failure_matrix", run=run, problems_of=problems_of,
-        extra_arguments=(
-            ("--trace", dict(default=None, metavar="PATH",
-                             help="also run the canonical traced scenario "
-                                  "and write its Chrome trace to PATH")),))
+        report_name="failure_matrix",
+        run=lambda arguments, params: run_failure_matrix(
+            techniques=SMOKE_TECHNIQUES if arguments.smoke else None,
+            seed=arguments.seed, params=params, workers=arguments.workers),
+        render=render_matrix, bars=loss_bars,
+        extra_arguments=(TRACE_ARGUMENT,))
 
 
 if __name__ == "__main__":  # pragma: no cover - CLI entry

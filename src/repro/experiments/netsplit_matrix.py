@@ -53,14 +53,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..core.audit import (ConfirmedWrite, Finding, FindingKind, audit_writes,
+                          divergent_keys)
 from ..core.matrix import NetsplitPrediction, netsplit_outcome
-from ..db.operations import Operation, OperationType, TransactionProgram
+from ..gcs.engines import engine_names
 from ..network.faults import LinkFault
 from ..partition.cluster import PartitionedCluster
 from ..replication.cluster import ReplicatedDatabaseCluster
 from ..workload.params import SimulationParameters
-from .partition_failure_matrix import (ConfirmedWrite, _advance_until,
-                                       audit_confirmed_writes)
+from .harness import (advance_until, confirm, demonstrated, matrix_cli, probe,
+                      run_cells, small_parameters, submit_writes, violations)
+from .partition_failure_matrix import branch_writes
 
 #: Replication technique of the group cells: group delivery plus a
 #: synchronous delegate flush, so degraded disks are visible in the
@@ -93,9 +96,6 @@ GROUP_FAULT_PATTERNS: Dict[str, Tuple[str, Tuple[str, ...], bool]] = {
     "gray-slow-cpu": ("gray-cpu", (), False),
 }
 
-#: Partitioned-cluster patterns run once per engine (perfect detector).
-PARTITIONED_FAULT_PATTERNS = ("migration-fence-split", "gray-2pc-participant")
-
 #: Reduced cell set of the CI ``--smoke`` run: still spans a blocked
 #: coordinator, a progressing majority and a lossy link, under both a blind
 #: and a detecting detector, plus both partitioned cells.
@@ -124,9 +124,11 @@ class NetsplitCellOutcome:
     post_heal_ok: bool = False
     #: All servers serve identical values for every audited key at the end.
     converged: bool = False
-    #: A client-confirmed transaction is gone (the matrix's loss axis).
-    observed_loss: bool = False
-    audit_failures: List[str] = field(default_factory=list)
+    #: What the per-key commit-integrity audit holds against the cell.
+    findings: List[Finding] = field(default_factory=list)
+    #: Failures of the cell's own script (a migration or 2PC that must
+    #: complete under the fault did not).
+    problems: List[str] = field(default_factory=list)
     #: LAN drop counters by cause at the end of the cell.
     drops_by_cause: Dict[str, int] = field(default_factory=dict)
     #: Suspicions announced by the cell's failure detector.
@@ -135,32 +137,33 @@ class NetsplitCellOutcome:
     latency_inflation: Optional[float] = None
 
     @property
+    def observed_loss(self) -> bool:
+        """A client-confirmed transaction is gone (the matrix's loss axis)."""
+        return any(finding.kind is FindingKind.LOST
+                   for finding in self.findings)
+
+    @property
     def sound(self) -> bool:
         """No split-brain, no lost/duplicated commit, blocked means blocked."""
-        return (not self.observed_loss
-                and self.converged
+        return (self.converged
                 and self.post_heal_ok
-                and not self.audit_failures
+                and not self.findings and not self.problems
                 and (self.prediction.minority_blocks is not True
                      or self.minority_commits == 0))
 
     @property
     def matched(self) -> bool:
         """The tri-state progress predictions agree with the observation."""
-        majority = self.prediction.majority_progress
-        if majority is True and self.majority_commits == 0:
-            return False
-        if majority is False and self.majority_commits > 0:
-            return False
-        minority = self.prediction.minority_blocks
-        if minority is True and self.minority_commits > 0:
-            return False
-        if minority is False and self.minority_commits == 0:
-            return False
-        return True
+        def agrees(predicted: Optional[bool], observed: bool) -> bool:
+            return predicted is None or predicted == observed
+
+        return (agrees(self.prediction.majority_progress,
+                       self.majority_commits > 0)
+                and agrees(self.prediction.minority_blocks,
+                           self.minority_commits == 0))
 
     @property
-    def demonstrates_minority_blocking(self) -> bool:
+    def demonstrated(self) -> bool:
         """The cell exhibited a blocked minority with zero losses."""
         return (self.prediction.minority_blocks is True
                 and self.minority_commits == 0
@@ -168,35 +171,6 @@ class NetsplitCellOutcome:
 
 
 # --------------------------------------------------------------------------- helpers
-def _program(values: Dict[str, object], client: str) -> TransactionProgram:
-    operations = tuple(Operation(OperationType.WRITE, key, value)
-                       for key, value in values.items())
-    return TransactionProgram(operations=operations, client=client)
-
-
-def _confirm(cluster: ReplicatedDatabaseCluster, key: str, tag: str,
-             server: str, limit_ms: float = 3_000.0):
-    """Submit one single-key update and wait for its confirmation."""
-    value = f"{tag}:{key}"
-    waiter = cluster.run_transaction(_program({key: value}, client=tag),
-                                     server=server)
-    result = cluster.sim.run_until_complete(
-        waiter, limit=cluster.sim.now + limit_ms)
-    if not result.committed:
-        raise RuntimeError(f"healthy-phase transaction on {key} failed to "
-                           f"confirm ({result.abort_reason})")
-    return result, value
-
-
-def _cell_parameters(engine: str, detector: str,
-                     params: Optional[SimulationParameters]
-                     ) -> SimulationParameters:
-    base = params or SimulationParameters.small(server_count=3,
-                                                item_count=100)
-    return base.with_overrides(broadcast_engine=engine,
-                               **DETECTOR_CONFIGS[detector])
-
-
 def _detector_sees(fault_kind: str, detector: str) -> bool:
     """Will the configured detector see the fault before it heals?
 
@@ -233,8 +207,9 @@ def run_group_netsplit_scenario(engine: str, fault_pattern: str,
                                   detector=detector, prediction=prediction)
 
     cluster = ReplicatedDatabaseCluster(
-        GROUP_TECHNIQUE, params=_cell_parameters(engine, detector, params),
-        seed=seed)
+        GROUP_TECHNIQUE, seed=seed,
+        params=small_parameters(params, broadcast_engine=engine,
+                                **DETECTOR_CONFIGS[detector]))
     cluster.start()
     sim, lan = cluster.sim, cluster.lan
     names = cluster.server_names()
@@ -247,10 +222,10 @@ def run_group_netsplit_scenario(engine: str, fault_pattern: str,
     confirmed: List[ConfirmedWrite] = []
     healthy_latencies: List[float] = []
     for key in ("item-10", "item-11"):
-        result, value = _confirm(cluster, key, tag="warmup",
-                                 server=majority_delegate)
-        confirmed.append(ConfirmedWrite(txn_id=result.txn_id, partition_id=0,
-                                        values={key: value}))
+        values = {key: f"warmup:{key}"}
+        result = confirm(cluster, values, client="warmup", limit_ms=3_000.0,
+                         server=majority_delegate)
+        confirmed.append(ConfirmedWrite(result.txn_id, values=values))
         healthy_latencies.append(result.responded_at - result.submitted_at)
 
     # -- phase 2: the fault, with a duration ---------------------------------------
@@ -284,17 +259,13 @@ def run_group_netsplit_scenario(engine: str, fault_pattern: str,
 
     def submit_at(when: float, side: str, key: str, server: str) -> None:
         def submit() -> None:
+            # A refused submission (e.g. the member left the view) surfaces
+            # inside the spawned process: its waiter never commits, which the
+            # blocking predictions allow and ``unresolved`` counts.
             value = f"{fault_pattern}.{side}:{key}"
-            try:
-                waiter = cluster.run_transaction(
-                    _program({key: value}, client=f"{side}.{key}"),
-                    server=server)
-            except Exception:
-                # A refused submission (e.g. the member left the view) is a
-                # blocked client, not a commit — exactly what the blocking
-                # predictions allow.
-                return
-            in_flight.append((side, key, value, waiter))
+            in_flight.append((side, key, value, submit_writes(
+                cluster, {key: value}, client=f"{side}.{key}",
+                server=server)))
         sim.call_at(when, submit)
 
     majority_keys = ("item-20", "item-21", "item-22")
@@ -308,14 +279,9 @@ def run_group_netsplit_scenario(engine: str, fault_pattern: str,
     sim.run(until=FAULT_END)
 
     fault_latencies: List[float] = []
-    committed_during = set()
-    for side, key, value, waiter in in_flight:
+    for side, _key, _value, waiter in in_flight:
         result = waiter.value if waiter.triggered else None
         if result is not None and result.committed:
-            committed_during.add(key)
-            confirmed.append(ConfirmedWrite(txn_id=result.txn_id,
-                                            partition_id=0,
-                                            values={key: value}))
             if side == "majority":
                 outcome.majority_commits += 1
                 fault_latencies.append(result.responded_at
@@ -350,75 +316,52 @@ def run_group_netsplit_scenario(engine: str, fault_pattern: str,
             cluster.recover_server(name)
             sim.run(until=sim.now + settle)
 
-    def probe(key: str, server: str) -> bool:
-        value = f"probe:{key}"
-        try:
-            waiter = cluster.run_transaction(
-                _program({key: value}, client=f"probe.{key}"), server=server)
-        except Exception:
+    def probe_commits(key: str, server: str) -> bool:
+        values = {key: f"probe:{key}"}
+        result = probe(cluster, values, client=f"probe.{key}",
+                       limit_ms=3_000.0, server=server)
+        if result is None or not result.committed:
             return False
-        if not _advance_until(cluster, lambda: waiter.triggered,
-                              limit=sim.now + 3_000.0):
-            return False
-        result = waiter.value
-        if not result.committed:
-            return False
-        confirmed.append(ConfirmedWrite(txn_id=result.txn_id, partition_id=0,
-                                        values={key: value}))
+        confirmed.append(ConfirmedWrite(result.txn_id, values=values))
         return True
 
-    outcome.post_heal_ok = (probe("item-40", majority_delegate)
-                            and probe("item-41", minority_delegate))
+    outcome.post_heal_ok = (probe_commits("item-40", majority_delegate)
+                            and probe_commits("item-41", minority_delegate))
     sim.run(until=sim.now + 300.0)
 
     # -- phase 5: the audit ----------------------------------------------------------
     # Late confirmations (a view change re-submitted a message that hung
-    # during the fault) join the audited set: once a client was answered
-    # "committed", the write must be durable and served, whenever it landed.
-    for side, key, value, waiter in in_flight:
-        if key in committed_during:
-            continue
-        result = waiter.value if waiter.triggered else None
-        if result is not None and result.committed:
-            confirmed.append(ConfirmedWrite(txn_id=result.txn_id,
-                                            partition_id=0,
-                                            values={key: value}))
-        elif result is None:
+    # during the fault) join the audited set like those of the window: once
+    # a client was answered "committed", the write must be durable and
+    # served, whenever it landed.
+    for _side, key, value, waiter in in_flight:
+        if not waiter.triggered:
             outcome.unresolved += 1
+        elif waiter.value.committed:
+            confirmed.append(ConfirmedWrite(waiter.value.txn_id,
+                                            values={key: value}))
 
-    for write in confirmed:
-        if not cluster.committed_anywhere(write.txn_id):
-            outcome.observed_loss = True
-            outcome.audit_failures.append(
-                f"lost commit: {write.txn_id} is recorded nowhere")
-            continue
-        for key, value in write.values.items():
-            missing = [name for name in names
-                       if cluster.database(name).value_of(key) != value]
-            if missing:
-                outcome.audit_failures.append(
-                    f"confirmed value of {key} ({write.txn_id}) not served "
-                    f"on {missing}")
-
-    audited_keys = (["item-10", "item-11", "item-40", "item-41"]
-                    + list(majority_keys) + list(minority_keys))
-    outcome.converged = all(
-        len({repr(cluster.database(name).value_of(key)) for name in names})
-        == 1
-        for key in audited_keys)
+    # After heal + resync every server must serve every confirmed value.
+    outcome.findings = audit_writes(cluster, confirmed, caught_up=names)
+    outcome.converged = not divergent_keys(
+        cluster, names, ("item-10", "item-11", "item-40", "item-41")
+        + majority_keys + minority_keys)
     outcome.drops_by_cause = dict(lan.dropped_by_cause)
     outcome.suspicion_count = cluster.gcs.failure_detector.suspicion_count
     return outcome
 
 
 # --------------------------------------------------------------------------- partitioned cells
-def _partitioned_parameters(engine: str,
-                            params: Optional[SimulationParameters]
-                            ) -> SimulationParameters:
-    base = params or SimulationParameters.small(server_count=3,
-                                                item_count=100)
-    return base.with_overrides(partition_count=2, broadcast_engine=engine,
-                               cross_partition_probability=0.0)
+def _partitioned_cluster(engine: str, seed: int,
+                         params: Optional[SimulationParameters]
+                         ) -> PartitionedCluster:
+    cluster = PartitionedCluster(
+        GROUP_TECHNIQUE, seed=seed, strategy="range",
+        params=small_parameters(params, partition_count=2,
+                                broadcast_engine=engine,
+                                cross_partition_probability=0.0))
+    cluster.start()
+    return cluster
 
 
 def _range_key(cluster: PartitionedCluster, shard: int,
@@ -443,28 +386,19 @@ def run_migration_fence_split_scenario(engine: str, seed: int = 1,
     outcome = NetsplitCellOutcome(engine=engine,
                                   fault_pattern="migration-fence-split",
                                   detector="perfect", prediction=prediction)
-    cluster = PartitionedCluster(GROUP_TECHNIQUE,
-                                 params=_partitioned_parameters(engine,
-                                                                params),
-                                 seed=seed, strategy="range")
-    cluster.start()
+    cluster = _partitioned_cluster(engine, seed, params)
     sim = cluster.sim
     source, destination = 0, 1
     source_key = _range_key(cluster, source, offset=1)
-    write_result = sim.run_until_complete(
-        cluster.run_transaction(_program({source_key: f"fence:{source_key}"},
-                                         client="fence-setup")),
-        limit=sim.now + 5_000.0)
-    if not write_result.committed:
-        raise RuntimeError("fence-split setup write failed to confirm")
-    confirmed = [ConfirmedWrite(txn_id=write_result.txn_id,
-                                partition_id=source,
-                                values={source_key: f"fence:{source_key}"})]
+    values = {source_key: f"fence:{source_key}"}
+    confirmed = [ConfirmedWrite(
+        confirm(cluster, values, client="fence-setup").txn_id, source,
+        values)]
 
     destination_group = cluster.group(destination)
     victim = destination_group.server_names()[-1]
-    everyone = [name for group_id in range(cluster.partition_count)
-                for name in cluster.group(group_id).server_names()]
+    everyone = [name for group in cluster.groups
+                for name in group.server_names()]
 
     def split(_context) -> None:
         cluster.lan.install_fault(
@@ -474,8 +408,8 @@ def run_migration_fence_split_scenario(engine: str, seed: int = 1,
 
     cluster.add_failpoint("migration.fence", split)
     driver = cluster.migrate(source, destination, chunk_size=8)
-    if not _advance_until(cluster, lambda: driver.triggered,
-                          limit=sim.now + 30_000.0):
+    if not advance_until(cluster, lambda: driver.triggered,
+                         limit=sim.now + 30_000.0):
         raise RuntimeError("migration driver never finished under the "
                            "fence split")
     report = cluster.migration_reports[-1]
@@ -483,7 +417,7 @@ def run_migration_fence_split_scenario(engine: str, seed: int = 1,
     if migration_ok:
         outcome.majority_commits = 1   # progress under the split
     else:
-        outcome.audit_failures.append(
+        outcome.problems.append(
             f"migration did not complete under the fence split "
             f"(aborted={report.aborted}, reason={report.abort_reason})")
     sim.run(until=sim.now + 300.0)
@@ -495,28 +429,22 @@ def run_migration_fence_split_scenario(engine: str, seed: int = 1,
     sim.run(until=sim.now + 500.0)
 
     probe_key = _range_key(cluster, source, offset=2)
-    probe = cluster.run_transaction(
-        _program({probe_key: f"probe:{probe_key}"}, client="fence-probe"))
-    outcome.post_heal_ok = (_advance_until(cluster,
-                                           lambda: probe.triggered,
-                                           limit=sim.now + 5_000.0)
-                            and bool(probe.value.committed))
+    answer = probe(cluster, {probe_key: f"probe:{probe_key}"},
+                   client="fence-probe")
+    outcome.post_heal_ok = bool(answer is not None and answer.committed)
     sim.run(until=sim.now + 300.0)
 
-    failures, lost = audit_confirmed_writes(cluster, confirmed)
-    outcome.audit_failures.extend(failures)
-    outcome.observed_loss = lost
-    serving = cluster.partition_of(source_key)
-    member_values = {
-        repr(destination_group.database(name).value_of(source_key))
-        for name in destination_group.server_names()}
-    outcome.converged = (migration_ok and serving == destination
-                         and len(member_values) == 1)
+    outcome.findings = audit_writes(cluster.groups, confirmed,
+                                    cluster.partition_of)
+    outcome.converged = (
+        migration_ok and cluster.partition_of(source_key) == destination
+        and not divergent_keys(destination_group,
+                               destination_group.server_names(),
+                               [source_key]))
     outcome.drops_by_cause = dict(cluster.lan.dropped_by_cause)
     outcome.suspicion_count = sum(
-        cluster.group(group_id).gcs.failure_detector.suspicion_count
-        for group_id in range(cluster.partition_count)
-        if cluster.group(group_id).gcs is not None)
+        group.gcs.failure_detector.suspicion_count
+        for group in cluster.groups if group.gcs is not None)
     return outcome
 
 
@@ -540,90 +468,71 @@ def run_gray_2pc_scenario(engine: str, seed: int = 1,
     outcome = NetsplitCellOutcome(engine=engine,
                                   fault_pattern="gray-2pc-participant",
                                   detector="perfect", prediction=prediction)
-    cluster = PartitionedCluster(GROUP_TECHNIQUE,
-                                 params=_partitioned_parameters(engine,
-                                                                params),
-                                 seed=seed, strategy="range")
-    cluster.start()
+    cluster = _partitioned_cluster(engine, seed, params)
     sim = cluster.sim
     remote = cluster.partition_count - 1
 
     def cross(tag: str):
+        """Run one cross-partition update: its outcome if committed."""
         values = {_range_key(cluster, 0, offset=1 + len(confirmed)):
                   f"{tag}:local",
                   _range_key(cluster, remote, offset=1 + len(confirmed)):
                   f"{tag}:remote"}
-        waiter = cluster.run_transaction(_program(values, client=tag))
-        if not _advance_until(cluster, lambda: waiter.triggered,
-                              limit=sim.now + 10_000.0):
-            return None, values
-        return waiter.value, values
+        answer = probe(cluster, values, client=tag, limit_ms=10_000.0)
+        if answer is None or not answer.committed:
+            return None
+        confirmed.extend(branch_writes(cluster, answer, values))
+        return answer
 
     confirmed: List[ConfirmedWrite] = []
-
-    def record(cross_outcome, values) -> None:
-        for branch in cross_outcome.branches:
-            if branch.txn_id is None:
-                continue
-            branch_values = {key: value for key, value in values.items()
-                             if cluster.partition_of(key)
-                             == branch.partition_id}
-            confirmed.append(ConfirmedWrite(txn_id=branch.txn_id,
-                                            partition_id=branch.partition_id,
-                                            values=branch_values))
-
-    healthy, values = cross("gray2pc-healthy")
-    if healthy is None or not healthy.committed:
+    healthy = cross("gray2pc-healthy")
+    if healthy is None:
         raise RuntimeError("healthy cross-partition transaction failed")
-    record(healthy, values)
 
     remote_group = cluster.group(remote)
     for name in remote_group.server_names():
         remote_group.database(name).degrade_disk(8.0)
-    degraded, values = cross("gray2pc-degraded")
+    degraded = cross("gray2pc-degraded")
     for name in remote_group.server_names():
         remote_group.database(name).restore_disk()
-    if degraded is not None and degraded.committed:
+    if degraded is not None:
         outcome.majority_commits = 1
-        record(degraded, values)
         outcome.latency_inflation = (degraded.response_time
                                      / healthy.response_time)
     else:
-        outcome.audit_failures.append(
+        outcome.problems.append(
             "cross-partition transaction failed under the degraded disk")
 
-    recovered, values = cross("gray2pc-recovered")
-    outcome.post_heal_ok = bool(recovered is not None
-                                and recovered.committed)
-    if outcome.post_heal_ok:
-        record(recovered, values)
+    outcome.post_heal_ok = cross("gray2pc-recovered") is not None
     sim.run(until=sim.now + 300.0)
 
-    failures, lost = audit_confirmed_writes(cluster, confirmed)
-    outcome.audit_failures.extend(failures)
-    outcome.observed_loss = lost
-    outcome.converged = all(
-        len({repr(cluster.group(write.partition_id).database(name)
-                  .value_of(key))
-             for name in cluster.group(write.partition_id).server_names()})
-        == 1
-        for write in confirmed for key in write.values)
+    outcome.findings = audit_writes(cluster.groups, confirmed,
+                                    cluster.partition_of)
+    outcome.converged = not any(
+        divergent_keys(cluster.group(write.group),
+                       cluster.group(write.group).server_names(),
+                       write.values)
+        for write in confirmed)
     outcome.drops_by_cause = dict(cluster.lan.dropped_by_cause)
     return outcome
 
 
 # --------------------------------------------------------------------------- the matrix
+#: Partitioned-cluster patterns run once per engine (perfect detector).
+PARTITIONED_FAULT_PATTERNS = {
+    "migration-fence-split": run_migration_fence_split_scenario,
+    "gray-2pc-participant": run_gray_2pc_scenario,
+}
+
+
 def _matrix_cell(cell) -> NetsplitCellOutcome:
-    """Run one matrix cell — module-level so a process pool can pickle it;
-    each cell is an independent simulation."""
-    kind, engine, pattern, detector, seed, params = cell
-    if kind == "group":
-        return run_group_netsplit_scenario(engine, pattern, detector,
-                                           seed=seed, params=params)
-    if pattern == "migration-fence-split":
-        return run_migration_fence_split_scenario(engine, seed=seed,
-                                                  params=params)
-    return run_gray_2pc_scenario(engine, seed=seed, params=params)
+    """Run one matrix cell."""
+    engine, pattern, detector, seed, params = cell
+    if pattern in PARTITIONED_FAULT_PATTERNS:
+        return PARTITIONED_FAULT_PATTERNS[pattern](engine, seed=seed,
+                                                   params=params)
+    return run_group_netsplit_scenario(engine, pattern, detector, seed=seed,
+                                       params=params)
 
 
 def run_netsplit_matrix(engines: Optional[Sequence[str]] = None,
@@ -634,41 +543,19 @@ def run_netsplit_matrix(engines: Optional[Sequence[str]] = None,
                         workers: int = 1,
                         include_partitioned: bool = True
                         ) -> List[NetsplitCellOutcome]:
-    """Run every (engine × fault pattern × detector) cell of the matrix.
-
-    With ``workers > 1`` the cells fan out over a process pool; the entry
-    list keeps the serial (engine-major) order either way, because
-    ``Pool.map`` returns results in submission order regardless of which
-    worker finished first.
-    """
-    from ..gcs.engines import engine_names
-
-    chosen_engines = list(engines) if engines is not None \
-        else list(engine_names())
-    chosen_patterns = list(patterns) if patterns is not None \
-        else list(GROUP_FAULT_PATTERNS)
-    chosen_detectors = list(detectors) if detectors is not None \
-        else list(DETECTOR_CONFIGS)
-    cells = [("group", engine, pattern, detector, seed, params)
-             for engine in chosen_engines
-             for pattern in chosen_patterns
-             for detector in chosen_detectors]
+    """Run every (engine × fault pattern × detector) cell, engine-major."""
+    engines = engine_names() if engines is None else engines
+    cells = [(engine, pattern, detector, seed, params)
+             for engine in engines
+             for pattern in (GROUP_FAULT_PATTERNS if patterns is None
+                             else patterns)
+             for detector in (DETECTOR_CONFIGS if detectors is None
+                              else detectors)]
     if include_partitioned:
-        cells.extend(("partitioned", engine, pattern, "perfect", seed,
-                      params)
-                     for engine in chosen_engines
+        cells.extend((engine, pattern, "perfect", seed, params)
+                     for engine in engines
                      for pattern in PARTITIONED_FAULT_PATTERNS)
-    if workers > 1:
-        import multiprocessing
-        with multiprocessing.Pool(min(workers, len(cells))) as pool:
-            return pool.map(_matrix_cell, cells)
-    return [_matrix_cell(cell) for cell in cells]
-
-
-def netsplit_soundness_violations(entries: Sequence[NetsplitCellOutcome]
-                                  ) -> List[NetsplitCellOutcome]:
-    """Cells with a lost/diverged commit, split-brain or unavailability."""
-    return [entry for entry in entries if not entry.sound]
+    return run_cells(_matrix_cell, cells, workers)
 
 
 def netsplit_prediction_mismatches(entries: Sequence[NetsplitCellOutcome]
@@ -680,9 +567,8 @@ def netsplit_prediction_mismatches(entries: Sequence[NetsplitCellOutcome]
 def engines_missing_minority_blocking(entries: Sequence[NetsplitCellOutcome]
                                       ) -> List[str]:
     """Engines with no demonstrated minority-blocking cell (acceptance bar)."""
-    demonstrated = {entry.engine for entry in entries
-                    if entry.demonstrates_minority_blocking}
-    return sorted({entry.engine for entry in entries} - demonstrated)
+    return sorted({entry.engine for entry in entries}
+                  - {entry.engine for entry in demonstrated(entries)})
 
 
 def render_netsplit_matrix(entries: Sequence[NetsplitCellOutcome]) -> str:
@@ -707,27 +593,26 @@ def render_netsplit_matrix(entries: Sequence[NetsplitCellOutcome]) -> str:
             f"{'LOST' if entry.observed_loss else 'none':>5} | "
             f"{'ok' if entry.converged else 'NO':>5} | "
             f"{entry.sound and entry.matched}")
-    violations = netsplit_soundness_violations(entries)
+    broken = violations(entries)
     mismatches = netsplit_prediction_mismatches(entries)
-    blocking = [entry for entry in entries
-                if entry.demonstrates_minority_blocking]
     lines.append("")
     lines.append(
-        f"cells: {len(entries)}  soundness violations: {len(violations)}  "
+        f"cells: {len(entries)}  soundness violations: {len(broken)}  "
         f"prediction mismatches: {len(mismatches)}  "
-        f"minority-blocking demonstrations: {len(blocking)}")
+        f"minority-blocking demonstrations: {len(demonstrated(entries))}")
     lines.append("majority/minority columns: predicted(go/block/?) : "
                  "observed confirmed commits during the fault window")
-    inflations = [(entry, entry.latency_inflation) for entry in entries
-                  if entry.latency_inflation is not None
-                  and entry.fault_pattern.startswith("gray")]
-    for entry, inflation in inflations:
-        lines.append(f"  gray latency inflation "
-                     f"{entry.engine}/{entry.fault_pattern}"
-                     f"/{entry.detector}: x{inflation:.1f}")
-    for entry in violations:
+    for entry in entries:
+        if (entry.latency_inflation is not None
+                and entry.fault_pattern.startswith("gray")):
+            lines.append(f"  gray latency inflation "
+                         f"{entry.engine}/{entry.fault_pattern}"
+                         f"/{entry.detector}: x{entry.latency_inflation:.1f}")
+    for entry in broken:
+        held = [str(finding) for finding in entry.findings] + entry.problems
         lines.append(f"  VIOLATION {entry.engine}/{entry.fault_pattern}"
-                     f"/{entry.detector}: {entry.audit_failures or 'minority committed / unavailable'}")
+                     f"/{entry.detector}: "
+                     f"{held or 'minority committed / unavailable'}")
     for entry in mismatches:
         lines.append(f"  MISMATCH {entry.engine}/{entry.fault_pattern}"
                      f"/{entry.detector}: majority={entry.majority_commits} "
@@ -737,45 +622,36 @@ def render_netsplit_matrix(entries: Sequence[NetsplitCellOutcome]) -> str:
 
 
 # --------------------------------------------------------------------------- CLI
+def _engines_run(arguments) -> List[str]:
+    """``--smoke`` runs the single ``--engine``; the full run spans every
+    engine regardless of it (the matrix *is* the engine comparison)."""
+    return [arguments.engine] if arguments.smoke else list(engine_names())
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI / CI smoke entry: run the matrix and enforce the acceptance bars.
 
-    ``--smoke`` runs the reduced cell set on the single ``--engine``; the
-    full run spans *both* engines regardless of ``--engine`` (the matrix is
-    the engine comparison).  Exits non-zero on any soundness violation,
-    prediction mismatch, or an engine without a demonstrated
-    minority-blocking cell.
+    Exits non-zero on any soundness violation, prediction mismatch, or an
+    engine without a demonstrated minority-blocking cell.
     """
-    from .report import matrix_cli
+    def run(arguments, _params):
+        reduced = dict(patterns=SMOKE_GROUP_PATTERNS,
+                       detectors=SMOKE_DETECTORS) if arguments.smoke else {}
+        return run_netsplit_matrix(engines=_engines_run(arguments),
+                                   seed=arguments.seed,
+                                   workers=arguments.workers, **reduced)
 
-    def run(arguments):
-        if arguments.smoke:
-            entries = run_netsplit_matrix(
-                engines=[arguments.engine],
-                patterns=SMOKE_GROUP_PATTERNS,
-                detectors=SMOKE_DETECTORS,
-                seed=arguments.seed, workers=arguments.workers)
-        else:
-            entries = run_netsplit_matrix(seed=arguments.seed,
-                                          workers=arguments.workers)
-        return entries, render_netsplit_matrix(entries)
-
-    def problems_of(entries) -> List[str]:
-        problems: List[str] = []
-        violations = netsplit_soundness_violations(entries)
-        if violations:
-            problems.append(f"{len(violations)} soundness violations")
+    def bars(entries) -> List[str]:
         mismatches = netsplit_prediction_mismatches(entries)
-        if mismatches:
-            problems.append(f"{len(mismatches)} prediction mismatches")
-        for engine in engines_missing_minority_blocking(entries):
-            problems.append(f"no demonstrated minority-blocking cell for "
-                            f"engine {engine}")
-        return problems
+        return ([f"{len(mismatches)} prediction mismatches"]
+                if mismatches else []) + [
+            f"no demonstrated minority-blocking cell for engine {engine}"
+            for engine in engines_missing_minority_blocking(entries)]
 
     return matrix_cli(argv, description=__doc__.splitlines()[0],
                       report_name="netsplit_matrix", run=run,
-                      problems_of=problems_of)
+                      render=render_netsplit_matrix, bars=bars,
+                      engines_of=_engines_run)
 
 
 if __name__ == "__main__":  # pragma: no cover - CLI entry

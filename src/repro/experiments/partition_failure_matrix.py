@@ -39,21 +39,25 @@ the run's invariants — atomicity, resolution of every client, routing-map
 crash consistency, post-pattern availability — all hold) and
 **demonstration** (the predicted-possible-loss cells exhibit at least one
 concrete losing schedule).
+
+The scenario verbs, the cell fan-out, the entry type and the CLI gate are
+the shared :mod:`repro.experiments.harness`; the per-key audit is
+:func:`repro.core.audit.audit_writes`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..core.criteria import safety_of_technique
-from ..core.durability import transaction_fate
-from ..core.matrix import partitioned_loss_condition
-from ..core.safety import SafetyLevel
-from ..db.operations import Operation, OperationType, TransactionProgram
+from ..core.audit import ConfirmedWrite, Finding, FindingKind, audit_writes
 from ..partition.cluster import MigrationReport, PartitionedCluster
 from ..partition.coordinator import CrossPartitionOutcome
 from ..workload.params import SimulationParameters
+from .harness import (SMOKE_TECHNIQUES, TECHNIQUES, TRACE_ARGUMENT, LossCell,
+                      advance_until, confirm, demonstrated, loss_bars,
+                      loss_cell, matrix_cli, probe, run_cells,
+                      small_parameters, submit_writes, violations)
 
 #: The partitioned crash patterns, with one-line descriptions (the taxonomy
 #: of the module docstring; validated by :func:`run_partitioned_crash_scenario`).
@@ -83,12 +87,6 @@ REQUIRED_PATTERN_CLASSES: Dict[str, Tuple[str, ...]] = {
                                           "migration-post-epoch"),
 }
 
-DEFAULT_TECHNIQUES = ("0-safe", "1-safe", "group-safe", "group-1-safe",
-                      "2-safe")
-#: The reduced technique set of the CI smoke run — still spans a lazy
-#: technique (demonstrates delegate-crash loss), a group-based one
-#: (demonstrates whole-shard loss) and 2-safe (never loses).
-SMOKE_TECHNIQUES = ("1-safe", "group-safe", "2-safe")
 
 
 # --------------------------------------------------------------------------- outcome types
@@ -103,16 +101,6 @@ class ShardStatus:
 
 
 @dataclass
-class ConfirmedWrite:
-    """One client-confirmed update, for the per-key commit-integrity audit."""
-
-    txn_id: str
-    #: The group that committed (and confirmed) it.
-    partition_id: int
-    values: Dict[str, str]
-
-
-@dataclass
 class PartitionedScenarioOutcome:
     """Everything one partitioned failure scenario produced, audited."""
 
@@ -123,10 +111,8 @@ class PartitionedScenarioOutcome:
     confirmed: bool
     #: Statuses of the shards the audited transaction's durability depends on.
     audited_shards: List[ShardStatus] = field(default_factory=list)
-    #: True if a confirmed write is gone from every server that could serve it.
-    transaction_lost: bool = False
-    #: Per-key commit-integrity audit failures (lost / duplicated / missing).
-    audit_failures: List[str] = field(default_factory=list)
+    #: What the per-key commit-integrity audit holds against the run.
+    findings: List[Finding] = field(default_factory=list)
     #: An aborted transaction installed writes nowhere (all-or-nothing).
     atomicity_ok: bool = True
     #: Every submitted client transaction was eventually answered.
@@ -146,9 +132,16 @@ class PartitionedScenarioOutcome:
     #: right reason, or completed verified).  None for non-migration patterns.
     migration_ok: Optional[bool] = None
     migration: Optional[MigrationReport] = None
-    cross: Optional[CrossPartitionOutcome] = None
     crashed_servers: List[str] = field(default_factory=list)
     recovered_servers: List[str] = field(default_factory=list)
+
+    def _found(self, kind: FindingKind) -> bool:
+        return any(finding.kind is kind for finding in self.findings)
+
+    @property
+    def transaction_lost(self) -> bool:
+        """A confirmed write is gone from every server that could serve it."""
+        return self._found(FindingKind.LOST)
 
     @property
     def invariants_ok(self) -> bool:
@@ -157,77 +150,27 @@ class PartitionedScenarioOutcome:
                 and self.resolved_before_recovery
                 and self.fresh_commit_ok and self.routing_consistent
                 and self.migration_ok is not False
-                and not any(failure.startswith("duplicated")
-                            for failure in self.audit_failures))
-
-
-@dataclass
-class PartitionedMatrixEntry:
-    """One (technique, shard count, crash pattern) cell of the matrix."""
-
-    technique: str
-    level: SafetyLevel
-    shard_count: int
-    crash_pattern: str
-    predicted_possible_loss: bool
-    observed_loss: bool
-    outcome: PartitionedScenarioOutcome
-
-    @property
-    def sound(self) -> bool:
-        """True if the observation does not contradict the prediction.
-
-        Beyond the single-group rule (no observed loss in a no-loss cell),
-        a partitioned cell also demands the pattern's invariants: 2PC
-        atomicity, every client answered, the recovered routing map
-        consistent with the served one, and post-pattern availability.
-        """
-        return ((self.predicted_possible_loss or not self.observed_loss)
-                and self.outcome.invariants_ok)
+                and not self._found(FindingKind.DUPLICATED))
 
 
 # --------------------------------------------------------------------------- helpers
-def _update_program(values: Dict[str, str], client: str) -> TransactionProgram:
-    operations = tuple(Operation(OperationType.WRITE, key, value)
-                       for key, value in values.items())
-    return TransactionProgram(operations=operations, client=client)
-
-
-def _advance_until(cluster: PartitionedCluster, condition, limit: float,
-                   step: float = 5.0) -> bool:
-    """Advance the simulation until ``condition()`` (False if ``limit`` hit)."""
-    while not condition():
-        if cluster.sim.now >= limit:
-            return False
-        cluster.run(until=min(limit, cluster.sim.now + step))
-    return True
-
-
-def _confirm_write(cluster: PartitionedCluster, keys: Sequence[str],
-                   tag: str, limit_ms: float = 5_000.0) -> ConfirmedWrite:
-    """Submit one update-only transaction and wait for its confirmation."""
+def _confirmed(cluster: PartitionedCluster, keys: Sequence[str],
+               tag: str) -> ConfirmedWrite:
+    """Confirm one update of ``keys``, recorded for the audit."""
     values = {key: f"{tag}:{key}" for key in keys}
-    waiter = cluster.run_transaction(_update_program(values, client=tag))
-    result = cluster.sim.run_until_complete(
-        waiter, limit=cluster.sim.now + limit_ms)
-    if not result.committed:
-        raise RuntimeError(
-            f"setup transaction {result.txn_id} failed to confirm "
-            f"({result.abort_reason}); the scenario cannot run")
-    return ConfirmedWrite(txn_id=result.txn_id,
-                          partition_id=cluster.partition_of(keys[0]),
-                          values=values)
+    result = confirm(cluster, values, client=tag)
+    return ConfirmedWrite(result.txn_id, cluster.partition_of(keys[0]),
+                          values)
 
 
-def _probe_commit(cluster: PartitionedCluster, keys: Sequence[str],
-                  tag: str, limit_ms: float = 5_000.0) -> bool:
-    """True if a fresh update on ``keys`` commits within ``limit_ms``."""
-    waiter = cluster.run_transaction(
-        _update_program({key: f"{tag}:{key}" for key in keys}, client=tag))
-    if not _advance_until(cluster, lambda: waiter.triggered,
-                          limit=cluster.sim.now + limit_ms):
-        return False
-    return bool(getattr(waiter.value, "committed", False))
+def branch_writes(cluster: PartitionedCluster, cross: CrossPartitionOutcome,
+                  values: Mapping[str, object]) -> List[ConfirmedWrite]:
+    """The confirmed writes of a committed 2PC outcome, one per branch."""
+    return [ConfirmedWrite(branch.txn_id, branch.partition_id,
+                           {key: value for key, value in values.items()
+                            if cluster.partition_of(key)
+                            == branch.partition_id})
+            for branch in cross.branches if branch.txn_id is not None]
 
 
 def _shard_keys(cluster: PartitionedCluster, shard: int,
@@ -240,74 +183,16 @@ def _shard_keys(cluster: PartitionedCluster, shard: int,
     return [f"item-{position}" for position in positions]
 
 
-def _probe_key(cluster: PartitionedCluster, shard: int) -> str:
-    """A key of ``shard`` disjoint from :func:`_shard_keys` (first position).
+def _probe_commits(cluster: PartitionedCluster, shard: int, tag: str) -> bool:
+    """True if a fresh update inside ``shard``'s range commits within 5 s.
 
-    Probe transactions write fresh values; keeping them off the audited
-    keys keeps the per-key audit's expected values intact.
+    The probe writes the range's first position, which :func:`_shard_keys`
+    never yields: fresh values stay off the audited keys, so the per-key
+    audit's expected values remain intact.
     """
-    return f"item-{cluster.routing.range_of(shard).lo}"
-
-
-def audit_confirmed_writes(cluster: PartitionedCluster,
-                           writes: Sequence[ConfirmedWrite]
-                           ) -> Tuple[List[str], bool]:
-    """Per-key commit-integrity audit of confirmed writes after a pattern.
-
-    For every confirmed write: **no duplicated commit** (its transaction is
-    recorded as committed on at most one group) and **no lost commit** —
-    if the currently-owning group is the one that confirmed it, the
-    transaction's :func:`~repro.core.durability.transaction_fate` must not
-    be lost; if ownership moved (a migration completed mid-pattern), the
-    new owner must serve every written value.  Returns ``(failures,
-    lost_any)`` where ``lost_any`` flags an actual transaction loss (the
-    matrix's *observed* axis) as opposed to a duplication.
-    """
-    failures: List[str] = []
-    lost_any = False
-    for write in writes:
-        committed_groups = [
-            partition_id for partition_id in range(cluster.partition_count)
-            if cluster.group(partition_id).committed_anywhere(write.txn_id)]
-        if len(committed_groups) > 1:
-            failures.append(f"duplicated commit: {write.txn_id} recorded on "
-                            f"groups {committed_groups}")
-        owner = cluster.partition_of(next(iter(write.values)))
-        group = cluster.group(owner)
-        if owner == write.partition_id:
-            fate = transaction_fate(group, write.txn_id,
-                                    confirmed_to_client=True)
-            if fate.is_lost:
-                lost_any = True
-                failures.append(
-                    f"lost commit: {write.txn_id} is gone from every "
-                    f"surviving server of its owning group {owner}")
-        else:
-            up_servers = group.up_servers()
-            served = bool(up_servers) and all(
-                any(group.database(name).value_of(key) == value
-                    for name in up_servers)
-                for key, value in write.values.items())
-            if not served:
-                lost_any = True
-                failures.append(
-                    f"lost commit: {write.txn_id} moved to group {owner} "
-                    f"but its values are not served there")
-    return failures, lost_any
-
-
-def _freeze_non_delegates(cluster: PartitionedCluster, partition_id: int,
-                          delegate: str) -> None:
-    group = cluster.group(partition_id)
-    for name in group.server_names():
-        if name != delegate:
-            group.replica(name).processing_gate.close()
-
-
-def _open_gates(cluster: PartitionedCluster, partition_id: int) -> None:
-    group = cluster.group(partition_id)
-    for name in group.server_names():
-        group.replica(name).processing_gate.open()
+    key = f"item-{cluster.routing.range_of(shard).lo}"
+    result = probe(cluster, {key: f"{tag}:{key}"}, client=tag)
+    return bool(result is not None and result.committed)
 
 
 def _recover_group(cluster: PartitionedCluster, partition_id: int,
@@ -337,83 +222,79 @@ def run_partitioned_crash_scenario(technique: str, crash_pattern: str,
             f"{sorted(PARTITIONED_CRASH_PATTERNS)}")
     if shard_count < 2:
         raise ValueError("the partitioned matrix needs at least 2 shards")
-    parameters = params or SimulationParameters.small(server_count=3,
-                                                      item_count=100)
-    parameters = parameters.with_overrides(
-        partition_count=shard_count, cross_partition_probability=0.0)
-    cluster = PartitionedCluster(technique, params=parameters, seed=seed,
-                                 strategy="range")
+    cluster = PartitionedCluster(
+        technique, seed=seed, strategy="range",
+        params=small_parameters(params, partition_count=shard_count,
+                                cross_partition_probability=0.0))
     cluster.start()
-    if crash_pattern in ("coordinator-before-decision",
-                         "coordinator-after-decision"):
-        return _run_coordinator_pattern(cluster, technique, crash_pattern,
-                                        settle_ms)
-    if crash_pattern in ("migration-source-copy", "migration-dest-fence",
-                         "migration-post-epoch"):
-        return _run_migration_pattern(cluster, technique, crash_pattern,
-                                      settle_ms)
-    return _run_shard_pattern(cluster, technique, crash_pattern, settle_ms)
+    outcome = PartitionedScenarioOutcome(
+        technique=technique, crash_pattern=crash_pattern,
+        shard_count=shard_count, confirmed=True)
+    if crash_pattern.startswith("coordinator-"):
+        _run_coordinator_pattern(cluster, outcome, settle_ms)
+    elif crash_pattern.startswith("migration-"):
+        _run_migration_pattern(cluster, outcome, settle_ms)
+    else:
+        _run_shard_pattern(cluster, outcome, settle_ms)
+    return outcome
 
 
-def _run_shard_pattern(cluster: PartitionedCluster, technique: str,
-                       pattern: str, settle_ms: float
-                       ) -> PartitionedScenarioOutcome:
+def _run_shard_pattern(cluster: PartitionedCluster,
+                       outcome: PartitionedScenarioOutcome,
+                       settle_ms: float) -> None:
     """The single-group Table 2/3 patterns, replayed inside shard 0."""
-    sim = cluster.sim
+    sim, pattern = cluster.sim, outcome.crash_pattern
     group = cluster.group(0)
     names = group.server_names()
     delegate = group.choose_delegate(0)
     remote_shard = cluster.partition_count - 1
     freeze = pattern in ("shard-outage", "shard-outage-recover-all")
+    non_delegates = [name for name in names if name != delegate]
     if freeze:
         # The Fig. 5 window: the non-delegates crash after *delivering* the
         # transaction's message but before processing it.
-        _freeze_non_delegates(cluster, 0, delegate)
+        for name in non_delegates:
+            group.replica(name).processing_gate.close()
 
-    write = _confirm_write(cluster, _shard_keys(cluster, 0), tag=pattern)
+    write = _confirmed(cluster, _shard_keys(cluster, 0), tag=pattern)
     sim.run(until=sim.now + 10.0)
 
-    non_delegates = [name for name in names if name != delegate]
-    if pattern == "none":
-        crashed: List[str] = []
-        recovered: List[str] = []
-    elif pattern == "shard-delegate":
-        crashed, recovered = [delegate], []
+    crashed: List[str] = []
+    recovered: List[str] = []
+    if pattern == "shard-delegate":
+        crashed = [delegate]
         cluster.crash_server(0, delegate)
-    else:
+    elif pattern != "none":
         crashed = list(names)
         recovered = (non_delegates if pattern == "shard-outage"
                      else non_delegates + [delegate])
         cluster.crash_partition(0)
     sim.run(until=sim.now + 5.0)
-    _open_gates(cluster, 0)
+    for name in names:
+        group.replica(name).processing_gate.open()
     _recover_group(cluster, 0, recovered)
     sim.run(until=sim.now + settle_ms)
 
-    outcome = PartitionedScenarioOutcome(
-        technique=technique, crash_pattern=pattern,
-        shard_count=cluster.partition_count, confirmed=True,
-        crashed_servers=crashed, recovered_servers=recovered)
+    outcome.crashed_servers, outcome.recovered_servers = crashed, recovered
     outcome.audited_shards = [ShardStatus(
         partition_id=0,
         group_failed=len(crashed) > len(names) // 2,
         delegate_crashed=delegate in crashed and delegate not in recovered)]
     # The outage is contained: the other shards keep serving.
-    outcome.fresh_commit_ok = _probe_commit(
-        cluster, [_probe_key(cluster, remote_shard)], tag=f"{pattern}.probe")
-    outcome.audit_failures, outcome.transaction_lost = \
-        audit_confirmed_writes(cluster, [write])
+    outcome.fresh_commit_ok = _probe_commits(cluster, remote_shard,
+                                             tag=f"{pattern}.probe")
+    outcome.findings = audit_writes(cluster.groups, [write],
+                                    cluster.partition_of)
     outcome.routing_consistent = (
         cluster.recovered_routing().partition_of(
             next(iter(write.values))) == 0)
-    return outcome
 
 
-def _run_coordinator_pattern(cluster: PartitionedCluster, technique: str,
-                             pattern: str, settle_ms: float
-                             ) -> PartitionedScenarioOutcome:
+def _run_coordinator_pattern(cluster: PartitionedCluster,
+                             outcome: PartitionedScenarioOutcome,
+                             settle_ms: float) -> None:
     """Home-delegate (= coordinator) crashes around the 2PC decision point."""
-    sim = cluster.sim
+    sim, pattern = cluster.sim, outcome.crash_pattern
     remote_shard = cluster.partition_count - 1
     local_key = _shard_keys(cluster, 0, count=1)[0]
     remote_key = _shard_keys(cluster, remote_shard, count=1)[0]
@@ -431,16 +312,13 @@ def _run_coordinator_pattern(cluster: PartitionedCluster, technique: str,
     phase = ("2pc.prepared" if pattern == "coordinator-before-decision"
              else "2pc.decided")
     cluster.add_failpoint(phase, crash_home)
-    waiter = cluster.run_transaction(_update_program(values, client=pattern))
+    waiter = submit_writes(cluster, values, client=pattern)
 
-    outcome = PartitionedScenarioOutcome(
-        technique=technique, crash_pattern=pattern,
-        shard_count=cluster.partition_count, confirmed=False)
     if pattern == "coordinator-before-decision":
         # The decision was never durable: the coordinator aborts (bounded
         # decision wait) and the client is answered while the crashed home
         # delegate is still down — nothing installed, nobody waits for it.
-        outcome.resolved_before_recovery = _advance_until(
+        outcome.resolved_before_recovery = advance_until(
             cluster, lambda: waiter.triggered, limit=sim.now + 8_000.0)
     else:
         # The decision is durable: the client blocks (classic 2PC) until
@@ -451,63 +329,43 @@ def _run_coordinator_pattern(cluster: PartitionedCluster, technique: str,
     cluster.recover_server(crash_site["partition"], crash_site["server"])
     outcome.recovered_servers = [crash_site["server"]]
     outcome.crashed_servers = [crash_site["server"]]
-    outcome.resolved = _advance_until(cluster, lambda: waiter.triggered,
-                                      limit=sim.now + 20_000.0)
+    outcome.resolved = advance_until(cluster, lambda: waiter.triggered,
+                                     limit=sim.now + 20_000.0)
     sim.run(until=sim.now + settle_ms)
 
     cross = waiter.value if waiter.triggered else None
-    outcome.cross = cross
     outcome.confirmed = bool(cross is not None and cross.committed)
-    involved = (0, remote_shard)
     # Every involved delegate is up again: each branch enters the
     # composition as an ordinary no-crash shard (the 2PC blocking rules
     # turn the coordinator crash into delay, not loss).
     outcome.audited_shards = [
         ShardStatus(partition_id=pid, group_failed=False,
-                    delegate_crashed=False) for pid in involved]
+                    delegate_crashed=False) for pid in (0, remote_shard)]
     if outcome.confirmed:
-        writes = []
-        for branch in cross.branches:
-            if branch.txn_id is None:
-                continue
-            branch_values = {
-                key: value for key, value in values.items()
-                if cluster.partition_of(key) == branch.partition_id}
-            writes.append(ConfirmedWrite(txn_id=branch.txn_id,
-                                         partition_id=branch.partition_id,
-                                         values=branch_values))
-        outcome.audit_failures, outcome.transaction_lost = \
-            audit_confirmed_writes(cluster, writes)
+        outcome.findings = audit_writes(
+            cluster.groups, branch_writes(cluster, cross, values),
+            cluster.partition_of)
     else:
         # Atomicity of the abort: none of the transaction's values may have
         # been installed on any server of any group.
-        installed = [
-            (key, name)
-            for partition_id in range(cluster.partition_count)
-            for name in cluster.group(partition_id).server_names()
-            for key, value in values.items()
-            if cluster.group(partition_id).database(name).value_of(key)
-            == value]
-        outcome.atomicity_ok = not installed
-        if installed:
-            outcome.audit_failures.append(
-                f"partial install of aborted transaction: {installed}")
+        outcome.atomicity_ok = not any(
+            group.database(name).value_of(key) == value
+            for group in cluster.groups
+            for name in group.server_names()
+            for key, value in values.items())
     outcome.fresh_commit_ok = (
-        _probe_commit(cluster, [_probe_key(cluster, 0)],
-                      tag=f"{pattern}.probe0")
-        and _probe_commit(cluster, [_probe_key(cluster, remote_shard)],
-                          tag=f"{pattern}.probe1"))
-    return outcome
+        _probe_commits(cluster, 0, tag=f"{pattern}.probe0")
+        and _probe_commits(cluster, remote_shard, tag=f"{pattern}.probe1"))
 
 
-def _run_migration_pattern(cluster: PartitionedCluster, technique: str,
-                           pattern: str, settle_ms: float
-                           ) -> PartitionedScenarioOutcome:
+def _run_migration_pattern(cluster: PartitionedCluster,
+                           outcome: PartitionedScenarioOutcome,
+                           settle_ms: float) -> None:
     """Whole-group crashes at deterministic points of a live migration."""
-    sim = cluster.sim
+    sim, pattern = cluster.sim, outcome.crash_pattern
     source, destination = 0, cluster.partition_count - 1
     target_keys = _shard_keys(cluster, source)
-    write = _confirm_write(cluster, target_keys, tag=pattern)
+    write = _confirmed(cluster, target_keys, tag=pattern)
     # Let the confirmed write finish processing and reach the delegate's
     # log before anything crashes (the lazy techniques confirm early).
     sim.run(until=sim.now + 150.0)
@@ -520,16 +378,11 @@ def _run_migration_pattern(cluster: PartitionedCluster, technique: str,
     cluster.add_failpoint(
         phase, lambda context: cluster.crash_partition(crashed_group))
     driver = cluster.migrate(source, destination, chunk_size=8)
-    if not _advance_until(cluster, lambda: driver.triggered,
-                          limit=sim.now + 30_000.0):
+    if not advance_until(cluster, lambda: driver.triggered,
+                         limit=sim.now + 30_000.0):
         raise RuntimeError(f"migration driver never finished under "
                            f"pattern {pattern!r}")
-    report = cluster.migration_reports[-1]
-
-    outcome = PartitionedScenarioOutcome(
-        technique=technique, crash_pattern=pattern,
-        shard_count=cluster.partition_count, confirmed=True,
-        migration=report)
+    report = outcome.migration = cluster.migration_reports[-1]
     group = cluster.group(crashed_group)
     outcome.crashed_servers = list(group.server_names())
 
@@ -545,15 +398,15 @@ def _run_migration_pattern(cluster: PartitionedCluster, technique: str,
         owner, group_failed = source, False
         # The fence must have lifted with the abort: the range accepts
         # writes again while the destination group is still down.
-        outcome.fresh_commit_ok = _probe_commit(
-            cluster, [_probe_key(cluster, source)], tag=f"{pattern}.unfenced")
+        outcome.fresh_commit_ok = _probe_commits(cluster, source,
+                                                 tag=f"{pattern}.unfenced")
     else:  # migration-post-epoch
         outcome.migration_ok = bool(report.completed and report.verified)
         owner, group_failed = destination, False
         # The handoff must already serve: the migrated range commits on
         # the destination while the old owner is still down.
-        outcome.fresh_commit_ok = _probe_commit(
-            cluster, [_probe_key(cluster, 0)], tag=f"{pattern}.handoff")
+        outcome.fresh_commit_ok = _probe_commits(cluster, 0,
+                                                 tag=f"{pattern}.handoff")
 
     delegate = group.server_names()[0]
     non_delegates = [name for name in group.server_names()
@@ -568,34 +421,25 @@ def _run_migration_pattern(cluster: PartitionedCluster, technique: str,
     served_by = cluster.partition_of(target_keys[0])
     recovered_by = cluster.recovered_routing().partition_of(target_keys[0])
     outcome.routing_consistent = served_by == owner == recovered_by
-    failures, lost = audit_confirmed_writes(cluster, [write])
-    outcome.audit_failures.extend(failures)
-    outcome.transaction_lost = lost
+    outcome.findings = audit_writes(cluster.groups, [write],
+                                    cluster.partition_of)
     if outcome.fresh_commit_ok:
-        outcome.fresh_commit_ok = _probe_commit(
-            cluster, [_probe_key(cluster, destination)],
-            tag=f"{pattern}.probe")
-    return outcome
+        outcome.fresh_commit_ok = _probe_commits(cluster, destination,
+                                                 tag=f"{pattern}.probe")
 
 
 # --------------------------------------------------------------------------- the matrix
-def _matrix_cell(cell) -> PartitionedMatrixEntry:
-    """Run one (technique, shard count, crash pattern) cell — module-level
-    so a process pool can pickle it; each cell is an independent simulation."""
+def _matrix_cell(cell) -> LossCell:
+    """Run one (technique, shard count, crash pattern) cell."""
     technique, pattern, shard_count, seed, params = cell
-    level = safety_of_technique(technique)
     outcome = run_partitioned_crash_scenario(
         technique, pattern, shard_count=shard_count, seed=seed,
         params=params)
-    predicted = outcome.confirmed and partitioned_loss_condition(
-        (level, status.group_failed, status.delegate_crashed)
-        for status in outcome.audited_shards)
-    return PartitionedMatrixEntry(
-        technique=technique, level=level, shard_count=shard_count,
-        crash_pattern=pattern,
-        predicted_possible_loss=predicted,
-        observed_loss=outcome.transaction_lost,
-        outcome=outcome)
+    return loss_cell(technique, pattern, outcome,
+                     [(status.group_failed, status.delegate_crashed)
+                      for status in outcome.audited_shards],
+                     shard_count=shard_count,
+                     invariants_ok=outcome.invariants_ok)
 
 
 def run_partitioned_failure_matrix(techniques: Optional[Sequence[str]] = None,
@@ -603,50 +447,22 @@ def run_partitioned_failure_matrix(techniques: Optional[Sequence[str]] = None,
                                    shard_count: int = 2, seed: int = 1,
                                    params: Optional[SimulationParameters]
                                    = None,
-                                   workers: int = 1
-                                   ) -> List[PartitionedMatrixEntry]:
-    """Run every (technique, shard count, crash pattern) cell of the matrix.
+                                   workers: int = 1) -> List[LossCell]:
+    """Run every (technique, shard count, crash pattern) cell, technique-major.
 
-    The predicted verdict composes the per-shard Table 3 conditions over
-    the shards the audited transaction depends on
-    (:func:`~repro.core.matrix.partitioned_loss_condition`), guarded by the
-    confirmation rule: a transaction that was never confirmed to its client
-    cannot be *lost* in the sense of the paper, whatever happens to it.
-
-    With ``workers > 1`` the cells fan out over a process pool; the entry
-    list keeps the serial (technique-major) order either way, because
-    ``Pool.map`` returns results in submission order regardless of which
-    worker finished first.
+    The predicted verdict composes the per-shard Table 3 conditions over the
+    shards the audited transaction depends on
+    (:func:`~repro.experiments.harness.loss_cell`).
     """
-    chosen = list(techniques) if techniques is not None \
-        else list(DEFAULT_TECHNIQUES)
-    chosen_patterns = list(patterns) if patterns is not None \
-        else list(PARTITIONED_CRASH_PATTERNS)
-    cells = [(technique, pattern, shard_count, seed, params)
-             for technique in chosen
-             for pattern in chosen_patterns]
-    if workers > 1:
-        import multiprocessing
-        with multiprocessing.Pool(min(workers, len(cells))) as pool:
-            return pool.map(_matrix_cell, cells)
-    return [_matrix_cell(cell) for cell in cells]
+    return run_cells(
+        _matrix_cell,
+        ((technique, pattern, shard_count, seed, params)
+         for technique in (TECHNIQUES if techniques is None else techniques)
+         for pattern in (PARTITIONED_CRASH_PATTERNS if patterns is None
+                         else patterns)), workers)
 
 
-def partitioned_soundness_violations(entries: Sequence[PartitionedMatrixEntry]
-                                     ) -> List[PartitionedMatrixEntry]:
-    """Cells whose observation contradicts the prediction or invariants."""
-    return [entry for entry in entries if not entry.sound]
-
-
-def partitioned_demonstrated_losses(entries: Sequence[PartitionedMatrixEntry]
-                                    ) -> List[PartitionedMatrixEntry]:
-    """Predicted-possible-loss cells whose schedule actually lost."""
-    return [entry for entry in entries
-            if entry.predicted_possible_loss and entry.observed_loss]
-
-
-def missing_pattern_classes(entries: Sequence[PartitionedMatrixEntry]
-                            ) -> List[str]:
+def missing_pattern_classes(entries: Sequence[LossCell]) -> List[str]:
     """Required pattern classes (acceptance bars) no entry covers."""
     run_patterns = {entry.crash_pattern for entry in entries}
     return [label
@@ -654,8 +470,7 @@ def missing_pattern_classes(entries: Sequence[PartitionedMatrixEntry]
             if not run_patterns.intersection(members)]
 
 
-def render_partitioned_matrix(entries: Sequence[PartitionedMatrixEntry]
-                              ) -> str:
+def render_partitioned_matrix(entries: Sequence[LossCell]) -> str:
     """Human-readable rendering of the partitioned matrix (report file)."""
     header = (f"{'technique':>14} | {'shards':>6} | {'pattern':>28} | "
               f"{'predicted':>10} | {'observed':>9} | {'invariants':>10} | "
@@ -665,20 +480,19 @@ def render_partitioned_matrix(entries: Sequence[PartitionedMatrixEntry]
         predicted = ("possible" if entry.predicted_possible_loss
                      else "no loss")
         observed = "LOST" if entry.observed_loss else "kept"
-        invariants = "ok" if entry.outcome.invariants_ok else "VIOLATED"
+        invariants = "ok" if entry.invariants_ok else "VIOLATED"
         lines.append(
             f"{entry.technique:>14} | {entry.shard_count:>6} | "
             f"{entry.crash_pattern:>28} | {predicted:>10} | "
             f"{observed:>9} | {invariants:>10} | {entry.sound}")
-    violations = partitioned_soundness_violations(entries)
-    demonstrated = partitioned_demonstrated_losses(entries)
+    broken = violations(entries)
     lines.append("")
     lines.append(f"cells: {len(entries)}  soundness violations: "
-                 f"{len(violations)}  demonstrated losses: "
-                 f"{len(demonstrated)}")
-    for entry in violations:
+                 f"{len(broken)}  demonstrated losses: "
+                 f"{len(demonstrated(entries))}")
+    for entry in broken:
         lines.append(f"  VIOLATION {entry.technique}/{entry.crash_pattern}: "
-                     f"{entry.outcome.audit_failures}")
+                     f"{[str(finding) for finding in entry.outcome.findings]}")
     return "\n".join(lines)
 
 
@@ -691,47 +505,23 @@ def main(argv: Optional[List[str]] = None) -> int:
     missing one of the required pattern classes — so a regression in the
     partitioned crash handling fails CI even without the benchmark job.
     """
-    from ..gcs.engines import DEFAULT_ENGINE
-    from .report import matrix_cli
-
-    def run(arguments):
-        techniques = (SMOKE_TECHNIQUES if arguments.smoke
-                      else DEFAULT_TECHNIQUES)
-        # Only materialise a parameter set when deviating from the default
-        # engine, so default runs keep the scenarios' own parameters.
-        params = None if arguments.engine == DEFAULT_ENGINE else \
-            SimulationParameters.small(server_count=3, item_count=100) \
-            .with_overrides(broadcast_engine=arguments.engine)
-        entries = run_partitioned_failure_matrix(
-            techniques=techniques, shard_count=arguments.shards,
-            seed=arguments.seed, params=params, workers=arguments.workers)
-        from .traced import maybe_write_scenario_trace
-        maybe_write_scenario_trace(arguments.trace, seed=arguments.seed)
-        return entries, render_partitioned_matrix(entries)
-
-    def problems_of(entries) -> List[str]:
-        problems: List[str] = []
-        for label in missing_pattern_classes(entries):
-            problems.append(f"required pattern class not exercised: {label}")
-        violations = partitioned_soundness_violations(entries)
-        if violations:
-            problems.append(f"{len(violations)} soundness violations")
-        if not partitioned_demonstrated_losses(entries):
-            problems.append("no predicted-possible-loss cell demonstrated "
-                            "a loss schedule")
-        return problems
-
     return matrix_cli(
         argv, description=__doc__.splitlines()[0],
-        report_name="partition_failure_matrix", run=run,
-        problems_of=problems_of,
+        report_name="partition_failure_matrix",
+        run=lambda arguments, params: run_partitioned_failure_matrix(
+            techniques=SMOKE_TECHNIQUES if arguments.smoke else TECHNIQUES,
+            shard_count=arguments.shards, seed=arguments.seed, params=params,
+            workers=arguments.workers),
+        render=render_partitioned_matrix,
+        bars=lambda entries: [
+            f"required pattern class not exercised: {label}"
+            for label in missing_pattern_classes(entries)]
+        + loss_bars(entries),
         extra_arguments=(
             ("--shards", dict(type=int, default=2,
                               help="shard count of every scenario "
                                    "(default 2)")),
-            ("--trace", dict(default=None, metavar="PATH",
-                             help="also run the canonical traced scenario "
-                                  "and write its Chrome trace to PATH")),))
+            TRACE_ARGUMENT))
 
 
 if __name__ == "__main__":  # pragma: no cover - CLI entry

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from ..core.audit import ConfirmedWrite, audit_writes
 from ..partition.cluster import MigrationReport, PartitionedCluster
 from ..partition.stats import PartitionedRunStatistics, collect_statistics
 from ..partition.workload import (PartitionedOpenLoopClients,
@@ -59,14 +60,10 @@ class RebalanceOutcome:
         return not self.audit_failures
 
 
-def _group_of_result(result) -> Optional[int]:
-    """Owning group of a fast-path result (parsed from its delegate name)."""
-    delegate = getattr(result, "delegate", "")
-    if delegate.startswith("p") and "." in delegate:
-        head = delegate.split(".", 1)[0][1:]
-        if head.isdigit():
-            return int(head)
-    return None
+def _group_of_result(result) -> int:
+    """Group that answered a committed fast-path result (the servers of a
+    partitioned cluster are named ``p<group>.s<n>``)."""
+    return int(result.delegate[1:].partition(".")[0])
 
 
 def window_commits(clients: _PartitionedClientBase, start: float,
@@ -95,12 +92,12 @@ def audit_commit_integrity(cluster: PartitionedCluster,
 
     Checks, over every client-visible result including warm-up:
 
-    * **no lost commit** — every committed fast-path transaction is durably
-      recorded on at least one server of exactly one group, and every
-      committed cross-partition branch on its group;
-    * **no duplicated commit** — no client transaction is committed on two
-      groups (dual-written *values* legitimately exist on both sides of a
-      migration, but only as internal migration transactions);
+    * **nothing lost, nothing duplicated** — every committed fast-path
+      transaction and every committed cross-partition branch passes
+      :func:`repro.core.audit.audit_writes` on the group that answered it
+      (audited per transaction, not per key: under load later writers
+      overwrite the values; dual-written *values* legitimately exist on both
+      sides of a migration, but only as internal migration transactions);
     * **per-key provenance** — for every key of every completed migration,
       the value now served by the new owner was written by a known writer:
       a committed client transaction, a 2PC branch install, or the migration
@@ -109,43 +106,22 @@ def audit_commit_integrity(cluster: PartitionedCluster,
 
     Returns a list of human-readable failures (empty = audit passed).
     """
-    failures: List[str] = []
-    internal = set(cluster.coordinator.branch_txn_ids)
-    internal |= cluster.migration_txn_ids
-    committed_client_ids = set()
+    writes = [ConfirmedWrite(result.txn_id, _group_of_result(result))
+              for result in (list(clients.single_results)
+                             + list(clients.warmup_single_results))
+              if result.committed
+              and not result.txn_id.startswith("rejected:")]
+    writes += [ConfirmedWrite(branch.txn_id, branch.partition_id)
+               for outcome in (list(clients.cross_results)
+                               + list(clients.warmup_cross_results))
+               if outcome.committed
+               for branch in outcome.branches if branch.txn_id is not None]
+    failures = [str(finding)
+                for finding in audit_writes(cluster.groups, writes)]
 
-    singles = list(clients.single_results) + list(clients.warmup_single_results)
-    for result in singles:
-        if not result.committed or result.txn_id.startswith("rejected:"):
-            continue
-        committed_client_ids.add(result.txn_id)
-        owners = [
-            partition_id
-            for partition_id, group in enumerate(cluster.groups)
-            if any(group.database(name).testable.has_committed(result.txn_id)
-                   for name in group.server_names())]
-        if not owners:
-            failures.append(f"lost commit: {result.txn_id} is committed "
-                            f"nowhere")
-        elif len(owners) > 1:
-            failures.append(f"duplicated commit: {result.txn_id} is "
-                            f"committed on groups {owners}")
-
-    crosses = list(clients.cross_results) + list(clients.warmup_cross_results)
-    for outcome in crosses:
-        if not outcome.committed:
-            continue
-        for branch in outcome.branches:
-            if branch.txn_id is None:
-                continue
-            committed_client_ids.add(branch.txn_id)
-            if not cluster.group(branch.partition_id).committed_anywhere(
-                    branch.txn_id):
-                failures.append(f"lost branch: {outcome.xid} branch "
-                                f"{branch.txn_id} missing on group "
-                                f"{branch.partition_id}")
-
-    allowed = committed_client_ids | internal
+    allowed = ({write.txn_id for write in writes}
+               | cluster.coordinator.branch_txn_ids
+               | cluster.migration_txn_ids)
     for report in cluster.migration_reports:
         if not report.completed:
             continue

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from typing import (Callable, Iterable, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import Iterable, List, Mapping, Sequence
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]],
@@ -36,53 +35,3 @@ def banner(text: str, width: int = 72) -> str:
     """A visually separated section banner for example / benchmark output."""
     bar = "=" * width
     return f"{bar}\n{text}\n{bar}"
-
-
-def matrix_cli(argv: Optional[List[str]], *, description: str,
-               report_name: str,
-               run: Callable[[object], Tuple[object, str]],
-               problems_of: Callable[[object], List[str]],
-               extra_arguments: Sequence[Tuple[str, dict]] = ()) -> int:
-    """The shared ``--smoke`` CLI gate of the failure matrices.
-
-    One place for the contract both matrix entry points share (so CI's two
-    smoke gates cannot drift apart): ``--smoke`` / ``--seed`` /
-    ``--report-dir`` flags, the rendered report printed *and* written to
-    ``<report-dir>/<report_name>.txt``, and a non-zero exit when
-    ``problems_of(entries)`` reports anything.  ``run(arguments)`` executes
-    the matrix and returns ``(entries, rendered_text)``.
-    """
-    import argparse
-    from pathlib import Path
-
-    from ..gcs.engines import DEFAULT_ENGINE, engine_names
-
-    parser = argparse.ArgumentParser(description=description)
-    parser.add_argument("--smoke", action="store_true",
-                        help="reduced technique set for CI")
-    parser.add_argument("--engine", default=DEFAULT_ENGINE,
-                        choices=engine_names(),
-                        help="total-order broadcast engine the group-based "
-                             "techniques run on")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workers", type=int, default=1,
-                        help="fan the matrix cells out over N worker "
-                             "processes (cells are independent simulations; "
-                             "report order stays deterministic)")
-    parser.add_argument("--report-dir", default="benchmarks/benchmark_reports",
-                        help="directory the matrix report is written to")
-    for flag, keywords in extra_arguments:
-        parser.add_argument(flag, **keywords)
-    arguments = parser.parse_args(argv)
-
-    entries, text = run(arguments)
-    text = f"engine: {arguments.engine}\n{text}"
-    print(text)
-    report_dir = Path(arguments.report_dir)
-    report_dir.mkdir(parents=True, exist_ok=True)
-    (report_dir / f"{report_name}.txt").write_text(text + "\n",
-                                                   encoding="utf-8")
-    problems = problems_of(entries)
-    for problem in problems:
-        print(f"SMOKE FAILURE: {problem}")
-    return 1 if problems else 0

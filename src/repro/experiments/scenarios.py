@@ -118,14 +118,12 @@ def run_crash_scenario(technique: str, crash_pattern: str = "all-delegate-stays-
     for name in cluster.server_names():
         cluster.replica(name).processing_gate.open()
 
-    recovery_processes = []
     recovered = list(pattern["recover"])
     for name in recovered:
-        recovery_processes.append(cluster.recover_server(name))
+        cluster.recover_server(name)
         sim.run(until=sim.now + 50.0)
     sim.run(until=sim.now + settle_time)
 
-    group_failed = len(crashed) > len(cluster.server_names()) // 2
     fate = transaction_fate(cluster, txn_id,
                             confirmed_to_client=response.committed)
     return ScenarioOutcome(
@@ -133,7 +131,7 @@ def run_crash_scenario(technique: str, crash_pattern: str = "all-delegate-stays-
         confirmed=response.committed, response=response, fate=fate,
         committed_on=cluster.committed_anywhere(txn_id),
         recovered_servers=recovered, crashed_servers=crashed,
-        group_failed=group_failed,
+        group_failed=len(crashed) > len(cluster.server_names()) // 2,
         delegate_crashed=delegate in crashed and delegate not in recovered)
 
 

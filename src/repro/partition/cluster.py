@@ -59,7 +59,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-from ..db.operations import Operation, OperationType, TransactionProgram
+from ..db.operations import TransactionProgram
 from ..db.wal import LogRecord
 from ..network.lan import Lan
 from ..obs.metrics import MetricsRegistry
@@ -339,11 +339,6 @@ class PartitionedCluster:
             registry.gauge("failpoints_fired", phase=phase).set(count)
 
     # ------------------------------------------------------------------ access
-    @property
-    def partitioner(self) -> RoutingTable:
-        """Deprecated alias: the routing table implements the old protocol."""
-        return self.routing
-
     def group(self, partition_id: int) -> ReplicatedDatabaseCluster:
         """The replica group owning partition ``partition_id``."""
         return self.groups[partition_id]
@@ -642,12 +637,9 @@ class PartitionedCluster:
         replication technique (update-only, so certification is a
         deterministic pass).  Returns True once committed."""
         group = self.groups[entry.destination_group]
-        operations = tuple(Operation(OperationType.WRITE, key, value)
-                           for key, value in values.items())
-        program = TransactionProgram(
-            operations=operations,
-            client=f"migration.g{entry.source_group}"
-                   f"->g{entry.destination_group}")
+        program = TransactionProgram.of_writes(
+            values, client=f"migration.g{entry.source_group}"
+                           f"->g{entry.destination_group}")
         attempt = 0
         while True:
             attempt += 1

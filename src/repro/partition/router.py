@@ -78,11 +78,6 @@ class TransactionRouter:
         # attribute directly; route the write to the counter.
         self._retries.value = value
 
-    @property
-    def partitioner(self):
-        """Deprecated alias for :attr:`routing` (the old attribute name)."""
-        return self.routing
-
     def snapshot(self):
         """An immutable view of the current ownership map."""
         return snapshot_of(self.routing)

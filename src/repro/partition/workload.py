@@ -84,11 +84,6 @@ class PartitionedWorkloadGenerator(WorkloadGenerator):
         self.single_partition_generated = 0
         self.cross_partition_generated = 0
 
-    @property
-    def partitioner(self):
-        """Deprecated alias for :attr:`routing` (the old attribute name)."""
-        return self.routing
-
     # -- ownership caches ----------------------------------------------------------------
     def _refresh_partition_caches(self, strict: bool = False) -> None:
         """Rebuild the per-partition key/weight tables from current ownership.

@@ -165,10 +165,6 @@ class Process(Event):
         else:
             next_event.callbacks.append(self._on_fire)
 
-    # Kept as an alias: subclass/test code historically drove the process
-    # through ``_step``.
-    _step = _resume
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         state = "alive" if self.is_alive else "finished"
         return f"<Process {self.name!r} {state}>"

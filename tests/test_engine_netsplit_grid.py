@@ -65,10 +65,10 @@ def test_blind_coordinator_split_blocks_both_sides(engine):
     assert outcome.majority_commits == 0
     assert outcome.minority_commits == 0
     assert not outcome.observed_loss
-    assert outcome.audit_failures == []
+    assert outcome.findings == []
     assert outcome.post_heal_ok and outcome.converged
     assert outcome.sound and outcome.matched
-    assert outcome.demonstrates_minority_blocking
+    assert outcome.demonstrated
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -78,7 +78,7 @@ def test_follower_split_majority_keeps_committing(engine):
                                           "perfect", seed=1)
     assert outcome.majority_commits == 3
     assert outcome.minority_commits == 0
-    assert outcome.audit_failures == []
+    assert outcome.findings == []
     assert outcome.post_heal_ok and outcome.converged
     assert outcome.sound and outcome.matched
 
@@ -93,7 +93,7 @@ def test_detected_coordinator_split_fails_over(engine):
     assert outcome.minority_commits == 0
     assert outcome.unresolved == 0
     assert outcome.suspicion_count >= 1
-    assert outcome.audit_failures == []
+    assert outcome.findings == []
     assert outcome.post_heal_ok and outcome.converged
     assert outcome.sound and outcome.matched
 

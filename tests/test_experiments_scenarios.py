@@ -5,10 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import (CRASH_PATTERNS, crash_tolerance_summary,
-                               demonstrated_losses, figure5_scenario,
+                               demonstrated, figure5_scenario,
                                figure7_scenario, render_matrix,
                                run_crash_scenario, run_failure_matrix,
-                               single_crash_scenario, soundness_violations)
+                               single_crash_scenario, violations)
 
 
 def test_figure5_classical_broadcast_loses_the_confirmed_transaction():
@@ -67,17 +67,17 @@ def failure_matrix():
 
 
 def test_failure_matrix_is_sound(failure_matrix):
-    assert soundness_violations(failure_matrix) == []
+    assert violations(failure_matrix) == []
 
 
 def test_failure_matrix_demonstrates_the_expected_losses(failure_matrix):
-    demonstrated = {(entry.technique, entry.crash_pattern)
-                    for entry in demonstrated_losses(failure_matrix)}
-    assert ("1-safe", "delegate") in demonstrated
-    assert ("0-safe", "delegate") in demonstrated
-    assert ("group-safe", "all-delegate-stays-down") in demonstrated
-    assert ("group-1-safe", "all-delegate-stays-down") in demonstrated
-    assert not any(technique == "2-safe" for technique, _ in demonstrated)
+    losing = {(entry.technique, entry.crash_pattern)
+              for entry in demonstrated(failure_matrix)}
+    assert ("1-safe", "delegate") in losing
+    assert ("0-safe", "delegate") in losing
+    assert ("group-safe", "all-delegate-stays-down") in losing
+    assert ("group-1-safe", "all-delegate-stays-down") in losing
+    assert not any(technique == "2-safe" for technique, _ in losing)
 
 
 def test_failure_matrix_crash_tolerance_matches_table2(failure_matrix):

@@ -8,6 +8,7 @@ import hashlib
 
 import pytest
 
+from repro.core.audit import ConfirmedWrite, audit_writes
 from repro.gcs.engines import (DEFAULT_ENGINE, BroadcastEngineSpec,
                                engine_names, register_engine, resolve_engine)
 from repro.replication.cluster import ReplicatedDatabaseCluster
@@ -169,11 +170,9 @@ def audit_commit_integrity(cluster, results, audited_servers):
                  if entry.triggered and entry.value.committed]
     # No duplicated commits: one response per transaction.
     assert len(committed) == len(set(committed))
-    missing = [(txn_id, name)
-               for txn_id in committed
-               for name in audited_servers
-               if name not in cluster.committed_anywhere(txn_id)]
-    assert missing == [], missing
+    findings = audit_writes(cluster, map(ConfirmedWrite, committed),
+                            caught_up=audited_servers)
+    assert findings == [], [str(finding) for finding in findings]
     return committed
 
 

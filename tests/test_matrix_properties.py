@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.audit import FindingKind
 from repro.core.matrix import loss_condition, partitioned_loss_condition
 from repro.core.safety import SafetyLevel
 from repro.experiments import (run_failure_matrix,
@@ -87,10 +88,8 @@ def test_partitioned_predicted_safe_cells_have_clean_audits(
             continue
         checked += 1
         assert not entry.observed_loss, (entry.technique, entry.crash_pattern)
-        assert not any(failure.startswith(("lost", "duplicated"))
-                       for failure in entry.outcome.audit_failures), \
-            (entry.technique, entry.crash_pattern,
-             entry.outcome.audit_failures)
+        assert entry.outcome.findings == [], \
+            (entry.technique, entry.crash_pattern)
     assert checked > 0
 
 
@@ -98,8 +97,8 @@ def test_partitioned_no_cell_ever_duplicates_a_commit(partitioned_entries):
     # Even the losing cells must never commit one client transaction on two
     # groups — dual-written values are internal migration transactions.
     for entry in partitioned_entries:
-        assert not any(failure.startswith("duplicated")
-                       for failure in entry.outcome.audit_failures), \
+        assert not any(finding.kind is FindingKind.DUPLICATED
+                       for finding in entry.outcome.findings), \
             (entry.technique, entry.crash_pattern)
         assert entry.outcome.invariants_ok
 

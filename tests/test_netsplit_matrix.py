@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.audit import Finding, FindingKind
 from repro.core.matrix import (NETSPLIT_FAULT_KINDS, NetsplitPrediction,
                                netsplit_outcome)
+from repro.experiments.harness import violations
 from repro.experiments.netsplit_matrix import (
     DETECTOR_CONFIGS, FAULT_END, FAULT_START, GROUP_FAULT_PATTERNS,
     NetsplitCellOutcome, engines_missing_minority_blocking,
-    netsplit_prediction_mismatches, netsplit_soundness_violations,
-    render_netsplit_matrix, run_gray_2pc_scenario,
-    run_group_netsplit_scenario, run_migration_fence_split_scenario,
-    run_netsplit_matrix)
+    netsplit_prediction_mismatches, render_netsplit_matrix,
+    run_gray_2pc_scenario, run_group_netsplit_scenario,
+    run_migration_fence_split_scenario, run_netsplit_matrix)
 
 
 # ---------------------------------------------------------------- predictions
@@ -80,18 +81,20 @@ def _outcome(**overrides) -> NetsplitCellOutcome:
 def test_a_clean_cell_is_sound_and_matched():
     entry = _outcome()
     assert entry.sound and entry.matched
-    assert entry.demonstrates_minority_blocking
+    assert entry.demonstrated
 
 
 def test_minority_commit_in_a_blocked_cell_is_a_soundness_violation():
     entry = _outcome(minority_commits=1)
     assert not entry.sound
     assert not entry.matched
-    assert netsplit_soundness_violations([entry]) == [entry]
+    assert violations([entry]) == [entry]
 
 
 def test_observed_loss_and_divergence_are_soundness_violations():
-    assert not _outcome(observed_loss=True).sound
+    lost = _outcome(findings=[Finding(FindingKind.LOST, "t1", "is gone")])
+    assert lost.observed_loss and not lost.sound
+    assert not _outcome(problems=["migration did not complete"]).sound
     assert not _outcome(converged=False).sound
     assert not _outcome(post_heal_ok=False).sound
 
@@ -107,7 +110,7 @@ def test_unpredicted_axes_never_mismatch():
     entry = _outcome(prediction=netsplit_outcome("lossy", False, False),
                      majority_commits=0, minority_commits=5)
     assert entry.matched
-    assert not entry.demonstrates_minority_blocking
+    assert not entry.demonstrated
 
 
 def test_engines_missing_minority_blocking_names_the_engine():
@@ -143,7 +146,7 @@ def test_follower_split_cell_commits_on_the_majority_only():
     assert outcome.majority_commits == 3
     assert outcome.minority_commits == 0
     assert outcome.sound and outcome.matched
-    assert outcome.demonstrates_minority_blocking
+    assert outcome.demonstrated
     assert outcome.drops_by_cause.get("partitioned", 0) > 0
 
 
@@ -203,7 +206,7 @@ def test_matrix_runner_spans_engines_patterns_and_detectors():
     assert [(e.engine, e.fault_pattern, e.detector) for e in entries] == [
         ("fixed-sequencer", "split-minority-follower", "perfect"),
         ("fixed-sequencer", "split-minority-follower", "hb-slow")]
-    assert netsplit_soundness_violations(entries) == []
+    assert violations(entries) == []
     assert netsplit_prediction_mismatches(entries) == []
 
 

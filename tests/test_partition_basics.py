@@ -56,13 +56,6 @@ def test_layout_validation():
         RoutingTable.from_strategy("consistent-hashing", 4)
 
 
-def test_partitioner_shim_is_gone_with_a_pointer():
-    # The one-release tombstone: importing the retired module fails with a
-    # message naming the replacement.
-    with pytest.raises(ImportError, match="RoutingTable.from_strategy"):
-        import repro.partition.partitioner  # noqa: F401
-
-
 # ---------------------------------------------------------------- router
 def router_over_ranges():
     return TransactionRouter(

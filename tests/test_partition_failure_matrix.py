@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments.harness import demonstrated, violations
 from repro.experiments.partition_failure_matrix import (
     PARTITIONED_CRASH_PATTERNS, missing_pattern_classes,
-    partitioned_demonstrated_losses, partitioned_soundness_violations,
     render_partitioned_matrix, run_partitioned_crash_scenario,
     run_partitioned_failure_matrix)
 from repro.partition import PartitionedCluster
@@ -112,7 +112,7 @@ def test_shard_outage_survived_by_two_safe():
     outcome = run_partitioned_crash_scenario("2-safe", "shard-outage")
     assert outcome.confirmed
     assert not outcome.transaction_lost
-    assert outcome.audit_failures == []
+    assert outcome.findings == []
 
 
 def test_coordinator_crash_before_decision_aborts_atomically():
@@ -138,7 +138,7 @@ def test_coordinator_crash_after_decision_blocks_then_commits():
     assert outcome.confirmed
     assert outcome.resolved
     assert not outcome.transaction_lost
-    assert outcome.audit_failures == []
+    assert outcome.findings == []
 
 
 def test_source_crash_during_copy_aborts_migration_and_keeps_old_owner():
@@ -190,14 +190,12 @@ def test_matrix_covers_every_pattern(group_safe_matrix):
 
 
 def test_matrix_is_sound(group_safe_matrix):
-    assert partitioned_soundness_violations(group_safe_matrix) == []
+    assert violations(group_safe_matrix) == []
 
 
 def test_matrix_demonstrates_the_whole_shard_loss(group_safe_matrix):
-    demonstrated = {entry.crash_pattern
-                    for entry in partitioned_demonstrated_losses(
-                        group_safe_matrix)}
-    assert "shard-outage" in demonstrated
+    assert "shard-outage" in {entry.crash_pattern
+                              for entry in demonstrated(group_safe_matrix)}
 
 
 def test_matrix_prediction_composes_per_shard(group_safe_matrix):
