@@ -63,18 +63,43 @@ def trace_digest(trace):
     return hasher.hexdigest()
 
 
+def model_digest(deliveries, results):
+    """SHA-256 of what the model did and when: every LAN delivery as
+    ``(time, sender, destination, kind)``, then every client reply as
+    ``(submission index, response time, committed)`` — nothing of the
+    kernel's private event list, so it survives any change that only
+    reschedules events.  The index stands in for the transaction id, whose
+    number comes from a process-wide counter (earlier tests move it)."""
+    replies = [(index, entry.value.response_time, entry.value.committed)
+               for index, entry in enumerate(results) if entry.triggered]
+    return trace_digest(deliveries + replies)
+
+
 def run_scenario(technique, *, seed=11, engine=DEFAULT_ENGINE,
                  crash_coordinator=False, log_time=0.0, traced=False):
     """One 24-transaction closed scenario, optionally crashing s1.
 
-    Returns ``(cluster, results, trace)`` — the same driver the golden
-    digests were captured with, byte for byte.
+    Returns ``(cluster, results, trace, deliveries)`` — the same driver the
+    golden digests were captured with, byte for byte.  ``traced`` records
+    the kernel's event trace and, from outside the program, every LAN
+    delivery (both ``None`` otherwise).
     """
     params = SimulationParameters.small(server_count=3, item_count=120) \
         .with_overrides(broadcast_engine=engine)
     cluster = ReplicatedDatabaseCluster(technique, params=params, seed=seed,
                                         gcs_delivery_log_time=log_time)
-    trace = cluster.sim.enable_trace() if traced else None
+    trace = deliveries = None
+    if traced:
+        trace = cluster.sim.enable_trace()
+        deliveries = []
+        lan, deliver = cluster.lan, cluster.lan._deliver
+
+        def recording_deliver(message, destination):
+            deliveries.append((lan.sim.now, message.sender,
+                               message.destination, message.kind))
+            deliver(message, destination)
+
+        lan._deliver = recording_deliver
     cluster.start()
     servers = cluster.server_names()
     results = []
@@ -98,7 +123,7 @@ def run_scenario(technique, *, seed=11, engine=DEFAULT_ENGINE,
         assert recovery.ok, recovery
     else:
         cluster.run(until=1_400.0)
-    return cluster, results, trace
+    return cluster, results, trace, deliveries
 
 
 def scenario_stats(cluster, results):
@@ -113,32 +138,43 @@ def scenario_stats(cluster, results):
 # Captured from the seed (pre-decomposition, fused sequencer+membership)
 # gcs stack at seed=11; the fixed-sequencer engine must reproduce every
 # event in every scenario bit-for-bit.  Stats are (committed, responded,
-# lan sent, lan delivered, scheduled events).
+# lan sent, lan delivered, scheduled events).  ``model`` pins what the model
+# did (see ``model_digest``); ``digest`` pins the kernel's event list.
 GOLDEN = {
     "group-safe": dict(
         technique="group-safe", crash=False, log_time=0.0,
         digest="97993a376ea4d904c137b78f55eecf6ad6f1155f"
                "e91ad998eef0065319251330",
+        model="80174df81fd0483e58fefa68cc2d0ef0d5e10bbf"
+              "461a48a5d036c917fc7f4c61",
         stats=(15, 24, 312, 312, 4997)),
     "group-1-safe": dict(
         technique="group-1-safe", crash=False, log_time=0.0,
         digest="66bcbc1af03571b56e1c060552d57b6795f88100"
                "bc287b2179d3e03a5f6827db",
+        model="9070db56a1cfd852eadf8216cc4b5a88e1911437"
+              "15e525d38086508f082008b3",
         stats=(17, 24, 312, 312, 5555)),
     "2-safe-logged": dict(
         technique="2-safe", crash=False, log_time=0.05,
         digest="64f96f11a31004530d5492230be99cf7c1edadc0"
                "d874ad02d36d00f70fcbcbff",
+        model="d02d02f4ca0fb953c46bbca839f7b67ef3d8bd42"
+              "75d2c04827ccdfb190789bb5",
         stats=(17, 24, 312, 312, 5835)),
     "group-safe-crash": dict(
         technique="group-safe", crash=True, log_time=0.0,
         digest="aef71e8fb8bf5eabb2bd64800e432227f546fe6a"
                "9cb9f1a2fa7da25c739abfe7",
+        model="9f9562985005653bd181a9f0635e2bc5099fb1d7"
+              "7a7007ffed34c2093abb3a4f",
         stats=(15, 24, 296, 296, 4759)),
     "2-safe-crash": dict(
         technique="2-safe", crash=True, log_time=0.05,
         digest="c56449d6c4f650dffb62dca30edecf6e4f2d365d"
                "ffdde60d4121240490c82d1b",
+        model="053af4bb2d6a0707de6a0903862ed9f749db99a6"
+              "90e43d00dfb05ddb637b09b9",
         stats=(15, 24, 309, 309, 5703)),
 }
 
@@ -146,10 +182,11 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_fixed_sequencer_reproduces_the_seed_traces(name):
     golden = GOLDEN[name]
-    cluster, results, trace = run_scenario(
+    cluster, results, trace, deliveries = run_scenario(
         golden["technique"], crash_coordinator=golden["crash"],
         log_time=golden["log_time"], traced=True)
     assert scenario_stats(cluster, results) == golden["stats"]
+    assert model_digest(deliveries, results) == golden["model"]
     assert trace_digest(trace) == golden["digest"]
 
 
@@ -179,7 +216,7 @@ def audit_commit_integrity(cluster, results, audited_servers):
 @pytest.mark.parametrize("engine", ("fixed-sequencer", "multi-paxos"))
 @pytest.mark.parametrize("technique,log_time", GRID_CONFIGS)
 def test_engine_grid_preserves_commit_integrity(technique, log_time, engine):
-    cluster, results, _ = run_scenario(technique, engine=engine,
+    cluster, results, _, _ = run_scenario(technique, engine=engine,
                                        log_time=log_time)
     assert all(entry.triggered for entry in results)
     committed = audit_commit_integrity(cluster, results,
@@ -197,7 +234,7 @@ def test_paxos_survives_a_leader_crash_without_loss(technique):
     # registry entries for transactions that were mid-commit at snapshot
     # time (the techniques' documented recovery semantics, independent of
     # the ordering engine).
-    cluster, results, _ = run_scenario(technique, engine="multi-paxos",
+    cluster, results, _, _ = run_scenario(technique, engine="multi-paxos",
                                        crash_coordinator=True)
     assert all(entry.triggered for entry in results), \
         "a submitted transaction never got a response"
