@@ -2,11 +2,14 @@
 
 Unlike the other benchmarks — which measure *simulated* quantities
 (throughput in committed transactions per simulated second, response times in
-simulated milliseconds) — this harness measures how fast the kernel pushes
-simulated events per **wall-clock** second.  Every experiment in the
-reproduction is gated by that number: the Fig. 9 sweep, the 45-cell
-partitioned failure matrix and the autobalance runs all spend their time in
-the event loop, so a 2x faster kernel means 2x the scenarios per CI minute.
+simulated milliseconds) — this harness measures how many committed
+transactions the simulator gets through per **wall-clock** second.  Every
+experiment in the reproduction is gated by that number: the Fig. 9 sweep, the
+45-cell partitioned failure matrix and the autobalance runs all spend their
+time in the event loop, so 2x the commits per second means 2x the scenarios
+per CI minute.  Events per second is recorded too but is not the headline: a
+kernel change may make the same commits cost *fewer* events, which lowers
+events/s while the run gets faster.
 
 Three representative scenarios cover the three layers of the system:
 
@@ -27,11 +30,12 @@ Outputs:
 * ``benchmarks/benchmark_reports/bench_kernel.txt`` — the human report.
 
 Regression gate: unless ``BENCH_KERNEL_SKIP_GATE=1`` (noisy runners) or
-``--no-gate`` is passed, the run fails if any scenario's events/sec drops
+``--no-gate`` is passed, the run fails if any scenario's commits/sec drops
 more than ``BENCH_KERNEL_TOLERANCE`` (default 0.30) below the committed
 numbers.  Capture a new baseline on the *unoptimised* kernel with
 ``--capture-baseline``; ordinary runs preserve the stored baseline and only
-refresh the ``current`` section.
+refresh the ``current`` section.  Both sections are stamped with the machine,
+interpreter and git revision they were measured on.
 """
 
 from __future__ import annotations
@@ -39,6 +43,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -160,10 +166,10 @@ def parallel_sharded(smoke: bool, profile: bool = False,
     """16 shards as parallel worker processes under conservative sync.
 
     Runs the same scenario twice — on the serial in-process reference engine
-    and on the process-pool engine — and reports the *aggregate* events/sec
-    of the better run as the headline (so the gate tracks the machine's best
-    execution mode), with both sub-rates and the parallel-over-serial
-    speedup recorded alongside.  Shard-world construction is timed separately
+    and on the process-pool engine — and reports the rates of the faster
+    run as the headline (so the gate tracks the machine's best execution
+    mode), with both event sub-rates and the parallel-over-serial speedup
+    recorded alongside.  Shard-world construction is timed separately
     and excluded from the rate: the benchmark measures the event loop.
 
     Full mode is the ROADMAP scale target: 16 shards x 65,536 keys =
@@ -242,62 +248,91 @@ SCENARIOS = {
 # -- persistence and gating -------------------------------------------------------------
 
 
-def load_previous(path: Path) -> Dict[str, Dict]:
+def load_previous(path: Path, section: str = "scenarios") -> Dict[str, Dict]:
     if not path.exists():
         return {}
     try:
-        return json.loads(path.read_text()).get("scenarios", {})
+        return json.loads(path.read_text()).get(section, {})
     except (json.JSONDecodeError, OSError):
         return {}
 
 
+def stamp() -> Dict[str, object]:
+    """Machine, interpreter and revision a set of numbers belongs to
+    (``-dirty``: measured on uncommitted changes on top of that commit)."""
+    try:
+        revision = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=12"],
+            cwd=REPO_ROOT, capture_output=True, text=True,
+            timeout=10).stdout.strip() or "unknown"
+    except (OSError, subprocess.SubprocessError):
+        revision = "unknown"
+    return {"machine": platform.platform(), "nproc": os.cpu_count(),
+            "python": platform.python_version(), "git": revision}
+
+
 def regression_failures(previous: Dict[str, Dict], fresh: Dict[str, Dict],
                         tolerance: float) -> list:
-    """Scenarios whose fresh events/sec fell below the committed floor."""
+    """Scenarios whose fresh commits/sec fell below the committed floor."""
     failures = []
     for name, run in fresh.items():
         entry = previous.get(name, {})
         reference = entry.get("current") or entry.get("baseline")
         if not reference:
             continue
-        floor = reference["events_per_sec"] * (1.0 - tolerance)
-        if run["events_per_sec"] < floor:
+        floor = reference["commits_per_sec"] * (1.0 - tolerance)
+        if run["commits_per_sec"] < floor:
             failures.append(
-                f"{name}: {run['events_per_sec']:.0f} events/s is more than "
-                f"{tolerance:.0%} below the committed "
-                f"{reference['events_per_sec']:.0f} events/s")
+                f"{name}: {run['commits_per_sec']:.1f} commits/s is more "
+                f"than {tolerance:.0%} below the committed "
+                f"{reference['commits_per_sec']:.1f} commits/s")
     return failures
 
 
 def render_report(scenarios: Dict[str, Dict], mode: str,
-                  engine: str = "fixed-sequencer") -> str:
+                  engine: str = "fixed-sequencer",
+                  stamps: Optional[Dict[str, Dict]] = None) -> str:
     lines = [
         f"Simulation-kernel wall-clock benchmark ({mode} mode, "
         f"{engine} engine)",
         "",
-        f"{'scenario':>22} | {'events/s':>12} | {'baseline':>12} | "
-        f"{'speedup':>8} | {'commits/s':>10} | {'sim ms':>8} | {'wall s':>7}",
-        "-" * 96,
+        f"{'scenario':>22} | {'commits/s':>10} | {'baseline':>10} | "
+        f"{'speedup':>8} | {'events/commit':>13} | {'baseline':>9} | "
+        f"{'events/s':>10} | {'wall s':>7}",
+        "-" * 108,
     ]
     for name, entry in scenarios.items():
         current = entry.get("current") or {}
         baseline = entry.get("baseline") or {}
-        speedup = entry.get("speedup_events_per_sec")
+        speedup = entry.get("speedup_commits_per_sec")
         lines.append(
-            f"{name:>22} | {current.get('events_per_sec', 0.0):>12,.0f} | "
-            f"{baseline.get('events_per_sec', 0.0):>12,.0f} | "
+            f"{name:>22} | {current.get('commits_per_sec', 0.0):>10,.1f} | "
+            f"{baseline.get('commits_per_sec', 0.0):>10,.1f} | "
             f"{(f'{speedup:.2f}x' if speedup else '—'):>8} | "
-            f"{current.get('commits_per_sec', 0.0):>10,.1f} | "
-            f"{current.get('simulated_ms', 0.0):>8,.0f} | "
+            f"{_events_per_commit(current):>13,.1f} | "
+            f"{_events_per_commit(baseline):>9,.1f} | "
+            f"{current.get('events_per_sec', 0.0):>10,.0f} | "
             f"{current.get('wall_seconds', 0.0):>7.2f}")
     lines += [
         "",
-        "events/s: simulated events scheduled per wall-clock second (the",
-        "kernel-speed headline).  baseline: the pre-optimisation kernel on",
-        "the same machine.  Kernel PRs must keep every scenario within the",
-        "regression tolerance of the committed numbers (BENCH_kernel.json).",
+        "commits/s: committed transactions per wall-clock second (the",
+        "headline, and what the regression gate compares).  baseline: the",
+        "kernel before the optimisation, same machine.  events/commit is a",
+        "count, exact for a seed; events/s falls when a commit needs fewer",
+        "events and is shown for reference only.",
     ]
+    for label in ("baseline", "current"):
+        mark = (stamps or {}).get(label)
+        if mark:
+            lines.append(f"{label}: git {mark['git']}, python "
+                         f"{mark['python']}, {mark['nproc']} cores, "
+                         f"{mark['machine']}")
     return "\n".join(lines)
+
+
+def _events_per_commit(run: Dict) -> float:
+    commits = run.get("committed_txns")
+    return run["events"] / commits if commits else 0.0
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -318,7 +353,7 @@ def main(argv: Optional[list] = None) -> int:
                         help="wall-clock repeats per scenario in full mode; "
                              "the best (least-interference) run is reported")
     parser.add_argument("--no-gate", action="store_true",
-                        help="skip the events/sec regression gate")
+                        help="skip the commits/sec regression gate")
     parser.add_argument("--profile", action="store_true",
                         help="run each scenario once with kernel tracing on "
                              "and print a per-event-type profile (no timing "
@@ -371,36 +406,46 @@ def main(argv: Optional[list] = None) -> int:
         best: Optional[Dict] = None
         for _attempt in range(repeats):
             run = scenario(arguments.smoke, engine=arguments.engine)
-            if best is None or run["events_per_sec"] > best["events_per_sec"]:
+            if best is None or \
+                    run["commits_per_sec"] > best["commits_per_sec"]:
                 best = run
         fresh[name] = best
-        print(f"  {best['events_per_sec']:,.0f} events/s, "
-              f"{best['commits_per_sec']:.1f} commits/s "
+        print(f"  {best['commits_per_sec']:.1f} commits/s, "
+              f"{best['events_per_sec']:,.0f} events/s "
               f"({best['wall_seconds']:.2f}s wall)", flush=True)
 
     scenarios: Dict[str, Dict] = {}
     for name, run in fresh.items():
         if arguments.capture_baseline:
             scenarios[name] = {"baseline": run, "current": None,
-                               "speedup_events_per_sec": None}
+                               "speedup_commits_per_sec": None}
             continue
         baseline = committed.get(name, {}).get("baseline")
-        speedup = (round(run["events_per_sec"] / baseline["events_per_sec"], 2)
-                   if baseline and baseline["events_per_sec"] else None)
+        speedup = (round(run["commits_per_sec"]
+                         / baseline["commits_per_sec"], 2)
+                   if baseline and baseline["commits_per_sec"] else None)
         scenarios[name] = {"baseline": baseline, "current": run,
-                           "speedup_events_per_sec": speedup}
+                           "speedup_commits_per_sec": speedup}
+    if arguments.capture_baseline:
+        stamps = {"baseline": stamp(), "current": None}
+    else:
+        stamps = {"baseline": load_previous(DEFAULT_JSON,
+                                            "stamps").get("baseline"),
+                  "current": stamp()}
 
     payload = {
-        "schema": 1,
+        "schema": 2,
         "mode": mode,
         "engine": arguments.engine,
-        "note": "events/s are wall-clock rates; baseline is the "
-                "pre-optimisation kernel on the same machine",
+        "note": "commits/s and events/s are wall-clock rates; baseline is "
+                "the kernel before the optimisation on the same machine",
+        "stamps": stamps,
         "scenarios": scenarios,
     }
     json_path.parent.mkdir(parents=True, exist_ok=True)
     json_path.write_text(json.dumps(payload, indent=2) + "\n")
-    report = render_report(scenarios, mode, engine=arguments.engine)
+    report = render_report(scenarios, mode, engine=arguments.engine,
+                           stamps=stamps)
     print()
     print(report)
     REPORT_DIR.mkdir(parents=True, exist_ok=True)

@@ -24,7 +24,6 @@ from typing import Dict, Optional
 
 from ..network.node import Node
 from ..sim.engine import Simulator
-from ..sim.events import Timeout
 from ..sim.resources import Gate
 
 
@@ -103,9 +102,6 @@ class BufferPool:
                                           self.write_time_high)
 
     # -- reads ----------------------------------------------------------------------
-    # The read/write generators below write ``cpu.use(...)`` / ``disk.use``
-    # out inline (identical event schedule) — one generator object less per
-    # I/O on the single hottest charge path of the database model.
     def read_item(self, key: str):
         """Generator: charge the cost of reading ``key``.
 
@@ -114,34 +110,19 @@ class BufferPool:
         (``test_engine_read_matches_buffer_read_item`` pins the pair).
         """
         node = self.node
-        cpu = node.cpu
-        sim = self.sim
-        obs = sim.obs
+        obs = self.sim.obs
         span = None
         if obs is not None:
             span = obs.begin("buffer.read", category="disk",
                              track=f"server.{node.name}",
                              labels={"key": key})
         try:
-            request = cpu.request()
-            yield request
-            try:
-                yield Timeout(sim, node.cpu_time_per_io)
-            finally:
-                cpu.release(request)
+            yield node.cpu.use(node.cpu_time_per_io)
             if self._hit_stream.random() < self.hit_ratio:
                 self.read_hits += 1
                 return
             self.read_misses += 1
-            disk = node.disk
-            duration = self._read_stream.uniform(self.read_time_low,
-                                                 self.read_time_high)
-            request = disk.request()
-            yield request
-            try:
-                yield Timeout(sim, duration)
-            finally:
-                disk.release(request)
+            yield node.disk.use(self._read_duration())
         finally:
             if span is not None:
                 obs.end(span)
@@ -151,36 +132,21 @@ class BufferPool:
         """Generator: charge the cost of writing ``key`` inside the transaction."""
         self.sync_writes += 1
         node = self.node
-        cpu = node.cpu
-        sim = self.sim
-        obs = sim.obs
+        obs = self.sim.obs
         span = None
         if obs is not None:
             span = obs.begin("buffer.write", category="disk",
                              track=f"server.{node.name}",
                              labels={"key": key})
         try:
-            request = cpu.request()
-            yield request
-            try:
-                yield Timeout(sim, node.cpu_time_per_io)
-            finally:
-                cpu.release(request)
+            yield node.cpu.use(node.cpu_time_per_io)
             if self._hit_stream.random() < self.hit_ratio:
                 # The page is resident: the modification stays in the buffer
                 # and will reach disk with a later flush, off the critical
                 # path.
                 self._mark_dirty(key)
                 return
-            disk = node.disk
-            duration = self._write_stream.uniform(self.write_time_low,
-                                                  self.write_time_high)
-            request = disk.request()
-            yield request
-            try:
-                yield Timeout(sim, duration)
-            finally:
-                disk.release(request)
+            yield node.disk.use(self._write_duration())
         finally:
             if span is not None:
                 obs.end(span)
@@ -223,26 +189,15 @@ class BufferPool:
         """Generator: physically write up to ``max_items`` dirty items."""
         written = 0
         node = self.node
-        cpu = node.cpu
-        disk = node.disk
-        sim = self.sim
+        use_cpu = node.cpu.use
+        use_disk = node.disk.use
         dirty = self._dirty
         while dirty and (max_items is None or written < max_items):
             key = next(iter(dirty))
             dirty.pop(key, None)
-            request = cpu.request()
-            yield request
-            try:
-                yield Timeout(sim, node.cpu_time_per_io)
-            finally:
-                cpu.release(request)
-            duration = self.background_write_factor * self._write_duration()
-            request = disk.request()
-            yield request
-            try:
-                yield Timeout(sim, duration)
-            finally:
-                disk.release(request)
+            yield use_cpu(node.cpu_time_per_io)
+            yield use_disk(self.background_write_factor
+                           * self._write_duration())
             self.flushed_pages += 1
             written += 1
             self._maybe_reopen()

@@ -20,7 +20,6 @@ from typing import Dict, Iterable, List, Optional
 
 from ..network.node import Node
 from ..sim.engine import Simulator
-from ..sim.events import Timeout
 from .buffer import BufferPool
 from .errors import TransactionAborted, UnknownItemError
 from .items import ItemStore
@@ -102,9 +101,7 @@ class LocalDatabase:
         # pins the two implementations to identical accounting and timing.
         buffer = self.buffer
         node = buffer.node
-        cpu = node.cpu
-        sim = self.sim
-        obs = sim.obs
+        obs = self.sim.obs
         span = None
         if obs is not None:
             span = obs.begin("db.read", category="disk",
@@ -112,25 +109,12 @@ class LocalDatabase:
                              parent=("txn", transaction.txn_id),
                              labels={"key": key})
         try:
-            request = cpu.request()
-            yield request
-            try:
-                yield Timeout(sim, node.cpu_time_per_io)
-            finally:
-                cpu.release(request)
+            yield node.cpu.use(node.cpu_time_per_io)
             if buffer._hit_stream.random() < buffer.hit_ratio:
                 buffer.read_hits += 1
             else:
                 buffer.read_misses += 1
-                duration = buffer._read_stream.uniform(buffer.read_time_low,
-                                                       buffer.read_time_high)
-                disk = node.disk
-                request = disk.request()
-                yield request
-                try:
-                    yield Timeout(sim, duration)
-                finally:
-                    disk.release(request)
+                yield node.disk.use(buffer._read_duration())
         finally:
             if span is not None:
                 obs.end(span)

@@ -24,7 +24,6 @@ from typing import Dict, List, Optional
 
 from ..network.node import Node
 from ..sim.engine import Simulator
-from ..sim.events import Timeout
 from ..sim.resources import Gate
 from .stable_storage import StableLog
 
@@ -147,12 +146,8 @@ class WriteAheadLog:
         """
         if not self._volatile:
             return
-        # Inline cpu.use / disk.use (identical event schedule): one flush per
-        # group commit makes this the hottest disk path of every technique.
         node = self.node
-        cpu = node.cpu
-        sim = self.sim
-        obs = sim.obs
+        obs = self.sim.obs
         span = None
         if obs is not None:
             # Parentless on purpose: one group-commit flush serves many
@@ -161,20 +156,8 @@ class WriteAheadLog:
                              track=f"server.{node.name}",
                              labels={"records": len(self._volatile)})
         try:
-            request = cpu.request()
-            yield request
-            try:
-                yield Timeout(sim, node.cpu_time_per_io)
-            finally:
-                cpu.release(request)
-            duration = self._flush_duration()
-            disk = node.disk
-            request = disk.request()
-            yield request
-            try:
-                yield Timeout(sim, duration)
-            finally:
-                disk.release(request)
+            yield node.cpu.use(node.cpu_time_per_io)
+            yield node.disk.use(self._flush_duration())
         finally:
             if span is not None:
                 obs.end(span)

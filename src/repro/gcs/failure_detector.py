@@ -207,10 +207,9 @@ class HeartbeatFailureDetector:
         name = node.name
         while True:
             self._last_heard[(name, name)] = self.sim.now
-            for peer in self._members:
-                if peer != name:
-                    self.lan.send(Message(sender=name, destination=peer,
-                                          kind=HEARTBEAT_KIND))
+            self.lan.broadcast(
+                Message(sender=name, destination="*", kind=HEARTBEAT_KIND),
+                [peer for peer in self._members if peer != name])
             yield self.sim.timeout(self.period)
 
     def _on_heartbeat(self, message: Message) -> None:

@@ -24,7 +24,6 @@ from ..network.lan import Lan
 from ..network.message import Message
 from ..network.node import Node
 from ..sim.engine import Simulator
-from ..sim.events import Timeout
 from ..sim.resources import Store
 
 
@@ -60,21 +59,13 @@ class ReliableBroadcastLayer:
         self._outbox.put(message)
 
     def _sender_loop(self):
-        # Hot loop: inline ``cpu.use(...)`` (identical event schedule) to
-        # spare a generator object per protocol message.
         outbox_get = self._outbox.get
-        cpu = self.node.cpu
+        use_cpu = self.node.cpu.use
         cpu_cost = self.node.cpu_time_per_network_op
-        sim = self.sim
         send = self.lan.send
         while True:
             message = yield outbox_get()
-            request = cpu.request()
-            yield request
-            try:
-                yield Timeout(sim, cpu_cost)
-            finally:
-                cpu.release(request)
+            yield use_cpu(cpu_cost)
             send(message)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

@@ -296,14 +296,14 @@ class TotalOrderEngine:
         while True:
             sequence, entry, replayed = yield self._ready.get()
             if self.delivery_cpu_time:
-                yield from self.node.use_cpu(self.delivery_cpu_time)
+                yield self.node.use_cpu(self.delivery_cpu_time)
             journal = self.journal
             if journal is not None:
                 # Log the delivery on stable storage before handing it
                 # upward (the end-to-end composition, Sect. 4).
                 if journal.log_time:
-                    yield from self.node.use_cpu(self.node.cpu_time_per_io)
-                    yield from self.node.use_disk(journal.log_time)
+                    yield self.node.use_cpu(self.node.cpu_time_per_io)
+                    yield self.node.use_disk(journal.log_time)
                 journal.record_delivery(sequence, entry.broadcast_id,
                                         entry.payload, self.sim.now)
             delivery = Delivery(payload=entry.payload,

@@ -19,7 +19,6 @@ from typing import Callable, Dict, Optional
 
 from ..core.layers import implements
 from ..sim.engine import Simulator
-from ..sim.events import Timeout
 from .message import Message
 from .node import Node
 
@@ -68,22 +67,14 @@ class Dispatcher:
         self.node.spawn(self._loop(), name="dispatcher")
 
     def _loop(self):
-        # Hot loop: the CPU charge is ``cpu.use(...)`` written out inline
-        # (identical event schedule) to spare a generator object per message.
         inbox_get = self.node.inbox.get
-        cpu = self.node.cpu
+        use_cpu = self.node.cpu.use
         cpu_cost = self.node.cpu_time_per_network_op
-        sim = self.sim
         handlers = self._handlers
         try:
             while True:
                 message = yield inbox_get()
-                request = cpu.request()
-                yield request
-                try:
-                    yield Timeout(sim, cpu_cost)
-                finally:
-                    cpu.release(request)
+                yield use_cpu(cpu_cost)
                 self.dispatched_count += 1
                 handler = handlers.get(message.kind, self._default_handler)
                 if handler is None:

@@ -195,15 +195,51 @@ class Lan:
         (no per-send envelope copy; callers hand over fresh envelopes, and a
         re-sent message is simply re-stamped).
         """
+        admitted = self._admit(message)
+        if admitted is not None:
+            Deferred(self.sim, admitted[0], self._deliver, admitted[1])
+
+    def broadcast(self, message: Message,
+                  destinations: Optional[Iterable[str]] = None) -> None:
+        """Send one copy of ``message`` to every destination (default: all nodes).
+
+        The sender receives its own copy too; self-delivery is how a process
+        learns the total order of its own broadcasts.  Each copy is sent as
+        :meth:`send` would (its own drop checks, loss draw and ``sent_at``);
+        consecutive copies with the same delay travel as one event that
+        delivers them in destination order — they would hold consecutive
+        tie-break tickets at one instant, so nothing could sort between them.
+        """
+        names = destinations if destinations is not None else self._nodes
+        run_delay: Optional[float] = None
+        run: List[Tuple[Message, Node]] = []
+        for name in names:
+            admitted = self._admit(message.with_destination(name))
+            if admitted is None:
+                continue
+            delay, delivery = admitted
+            if delay != run_delay:
+                if run:
+                    Deferred(self.sim, run_delay, self._deliver_run, (run,))
+                run_delay, run = delay, []
+            run.append(delivery)
+        if run:
+            Deferred(self.sim, run_delay, self._deliver_run, (run,))
+
+    def _admit(self, message: Message
+               ) -> Optional[Tuple[float, Tuple[Message, Node]]]:
+        """Account one send; the delay and the :meth:`_deliver` arguments
+        ``(stamped message, destination node)``, or ``None`` when the
+        network drops the message at the sender."""
         self.sent_count += 1
         destination = self._nodes.get(message.destination)
         if destination is None:
             self._drop(message, "destination-unknown")
-            return
+            return None
         if self._blocked_pairs and \
                 (message.sender, message.destination) in self._blocked_pairs:
             self._drop(message, "partitioned")
-            return
+            return None
         delay = self._delivery_delay()
         tables = self._fault_tables
         if tables.loss or tables.latency:
@@ -211,7 +247,7 @@ class Lan:
             probability = tables.loss.get(pair)
             if probability and self._loss_stream.random() < probability:
                 self._drop(message, "lossy-link")
-                return
+                return None
             factor = tables.latency.get(pair)
             if factor is not None:
                 delay *= factor
@@ -223,18 +259,11 @@ class Lan:
                               kind=message.kind, payload=message.payload,
                               message_id=message.message_id)
         object.__setattr__(message, "sent_at", self.sim.now)
-        Deferred(self.sim, delay, self._deliver, (message, destination))
+        return delay, (message, destination)
 
-    def broadcast(self, message: Message,
-                  destinations: Optional[Iterable[str]] = None) -> None:
-        """Send one copy of ``message`` to every destination (default: all nodes).
-
-        The sender receives its own copy too; self-delivery is how a process
-        learns the total order of its own broadcasts.
-        """
-        names = list(destinations) if destinations is not None else self.node_names()
-        for name in names:
-            self.send(message.with_destination(name))
+    def _deliver_run(self, run: List[Tuple[Message, Node]]) -> None:
+        for message, destination in run:
+            self._deliver(message, destination)
 
     def _deliver(self, message: Message, destination: Node) -> None:
         if destination._crashed:

@@ -22,7 +22,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional
 from ..core.layers import implements
 from ..sim.engine import Simulator
 from ..sim.process import Process
-from ..sim.resources import Resource, Store
+from ..sim.resources import Request, Resource, Store
 
 #: Listener signature: listener(node, event) with event in {"crash", "recover"}.
 NodeListener = Callable[["Node", str], None]
@@ -108,20 +108,17 @@ class Node:
         return list(self._stable)
 
     # -- CPU / disk helpers --------------------------------------------------------
-    # These return the resource's ``use`` generator directly instead of
-    # delegating through a wrapper generator: a ``yield from`` pass-through
-    # frame costs an allocation per call and a hop per resume, and these are
-    # called for every I/O and network operation of every server.
-    def use_cpu(self, duration: float):
-        """Generator: occupy one CPU of the node for ``duration`` ms."""
+    # Each returns the one event of the charge; a process yields it once.
+    def use_cpu(self, duration: float) -> Request:
+        """Occupy one CPU of the node for ``duration`` ms."""
         return self.cpu.use(duration)
 
-    def use_disk(self, duration: float):
-        """Generator: occupy one disk of the node for ``duration`` ms."""
+    def use_disk(self, duration: float) -> Request:
+        """Occupy one disk of the node for ``duration`` ms."""
         return self.disk.use(duration)
 
-    def charge_network_cpu(self):
-        """Generator: charge the CPU cost of one network operation."""
+    def charge_network_cpu(self) -> Request:
+        """Charge the CPU cost of one network operation."""
         return self.cpu.use(self.cpu_time_per_network_op)
 
     # -- gray failures ---------------------------------------------------------------
@@ -161,13 +158,15 @@ class Node:
         self._crashed = True
         self.crash_count += 1
         self.crash_times.append(self.sim.now)
+        # Resources first: a killed process hands its charge back, which
+        # would grant the slot to the next process about to be killed.
+        self.cpu.cancel_all()
+        self.disk.cancel_all()
         for process in self._processes:
             process.kill(cause=f"{self.name}:{cause}")
         self._processes.clear()
         self._prune_at = 64
         self.inbox.clear()
-        self.cpu.cancel_all()
-        self.disk.cancel_all()
         for listener in list(self._listeners):
             listener(self, "crash")
 

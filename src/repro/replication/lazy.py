@@ -119,7 +119,7 @@ class LazyReplica(ReplicaServer):
             batch, self._outgoing = self._outgoing, []
             self.propagated_batches += 1
             for peer in self.peer_names:
-                yield from self.node.charge_network_cpu()
+                yield self.node.charge_network_cpu()
                 self.lan.send(Message(sender=self.name, destination=peer,
                                       kind=PROPAGATION_KIND, payload=batch))
 
@@ -139,11 +139,11 @@ class LazyReplica(ReplicaServer):
             self.db.install_writes(payload, commit_order=commit_order)
             self.applied_remote_writesets += 1
             for key in payload.write_set:
-                yield from self.node.use_cpu(self.node.cpu_time_per_io)
+                yield self.node.use_cpu(self.node.cpu_time_per_io)
                 duration = factor * write_stream.uniform(
                     self.params.write_time_min, self.params.write_time_max)
                 if duration > 0:
-                    yield from self.node.use_disk(duration)
+                    yield self.node.use_disk(duration)
             self.db.wal.append_commit(payload.txn_id, payload.write_values,
                                       commit_order=commit_order)
             self.db.testable.record_commit(payload.txn_id, commit_order)

@@ -12,7 +12,7 @@ Quick example::
     sim = Simulator(seed=1)
 
     def worker(sim, cpu):
-        yield from cpu.use(5.0)      # hold the CPU for 5 ms
+        yield cpu.use(5.0)           # hold the CPU for 5 ms
         return sim.now
 
     from repro.sim import Resource

@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from .errors import Interrupt, SimulationError
 from .events import Event
+from .resources import Request
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from .engine import Simulator
@@ -115,6 +116,10 @@ class Process(Event):
                 target.callbacks.remove(self._on_fire)
             except ValueError:
                 pass
+        if type(target) is Request:
+            # Killed or interrupted mid-charge: the slot (or the place in
+            # the queue) goes back at this instant, not when the hold ends.
+            target.cancel()
 
     def _deliver_interrupt(self, event: Event) -> None:
         if not self.is_alive or self._killed:

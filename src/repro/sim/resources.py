@@ -18,48 +18,64 @@ from typing import Any, Deque, List, Optional, TYPE_CHECKING
 from heapq import heappush
 
 from .errors import SimulationError
-from .events import _PENDING, NORMAL_BIAS, Event, Timeout
+from .events import NORMAL_BIAS, Event
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from .engine import Simulator
 
 
 class Request(Event):
-    """A pending or granted claim on a :class:`Resource` slot."""
+    """One charge on a :class:`Resource`: a slot held for a fixed duration.
 
-    __slots__ = ("resource", "granted_at")
+    The event is processed when the hold *ends*.  Its first callback hands
+    the slot back (busy time accrued, next waiter granted), so by the time
+    the process that yielded it resumes the slot is already free.
+    """
 
-    def __init__(self, sim: "Simulator", resource: "Resource") -> None:
-        # Inlined Event.__init__ — one request per resource use makes this a
-        # hot allocation under saturation.
-        self.sim = sim
-        self._cb = None
+    __slots__ = ("resource", "duration", "granted_at")
+
+    def __init__(self, resource: "Resource", duration: float) -> None:
+        # Inlined Event.__init__ — one request per charge makes this a hot
+        # allocation under saturation.
+        self.sim = resource.sim
+        self._cb = resource._on_done
         self.callbacks = None
-        self._value = _PENDING
-        self._ok = None
+        self._value = None
+        self._ok = True
         self._defused = False
         self._processed = False
         self.resource = resource
+        self.duration = duration
         #: Simulated time the slot was granted (None while queued).
         self.granted_at: Optional[float] = None
+
+    def cancel(self) -> None:
+        """Give the charge up at this instant.
+
+        A held slot is handed back now (busy time up to now, next waiter
+        granted) and a queued charge leaves the queue; the completion entry
+        of a held charge stays on the heap and pops inert.  Called when the
+        process waiting on the charge is killed or interrupted; a no-op on a
+        charge that is already over.
+        """
+        if self._cb is None:
+            return
+        self._cb = None
+        if self.granted_at is None:
+            self.resource._waiting.remove(self)
+        else:
+            self.resource._release(self)
 
 
 class Resource:
     """A FIFO resource with a fixed number of identical slots.
 
-    Usage inside a process::
+    Usage inside a process — one event per charge, yielded once::
 
-        request = cpu.request()
-        yield request
-        try:
-            yield sim.timeout(service_time)
-        finally:
-            cpu.release(request)
-
-    The :meth:`use` helper wraps exactly that pattern.
+        yield cpu.use(service_time)
     """
 
-    __slots__ = ("sim", "capacity", "name", "_users", "_waiting",
+    __slots__ = ("sim", "capacity", "name", "_users", "_waiting", "_on_done",
                  "granted_count", "busy_time")
 
     def __init__(self, sim: "Simulator", capacity: int = 1,
@@ -71,6 +87,9 @@ class Resource:
         self.name = name or "resource"
         self._users: List[Request] = []
         self._waiting: Deque[Request] = deque()
+        #: The first callback of every charge, bound once (a bound method
+        #: per charge would be an allocation on the hottest path).
+        self._on_done = self._release
         #: Total number of requests ever granted (for utilisation stats).
         self.granted_count = 0
         #: Accumulated (simulated) busy time across all slots.
@@ -87,87 +106,62 @@ class Resource:
         """Number of requests waiting for a slot."""
         return len(self._waiting)
 
-    # -- request / release -----------------------------------------------------
-    def request(self) -> Request:
-        """Ask for a slot; the returned event fires when the slot is granted."""
-        request = Request(self.sim, self)
+    # -- charging ------------------------------------------------------------
+    def use(self, duration: float) -> Request:
+        """Hold one slot for ``duration`` milliseconds.
+
+        Returns the event that fires when the hold is over; a free slot
+        makes that a single queue entry at ``now + duration``, otherwise
+        the charge waits its turn in FIFO order first.
+        """
+        if duration < 0:
+            raise ValueError(f"negative hold duration: {duration!r}")
+        request = Request(self, duration)
         if len(self._users) < self.capacity:
-            # Inlined _grant + succeed: the uncontended grant is the hottest
-            # resource operation of the whole model (a fresh request cannot
-            # have been triggered, so the succeed guard is skipped).
-            self._users.append(request)
-            sim = self.sim
-            request.granted_at = sim._now
-            self.granted_count += 1
-            request._ok = True
-            request._value = request
-            sim._sequence += 1
-            heappush(sim._queue,
-                     (sim._now, NORMAL_BIAS + sim._sequence, request))
+            self._hold(request)
         else:
             self._waiting.append(request)
         return request
 
-    def release(self, request: Request) -> None:
-        """Give back a previously granted slot."""
-        users = self._users
-        try:
-            users.remove(request)
-        except ValueError:
-            if request in self._waiting:
-                self._waiting.remove(request)
-                return
-            raise SimulationError(
-                f"release of a request not held on {self.name!r}") from None
-        now = self.sim._now
-        granted_at = request.granted_at
-        self.busy_time += now - (now if granted_at is None else granted_at)
-        if self._waiting and len(users) < self.capacity:
-            self._grant(self._waiting.popleft())
-
-    def use(self, duration: float):
-        """Generator helper: hold one slot for ``duration`` milliseconds.
-
-        Yield from it inside a process::
-
-            yield from disk.use(8.0)
-
-        The body repeats :meth:`request` inline (same fast path) because
-        ``use`` accounts for nearly every resource interaction of the model.
-        """
+    def _hold(self, request: Request) -> None:
+        """Grant a slot now and schedule the end of the hold."""
         sim = self.sim
-        request = Request(sim, self)
-        if len(self._users) < self.capacity:
-            self._users.append(request)
-            request.granted_at = sim._now
-            self.granted_count += 1
-            request._ok = True
-            request._value = request
-            sim._sequence += 1
-            heappush(sim._queue,
-                     (sim._now, NORMAL_BIAS + sim._sequence, request))
-        else:
-            self._waiting.append(request)
-        yield request
-        try:
-            yield Timeout(sim, duration)
-        finally:
-            self.release(request)
+        self._users.append(request)
+        request.granted_at = now = sim._now
+        self.granted_count += 1
+        sim._sequence += 1
+        heappush(sim._queue, (now + request.duration,
+                              NORMAL_BIAS + sim._sequence, request))
+
+    def _release(self, request: Request) -> None:
+        """Hand ``request``'s slot back and grant it to the oldest waiter."""
+        self._users.remove(request)
+        self.busy_time += self.sim._now - request.granted_at
+        if self._waiting:
+            self._hold(self._waiting.popleft())
 
     def cancel_all(self) -> None:
-        """Drop every waiting request and forget current users.
+        """Drop every waiting charge and hand back every held slot.
 
         Used when the server owning the resource crashes: in-flight disk and
-        CPU operations simply vanish with the server.
+        CPU operations simply vanish with the server.  Busy time accrues up
+        to the crash; the completion entries still on the heap pop inert for
+        the killed processes, and a process that survives the crash (one not
+        hosted on the node) gets a :class:`SimulationError` from its charge.
         """
-        self._waiting.clear()
+        now = self.sim._now
+        crashed = SimulationError(f"charge on {self.name!r} cancelled by a "
+                                  f"crash")
+        for request in self._users:
+            self.busy_time += now - request.granted_at
+            request._cb = None
+            request._ok = False
+            request._value = crashed
+            request._defused = True
+        for request in self._waiting:
+            request._cb = None
         self._users.clear()
-
-    def _grant(self, request: Request) -> None:
-        self._users.append(request)
-        request.granted_at = self.sim._now
-        self.granted_count += 1
-        request.succeed(request)
+        self._waiting.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"<Resource {self.name!r} {self.in_use}/{self.capacity} busy,"

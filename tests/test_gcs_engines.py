@@ -135,47 +135,51 @@ def scenario_stats(cluster, results):
 
 
 # ---------------------------------------------------------------- golden digests
-# Captured from the seed (pre-decomposition, fused sequencer+membership)
-# gcs stack at seed=11; the fixed-sequencer engine must reproduce every
-# event in every scenario bit-for-bit.  Stats are (committed, responded,
-# lan sent, lan delivered, scheduled events).  ``model`` pins what the model
-# did (see ``model_digest``); ``digest`` pins the kernel's event list.
+# Scenarios at seed=11.  Stats are (committed, responded, lan sent, lan
+# delivered, scheduled events).  ``model`` pins what the model did (see
+# ``model_digest``); it was captured on the kernel whose ``digest`` values
+# still equalled the seed's (pre-decomposition, fused sequencer+membership)
+# gcs stack, so it and the first four stats are the seed's behaviour: no
+# refactor or kernel optimisation may move them.  ``digest`` and the
+# scheduled-event count pin the kernel's private event list; they were
+# re-pinned once, when a resource charge became one event instead of two
+# (CHANGES.md, PR 17).
 GOLDEN = {
     "group-safe": dict(
         technique="group-safe", crash=False, log_time=0.0,
-        digest="97993a376ea4d904c137b78f55eecf6ad6f1155f"
-               "e91ad998eef0065319251330",
+        digest="074379d5363fb827788629cec8a1eb4636f6f8bd"
+               "ad7b8c66446dec09db41d0de",
         model="80174df81fd0483e58fefa68cc2d0ef0d5e10bbf"
               "461a48a5d036c917fc7f4c61",
-        stats=(15, 24, 312, 312, 4997)),
+        stats=(15, 24, 312, 312, 3307)),
     "group-1-safe": dict(
         technique="group-1-safe", crash=False, log_time=0.0,
-        digest="66bcbc1af03571b56e1c060552d57b6795f88100"
-               "bc287b2179d3e03a5f6827db",
+        digest="c6011eba69f9dc876c80977053c770e8cc6c7176"
+               "490ae5f6519b9d736a0375c4",
         model="9070db56a1cfd852eadf8216cc4b5a88e1911437"
               "15e525d38086508f082008b3",
-        stats=(17, 24, 312, 312, 5555)),
+        stats=(17, 24, 312, 312, 3611)),
     "2-safe-logged": dict(
         technique="2-safe", crash=False, log_time=0.05,
-        digest="64f96f11a31004530d5492230be99cf7c1edadc0"
-               "d874ad02d36d00f70fcbcbff",
+        digest="993b261b3a50c860571646c9a73d693c81d43403"
+               "71dcc41a9713c95e00cc1b05",
         model="d02d02f4ca0fb953c46bbca839f7b67ef3d8bd42"
               "75d2c04827ccdfb190789bb5",
-        stats=(17, 24, 312, 312, 5835)),
+        stats=(17, 24, 312, 312, 3753)),
     "group-safe-crash": dict(
         technique="group-safe", crash=True, log_time=0.0,
-        digest="aef71e8fb8bf5eabb2bd64800e432227f546fe6a"
-               "9cb9f1a2fa7da25c739abfe7",
+        digest="581c365980c42e7c2d16fdb5bcc5932a13a97f7f"
+               "3db334346902be1d7887de2d",
         model="9f9562985005653bd181a9f0635e2bc5099fb1d7"
               "7a7007ffed34c2093abb3a4f",
-        stats=(15, 24, 296, 296, 4759)),
+        stats=(15, 24, 296, 296, 3159)),
     "2-safe-crash": dict(
         technique="2-safe", crash=True, log_time=0.05,
-        digest="c56449d6c4f650dffb62dca30edecf6e4f2d365d"
-               "ffdde60d4121240490c82d1b",
+        digest="0e6b21626cc0220b32b2fad921dcf4e80edb5b2f"
+               "ca90460a0ba05f27a6961d04",
         model="053af4bb2d6a0707de6a0903862ed9f749db99a6"
               "90e43d00dfb05ddb637b09b9",
-        stats=(15, 24, 309, 309, 5703)),
+        stats=(15, 24, 309, 309, 3690)),
 }
 
 

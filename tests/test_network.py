@@ -38,6 +38,54 @@ def test_broadcast_reaches_every_node_including_sender():
     assert all(node.inbox.pending_items == 1 for node in nodes)
 
 
+def _fan_out(use_broadcast, jitter=0.0, slow_pair=None):
+    """One message to s1..s5 plus an unknown and a blocked destination, by
+    ``broadcast`` or by the equivalent ``send`` loop; what arrived, the
+    counters and the number of kernel events it took."""
+    from repro.network.faults import LinkFault
+
+    sim = Simulator(seed=4)
+    lan = Lan(sim, jitter=jitter)
+    nodes = [lan.attach(Node(sim, f"s{i}")) for i in range(1, 6)]
+    lan.block("s1", "s3")
+    if slow_pair is not None:
+        lan.install_fault(LinkFault("slow",
+                                    latency_factors=((slow_pair, 3.0),)))
+    arrivals = []
+    deliver = lan._deliver
+    lan._deliver = lambda message, node: (
+        arrivals.append((sim.now, message.destination, message.sent_at)),
+        deliver(message, node))
+    names = ["s1", "s2", "nowhere", "s3", "s4", "s5"]
+    before = sim.scheduled_events
+    message = Message(sender="s1", destination="*", kind="HELLO")
+    if use_broadcast:
+        lan.broadcast(message, names)
+    else:
+        for name in names:
+            lan.send(message.with_destination(name))
+    events = sim.scheduled_events - before
+    nodes[3].crash()        # s4 goes down while its copy is in flight
+    sim.run()
+    return arrivals, (lan.sent_count, lan.delivered_count,
+                      dict(lan.dropped_by_cause)), events
+
+
+@pytest.mark.parametrize("options,broadcast_events", [
+    ({}, 1),                                   # one delay: one event
+    ({"slow_pair": ("s1", "s4")}, 3),          # runs s1 s2 | s4 | s5
+    ({"jitter": 0.05}, 4),                     # every delay differs
+])
+def test_broadcast_is_the_send_loop_in_fewer_events(options, broadcast_events):
+    sends, send_counters, send_events = _fan_out(False, **options)
+    fanned, counters, events = _fan_out(True, **options)
+    assert fanned == sends                     # same order, times, sent_at
+    assert sorted(name for _, name, _ in fanned) == ["s1", "s2", "s4", "s5"]
+    assert counters == send_counters == (6, 3, {
+        "destination-unknown": 1, "partitioned": 1, "destination-crashed": 1})
+    assert (send_events, events) == (4, broadcast_events)
+
+
 def test_message_to_unknown_or_crashed_node_dropped():
     sim = Simulator()
     lan, (a, b, _c) = make_lan(sim)

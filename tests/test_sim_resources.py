@@ -10,11 +10,12 @@ from repro.sim import Gate, Resource, SimulationError, Simulator, Store
 def test_resource_grants_up_to_capacity():
     sim = Simulator()
     resource = Resource(sim, capacity=2)
-    first, second, third = (resource.request() for _ in range(3))
-    assert first.triggered and second.triggered
-    assert not third.triggered
+    first, second, third = (resource.use(5.0) for _ in range(3))
+    assert first.granted_at == second.granted_at == 0.0
+    assert third.granted_at is None
     assert resource.in_use == 2
     assert resource.queue_length == 1
+    assert resource.granted_count == 2
 
 
 def test_resource_release_wakes_fifo_waiter():
@@ -23,7 +24,7 @@ def test_resource_release_wakes_fifo_waiter():
     completion_order = []
 
     def worker(name, duration):
-        yield from resource.use(duration)
+        yield resource.use(duration)
         completion_order.append((name, sim.now))
 
     sim.spawn(worker("a", 5.0))
@@ -39,7 +40,7 @@ def test_resource_parallel_slots():
     done = []
 
     def worker(name):
-        yield from resource.use(4.0)
+        yield resource.use(4.0)
         done.append((name, sim.now))
 
     for name in ("a", "b", "c"):
@@ -48,49 +49,187 @@ def test_resource_parallel_slots():
     assert done == [("a", 4.0), ("b", 4.0), ("c", 8.0)]
 
 
-def test_resource_rejects_bad_capacity_and_release():
+def test_resource_rejects_bad_capacity_and_negative_duration():
     sim = Simulator()
     with pytest.raises(ValueError):
         Resource(sim, capacity=0)
     resource = Resource(sim, capacity=1)
-    request = resource.request()
-    resource.release(request)
-    with pytest.raises(SimulationError):
-        resource.release(request)
+    with pytest.raises(ValueError):
+        resource.use(-0.1)
+    assert resource.in_use == 0 and resource.granted_count == 0
 
 
-def test_resource_release_of_waiting_request_cancels_it():
+def test_a_charge_is_one_event_yielded_once():
     sim = Simulator()
     resource = Resource(sim, capacity=1)
-    holder = resource.request()
-    waiter = resource.request()
-    resource.release(waiter)      # give up the queued request
-    assert resource.queue_length == 0
-    resource.release(holder)
-    assert resource.in_use == 0
+
+    def uncontended():
+        yield resource.use(5.0)
+
+    sim.run_until_complete(sim.spawn(uncontended()))
+    # The process bootstrap, the charge, the process's own completion.
+    assert sim.scheduled_events == 3
+
+    def stale():
+        yield from resource.use(5.0)
+
+    with pytest.raises(TypeError, match="not iterable"):
+        sim.run_until_complete(sim.spawn(stale()))
+
+
+def test_slot_is_free_before_the_charging_process_resumes():
+    sim = Simulator()
+    resource = Resource(sim, capacity=1)
+    seen = []
+
+    def holder():
+        yield resource.use(2.0)
+        seen.append((resource.in_use, resource.queue_length,
+                     waiter.granted_at))
+
+    sim.spawn(holder())
+    sim.run(until=0.5)
+    waiter = resource.use(1.0)
+    sim.run()
+    # When the holder resumed its slot had already gone to the waiter.
+    assert seen == [(1, 0, 2.0)]
+    assert sim.now == 3.0
 
 
 def test_resource_busy_time_accounting():
     sim = Simulator()
     resource = Resource(sim, capacity=1)
 
-    def worker():
-        yield from resource.use(6.0)
+    def worker(duration):
+        yield resource.use(duration)
 
-    sim.spawn(worker())
-    sim.run()
-    assert resource.busy_time == pytest.approx(6.0)
+    sim.spawn(worker(6.0))
+    sim.spawn(worker(1.5))
+    sim.run(until=3.0)
+    assert (resource.in_use, resource.queue_length) == (1, 1)
+    assert resource.busy_time == 0.0          # accrued when a hold ends
     assert resource.granted_count == 1
+    sim.run()
+    assert resource.busy_time == pytest.approx(7.5)
+    assert resource.granted_count == 2
+    assert (resource.in_use, resource.queue_length) == (0, 0)
+
+
+def _three_processes(victim_duration):
+    """Capacity 1: p1 holds 5 ms, p2 and p3 queue behind it at 0 / 1 ms."""
+    sim = Simulator()
+    resource = Resource(sim, capacity=1)
+    served = []
+
+    def worker(name, delay, duration):
+        yield sim.timeout(delay)
+        yield resource.use(duration)
+        served.append((name, sim.now))
+
+    processes = [sim.spawn(worker("p1", 0.0, 5.0)),
+                 sim.spawn(worker("p2", 0.0, victim_duration)),
+                 sim.spawn(worker("p3", 1.0, 2.0))]
+    return sim, resource, served, processes
+
+
+@pytest.mark.parametrize("stop", ("kill", "interrupt"))
+def test_process_stopped_while_queued_leaves_the_queue(stop):
+    # Regression: the queued request of a killed process used to be granted
+    # later and never released — in_use stuck at 1, p3 never served.
+    sim, resource, served, (_, p2, _) = _three_processes(victim_duration=4.0)
+    sim.run(until=1.0)
+    assert resource.queue_length == 2
+    getattr(p2, stop)()
+    p2.defuse()
+    sim.run(until=1.0)
+    assert resource.queue_length == 1
+    sim.run(until=100.0)
+    assert served == [("p1", 5.0), ("p3", 7.0)]
+    assert resource.in_use == 0
+    assert resource.granted_count == 2
+    assert resource.busy_time == pytest.approx(7.0)
+
+
+@pytest.mark.parametrize("stop", ("kill", "interrupt"))
+def test_process_stopped_while_holding_frees_the_slot_at_that_instant(stop):
+    sim, resource, served, (p1, _, _) = _three_processes(victim_duration=4.0)
+    sim.run(until=1.0)
+    getattr(p1, stop)()
+    p1.defuse()
+    sim.run(until=1.0)
+    # Slot handed over at 1 ms: busy time up to it, FIFO waiter granted.
+    assert resource.busy_time == pytest.approx(1.0)
+    assert (resource.in_use, resource.queue_length) == (1, 1)
+    sim.run(until=100.0)
+    # p1's completion entry popped at 5 ms, inert: p2 kept its slot.
+    assert served == [("p2", 5.0), ("p3", 7.0)]
+    assert resource.in_use == 0
+    assert resource.busy_time == pytest.approx(7.0)
 
 
 def test_resource_cancel_all_clears_state():
     sim = Simulator()
     resource = Resource(sim, capacity=1)
-    resource.request()
-    resource.request()
+    resource.use(4.0)
+    resource.use(4.0)
+    sim.run(until=1.0)
     resource.cancel_all()
     assert resource.in_use == 0
     assert resource.queue_length == 0
+    assert resource.busy_time == pytest.approx(1.0)   # partial, up to now
+
+
+def test_crash_makes_held_and_queued_charges_inert():
+    from repro.network.node import Node
+
+    sim = Simulator()
+    node = Node(sim, "s1", cpus=1)
+    resumed = []
+
+    def worker(name):
+        yield node.use_cpu(4.0)
+        resumed.append(name)
+
+    node.spawn(worker("held"))
+    node.spawn(worker("queued"))
+    sim.run(until=1.0)
+    assert (node.cpu.in_use, node.cpu.queue_length) == (1, 1)
+    node.crash()
+    node.recover()
+    assert (node.cpu.in_use, node.cpu.queue_length) == (0, 0)
+
+    def fresh():
+        yield node.use_cpu(10.0)
+        resumed.append(("fresh", sim.now))
+
+    node.spawn(fresh())
+    sim.run(until=6.0)      # past the old completion times (4 ms, 8 ms)...
+    assert node.cpu.in_use == 1 and resumed == []
+    sim.run()               # ...which took nothing from the fresh charge
+    assert resumed == [("fresh", 11.0)]
+    assert node.cpu.in_use == 0
+    assert node.cpu.granted_count == 2
+    assert node.cpu.busy_time == pytest.approx(1.0 + 10.0)
+
+
+def test_cancel_all_fails_the_charge_of_a_surviving_process():
+    # A process not hosted on the crashed node (the migration driver's
+    # chunk copy reading a source disk) must not mistake the crash for I/O.
+    sim = Simulator()
+    resource = Resource(sim, capacity=1)
+
+    def survivor():
+        try:
+            yield resource.use(4.0)
+        except SimulationError:
+            return sim.now
+        return "completed"
+
+    process = sim.spawn(survivor())
+    sim.run(until=1.0)
+    resource.cancel_all()
+    sim.run()
+    assert process.value == 4.0
 
 
 def test_store_fifo_order():
