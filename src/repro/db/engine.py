@@ -225,16 +225,14 @@ class LocalDatabase:
     # ------------------------------------------------------------------ logging
     def log_commit(self, transaction_or_payload, commit_order: Optional[int],
                    synchronous: bool):
-        """Generator: append (and optionally flush) the commit record."""
-        txn_id, writes = _id_and_writes(transaction_or_payload)
-        self.wal.append_commit(txn_id, writes, commit_order=commit_order)
-        if synchronous:
-            yield from self.wal.flush()
+        """Generator: append (and optionally flush) the commit record.
 
-    def log_abort(self, transaction_or_payload, synchronous: bool = False):
-        """Generator: append (and optionally flush) an abort record."""
-        txn_id, _writes = _id_and_writes(transaction_or_payload)
-        self.wal.append_abort(txn_id)
+        Takes a :class:`Transaction` or a :class:`WriteSetMessage`; both
+        carry ``txn_id`` and ``write_values`` (the record copies the latter).
+        """
+        self.wal.append_commit(transaction_or_payload.txn_id,
+                               transaction_or_payload.write_values,
+                               commit_order=commit_order)
         if synchronous:
             yield from self.wal.flush()
 
@@ -314,16 +312,3 @@ class LocalDatabase:
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"<LocalDatabase {self.node.name} items={len(self.items)} "
                 f"committed={self.committed_count}>")
-
-
-def _id_and_writes(transaction_or_payload) -> tuple:
-    """Accept either a Transaction or a WriteSetMessage and normalise."""
-    if isinstance(transaction_or_payload, Transaction):
-        return (transaction_or_payload.txn_id,
-                dict(transaction_or_payload.write_values))
-    if isinstance(transaction_or_payload, WriteSetMessage):
-        return (transaction_or_payload.txn_id,
-                dict(transaction_or_payload.write_values))
-    raise TypeError(
-        f"expected Transaction or WriteSetMessage, got "
-        f"{type(transaction_or_payload).__name__}")

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from ..core.stats import percentile
 from ..replication.cluster import ReplicatedDatabaseCluster
 from ..workload.clients import OpenLoopClientPool
 from ..workload.params import SimulationParameters
@@ -60,16 +61,12 @@ def run_load_point(technique: str, load_tps: float,
     committed = clients.committed
     aborted = clients.aborted
     measured_ms = max(1.0, duration_ms - warmup_ms)
-    response_times = sorted(result.response_time for result in committed)
-    p90 = 0.0
-    if response_times:
-        index = min(len(response_times) - 1, int(0.9 * (len(response_times) - 1)))
-        p90 = response_times[index]
     return LoadPoint(
         technique=technique,
         offered_load_tps=load_tps,
         mean_response_time_ms=clients.mean_response_time(),
-        p90_response_time_ms=p90,
+        p90_response_time_ms=percentile(
+            [result.response_time for result in committed], 0.9),
         abort_rate=clients.abort_rate(),
         committed_transactions=len(committed),
         aborted_transactions=len(aborted),

@@ -26,15 +26,15 @@ from dataclasses import dataclass
 from typing import (Callable, Iterable, List, Mapping, Optional, Sequence,
                     Tuple)
 
-from ..core.criteria import safety_of_technique
+from ..core.criteria import TECHNIQUE_SAFETY, safety_of_technique
 from ..core.matrix import partitioned_loss_condition
 from ..core.safety import SafetyLevel
 from ..db.operations import TransactionProgram
 from ..gcs.engines import DEFAULT_ENGINE, engine_names
 from ..workload.params import SimulationParameters
 
-#: The techniques of both loss matrices, one per safety level.
-TECHNIQUES = ("0-safe", "1-safe", "group-safe", "group-1-safe", "2-safe")
+#: The techniques of both loss matrices, one per safety level, weakest first.
+TECHNIQUES = tuple(TECHNIQUE_SAFETY)
 #: The reduced set of their ``--smoke`` runs: a lazy technique (loses on a
 #: delegate crash), a group-based one (loses on a whole-group failure) and
 #: 2-safe (never loses).

@@ -5,11 +5,10 @@ The package is a layered protocol stack matching
 LAN, a perfect failure detector, pluggable total-order engines (fixed
 sequencer and Multi-Paxos, selected through :mod:`repro.gcs.engines`),
 view-based membership, the stable message log used for log-based recovery
-(composed in as the end-to-end :class:`DeliveryJournal`), and
-checkpoint-based state transfer.
+(handed to an engine as its ``journal``, it makes the broadcast end-to-end),
+and checkpoint-based state transfer.
 """
 
-from .end_to_end import DeliveryJournal
 from .engines import (DEFAULT_ENGINE, BroadcastEngineSpec, engine_names,
                       register_engine, resolve_engine)
 from .failure_detector import FailureDetector
@@ -30,7 +29,6 @@ __all__ = [
     "BroadcastEngineSpec",
     "DEFAULT_ENGINE",
     "Delivery",
-    "DeliveryJournal",
     "FixedSequencerEngine",
     "GroupCommunicationSystem",
     "GroupMembership",

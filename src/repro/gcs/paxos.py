@@ -41,6 +41,7 @@ from ..network.message import Message
 from ..network.node import Node
 from ..sim.engine import Simulator
 from .failure_detector import FailureDetector
+from .message_log import GcsMessageLog
 from .reliable_broadcast import ReliableBroadcastLayer
 from .spec import BroadcastTrace
 from .total_order import MembershipPort, TotalOrderEngine, _PendingMessage
@@ -68,7 +69,7 @@ class MultiPaxosEngine(TotalOrderEngine):
                  member_name: Optional[str] = None,
                  delivery_cpu_time: float = 0.07,
                  trace: Optional[BroadcastTrace] = None,
-                 journal: Optional[Any] = None) -> None:
+                 journal: Optional[GcsMessageLog] = None) -> None:
         self._fd = failure_detector
         super().__init__(sim, node, dispatcher, broadcast_layer, group,
                          member_name=member_name,

@@ -25,10 +25,10 @@ from ..network.dispatch import Dispatcher
 from ..network.lan import Lan
 from ..network.node import Node
 from ..sim.engine import Simulator
-from .end_to_end import DeliveryJournal
 from .engines import DEFAULT_ENGINE, resolve_engine
 from .failure_detector import build_failure_detector
 from .membership import GroupMembership
+from .message_log import GcsMessageLog
 from .reliable_broadcast import ReliableBroadcastLayer
 from .spec import BroadcastTrace
 from .total_order import MembershipPort, TotalOrderEngine
@@ -72,7 +72,6 @@ class GroupCommunicationSystem:
             quorum_size=lambda: self.membership.quorum_size,
             announce_join=self.membership.add_member)
         self._dispatchers: Dict[str, Dispatcher] = {}
-        self._broadcast_layers: Dict[str, ReliableBroadcastLayer] = {}
         self._endpoints: Dict[str, TotalOrderEngine] = {}
         for node in members:
             dispatcher = Dispatcher(sim, node)
@@ -80,9 +79,8 @@ class GroupCommunicationSystem:
             if detector_mode == "heartbeat":
                 self.failure_detector.bind_dispatcher(node.name, dispatcher)
             broadcast_layer = ReliableBroadcastLayer(sim, lan, node)
-            self._broadcast_layers[node.name] = broadcast_layer
-            journal = DeliveryJournal(node, name=f"{node.name}.e2e",
-                                      log_time=delivery_log_time) \
+            journal = GcsMessageLog(node, name=f"{node.name}.e2e",
+                                    log_time=delivery_log_time) \
                 if end_to_end else None
             endpoint = self.engine_spec.build(
                 sim=sim, node=node, dispatcher=dispatcher,
@@ -101,10 +99,6 @@ class GroupCommunicationSystem:
     def dispatcher(self, name: str) -> Dispatcher:
         """The message dispatcher of server ``name``."""
         return self._dispatchers[name]
-
-    def broadcast_layer(self, name: str) -> ReliableBroadcastLayer:
-        """The reliable-broadcast layer of server ``name``."""
-        return self._broadcast_layers[name]
 
     @property
     def endpoints(self) -> List[TotalOrderEngine]:

@@ -24,9 +24,10 @@ construction, plus a subscription that feeds view changes *down* into
 :meth:`TotalOrderEngine.on_view_change`.
 
 End-to-end delivery (Sect. 4) is a composition option, not a subclass: pass
-a :class:`repro.gcs.end_to_end.DeliveryJournal` and the engine logs every
-delivery on stable storage, honours ``ack(m)`` and recovers by replaying
-unacknowledged messages instead of asking for an application checkpoint.
+a :class:`repro.gcs.message_log.GcsMessageLog` as ``journal`` and the engine
+logs every delivery on stable storage, honours ``ack(m)`` and recovers by
+replaying unacknowledged messages instead of asking for an application
+checkpoint.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from ..network.message import Message
 from ..network.node import Node
 from ..sim.engine import Simulator
 from ..sim.resources import Store
+from .message_log import GcsMessageLog
 from .reliable_broadcast import ReliableBroadcastLayer
 from .spec import BroadcastTrace, DeliveryRecord
 
@@ -105,7 +107,7 @@ class TotalOrderEngine:
                  member_name: Optional[str] = None,
                  delivery_cpu_time: float = 0.07,
                  trace: Optional[BroadcastTrace] = None,
-                 journal: Optional[Any] = None) -> None:
+                 journal: Optional[GcsMessageLog] = None) -> None:
         self.sim = sim
         self.node = node
         self.dispatcher = dispatcher
@@ -114,8 +116,8 @@ class TotalOrderEngine:
         self.member_name = member_name or node.name
         self.delivery_cpu_time = delivery_cpu_time
         self.trace = trace
-        #: End-to-end delivery journal (``DeliveryJournal``) or ``None`` for
-        #: the classical primitive.
+        #: Stable message log of the end-to-end composition, or ``None``
+        #: for the classical primitive.
         self.journal = journal
         #: Deliveries ready for the application (A-deliver), in total order.
         self.deliveries: Store = Store(sim, name=f"{self.member_name}.deliveries")
@@ -231,7 +233,7 @@ class TotalOrderEngine:
     @property
     def message_log(self):
         """The stable delivery log (end-to-end composition only)."""
-        return self.journal.log if self.journal is not None else None
+        return self.journal
 
     # ------------------------------------------------------------------ A-broadcast
     def broadcast(self, payload: Any) -> str:
@@ -296,14 +298,14 @@ class TotalOrderEngine:
         while True:
             sequence, entry, replayed = yield self._ready.get()
             if self.delivery_cpu_time:
-                yield self.node.use_cpu(self.delivery_cpu_time)
+                yield self.node.cpu.use(self.delivery_cpu_time)
             journal = self.journal
             if journal is not None:
                 # Log the delivery on stable storage before handing it
                 # upward (the end-to-end composition, Sect. 4).
                 if journal.log_time:
-                    yield self.node.use_cpu(self.node.cpu_time_per_io)
-                    yield self.node.use_disk(journal.log_time)
+                    yield self.node.cpu.use(self.node.cpu_time_per_io)
+                    yield self.node.disk.use(journal.log_time)
                 journal.record_delivery(sequence, entry.broadcast_id,
                                         entry.payload, self.sim.now)
             delivery = Delivery(payload=entry.payload,

@@ -22,7 +22,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional
 from ..core.layers import implements
 from ..sim.engine import Simulator
 from ..sim.process import Process
-from ..sim.resources import Request, Resource, Store
+from ..sim.resources import Resource, Store
 
 #: Listener signature: listener(node, event) with event in {"crash", "recover"}.
 NodeListener = Callable[["Node", str], None]
@@ -107,20 +107,6 @@ class Node:
         """Names of all registered stable-storage objects."""
         return list(self._stable)
 
-    # -- CPU / disk helpers --------------------------------------------------------
-    # Each returns the one event of the charge; a process yields it once.
-    def use_cpu(self, duration: float) -> Request:
-        """Occupy one CPU of the node for ``duration`` ms."""
-        return self.cpu.use(duration)
-
-    def use_disk(self, duration: float) -> Request:
-        """Occupy one disk of the node for ``duration`` ms."""
-        return self.disk.use(duration)
-
-    def charge_network_cpu(self) -> Request:
-        """Charge the CPU cost of one network operation."""
-        return self.cpu.use(self.cpu_time_per_network_op)
-
     # -- gray failures ---------------------------------------------------------------
     def degrade_cpu(self, factor: float) -> None:
         """Multiply the per-operation CPU costs by ``factor``.
@@ -160,10 +146,16 @@ class Node:
         self.crash_times.append(self.sim.now)
         # Resources first: a killed process hands its charge back, which
         # would grant the slot to the next process about to be killed.
-        self.cpu.cancel_all()
-        self.disk.cancel_all()
+        queued = self.cpu.cancel_all() + self.disk.cancel_all()
         for process in self._processes:
             process.kill(cause=f"{self.name}:{cause}")
+        # A queued charge has no completion entry on the heap.  Killing this
+        # node's processes detached their waiters; a charge that still has
+        # one belongs to a process hosted elsewhere (a migration's chunk copy
+        # reading this disk), which must see the crash, not wait forever.
+        for request in queued:
+            if request.callbacks:
+                self.sim._schedule(request)
         self._processes.clear()
         self._prune_at = 64
         self.inbox.clear()

@@ -293,7 +293,7 @@ class PartitionedCluster:
     def _collect_metrics(self, registry: MetricsRegistry) -> None:
         """Snapshot-time sampler for the pull-style counter sources."""
         registry.gauge("routing_epoch", component="routing").set(
-            getattr(self.routing, "epoch", 0))
+            self.routing.epoch)
         lan = registry.gauge
         lan("lan_messages", component="lan", kind="sent").set(
             self.lan.sent_count)
@@ -498,7 +498,7 @@ class PartitionedCluster:
         if obs is not None:
             obs.instant("router.classify", track="router",
                         labels={"partitions": len(partitions),
-                                "epoch": getattr(snapshot, "epoch", 0)})
+                                "epoch": snapshot.epoch})
         if len(partitions) == 1:
             group = self.groups[partitions[0]]
             if not any(node.is_up for node in group.nodes.values()):

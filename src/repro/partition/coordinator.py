@@ -67,13 +67,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..db.operations import Operation, OperationType, TransactionProgram
 from ..db.transaction import Transaction
 from ..db.wal import LogRecordType
-from ..obs.metrics import MetricsRegistry
 from ..sim.events import Event
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
+    from .cluster import PartitionedCluster
 
 #: Abort reasons the coordinator can produce.
 ABORT_VALIDATION = "xpartition-validation"
@@ -158,7 +160,8 @@ class _PendingDecision:
 class CrossPartitionCoordinator:
     """Two-phase commit across the replica groups of a partitioned cluster."""
 
-    def __init__(self, cluster, prepare_timeout: float = 2_000.0,
+    def __init__(self, cluster: "PartitionedCluster",
+                 prepare_timeout: float = 2_000.0,
                  retry_backoff: float = 5.0,
                  max_retry_backoff: float = 250.0) -> None:
         self.cluster = cluster
@@ -169,13 +172,9 @@ class CrossPartitionCoordinator:
         self._ids = itertools.count(1)
         #: Every cross-partition outcome produced so far, in response order.
         self.outcomes: List[CrossPartitionOutcome] = []
-        # Statistics live on the cluster's metrics registry (a private one
-        # when the coordinator is built against a bare test double); the
-        # properties below keep the historical attribute API.
-        metrics = getattr(cluster, "metrics", None)
-        if metrics is None:
-            metrics = MetricsRegistry()
-        self.metrics = metrics
+        # Statistics live on the cluster's metrics registry; the properties
+        # below keep the historical attribute API.
+        self.metrics = metrics = cluster.metrics
         self._committed = metrics.counter("xp_terminated", component="2pc",
                                           outcome="committed")
         self._aborted = metrics.counter("xp_terminated", component="2pc",

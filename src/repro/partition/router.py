@@ -18,11 +18,6 @@ synchronously at submission for fenced ranges, or at 2PC vote collection via
 :class:`~repro.partition.routing.WrongEpochError` /
 ``xpartition-wrong-epoch``.  The submission path retries against a fresh
 snapshot; :attr:`wrong_epoch_retries` counts those rounds.
-
-The router accepts any object speaking the partitioner protocol
-(``partition_count`` / ``partition_of`` / ``partitions_of`` /
-``partition_keys``) — a :class:`~repro.partition.routing.RoutingTable`,
-one of its snapshots, or a frozen custom mapping that never changes epoch.
 """
 
 from __future__ import annotations
@@ -31,17 +26,15 @@ from typing import Dict, Iterable, List, Optional
 
 from ..db.operations import TransactionProgram
 from ..obs.metrics import MetricsRegistry
-from .routing import snapshot_of
+from .routing import RoutingSnapshot, RoutingTable
 
 
 class TransactionRouter:
     """Classify and split programs by the groups their keys live on."""
 
-    def __init__(self, routing,
+    def __init__(self, routing: RoutingTable,
                  metrics: Optional[MetricsRegistry] = None) -> None:
-        #: The live ownership map: a RoutingTable, or any frozen object
-        #: speaking the partitioner protocol (its "snapshot" is itself and
-        #: its epoch is forever 0).
+        #: The live ownership map.
         self.routing = routing
         # Routing statistics live on the metrics registry (the cluster's when
         # embedded, a private one when the router is used standalone); the
@@ -78,9 +71,9 @@ class TransactionRouter:
         # attribute directly; route the write to the counter.
         self._retries.value = value
 
-    def snapshot(self):
+    def snapshot(self) -> RoutingSnapshot:
         """An immutable view of the current ownership map."""
-        return snapshot_of(self.routing)
+        return self.routing.snapshot()
 
     # -- classification ---------------------------------------------------------------
     def partitions_of(self, program: TransactionProgram,
@@ -120,7 +113,7 @@ class TransactionRouter:
         epoch without invalidating this transaction's routing).
         """
         current = self.snapshot()
-        if getattr(current, "epoch", 0) == getattr(snapshot, "epoch", 0):
+        if current.epoch == snapshot.epoch:
             return True
         return all(current.partition_of(key) == snapshot.partition_of(key)
                    for key in keys)

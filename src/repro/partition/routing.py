@@ -132,13 +132,7 @@ class ShardAssignment:
 
 
 class RoutingSnapshot:
-    """An immutable view of the ownership map at one epoch.
-
-    Speaks the partitioner protocol (``partition_count`` / ``partition_of``
-    / ``partitions_of`` / ``partition_keys``), so everything written against
-    a partitioner — the workload generator, the router, tests — works
-    unchanged against a snapshot.
-    """
+    """An immutable view of the ownership map at one epoch."""
 
     def __init__(self, epoch: int, assignments: Sequence[ShardAssignment],
                  slots: int, strategy: str, group_count: int,
@@ -148,7 +142,7 @@ class RoutingSnapshot:
         self.slots = slots
         self.strategy = strategy
         #: Number of replica groups (NOT shards; shards can outnumber groups
-        #: after splits).  Named for the Partitioner protocol.
+        #: after splits).
         self.partition_count = group_count
         self._bounds = [assignment.key_range.lo
                         for assignment in self.assignments]
@@ -235,23 +229,8 @@ class RoutingSnapshot:
                 f"shards={len(self.assignments)}>")
 
 
-def snapshot_of(routing) -> object:
-    """The immutable routing view of ``routing``.
-
-    A :class:`RoutingTable` yields its current :class:`RoutingSnapshot`; a
-    frozen partitioner-protocol object is its own (frozen-by-construction)
-    snapshot.
-    """
-    taker = getattr(routing, "snapshot", None)
-    return taker() if callable(taker) else routing
-
-
 class RoutingTable:
-    """The epoch-versioned, mutable ownership map of a partitioned cluster.
-
-    Also implements the legacy Partitioner protocol (delegating to the
-    current snapshot), so it can be handed to any consumer of a partitioner.
-    """
+    """The epoch-versioned, mutable ownership map of a partitioned cluster."""
 
     def __init__(self, assignments: Sequence[ShardAssignment], slots: int,
                  strategy: str, group_count: int, epoch: int = 0) -> None:
@@ -387,7 +366,7 @@ class RoutingTable:
 
     @property
     def partition_count(self) -> int:
-        """Number of replica groups (Partitioner protocol)."""
+        """Number of replica groups."""
         return self.group_count
 
     @property
@@ -403,7 +382,7 @@ class RoutingTable:
                 self.group_count, position_cache=self._position_cache)
         return self._snapshot
 
-    # -- Partitioner protocol (delegates to the current snapshot) -----------------------
+    # -- lookups (delegate to the current snapshot) -------------------------------------
     def position_of(self, key: str) -> int:
         """The routing position of ``key`` (memoized; see the snapshot)."""
         cache = self._position_cache
@@ -418,10 +397,6 @@ class RoutingTable:
     def partition_of(self, key: str) -> int:
         """Id of the replica group currently owning ``key``."""
         return self.snapshot().partition_of(key)
-
-    def partitions_of(self, keys: Iterable[str]) -> List[int]:
-        """Sorted ids of all groups currently touched by ``keys``."""
-        return self.snapshot().partitions_of(keys)
 
     def partition_keys(self, keys: Iterable[str]) -> Dict[int, List[str]]:
         """Group ``keys`` by current owner, preserving order within each."""

@@ -155,17 +155,14 @@ def collect_statistics(clients: "_PartitionedClientBase",
     stats.during_migration_commits = clients.during_migration_commits
     stats.during_migration_aborts = clients.during_migration_aborts
     stats.migrations = list(cluster.migration_reports)
-    stats.final_epoch = getattr(cluster.routing, "epoch", 0)
-    controller = getattr(cluster, "controller", None)
-    if controller is not None:
-        stats.controller = controller.stats
-    stats.windows_rolled = getattr(cluster.routing, "windows_rolled", 0)
-    stats.injected_crashes = list(getattr(cluster, "crash_log", ()))
-    stats.failpoints_fired = dict(getattr(cluster, "failpoints_fired", {}))
-    metrics = getattr(cluster, "metrics", None)
-    if metrics is not None:
-        stats.metrics = metrics.snapshot()
-    stats.obs = getattr(cluster.sim, "obs", None)
+    stats.final_epoch = cluster.routing.epoch
+    if cluster.controller is not None:
+        stats.controller = cluster.controller.stats
+    stats.windows_rolled = cluster.routing.windows_rolled
+    stats.injected_crashes = list(cluster.crash_log)
+    stats.failpoints_fired = dict(cluster.failpoints_fired)
+    stats.metrics = cluster.metrics.snapshot()
+    stats.obs = cluster.sim.obs
     return stats
 
 

@@ -10,12 +10,10 @@ the two knobs the partitioned experiments sweep:
   skewed workload concentrates on the hot head of the keyspace.
 
 The generator reads ownership from the cluster's epoch-versioned
-:class:`~repro.partition.routing.RoutingTable` (any frozen object speaking
-the partitioner protocol still works): when a shard
-split or a live migration bumps the epoch, the per-partition key caches are
-rebuilt lazily, so "single-partition" transactions keep landing on one
-*current* owner — the whole point of moving a hot range is that the traffic
-follows it.
+:class:`~repro.partition.routing.RoutingTable`: when a shard split or a live
+migration bumps the epoch, the per-partition key caches are rebuilt lazily,
+so "single-partition" transactions keep landing on one *current* owner — the
+whole point of moving a hot range is that the traffic follows it.
 
 Every draw comes from named random streams, so two runs with the same seed —
 or two *techniques* compared under the same seed — see exactly the same
@@ -45,6 +43,7 @@ from ..sim.engine import Simulator
 from ..workload.generator import AliasSampler, WorkloadGenerator
 from ..workload.params import SimulationParameters
 from .coordinator import CrossPartitionOutcome
+from .routing import RoutingTable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from .cluster import PartitionedCluster
@@ -54,13 +53,13 @@ class PartitionedWorkloadGenerator(WorkloadGenerator):
     """Table 4 transactions, confined to or deliberately spanning partitions."""
 
     def __init__(self, sim: Simulator, params: SimulationParameters,
-                 routing,
+                 routing: RoutingTable,
                  item_keys: Optional[Sequence[str]] = None,
                  stream_prefix: str = "workload",
                  skew: Optional[float] = None) -> None:
         super().__init__(sim, params, item_keys=item_keys,
                          stream_prefix=stream_prefix, skew=skew)
-        #: The ownership map (RoutingTable or legacy Partitioner).
+        #: The ownership map.
         self.routing = routing
         if not 0.0 <= params.cross_partition_probability <= 1.0:
             raise ValueError("cross-partition probability out of range")
@@ -78,7 +77,7 @@ class PartitionedWorkloadGenerator(WorkloadGenerator):
             else {}
         #: Current rotation of the Zipf ranking (see :meth:`shift_hotspot`).
         self.hot_offset = 0
-        self._seen_epoch = getattr(routing, "epoch", 0)
+        self._seen_epoch = routing.epoch
         self._refresh_partition_caches(strict=True)
         #: Statistics.
         self.single_partition_generated = 0
@@ -122,7 +121,7 @@ class PartitionedWorkloadGenerator(WorkloadGenerator):
                         AliasSampler.from_cumulative(cumulative)
 
     def _refresh_if_stale(self) -> None:
-        epoch = getattr(self.routing, "epoch", 0)
+        epoch = self.routing.epoch
         if epoch != self._seen_epoch:
             self._seen_epoch = epoch
             self._refresh_partition_caches(strict=False)
@@ -264,14 +263,12 @@ class _PartitionedClientBase:
             else:
                 self.during_migration_aborts += 1
         if outcome.committed:
-            epoch = getattr(self.cluster.routing, "epoch", 0)
+            epoch = self.cluster.routing.epoch
             self.epoch_commits[epoch] = self.epoch_commits.get(epoch, 0) + 1
-            metrics = getattr(self.cluster, "metrics", None)
-            if metrics is not None:
-                kind = ("cross" if isinstance(outcome, CrossPartitionOutcome)
-                        else "single")
-                metrics.histogram("response_time_ms", kind=kind).observe(
-                    outcome.response_time)
+            kind = ("cross" if isinstance(outcome, CrossPartitionOutcome)
+                    else "single")
+            self.cluster.metrics.histogram(
+                "response_time_ms", kind=kind).observe(outcome.response_time)
         if submitted_at < self.warmup:
             self.warmup_count += 1
             if isinstance(outcome, CrossPartitionOutcome):

@@ -2,23 +2,21 @@
 
 The package provides the database state machine technique at its three safety
 levels (group-safe, group-1-safe, 2-safe on end-to-end atomic broadcast), the
-lazy 1-safe baseline, the 0-safe variant, routing policies (update-everywhere
-vs. primary copy) and the :class:`ReplicatedDatabaseCluster` facade that wires
-a whole simulated system together.
+lazy technique at its two (1-safe, 0-safe) — each replica class takes the
+:class:`~repro.core.safety.SafetyLevel` it runs at — routing policies
+(update-everywhere vs. primary copy) and the
+:class:`ReplicatedDatabaseCluster` facade that wires a whole simulated system
+together.
 """
 
 from .base import PendingSubmission, ReplicaServer
 from .cluster import (GROUP_BASED_TECHNIQUES, TECHNIQUES,
                       ReplicatedDatabaseCluster)
-from .dbsm import DatabaseStateMachineReplica, SafetyMode
-from .group_one_safe import GroupOneSafeReplica
-from .group_safe import GroupSafeReplica
+from .dbsm import DatabaseStateMachineReplica
 from .lazy import PROPAGATION_KIND, LazyReplica
 from .primary_copy import (PrimaryCopyRouting, RoutingPolicy,
                            UpdateEverywhereRouting, make_routing)
 from .results import RunStatistics, TransactionResult
-from .two_safe import TwoSafeReplica
-from .zero_safe import ZeroSafeReplica
 
 __all__ = [
     "ReplicatedDatabaseCluster",
@@ -27,12 +25,7 @@ __all__ = [
     "ReplicaServer",
     "PendingSubmission",
     "DatabaseStateMachineReplica",
-    "SafetyMode",
-    "GroupSafeReplica",
-    "GroupOneSafeReplica",
-    "TwoSafeReplica",
     "LazyReplica",
-    "ZeroSafeReplica",
     "PROPAGATION_KIND",
     "RoutingPolicy",
     "UpdateEverywhereRouting",

@@ -25,6 +25,12 @@ from ..sim.resources import Gate
 from ..workload.params import SimulationParameters
 from .results import TransactionResult
 
+#: Interval of the background WAL group-commit flusher (ms).
+LOG_FLUSH_INTERVAL = 50.0
+
+#: Interval of the buffer pool write-behind flusher (ms).
+WRITE_BEHIND_INTERVAL = 50.0
+
 
 @dataclass
 class PendingSubmission:
@@ -78,8 +84,7 @@ class ReplicaServer:
         if not self.dispatcher.is_running:
             self.dispatcher.start()
         self.node.spawn(self._log_flusher(), name="wal.group_commit")
-        self.db.buffer.start_write_behind(
-            interval=self.params.write_behind_interval)
+        self.db.buffer.start_write_behind(interval=WRITE_BEHIND_INTERVAL)
         self._start_technique()
 
     def _start_technique(self) -> None:
@@ -88,7 +93,7 @@ class ReplicaServer:
     def _log_flusher(self):
         """Background group-commit flusher for asynchronously logged records."""
         while True:
-            yield self.sim.timeout(self.params.log_flush_interval)
+            yield self.sim.timeout(LOG_FLUSH_INTERVAL)
             if self.db.wal.volatile_records():
                 yield from self.db.wal.flush()
 
@@ -196,10 +201,13 @@ class ReplicaServer:
         """Generator: bring the server back after its node recovered.
 
         The base implementation redoes the local write-ahead log and restarts
-        the background processes; subclasses extend it with the recovery of
-        their group-communication state (state transfer or message replay).
-        Returns the number of transactions whose effects were recovered from
-        the local stable storage.
+        the background processes; the database state machine extends it with
+        the recovery of its group-communication state (state transfer or
+        message replay).  For the lazy techniques this is all there is: with
+        no group to consult, whatever was not flushed locally (and not yet
+        propagated) is gone — the 1-safe durability hole.  Returns the number
+        of transactions whose effects were recovered from the local stable
+        storage.
         """
         redone = self.db.recover()
         self._running = False

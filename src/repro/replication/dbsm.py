@@ -8,33 +8,46 @@ certifies and applies the write set in delivery order.  Conflict detection is
 deterministic, so all servers take the same commit/abort decision without any
 voting phase.
 
-The same machine supports three safety levels, selected by
-:class:`SafetyMode`; the differences are *only* about when the client is
-answered and which disk writes are synchronous — exactly the knobs the paper
-turns between Fig. 2 (group-1-safe), Fig. 8 (group-safe) and Sect. 4.3
-(2-safe on end-to-end atomic broadcast):
+The same machine runs the three delivered-on-all rows of Table 1, selected by
+the :class:`~repro.core.safety.SafetyLevel` it is built with; the differences
+are *only* about when the client is answered and which disk writes are
+synchronous — exactly the knobs the paper turns between Fig. 2
+(group-1-safe), Fig. 8 (group-safe) and Sect. 4.3 (2-safe on end-to-end
+atomic broadcast):
 
-=================  ==========================================================
-mode               client answered after ...
-=================  ==========================================================
-``GROUP_SAFE``     the delegate delivers the transaction and knows the
-                   commit/abort decision (writes and logging are asynchronous)
-``GROUP_1_SAFE``   the delegate has additionally applied the writes and
-                   flushed the commit record to its own stable storage
-``TWO_SAFE``       same as group-1-safe, but over *end-to-end* atomic
-                   broadcast: the group-communication component logs
-                   deliveries and replays unacknowledged messages after a
-                   crash, so the transaction can no longer be lost even if
-                   every server crashes
-=================  ==========================================================
+==================  =========================================================
+level               client answered after ...
+==================  =========================================================
+``GROUP_SAFE``      the delegate delivers the transaction and knows the
+                    commit/abort decision.  The message is held by the group
+                    but may be logged nowhere: durability is entrusted to the
+                    *group*, all disk writes happen asynchronously, outside
+                    the transaction boundary — the technique's performance
+                    advantage (Sect. 6)
+``GROUP_ONE_SAFE``  the delegate has additionally applied the writes and
+                    flushed the commit record to its own stable storage —
+                    what most group-communication-based protocols provide
+                    (Sect. 5.1).  Sect. 5.2 argues the synchronous logging
+                    buys little in an update-everywhere setting; Sect. 6
+                    shows its price: the delegate's disks are on the
+                    critical path, so this curve of Fig. 9 degrades fastest
+``TWO_SAFE``        same as group-1-safe, but over *end-to-end* atomic
+                    broadcast (Sect. 4.2, Fig. 7): the group-communication
+                    component logs deliveries and replays unacknowledged
+                    messages after a crash, the replica acknowledges once
+                    the transaction is logged, and testable transactions
+                    make commits exactly-once — no committed transaction can
+                    be lost even if every server crashes.  Impossible on
+                    classical atomic broadcast (Sect. 3): a delivery
+                    guarantees nothing about processing, and nobody ever
+                    presents a delivered message again
+==================  =========================================================
 """
 
 from __future__ import annotations
 
-from enum import Enum
-from typing import Optional
-
 from ..core.layers import implements, uses
+from ..core.safety import LoggedOn, SafetyLevel
 from ..db.engine import LocalDatabase
 from ..db.operations import OperationType
 from ..db.transaction import TransactionStatus, WriteSetMessage
@@ -47,39 +60,23 @@ from ..workload.params import SimulationParameters
 from .base import PendingSubmission, ReplicaServer
 
 
-class SafetyMode(Enum):
-    """The safety level a database state machine replica is run at."""
-
-    GROUP_SAFE = "group-safe"
-    GROUP_1_SAFE = "group-1-safe"
-    TWO_SAFE = "2-safe"
-
-    @property
-    def responds_after_logging(self) -> bool:
-        """True if the client response waits for the delegate's log flush."""
-        return self in (SafetyMode.GROUP_1_SAFE, SafetyMode.TWO_SAFE)
-
-    @property
-    def synchronous_disk_writes(self) -> bool:
-        """True if the delegate applies its writes synchronously."""
-        return self in (SafetyMode.GROUP_1_SAFE, SafetyMode.TWO_SAFE)
-
-
 @implements("replication")
 @uses("total_order")
 class DatabaseStateMachineReplica(ReplicaServer):
     """One server running the database state machine technique."""
 
-    technique_name = "dbsm"
-
     def __init__(self, sim: Simulator, node: Node, database: LocalDatabase,
                  dispatcher: Dispatcher, params: SimulationParameters,
-                 endpoint: TotalOrderEngine,
-                 mode: SafetyMode = SafetyMode.GROUP_SAFE) -> None:
+                 endpoint: TotalOrderEngine, level: SafetyLevel) -> None:
         super().__init__(sim, node, database, dispatcher, params)
         self.endpoint = endpoint
-        self.mode = mode
-        self.technique_name = mode.value
+        self.technique_name = level.value
+        #: The one decision of the level (Fig. 2 vs Fig. 8): logged on some
+        #: replica at notification ⇒ the delegate applies and logs
+        #: synchronously and answers after its flush; otherwise it answers
+        #: at delivery and every disk write is asynchronous.
+        self.responds_after_logging = level.logged_on is not LoggedOn.NONE
+        self.logged_on_all = level.logged_on is LoggedOn.ALL
         endpoint.checkpoint_provider = self._take_checkpoint
         #: Statistics.
         self.certified_count = 0
@@ -168,7 +165,7 @@ class DatabaseStateMachineReplica(ReplicaServer):
                 # certifier sees this delivery, at different times.
                 obs.end_key(("order", payload.txn_id))
 
-        if self.mode is SafetyMode.GROUP_SAFE and is_delegate:
+        if is_delegate and not self.responds_after_logging:
             # Fig. 8: answer as soon as the decision is known; disk writes
             # happen asynchronously, outside the transaction boundary.
             self.respond(payload.txn_id, committed=True,
@@ -183,11 +180,11 @@ class DatabaseStateMachineReplica(ReplicaServer):
     def _apply(self, payload: WriteSetMessage, delivery: Delivery,
                commit_order: int, is_delegate: bool, transaction):
         """Apply the certified write set and log the decision."""
-        synchronous = self.mode.synchronous_disk_writes
+        synchronous = self.responds_after_logging
         obs = self.sim.obs
         span = None
         if obs is not None and is_delegate:
-            # Delegate-side apply + commit logging.  For the modes that
+            # Delegate-side apply + commit logging.  For the levels that
             # respond after logging this sits on the commit critical path;
             # for group-safe it falls outside the root span and is clipped.
             span = obs.begin("dbsm.apply", category="disk",
@@ -208,7 +205,7 @@ class DatabaseStateMachineReplica(ReplicaServer):
         else:
             self.db.testable.record_commit(payload.txn_id, commit_order)
             self.db.committed_count += 1
-        if is_delegate and self.mode.responds_after_logging:
+        if is_delegate and self.responds_after_logging:
             # With end-to-end atomic broadcast the delivery is logged by the
             # group-communication component on every server and replayed
             # until successfully processed, so at notification time the
@@ -216,7 +213,7 @@ class DatabaseStateMachineReplica(ReplicaServer):
             # available server — the 2-safe guarantee of Sect. 4.3.
             self.respond(payload.txn_id, committed=True,
                          delivered_to_group=True, logged_on_delegate=True,
-                         logged_on_all=(self.mode is SafetyMode.TWO_SAFE),
+                         logged_on_all=self.logged_on_all,
                          commit_order=commit_order)
 
     def _handle_abort(self, payload: WriteSetMessage, delivery: Delivery) -> None:

@@ -1,4 +1,4 @@
-"""Lazy (1-safe) replication.
+"""Lazy replication: the delivered-on-one rows of Table 1 (1-safe, 0-safe).
 
 The baseline the paper compares against in Fig. 9.  The delegate executes the
 whole transaction locally under strict two-phase locking, flushes the commit
@@ -8,6 +8,12 @@ the transaction boundary.  The client response therefore only guarantees
 1-safety: the transaction is logged on the delegate and nowhere else, so the
 crash of that one server can lose it (or force conflicting work to be
 discarded when it recovers).
+
+Built with ``SafetyLevel.ZERO_SAFE`` the same replica answers *before* its
+log flush — the weakest point of the safety matrix, where a single crash of
+the delegate at the wrong moment loses the transaction.  It exists to
+populate the "No Safety" cell of Table 1 and the "0 crashes tolerated" row of
+Table 2.
 
 Because there is no global coordination, concurrent conflicting updates
 submitted at different servers are **not** detected — the replicas may
@@ -19,9 +25,10 @@ are applied with a last-writer-wins rule per item.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional
+from typing import List
 
 from ..core.layers import implements, uses
+from ..core.safety import LoggedOn, SafetyLevel
 from ..db.engine import LocalDatabase
 from ..db.errors import DeadlockError, TransactionAborted
 from ..db.transaction import WriteSetMessage
@@ -36,21 +43,30 @@ from .base import PendingSubmission, ReplicaServer
 #: Message kind used for update propagation between lazy replicas.
 PROPAGATION_KIND = "LAZY.PROPAGATE"
 
+#: Interval at which accumulated update batches are propagated (ms).
+PROPAGATION_INTERVAL = 250.0
+
+#: Cost factor applied to the disk writes of *propagated* write sets relative
+#: to delegate-side writes.  Lazy replication applies remote updates in large
+#: sequential batches, which is cheaper than the random in-place writes of the
+#: originating transaction; this factor is an explicit modelling substitution
+#: (the paper gives no figure for it).
+PROPAGATION_WRITE_FACTOR = 0.45
+
 
 @implements("replication")
 @uses("links")
 class LazyReplica(ReplicaServer):
-    """One server of the lazy (1-safe) replication scheme."""
-
-    technique_name = "1-safe"
-
-    #: Answer the client before the commit record is flushed (0-safe variant).
-    respond_before_logging = False
+    """One server of the lazy replication scheme (1-safe or 0-safe)."""
 
     def __init__(self, sim: Simulator, node: Node, database: LocalDatabase,
                  dispatcher: Dispatcher, params: SimulationParameters,
-                 lan: Lan, peer_names: List[str]) -> None:
+                 lan: Lan, peer_names: List[str], level: SafetyLevel) -> None:
         super().__init__(sim, node, database, dispatcher, params)
+        self.technique_name = level.value
+        #: Logged nowhere at notification (0-safe) ⇒ answer the client
+        #: before the commit record is flushed.
+        self.respond_before_logging = level.logged_on is LoggedOn.NONE
         self.lan = lan
         self.peer_names = [name for name in peer_names if name != node.name]
         self._outgoing: List[WriteSetMessage] = []
@@ -113,13 +129,13 @@ class LazyReplica(ReplicaServer):
     def _propagator(self):
         """Ship accumulated write sets to the other replicas periodically."""
         while True:
-            yield self.sim.timeout(self.params.lazy_propagation_interval)
+            yield self.sim.timeout(PROPAGATION_INTERVAL)
             if not self._outgoing:
                 continue
             batch, self._outgoing = self._outgoing, []
             self.propagated_batches += 1
             for peer in self.peer_names:
-                yield self.node.charge_network_cpu()
+                yield self.node.cpu.use(self.node.cpu_time_per_network_op)
                 self.lan.send(Message(sender=self.name, destination=peer,
                                       kind=PROPAGATION_KIND, payload=batch))
 
@@ -129,7 +145,6 @@ class LazyReplica(ReplicaServer):
 
     def _apply_propagated(self, batch: List[WriteSetMessage]):
         """Apply a batch of remote write sets (cheap, sequential, batched I/O)."""
-        factor = self.params.lazy_propagation_write_factor
         write_stream = self.sim.random.stream(f"{self.name}.propagated_write")
         for payload in batch:
             if self.db.testable.check_duplicate(payload.txn_id):
@@ -139,11 +154,11 @@ class LazyReplica(ReplicaServer):
             self.db.install_writes(payload, commit_order=commit_order)
             self.applied_remote_writesets += 1
             for key in payload.write_set:
-                yield self.node.use_cpu(self.node.cpu_time_per_io)
-                duration = factor * write_stream.uniform(
+                yield self.node.cpu.use(self.node.cpu_time_per_io)
+                duration = PROPAGATION_WRITE_FACTOR * write_stream.uniform(
                     self.params.write_time_min, self.params.write_time_max)
                 if duration > 0:
-                    yield self.node.use_disk(duration)
+                    yield self.node.disk.use(duration)
             self.db.wal.append_commit(payload.txn_id, payload.write_values,
                                       commit_order=commit_order)
             self.db.testable.record_commit(payload.txn_id, commit_order)
@@ -151,16 +166,3 @@ class LazyReplica(ReplicaServer):
         # One group flush per propagated batch: the receiving replica logs the
         # whole batch with a single sequential write.
         yield from self.db.wal.flush()
-
-    # ------------------------------------------------------------------ recovery
-    def recover_after_crash(self):
-        """Generator: lazy recovery = local redo from the write-ahead log.
-
-        There is no group to consult: whatever was not flushed locally (and
-        not yet propagated) is gone — the 1-safe durability hole.
-        """
-        redone = self.db.recover()
-        self._running = False
-        self.start()
-        return redone
-        yield  # pragma: no cover - keeps this a generator like the base class

@@ -11,9 +11,9 @@ the paper's Table 4 expresses every service time in milliseconds.
 Hot-path notes: queue entries are ``(time, key, event)`` 3-tuples where
 ``key`` folds the priority rank and the tie-breaking sequence number into one
 integer — priority events (interrupts) keep their raw sequence number while
-ordinary events carry :data:`_NORMAL_BIAS` on top, so at equal times every
-priority event sorts before every ordinary one and FIFO order holds within
-each class.  This is ordering-equivalent to the historical
+ordinary events carry :data:`~repro.sim.events.NORMAL_BIAS` on top, so at
+equal times every priority event sorts before every ordinary one and FIFO
+order holds within each class.  This is ordering-equivalent to the historical
 ``(time, rank, sequence, event)`` 4-tuples (the sequence counter is consumed
 identically), but allocates one word less per event and compares one element
 less per heap sift.  :meth:`run` inlines the pop loop of :meth:`step` so the
@@ -29,11 +29,6 @@ from .errors import SchedulingError, SimulationError
 from .events import NORMAL_BIAS, AllOf, AnyOf, Deferred, Event, Timeout
 from .process import Process
 from .rng import RandomStreams
-
-#: Alias of :data:`repro.sim.events.NORMAL_BIAS` (the triggering fast paths
-#: in :mod:`repro.sim.events` push heap entries directly, so the constant
-#: lives there).
-_NORMAL_BIAS = NORMAL_BIAS
 
 _INFINITY = float("inf")
 
@@ -98,9 +93,6 @@ class Simulator:
         """Start a new simulated process from ``generator``."""
         return Process(self, generator, name=name)
 
-    # Alias kept for readability at call sites that mirror SimPy code.
-    process = spawn
-
     def call_at(self, time: float, callback: Callable[[], None]) -> Event:
         """Run ``callback`` at absolute simulated ``time``."""
         if time < self._now:
@@ -131,7 +123,7 @@ class Simulator:
         heapq.heappush(
             self._queue,
             (self._now + delay,
-             self._sequence if priority else _NORMAL_BIAS + self._sequence,
+             self._sequence if priority else NORMAL_BIAS + self._sequence,
              event))
 
     # -- execution --------------------------------------------------------------

@@ -140,28 +140,32 @@ class Resource:
         if self._waiting:
             self._hold(self._waiting.popleft())
 
-    def cancel_all(self) -> None:
-        """Drop every waiting charge and hand back every held slot.
+    def cancel_all(self) -> List[Request]:
+        """Fail every held and every waiting charge; return the waiting ones.
 
         Used when the server owning the resource crashes: in-flight disk and
         CPU operations simply vanish with the server.  Busy time accrues up
-        to the crash; the completion entries still on the heap pop inert for
-        the killed processes, and a process that survives the crash (one not
-        hosted on the node) gets a :class:`SimulationError` from its charge.
+        to the crash.  A process that survives the crash (one not hosted on
+        the node) gets a :class:`SimulationError` from its charge: a held
+        charge's completion entry is still on the heap and delivers it (it
+        pops inert for a killed process); a waiting charge has no entry, so
+        the caller schedules the returned ones that still have a waiter
+        (:meth:`repro.network.node.Node.crash`).
         """
         now = self.sim._now
         crashed = SimulationError(f"charge on {self.name!r} cancelled by a "
                                   f"crash")
         for request in self._users:
             self.busy_time += now - request.granted_at
+        queued = list(self._waiting)
+        for request in self._users + queued:
             request._cb = None
             request._ok = False
             request._value = crashed
             request._defused = True
-        for request in self._waiting:
-            request._cb = None
         self._users.clear()
         self._waiting.clear()
+        return queued
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"<Resource {self.name!r} {self.in_use}/{self.capacity} busy,"

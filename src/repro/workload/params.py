@@ -1,9 +1,11 @@
 """Simulation parameters (Table 4 of the paper).
 
-:class:`SimulationParameters` collects every knob of the simulated system.
-``SimulationParameters.paper()`` returns exactly the configuration of the
-paper's Table 4; experiments that deviate (smaller database for unit tests,
-different network latencies for ablations) construct their own instance.
+:class:`SimulationParameters` is the sixteen rows of the paper's Table 4 plus
+the nine axes some experiment, benchmark, example or test sets (detector,
+engine, partitioning, skew).  ``SimulationParameters.paper()`` returns
+exactly the configuration of Table 4; experiments that deviate (smaller
+database for unit tests, different network latencies for ablations) construct
+their own instance.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Dict
 
 @dataclass(frozen=True)
 class SimulationParameters:
-    """All model parameters, with Table 4 as the canonical values."""
+    """Table 4 (its values are the defaults) and the axes experiments sweep."""
 
     #: Number of items in the database (Table 4: 10'000).
     item_count: int = 10_000
@@ -46,31 +48,9 @@ class SimulationParameters:
     #: CPU time per network operation in ms (Table 4: 0.07 ms).
     cpu_time_per_network_op: float = 0.07
 
-    # -- modelling knobs not fixed by Table 4 --------------------------------------
-    #: Interval of the background WAL group-commit flusher (ms).
-    log_flush_interval: float = 50.0
-    #: Interval of the buffer pool write-behind flusher (ms).
-    write_behind_interval: float = 50.0
-    #: Maximum number of dirty (modified, not yet written) items the buffer
-    #: pool holds before the apply stage is throttled.  Bounding the write
-    #: cache is what keeps asynchronous disk writes honest under overload.
-    buffer_max_dirty: int = 300
-    #: Disk-time factor of background (write-behind) page writes relative to
-    #: random in-transaction writes; models the "writes of adjacent pages
-    #: scheduled together" optimisation the paper attributes to write caching
-    #: (Sect. 5.1).  A fixed modelling constant: no benchmark sweeps it.
-    write_behind_efficiency: float = 0.88
-    #: Interval at which the lazy technique propagates update batches (ms).
-    lazy_propagation_interval: float = 250.0
-    #: Cost factor applied to the disk writes of *propagated* (lazy) write
-    #: sets relative to delegate-side writes.  Lazy replication applies remote
-    #: updates in large sequential batches, which is cheaper than the random
-    #: in-place writes of the originating transaction; this factor is an
-    #: explicit modelling substitution (the paper gives no figure for it) and,
-    #: like ``write_behind_efficiency``, a fixed constant no benchmark sweeps.
-    lazy_propagation_write_factor: float = 0.45
-    #: Failure-detection delay of the (perfect) failure detector (ms).
-    failure_detection_delay: float = 1.0
+    # -- group-communication axes (not in Table 4) -----------------------------------
+    # A modelling value no experiment sets is not a field: it is a module
+    # constant next to its one use (replication/base.py, cluster.py, lazy.py).
     #: Failure-detector mode: ``"perfect"`` (oracle-driven, the default) or
     #: ``"heartbeat"`` (timeout-based, driven by real heartbeat traffic —
     #: the only mode that can see network partitions).  Heartbeat mode adds

@@ -64,7 +64,7 @@ def test_protocol_stack_is_annotated():
     from repro.gcs.reliable_broadcast import ReliableBroadcastLayer
     from repro.network.lan import Lan
     from repro.replication.dbsm import DatabaseStateMachineReplica
-    from repro.replication.group_safe import GroupSafeReplica
+    from repro.replication.lazy import LazyReplica
 
     assert implemented_layers(Lan) == ("links",)
     assert implemented_layers(FailureDetector) == ("failure_detector",)
@@ -80,4 +80,4 @@ def test_protocol_stack_is_annotated():
     assert used_layers(GroupMembership) == ("failure_detector",)
     assert implemented_layers(DatabaseStateMachineReplica) == ("replication",)
     assert used_layers(DatabaseStateMachineReplica) == ("total_order",)
-    assert implemented_layers(GroupSafeReplica) == ("replication",)
+    assert implemented_layers(LazyReplica) == ("replication",)

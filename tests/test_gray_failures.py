@@ -82,7 +82,7 @@ def test_degraded_cpu_slows_io_charges_at_use_time():
     node = Node(sim, "s1", cpu_time_per_io=1.0)
 
     def charge():
-        yield node.use_cpu(node.cpu_time_per_io)
+        yield node.cpu.use(node.cpu_time_per_io)
 
     sim.run_until_complete(sim.spawn(charge()))
     assert sim.now == pytest.approx(1.0)

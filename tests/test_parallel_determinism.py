@@ -3,8 +3,8 @@
 The license for the parallel execution mode is the same one every kernel
 optimisation in this repo carries: the simulation must be *bit-identical* to
 the reference execution.  These tests run the same sharded scenario on the
-serial in-process engine (``workers=0``) and on 1, 2 and 4 worker processes
-and require
+serial in-process engine (``workers=0``) and on 1, 2 and 3 worker processes
+(both scenarios have three shards; more workers would be clamped) and require
 
 * identical per-shard golden-trace digests (every event, in order, at every
   worker count), and
@@ -29,7 +29,7 @@ from repro.partition.parallel_cluster import (CrashPlan, MigrationPlan,
                                               run_parallel_sharded)
 from repro.sim.parallel import ShardSpec, run_sharded
 
-WORKER_COUNTS = (0, 1, 2, 4)
+WORKER_COUNTS = (0, 1, 2, 3)
 
 #: CI sets REPRO_DETECT_RACES=1 to re-run this suite with the runtime window
 #: protocol cross-checks on — digests must be unaffected either way.

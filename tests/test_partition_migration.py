@@ -128,6 +128,29 @@ def test_crash_before_epoch_bump_leaves_the_old_owner_serving():
     assert cluster.recovered_routing().partition_of("item-10") == 0
 
 
+def test_source_delegate_crash_during_the_warm_copy_aborts_the_migration():
+    # Regression: under load a chunk copy's read *queues* behind client reads
+    # on the source delegate's disk.  A crash of that server failed only the
+    # charges holding a disk, so the queued copy never resumed: the driver
+    # waited on it forever and every later migrate() was refused.
+    cluster = build(seed=1, items=1500, zipf_skew=0.6)
+    PartitionedOpenLoopClients(cluster, load_tps=30.0).start()
+    cluster.run(until=1_000)
+    driver = cluster.rebalance()
+    source = cluster.migration_reports[-1].source_group
+    cluster.run(until=1_003)            # mid warm copy
+    assert not driver.triggered
+    cluster.crash_server(source, cluster.group(source).up_servers()[0])
+    cluster.run(until=16_003)
+
+    assert driver.triggered
+    report = driver.value
+    assert report.aborted and report.abort_reason == "source-unavailable"
+    assert not cluster.migration_active
+    assert not cluster.routing.has_fences
+    cluster.rebalance()                 # a second migration starts
+
+
 def test_crash_after_epoch_bump_recovers_the_new_owner():
     cluster = build()
     driver = cluster.migrate(0, destination_group=1)

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import (TECHNIQUE_SAFETY, DeliveredOn, LoggedOn,
+                        classify_result)
+from repro.db.operations import make_program
 from repro.replication import (GROUP_BASED_TECHNIQUES, TECHNIQUES,
+                               DatabaseStateMachineReplica, LazyReplica,
                                PrimaryCopyRouting, ReplicatedDatabaseCluster,
                                UpdateEverywhereRouting, make_routing)
 from repro.workload import SimulationParameters
@@ -27,13 +31,32 @@ def test_cluster_builds_requested_topology(small_params):
 
 
 def test_group_based_techniques_get_a_gcs_and_lazy_does_not(small_params):
+    # A technique is a row of TECHNIQUE_SAFETY: the level's delivered-on axis
+    # selects the replica class, its logged-on axis the message log, and one
+    # committed update classifies to exactly the level claimed.
+    assert set(TECHNIQUES) == set(TECHNIQUE_SAFETY)
     for technique in TECHNIQUES:
+        level = TECHNIQUE_SAFETY[technique]
         cluster = ReplicatedDatabaseCluster(technique, params=small_params)
+        replica = cluster.replica("s1")
         if technique in GROUP_BASED_TECHNIQUES:
+            assert level.delivered_on is DeliveredOn.ALL
+            assert type(replica) is DatabaseStateMachineReplica
             assert cluster.gcs is not None
             assert cluster.gcs.end_to_end == (technique == "2-safe")
+            assert (replica.endpoint.message_log is not None) == \
+                (level.logged_on is LoggedOn.ALL)
         else:
+            assert level.delivered_on is DeliveredOn.ONE
+            assert type(replica) is LazyReplica
             assert cluster.gcs is None
+        cluster.start()
+        outcome = cluster.run_transaction(
+            make_program([("w", "item-1", technique)]), server="s1")
+        cluster.run(until=1_000)
+        assert outcome.value.committed
+        assert outcome.value.technique == technique
+        assert classify_result(outcome.value) is level
 
 
 def test_submit_requires_started_cluster(small_params):

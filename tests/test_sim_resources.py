@@ -187,7 +187,7 @@ def test_crash_makes_held_and_queued_charges_inert():
     resumed = []
 
     def worker(name):
-        yield node.use_cpu(4.0)
+        yield node.cpu.use(4.0)
         resumed.append(name)
 
     node.spawn(worker("held"))
@@ -199,7 +199,7 @@ def test_crash_makes_held_and_queued_charges_inert():
     assert (node.cpu.in_use, node.cpu.queue_length) == (0, 0)
 
     def fresh():
-        yield node.use_cpu(10.0)
+        yield node.cpu.use(10.0)
         resumed.append(("fresh", sim.now))
 
     node.spawn(fresh())
@@ -230,6 +230,38 @@ def test_cancel_all_fails_the_charge_of_a_surviving_process():
     resource.cancel_all()
     sim.run()
     assert process.value == 4.0
+
+
+def test_crash_fails_the_queued_charge_of_a_surviving_process():
+    # Regression: only *holders* of a crashed node's disk were failed; a
+    # surviving process still *queued* for it was dropped from the queue and
+    # never resumed (a migration's chunk copy behind client reads on the
+    # source disk wedged the migration driver forever).
+    from repro.network.node import Node
+
+    sim = Simulator()
+    node = Node(sim, "s1", disks=1)
+    seen = {}
+
+    def charge(name):
+        try:
+            yield node.disk.use(4.0)
+        except SimulationError:
+            seen[name] = sim.now
+
+    sim.spawn(charge("foreign-held"))
+    sim.spawn(charge("foreign-queued"))
+    node.spawn(charge("hosted-queued"))
+    sim.run(until=1.0)
+    assert (node.disk.in_use, node.disk.queue_length) == (1, 2)
+    scheduled = sim.scheduled_events
+    node.crash()
+    # Two new events: the hosted process's kill and the foreign queued
+    # charge's failure.  The holder's completion entry was already there, so
+    # a crash with no foreign waiter schedules nothing it did not before.
+    assert sim.scheduled_events == scheduled + 2
+    sim.run()
+    assert seen == {"foreign-queued": 1.0, "foreign-held": 4.0}
 
 
 def test_store_fifo_order():

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import ast
+import dataclasses
+import inspect
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from repro.sim import Simulator
@@ -39,6 +45,27 @@ def test_parameters_table_rendering_matches_paper_rows():
     assert table["Time for a read"] == "4 - 12 ms"
     assert table["Time for a message or a broadcast on the Network"] == "0.07 ms"
     assert len(table) == 14
+
+
+def test_every_parameter_is_a_table4_row_or_an_axis_something_sets():
+    # A knob needs a caller to land: each field is either rendered by
+    # as_table() (the paper's Table 4) or passed by keyword in some call of
+    # an experiment, benchmark, example or test.  A modelling value nobody
+    # sets is a module constant next to its one use, not a field.
+    as_table = ast.parse(textwrap.dedent(
+        inspect.getsource(SimulationParameters.as_table)))
+    used = {node.attr for node in ast.walk(as_table)
+            if isinstance(node, ast.Attribute)}
+    root = Path(__file__).resolve().parent.parent
+    for directory in ("src/repro/experiments", "benchmarks", "examples",
+                      "tests"):
+        for path in sorted((root / directory).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            used |= {node.arg for node in ast.walk(tree)
+                     if isinstance(node, ast.keyword)}
+    fields = [field.name for field in dataclasses.fields(SimulationParameters)]
+    assert [name for name in fields if name not in used] == []
+    assert len(fields) == 25
 
 
 def test_parameter_overrides_and_small_profile():
