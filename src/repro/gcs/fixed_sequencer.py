@@ -1,11 +1,11 @@
 """The fixed-sequencer total-order engine (the classical LAN scheme).
 
-This is the seed's ordering protocol, extracted verbatim from the fused
-endpoint into a :class:`~repro.gcs.total_order.TotalOrderEngine` subclass —
-its event schedules are bit-identical to the pre-decomposition code (pinned
-by the golden-digest tests).  The scheme is representative of what LAN
-group-communication toolkits do and produces the ~1 ms broadcast cost the
-paper quotes for a 100 Mb/s LAN:
+This is the seed's ordering protocol, extracted from the fused endpoint into
+a :class:`~repro.gcs.total_order.TotalOrderEngine` subclass; it differs from
+the seed's only in saying each ordering fact once (step 4 and the handoff
+below), and its schedules are pinned by the golden-digest tests.  The scheme
+is representative of what LAN group-communication toolkits do and produces
+the ~1 ms broadcast cost the paper quotes for a 100 Mb/s LAN:
 
 1. the sender ships ``DATA(m)`` to the current *sequencer* (the first member
    of the current view);
@@ -13,8 +13,15 @@ paper quotes for a 100 Mb/s LAN:
    ``SEQ(seq, m)`` to every view member (including itself);
 3. every member buffers the message and acknowledges with ``ACK(seq)``;
 4. once a quorum (majority of the static group) has acknowledged ``seq``, the
-   sequencer ships ``STABLE(up_to=seq)``; members A-deliver messages in
-   sequence order once they are covered by the stability horizon.
+   sequencer ships ``STABLE(up_to=seq)`` — once: the acknowledgements that
+   arrive after the quorum-th do not repeat an announcement already posted.
+   Members A-deliver messages in sequence order once they are covered by the
+   stability horizon, which is cumulative, so a later announcement subsumes
+   an earlier one.
+
+One A-broadcast in a crash-free view of N members therefore costs
+1 DATA + N SEQ + N ACK + at most N STABLE = at most 3N + 1 messages
+(``tests/test_gcs_abcast.py`` pins the bill).
 
 Step 4 is what makes the delivery *uniform*: no member delivers a message
 that could still be lost by the crash of a minority.  What the primitive does
@@ -25,7 +32,17 @@ message reached the application boundary.  The end-to-end composition
 
 When the sequencer crashes, the next live member (view primary) takes over:
 it collects the group's pending assignments (``VC_REQUEST``/``VC_STATE``)
-and re-propagates every known assignment so all members can re-acknowledge.
+and re-propagates every known assignment so all members can re-acknowledge —
+each assignment once per takeover, when the first reply that makes it known
+arrives, not once per reply.  *Every* view installation runs this collection
+at the member it leaves sequencer, including one that only drops or re-admits
+a follower: the re-propagation is how a rejoined member fills its delivery
+gap, and the sequencer forgets which horizon it announced so the next
+acknowledgement re-announces it to the new view.  ``_assigned`` is never
+pruned, so the re-propagation is the whole history, once per member;
+re-sending only what is not yet stable needs a per-member catch-up first
+(a joiner installs the ``delivered_seq`` of whichever peer answers first,
+which may trail a horizon the sequencer already announced — ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -76,12 +93,17 @@ class FixedSequencerEngine(TotalOrderEngine):
         self._assigned: Dict[int, _PendingMessage] = {}
         self._acks: Dict[int, Set[str]] = {}
         self._sequenced_ids: Set[str] = set()
+        # Highest ``up_to`` already posted as STABLE in the current view; our
+        # own ``_stable_up_to`` only follows once the STABLE comes back over
+        # the LAN, and the ACKs arriving meanwhile must not re-announce it.
+        self._stable_announced = 0
         # Takeover barrier: while waiting for ``VC_STATE`` replies the new
         # sequencer must not assign sequence numbers — its ``_next_seq`` may
         # trail assignments the old sequencer stabilised with a quorum that
         # did not include us.  DATA arriving meanwhile is buffered.
         self._takeover_waiting: Optional[Set[str]] = None
         self._takeover_replies: Set[str] = set()
+        self._takeover_reposted: Set[int] = set()
         self._takeover_buffer: list = []
 
     def _submit(self, broadcast_id: str, payload: Any, target: str) -> None:
@@ -113,9 +135,13 @@ class FixedSequencerEngine(TotalOrderEngine):
         # assignments known to others survive the handoff.  Until a quorum
         # has answered, DATA is buffered (see ``_on_data``) — sequencing
         # before the collection completes could re-use sequence numbers the
-        # old sequencer already stabilised.
+        # old sequencer already stabilised.  A view installation that leaves
+        # us sequencer lands here too (module docstring): the new view gets
+        # every assignment and, with the next ACK, the stability horizon.
         self._takeover_waiting = set(view.members)
         self._takeover_replies = set()
+        self._takeover_reposted = set()
+        self._stable_announced = 0
         self._post_view(self.KIND_VC_REQUEST, {"view_id": view.view_id})
 
     def _on_excluded(self, view: Any) -> None:
@@ -138,8 +164,10 @@ class FixedSequencerEngine(TotalOrderEngine):
         self._acks = {}
         self._sequenced_ids = set()
         self._next_seq = self._delivered_seq + 1
+        self._stable_announced = 0
         self._takeover_waiting = None
         self._takeover_replies = set()
+        self._takeover_reposted = set()
         self._takeover_buffer = []
 
     # ------------------------------------------------------------------ handlers
@@ -172,10 +200,15 @@ class FixedSequencerEngine(TotalOrderEngine):
         payload = message.payload
         sequence = payload["sequence"]
         broadcast_id = payload["broadcast_id"]
-        self._pending[sequence] = _PendingMessage(
-            broadcast_id=broadcast_id, payload=payload["payload"],
-            sender=payload["origin"])
+        if sequence > self._delivered_seq:
+            # A re-propagated assignment we already delivered would never
+            # leave ``_pending`` (``_try_deliver`` only pops the next one).
+            self._pending[sequence] = _PendingMessage(
+                broadcast_id=broadcast_id, payload=payload["payload"],
+                sender=payload["origin"])
         self._unsequenced.pop(broadcast_id, None)
+        # Acknowledge even what we already delivered: the sequencer of a new
+        # view may still be counting towards its quorum.
         sequencer = message.sender
         self._post(self.KIND_ACK, sequencer,
                    {"sequence": sequence, "member": self.member_name})
@@ -191,7 +224,8 @@ class FixedSequencerEngine(TotalOrderEngine):
 
     def _advance_stability(self) -> None:
         quorum = self.group.quorum_size()
-        new_stable = self._stable_up_to
+        announced = max(self._stable_up_to, self._stable_announced)
+        new_stable = announced
         while True:
             candidate = new_stable + 1
             if candidate not in self._assigned:
@@ -199,7 +233,8 @@ class FixedSequencerEngine(TotalOrderEngine):
             if len(self._acks.get(candidate, ())) < quorum:
                 break
             new_stable = candidate
-        if new_stable > self._stable_up_to:
+        if new_stable > announced:
+            self._stable_announced = new_stable
             self._post_view(self.KIND_STABLE, {"up_to": new_stable})
 
     def _on_stable(self, message: Message) -> None:
@@ -226,17 +261,19 @@ class FixedSequencerEngine(TotalOrderEngine):
                 self._assigned[sequence] = _PendingMessage(
                     broadcast_id=broadcast_id, payload=data, sender=origin)
                 self._sequenced_ids.add(broadcast_id)
-        highest_known = max([payload["delivered_seq"], payload["stable_up_to"],
-                             self._stable_up_to, self._delivered_seq] +
-                            list(self._assigned))  if self._assigned else \
-            max(payload["delivered_seq"], payload["stable_up_to"],
-                self._stable_up_to, self._delivered_seq)
+        highest_known = max(payload["delivered_seq"], payload["stable_up_to"],
+                            self._stable_up_to, self._delivered_seq,
+                            *self._assigned)
         self._next_seq = max(self._next_seq, highest_known + 1)
         self._stable_up_to = max(self._stable_up_to,
                                  min(payload["stable_up_to"], highest_known))
         # Re-propagate every assignment we know about so that all members can
         # (re-)acknowledge; receivers ignore duplicates they already delivered.
-        for sequence, entry in sorted(self._assigned.items()):
+        # Once per takeover: a later reply only adds what it alone knew.
+        fresh = sorted(self._assigned.keys() - self._takeover_reposted)
+        self._takeover_reposted.update(fresh)
+        for sequence in fresh:
+            entry = self._assigned[sequence]
             self._post_view(self.KIND_SEQ,
                             {"sequence": sequence,
                              "broadcast_id": entry.broadcast_id,

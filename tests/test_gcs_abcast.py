@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
+from repro.core.audit import SafetyAudit
 from repro.gcs import GroupCommunicationSystem
-from repro.network import Lan, Node
+from repro.network import Lan, LinkFault, Node
+from repro.replication.cluster import ReplicatedDatabaseCluster
 from repro.sim import Simulator
+from repro.workload import OpenLoopClientPool, SimulationParameters
 
 
 def build_group(member_count=3, seed=7, end_to_end=False, **kwargs):
@@ -178,3 +183,147 @@ def test_recovery_with_no_survivors_returns_none():
     process = nodes[1].spawn(recovery())
     sim.run(until=100.0)
     assert process.ok and process.value is None
+
+
+# ---------------------------------------------------------------- message bill
+def record_sends(lan):
+    """Record, from outside the program, every message handed to the LAN
+    (before drops) as ``(time, kind, destination, payload)``."""
+    sent = []
+    admit = lan._admit
+
+    def recording_admit(message):
+        sent.append((lan.sim.now, message.kind, message.destination,
+                     message.payload))
+        return admit(message)
+
+    lan._admit = recording_admit
+    return sent
+
+
+def broadcast_sequentially(sim, gcs, nodes, count):
+    """``count`` A-broadcasts, round-robin over the members, each delivered
+    everywhere before the next is sent."""
+    for index in range(count):
+        gcs.endpoint(nodes[index % len(nodes)].name).broadcast(f"m{index}")
+        sim.run(until=sim.now + 20.0)
+
+
+def kinds_sent(sent):
+    return Counter(kind for _, kind, _, _ in sent)
+
+
+@pytest.mark.parametrize("member_count", (3, 5, 9))
+def test_fixed_sequencer_message_bill_is_3n_plus_1(member_count):
+    sim, lan, nodes, gcs = build_group(member_count)
+    delivered = {node.name: [] for node in nodes}
+    attach_consumers(sim, gcs, nodes, delivered)
+    sent = record_sends(lan)
+    broadcasts = 6
+    broadcast_sequentially(sim, gcs, nodes, broadcasts)
+
+    assert all(len(log) == broadcasts for log in delivered.values())
+    kinds = kinds_sent(sent)
+    per_round = member_count * broadcasts
+    assert kinds.pop("ABCAST.STABLE") <= per_round
+    assert kinds == {"ABCAST.DATA": broadcasts, "ABCAST.SEQ": per_round,
+                     "ABCAST.ACK": per_round}
+    # A stability horizon is announced to a member once, not once per ACK
+    # that arrives after the quorum-th.
+    announcements = [(payload["up_to"], destination)
+                     for _, kind, destination, payload in sent
+                     if kind == "ABCAST.STABLE"]
+    assert len(announcements) == len(set(announcements))
+
+
+@pytest.mark.parametrize("member_count", (3, 5, 9))
+def test_multi_paxos_message_bill_is_4n_plus_1(member_count):
+    sim, lan, nodes, gcs = build_group(member_count, engine="multi-paxos")
+    delivered = {node.name: [] for node in nodes}
+    attach_consumers(sim, gcs, nodes, delivered)
+    broadcast_sequentially(sim, gcs, nodes, 1)      # phase 1: leader elected
+    sent = record_sends(lan)
+    broadcasts = 6
+    broadcast_sequentially(sim, gcs, nodes, broadcasts)
+
+    assert all(len(log) == 1 + broadcasts for log in delivered.values())
+    per_round = member_count * broadcasts
+    assert kinds_sent(sent) == {
+        "PAXOS.PROPOSE": broadcasts, "PAXOS.ACCEPT": per_round,
+        "PAXOS.ACCEPTED": per_round, "PAXOS.LEARN": per_round}
+
+
+# ---------------------------------------------------------------- view changes
+@pytest.fixture(scope="module")
+def follower_crash_run():
+    """Nine servers, group-safe at 30 tps; the last one (a follower — s1
+    sequences) crashes after 8 s and the load runs on for another second."""
+    params = SimulationParameters.small(server_count=9, item_count=2_000)
+    cluster = ReplicatedDatabaseCluster("group-safe", params=params, seed=3)
+    sent = record_sends(cluster.lan)
+    cluster.start()
+    clients = OpenLoopClientPool(cluster, load_tps=30.0)
+    clients.start()
+    cluster.run(until=8_000.0)
+    crashed_at = cluster.sim.now
+    cluster.crash_server("s9")
+    cluster.run(until=9_000.0)
+    clients.load_tps = 1e-12        # re-read for every gap: arrivals stop
+    cluster.run(until=11_000.0)
+    return cluster, clients, sent, crashed_at
+
+
+def test_follower_crash_does_not_replay_history_once_per_reply(
+        follower_crash_run):
+    cluster, clients, sent, crashed_at = follower_crash_run
+    survivors = cluster.up_servers()
+    assert len(survivors) == 8 and cluster.gcs.endpoint("s1").is_sequencer
+    assigned = cluster.gcs.endpoint("s1")._next_seq - 1
+    assert assigned >= 200
+    # The view change re-sends every assignment so all members can
+    # re-acknowledge: history and what was in flight, once per member — not
+    # once per member per ``VC_STATE`` reply.
+    after = kinds_sent(entry for entry in sent if entry[0] >= crashed_at)
+    assert after["ABCAST.SEQ"] <= assigned * 9
+    assert after["ABCAST.ACK"] <= assigned * 9
+    assert all(cluster.gcs.endpoint(name)._delivered_seq == assigned
+               for name in survivors)
+    report = SafetyAudit(cluster).report(clients.results)
+    assert report.confirmed_transactions >= 200
+    assert not report.transaction_lost
+    assert report.consistent and report.serializable
+
+
+def test_delivered_sequences_do_not_reenter_pending(follower_crash_run):
+    cluster = follower_crash_run[0]
+    for name in cluster.up_servers():
+        endpoint = cluster.gcs.endpoint(name)
+        stale = [sequence for sequence in endpoint._pending
+                 if sequence <= endpoint._delivered_seq]
+        assert stale == [], f"{name} keeps delivered sequences pending"
+
+
+def test_takeover_reposts_an_assignment_only_a_late_replier_knows():
+    sim, lan, nodes, gcs = build_group(5)
+    delivered = {node.name: [] for node in nodes}
+    attach_consumers(sim, gcs, nodes, delivered)
+    # s1's SEQ reaches only s1 and s5: two ACKs are no quorum of five, so
+    # the assignment is neither stable nor known to s2..s4.
+    lan.partition(["s1"], ["s2", "s3", "s4"])
+    gcs.endpoint("s5").broadcast("only-s5-knows")
+    sim.run(until=20.0)
+    assert 1 in gcs.endpoint("s5")._pending
+    assert not any(delivered.values())
+    # s5's VC_STATE reaches the new sequencer long after s2..s4 have given
+    # it the quorum that ends its takeover barrier.
+    lan.install_fault(LinkFault.slow("late-s5", ["s5"], ["s2"], 100.0))
+    sent = record_sends(lan)
+    nodes[0].crash()
+    sim.run(until=200.0)
+
+    survivors = ["s2", "s3", "s4", "s5"]
+    assert gcs.endpoint("s2").is_sequencer
+    assert all(delivered[name] == ["only-s5-knows"] for name in survivors)
+    reposted = [destination for _, kind, destination, payload in sent
+                if kind == "ABCAST.SEQ" and payload["sequence"] == 1]
+    assert sorted(reposted) == survivors

@@ -5,6 +5,7 @@ technique x engine equivalence grid over Multi-Paxos."""
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 
 import pytest
 
@@ -137,49 +138,53 @@ def scenario_stats(cluster, results):
 # ---------------------------------------------------------------- golden digests
 # Scenarios at seed=11.  Stats are (committed, responded, lan sent, lan
 # delivered, scheduled events).  ``model`` pins what the model did (see
-# ``model_digest``); it was captured on the kernel whose ``digest`` values
-# still equalled the seed's (pre-decomposition, fused sequencer+membership)
-# gcs stack, so it and the first four stats are the seed's behaviour: no
-# refactor or kernel optimisation may move them.  ``digest`` and the
-# scheduled-event count pin the kernel's private event list; they were
-# re-pinned once, when a resource charge became one event instead of two
-# (CHANGES.md, PR 17).
+# ``model_digest``): no refactor or kernel optimisation may move it or the
+# first four stats.  They were the seed's (pre-decomposition, fused
+# sequencer+membership) gcs stack until they were re-pinned, once, for the
+# announce-once protocol change, PR 21 (old → new in CHANGES.md): the
+# sequencer posts one STABLE per stability advance instead of one per late
+# ACK, so there are fewer LAN deliveries to digest.  ``(committed,
+# responded)`` did not move, and ``test_announce_once_removed_only_stable``
+# holds the crash-free scenarios to the parent's deliveries of every other
+# kind.  ``digest`` and the scheduled-event count pin the kernel's private
+# event list; re-pinned when a resource charge became one event instead of
+# two (PR 17) and again with PR 21.
 GOLDEN = {
     "group-safe": dict(
         technique="group-safe", crash=False, log_time=0.0,
-        digest="074379d5363fb827788629cec8a1eb4636f6f8bd"
-               "ad7b8c66446dec09db41d0de",
-        model="80174df81fd0483e58fefa68cc2d0ef0d5e10bbf"
-              "461a48a5d036c917fc7f4c61",
-        stats=(15, 24, 312, 312, 3307)),
+        digest="86229e023dde009337fce11ce79896ec650f0bee"
+               "484de92c2fab882e772991c9",
+        model="b8b66efb520647468f902921659424bf6ca0632a"
+              "72289b5d32f9b0320d8b074c",
+        stats=(15, 24, 240, 240, 2947)),
     "group-1-safe": dict(
         technique="group-1-safe", crash=False, log_time=0.0,
-        digest="c6011eba69f9dc876c80977053c770e8cc6c7176"
-               "490ae5f6519b9d736a0375c4",
-        model="9070db56a1cfd852eadf8216cc4b5a88e1911437"
-              "15e525d38086508f082008b3",
-        stats=(17, 24, 312, 312, 3611)),
+        digest="92b4af2386ada661327cf435d13ced6935ffc7bb"
+               "288ffe688e693aabba33ef6c",
+        model="7454752e62288415cfc7c4cbf22e36383b85e1ce"
+              "ec5254dd072f12b0f4ef7c97",
+        stats=(17, 24, 240, 240, 3251)),
     "2-safe-logged": dict(
         technique="2-safe", crash=False, log_time=0.05,
-        digest="993b261b3a50c860571646c9a73d693c81d43403"
-               "71dcc41a9713c95e00cc1b05",
-        model="d02d02f4ca0fb953c46bbca839f7b67ef3d8bd42"
-              "75d2c04827ccdfb190789bb5",
-        stats=(17, 24, 312, 312, 3753)),
+        digest="da9a13fd7276e4a4618813835c8f59840c5aec7f"
+               "e3eb9c6a9ac63781658ceb81",
+        model="f8be771512a95c5d4372ea49d76d5fab85379a9d"
+              "ec5e5adc19e69de588befd2b",
+        stats=(17, 24, 240, 240, 3393)),
     "group-safe-crash": dict(
         technique="group-safe", crash=True, log_time=0.0,
-        digest="581c365980c42e7c2d16fdb5bcc5932a13a97f7f"
-               "3db334346902be1d7887de2d",
-        model="9f9562985005653bd181a9f0635e2bc5099fb1d7"
-              "7a7007ffed34c2093abb3a4f",
-        stats=(15, 24, 296, 296, 3159)),
+        digest="6e540fa47b6dfd24f64f4dfc256cbc4683e01959"
+               "da9ced1dde974bcab5a8c3f9",
+        model="5cd4124e7f97cb541ea7c465381a8d2d6eda36f1"
+              "cb2f7312268dfc53bda99876",
+        stats=(15, 24, 236, 236, 2859)),
     "2-safe-crash": dict(
         technique="2-safe", crash=True, log_time=0.05,
-        digest="0e6b21626cc0220b32b2fad921dcf4e80edb5b2f"
-               "ca90460a0ba05f27a6961d04",
-        model="053af4bb2d6a0707de6a0903862ed9f749db99a6"
-              "90e43d00dfb05ddb637b09b9",
-        stats=(15, 24, 309, 309, 3690)),
+        digest="bc9a24d4629f8405ff3b8165ba5b9722fd07ed45"
+               "8c56b08feec41fb78872e915",
+        model="c8cb6be533fd3b0716957cb51b5a59df5148b126"
+              "4e755ef57b9a1a69bec93996",
+        stats=(15, 24, 246, 246, 3375)),
 }
 
 
@@ -192,6 +197,25 @@ def test_fixed_sequencer_reproduces_the_seed_traces(name):
     assert scenario_stats(cluster, results) == golden["stats"]
     assert model_digest(deliveries, results) == golden["model"]
     assert trace_digest(trace) == golden["digest"]
+
+
+#: LAN deliveries per kind of each crash-free GOLDEN scenario at ``32b64c2``,
+#: the parent of the announce-once change: 24 broadcasts to 3 members.
+PARENT_DELIVERIES = {"ABCAST.DATA": 24, "ABCAST.SEQ": 72, "ABCAST.ACK": 72,
+                     "ABCAST.STABLE": 144}
+
+
+@pytest.mark.parametrize("name", ("group-safe", "group-1-safe",
+                                  "2-safe-logged"))
+def test_announce_once_removed_only_stable(name):
+    """What licensed the PR-21 re-pin: against the parent, the crash-free
+    scenarios lost STABLE deliveries (the quorum-th and every later ACK
+    each re-announced the horizon) and nothing else."""
+    golden = GOLDEN[name]
+    _, _, _, deliveries = run_scenario(
+        golden["technique"], log_time=golden["log_time"], traced=True)
+    kinds = Counter(kind for _, _, _, kind in deliveries)
+    assert kinds == {**PARENT_DELIVERIES, "ABCAST.STABLE": 72}
 
 
 # ---------------------------------------------------------------- engine grid

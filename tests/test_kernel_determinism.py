@@ -97,7 +97,11 @@ class TestPinnedSeedValues:
     """Concrete numbers recorded from the seed (pre-optimisation) kernel.
 
     If one of these moves, a kernel change silently altered the trace —
-    which invalidates every cross-PR performance and figure comparison.
+    which invalidates every cross-PR performance and figure comparison: no
+    refactor or kernel optimisation may move them.  The group-safe mean was
+    re-pinned for the announce-once protocol change, PR 21 (72.98573646760694
+    → 72.74862751319809 ms; 81 commits and 0 aborts unchanged): the fixed
+    sequencer sends fewer STABLE, so replies shift by tie-order amounts.
     """
 
     def test_figure5_scenario_is_unchanged(self):
@@ -114,7 +118,7 @@ class TestPinnedSeedValues:
         assert point.committed_transactions == 81
         assert point.aborted_transactions == 0
         assert point.mean_response_time_ms == \
-            pytest.approx(72.98573646760694, abs=1e-9)
+            pytest.approx(72.74862751319809, abs=1e-9)
 
 
 class TestAliasSampler:
