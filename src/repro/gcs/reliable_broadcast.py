@@ -7,8 +7,9 @@ On the paper's switched 100 Mb/s LAN the link layer itself neither loses nor
 reorders frames, so reliability at this level reduces to (a) surviving the
 *sender's* crash — volatile outbound state is dropped and rebuilt, and the
 engines above re-send what was never ordered — and (b) never blocking the
-protocol handlers: sends are queued and a dedicated sender process drains
-them, which is what gives every protocol message its CPU cost.
+protocol handlers: sends are queued on a served store
+(:meth:`repro.sim.resources.Store.serve`), which is what gives every protocol
+message its CPU cost — one charge, then the LAN; nothing else is scheduled.
 
 The total-order engines (:mod:`repro.gcs.fixed_sequencer`,
 :mod:`repro.gcs.paxos`) are written against this layer only; they never talk
@@ -30,7 +31,7 @@ from ..sim.resources import Store
 @implements("reliable_broadcast")
 @uses("links")
 class ReliableBroadcastLayer:
-    """One member's outbound broadcast channel (queue + sender process)."""
+    """One member's outbound broadcast channel (a queue served by the CPU)."""
 
     def __init__(self, sim: Simulator, lan: Lan, node: Node,
                  member_name: Optional[str] = None) -> None:
@@ -38,35 +39,23 @@ class ReliableBroadcastLayer:
         self.lan = lan
         self.node = node
         self.member_name = member_name or node.name
-        self.reset()
+        self._outbox = Store(sim, name=f"{self.member_name}.outbox")
 
     # ------------------------------------------------------------------ lifecycle
     def reset(self) -> None:
         """Drop the volatile outbound queue (the crash of the hosting node)."""
-        self._outbox: Store = Store(self.sim, name=f"{self.member_name}.outbox")
-        self._started = False
+        self._outbox.clear()
 
     def start(self) -> None:
-        """Start the sender process on the hosting node."""
-        if self._started:
-            return
-        self._started = True
-        self.node.spawn(self._sender_loop(), name="abcast.sender")
+        """Start sending: messages queued so far go out first."""
+        if not self._outbox.is_served:
+            self.node.serve(self._outbox, self.lan.send)
 
     # ------------------------------------------------------------------ sending
     def send(self, message: Message) -> None:
-        """Queue one protocol message for the sender process."""
+        """Queue one protocol message: one network operation of the node's
+        CPU, then the LAN."""
         self._outbox.put(message)
-
-    def _sender_loop(self):
-        outbox_get = self._outbox.get
-        use_cpu = self.node.cpu.use
-        cpu_cost = self.node.cpu_time_per_network_op
-        send = self.lan.send
-        while True:
-            message = yield outbox_get()
-            yield use_cpu(cpu_cost)
-            send(message)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"<ReliableBroadcastLayer {self.member_name}>"

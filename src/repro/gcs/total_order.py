@@ -214,7 +214,7 @@ class TotalOrderEngine:
 
     # ------------------------------------------------------------------ lifecycle
     def start(self) -> None:
-        """Start the endpoint's sender and delivery processes on the node."""
+        """Start the endpoint's outbound channel and its delivery process."""
         if self._started:
             return
         self._started = True

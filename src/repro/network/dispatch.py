@@ -1,16 +1,18 @@
 """Per-node message dispatching.
 
-Every server runs exactly one :class:`Dispatcher`: a volatile process that
-drains the node's inbox and routes each message to the handler registered for
-its ``kind``.  Both the group-communication endpoint and the replication
-technique register handlers on the same dispatcher, which models the fact
-that they live in the same operating-system process (Sect. 2.4 of the paper)
-and therefore crash together.
+Every server runs exactly one :class:`Dispatcher`: it serves the node's inbox
+(:meth:`repro.sim.resources.Store.serve`) and routes each message to the
+handler registered for its ``kind``.  Both the group-communication endpoint
+and the replication technique register handlers on the same dispatcher, which
+models the fact that they live in the same operating-system process (Sect. 2.4
+of the paper) and therefore crash together: a crash clears the inbox, and
+with it the dispatcher stops until it is started again.
 
-The dispatcher charges the Table 4 CPU cost of a network operation (0.07 ms)
-for every received message before invoking the handler.  Handlers are plain
-callables executed at delivery; anything that needs to consume simulated time
-spawns its own process on the node.
+The served inbox charges the Table 4 CPU cost of a network operation
+(0.07 ms, read from the node when each charge starts) for every received
+message before the handler is invoked — that charge is the only kernel event
+of a reception.  Handlers are plain callables executed at delivery; anything
+that needs to consume simulated time spawns its own process on the node.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ class Dispatcher:
         self.node = node
         self._handlers: Dict[str, MessageHandler] = {}
         self._default_handler: Optional[MessageHandler] = None
-        self._running = False
         #: Messages received and dispatched (statistics).
         self.dispatched_count = 0
         #: Messages received with no registered handler (statistics).
@@ -56,34 +57,24 @@ class Dispatcher:
     # -- lifecycle ------------------------------------------------------------------
     @property
     def is_running(self) -> bool:
-        """True while the dispatch loop process is alive."""
-        return self._running
+        """True while the node's inbox is served (from :meth:`start` to the
+        node's next crash)."""
+        return self.node.inbox.is_served
 
     def start(self) -> None:
-        """Start (or restart after a crash) the dispatch loop on the node."""
-        if self._running:
+        """Start (or restart after a crash) dispatching on the node."""
+        if self.is_running:
             return
-        self._running = True
-        self.node.spawn(self._loop(), name="dispatcher")
+        self.node.serve(self.node.inbox, self._dispatch)
 
-    def _loop(self):
-        inbox_get = self.node.inbox.get
-        use_cpu = self.node.cpu.use
-        cpu_cost = self.node.cpu_time_per_network_op
-        handlers = self._handlers
-        try:
-            while True:
-                message = yield inbox_get()
-                yield use_cpu(cpu_cost)
-                self.dispatched_count += 1
-                handler = handlers.get(message.kind, self._default_handler)
-                if handler is None:
-                    self.unhandled_count += 1
-                    continue
-                handler(message)
-        finally:
-            self._running = False
+    def _dispatch(self, message: Message) -> None:
+        self.dispatched_count += 1
+        handler = self._handlers.get(message.kind, self._default_handler)
+        if handler is None:
+            self.unhandled_count += 1
+        else:
+            handler(message)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        state = "running" if self._running else "stopped"
+        state = "running" if self.is_running else "stopped"
         return f"<Dispatcher {self.node.name} {state} kinds={len(self._handlers)}>"

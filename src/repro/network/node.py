@@ -86,6 +86,22 @@ class Node:
         self._prune_finished()
         return process
 
+    def serve(self, store: Store, handler: Callable[[Any], None]) -> None:
+        """Serve ``store`` on this node: one network operation of CPU per
+        item (:meth:`~repro.sim.resources.Store.serve`), then ``handler``.
+
+        The cost is read when each charge starts, so :meth:`degrade_cpu`
+        slows messages too.  Like :meth:`spawn`, refused on a crashed node.
+        Serving ends when the store is cleared: the inbox by :meth:`crash`,
+        any other store by its owner's crash listener.
+        """
+        if self._crashed:
+            raise RuntimeError(f"cannot serve on crashed node {self.name!r}")
+        store.serve(self.cpu, self._network_op_cost, handler)
+
+    def _network_op_cost(self) -> float:
+        return self.cpu_time_per_network_op
+
     def _prune_finished(self) -> None:
         # Doubling threshold: pruning on a fixed bound made every spawn scan
         # the whole registry once more than ~64 processes stayed alive.
@@ -113,9 +129,7 @@ class Node:
 
         Models a slow-but-alive machine (thermal throttling, a noisy
         neighbour): the node keeps answering, just late.  Costs are read at
-        use time, so ongoing workloads pick the change up immediately —
-        except the dispatcher loop, which caches its per-message charge at
-        start and applies a degradation on its next (re)start.
+        use time, so ongoing workloads pick the change up immediately.
         """
         if factor < 1.0:
             raise ValueError("a degradation factor must be >= 1")

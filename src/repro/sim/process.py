@@ -142,7 +142,14 @@ class Process(Event):
                 next_event = self._throw(event._value)
         except StopIteration as stop:
             if not self.triggered:
-                self.succeed(stop.value)
+                if self._cb is None and self.callbacks is None:
+                    # Nobody is waiting: nothing to hand over, so nothing to
+                    # queue.  Whoever asks later finds a processed event.
+                    self._ok = True
+                    self._value = stop.value
+                    self._processed = True
+                else:
+                    self.succeed(stop.value)
             return
         except BaseException as exc:
             if not self.triggered:

@@ -5,7 +5,9 @@ Three primitives cover everything the replicated-database model needs:
 * :class:`Resource` — a server (or pool of identical servers) with a FIFO
   request queue.  CPUs and disks of a database server are resources.
 * :class:`Store` — an unbounded FIFO buffer of items with blocking ``get``.
-  Network endpoints and intra-server mailboxes are stores.
+  Network endpoints and intra-server mailboxes are stores.  A store can
+  instead be *served* (:meth:`Store.serve`): each item is charged to a
+  resource and handed to a callback, with no process in between.
 * :class:`Gate` — a level-triggered condition processes can wait on
   (e.g. "the commit record of transaction *t* has reached stable storage").
 """
@@ -13,7 +15,7 @@ Three primitives cover everything the replicated-database model needs:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, List, Optional, TYPE_CHECKING
+from typing import Any, Callable, Deque, List, Optional, TYPE_CHECKING
 
 from heapq import heappush
 
@@ -173,9 +175,18 @@ class Resource:
 
 
 class Store:
-    """Unbounded FIFO channel of items with blocking ``get``."""
+    """Unbounded FIFO channel of items with blocking ``get``.
 
-    __slots__ = ("sim", "name", "_items", "_getters", "put_count")
+    A store is drained either by processes that ``yield store.get()`` or,
+    once :meth:`serve` is called, by a handler: every item holds one slot of
+    a resource for a cost and is then passed to the handler.  Serving is the
+    loop ``item = yield store.get(); yield resource.use(cost()); handler(item)``
+    without the process: a hand-off takes no simulated time, so it takes no
+    kernel event, and the only entry an item puts on the heap is its charge.
+    """
+
+    __slots__ = ("sim", "name", "_items", "_getters", "put_count",
+                 "_resource", "_cost", "_handler", "_charge", "_on_charged")
 
     def __init__(self, sim: "Simulator", name: Optional[str] = None) -> None:
         self.sim = sim
@@ -184,11 +195,27 @@ class Store:
         self._getters: Deque[Event] = deque()
         #: Count of items ever put, for statistics.
         self.put_count = 0
+        self._resource: Optional[Resource] = None
+        self._cost: Optional[Callable[[], float]] = None
+        #: The serving callback; ``None`` while the store is a plain buffer.
+        self._handler: Optional[Callable[[Any], None]] = None
+        #: The charge of the item at the head of a served store (which stays
+        #: buffered until its handler is called); ``None`` while idle.
+        self._charge: Optional[Request] = None
+        self._on_charged = self._charged
 
     def put(self, item: Any) -> None:
-        """Append ``item``; wakes the oldest waiting getter, if any."""
+        """Append ``item``; wakes the oldest waiting getter, if any.
+
+        On a served store an idle server starts the item's charge here, in
+        the put; a busy one finds the item when it gets that far.
+        """
         self.put_count += 1
-        if self._getters:
+        if self._handler is not None:
+            self._items.append(item)
+            if self._charge is None:
+                self._charge_head()
+        elif self._getters:
             getter = self._getters.popleft()
             # Inlined getter.succeed(item): a queued getter is pending by
             # construction.
@@ -203,6 +230,9 @@ class Store:
 
     def get(self) -> Event:
         """Return an event that fires with the next available item."""
+        if self._handler is not None:
+            raise SimulationError(
+                f"store {self.name!r} is served; its handler takes the items")
         event = Event(self.sim)
         if self._items:
             # Inlined event.succeed(...): the event was created pending.
@@ -216,10 +246,63 @@ class Store:
             self._getters.append(event)
         return event
 
+    # -- serving -------------------------------------------------------------
+    @property
+    def is_served(self) -> bool:
+        """True between :meth:`serve` and the next :meth:`clear`."""
+        return self._handler is not None
+
+    def serve(self, resource: Resource, cost: Callable[[], float],
+              handler: Callable[[Any], None]) -> None:
+        """Drain the store through ``handler``, one charge per item.
+
+        Items are taken in FIFO order, one at a time: each holds a slot of
+        ``resource`` for ``cost()`` milliseconds (read when the charge
+        starts, queued behind whoever holds the resource) and is then passed
+        to ``handler``.  The handler runs before the next item's charge
+        starts, so whatever it puts on the resource itself goes first.
+        Items already buffered are served first; :meth:`clear` stops it.
+        """
+        if self._handler is not None or self._getters:
+            raise SimulationError(
+                f"store {self.name!r} already has a consumer")
+        self._resource = resource
+        self._cost = cost
+        self._handler = handler
+        if self._items:
+            self._charge_head()
+
+    def _charge_head(self) -> None:
+        request = self._charge = self._resource.use(self._cost())
+        # The continuation takes the place of the slot hand-back as the
+        # charge's first callback (and does the hand-back itself), so every
+        # way a charge is given up — ``cancel``, ``cancel_all`` — detaches
+        # it, and a completion entry left on the heap pops inert.
+        request._cb = self._on_charged
+
+    def _charged(self, request: Request) -> None:
+        self._resource._release(request)
+        self._handler(self._items.popleft())
+        # The handler may have cleared the store (it crashed the node) and
+        # even had it served again; only the charge it ran under continues.
+        if self._charge is request:
+            if self._items:
+                self._charge_head()
+            else:
+                self._charge = None
+
     def clear(self) -> None:
-        """Drop all buffered items and abandon all waiting getters."""
+        """Drop all buffered items, abandon all waiting getters, stop serving.
+
+        The charge in progress on a served store is given up (its slot, or
+        its place in the queue, goes back now) and its handler never runs.
+        """
         self._items.clear()
         self._getters.clear()
+        self._handler = None
+        if self._charge is not None:
+            self._charge.cancel()
+            self._charge = None
 
     @property
     def pending_items(self) -> int:
@@ -259,13 +342,11 @@ class Gate:
         """Return an event that fires when the gate is (or becomes) open."""
         event = Event(self.sim)
         if self._opened:
-            # Inlined event.succeed(None): the event was created pending.
+            # Already processed: the process yielding it continues inline,
+            # with no trip through the event queue.
             event._ok = True
             event._value = None
-            sim = self.sim
-            sim._sequence += 1
-            heappush(sim._queue,
-                     (sim._now, NORMAL_BIAS + sim._sequence, event))
+            event._processed = True
         else:
             self._waiters.append(event)
         return event

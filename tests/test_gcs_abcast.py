@@ -253,6 +253,32 @@ def test_multi_paxos_message_bill_is_4n_plus_1(member_count):
         "PAXOS.ACCEPTED": per_round, "PAXOS.LEARN": per_round}
 
 
+@pytest.mark.parametrize("engine", ("fixed-sequencer", "multi-paxos"))
+def test_a_lan_message_is_three_kernel_events(engine):
+    """The event bill of the message path, beside its message bill: send
+    charge, wire, reception charge — the three things that take simulated
+    time.  The hand-offs in between (outbox → CPU, inbox → CPU) take none
+    and are not events (they were: 5 per message before the served store),
+    so the next zero-delay hop added to the path fails here."""
+    sim, lan, nodes, gcs = build_group(3, engine=engine)
+    delivered = {node.name: [] for node in nodes}
+    attach_consumers(sim, gcs, nodes, delivered)
+    broadcast_sequentially(sim, gcs, nodes, 1)      # past any phase 1
+    events, messages = sim.scheduled_events, lan.delivered_count
+    broadcasts = 6
+    broadcast_sequentially(sim, gcs, nodes, broadcasts)
+    events = sim.scheduled_events - events
+    messages = lan.delivered_count - messages
+
+    assert sim.queued_events == 0 and lan.dropped_count == 0
+    assert all(len(log) == 1 + broadcasts for log in delivered.values())
+    # Above the message path each A-delivery costs three more: the delivery
+    # process and the consumer are parked on stores (a ``get`` each) and the
+    # delivery is charged to the CPU.
+    a_deliveries = broadcasts * len(nodes)
+    assert events - 3 * a_deliveries == 3 * messages
+
+
 # ---------------------------------------------------------------- view changes
 @pytest.fixture(scope="module")
 def follower_crash_run():

@@ -91,6 +91,46 @@ def test_degraded_cpu_slows_io_charges_at_use_time():
     assert sim.now == pytest.approx(5.0)
 
 
+def test_degraded_cpu_slows_the_network_path_too():
+    # Regression: the dispatcher and the sender read the per-message cost
+    # once, when they started, so a degradation between two messages never
+    # reached reception or sending (the gray-slow-cpu cells of the netsplit
+    # matrix slowed database work only).
+    from repro.gcs.reliable_broadcast import ReliableBroadcastLayer
+    from repro.network import Dispatcher, Lan, Message
+
+    sim = Simulator()
+    lan = Lan(sim, latency=0.07)
+    sender, receiver = (lan.attach(Node(sim, name)) for name in ("s1", "s2"))
+    dispatcher = Dispatcher(sim, receiver)
+    handled = []
+    dispatcher.register("K", lambda message: handled.append(sim.now))
+    dispatcher.start()
+    outbound = ReliableBroadcastLayer(sim, lan, sender)
+    outbound.start()
+
+    def send():
+        outbound.send(Message(sender="s1", destination="s2", kind="K"))
+
+    send()
+    sim.run()
+    assert handled == [pytest.approx(3 * 0.07)]     # send, wire, receive
+    assert receiver.cpu.busy_time == pytest.approx(0.07)
+    receiver.degrade_cpu(20.0)
+    sender.degrade_cpu(10.0)
+    sim.run(until=1.0)
+    send()
+    sim.run()
+    assert handled[1] == pytest.approx(1.0 + (10 + 1 + 20) * 0.07)
+    assert receiver.cpu.busy_time == pytest.approx((1 + 20) * 0.07)
+    assert sender.cpu.busy_time == pytest.approx((1 + 10) * 0.07)
+    receiver.restore_cpu()
+    sim.run(until=10.0)
+    send()
+    sim.run()
+    assert handled[2] == pytest.approx(10.0 + (10 + 1 + 1) * 0.07)
+
+
 def test_local_database_passthrough():
     from repro.db.engine import LocalDatabase
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
@@ -13,7 +15,9 @@ from repro.db import (CommittedTransaction, Item, ItemStore, LockManager,
                       LockMode, check_one_copy_serializability, redo_from_log)
 from repro.db.items import INITIAL
 from repro.db.wal import LogRecord, LogRecordType
+from repro.network import Dispatcher, Message, Node
 from repro.sim import RandomStreams, Simulator, Tally
+from tests.reference_dispatcher import ReferenceDispatcher
 from tests.reference_item_store import ReferenceItemStore
 
 
@@ -52,6 +56,88 @@ def test_simulated_clock_is_monotone_for_any_timeout_set(delays):
     sim.run()
     assert observed == sorted(observed)
     assert len(observed) == len(delays)
+
+
+# --------------------------------------------------------------------------- network
+#: Every external action of a schedule happens on its own tick, the k-th a
+#: further k ns late.  Charges and loads are whole microseconds, so no chain
+#: of them leads from one action's instant to another's and the two
+#: dispatchers never face a same-instant tie — the one place where they are
+#: *meant* to differ (ROADMAP 3(2)).
+TICK_MS = 0.013
+SKEW_MS = 1e-6
+LOAD_MS = (0.031, 0.11, 0.29)
+ACTIONS = st.sampled_from([("message",)] * 6 + [("fault",)]
+                          + [("load", ms) for ms in LOAD_MS])
+
+
+def drive_lone_node(dispatcher_class, schedule, cpus):
+    """One node, one dispatcher, ``schedule`` = [(tick, action)]: messages
+    arrive (dropped while the node is down, as the LAN would), faults
+    alternate crash and recover+restart, loads compete for the CPU."""
+    sim = Simulator(seed=1)
+    node = Node(sim, "s1", cpus=cpus)
+    dispatcher = dispatcher_class(sim, node)
+    handled = []
+    dispatcher.register_default(
+        lambda message: handled.append((message.payload, sim.now)))
+    dispatcher.start()
+    book = {"starts": 1, "crashes": 0, "accepted": 0, "dropped": 0,
+            "dropped_in_flight": 0}
+
+    def message():
+        if node.is_up:
+            book["accepted"] += 1
+            node.inbox.put(Message(sender="s2", destination="s1", kind="K",
+                                   payload=book["accepted"]))
+
+    def fault():
+        if node.is_up:
+            # With no ties, a backlog means its head is being charged.
+            backlog = book["accepted"] - len(handled) - book["dropped"]
+            book["dropped"] += backlog
+            book["dropped_in_flight"] += backlog > 0
+            book["crashes"] += 1
+            node.crash()
+            assert not dispatcher.is_running
+        else:
+            node.recover()
+            dispatcher.start()
+            book["starts"] += 1
+
+    def burn(duration):
+        yield node.cpu.use(duration)
+
+    def load(duration):
+        if node.is_up:
+            node.spawn(burn(duration))
+
+    actions = {"message": message, "fault": fault, "load": load}
+    for position, (tick, (name, *args)) in enumerate(schedule):
+        sim.call_at(tick * TICK_MS + position * SKEW_MS,
+                    partial(actions[name], *args))
+    sim.run()
+    assert dispatcher.dispatched_count == len(handled)
+    return (handled, node.cpu.busy_time, node.cpu.granted_count,
+            sim.scheduled_events, book)
+
+
+@given(st.lists(st.tuples(st.integers(min_value=1, max_value=150), ACTIONS),
+                unique_by=lambda entry: entry[0], min_size=10, max_size=60),
+       st.sampled_from((1, 2)))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_served_inbox_matches_the_dispatcher_process(schedule, cpus):
+    served = drive_lone_node(Dispatcher, schedule, cpus)
+    reference = drive_lone_node(ReferenceDispatcher, schedule, cpus)
+    assert served[:3] == reference[:3]      # (message, time)s, busy, grants
+    handled, _, _, served_events, book = served
+    assert book == reference[4]
+    # The process pays one zero-delay hand-off per message it charges
+    # (dispatched, or in flight at a crash), a bootstrap per start and its
+    # own completion per kill; the served inbox pays none of them.
+    assert reference[3] - served_events == \
+        len(handled) + book["dropped_in_flight"] + book["starts"] \
+        + book["crashes"]
 
 
 # --------------------------------------------------------------------------- db

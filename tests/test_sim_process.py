@@ -165,3 +165,99 @@ def test_active_process_visible_during_step():
     sim.run()
     assert seen == [process]
     assert sim.active_process is None
+
+
+# -------------------------------------------- hand-offs that take no kernel event
+def test_completion_with_a_waiter_resumes_it_at_the_same_instant():
+    sim = Simulator()
+    seen = []
+
+    def child():
+        yield sim.timeout(3.0)
+        return "done"
+
+    def parent():
+        value = yield sim.spawn(child())
+        seen.append((value, sim.now))
+
+    sim.spawn(parent())
+    sim.run()
+    assert seen == [("done", 3.0)]
+    # Two bootstraps, the timeout, the child's completion (it has a waiter);
+    # the parent's own completion has none and is not queued.
+    assert sim.scheduled_events == 4
+
+
+def test_waiterless_completion_is_processed_without_being_queued():
+    sim = Simulator()
+
+    def worker():
+        yield sim.timeout(2.0)
+        return 7
+
+    process = sim.spawn(worker())
+    sim.run()
+    assert sim.scheduled_events == 2          # the bootstrap and the timeout
+    assert process.processed and process.ok and process.value == 7
+    assert not process.is_alive
+    called = []
+    process.add_callback(lambda event: called.append(event.value))
+    assert called == [7]                      # at once, as for any processed event
+
+    def late_waiter():
+        value = yield process
+        return value, sim.now
+
+    assert sim.run_until_complete(sim.spawn(late_waiter())) == (7, 2.0)
+
+
+def test_waiterless_failure_still_raises_out_of_run():
+    sim = Simulator()
+
+    def worker():
+        yield sim.timeout(1.0)
+        raise KeyError("nobody is listening")
+
+    sim.spawn(worker())
+    with pytest.raises(KeyError, match="nobody is listening"):
+        sim.run()
+    assert sim.now == 1.0
+
+
+def test_waiting_on_an_open_gate_schedules_nothing():
+    from repro.sim import Gate
+
+    sim = Simulator()
+    gate = Gate(sim, opened=True)
+    passed = []
+
+    def waiter():
+        for _ in range(3):
+            yield gate.wait()
+            passed.append(sim.now)
+        yield sim.timeout(1.0)
+        passed.append(sim.now)
+
+    sim.spawn(waiter())
+    sim.run()
+    assert passed == [0.0, 0.0, 0.0, 1.0]
+    assert sim.scheduled_events == 2          # the bootstrap and the timeout
+
+
+def test_waiting_on_a_closed_gate_resumes_at_open_as_before():
+    from repro.sim import Gate
+
+    sim = Simulator()
+    gate = Gate(sim)
+    passed = []
+
+    def waiter():
+        value = yield gate.wait()
+        passed.append((value, sim.now))
+
+    sim.spawn(waiter())
+    sim.call_after(5.0, gate.open, "go")
+    sim.run()
+    assert passed == [("go", 5.0)]
+    # Bootstrap, the deferred open, the waiter's wake-up.
+    assert sim.scheduled_events == 3

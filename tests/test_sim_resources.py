@@ -67,8 +67,9 @@ def test_a_charge_is_one_event_yielded_once():
         yield resource.use(5.0)
 
     sim.run_until_complete(sim.spawn(uncontended()))
-    # The process bootstrap, the charge, the process's own completion.
-    assert sim.scheduled_events == 3
+    # The process bootstrap and the charge.  The process's own completion
+    # has no waiter (``run_until_complete`` polls), so it is not queued.
+    assert sim.scheduled_events == 2
 
     def stale():
         yield from resource.use(5.0)
@@ -307,6 +308,200 @@ def test_store_clear_drops_items_and_getters():
     store.clear()
     assert len(store) == 0
     assert store.pending_items == 0
+
+
+# ---------------------------------------------------------------- served store
+def serve_recording(sim, store, resource, cost=2.0):
+    handled = []
+    store.serve(resource, lambda: cost,
+                lambda item: handled.append((item, sim.now)))
+    return handled
+
+
+def test_served_store_is_fifo_one_charge_one_event_per_item():
+    sim = Simulator()
+    resource = Resource(sim, capacity=2)
+    store = Store(sim)
+    handled = serve_recording(sim, store, resource)
+    for item in "abc":
+        store.put(item)
+    # One item at a time, whatever the capacity; only its charge is queued.
+    assert (resource.in_use, store.pending_items) == (1, 3)
+    assert sim.scheduled_events == 1
+    sim.run()
+    assert handled == [("a", 2.0), ("b", 4.0), ("c", 6.0)]
+    assert sim.scheduled_events == 3
+    assert (resource.granted_count, resource.busy_time) == (3, 6.0)
+    assert store.pending_items == 0 and store.is_served
+
+
+def test_served_store_calls_the_handler_before_charging_the_next_item():
+    # The handler's own charge must reach the resource first (a dispatcher
+    # handler's ``rb.send`` goes before the next reception).
+    sim = Simulator()
+    resource = Resource(sim, capacity=1)
+    store = Store(sim)
+    order = []
+
+    def handler(item):
+        order.append((item, sim.now))
+        resource.use(1.0).add_callback(
+            lambda event: order.append((f"reply-{item}", sim.now)))
+
+    store.serve(resource, lambda: 2.0, handler)
+    store.put("a")
+    store.put("b")
+    sim.run()
+    assert order == [("a", 2.0), ("reply-a", 3.0), ("b", 5.0),
+                     ("reply-b", 6.0)]
+
+
+def test_served_store_reads_the_cost_when_each_charge_starts():
+    sim = Simulator()
+    resource = Resource(sim, capacity=1)
+    store = Store(sim)
+    costs = iter((1.0, 5.0))
+    handled = []
+    store.serve(resource, lambda: next(costs),
+                lambda item: handled.append((item, sim.now)))
+    store.put("a")
+    store.put("b")
+    sim.run()
+    assert handled == [("a", 1.0), ("b", 6.0)]
+
+
+def test_items_put_before_serve_are_served_after_it():
+    sim = Simulator()
+    resource = Resource(sim, capacity=1)
+    store = Store(sim)
+    store.put("early")
+    sim.run(until=3.0)
+    assert store.pending_items == 1 and not store.is_served
+    handled = serve_recording(sim, store, resource)
+    store.put("late")
+    sim.run()
+    assert handled == [("early", 5.0), ("late", 7.0)]
+
+
+def test_a_served_store_has_one_consumer():
+    sim = Simulator()
+    resource = Resource(sim, capacity=1)
+    store = Store(sim)
+    serve_recording(sim, store, resource)
+    with pytest.raises(SimulationError, match="is served"):
+        store.get()
+    with pytest.raises(SimulationError, match="already has a consumer"):
+        store.serve(resource, lambda: 1.0, print)
+    parked = Store(sim)
+    parked.get()
+    with pytest.raises(SimulationError, match="already has a consumer"):
+        parked.serve(resource, lambda: 1.0, print)
+
+
+def test_clearing_a_served_store_mid_charge_frees_the_slot():
+    sim = Simulator()
+    resource = Resource(sim, capacity=1)
+    store = Store(sim)
+    handled = serve_recording(sim, store, resource, cost=4.0)
+    store.put("held")
+    store.put("backlog")
+    sim.run(until=1.0)
+    scheduled = sim.scheduled_events
+    store.clear()
+    assert (resource.in_use, store.pending_items) == (0, 0)
+    assert resource.busy_time == pytest.approx(1.0)
+    assert not store.is_served
+    sim.run()           # the completion entry at 4 ms pops inert
+    assert handled == [] and sim.scheduled_events == scheduled
+
+
+def test_clearing_a_served_store_whose_charge_is_queued_leaves_the_queue():
+    sim = Simulator()
+    resource = Resource(sim, capacity=1)
+    store = Store(sim)
+    handled = serve_recording(sim, store, resource)
+    holder = resource.use(10.0)
+    store.put("queued")
+    assert resource.queue_length == 1
+    store.clear()
+    assert resource.queue_length == 0
+    sim.run()
+    assert handled == [] and holder.processed
+    assert resource.granted_count == 1
+
+
+@pytest.mark.parametrize("contended", (False, True))
+def test_crash_drops_a_served_charge_without_scheduling_anything(contended):
+    # Held: its completion entry is already on the heap.  Queued on a
+    # contended CPU: it has none, and gets none — nobody waits for it.
+    from repro.network.node import Node
+
+    sim = Simulator()
+    node = Node(sim, "s1", cpus=1)
+    handled = []
+    node.serve(node.inbox, handled.append)
+    if contended:
+        node.cpu.use(10.0)
+    node.inbox.put("in-flight")
+    node.inbox.put("backlog")
+    sim.run(until=0.01)
+    assert node.cpu.queue_length == (1 if contended else 0)
+    scheduled = sim.scheduled_events
+    node.crash()
+    assert sim.scheduled_events == scheduled
+    assert not node.inbox.is_served and node.inbox.pending_items == 0
+    sim.run()
+    assert handled == [] and sim.scheduled_events == scheduled
+
+
+def test_a_completion_left_from_before_a_crash_is_inert_after_restart():
+    from repro.network.node import Node
+
+    sim = Simulator()
+    node = Node(sim, "s1", cpus=1, cpu_time_per_network_op=4.0)
+    handled = []
+
+    def handler(item):
+        handled.append((item, sim.now))
+
+    node.serve(node.inbox, handler)
+    node.inbox.put("lost")
+    sim.run(until=1.0)
+    node.crash()
+    node.recover()
+    node.serve(node.inbox, handler)
+    sim.run(until=3.0)
+    node.inbox.put("fresh")       # charged 3 → 7 ms; "lost" would end at 4
+    sim.run(until=5.0)
+    assert handled == [] and node.cpu.in_use == 1
+    sim.run()
+    assert handled == [("fresh", 7.0)]
+    assert node.cpu.busy_time == pytest.approx(1.0 + 4.0)
+
+
+def test_a_handler_that_clears_and_reserves_the_store_ends_its_own_run():
+    # A dispatcher handler may crash its node; whatever serves the store
+    # afterwards is a new run, and the old completion must not drive it.
+    sim = Simulator()
+    resource = Resource(sim, capacity=1)
+    store = Store(sim)
+    handled = []
+
+    def second(item):
+        handled.append(("second", item, sim.now))
+
+    def first(item):
+        handled.append(("first", item, sim.now))
+        store.clear()
+        store.serve(resource, lambda: 1.0, second)
+        store.put("after")
+
+    store.serve(resource, lambda: 2.0, first)
+    store.put("a")
+    store.put("dropped")
+    sim.run()
+    assert handled == [("first", "a", 2.0), ("second", "after", 3.0)]
+    assert resource.granted_count == 2 and resource.in_use == 0
 
 
 def test_gate_blocks_until_opened():
