@@ -161,87 +161,10 @@ def autobalance_shift(smoke: bool, profile: bool = False,
                     trace=trace)
 
 
-def parallel_sharded(smoke: bool, profile: bool = False,
-                     engine: str = "fixed-sequencer") -> Dict[str, float]:
-    """16 shards as parallel worker processes under conservative sync.
-
-    Runs the same scenario twice — on the serial in-process reference engine
-    and on the process-pool engine — and reports the rates of the faster
-    run as the headline (so the gate tracks the machine's best execution
-    mode), with both event sub-rates and the parallel-over-serial speedup
-    recorded alongside.  Shard-world construction is timed separately
-    and excluded from the rate: the benchmark measures the event loop.
-
-    Full mode is the ROADMAP scale target: 16 shards x 65,536 keys =
-    1,048,576 keys.  Smoke mode shrinks the worlds and uses 2 workers so
-    shared CI runners finish quickly.
-    """
-    from dataclasses import replace as _replace
-
-    from repro.partition.parallel_cluster import (ShardScenario,
-                                                  build_shard_world,
-                                                  run_parallel_sharded)
-    if smoke:
-        scenario = ShardScenario(
-            technique="group-safe", shard_count=4, seed=23,
-            items_per_shard=2_048, servers_per_shard=3,
-            load_tps_per_shard=300.0, cross_shard_probability=0.1,
-            cross_shard_latency=8.0, duration_ms=2_000.0,
-            broadcast_engine=engine)
-        workers = 2
-    else:
-        scenario = ShardScenario(
-            technique="group-safe", shard_count=16, seed=23,
-            items_per_shard=65_536, servers_per_shard=3,
-            load_tps_per_shard=300.0, cross_shard_probability=0.1,
-            cross_shard_latency=8.0, duration_ms=4_000.0,
-            broadcast_engine=engine)
-        workers = min(os.cpu_count() or 1, scenario.shard_count)
-    if profile:
-        # Profile one shard world in isolation (the window protocol adds no
-        # simulated events of its own, so the event mix is the shard's).
-        world = build_shard_world(
-            0, _replace(scenario, shard_count=1, trace=True))
-        world.sim.run(until=scenario.duration_ms)
-        return {"profile": profile_kernel_trace(world._trace)}
-
-    serial = run_parallel_sharded(scenario, workers=0)
-    parallel = run_parallel_sharded(scenario, workers=workers)
-    assert parallel.total_events == serial.total_events, \
-        "parallel run diverged from the serial reference"
-    events = serial.total_events
-    serial_rate = events / serial.run_seconds if serial.run_seconds else 0.0
-    parallel_rate = (events / parallel.run_seconds
-                     if parallel.run_seconds else 0.0)
-    best = serial if serial_rate >= parallel_rate else parallel
-    commits = best.statistics.measured_commits
-    return {
-        "events": events,
-        "committed_txns": commits,
-        "simulated_ms": scenario.duration_ms,
-        "wall_seconds": round(best.run_seconds, 3),
-        "events_per_sec": round(max(serial_rate, parallel_rate), 1),
-        "commits_per_sec": (round(commits / best.run_seconds, 1)
-                            if best.run_seconds else 0.0),
-        "serial_events_per_sec": round(serial_rate, 1),
-        "parallel_events_per_sec": round(parallel_rate, 1),
-        "parallel_workers": parallel.workers,
-        "speedup_vs_serial": (round(parallel_rate / serial_rate, 2)
-                              if serial_rate else None),
-        "shards": scenario.shard_count,
-        "total_keys": scenario.shard_count * scenario.items_per_shard,
-        "sync_windows": serial.windows,
-        "cross_shard_messages": serial.messages,
-        "build_seconds": {"serial": round(serial.build_seconds, 3),
-                          "parallel": round(parallel.build_seconds, 3)},
-    }
-
-
 SCENARIOS = {
     "one_shard_saturation": one_shard_saturation,
     "partitioned_zipf": partitioned_zipf,
     "autobalance_shift": autobalance_shift,
-    "parallel_sharded": parallel_sharded,
 }
 
 

@@ -6,8 +6,7 @@ simulated code, interned RNG streams on hot paths, no iteration over
 nondeterministically-ordered collections on schedule-affecting paths, and a
 protocol stack whose layers only depend downward.  This package enforces them
 as an AST-based lint suite (``python -m repro.analysis.lint``) that CI gates
-on, plus the runtime race detector of
-:func:`repro.sim.parallel.run_sharded(..., detect_races=True)`.
+on.
 """
 
 from .engine import (Finding, LintReport, ParsedModule, Rule, Suppression,

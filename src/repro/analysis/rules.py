@@ -2,7 +2,7 @@
 
 Each rule is pure AST analysis — nothing here imports the code under check.
 Paths in rule options are posix paths relative to the lint root (normally
-``src/repro``), e.g. ``"sim/parallel.py"``.
+``src/repro``), e.g. ``"sim/engine.py"``.
 """
 
 from __future__ import annotations
@@ -30,21 +30,15 @@ class WallClockRule(Rule):
 
     Simulated time is ``Simulator.now``; any ``time.time()`` /
     ``perf_counter()`` / ``datetime.now()`` on a model path makes traces
-    machine-dependent.  Host-side harness modules that legitimately measure
-    build/run wall-clock (the parallel engine's ParallelRunReport) are
-    allowlisted by relpath.
+    machine-dependent.  No module under the lint root is exempt: host-side
+    timing lives in ``benchmarks/``, outside it.
     """
 
     name = "wall-clock"
     description = ("no host clock reads (time.*, datetime.now) inside "
-                   "simulated code; harness modules are allowlisted")
-
-    def __init__(self, allowed_modules: Sequence[str] = ("sim/parallel.py",)):
-        self.allowed_modules = frozenset(allowed_modules)
+                   "simulated code")
 
     def check_module(self, module: ParsedModule) -> Iterator[Finding]:
-        if module.relpath in self.allowed_modules:
-            return
         time_aliases: set = set()      # names bound to the time module
         datetime_aliases: set = set()  # names bound to the datetime module
         banned_names: Dict[str, str] = {}  # local name -> original function
@@ -85,8 +79,7 @@ class WallClockRule(Rule):
                     path=module.relpath, line=node.lineno,
                     column=node.col_offset + 1, rule=self.name,
                     message=f"host wall-clock read {origin}() in simulated "
-                            f"code; use Simulator.now (or allowlist this "
-                            f"harness module)")
+                            f"code; use Simulator.now")
 
 
 def _attribute_chain(node: ast.Attribute) -> Optional[List[str]]:

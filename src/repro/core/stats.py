@@ -1,10 +1,9 @@
 """Shared summary-statistics helpers.
 
-One percentile implementation for the whole codebase.  Historically
-``sim/monitor.py`` (Tally), ``replication/results.py`` (RunStatistics) and
-``partition/stats.py`` each carried their own copy with the same semantics
-(floor/ceil linear interpolation, empty sample -> 0.0, fraction outside
-``[0, 1]`` -> ``ValueError``); they now all delegate here.
+One percentile implementation for the whole codebase:
+``replication/results.py`` (RunStatistics) and ``partition/stats.py``
+delegate here (floor/ceil linear interpolation, empty sample -> 0.0,
+fraction outside ``[0, 1]`` -> ``ValueError``).
 """
 
 from __future__ import annotations

@@ -102,10 +102,12 @@ def run_cells(cell_fn: Callable, cells: Iterable, workers: int = 1) -> List:
     With ``workers > 1`` the cells fan out over a process pool (``cell_fn``
     must be module-level so the pool can pickle it); the result list keeps
     the serial order either way, because ``Pool.map`` returns results in
-    submission order regardless of which worker finished first.
+    submission order regardless of which worker finished first.  Fewer than
+    two cells run in-process: there is nothing to fan out, and ``Pool(0)``
+    raises.
     """
     cells = list(cells)
-    if workers > 1:
+    if workers > 1 and len(cells) > 1:
         # Imported on use, like the CLI's imports below: every measured run
         # imports the experiments package and should not pay for the gate.
         import multiprocessing

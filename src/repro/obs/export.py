@@ -121,42 +121,6 @@ def write_chrome_trace(path: Union[str, Path], obs: Observability,
     return payload
 
 
-def merge_chrome_traces(traces: Dict[int, Dict[str, Any]]) -> Dict[str, Any]:
-    """Merge per-shard Chrome traces into one multi-process trace.
-
-    ``traces`` maps shard ids to :func:`chrome_trace` payloads (one per
-    shard of a parallel run).  Each shard becomes its own ``pid`` (shard id
-    + 1, since pid 0 renders oddly in viewers), keeping its per-shard thread
-    ids, and the merged event list is sorted by timestamp so viewers stream
-    it in order.  Metadata events stay in front, as in a single-shard trace.
-    """
-    header: List[Dict[str, Any]] = []
-    timed: List[Dict[str, Any]] = []
-    other: Dict[str, Any] = {"shards": len(traces)}
-    for shard_id in sorted(traces):
-        payload = traces[shard_id]
-        pid = shard_id + 1
-        for event in payload.get("traceEvents", []):
-            event = dict(event)
-            event["pid"] = pid
-            if event.get("ph") == "M":
-                if event.get("name") == "process_name":
-                    event["args"] = {"name": f"shard {shard_id}"}
-                header.append(event)
-            else:
-                timed.append(event)
-        for key, value in payload.get("otherData", {}).items():
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                other[key] = other.get(key, 0) + value
-    timed.sort(key=lambda event: (event.get("ts", 0.0), event["pid"],
-                                  event.get("tid", 0)))
-    return {
-        "traceEvents": header + timed,
-        "displayTimeUnit": "ms",
-        "otherData": other,
-    }
-
-
 def validate_chrome_trace(payload: Any) -> List[str]:
     """Return schema problems of a trace payload (empty list = valid)."""
     problems: List[str] = []

@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 from ..db.operations import Operation, OperationType, TransactionProgram
 from ..replication.results import TransactionResult
 from ..sim.engine import Simulator
-from ..workload.generator import AliasSampler, WorkloadGenerator
+from ..workload.generator import WorkloadGenerator
 from ..workload.params import SimulationParameters
 from .coordinator import CrossPartitionOutcome
 from .routing import RoutingTable
@@ -107,7 +107,6 @@ class PartitionedWorkloadGenerator(WorkloadGenerator):
         # keeps the weight of its *global* rank, so restricting a transaction
         # to one partition preserves the shape of the hot set.
         self._cumulative_by_partition: Dict[int, List[float]] = {}
-        self._alias_by_partition: Dict[int, AliasSampler] = {}
         if self.skew > 0:
             for partition_id, keys in self._keys_by_partition.items():
                 total = 0.0
@@ -116,9 +115,6 @@ class PartitionedWorkloadGenerator(WorkloadGenerator):
                     total += (self._global_rank[key] + 1) ** -self.skew
                     cumulative.append(total)
                 self._cumulative_by_partition[partition_id] = cumulative
-                if self.alias_sampling:
-                    self._alias_by_partition[partition_id] = \
-                        AliasSampler.from_cumulative(cumulative)
 
     def _refresh_if_stale(self) -> None:
         epoch = self.routing.epoch
@@ -150,8 +146,6 @@ class PartitionedWorkloadGenerator(WorkloadGenerator):
             total += (self._global_rank[key] + 1) ** -self.skew
             cumulative.append(total)
         self._cumulative = cumulative
-        if self.alias_sampling:
-            self._alias = AliasSampler.from_cumulative(cumulative)
         self._refresh_partition_caches(strict=False)
 
     # -- generation ----------------------------------------------------------------------
@@ -205,8 +199,7 @@ class PartitionedWorkloadGenerator(WorkloadGenerator):
                         partition_ids)
                 key = self.choose_key(
                     keys=self._keys_by_partition[partition_id],
-                    cumulative=self._cumulative_by_partition.get(partition_id),
-                    alias=self._alias_by_partition.get(partition_id))
+                    cumulative=self._cumulative_by_partition.get(partition_id))
             if write_random() < write_probability:
                 append(Operation(OperationType.WRITE, key,
                                  value=f"{client}@{position}"))

@@ -2,8 +2,8 @@
 
 This package provides the substrate on which the whole replicated-database
 model runs: a simulated clock, generator-based processes, queued resources
-(CPUs, disks), FIFO stores (network endpoints, mailboxes) and measurement
-collection.  Time is measured in **milliseconds** everywhere.
+(CPUs, disks) and FIFO stores (network endpoints, mailboxes).  Time is
+measured in **milliseconds** everywhere.
 
 Quick example::
 
@@ -26,7 +26,6 @@ from .engine import Simulator
 from .errors import (EventAlreadyTriggered, Interrupt, SchedulingError,
                      SimulationError)
 from .events import AllOf, AnyOf, Condition, ConditionValue, Event, Timeout
-from .monitor import Counter, Monitor, Tally
 from .process import Process
 from .resources import Gate, Request, Resource, Store
 from .rng import RandomStreams
@@ -45,9 +44,6 @@ __all__ = [
     "Store",
     "Gate",
     "RandomStreams",
-    "Monitor",
-    "Tally",
-    "Counter",
     "SimulationError",
     "SchedulingError",
     "EventAlreadyTriggered",

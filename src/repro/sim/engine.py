@@ -189,45 +189,6 @@ class Simulator:
             self._now = max(self._now, until)
         return self._now
 
-    def run_before(self, bound: float) -> float:
-        """Run every queued event with time strictly below ``bound``.
-
-        The window primitive of the conservative parallel mode
-        (:mod:`repro.sim.parallel`): a shard advances through the half-open
-        interval ``[now, bound)`` and stops with the clock on its last
-        processed event, never on ``bound`` itself — so a message arriving
-        exactly at the window bound can still be scheduled with
-        :meth:`call_at`.  Returns the simulation time reached.
-        """
-        if bound < self._now:
-            raise SchedulingError(
-                f"cannot run before {bound}: clock is already at {self._now}")
-        if self._trace is not None:
-            # Traced runs go through step() so every pop is recorded.
-            while self._queue and self._queue[0][0] < bound:
-                self.step()
-            return self._now
-        queue = self._queue
-        pop = heapq.heappop
-        while queue and queue[0][0] < bound:
-            when, _key, event = pop(queue)
-            self._now = when
-            # Inlined event._run_callbacks(), exactly as in run().
-            cb = event._cb
-            callbacks = event.callbacks
-            event._cb = None
-            event.callbacks = None
-            event._processed = True
-            if cb is not None:
-                cb(event)
-            if callbacks:
-                for callback in callbacks:
-                    callback(event)
-            if not event._ok and not event._defused:
-                # A failure nobody handled is a bug in the model; surface it.
-                raise event._value
-        return self._now
-
     def run_until_complete(self, process: Process,
                            limit: Optional[float] = None) -> Any:
         """Run until ``process`` finishes and return its value.

@@ -21,11 +21,8 @@ item distribution (``zipf_skew`` in :class:`SimulationParameters`): with skew
 partitioned-replication experiments.  Skew 0 reproduces the original uniform
 draws bit-for-bit.
 
-Skewed draws default to a binary search over the cumulative weight table
-(O(log n) per draw).  ``SimulationParameters.alias_sampling`` opts into an
-O(1) :class:`AliasSampler` (Vose's method) instead — same distribution, but
-the stream is consumed differently, so seeded traces change; it is therefore
-strictly opt-in and off for every pinned-figure configuration.
+Skewed draws are a binary search over the cumulative weight table
+(O(log n) per draw).
 """
 
 from __future__ import annotations
@@ -38,66 +35,6 @@ from ..db.items import item_keys as conventional_item_keys
 from ..db.operations import Operation, OperationType, TransactionProgram
 from ..sim.engine import Simulator
 from .params import SimulationParameters
-
-
-class AliasSampler:
-    """O(1) sampling from a fixed discrete distribution (Vose's alias method).
-
-    Construction is O(n); each draw consumes exactly one ``random()`` call
-    (like one ``uniform`` draw of the bisect path) and costs two table reads.
-    Deterministic: the table layout depends only on the weights.
-    """
-
-    __slots__ = ("size", "_prob", "_alias")
-
-    def __init__(self, weights: Sequence[float]) -> None:
-        if not weights:
-            raise ValueError("alias sampler needs at least one weight")
-        size = len(weights)
-        total = float(sum(weights))
-        if total <= 0:
-            raise ValueError("alias sampler needs positive total weight")
-        scaled = [weight * size / total for weight in weights]
-        prob = [0.0] * size
-        alias = [0] * size
-        small: List[int] = []
-        large: List[int] = []
-        for index in range(size):
-            (small if scaled[index] < 1.0 else large).append(index)
-        while small and large:
-            lo = small.pop()
-            hi = large.pop()
-            prob[lo] = scaled[lo]
-            alias[lo] = hi
-            scaled[hi] = (scaled[hi] + scaled[lo]) - 1.0
-            (small if scaled[hi] < 1.0 else large).append(hi)
-        for index in large:
-            prob[index] = 1.0
-        for index in small:
-            prob[index] = 1.0
-        self.size = size
-        self._prob = prob
-        self._alias = alias
-
-    @classmethod
-    def from_cumulative(cls, cumulative: Sequence[float]) -> "AliasSampler":
-        """Build from a cumulative weight table (the bisect path's input)."""
-        previous = 0.0
-        weights = []
-        for value in cumulative:
-            weights.append(value - previous)
-            previous = value
-        return cls(weights)
-
-    def sample_index(self, rng) -> int:
-        """Draw one index using a single ``rng.random()`` call."""
-        u = rng.random() * self.size
-        index = int(u)
-        if index >= self.size:  # u == size on the closed float boundary
-            index = self.size - 1
-        if (u - index) <= self._prob[index]:
-            return index
-        return self._alias[index]
 
 
 class WorkloadGenerator:
@@ -125,12 +62,6 @@ class WorkloadGenerator:
                 f"write probability out of range: {params.write_probability!r}")
         self._cumulative = (zipf_cumulative(len(self.item_keys), self.skew)
                             if self.skew > 0 else None)
-        #: Opt-in O(1) sampler over the same distribution (different stream
-        #: consumption — NOT bit-compatible with the bisect default).
-        self.alias_sampling = bool(getattr(params, "alias_sampling", False))
-        self._alias = (AliasSampler.from_cumulative(self._cumulative)
-                       if self.alias_sampling and self._cumulative is not None
-                       else None)
         # Interned stream handles: resolve the f-string names once, not per
         # draw.  Stream seeds depend only on the name, so this is draw-exact.
         streams = sim.random
@@ -143,26 +74,22 @@ class WorkloadGenerator:
 
     # -- item selection ----------------------------------------------------------------
     def choose_key(self, keys: Optional[Sequence[str]] = None,
-                   cumulative: Optional[Sequence[float]] = None,
-                   alias: Optional[AliasSampler] = None) -> str:
+                   cumulative: Optional[Sequence[float]] = None) -> str:
         """Draw one item key from the (possibly Zipf-skewed) access distribution.
 
         Without arguments the draw is over the generator's whole keyspace;
         subclasses pass a restricted ``keys`` population (with its matching
-        ``cumulative`` weight table — or ``alias`` sampler — when skewed) to
-        confine a transaction to one partition.  All draws consume the same
-        named stream, so the common-random-numbers discipline is preserved.
+        ``cumulative`` weight table when skewed) to confine a transaction to
+        one partition.  All draws consume the same named stream, so the
+        common-random-numbers discipline is preserved.
         """
         stream = self._item_stream
         if keys is None:
             population: Sequence[str] = self.item_keys
             weights = self._cumulative
-            alias = self._alias
         else:
             population = keys
             weights = cumulative
-        if alias is not None:
-            return population[alias.sample_index(stream)]
         if weights is None:
             return stream.choice(population)
         position = stream.uniform(0.0, weights[-1])

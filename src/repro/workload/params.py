@@ -81,12 +81,6 @@ class SimulationParameters:
     #: Zipf skew exponent of item access (0 = uniform, the paper's model;
     #: larger values concentrate accesses on a hot set of items).
     zipf_skew: float = 0.0
-    #: Opt-in O(1) alias-method sampling of the Zipf item distribution.
-    #: The alias sampler draws the *same distribution* as the default
-    #: bisect-over-cumulative-table path but consumes the ``workload.item``
-    #: random stream differently, so runs are NOT bit-identical to the
-    #: default — it must stay off wherever a test pins a seeded trace.
-    alias_sampling: bool = False
 
     # -- convenience constructors -----------------------------------------------------
     @classmethod

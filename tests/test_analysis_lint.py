@@ -49,24 +49,9 @@ def test_wall_clock_flags_time_and_datetime_reads(tmp_path):
             def g():
                 return dt.datetime.now()
             """,
-    }, [WallClockRule(allowed_modules=())])
+    }, [WallClockRule()])
     assert rule_names(report) == ["wall-clock"] * 3
     assert {finding.line for finding in report.findings} == {6, 9}
-
-
-def test_wall_clock_allowlists_harness_modules(tmp_path):
-    source = """\
-        import time
-
-        def stamp():
-            return time.perf_counter()
-        """
-    flagged = lint_tree(tmp_path, {"model.py": source},
-                        [WallClockRule(allowed_modules=())])
-    allowed = lint_tree(tmp_path, {"model.py": source},
-                        [WallClockRule(allowed_modules=("model.py",))])
-    assert rule_names(flagged) == ["wall-clock"]
-    assert allowed.findings == []
 
 
 def test_wall_clock_suppression_respected(tmp_path):
@@ -77,7 +62,7 @@ def test_wall_clock_suppression_respected(tmp_path):
             def stamp():
                 return time.time()  # repro: allow(wall-clock): host-side harness timing
             """,
-    }, [WallClockRule(allowed_modules=())])
+    }, [WallClockRule()])
     assert report.findings == []
     assert len(report.suppressed) == 1
     assert report.suppressed[0][1] == "host-side harness timing"
@@ -415,7 +400,7 @@ def test_suppression_without_justification_is_itself_a_finding(tmp_path):
             def stamp():
                 return time.time()  # repro: allow(wall-clock)
             """,
-    }, [WallClockRule(allowed_modules=())])
+    }, [WallClockRule()])
     assert sorted(rule_names(report)) == ["suppression-syntax", "wall-clock"]
 
 
@@ -429,7 +414,7 @@ def test_suppression_only_covers_its_named_rules(tmp_path):
                 for callback in pending.values():
                     callback(time.time())
             """,
-    }, [WallClockRule(allowed_modules=()), OrderingHazardRule()])
+    }, [WallClockRule(), OrderingHazardRule()])
     # The ordering hazard is silenced; the wall-clock read on the covered
     # line is not, because the suppression names a different rule.
     assert rule_names(report) == ["wall-clock"]

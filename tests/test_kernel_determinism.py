@@ -3,16 +3,13 @@
 These tests are what licenses kernel optimisation work: every change to
 ``repro.sim`` (or to anything on the event hot path) must keep
 default-configuration runs **bit-identical** — same seed, same event
-ordering, same statistics.  Three layers of protection:
+ordering, same statistics.  Two layers of protection:
 
 * *run-twice identity* — a mixed partitioned scenario (Zipf skew,
   cross-partition 2PC, a live migration under load) run twice with the same
   seed produces identical event-trace digests and identical statistics;
 * *pinned seed values* — concrete numbers recorded from the seed kernel
-  (pre-optimisation) that the current kernel must still reproduce exactly;
-* *alias-sampler opt-in* — the O(1) Zipf sampler consumes the item stream
-  differently, so it must be off by default, change draws only when
-  explicitly enabled, and still sample the same distribution.
+  (pre-optimisation) that the current kernel must still reproduce exactly.
 """
 
 from __future__ import annotations
@@ -26,8 +23,6 @@ from repro.experiments.scenarios import figure5_scenario
 from repro.partition.cluster import PartitionedCluster
 from repro.partition.workload import PartitionedOpenLoopClients
 from repro.sim.engine import Simulator
-from repro.workload.generator import AliasSampler, WorkloadGenerator, \
-    zipf_cumulative
 from repro.workload.params import SimulationParameters
 
 
@@ -128,68 +123,6 @@ class TestPinnedSeedValues:
         assert point.aborted_transactions == 0
         assert point.mean_response_time_ms == \
             pytest.approx(72.7491009360775, abs=1e-9)
-
-
-class TestAliasSampler:
-    def _generator(self, alias: bool, seed: int = 9) -> WorkloadGenerator:
-        params = SimulationParameters.small(item_count=300).with_overrides(
-            zipf_skew=1.1, alias_sampling=alias)
-        return WorkloadGenerator(Simulator(seed=seed), params)
-
-    def test_off_by_default(self):
-        params = SimulationParameters.small()
-        assert params.alias_sampling is False
-        generator = WorkloadGenerator(Simulator(seed=1), params)
-        assert generator.alias_sampling is False
-        assert generator._alias is None
-
-    def test_flag_changes_draws_only_when_enabled(self):
-        baseline = [self._generator(alias=False).next_program()
-                    for _ in range(1)][0]
-        repeat = self._generator(alias=False).next_program()
-        changed = self._generator(alias=True).next_program()
-        keys = [operation.key for operation in baseline.operations]
-        assert keys == [operation.key for operation in repeat.operations]
-        assert keys != [operation.key for operation in changed.operations]
-
-    def test_alias_samples_the_same_distribution(self):
-        # Empirical check: alias and bisect draws over the same Zipf table
-        # agree on the mass of the hot head to within a few percent.
-        import random
-
-        cumulative = zipf_cumulative(300, 1.1)
-        sampler = AliasSampler.from_cumulative(cumulative)
-        rng = random.Random(4)
-        draws = 30_000
-        hot = sum(1 for _ in range(draws)
-                  if sampler.sample_index(rng) < 10)
-        total = cumulative[-1]
-        expected = cumulative[9] / total
-        assert hot / draws == pytest.approx(expected, rel=0.05)
-
-    def test_alias_single_weight_and_validation(self):
-        import random
-
-        sampler = AliasSampler([3.0])
-        assert sampler.sample_index(random.Random(0)) == 0
-        with pytest.raises(ValueError):
-            AliasSampler([])
-        with pytest.raises(ValueError):
-            AliasSampler([0.0, 0.0])
-
-    def test_partitioned_alias_confines_keys_to_partitions(self):
-        params = SimulationParameters.small(server_count=3,
-                                            item_count=240).with_overrides(
-            partition_count=4, zipf_skew=1.1, alias_sampling=True,
-            cross_partition_probability=0.0)
-        cluster = PartitionedCluster("group-safe", params=params, seed=13,
-                                     strategy="range")
-        snapshot = cluster.routing.snapshot()
-        for _ in range(50):
-            program = cluster.workload.next_program()
-            owners = {snapshot.partition_of(operation.key)
-                      for operation in program.operations}
-            assert len(owners) == 1
 
 
 def test_engine_read_matches_buffer_read_item():

@@ -7,6 +7,9 @@ partitioned matrix of :mod:`repro.experiments.partition_failure_matrix`.
 The prediction side is derived from the criterion definitions
 (:func:`repro.core.matrix.loss_condition` and its per-shard composition);
 these tests pin the audit side to it cell by cell.
+
+Also here: the one parallel story, ``harness.run_cells`` over independent
+cells (``--workers N``) — the pooled matrix must equal the serial one.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ import pytest
 from repro.core.audit import FindingKind
 from repro.core.matrix import loss_condition, partitioned_loss_condition
 from repro.core.safety import SafetyLevel
-from repro.experiments import (run_failure_matrix,
+from repro.experiments import (failure_matrix, netsplit_matrix,
+                               partition_failure_matrix, run_failure_matrix,
                                run_partitioned_failure_matrix)
 
 
@@ -109,3 +113,39 @@ def test_partitioned_predictions_match_the_composition(partitioned_entries):
             (entry.level, status.group_failed, status.delegate_crashed)
             for status in entry.outcome.audited_shards)
         assert entry.predicted_possible_loss == recomputed
+
+
+# ------------------------------------------------------------- worker pool
+@pytest.mark.parametrize("run, render, kwargs", [
+    (failure_matrix.run_failure_matrix, failure_matrix.render_matrix,
+     dict(techniques=["1-safe"])),
+    (partition_failure_matrix.run_partitioned_failure_matrix,
+     partition_failure_matrix.render_partitioned_matrix,
+     dict(techniques=["1-safe"], patterns=["none", "shard-delegate"])),
+    (netsplit_matrix.run_netsplit_matrix,
+     netsplit_matrix.render_netsplit_matrix,
+     dict(engines=["multi-paxos"], patterns=["split-minority-follower"],
+          detectors=["perfect", "hb-fast"], include_partitioned=False)),
+], ids=["single-group", "partitioned", "netsplit"])
+def test_matrix_worker_pool_matches_serial_run(run, render, kwargs):
+    """Pool.map returns cells in submission order, so the pooled matrix and
+    its rendered report must match the serial run verdict for verdict —
+    for every matrix, since all three fan out through the one harness pool.
+    (Transaction *ids* are process-history dependent — the module-global
+    program counter — so the comparison is on verdicts and the report, which
+    is what the matrix publishes.)"""
+    serial = run(seed=3, **kwargs)
+    pooled = run(seed=3, workers=2, **kwargs)
+    assert len(serial) >= 2
+    assert render(pooled) == render(serial)
+    assert ([(entry.sound, entry.demonstrated) for entry in pooled] ==
+            [(entry.sound, entry.demonstrated) for entry in serial])
+
+
+def test_matrix_worker_pool_with_no_cells_returns_no_entries():
+    """An empty selection is an empty matrix at any worker count: a pool of
+    ``min(workers, 0)`` processes cannot be built."""
+    assert netsplit_matrix.run_netsplit_matrix(
+        patterns=[], include_partitioned=False, seed=3) == []
+    assert netsplit_matrix.run_netsplit_matrix(
+        patterns=[], include_partitioned=False, seed=3, workers=2) == []

@@ -34,7 +34,6 @@ from repro.partition.workload import PartitionedOpenLoopClients
 from repro.replication.results import RunStatistics
 from repro.sim.engine import Simulator
 from repro.sim.events import NORMAL_BIAS
-from repro.sim.monitor import Tally
 from repro.workload.params import SimulationParameters
 
 
@@ -332,7 +331,6 @@ class TestMetricsRegistry:
 class TestSharedPercentile:
     def test_empty_input_is_zero_everywhere(self):
         assert percentile([], 0.5) == 0.0
-        assert Tally("empty").percentile(0.5) == 0.0
         assert RunStatistics(technique="t").percentile(0.5) == 0.0
 
     def test_fraction_out_of_range_raises(self):
@@ -343,13 +341,9 @@ class TestSharedPercentile:
 
     def test_interpolation_matches_across_implementations(self):
         values = [5.0, 1.0, 4.0, 2.0, 3.0]
-        tally = Tally("rt")
-        for value in values:
-            tally.observe(value)
         stats = RunStatistics(technique="t", response_times=list(values))
         for fraction in (0.0, 0.25, 0.5, 0.75, 0.9, 1.0):
             expected = percentile(values, fraction)
-            assert tally.percentile(fraction) == expected
             assert stats.percentile(fraction) == expected
         assert percentile(values, 0.5) == 3.0
         assert percentile(values, 0.75) == 4.0
@@ -361,13 +355,6 @@ class TestSharedPercentile:
         assert summary["mean"] == pytest.approx(2.5)
         assert summary["min"] == 1.0 and summary["max"] == 4.0
         assert summary["p50"] == pytest.approx(2.5)
-
-    def test_tally_snapshot_is_an_independent_copy(self):
-        tally = Tally("rt")
-        tally.observe(1.0)
-        first = tally.snapshot()
-        first.append(99.0)
-        assert tally.snapshot() == [1.0]
 
 
 # ----------------------------------------------------------- kernel profile

@@ -16,26 +16,12 @@ from repro.db import (CommittedTransaction, Item, ItemStore, LockManager,
 from repro.db.items import INITIAL
 from repro.db.wal import LogRecord, LogRecordType
 from repro.network import Dispatcher, Message, Node
-from repro.sim import RandomStreams, Simulator, Tally
+from repro.sim import RandomStreams, Simulator
 from tests.reference_dispatcher import ReferenceDispatcher
 from tests.reference_item_store import ReferenceItemStore
 
 
 # --------------------------------------------------------------------------- sim
-@given(st.lists(st.floats(min_value=0.0, max_value=1e6,
-                          allow_nan=False, allow_infinity=False),
-                min_size=1, max_size=200))
-def test_tally_statistics_are_consistent(values):
-    tally = Tally()
-    tally.extend(values)
-    slack = 1e-9 * (abs(tally.maximum) + 1.0)      # float accumulation error
-    assert tally.minimum - slack <= tally.mean <= tally.maximum + slack
-    assert tally.percentile(0.0) == tally.minimum
-    assert tally.percentile(1.0) == tally.maximum
-    assert tally.percentile(0.25) <= tally.percentile(0.75) + slack
-    assert tally.count == len(values)
-
-
 @given(st.integers(min_value=0, max_value=2**32),
        st.text(min_size=1, max_size=20))
 def test_random_streams_reproducible_for_any_seed_and_name(seed, name):

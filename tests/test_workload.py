@@ -65,7 +65,7 @@ def test_every_parameter_is_a_table4_row_or_an_axis_something_sets():
                      if isinstance(node, ast.keyword)}
     fields = [field.name for field in dataclasses.fields(SimulationParameters)]
     assert [name for name in fields if name not in used] == []
-    assert len(fields) == 25
+    assert len(fields) == 24
 
 
 def test_parameter_overrides_and_small_profile():
