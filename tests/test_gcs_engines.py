@@ -77,7 +77,8 @@ def model_digest(deliveries, results):
 
 
 def run_scenario(technique, *, seed=11, engine=DEFAULT_ENGINE,
-                 crash_coordinator=False, log_time=0.0, traced=False):
+                 detector="perfect", crash_coordinator=False, log_time=0.0,
+                 traced=False):
     """One 24-transaction closed scenario, optionally crashing s1.
 
     Returns ``(cluster, results, trace, deliveries)`` — the same driver the
@@ -86,7 +87,8 @@ def run_scenario(technique, *, seed=11, engine=DEFAULT_ENGINE,
     delivery (both ``None`` otherwise).
     """
     params = SimulationParameters.small(server_count=3, item_count=120) \
-        .with_overrides(broadcast_engine=engine)
+        .with_overrides(broadcast_engine=engine,
+                        failure_detector_mode=detector)
     cluster = ReplicatedDatabaseCluster(technique, params=params, seed=seed,
                                         gcs_delivery_log_time=log_time)
     trace = deliveries = None
@@ -187,6 +189,18 @@ GOLDEN = {
         model="c8cb6be533fd3b0716957cb51b5a59df5148b126"
               "4e755ef57b9a1a69bec93996",
         stats=(15, 24, 246, 246, 2651)),
+    # The one scenario on a heartbeat code path (the five above run the
+    # perfect detector): Multi-Paxos, s1 — the leader — crashed and
+    # recovered, so beats stop, a suspicion and a restore are swept, and the
+    # recovered member beats again at its own phase.
+    "paxos-heartbeat-crash": dict(
+        technique="group-safe", engine="multi-paxos", detector="heartbeat",
+        crash=True, log_time=0.0,
+        digest="0ed2e583552cd9794cb584f20c3b2c08e2c7c31b"
+               "0fd1d73565b2afa503c24601",
+        model="ed8f1d2312f7d4903d77242cf56671f087024e55"
+              "ce72e71b1ea5402b9b4b764c",
+        stats=(15, 24, 1252, 1226, 4521)),
 }
 
 
@@ -194,8 +208,10 @@ GOLDEN = {
 def test_fixed_sequencer_reproduces_the_seed_traces(name):
     golden = GOLDEN[name]
     cluster, results, trace, deliveries = run_scenario(
-        golden["technique"], crash_coordinator=golden["crash"],
-        log_time=golden["log_time"], traced=True)
+        golden["technique"], engine=golden.get("engine", DEFAULT_ENGINE),
+        detector=golden.get("detector", "perfect"),
+        crash_coordinator=golden["crash"], log_time=golden["log_time"],
+        traced=True)
     assert scenario_stats(cluster, results) == golden["stats"]
     assert model_digest(deliveries, results) == golden["model"]
     assert trace_digest(trace) == golden["digest"]
