@@ -204,17 +204,25 @@ class Lan:
         """Send one copy of ``message`` to every destination (default: all nodes).
 
         The sender receives its own copy too; self-delivery is how a process
-        learns the total order of its own broadcasts.  Each copy is sent as
-        :meth:`send` would (its own drop checks, loss draw and ``sent_at``);
-        consecutive copies with the same delay travel as one event that
-        delivers them in destination order — they would hold consecutive
-        tie-break tickets at one instant, so nothing could sort between them.
+        learns the total order of its own broadcasts.  The copies share the
+        message id and travel as :meth:`send_all` sends them.
         """
         names = destinations if destinations is not None else self._nodes
+        self.send_all([message.with_destination(name) for name in names])
+
+    def send_all(self, messages: Iterable[Message]) -> None:
+        """Send several point-to-point messages issued at one instant.
+
+        Each is sent as :meth:`send` would (its own drop checks, loss draw
+        and ``sent_at``); consecutive ones with the same delay travel as one
+        wire event that delivers them in the order given — sent one by one,
+        they would hold consecutive tie-break tickets at their arrival
+        instant, so nothing could sort between them.
+        """
         run_delay: Optional[float] = None
         run: List[Tuple[Message, Node]] = []
-        for name in names:
-            admitted = self._admit(message.with_destination(name))
+        for message in messages:
+            admitted = self._admit(message)
             if admitted is None:
                 continue
             delay, delivery = admitted

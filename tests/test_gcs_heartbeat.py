@@ -8,7 +8,11 @@ fault, and the mode selection plumbed through the GCS composition root.
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gcs import GroupCommunicationSystem
 from repro.gcs.failure_detector import (FailureDetector,
@@ -16,6 +20,7 @@ from repro.gcs.failure_detector import (FailureDetector,
                                         build_failure_detector)
 from repro.network import Dispatcher, Lan, LinkFault, Node
 from repro.sim import Simulator
+from tests.reference_heartbeat import ReferenceHeartbeatDetector
 
 
 def build_detector(member_count=3, period=10.0, timeout=50.0, seed=7):
@@ -119,6 +124,117 @@ def test_asymmetric_isolation_still_reaches_quorum_silence():
     sim.run(until=300.0)
     assert detector.is_suspected("s3")
     assert not detector.is_suspected("s1")
+
+
+def test_a_healthy_period_is_one_tick_one_wire_six_receptions_one_sweep():
+    """The event bill of heartbeating, per period of a healthy 3-member
+    group: the tick, one wire event carrying all six beats, a reception
+    charge per beat, and the sweep."""
+    sim, lan, nodes, detector = build_detector()
+    sim.run(until=95.0)
+    events = sim.scheduled_events
+    sim.run(until=195.0)
+    assert sim.scheduled_events - events == 10 * (1 + 1 + 6 + 1)
+    assert detector.suspicion_count == 0
+
+
+# -- ticks versus the per-member beat processes --------------------------------------
+class _FreshnessLog(dict):
+    """A freshness map that records every write as (time, observer, member)."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.writes = []
+
+    def __setitem__(self, key, value):
+        self.writes.append((value, *key))
+        super().__setitem__(key, value)
+
+
+def _fault(name, nodes):
+    kind, first, second = name.split(":")
+    a, b = nodes[int(first)].name, nodes[int(second)].name
+    if kind == "isolate":
+        return LinkFault.isolate(name, a, [node.name for node in nodes])
+    if kind == "deaf":
+        return LinkFault.asymmetric(name, [(a, b)])
+    if kind == "lossy":
+        return LinkFault.lossy(name, [a], [b], 0.5)
+    return LinkFault.slow(name, [a], [b], 3.0)
+
+
+def drive_detector(detector_class, member_count, late, schedule):
+    """``member_count`` nodes, the last ``late`` of them watched only by a
+    ``watch`` action; ``schedule`` = [(ms, action)]: toggle a node (crash,
+    or recover and restart its dispatcher), watch the next late node, or
+    toggle a named link fault."""
+    sim = Simulator(seed=3)
+    lan = Lan(sim)
+    nodes = [lan.attach(Node(sim, f"s{i}")) for i in range(1, member_count + 1)]
+    detector = detector_class(sim, lan, nodes[:member_count - late])
+    freshness = detector._last_heard = _FreshnessLog(detector._last_heard)
+    announcements = []
+    detector.subscribe(lambda member, kind:
+                       announcements.append((sim.now, member, kind)))
+    dispatchers = [Dispatcher(sim, node) for node in nodes]
+    for node, dispatcher in zip(nodes, dispatchers):
+        detector.bind_dispatcher(node.name, dispatcher)
+        dispatcher.start()
+    unwatched = nodes[member_count - late:]
+
+    def toggle(index):
+        node = nodes[index % member_count]
+        if node.is_up:
+            node.crash()
+        else:
+            node.recover()
+            dispatchers[index % member_count].start()
+
+    def watch():
+        if unwatched:
+            detector.watch(unwatched.pop(0))
+
+    def link(name):
+        if name in lan.active_faults():
+            lan.remove_fault(name)
+        else:
+            lan.install_fault(_fault(name, nodes))
+
+    actions = {"toggle": toggle, "watch": watch, "link": link}
+    for when, (action, *args) in schedule:
+        sim.call_at(when, partial(actions[action], *args))
+    sim.run(until=400.0)
+    return (freshness.writes, announcements, lan.sent_count,
+            lan.delivered_count, lan.dropped_by_cause,
+            [node.cpu.busy_time for node in nodes]), sim.scheduled_events
+
+
+FAULT_NAMES = [f"{kind}:{a}:{b}" for kind in ("isolate", "deaf", "lossy", "slow")
+               for a in range(3) for b in range(3) if a != b]
+DETECTOR_ACTIONS = st.one_of(
+    st.tuples(st.just("toggle"), st.integers(min_value=0, max_value=4)),
+    st.tuples(st.just("watch")),
+    st.tuples(st.just("link"), st.sampled_from(FAULT_NAMES)))
+
+
+@given(st.integers(min_value=3, max_value=5), st.integers(min_value=0,
+                                                          max_value=2),
+       st.lists(st.tuples(st.integers(min_value=1, max_value=380)
+                          .map(float), DETECTOR_ACTIONS),
+                unique_by=lambda entry: entry[0], max_size=14))
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_ticks_match_the_per_member_beat_processes(member_count, late,
+                                                   schedule):
+    """Same freshness writes and announcements, at the same instants, under
+    crashes, recoveries, late watches and link faults — including actions
+    on the very instants the members beat and the sweep runs."""
+    late = min(late, member_count - 2)
+    ticks, tick_events = drive_detector(HeartbeatFailureDetector,
+                                        member_count, late, schedule)
+    reference, reference_events = drive_detector(
+        ReferenceHeartbeatDetector, member_count, late, schedule)
+    assert ticks == reference
+    assert tick_events < reference_events
 
 
 def test_build_failure_detector_selects_modes():
