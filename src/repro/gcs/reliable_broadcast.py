@@ -11,6 +11,13 @@ protocol handlers: sends are queued on a served store
 (:meth:`repro.sim.resources.Store.serve`), which is what gives every protocol
 message its CPU cost — one charge, then the LAN; nothing else is scheduled.
 
+Table 4 prices "a message or a broadcast on the network" alike, and a
+network operation at one CPU charge: :meth:`ReliableBroadcastLayer.send`
+queues a unicast, :meth:`ReliableBroadcastLayer.broadcast` one message to a
+set of destinations — either way one outbox item and one charge, then one
+LAN operation (:meth:`~repro.network.lan.Lan.broadcast` for the latter, so
+every copy arrives one latency after the single charge).
+
 The total-order engines (:mod:`repro.gcs.fixed_sequencer`,
 :mod:`repro.gcs.paxos`) are written against this layer only; they never talk
 to the LAN directly.
@@ -18,7 +25,7 @@ to the LAN directly.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence, Tuple
 
 from ..core.layers import implements, uses
 from ..network.lan import Lan
@@ -49,13 +56,25 @@ class ReliableBroadcastLayer:
     def start(self) -> None:
         """Start sending: messages queued so far go out first."""
         if not self._outbox.is_served:
-            self.node.serve(self._outbox, self.lan.send)
+            self.node.serve(self._outbox, self._transmit)
 
     # ------------------------------------------------------------------ sending
     def send(self, message: Message) -> None:
         """Queue one protocol message: one network operation of the node's
         CPU, then the LAN."""
-        self._outbox.put(message)
+        self._outbox.put((message, None))
+
+    def broadcast(self, message: Message, destinations: Sequence[str]) -> None:
+        """Queue one protocol message for every destination: one network
+        operation of the node's CPU, then one LAN broadcast."""
+        self._outbox.put((message, destinations))
+
+    def _transmit(self, item: Tuple[Message, Optional[Sequence[str]]]) -> None:
+        message, destinations = item
+        if destinations is None:
+            self.lan.send(message)
+        else:
+            self.lan.broadcast(message, destinations)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"<ReliableBroadcastLayer {self.member_name}>"

@@ -264,9 +264,12 @@ class TotalOrderEngine:
                              payload=payload))
 
     def _post_view(self, kind: str, payload: Any) -> None:
-        """Post one protocol message per current view member."""
-        for member in self.group.view().members:
-            self._post(kind, member, payload)
+        """Post one protocol message to every current view member (this one
+        included) as one network operation: one send charge, one LAN
+        broadcast, a copy per member one latency later."""
+        self.rb.broadcast(Message(sender=self.member_name, destination="*",
+                                  kind=kind, payload=payload),
+                          self.group.view().members)
 
     # ------------------------------------------------------------------ ordering → delivery
     def _try_deliver(self) -> None:

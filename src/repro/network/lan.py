@@ -5,6 +5,11 @@ message or a broadcast on the network, and 0.07 ms of CPU time per network
 operation.  The :class:`Lan` therefore delivers every message after a fixed
 (optionally jittered) latency, and charges no bandwidth: a 100 Mb/s switched
 LAN is effectively uncontended at the message sizes and rates of the study.
+A broadcast is one operation like a message: its copies leave at once and
+arrive one latency later, and the sender pays one CPU charge for it (the
+layer above charges, :mod:`repro.gcs.reliable_broadcast`).  Copies, and
+any messages issued together (:meth:`Lan.send_all`), that share a delay
+travel as one wire event.
 
 Messages addressed to a crashed node are dropped, as are messages whose
 sender and destination are separated by an active partition, and — when a

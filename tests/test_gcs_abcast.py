@@ -254,29 +254,60 @@ def test_multi_paxos_message_bill_is_4n_plus_1(member_count):
 
 
 @pytest.mark.parametrize("engine", ("fixed-sequencer", "multi-paxos"))
-def test_a_lan_message_is_three_kernel_events(engine):
-    """The event bill of the message path, beside its message bill: send
-    charge, wire, reception charge — the three things that take simulated
-    time.  The hand-offs in between (outbox → CPU, inbox → CPU) take none
-    and are not events (they were: 5 per message before the served store),
-    so the next zero-delay hop added to the path fails here."""
+def test_a_unicast_is_three_kernel_events_a_view_post_n_plus_two(engine):
+    """The event bill of the message path, beside its message bill: a post
+    costs one send charge and one wire event, and each copy it delivers one
+    reception charge — the things that take simulated time.  A unicast is
+    therefore 3 events and a view post to N members N + 2.  The hand-offs in
+    between (outbox → CPU, inbox → CPU) take none and are not events (they
+    were: 5 per message before the served store), so the next zero-delay
+    hop added to the path fails here."""
     sim, lan, nodes, gcs = build_group(3, engine=engine)
     delivered = {node.name: [] for node in nodes}
     attach_consumers(sim, gcs, nodes, delivered)
     broadcast_sequentially(sim, gcs, nodes, 1)      # past any phase 1
-    events, messages = sim.scheduled_events, lan.delivered_count
+    copies = Counter()              # message id -> copies delivered
+    deliver = lan._deliver
+
+    def recording_deliver(message, destination):
+        copies[message.message_id] += 1
+        deliver(message, destination)
+
+    lan._deliver = recording_deliver
+    events = sim.scheduled_events
     broadcasts = 6
     broadcast_sequentially(sim, gcs, nodes, broadcasts)
     events = sim.scheduled_events - events
-    messages = lan.delivered_count - messages
 
     assert sim.queued_events == 0 and lan.dropped_count == 0
     assert all(len(log) == 1 + broadcasts for log in delivered.values())
+    # The copies of a view post share its message id; a unicast has its own.
+    assert set(copies.values()) == {1, len(nodes)}
+    unicasts = sum(1 for count in copies.values() if count == 1)
+    view_posts = len(copies) - unicasts
     # Above the message path each A-delivery costs three more: the delivery
     # process and the consumer are parked on stores (a ``get`` each) and the
     # delivery is charged to the CPU.
     a_deliveries = broadcasts * len(nodes)
-    assert events - 3 * a_deliveries == 3 * messages
+    assert events - 3 * a_deliveries == \
+        3 * unicasts + (len(nodes) + 2) * view_posts
+
+
+@pytest.mark.parametrize("engine", ("fixed-sequencer", "multi-paxos"))
+def test_a_view_post_is_one_send_charge(engine):
+    """Table 4 prices a broadcast as one network operation: posting to the
+    whole view adds one ``cpu_time_per_network_op`` to the sender's CPU,
+    not one per member."""
+    sim, lan, nodes, gcs = build_group(5, engine=engine)
+    sim.run(until=10.0)
+    sender = nodes[0]
+    busy = sender.cpu.busy_time
+    gcs.endpoint(sender.name)._post_view("TEST.POST", None)
+    sim.run()
+    assert lan.delivered_count == len(nodes)
+    # The send charge, plus the reception charge of the sender's own copy.
+    assert sender.cpu.busy_time - busy == \
+        pytest.approx(2 * sender.cpu_time_per_network_op, abs=1e-12)
 
 
 # ---------------------------------------------------------------- view changes

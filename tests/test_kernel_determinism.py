@@ -106,6 +106,12 @@ class TestPinnedSeedValues:
     CPU it now sorts by arrival order.  That is a declared order (ROADMAP
     3(2)), not an accident of how many hops the kernel took; inline open
     gates and unqueued waiter-less completions alone leave the number exact.
+
+    Re-pinned for a cost-model change (81 → 80 commits, 72.7491009360775 →
+    71.94061683576605 ms; 0 aborts unchanged): a view-wide post is one
+    network operation, one send charge and one LAN broadcast, as Table 4
+    prices it, so every copy arrives one latency after the charge instead
+    of one charge later per member.  The figure-5 scenario did not move.
     """
 
     def test_figure5_scenario_is_unchanged(self):
@@ -119,10 +125,10 @@ class TestPinnedSeedValues:
     def test_group_safe_load_point_is_unchanged(self):
         point = run_load_point("group-safe", 30.0, duration_ms=4_000.0,
                                warmup_ms=1_000.0, seed=5)
-        assert point.committed_transactions == 81
+        assert point.committed_transactions == 80
         assert point.aborted_transactions == 0
         assert point.mean_response_time_ms == \
-            pytest.approx(72.7491009360775, abs=1e-9)
+            pytest.approx(71.94061683576605, abs=1e-9)
 
 
 def test_engine_read_matches_buffer_read_item():

@@ -51,23 +51,23 @@ def _run_leader_outage(seed: int, recover_at_ms: float, load_until_ms: float,
 @pytest.mark.xfail(strict=True, reason="Multi-Paxos: a transaction in flight "
                    "when the old leader rejoins may never be answered")
 def test_every_request_is_answered_when_the_old_leader_rejoins_under_load():
-    # Cell seed 2, leader recovered at 15 333 ms: the transaction submitted
-    # to s9 at 15 251 ms is still pending on a running delegate long after.
+    # Cell seed 12, leader recovered at 15 333 ms: the transaction submitted
+    # to s9 at 15 295 ms is still pending on a running delegate long after.
     _cluster, clients, _leader = _run_leader_outage(
-        seed=2, recover_at_ms=WARMUP_MS + 2.0 * WINDOW_MS / 3.0,
+        seed=12, recover_at_ms=WARMUP_MS + 2.0 * WINDOW_MS / 3.0,
         load_until_ms=24_000.0, settle_ms=6_000.0)
     assert clients.submitted_count == len(clients.results)
 
 
 @pytest.mark.xfail(strict=True, reason="Multi-Paxos: a transaction confirmed "
-                   "just before the old leader rejoins may be missing on it")
+                   "as the old leader rejoins may be missing on it")
 def test_rejoined_leader_holds_every_confirmed_transaction():
-    # Cell seed 10, leader recovered at 23 000 ms: the transaction submitted
-    # to s8 at 22 940 ms and confirmed at 23 001 ms, as the rejoin starts, is
-    # applied on s2-s9 but never on the rejoined s1 (6 divergent items after
-    # 30 000 ms of quiet).
+    # Cell seed 92, leader recovered at 23 000 ms: the transactions submitted
+    # to s5 at 22 904 ms and to s6 at 22 921 ms and confirmed at 23 230 ms
+    # and 23 232 ms, while the rejoin is under way, are applied on s2-s9 but
+    # never on the rejoined s1 (18 divergent items after 30 000 ms of quiet).
     cluster, clients, leader = _run_leader_outage(
-        seed=10, recover_at_ms=23_000.0, load_until_ms=24_000.0,
+        seed=92, recover_at_ms=23_000.0, load_until_ms=24_000.0,
         settle_ms=30_000.0)
     assert leader in cluster.gcs.membership.view
     rejoined = cluster.database(leader).testable
