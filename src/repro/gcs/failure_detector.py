@@ -154,19 +154,20 @@ class HeartbeatFailureDetector(_SuspicionOracle):
     the members watched at construction share one chain of ticks, and each
     tick stamps every live member's own beat, then hands all their beats to
     the LAN at once (:meth:`~repro.network.lan.Lan.send_all` — one wire
-    event per distinct delay).  A crash takes the member off its chain; a
-    member that starts later (recovery, :meth:`watch`) gets a chain of its
-    own, at its own phase.  Receivers record last-heard times through their
-    dispatcher (:meth:`bind_dispatcher`); the member's own beat counts as a
-    local self-observation.  A periodic sweep suspects member ``M`` exactly
-    when fewer than a majority of the group has heard from ``M`` within
+    event per run of equal delays, so one per tick on a healthy LAN).  A
+    crash takes the member off its chain; a member that starts later
+    (recovery, :meth:`watch`) gets a chain of its own, at its own phase.
+    Receivers record last-heard times through their dispatcher
+    (:meth:`bind_dispatcher`); the member's own beat counts as a local
+    self-observation.  A periodic sweep suspects member ``M`` exactly when
+    fewer than a majority of the group has heard from ``M`` within
     ``timeout`` — so a netsplit suspects the minority side, a crash suspects
     the crashed node, and a single slow or lossy link alone suspects nobody.
 
-    One tick does what one beat process per member did, with the same
-    messages at the same instants: the beats of one chain would hold
-    consecutive tie-break tickets at their instant, so nothing could sort
-    between them (``tests/reference_heartbeat.py`` keeps the processes).
+    A tick is exact: sent one member at a time, the beats of one chain
+    would hold consecutive tie-break tickets at their instant, so nothing
+    could sort between them (``tests/reference_heartbeat.py`` drives a beat
+    process per member against it).
     All timing is driven by the two fixed knobs; the detector draws no
     randomness, so runs stay deterministic.
     """
