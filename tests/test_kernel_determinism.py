@@ -8,6 +8,8 @@ ordering, same statistics.  Two layers of protection:
 * *run-twice identity* — a mixed partitioned scenario (Zipf skew,
   cross-partition 2PC, a live migration under load) run twice with the same
   seed produces identical event-trace digests and identical statistics;
+* *pinned migrations* — that scenario and one aborted migration, pinned to
+  concrete digests so a reordered step of the migration protocol shows;
 * *pinned seed values* — concrete numbers recorded from the seed kernel
   (pre-optimisation) that the current kernel must still reproduce exactly.
 """
@@ -73,6 +75,62 @@ def test_golden_trace_digest_is_sensitive_to_the_seed():
     digest_a, _ = _mixed_run(seed=71)
     digest_b, _ = _mixed_run(seed=72)
     assert digest_a != digest_b
+
+
+class TestPinnedMigrationRuns:
+    """The live-migration protocol, pinned event for event.
+
+    Run-twice identity cannot catch a reordered spawn or yield inside the
+    migration driver, so both outcomes of the protocol are pinned here: the
+    completed rebalance of :func:`_mixed_run` and a migration aborted by a
+    crash of the whole destination group at the ``migration.fence``
+    failpoint.  A refactor of the migration code must leave both unedited.
+    """
+
+    def test_completed_migration_is_pinned(self):
+        digest, stats = _mixed_run(seed=71)
+        assert digest == ("082d5e60855217e70e714ce6100a8397"
+                          "a905f9679847900bcdd5cded513aaa55")
+        assert stats[:4] == (177, 479, 2, 1)
+        assert _digest(stats[4]) == ("f855451209ed928e1ce21d7eaa965ae6"
+                                     "80297a8633c62d3fba5917c268c4370d")
+        assert stats[5:] == (4800, 4800, 198, 34493)
+
+    def test_aborted_migration_is_pinned(self):
+        params = SimulationParameters.small(server_count=3, item_count=120)
+        cluster = PartitionedCluster("group-safe", params=params, seed=5,
+                                     partition_count=2, strategy="range")
+        trace = cluster.sim.enable_trace()
+        cluster.start()
+        clients = PartitionedOpenLoopClients(cluster, load_tps=40.0,
+                                             warmup=0.0)
+        clients.start()
+        cluster.add_failpoint("migration.fence",
+                              lambda context: cluster.crash_partition(1))
+        cluster.run(until=1_000.0)
+        driver = cluster.migrate(0, destination_group=1)
+        cluster.run(until=12_000.0)
+
+        report = driver.value
+        assert (report.aborted, report.abort_reason, report.epoch,
+                report.verified) == (True, "destination-unavailable", None,
+                                     False)
+        assert (report.keys_copied, report.delta_keys_copied,
+                report.forwarded_writes, report.copy_chunks,
+                report.copy_inflight_peak) == (60, 0, 25, 2, 2)
+        assert report.started_at == 1_000.0
+        assert report.fence_started_at == report.copy_completed_at == \
+            1287.6678438145013
+        assert report.completed_at == 0.0
+        assert cluster.routing.epoch == 0
+        assert not cluster.routing.has_fences
+        assert not cluster.migration_active
+        assert cluster.failpoints_fired == {"migration.fence": 1}
+        assert (clients.committed_count, clients.submitted_count,
+                cluster.lan.sent_count, cluster.sim.scheduled_events) == \
+            (76, 268, 2100, 31429)
+        assert _digest(trace) == ("7e9903d7ea353418af2af9bdcff89e70"
+                                  "24c4d0302737a2cd1e1599fc861ad383")
 
 
 def test_trace_hook_records_every_processed_event():
