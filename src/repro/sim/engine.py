@@ -208,12 +208,6 @@ class Simulator:
             raise process.value
         return process.value
 
-    def peek(self) -> float:
-        """Return the time of the next event, or ``float('inf')`` if none."""
-        if not self._queue:
-            return float("inf")
-        return self._queue[0][0]
-
     @property
     def queued_events(self) -> int:
         """Number of events currently waiting in the queue."""
