@@ -56,6 +56,16 @@ class LogRecord:
     commit_order: Optional[int] = None
     lsn: Optional[int] = None
 
+    @classmethod
+    def decision(cls, txn_id: str) -> "LogRecord":
+        """A cross-partition coordinator's decision record for ``txn_id``."""
+        return cls(LogRecordType.DECISION, txn_id)
+
+    @classmethod
+    def epoch(cls, epoch: int, payload: Dict[str, object]) -> "LogRecord":
+        """A routing-table epoch record (serialised ownership map)."""
+        return cls(LogRecordType.EPOCH, f"epoch-{epoch}", payload=dict(payload))
+
 
 class WriteAheadLog:
     """Per-server write-ahead log with explicit flush timing.
@@ -106,16 +116,6 @@ class WriteAheadLog:
     def append_abort(self, txn_id: str) -> LogRecord:
         """Append an abort record for ``txn_id``."""
         return self.append(LogRecord(LogRecordType.ABORT, txn_id))
-
-    def append_decision(self, txn_id: str) -> LogRecord:
-        """Append a coordinator decision record for ``txn_id``."""
-        return self.append(LogRecord(LogRecordType.DECISION, txn_id))
-
-    def append_epoch(self, epoch: int,
-                     payload: Dict[str, object]) -> LogRecord:
-        """Append a routing-table epoch record (serialised ownership map)."""
-        return self.append(LogRecord(LogRecordType.EPOCH, f"epoch-{epoch}",
-                                     payload=dict(payload)))
 
     # -- gray failures ----------------------------------------------------------
     def degrade_disk(self, factor: float) -> None:
@@ -170,15 +170,19 @@ class WriteAheadLog:
                 gate.open()
 
     def force(self, record: LogRecord):
-        """Generator: flush and report whether ``record`` became durable.
+        """Generator: append ``record``, flush, report whether it is durable.
 
         The forced-write discipline of the 2PC decision and routing-epoch
         records: success is judged by *evidence* — the record must actually
         be on stable storage afterwards — so a crash mid-flush (the
         volatile tail dies with the node) reads as failure, never as a
-        phantom forced write.  Callers must still check the node is up
-        *before* appending the record; this only judges the flush.
+        phantom forced write.  A crashed node appends nothing and returns
+        False: a record left in its volatile tail would survive recovery
+        and could later flush as a phantom record.
         """
+        if self.node.is_crashed:
+            return False
+        self.append(record)
         try:
             yield from self.flush()
         except Exception:

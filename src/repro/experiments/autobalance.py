@@ -25,8 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..partition.cluster import MigrationReport, PartitionedCluster
+from ..partition.cluster import PartitionedCluster
 from ..partition.controller import ControllerStats, RebalanceController
+from ..partition.migration import MigrationReport
 from ..partition.routing import RoutingTable
 from ..partition.stats import PartitionedRunStatistics, collect_statistics
 from ..partition.workload import PartitionedOpenLoopClients
@@ -90,7 +91,6 @@ def run_autobalance_experiment(controlled: bool = True,
                                share_threshold: float = 0.45,
                                cooldown_windows: int = 2,
                                hysteresis_windows: int = 4,
-                               copy_concurrency: Optional[int] = None,
                                seed: int = 33,
                                params: Optional[SimulationParameters] = None,
                                observability: bool = False
@@ -120,8 +120,7 @@ def run_autobalance_experiment(controlled: bool = True,
         controller = RebalanceController(
             cluster, window_ms=window_ms, share_threshold=share_threshold,
             cooldown_windows=cooldown_windows,
-            hysteresis_windows=hysteresis_windows,
-            copy_concurrency=copy_concurrency)
+            hysteresis_windows=hysteresis_windows)
         controller.start()
     clients = PartitionedOpenLoopClients(cluster, load_tps=load_tps,
                                          warmup=warmup_ms)

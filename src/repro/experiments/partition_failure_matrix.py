@@ -51,8 +51,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.audit import ConfirmedWrite, Finding, FindingKind, audit_writes
-from ..partition.cluster import MigrationReport, PartitionedCluster
+from ..partition.cluster import PartitionedCluster
 from ..partition.coordinator import CrossPartitionOutcome
+from ..partition.migration import MigrationReport
 from ..workload.params import SimulationParameters
 from .harness import (SMOKE_TECHNIQUES, TECHNIQUES, TRACE_ARGUMENT, LossCell,
                       advance_until, confirm, demonstrated, loss_bars,

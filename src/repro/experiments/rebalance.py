@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..core.audit import ConfirmedWrite, audit_writes
-from ..partition.cluster import MigrationReport, PartitionedCluster
+from ..partition.cluster import PartitionedCluster
+from ..partition.migration import MigrationReport
 from ..partition.stats import PartitionedRunStatistics, collect_statistics
 from ..partition.workload import (PartitionedOpenLoopClients,
                                   _PartitionedClientBase)

@@ -18,9 +18,12 @@ drivers keep submitting.
 * :mod:`~repro.partition.coordinator` — the cross-partition atomic-commit
   protocol (2PC whose participants are replica groups, with branch-epoch
   validation and crash-recovery decision replay);
-* :mod:`~repro.partition.cluster` — the :class:`PartitionedCluster` facade,
-  including the live-migration driver (overlapped, throttled copy) and the
-  :meth:`~repro.partition.cluster.PartitionedCluster.rebalance` entry point;
+* :mod:`~repro.partition.cluster` — the :class:`PartitionedCluster` facade:
+  submission, failpoints, crash / recovery, and the ``migrate()`` and
+  :meth:`~repro.partition.cluster.PartitionedCluster.rebalance` entry points;
+* :mod:`~repro.partition.migration` — the live-migration protocol as one
+  ``Migration`` object (overlapped, throttled copy, dual writes, fence and
+  drain, force-logged epoch bump) and its :class:`MigrationReport`;
 * :mod:`~repro.partition.controller` — the autobalance
   :class:`RebalanceController`: windowed load watching, thresholds,
   cooldowns and hysteresis driving ``rebalance()`` with no operator;
@@ -29,11 +32,12 @@ drivers keep submitting.
 * :mod:`~repro.partition.stats` — aggregated run statistics.
 """
 
-from .cluster import MigrationReport, PartitionedCluster
+from .cluster import PartitionedCluster
 from .controller import ControllerStats, RebalanceController
 from .coordinator import (ABORT_TIMEOUT, ABORT_UNAVAILABLE, ABORT_VALIDATION,
                           ABORT_WRONG_EPOCH, BranchOutcome,
                           CrossPartitionCoordinator, CrossPartitionOutcome)
+from .migration import MigrationReport
 from .router import TransactionRouter
 from .routing import (STRATEGIES, KeyRange, RoutingSnapshot, RoutingTable,
                       ShardAssignment, WrongEpochError, position_of_key)

@@ -12,24 +12,10 @@ count as long as transactions stay within one partition.
 Ownership of the keyspace is *live state*: an epoch-versioned
 :class:`~repro.partition.routing.RoutingTable` maps key ranges to groups and
 supports online :meth:`split_shard` / :meth:`merge_shards` /
-:meth:`migrate`, all while the load drivers keep submitting.  Migration is a
-mini-protocol layered on the existing pieces:
-
-1. **Copy.**  The range's items are read on a source delegate and installed
-   on the destination group as ordinary update-only transactions through the
-   group's *own* replication technique — so the copy is exactly as durable
-   and as replicated as any transaction of that group.
-2. **Dual-write window.**  From the moment the migration starts, every
-   client or 2PC write that commits into the migrating range on the source
-   is forwarded to the destination the same way, keeping the copy fresh.
-3. **Fence.**  A brief write fence refuses new submissions into the range
-   (:class:`~repro.partition.routing.WrongEpochError`; the submission path
-   retries), in-flight writers are drained, and a delta pass re-copies every
-   key whose version moved since the warm copy.
-4. **Epoch bump.**  The *new* ownership map is force-logged (an ``EPOCH``
-   write-ahead-log record) on the destination delegate before it is
-   installed — so a crash mid-migration recovers to a consistent map: old
-   owner before the record is durable, new owner after.
+:meth:`migrate`, all while the load drivers keep submitting.  The live
+migration protocol (copy, dual writes, fence and drain, force-logged epoch
+bump) is :class:`~repro.partition.migration.Migration`; this facade starts
+it and feeds it every write that lands on its source group.
 
 Single-partition transactions are routed straight to the owning group (the
 fast path); transactions spanning several partitions go through the
@@ -56,8 +42,8 @@ Typical use::
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 from ..db.operations import TransactionProgram
 from ..db.wal import LogRecord
@@ -72,70 +58,11 @@ from ..sim.process import Process
 from ..workload.params import SimulationParameters
 from .coordinator import (ABORT_WRONG_EPOCH, CrossPartitionCoordinator,
                           CrossPartitionOutcome)
-from .routing import KeyRange, RoutingTable, WrongEpochError
+from .migration import (COPY_BUDGET_TPS, COPY_CONCURRENCY, COPY_MIN_TPS,
+                        Migration, MigrationReport)
+from .routing import RoutingTable, WrongEpochError
 from .router import TransactionRouter
 from .workload import PartitionedWorkloadGenerator
-
-
-@dataclass
-class MigrationReport:
-    """Everything one live migration did, for the experiments and tests."""
-
-    key_range: KeyRange
-    source_group: int
-    destination_group: int
-    started_at: float
-    fence_started_at: float = 0.0
-    completed_at: float = 0.0
-    aborted: bool = False
-    abort_reason: Optional[str] = None
-    #: Keys installed by the warm copy pass.
-    keys_copied: int = 0
-    #: Keys re-copied by the under-fence delta pass.
-    delta_keys_copied: int = 0
-    #: Client/2PC writes forwarded to the destination during the window.
-    forwarded_writes: int = 0
-    #: True once the under-fence source/destination comparison matched.
-    verified: bool = False
-    #: Epoch installed by the bump (None if the migration aborted).
-    epoch: Optional[int] = None
-    #: Copy-phase telemetry: chunk installs the driver keeps in flight.
-    copy_concurrency: int = 1
-    #: When the warm copy finished (0 while running / if it never did).
-    copy_completed_at: float = 0.0
-    #: Chunk transactions installed by the warm copy.
-    copy_chunks: int = 0
-    #: Most chunk installs observed in flight at once.
-    copy_inflight_peak: int = 0
-    #: Times the token throttle paused the copy for foreground load.
-    throttle_waits: int = 0
-    #: Total sim-time the copy spent throttled.
-    throttle_wait_ms: float = 0.0
-
-    @property
-    def completed(self) -> bool:
-        """True if the migration installed its epoch bump."""
-        return self.epoch is not None
-
-    @property
-    def duration_ms(self) -> float:
-        """Wall-clock (simulated) duration of the whole migration."""
-        end = self.completed_at or self.fence_started_at or self.started_at
-        return end - self.started_at
-
-    @property
-    def copy_duration_ms(self) -> float:
-        """How long the (overlapped, throttled) warm copy phase took."""
-        if not self.copy_completed_at:
-            return 0.0
-        return self.copy_completed_at - self.started_at
-
-    @property
-    def fence_duration_ms(self) -> float:
-        """How long new writes to the range were fenced out."""
-        if not self.fence_started_at or not self.completed_at:
-            return 0.0
-        return self.completed_at - self.fence_started_at
 
 
 @dataclass
@@ -163,18 +90,6 @@ class _Failpoint:
     fired: int = 0
 
 
-@dataclass
-class _MigrationEntry:
-    """Book-keeping of one in-flight migration (dual-writes, drain)."""
-
-    key_range: KeyRange
-    source_group: int
-    destination_group: int
-    report: MigrationReport
-    inflight: List[Process] = field(default_factory=list)
-    active: bool = True
-
-
 class PartitionedCluster:
     """Several independent replica groups sharing one simulated world."""
 
@@ -186,14 +101,6 @@ class PartitionedCluster:
     WRONG_EPOCH_MAX_BACKOFF = 50.0
     #: Submission attempts before a wrong-epoch retry gives up.
     WRONG_EPOCH_MAX_RETRIES = 100
-    #: Default chunk installs a migration's warm copy keeps in flight at
-    #: once, overlapping the destination group's commit latency.
-    DEFAULT_COPY_CONCURRENCY = 4
-    #: Combined (foreground + copy) transaction budget the copy throttles
-    #: to: the chunk dispatch rate is the budget minus the recent client
-    #: submit rate, floored at DEFAULT_COPY_MIN_TPS.
-    DEFAULT_COPY_BUDGET_TPS = 500.0
-    DEFAULT_COPY_MIN_TPS = 50.0
     #: Trailing window (ms) over which the client submit rate is measured.
     SUBMIT_RATE_WINDOW_MS = 1_000.0
 
@@ -244,8 +151,8 @@ class PartitionedCluster:
         self.workload = PartitionedWorkloadGenerator(
             self.sim, self.params, self.routing)
         self.coordinator = CrossPartitionCoordinator(self)
-        #: In-flight migrations (dual-write registration, fence drains).
-        self._migrations: List[_MigrationEntry] = []
+        #: The live migration in flight, if any (migrations are serialised).
+        self.migration: Optional[Migration] = None
         #: Per-group submissions whose response has not fired yet.  A
         #: migration starting *now* must dual-write the writes that were
         #: already in flight on its source group, not just future ones.
@@ -360,8 +267,8 @@ class PartitionedCluster:
 
     @property
     def migration_active(self) -> bool:
-        """True while any live migration is in flight."""
-        return bool(self._migrations)
+        """True while a live migration is in flight."""
+        return self.migration is not None
 
     def routing_fenced(self, keys) -> bool:
         """True if any of ``keys`` is inside a write-fenced (migrating) range."""
@@ -398,18 +305,11 @@ class PartitionedCluster:
     #:   ``delegates``).
     #: * ``2pc.decided`` — the decision record is durable and registered for
     #:   replay; phase 2 has not started (same context).
-    #: * ``migration.copy-start`` — the warm copy is about to dispatch its
-    #:   first chunk (context: ``report``).
-    #: * ``migration.copy-chunk`` — one warm-copy chunk just committed on the
-    #:   destination (context: ``report``, ``chunk_index``).
-    #: * ``migration.fence`` — the write fence is up, the drain has not
-    #:   started (context: ``report``).
-    #: * ``migration.epoch-logged`` — the new map's EPOCH record is durable
-    #:   on the destination delegate; the old owner has not been told and
-    #:   the table has not moved yet (context: ``report``, ``epoch``).
-    FAILPOINT_PHASES = ("2pc.prepared", "2pc.decided", "migration.copy-start",
-                        "migration.copy-chunk", "migration.fence",
-                        "migration.epoch-logged")
+    #: * ``migration.<phase>`` for each of
+    #:   :attr:`~repro.partition.migration.Migration.PHASES`, which lists
+    #:   the live-migration boundaries and their context.
+    FAILPOINT_PHASES = ("2pc.prepared", "2pc.decided") + tuple(
+        f"migration.{phase}" for phase in Migration.PHASES)
 
     def add_failpoint(self, phase: str,
                       callback: Callable[[Dict[str, object]], None],
@@ -533,8 +433,9 @@ class PartitionedCluster:
             self._inflight_compact_at[partition_id] = max(
                 128, 2 * len(inflight))
         inflight.append((event, program))
-        if self._migrations:
-            self._register_dual_writes(partition_id, program, event)
+        migration = self.migration
+        if migration is not None and migration.source_group == partition_id:
+            migration.register_dual_write(program, event)
         return event
 
     def submit_retrying(self, program: TransactionProgram,
@@ -595,93 +496,19 @@ class PartitionedCluster:
             return outcome
         return self.sim.spawn(waiter(), name=f"client.{program.program_id}")
 
-    # ------------------------------------------------------------------ dual writes
-    def _register_dual_writes(self, partition_id: int,
-                              program: TransactionProgram,
-                              event: Event) -> None:
-        for entry in self._migrations:
-            if entry.active and entry.source_group == partition_id:
-                self._register_dual_write_entry(entry, program, event)
-
-    def _register_dual_write_entry(self, entry: _MigrationEntry,
-                                   program: TransactionProgram,
-                                   event: Event) -> None:
-        moved = {operation.key: operation.value
-                 for operation in program.operations
-                 if operation.is_write and entry.key_range.contains(
-                     self.routing.position_of(operation.key))}
-        if moved:
-            process = self.sim.spawn(
-                self._forward_writes(entry, moved, event),
-                name=f"migration.forward.p{entry.source_group}")
-            entry.inflight.append(process)
-
-    def _forward_writes(self, entry: _MigrationEntry,
-                        values: Dict[str, object], event: Event):
-        """Generator: mirror one committed source write onto the destination.
-
-        Best-effort freshness only — interleavings between forwards and copy
-        chunks are legal because the under-fence delta pass re-copies every
-        key whose source version moved; correctness is anchored there.
-        """
-        result = yield event
-        if not getattr(result, "committed", False) or not entry.active:
-            return
-        entry.report.forwarded_writes += len(values)
-        yield from self._install_on_destination(entry, values)
-
-    def _install_on_destination(self, entry: _MigrationEntry,
-                                values: Dict[str, object],
-                                max_attempts: int = 40):
-        """Generator: install ``values`` via the destination group's own
-        replication technique (update-only, so certification is a
-        deterministic pass).  Returns True once committed."""
-        group = self.groups[entry.destination_group]
-        program = TransactionProgram.of_writes(
-            values, client=f"migration.g{entry.source_group}"
-                           f"->g{entry.destination_group}")
-        attempt = 0
-        while True:
-            attempt += 1
-            backoff = min(self.coordinator.retry_backoff * attempt,
-                          self.coordinator.max_retry_backoff)
-            up_servers = group.up_servers()
-            if not up_servers:
-                if attempt >= max_attempts:
-                    return False
-                yield self.sim.timeout(backoff)
-                continue
-            try:
-                result = yield group.submit(program, server=up_servers[0])
-            except RuntimeError:
-                yield self.sim.timeout(backoff)
-                continue
-            self.migration_txn_ids.add(result.txn_id)
-            if result.committed:
-                return True
-            if attempt >= max_attempts:
-                return False
-            yield self.sim.timeout(backoff)
-
     # ------------------------------------------------------------------ migration
     def migrate(self, shard, destination_group: int, chunk_size: int = 32,
                 fence_timeout: float = 10_000.0,
-                copy_concurrency: Optional[int] = None,
-                copy_budget_tps: Optional[float] = None,
-                copy_min_tps: Optional[float] = None) -> Process:
+                copy_concurrency: int = COPY_CONCURRENCY,
+                copy_budget_tps: float = COPY_BUDGET_TPS,
+                copy_min_tps: float = COPY_MIN_TPS) -> Process:
         """Start a live migration of ``shard`` to ``destination_group``.
 
         ``shard`` is a shard index or its exact
         :class:`~repro.partition.routing.KeyRange`.  Returns the driver
-        process; run the simulation to let it finish.  The driver aborts
-        (leaving the old owner authoritative) if either group loses all its
-        servers or the fence drain exceeds ``fence_timeout``.
-
-        The warm copy keeps up to ``copy_concurrency`` chunk transactions in
-        flight at once (overlapping the destination group's commit latency)
-        and throttles its dispatch with a token budget: chunks are issued at
-        ``copy_budget_tps`` minus the recent client submit rate, floored at
-        ``copy_min_tps`` so a saturated foreground cannot starve the copy.
+        process (:meth:`~repro.partition.migration.Migration.run`, which
+        documents the abort rules and the ``copy_*`` throttle); run the
+        simulation to let it finish.
         """
         key_range = self.routing.range_of(shard)
         source_group = self.routing.owner_of_range(key_range)
@@ -691,321 +518,14 @@ class PartitionedCluster:
             raise ValueError(
                 f"shard {key_range!r} already lives on group "
                 f"{destination_group}")
-        for entry in self._migrations:
-            if entry.active:
-                raise RuntimeError(
-                    "another migration is in flight; migrations are "
-                    "serialised to keep the force-logged epoch exact")
-        report = MigrationReport(
-            key_range=key_range, source_group=source_group,
-            destination_group=destination_group, started_at=self.sim.now)
-        self.migration_reports.append(report)
-        entry = _MigrationEntry(key_range=key_range,
-                                source_group=source_group,
-                                destination_group=destination_group,
-                                report=report)
-        self._migrations.append(entry)
-        # Writes already in flight on the source when the migration starts
-        # predate the dual-write window; register them retroactively so the
-        # fence drain waits them out and their values reach the destination.
-        for event, program in self._inflight_by_group[source_group]:
-            if not event.triggered:
-                self._register_dual_write_entry(entry, program, event)
-        return self.sim.spawn(
-            self._migration_driver(
-                entry, chunk_size, fence_timeout,
-                copy_concurrency=(copy_concurrency
-                                  if copy_concurrency is not None
-                                  else self.DEFAULT_COPY_CONCURRENCY),
-                copy_budget_tps=(copy_budget_tps
-                                 if copy_budget_tps is not None
-                                 else self.DEFAULT_COPY_BUDGET_TPS),
-                copy_min_tps=(copy_min_tps if copy_min_tps is not None
-                              else self.DEFAULT_COPY_MIN_TPS)),
-            name=f"migration.{key_range!r}"
-                 f".g{source_group}->g{destination_group}")
-
-    def _copy_chunk(self, entry: _MigrationEntry, chunk: List[str],
-                    versions_seen: Dict[str, int]):
-        """Generator: read one chunk on the source, install on the destination.
-
-        Returns None on success, else the abort reason.  Several of these run
-        concurrently (up to the driver's ``copy_concurrency``); the shared
-        ``versions_seen`` map records each key's source version *before* its
-        install, so the under-fence delta pass re-copies anything that moved.
-        """
-        source = self.groups[entry.source_group]
-        up_servers = source.up_servers()
-        if not up_servers:
-            return "source-unavailable"
-        database = source.database(up_servers[0])
-        values: Dict[str, object] = {}
-        try:
-            for key in chunk:
-                # Charge the state-transfer read on the source disk.
-                yield from database.buffer.read_item(key)
-                values[key] = database.value_of(key)
-                versions_seen[key] = database.version_of(key)
-        except Exception:
-            return "source-unavailable"
-        installed = yield from self._install_on_destination(entry, values)
-        if not installed:
-            return "destination-unavailable"
-        entry.report.keys_copied += len(chunk)
-        entry.report.copy_chunks += 1
-        self.fire_failpoint("migration.copy-chunk", report=entry.report,
-                            chunk_index=entry.report.copy_chunks)
-        return None
-
-    @staticmethod
-    def _reap_copies(pending: List[Process]) -> Tuple[List[Process],
-                                                      Optional[str]]:
-        """Drop finished chunk processes; return (still-running, failure)."""
-        failure = None
-        still = []
-        for process in pending:
-            if not process.triggered:
-                still.append(process)
-            elif process.ok and process.value is not None and failure is None:
-                failure = process.value
-        return still, failure
-
-    def _migration_driver(self, entry: _MigrationEntry, chunk_size: int,
-                          fence_timeout: float, copy_concurrency: int,
-                          copy_budget_tps: float, copy_min_tps: float):
-        report = entry.report
-        source = self.groups[entry.source_group]
-        fenced = False
-        obs = self.sim.obs
-        root_span = copy_span = fence_span = None
-        if obs is not None:
-            root_span = obs.begin(
-                "migration", category="txn", track="migration", root=True,
-                labels={"source": entry.source_group,
-                        "destination": entry.destination_group,
-                        "range": repr(entry.key_range)})
-        try:
-            # -- phase 1: warm copy (dual-write forwarding already active) --
-            # Up to copy_concurrency chunk transactions run in flight at
-            # once, so consecutive installs overlap the destination group's
-            # commit latency instead of serialising on one delegate; a token
-            # bucket refilled at (budget - foreground submit rate) throttles
-            # chunk dispatch so the copy yields to client traffic.
-            copy_concurrency = max(1, copy_concurrency)
-            report.copy_concurrency = copy_concurrency
-            if not source.up_servers():
-                return self._abort_migration(entry, "source-unavailable",
-                                             fenced)
-            delegate = source.up_servers()[0]
-            # repro: allow(ordering-hazard): ItemStore.keys() is a list in creation order
-            keys = [key for key in source.database(delegate).items.keys()
-                    if entry.key_range.contains(self.routing.position_of(key))]
-            versions_seen: Dict[str, int] = {}
-            pending: List[Process] = []
-            failure: Optional[str] = None
-            tokens = float(copy_concurrency)
-            refilled_at = self.sim.now
-            if obs is not None:
-                copy_span = obs.begin("migration.copy", category="protocol",
-                                      track="migration", parent=root_span,
-                                      labels={"keys": len(keys)})
-            self.fire_failpoint("migration.copy-start", report=report)
-
-            def refill(tokens: float, refilled_at: float):
-                rate = max(copy_min_tps,
-                           copy_budget_tps - self.recent_submit_rate())
-                now = self.sim.now
-                tokens = min(float(copy_concurrency),
-                             tokens + (now - refilled_at) * rate / 1000.0)
-                return tokens, now, rate
-
-            for start in range(0, len(keys), chunk_size):
-                chunk = keys[start:start + chunk_size]
-                tokens, refilled_at, rate = refill(tokens, refilled_at)
-                while tokens < 1.0 - 1e-6:
-                    # Floor the wait so float rounding in the refill can
-                    # never produce a zero-advance timeout loop.
-                    wait = max((1.0 - tokens) * 1000.0 / rate, 0.1)
-                    report.throttle_waits += 1
-                    report.throttle_wait_ms += wait
-                    yield self.sim.timeout(wait)
-                    tokens, refilled_at, rate = refill(tokens, refilled_at)
-                tokens = max(0.0, tokens - 1.0)
-                pending, failure = self._reap_copies(pending)
-                while failure is None and len(pending) >= copy_concurrency:
-                    yield self.sim.any_of(pending)
-                    pending, failure = self._reap_copies(pending)
-                if failure is not None:
-                    break
-                pending.append(self.sim.spawn(
-                    self._copy_chunk(entry, chunk, versions_seen),
-                    name=f"migration.copy.g{entry.source_group}"
-                         f"->g{entry.destination_group}.{start}"))
-                report.copy_inflight_peak = max(report.copy_inflight_peak,
-                                                len(pending))
-            while failure is None and pending:
-                yield self.sim.all_of(pending)
-                pending, failure = self._reap_copies(pending)
-            if failure is not None:
-                for process in pending:
-                    process.kill()
-                return self._abort_migration(entry, failure, fenced)
-            report.copy_completed_at = self.sim.now
-            if obs is not None:
-                obs.end(copy_span)
-                copy_span = None
-
-            # -- phase 2: fence the range and drain in-flight writers -------
-            self.routing.fence(entry.key_range)
-            fenced = True
-            report.fence_started_at = self.sim.now
-            if obs is not None:
-                fence_span = obs.begin("migration.fence", category="protocol",
-                                       track="migration", parent=root_span)
-            self.fire_failpoint("migration.fence", report=report)
-            drained = yield from self._drain_range(
-                entry, deadline=self.sim.now + fence_timeout)
-            if not drained:
-                return self._abort_migration(entry, "fence-timeout", fenced)
-
-            # -- phase 3: delta copy of keys written since the warm pass ----
-            up_servers = source.up_servers()
-            if not up_servers:
-                return self._abort_migration(entry, "source-unavailable",
-                                             fenced)
-            database = source.database(up_servers[0])
-            delta = {key: database.value_of(key) for key in keys
-                     if database.version_of(key) != versions_seen.get(key)}
-            if delta:
-                installed = yield from self._install_on_destination(entry,
-                                                                    delta)
-                if not installed:
-                    return self._abort_migration(
-                        entry, "destination-unavailable", fenced)
-                report.delta_keys_copied = len(delta)
-
-            # -- phase 4: verify the copy under the fence -------------------
-            destination = self.groups[entry.destination_group]
-            if not destination.up_servers():
-                return self._abort_migration(entry,
-                                             "destination-unavailable",
-                                             fenced)
-            destination_db = destination.database(destination.up_servers()[0])
-            report.verified = all(
-                database.value_of(key) == destination_db.value_of(key)
-                for key in keys)
-            if not report.verified:
-                return self._abort_migration(entry, "verification-failed",
-                                             fenced)
-
-            # -- phase 5: force-log the new map, then install it ------------
-            # Write-ahead discipline: the durable EPOCH record must describe
-            # the post-bump map, so it is logged on the destination (the new
-            # authority) *before* the table moves.  A concurrent split/merge
-            # bumping the epoch during the flush re-logs with fresh numbers.
-            while True:
-                payload = self.routing.payload_after_migrate(
-                    entry.key_range, entry.destination_group)
-                logged = yield from self._force_log_epoch(destination_db,
-                                                          payload)
-                if not logged:
-                    return self._abort_migration(
-                        entry, "destination-unavailable", fenced)
-                if self.routing.epoch + 1 == payload["epoch"]:
-                    break
-            self.fire_failpoint("migration.epoch-logged", report=report,
-                                epoch=payload["epoch"])
-            if obs is not None:
-                obs.instant("migration.epoch-logged", track="migration",
-                            labels={"epoch": payload["epoch"]})
-            if source.up_servers():
-                # Advisory copy on the old owner (flushed with its next
-                # group commit); recovery takes the max epoch anywhere.
-                source.database(source.up_servers()[0]).wal.append_epoch(
-                    payload["epoch"], payload)
-            self.routing.unfence(entry.key_range)
-            fenced = False
-            if obs is not None:
-                obs.end(fence_span)
-                fence_span = None
-            report.epoch = self.routing.migrate(entry.key_range,
-                                                entry.destination_group)
-            report.completed_at = self.sim.now
-            return report
-        finally:
-            if fenced:
-                self.routing.unfence(entry.key_range)
-            if obs is not None:
-                # An aborted or crashed driver leaves phase spans open; close
-                # them here so the exported trace never dangles (obs.end is
-                # idempotent, so the success path above is unaffected).
-                if copy_span is not None:
-                    obs.end(copy_span)
-                if fence_span is not None:
-                    obs.end(fence_span)
-                obs.end(root_span,
-                        labels={"aborted": report.aborted,
-                                "abort_reason": report.abort_reason or ""})
-            entry.active = False
-            if entry in self._migrations:
-                self._migrations.remove(entry)
-
-    def _abort_migration(self, entry: _MigrationEntry, reason: str,
-                         fenced: bool) -> MigrationReport:
-        """Cancel a migration, leaving the old owner authoritative.
-
-        Safe at any point before the epoch bump: the destination's copy of
-        the range is unreachable garbage (nothing routes there), and the
-        fence — if it was up — is lifted so the source serves again.
-        """
-        report = entry.report
-        report.aborted = True
-        report.abort_reason = reason
-        if fenced:
-            self.routing.unfence(entry.key_range)
-        return report
-
-    def _drain_range(self, entry: _MigrationEntry, deadline: float):
-        """Generator: wait out every writer that can still land in the range.
-
-        Two populations: the dual-write forward processes registered by
-        :meth:`submit_to_group`, and decided 2PC transactions whose phase-2
-        branch installs touch the range (``coordinator.active_installs`` —
-        decided writes cannot be refused, so the range cannot move until
-        they are durable).  Returns False if the deadline passes first.
-        """
-        while True:
-            entry.inflight = [process for process in entry.inflight
-                              if not process.triggered]
-            busy = bool(entry.inflight) or self._pending_installs_touch(entry)
-            if not busy:
-                return True
-            if self.sim.now >= deadline:
-                return False
-            yield self.sim.timeout(1.0)
-
-    def _pending_installs_touch(self, entry: _MigrationEntry) -> bool:
-        # repro: allow(ordering-hazard): any-overlap boolean scan, order-free
-        for keys in self.coordinator.active_installs.values():
-            for key in keys:
-                if entry.key_range.contains(self.routing.position_of(key)):
-                    return True
-        return False
-
-    def _force_log_epoch(self, database, payload):
-        """Generator: force the EPOCH record to stable storage (True on ok).
-
-        Durability is judged by evidence
-        (:meth:`~repro.db.wal.WriteAheadLog.force`) — the record must be on
-        stable storage afterwards.  A delegate that crashed before or
-        during the flush (its volatile WAL tail dies with it) reads as
-        failure, so a migration can never install a map whose EPOCH record
-        only ever "flushed" on a dead server.
-        """
-        if database.wal.node.is_crashed:
-            return False
-        record = database.wal.append_epoch(payload["epoch"], payload)
-        return (yield from database.wal.force(record))
+        if self.migration is not None:
+            raise RuntimeError(
+                "another migration is in flight; migrations are "
+                "serialised to keep the force-logged epoch exact")
+        migration = Migration(self, key_range, source_group, destination_group)
+        return migration.start(self._inflight_by_group[source_group],
+                               chunk_size, fence_timeout, copy_concurrency,
+                               copy_budget_tps, copy_min_tps)
 
     # ------------------------------------------------------------------ reshaping
     def split_shard(self, shard, at: Optional[int] = None) -> int:
@@ -1041,14 +561,11 @@ class PartitionedCluster:
         group = self.groups[group_id]
         up_servers = group.up_servers()
         if up_servers:
-            group.database(up_servers[0]).wal.append_epoch(
-                self.routing.epoch, self.routing.as_payload())
+            group.database(up_servers[0]).wal.append(LogRecord.epoch(
+                self.routing.epoch, self.routing.as_payload()))
 
     def rebalance(self, shard: Optional[int] = None,
-                  destination_group: Optional[int] = None,
-                  copy_concurrency: Optional[int] = None,
-                  copy_budget_tps: Optional[float] = None,
-                  copy_min_tps: Optional[float] = None) -> Process:
+                  destination_group: Optional[int] = None) -> Process:
         """Move (half of) the hottest shard to the least-loaded group.
 
         The shard with the most observed accesses is split at its
@@ -1069,10 +586,7 @@ class PartitionedCluster:
             # The low half (the head of the range — the Zipf hot set) keeps
             # the original index; migrate that one.
             key_range = self.routing.range_of(index)
-        return self.migrate(key_range, destination,
-                            copy_concurrency=copy_concurrency,
-                            copy_budget_tps=copy_budget_tps,
-                            copy_min_tps=copy_min_tps)
+        return self.migrate(key_range, destination)
 
     # ------------------------------------------------------------------ failures
     def crash_server(self, partition_id: int, server: str) -> None:

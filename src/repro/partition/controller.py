@@ -76,6 +76,9 @@ class RebalanceController:
         controller.start()
         cluster.run(until=20_000)
 
+    Each trigger is a plain ``cluster.rebalance(shard=...)``: the migration
+    copies with the defaults of :mod:`repro.partition.migration`.
+
     Parameters
     ----------
     window_ms:
@@ -92,9 +95,6 @@ class RebalanceController:
         computed over a handful of accesses is noise, not load.
     decay_factor:
         Applied to the routing table's counters at every window roll.
-    copy_concurrency / copy_budget_tps / copy_min_tps:
-        Passed through to the migration's overlapped, throttled copy phase
-        (None = the cluster's defaults).
     roll_windows:
         Roll the routing table's decay window after each evaluation (the
         default).  Set False when the table decays passively on its own
@@ -109,9 +109,6 @@ class RebalanceController:
                  hysteresis_windows: int = 4,
                  min_window_accesses: int = 32,
                  decay_factor: float = 0.5,
-                 copy_concurrency: Optional[int] = None,
-                 copy_budget_tps: Optional[float] = None,
-                 copy_min_tps: Optional[float] = None,
                  roll_windows: bool = True) -> None:
         if window_ms <= 0:
             raise ValueError(f"window must be positive, got {window_ms!r}")
@@ -128,9 +125,6 @@ class RebalanceController:
         self.cooldown_windows = cooldown_windows
         self.hysteresis_windows = hysteresis_windows
         self.min_window_accesses = min_window_accesses
-        self.copy_concurrency = copy_concurrency
-        self.copy_budget_tps = copy_budget_tps
-        self.copy_min_tps = copy_min_tps
         self.roll_windows = roll_windows
         if roll_windows:
             cluster.routing.decay_factor = decay_factor
@@ -216,10 +210,7 @@ class RebalanceController:
             self._skip(obs, "hysteresis")
             return
         try:
-            cluster.rebalance(shard=hottest,
-                              copy_concurrency=self.copy_concurrency,
-                              copy_budget_tps=self.copy_budget_tps,
-                              copy_min_tps=self.copy_min_tps)
+            cluster.rebalance(shard=hottest)
         except (ValueError, RuntimeError):
             # No legal destination / a migration raced us; try again later.
             self.stats.trigger_failures += 1

@@ -71,7 +71,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..db.operations import Operation, OperationType, TransactionProgram
 from ..db.transaction import Transaction
-from ..db.wal import LogRecordType
+from ..db.wal import LogRecord, LogRecordType
 from ..sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -381,7 +381,14 @@ class CrossPartitionCoordinator:
         # crashes, its queued resource requests are silently cancelled (no
         # exception reaches a sim-spawned process), so an unbounded wait
         # would hang the client forever.  On timeout no branch has installed
-        # anything yet, so aborting everywhere is safe.
+        # anything yet, so aborting everywhere is safe.  The record has its
+        # own WAL type (not COMMIT), so recovery redo, the safety audit and
+        # ``committed_transactions()`` never mistake it for a transaction;
+        # a straggler that becomes durable after a timed-out abort is
+        # reconciled by :meth:`replay_decisions` (an orphan decision).
+        # ``WriteAheadLog.force`` judges success by evidence, so a crash of
+        # the home delegate before or during the flush reads as a failed
+        # decision, never as a phantom forced write on a dead server.
         home = partitions[0]
         self.cluster.fire_failpoint("2pc.prepared", xid=xid, home=home,
                                     delegates=dict(delegates))
@@ -397,7 +404,7 @@ class CrossPartitionCoordinator:
                                       parent=("xp", xid),
                                       labels={"home": delegates[home]})
         decision_process = self.sim.spawn(
-            self._log_decision(home_db, xid),
+            home_db.wal.force(LogRecord.decision(xid)),
             name=f"xp.decision.{xid}")
         yield self.sim.any_of(
             [decision_process, self.sim.timeout(self.prepare_timeout)])
@@ -450,28 +457,6 @@ class CrossPartitionCoordinator:
             # (and answers the client) when the delegate recovers.
             return
         self._finish(outcome, None, response_event)
-
-    def _log_decision(self, home_db, xid: str):
-        """Generator: force-write the 2PC decision record (True on success).
-
-        The record has its own WAL type (not COMMIT), so recovery redo, the
-        safety audit and ``committed_transactions()`` never mistake it for a
-        transaction.  If the coordinator times this flush out and aborts, a
-        straggling decision record may still become durable later;
-        :meth:`replay_decisions` reconciles it with the client-visible abort
-        (counted as an orphan decision).
-
-        Success is judged by *evidence*, not by the flush returning
-        (:meth:`~repro.db.wal.WriteAheadLog.force`): the record must
-        actually be on stable storage afterwards.  A crash of the home
-        delegate between the votes and this flush (or mid-flush — the
-        volatile tail dies with the node) therefore reads as a failed
-        decision, never as a phantom forced write on a dead server.
-        """
-        if home_db.wal.node.is_crashed:
-            return False
-        record = home_db.wal.append_decision(xid)
-        return (yield from home_db.wal.force(record))
 
     def _prepare(self, partition_id: int, delegate: str,
                  branch: TransactionProgram, xid: str):

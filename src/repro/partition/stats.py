@@ -21,8 +21,9 @@ from ..core.stats import percentile as _shared_percentile
 from ..replication.results import RunStatistics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from .cluster import CrashEvent, MigrationReport
+    from .cluster import CrashEvent
     from .controller import ControllerStats
+    from .migration import MigrationReport
     from .workload import _PartitionedClientBase
 
 

@@ -99,6 +99,32 @@ def test_wal_crash_loses_unflushed_tail():
     assert not wal.is_logged("t-volatile")
 
 
+def test_wal_force_reports_a_durable_record():
+    sim = Simulator()
+    node = Node(sim, "s1")
+    wal = WriteAheadLog(sim, node)
+    record = LogRecord.decision("xp-1")
+    forced = node.spawn(wal.force(record))
+    sim.run()
+    assert forced.value is True
+    assert wal.stable_records() == [record]
+
+
+def test_wal_force_on_a_crashed_node_appends_nothing():
+    # A record appended while the node is down would outlive the recovery
+    # in the volatile tail and could later flush as a phantom record.
+    sim = Simulator()
+    node = Node(sim, "s1")
+    wal = WriteAheadLog(sim, node)
+    node.crash()
+    forced = sim.spawn(wal.force(LogRecord.epoch(1, {"epoch": 1})))
+    sim.run()
+    assert forced.value is False
+    assert wal.volatile_records() == []
+    node.recover()
+    assert wal.volatile_records() == [] and wal.stable_records() == []
+
+
 def test_wal_flushed_gate_opens_on_durability():
     sim = Simulator()
     node = Node(sim, "s1")

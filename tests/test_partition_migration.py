@@ -19,6 +19,7 @@ from repro.db.wal import LogRecordType
 from repro.experiments import audit_commit_integrity
 from repro.partition import (ABORT_WRONG_EPOCH, KeyRange, PartitionedCluster,
                              PartitionedOpenLoopClients)
+from repro.partition.migration import Migration
 from repro.workload import SimulationParameters
 
 
@@ -149,6 +150,45 @@ def test_source_delegate_crash_during_the_warm_copy_aborts_the_migration():
     assert not cluster.migration_active
     assert not cluster.routing.has_fences
     cluster.rebalance()                 # a second migration starts
+
+
+@pytest.mark.parametrize("side", ["source", "destination"])
+@pytest.mark.parametrize("phase", Migration.PHASES)
+def test_group_crash_at_every_migration_phase_settles(phase, side):
+    # Crash a whole group at each boundary the protocol lists, recover it
+    # and run to quiescence.  group-1-safe logs a commit on its delegate
+    # before answering, so a whole-group crash may lose no confirmed write.
+    cluster = build(technique="group-1-safe")
+    clients = PartitionedOpenLoopClients(cluster, load_tps=30.0)
+    clients.start()
+    cluster.run(until=1_000)
+    crashed = 0 if side == "source" else 1
+
+    def recover():
+        for name in cluster.group(crashed).server_names():
+            cluster.recover_server(crashed, name)
+
+    def crash(context):
+        cluster.crash_partition(crashed)
+        cluster.sim.call_after(500.0, recover)
+
+    cluster.add_failpoint(f"migration.{phase}", crash)
+    driver = cluster.migrate(0, destination_group=1, chunk_size=8)
+    cluster.run(until=6_000)
+    clients.load_tps = 1e-12             # no more arrivals; let it drain
+    cluster.run(until=30_000)
+
+    assert cluster.failpoints_fired == {f"migration.{phase}": 1}
+    assert driver.triggered
+    report = driver.value
+    assert report.completed != report.aborted
+    assert not cluster.migration_active
+    assert not cluster.routing.has_fences
+    assert cluster.group(crashed).up_servers()
+    key_range = report.key_range
+    assert cluster.recovered_routing().owner_of_range(key_range) == \
+        cluster.routing.owner_of_range(key_range)
+    assert audit_commit_integrity(cluster, clients) == []
 
 
 def test_crash_after_epoch_bump_recovers_the_new_owner():

@@ -13,6 +13,7 @@ orphan instead of resurrecting the transaction.
 from __future__ import annotations
 
 from repro.db.operations import make_program
+from repro.db.wal import LogRecord
 from repro.partition import (CrossPartitionOutcome, PartitionedCluster)
 from repro.workload import SimulationParameters
 
@@ -108,8 +109,8 @@ def test_orphan_decision_is_reconciled_with_the_client_visible_abort():
     # Synthesise the straggler: a durable DECISION record for a transaction
     # the coordinator reported aborted (the flush outran the bounded wait).
     database = cluster.group(0).database("p0.s1")
-    database.wal.append_decision("xp-straggler")
-    cluster.sim.spawn(database.wal.flush(), name="test.flush")
+    cluster.sim.spawn(database.wal.force(LogRecord.decision("xp-straggler")),
+                      name="test.flush")
     cluster.run(until=100)
     assert any(record.txn_id == "xp-straggler"
                for record in database.wal.stable_records())
