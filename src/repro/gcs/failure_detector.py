@@ -60,7 +60,7 @@ class _SuspicionOracle:
         self.lan = lan
         self._listeners: List[SuspicionListener] = []
         self._suspected: Dict[str, bool] = {}
-        #: Total suspect / restore announcements (metrics collectors read these).
+        #: Total suspect / restore announcements (the perf ledger reads these).
         self.suspicion_count = 0
         self.restore_count = 0
 

@@ -48,7 +48,6 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence
 from ..db.operations import TransactionProgram
 from ..db.wal import LogRecord
 from ..network.lan import Lan
-from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import Observability
 from ..replication.cluster import TECHNIQUES, ReplicatedDatabaseCluster
 from ..replication.results import TransactionResult
@@ -131,11 +130,6 @@ class PartitionedCluster:
         self.techniques = techniques
         self.strategy = strategy
         self.sim = sim or Simulator(seed=seed)
-        #: Labelled metrics registry of the whole cluster; the router, the
-        #: 2PC coordinator and the client drivers record onto it, and a
-        #: snapshot-time collector samples the pull-style sources (LAN, WAL,
-        #: buffers, controller).  See :mod:`repro.obs.metrics`.
-        self.metrics = MetricsRegistry()
         self.lan = Lan(self.sim, latency=self.params.network_latency)
         #: The live, epoch-versioned ownership map.
         self.routing: RoutingTable = RoutingTable.from_strategy(
@@ -147,7 +141,7 @@ class PartitionedCluster:
                 lan=self.lan, routing=routing,
                 name_prefix=f"p{partition_id}.")
             for partition_id, group_technique in enumerate(techniques)]
-        self.router = TransactionRouter(self.routing, metrics=self.metrics)
+        self.router = TransactionRouter(self.routing)
         self.workload = PartitionedWorkloadGenerator(
             self.sim, self.params, self.routing)
         self.coordinator = CrossPartitionCoordinator(self)
@@ -183,7 +177,6 @@ class PartitionedCluster:
         #: trail the failure-matrix experiments attach to their report.
         self.crash_log: List[CrashEvent] = []
         self._started = False
-        self.metrics.register_collector(self._collect_metrics)
 
     # ------------------------------------------------------------------ observability
     def enable_observability(self) -> Observability:
@@ -196,54 +189,6 @@ class PartitionedCluster:
         if self.sim.obs is None:
             Observability(self.sim)
         return self.sim.obs
-
-    def _collect_metrics(self, registry: MetricsRegistry) -> None:
-        """Snapshot-time sampler for the pull-style counter sources."""
-        registry.gauge("routing_epoch", component="routing").set(
-            self.routing.epoch)
-        lan = registry.gauge
-        lan("lan_messages", component="lan", kind="sent").set(
-            self.lan.sent_count)
-        lan("lan_messages", component="lan", kind="delivered").set(
-            self.lan.delivered_count)
-        lan("lan_messages", component="lan", kind="dropped").set(
-            self.lan.dropped_count)
-        for cause, count in sorted(self.lan.dropped_by_cause.items()):
-            lan("lan_drops", component="lan", cause=cause).set(count)
-        for partition_id, group in enumerate(self.groups):
-            technique = self.techniques[partition_id]
-            if group.gcs is not None:
-                detector = group.gcs.failure_detector
-                registry.gauge("fd_suspicions", shard=partition_id,
-                               kind="suspect").set(detector.suspicion_count)
-                registry.gauge("fd_suspicions", shard=partition_id,
-                               kind="restore").set(detector.restore_count)
-            for server in group.server_names():
-                database = group.database(server)
-                labels = dict(shard=partition_id, server=server,
-                              technique=technique)
-                registry.gauge("db_committed", **labels).set(
-                    database.committed_count)
-                registry.gauge("db_aborted", **labels).set(
-                    database.aborted_count)
-                registry.gauge("wal_flushes", **labels).set(
-                    database.wal.flush_count)
-                registry.gauge("buffer_reads", kind="hit", **labels).set(
-                    database.buffer.read_hits)
-                registry.gauge("buffer_reads", kind="miss", **labels).set(
-                    database.buffer.read_misses)
-        controller = self.controller
-        if controller is not None:
-            stats = controller.stats
-            for field in ("windows_observed", "rebalances_triggered",
-                          "skipped_below_threshold", "skipped_cooldown",
-                          "skipped_hysteresis", "skipped_migration_active",
-                          "trigger_failures"):
-                registry.gauge(f"controller_{field}",
-                               component="controller").set(
-                    getattr(stats, field))
-        for phase, count in self.failpoints_fired.items():
-            registry.gauge("failpoints_fired", phase=phase).set(count)
 
     # ------------------------------------------------------------------ access
     def group(self, partition_id: int) -> ReplicatedDatabaseCluster:
@@ -382,7 +327,6 @@ class PartitionedCluster:
         touches a range fenced by a live migration — callers retry (see
         :meth:`submit_retrying`).
         """
-        self.routing.maybe_roll(self.sim.now)
         self._note_submit()
         keys = [operation.key for operation in program.operations]
         if self.routing_fenced(keys):
@@ -498,7 +442,6 @@ class PartitionedCluster:
 
     # ------------------------------------------------------------------ migration
     def migrate(self, shard, destination_group: int, chunk_size: int = 32,
-                fence_timeout: float = 10_000.0,
                 copy_concurrency: int = COPY_CONCURRENCY,
                 copy_budget_tps: float = COPY_BUDGET_TPS,
                 copy_min_tps: float = COPY_MIN_TPS) -> Process:
@@ -524,8 +467,8 @@ class PartitionedCluster:
                 "serialised to keep the force-logged epoch exact")
         migration = Migration(self, key_range, source_group, destination_group)
         return migration.start(self._inflight_by_group[source_group],
-                               chunk_size, fence_timeout, copy_concurrency,
-                               copy_budget_tps, copy_min_tps)
+                               chunk_size, copy_concurrency, copy_budget_tps,
+                               copy_min_tps)
 
     # ------------------------------------------------------------------ reshaping
     def split_shard(self, shard, at: Optional[int] = None) -> int:
@@ -571,10 +514,10 @@ class PartitionedCluster:
         The shard with the most observed accesses is split at its
         access-weighted median (so each side carries about half the load)
         and the hot head is migrated — live, under traffic — to the coolest
-        group.  Returns the migration driver process.  With windowed access
-        decay enabled (or a :class:`~repro.partition.controller.
-        RebalanceController` rolling windows), "hottest" and "coolest"
-        reflect recent load rather than all-time totals.
+        group.  Returns the migration driver process.  While a
+        :class:`~repro.partition.controller.RebalanceController` rolls
+        windows, "hottest" and "coolest" reflect recent load rather than
+        all-time totals.
         """
         index = shard if shard is not None else self.routing.hottest_shard()
         key_range = self.routing.range_of(index)

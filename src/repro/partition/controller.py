@@ -14,9 +14,10 @@ Three mechanisms keep it stable:
 
 * **Windowed load.**  Every window the controller reads the per-shard totals
   and then calls :meth:`~repro.partition.routing.RoutingTable.roll_window`,
-  decaying the counters; the signal it acts on is an exponentially weighted
-  view of roughly the last ``1 / (1 - decay_factor)`` windows, so
-  yesterday's hot set cannot trigger today's move.
+  decaying the counters — the only decay path the routing table has; the
+  signal it acts on is an exponentially weighted view of roughly the last
+  ``1 / (1 - DECAY_FACTOR)`` windows, so yesterday's hot set cannot trigger
+  today's move.
 * **Cooldown.**  After triggering a rebalance the controller sits out
   ``cooldown_windows`` windows, letting the migration finish and the load
   signal re-form around the new map before judging it.
@@ -93,13 +94,9 @@ class RebalanceController:
     min_window_accesses:
         Ignore windows with fewer observed accesses than this — a share
         computed over a handful of accesses is noise, not load.
-    decay_factor:
-        Applied to the routing table's counters at every window roll.
-    roll_windows:
-        Roll the routing table's decay window after each evaluation (the
-        default).  Set False when the table decays passively on its own
-        ``decay_interval_ms`` schedule, so the counters are not decayed
-        twice.
+
+    After each evaluation the routing table's counters are decayed by
+    :data:`~repro.partition.routing.DECAY_FACTOR`.
     """
 
     def __init__(self, cluster: "PartitionedCluster",
@@ -107,17 +104,12 @@ class RebalanceController:
                  share_threshold: float = 0.45,
                  cooldown_windows: int = 2,
                  hysteresis_windows: int = 4,
-                 min_window_accesses: int = 32,
-                 decay_factor: float = 0.5,
-                 roll_windows: bool = True) -> None:
+                 min_window_accesses: int = 32) -> None:
         if window_ms <= 0:
             raise ValueError(f"window must be positive, got {window_ms!r}")
         if not 0.0 < share_threshold < 1.0:
             raise ValueError(
                 f"share threshold must be in (0, 1), got {share_threshold!r}")
-        if not 0.0 < decay_factor < 1.0:
-            raise ValueError(
-                f"decay factor must be in (0, 1), got {decay_factor!r}")
         self.cluster = cluster
         self.sim = cluster.sim
         self.window_ms = window_ms
@@ -125,9 +117,6 @@ class RebalanceController:
         self.cooldown_windows = cooldown_windows
         self.hysteresis_windows = hysteresis_windows
         self.min_window_accesses = min_window_accesses
-        self.roll_windows = roll_windows
-        if roll_windows:
-            cluster.routing.decay_factor = decay_factor
         self.stats = ControllerStats()
         self._window = 0
         self._last_trigger_window: Optional[int] = None
@@ -154,8 +143,7 @@ class RebalanceController:
             self._window += 1
             self.stats.windows_observed += 1
             self._evaluate()
-            if self.roll_windows:
-                self.cluster.routing.roll_window()
+            self.cluster.routing.roll_window()
 
     # -- one control decision -----------------------------------------------------------
     def _in_cooldown(self) -> bool:

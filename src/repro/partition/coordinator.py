@@ -83,6 +83,14 @@ ABORT_TIMEOUT = "xpartition-prepare-timeout"
 ABORT_UNAVAILABLE = "xpartition-unavailable"
 ABORT_WRONG_EPOCH = "xpartition-wrong-epoch"
 
+#: Bound (ms) on the prepare phase and on the forced decision write.
+PREPARE_TIMEOUT_MS = 2_000.0
+#: A phase-2 branch retry waits ``RETRY_BACKOFF_MS * attempt``, capped at
+#: ``MAX_RETRY_BACKOFF_MS``; a migration's chunk-copy retries reuse the same
+#: schedule.
+RETRY_BACKOFF_MS = 5.0
+MAX_RETRY_BACKOFF_MS = 250.0
+
 
 @dataclass
 class BranchOutcome:
@@ -160,34 +168,25 @@ class _PendingDecision:
 class CrossPartitionCoordinator:
     """Two-phase commit across the replica groups of a partitioned cluster."""
 
-    def __init__(self, cluster: "PartitionedCluster",
-                 prepare_timeout: float = 2_000.0,
-                 retry_backoff: float = 5.0,
-                 max_retry_backoff: float = 250.0) -> None:
+    def __init__(self, cluster: "PartitionedCluster") -> None:
         self.cluster = cluster
         self.sim = cluster.sim
-        self.prepare_timeout = prepare_timeout
-        self.retry_backoff = retry_backoff
-        self.max_retry_backoff = max_retry_backoff
         self._ids = itertools.count(1)
-        #: Every cross-partition outcome produced so far, in response order.
+        #: Every cross-partition outcome produced so far, in response order;
+        #: per-reason abort counts are derived from it.
         self.outcomes: List[CrossPartitionOutcome] = []
-        # Statistics live on the cluster's metrics registry; the properties
-        # below keep the historical attribute API.
-        self.metrics = metrics = cluster.metrics
-        self._committed = metrics.counter("xp_terminated", component="2pc",
-                                          outcome="committed")
-        self._aborted = metrics.counter("xp_terminated", component="2pc",
-                                        outcome="aborted")
-        self._abort_reasons = {
-            reason: metrics.counter("xp_aborts", component="2pc",
-                                    reason=reason.replace("xpartition-", ""))
-            for reason in (ABORT_VALIDATION, ABORT_TIMEOUT,
-                           ABORT_UNAVAILABLE, ABORT_WRONG_EPOCH)}
-        self._orphan_decisions = metrics.counter("xp_orphan_decisions",
-                                                 component="2pc")
-        self._in_doubt = metrics.gauge("xp_in_doubt_branches",
-                                       component="2pc")
+        #: Cross-partition transactions that committed on every branch.
+        self.committed_count = 0
+        #: Cross-partition transactions that aborted.
+        self.aborted_count = 0
+        #: Aborts because routing moved under the transaction.
+        self.wrong_epoch_aborts = 0
+        #: Durable decisions found on recovery whose client was already
+        #: answered with an abort (the flush outran the bounded decision
+        #: wait); reconciled in favour of the abort.
+        self.orphan_decisions = 0
+        #: Decided branches currently blocked on a crashed group.
+        self.in_doubt_branches = 0
         #: Transaction ids of every committed phase-2 branch install, so the
         #: cluster can separate internal 2PC work from client fast-path
         #: results.
@@ -201,49 +200,6 @@ class CrossPartitionCoordinator:
         #: xid -> decided-but-unfinished state for decision replay.
         self.decided_pending: Dict[str, _PendingDecision] = {}
         self._orphan_xids: set = set()
-
-    # ------------------------------------------------------------------ statistics
-    @property
-    def committed_count(self) -> int:
-        """Cross-partition transactions that committed on every branch."""
-        return self._committed.value
-
-    @property
-    def aborted_count(self) -> int:
-        """Cross-partition transactions that aborted."""
-        return self._aborted.value
-
-    @property
-    def validation_aborts(self) -> int:
-        """Aborts due to version validation at vote collection."""
-        return self._abort_reasons[ABORT_VALIDATION].value
-
-    @property
-    def timeout_aborts(self) -> int:
-        """Aborts due to a prepare (or decision-flush) timeout."""
-        return self._abort_reasons[ABORT_TIMEOUT].value
-
-    @property
-    def unavailable_aborts(self) -> int:
-        """Aborts because a whole branch group was unreachable."""
-        return self._abort_reasons[ABORT_UNAVAILABLE].value
-
-    @property
-    def wrong_epoch_aborts(self) -> int:
-        """Aborts because routing moved under the transaction."""
-        return self._abort_reasons[ABORT_WRONG_EPOCH].value
-
-    @property
-    def orphan_decisions(self) -> int:
-        """Durable decisions found on recovery whose client was already
-        answered with an abort (the flush outran the bounded decision wait);
-        reconciled in favour of the abort."""
-        return self._orphan_decisions.value
-
-    @property
-    def in_doubt_branches(self) -> int:
-        """Number of decided branches currently blocked on a crashed group."""
-        return self._in_doubt.value
 
     # ------------------------------------------------------------------ submission
     def submit(self, program: TransactionProgram, client_index: int = 0,
@@ -303,7 +259,7 @@ class CrossPartitionCoordinator:
                               branches[partition_id], xid),
                 name=f"xp.prepare.{xid}.p{partition_id}")
             for partition_id in partitions}
-        timeout = self.sim.timeout(self.prepare_timeout)
+        timeout = self.sim.timeout(PREPARE_TIMEOUT_MS)
         yield self.sim.any_of(
             # repro: allow(ordering-hazard): insertion order is the sorted partition order
             [self.sim.all_of(list(prepare_procs.values())), timeout])
@@ -407,7 +363,7 @@ class CrossPartitionCoordinator:
             home_db.wal.force(LogRecord.decision(xid)),
             name=f"xp.decision.{xid}")
         yield self.sim.any_of(
-            [decision_process, self.sim.timeout(self.prepare_timeout)])
+            [decision_process, self.sim.timeout(PREPARE_TIMEOUT_MS)])
         if decision_span is not None:
             obs.end(decision_span,
                     labels={"durable": decision_process.triggered
@@ -554,7 +510,7 @@ class CrossPartitionCoordinator:
                     # durable decision record takes over via replay.
                     return
             attempt += 1
-            backoff = min(self.retry_backoff * attempt, self.max_retry_backoff)
+            backoff = min(RETRY_BACKOFF_MS * attempt, MAX_RETRY_BACKOFF_MS)
             if not group.node(server).is_up:
                 up_servers = group.up_servers()
                 if not up_servers:
@@ -563,13 +519,13 @@ class CrossPartitionCoordinator:
                     # member comes back.
                     if not branch_outcome.in_doubt:
                         branch_outcome.in_doubt = True
-                        self._in_doubt.inc()
+                        self.in_doubt_branches += 1
                     yield self.sim.timeout(backoff)
                     continue
                 server = up_servers[0]
             if branch_outcome.in_doubt:
                 branch_outcome.in_doubt = False
-                self._in_doubt.dec()
+                self.in_doubt_branches -= 1
             program = TransactionProgram(operations=write_operations,
                                          client=f"xp.{xid}")
             try:
@@ -613,7 +569,7 @@ class CrossPartitionCoordinator:
                 if (outcome is not None and not outcome.committed
                         and xid not in self._orphan_xids):
                     self._orphan_xids.add(xid)
-                    self._orphan_decisions.inc()
+                    self.orphan_decisions += 1
                 continue
             if pending.resuming:
                 continue
@@ -654,12 +610,11 @@ class CrossPartitionCoordinator:
         outcome.responded_at = self.sim.now
         self.outcomes.append(outcome)
         if outcome.committed:
-            self._committed.inc()
+            self.committed_count += 1
         else:
-            self._aborted.inc()
-            reason_counter = self._abort_reasons.get(reason)
-            if reason_counter is not None:
-                reason_counter.inc()
+            self.aborted_count += 1
+            if reason == ABORT_WRONG_EPOCH:
+                self.wrong_epoch_aborts += 1
         obs = self.sim.obs
         if obs is not None:
             obs.end_key(("xp", outcome.xid),

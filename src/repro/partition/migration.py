@@ -37,6 +37,7 @@ from ..db.operations import TransactionProgram
 from ..db.wal import LogRecord
 from ..sim.events import Event
 from ..sim.process import Process
+from .coordinator import MAX_RETRY_BACKOFF_MS, RETRY_BACKOFF_MS
 from .routing import KeyRange
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -50,6 +51,9 @@ COPY_CONCURRENCY = 4
 #: rate, floored at COPY_MIN_TPS.
 COPY_BUDGET_TPS = 500.0
 COPY_MIN_TPS = 50.0
+#: Longest the fence drain may wait for in-flight writers (ms) before the
+#: migration aborts with ``fence-timeout``.
+FENCE_TIMEOUT_MS = 10_000.0
 
 
 @dataclass
@@ -151,7 +155,7 @@ class Migration:
         self.forwards: List[Process] = []
 
     def start(self, in_flight: List[Tuple[Event, TransactionProgram]],
-              chunk_size: int, fence_timeout: float, copy_concurrency: int,
+              chunk_size: int, copy_concurrency: int,
               copy_budget_tps: float, copy_min_tps: float) -> Process:
         """Make this the cluster's migration and spawn the driver (:meth:`run`).
 
@@ -167,8 +171,8 @@ class Migration:
             if not event.triggered:
                 self.register_dual_write(program, event)
         return self.sim.spawn(
-            self.run(chunk_size, fence_timeout, copy_concurrency,
-                     copy_budget_tps, copy_min_tps),
+            self.run(chunk_size, copy_concurrency, copy_budget_tps,
+                     copy_min_tps),
             name=f"migration.{self.key_range!r}"
                  f".g{self.source_group}->g{self.destination_group}")
 
@@ -219,8 +223,7 @@ class Migration:
         attempt = 0
         while True:
             attempt += 1
-            backoff = min(cluster.coordinator.retry_backoff * attempt,
-                          cluster.coordinator.max_retry_backoff)
+            backoff = min(RETRY_BACKOFF_MS * attempt, MAX_RETRY_BACKOFF_MS)
             up_servers = group.up_servers()
             if not up_servers:
                 if attempt >= max_attempts:
@@ -284,13 +287,12 @@ class Migration:
         return still, failure
 
     # ------------------------------------------------------------------ driver
-    def run(self, chunk_size: int, fence_timeout: float,
-            copy_concurrency: int, copy_budget_tps: float,
-            copy_min_tps: float):
+    def run(self, chunk_size: int, copy_concurrency: int,
+            copy_budget_tps: float, copy_min_tps: float):
         """Generator: the driver process; returns the report, done or aborted.
 
         Aborts — leaving the old owner authoritative — if either group loses
-        all its servers or the fence drain exceeds ``fence_timeout``.
+        all its servers or the fence drain exceeds :data:`FENCE_TIMEOUT_MS`.
 
         The warm copy keeps up to ``copy_concurrency`` chunk transactions in
         flight at once (overlapping the destination group's commit latency)
@@ -386,7 +388,8 @@ class Migration:
                 fence_span = obs.begin("migration.fence", category="protocol",
                                        track="migration", parent=root_span)
             self._reach("fence")
-            drained = yield from self._drain(deadline=sim.now + fence_timeout)
+            drained = yield from self._drain(
+                deadline=sim.now + FENCE_TIMEOUT_MS)
             if not drained:
                 return self._abort("fence-timeout")
 

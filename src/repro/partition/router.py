@@ -22,54 +22,26 @@ snapshot; :attr:`wrong_epoch_retries` counts those rounds.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 from ..db.operations import TransactionProgram
-from ..obs.metrics import MetricsRegistry
 from .routing import RoutingSnapshot, RoutingTable
 
 
 class TransactionRouter:
     """Classify and split programs by the groups their keys live on."""
 
-    def __init__(self, routing: RoutingTable,
-                 metrics: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self, routing: RoutingTable) -> None:
         #: The live ownership map.
         self.routing = routing
-        # Routing statistics live on the metrics registry (the cluster's when
-        # embedded, a private one when the router is used standalone); the
-        # properties below keep the historical attribute API.
-        if metrics is None:
-            metrics = MetricsRegistry()
-        self.metrics = metrics
-        self._single = metrics.counter("router_classified",
-                                       component="router", kind="single")
-        self._cross = metrics.counter("router_classified",
-                                      component="router", kind="cross")
-        self._retries = metrics.counter("router_wrong_epoch_retries",
-                                        component="router")
-
-    @property
-    def single_partition_count(self) -> int:
-        """Programs classified as single-partition."""
-        return self._single.value
-
-    @property
-    def cross_partition_count(self) -> int:
-        """Programs classified as cross-partition."""
-        return self._cross.value
-
-    @property
-    def wrong_epoch_retries(self) -> int:
-        """Submissions re-routed after ownership moved under them (fenced
-        range at submit, or a wrong-epoch 2PC abort)."""
-        return self._retries.value
-
-    @wrong_epoch_retries.setter
-    def wrong_epoch_retries(self, value: int) -> None:
-        # The retry loop in ``cluster.submit_retrying`` increments this
-        # attribute directly; route the write to the counter.
-        self._retries.value = value
+        #: Programs classified as single-partition.
+        self.single_partition_count = 0
+        #: Programs classified as cross-partition.
+        self.cross_partition_count = 0
+        #: Submissions re-routed after ownership moved under them (fenced
+        #: range at submit, or a wrong-epoch 2PC abort); incremented by the
+        #: retry loop in ``cluster.submit_retrying``.
+        self.wrong_epoch_retries = 0
 
     def snapshot(self) -> RoutingSnapshot:
         """An immutable view of the current ownership map."""
@@ -99,9 +71,9 @@ class TransactionRouter:
         """Like :meth:`partitions_of`, but also updates the routing counters."""
         partitions = self.partitions_of(program, snapshot=snapshot, keys=keys)
         if len(partitions) == 1:
-            self._single.inc()
+            self.single_partition_count += 1
         else:
-            self._cross.inc()
+            self.cross_partition_count += 1
         return partitions
 
     # -- epoch validation ---------------------------------------------------------------

@@ -58,6 +58,10 @@ STRATEGIES = ("hash", "range")
 #: caches rebuild in O(1) amortised per lookup.
 MEMO_CACHE_LIMIT = 1 << 16
 
+#: Multiplier :meth:`RoutingTable.roll_window` applies to every access
+#: counter when a controller closes a window.
+DECAY_FACTOR = 0.5
+
 
 class WrongEpochError(RuntimeError):
     """A transaction was routed against a stale or fenced ownership map.
@@ -255,24 +259,16 @@ class RoutingTable:
         #: Ranges currently write-fenced by a live migration.
         self._fenced: List[KeyRange] = []
         #: Per-position access counters feeding the skew-aware split points.
-        #: Windowed, not cumulative: :meth:`roll_window` decays every counter
-        #: by :attr:`decay_factor` (and :meth:`maybe_roll` does so on a
-        #: sim-time schedule when :attr:`decay_interval_ms` is set), so the
-        #: hot-spot queries reflect recent load instead of all-time totals.
-        #: With decay disabled (the default) the counters accumulate forever,
-        #: reproducing the seed behaviour exactly.
+        #: Counters accumulate until a controller rolls windows
+        #: (:meth:`roll_window` decays each by :data:`DECAY_FACTOR`), so the
+        #: hot-spot queries then reflect recent load, not all-time totals.
         self.access_counts: Dict[int, int] = {}
-        #: Sim-time between automatic decay windows (None = decay disabled).
-        self.decay_interval_ms: Optional[float] = None
-        #: Multiplier applied to every counter when a window rolls.
-        self.decay_factor: float = 0.5
         #: Cap on distinct tracked positions; beyond it the coldest
         #: positions are folded into their shard's lo position so wide
         #: keyspaces cannot grow the counter dict without bound.
         self.max_tracked_positions: int = 4096
         #: Number of decay windows rolled so far.
         self.windows_rolled = 0
-        self._last_roll_at: Optional[float] = None
         self._rebuild_access_index()
         #: Every epoch the table has been through: (epoch, assignments).
         self.history: List[Tuple[int, Tuple[ShardAssignment, ...]]] = [
@@ -581,12 +577,13 @@ class RoutingTable:
         position, shard_index = entry
         counts = self.access_counts
         count = counts.get(position)
-        if count is None:
-            if len(counts) >= self.max_tracked_positions:
-                self._compact_access_counts()
-            counts[position] = 1
-        else:
-            counts[position] = count + 1
+        if count is None and len(counts) >= self.max_tracked_positions:
+            self._compact_access_counts()
+            # Compaction replaces the dict (and may fold mass onto this very
+            # position, a shard's lo); count into the new one.
+            counts = self.access_counts
+            count = counts.get(position)
+        counts[position] = 1 if count is None else count + 1
         self._shard_totals[shard_index] += 1
 
     def note_keys(self, keys: Iterable[str]) -> None:
@@ -616,39 +613,20 @@ class RoutingTable:
         self.access_counts = compacted
 
     def roll_window(self) -> None:
-        """Close one accounting window: decay every counter by the factor.
+        """Close one accounting window: decay every counter by
+        :data:`DECAY_FACTOR`.
 
         Counters that decay to zero are dropped, so cold positions stop
         being tracked; the per-shard totals are rebuilt to match.  With the
-        default factor 0.5 the totals converge to an exponentially weighted
-        view of roughly the last two windows of traffic.
+        factor 0.5 the totals converge to an exponentially weighted view of
+        roughly the last two windows of traffic.
         """
-        factor = self.decay_factor
         self.access_counts = {
             position: decayed
             for position, count in self.access_counts.items()
-            if (decayed := int(count * factor)) > 0}
+            if (decayed := int(count * DECAY_FACTOR)) > 0}
         self.windows_rolled += 1
         self._rebuild_access_index()
-
-    def maybe_roll(self, now: float) -> int:
-        """Roll every decay window due by sim-time ``now``.
-
-        A no-op (returning 0) while :attr:`decay_interval_ms` is unset, so
-        callers can invoke it unconditionally on hot paths.  Returns the
-        number of windows rolled.
-        """
-        if not self.decay_interval_ms:
-            return 0
-        if self._last_roll_at is None:
-            self._last_roll_at = now
-            return 0
-        rolled = 0
-        while now - self._last_roll_at >= self.decay_interval_ms:
-            self.roll_window()
-            self._last_roll_at += self.decay_interval_ms
-            rolled += 1
-        return rolled
 
     def shard_accesses(self) -> List[int]:
         """Per-shard observed accesses, in :attr:`assignments` order."""

@@ -70,9 +70,6 @@ class PartitionedRunStatistics:
     injected_crashes: List["CrashEvent"] = field(default_factory=list)
     #: Failpoint phases that fired during the run, with counts.
     failpoints_fired: Dict[str, int] = field(default_factory=dict)
-    #: Serialised metrics-registry snapshot (``cluster.metrics.snapshot()``),
-    #: or None for clusters without a registry.
-    metrics: Optional[List[Dict[str, Any]]] = None
     #: The span tracer attached to the run's simulator (None when tracing was
     #: off), so experiment CLIs can export traces after collection.
     obs: Optional[Any] = field(default=None, repr=False)
@@ -162,7 +159,6 @@ def collect_statistics(clients: "_PartitionedClientBase",
     stats.windows_rolled = cluster.routing.windows_rolled
     stats.injected_crashes = list(cluster.crash_log)
     stats.failpoints_fired = dict(cluster.failpoints_fired)
-    stats.metrics = cluster.metrics.snapshot()
     stats.obs = cluster.sim.obs
     return stats
 

@@ -258,10 +258,6 @@ class _PartitionedClientBase:
         if outcome.committed:
             epoch = self.cluster.routing.epoch
             self.epoch_commits[epoch] = self.epoch_commits.get(epoch, 0) + 1
-            kind = ("cross" if isinstance(outcome, CrossPartitionOutcome)
-                    else "single")
-            self.cluster.metrics.histogram(
-                "response_time_ms", kind=kind).observe(outcome.response_time)
         if submitted_at < self.warmup:
             self.warmup_count += 1
             if isinstance(outcome, CrossPartitionOutcome):

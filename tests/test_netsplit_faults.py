@@ -248,12 +248,12 @@ def test_no_fault_run_creates_no_loss_stream():
     assert lan._loss_stream is not None
 
 
-# -- metrics surfacing ----------------------------------------------------------------
+# -- counter surfacing ----------------------------------------------------------------
 
-def test_metrics_collector_surfaces_drop_causes_and_suspicions():
-    """The cluster snapshot splits LAN drops by cause and samples the
-    per-group failure detectors — a netsplit shows up as ``partitioned``
-    drops plus one suspect/restore pair on the affected shard only."""
+def test_netsplit_surfaces_in_drop_causes_and_suspicions():
+    """The LAN splits its drops by cause and each group's failure detector
+    counts its announcements — a netsplit shows up as ``partitioned`` drops
+    plus one suspect/restore pair on the affected shard only."""
     from repro.partition.cluster import PartitionedCluster
     from repro.workload import SimulationParameters
 
@@ -269,14 +269,9 @@ def test_metrics_collector_surfaces_drop_causes_and_suspicions():
         at=100.0, until=400.0)
     cluster.run(until=600.0)
 
-    rows = cluster.metrics.snapshot()
-    drops = {row["labels"]["cause"]: row["value"] for row in rows
-             if row["name"] == "lan_drops"}
-    assert drops == dict(cluster.lan.dropped_by_cause)
-    assert drops.get("partitioned", 0) > 0
-    suspicions = {(row["labels"]["shard"], row["labels"]["kind"]):
-                  row["value"]
-                  for row in rows if row["name"] == "fd_suspicions"}
-    assert suspicions[(0, "suspect")] >= 1
-    assert suspicions[(0, "restore")] >= 1   # healed after the window
-    assert suspicions[(1, "suspect")] == 0
+    assert cluster.lan.dropped_by_cause.get("partitioned", 0) > 0
+    affected, untouched = (group.gcs.failure_detector
+                           for group in cluster.groups)
+    assert affected.suspicion_count >= 1
+    assert affected.restore_count >= 1       # healed after the window
+    assert untouched.suspicion_count == 0

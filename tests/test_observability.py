@@ -1,4 +1,4 @@
-"""Tests for the observability stack: tracer, metrics, exporters, profiling.
+"""Tests for the observability stack: tracer, exporters, profiling.
 
 Four contracts are enforced here:
 
@@ -8,9 +8,9 @@ Four contracts are enforced here:
 * **Reconciliation** — every committed transaction's root span measures
   exactly the client-observed response time, and its critical-path stage
   breakdown sums back to that duration within 1e-6 ms.
-* **Exactness of the primitives** — histogram bucket edges, registry handle
-  identity, the shared percentile helper, and the critical-path sweep on a
-  hand-built span tree all produce the predicted numbers.
+* **Exactness of the primitives** — the shared percentile helper and the
+  critical-path sweep on a hand-built span tree produce the predicted
+  numbers.
 * **Export schema** — the Chrome trace-event payload validates cleanly and
   the validator rejects malformed events.
 """
@@ -26,8 +26,6 @@ from repro.experiments.traced import run_traced_scenario
 from repro.obs.export import (chrome_trace, critical_path_report,
                               validate_chrome_trace)
 from repro.obs.kernel import profile_kernel_trace, render_kernel_profile
-from repro.obs.metrics import (DEFAULT_LATENCY_BUCKETS_MS, Histogram,
-                               MetricsRegistry)
 from repro.obs.tracer import Observability, STAGES
 from repro.partition.cluster import PartitionedCluster
 from repro.partition.workload import PartitionedOpenLoopClients
@@ -151,18 +149,6 @@ class TestCriticalPathReconciliation:
             assert "migration.copy" in child_names
             assert "migration.fence" in child_names
 
-    def test_metrics_snapshot_travels_on_the_statistics(self, traced_run):
-        _obs, stats, _clients = traced_run
-        assert stats.metrics is not None
-        by_name = {}
-        for row in stats.metrics:
-            by_name.setdefault(row["name"], []).append(row)
-        committed_observed = sum(row["count"]
-                                 for row in by_name["response_time_ms"])
-        assert committed_observed == stats.measured_commits
-        routed = sum(row["value"] for row in by_name["router_classified"])
-        assert routed > 0
-
 
 # ----------------------------------------------------------------- exporter
 class TestChromeTraceExport:
@@ -279,52 +265,6 @@ class TestCriticalPathSweep:
         obs.end(span, labels={"late": True})
         assert span.end == 4.0
         assert span.labels["late"] is True
-
-
-# ------------------------------------------------------------------ metrics
-class TestMetricsRegistry:
-    def test_histogram_bucket_edges_are_inclusive_upper_bounds(self):
-        histogram = Histogram("rt", (), buckets=(1.0, 2.0, 5.0))
-        for value in (0.5, 1.0, 1.5, 2.0, 5.0, 7.0):
-            histogram.observe(value)
-        assert histogram.bucket_counts == [2, 2, 1, 1]
-        assert histogram.count == 6
-        assert histogram.mean == pytest.approx(sum((0.5, 1.0, 1.5, 2.0, 5.0,
-                                                    7.0)) / 6)
-
-    def test_histogram_rejects_bad_bucket_bounds(self):
-        with pytest.raises(ValueError):
-            Histogram("rt", (), buckets=())
-        with pytest.raises(ValueError):
-            Histogram("rt", (), buckets=(2.0, 1.0))
-
-    def test_same_name_and_labels_return_the_same_handle(self):
-        registry = MetricsRegistry()
-        a = registry.counter("hits", shard=1, technique="group-safe")
-        b = registry.counter("hits", technique="group-safe", shard=1)
-        assert a is b
-        assert registry.counter("hits", shard=2) is not a
-        assert registry.gauge("hits") is not registry.counter("hits")
-
-    def test_collectors_run_at_snapshot_time(self):
-        registry = MetricsRegistry()
-
-        def sample(target):
-            target.gauge("sampled").set(42)
-
-        registry.register_collector(sample)
-        rows = {row["name"]: row for row in registry.snapshot()}
-        assert rows["sampled"]["value"] == 42
-
-    def test_snapshot_serialises_histograms(self):
-        registry = MetricsRegistry()
-        registry.histogram("rt", kind="single").observe(3.0)
-        (row,) = registry.snapshot()
-        assert row["kind"] == "histogram"
-        assert row["labels"] == {"kind": "single"}
-        assert row["buckets"] == list(DEFAULT_LATENCY_BUCKETS_MS)
-        assert sum(row["bucket_counts"]) == row["count"] == 1
-        assert "rt{kind=single} count=1" in registry.render()
 
 
 # ------------------------------------------------------- shared percentiles

@@ -266,6 +266,42 @@ def test_coordinator_aborts_wrong_epoch_when_ownership_moves_mid_prepare():
     assert waiter.value.committed
 
 
+# ---------------------------------------------------------------- counters
+def test_router_and_coordinator_counters_match_what_happened():
+    # Seed 3 puts two cross-partition transactions across the epoch bump.
+    cluster = build(seed=3, items=120, cross_partition_probability=0.3)
+    router = cluster.router
+    classified = []
+    classify = router.classify
+
+    def counting_classify(program, **kwargs):
+        partitions = classify(program, **kwargs)
+        classified.append(len(partitions))
+        return partitions
+
+    router.classify = counting_classify
+    clients = PartitionedOpenLoopClients(cluster, load_tps=60.0)
+    clients.start()
+    cluster.run(until=1_500)
+    driver = cluster.migrate(0, destination_group=1)
+    cluster.run(until=10_000)
+    assert driver.value.completed
+
+    assert router.single_partition_count == classified.count(1)
+    assert router.cross_partition_count == len(classified) - classified.count(1)
+    assert router.cross_partition_count > 0
+    coordinator = cluster.coordinator
+    outcomes = coordinator.outcomes
+    assert coordinator.committed_count == sum(o.committed for o in outcomes)
+    assert coordinator.committed_count + coordinator.aborted_count == \
+        len(outcomes)
+    assert coordinator.wrong_epoch_aborts == sum(
+        o.abort_reason == ABORT_WRONG_EPOCH for o in outcomes)
+    assert coordinator.wrong_epoch_aborts > 0
+    assert router.wrong_epoch_retries >= coordinator.wrong_epoch_aborts
+    assert coordinator.in_doubt_branches == 0
+
+
 # ---------------------------------------------------------------- reshaping
 def test_split_and_merge_are_live_metadata_operations():
     cluster = build()

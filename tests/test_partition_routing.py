@@ -175,7 +175,7 @@ def test_access_counters_are_cumulative_with_decay_disabled():
     table = range_table(2, 100)
     for _ in range(3):
         table.note_access("item-1")
-    assert table.maybe_roll(10_000.0) == 0     # decay off: nothing rolls
+    # Only a controller's roll_window decays; nothing else does.
     assert table.access_counts[1] == 3
     assert table.windows_rolled == 0
 
@@ -190,17 +190,6 @@ def test_roll_window_decays_counters_and_drops_cold_positions():
     assert 60 not in table.access_counts       # 1 * 0.5 floors to zero
     assert table.windows_rolled == 1
     assert table.shard_accesses() == [4, 0]
-
-
-def test_maybe_roll_follows_the_sim_time_schedule():
-    table = range_table(2, 100)
-    table.decay_interval_ms = 100.0
-    for _ in range(16):
-        table.note_access("item-1")
-    assert table.maybe_roll(0.0) == 0          # anchors the schedule
-    assert table.maybe_roll(50.0) == 0
-    assert table.maybe_roll(250.0) == 2        # two whole windows elapsed
-    assert table.access_counts[1] == 4
 
 
 def test_decayed_counters_track_the_recent_hot_set():
@@ -254,6 +243,14 @@ def test_access_counts_growth_is_capped_by_cold_aggregation():
     assert table.shard_accesses()[0] == 600
     # The hot position survives compaction at full resolution.
     assert table.access_counts[3] >= 100
+    # The counters hold the same mass as the totals, including the access
+    # that triggered each compaction, so a split rebuilding the totals from
+    # the counters keeps them exact.
+    assert sum(table.access_counts.values()) == 1_100
+    table.split(0, at=250)
+    assert sum(table.access_counts.values()) == 1_100
+    assert sum(table.shard_accesses()) == 1_100
+    assert table.shard_accesses()[0] + table.shard_accesses()[1] == 600
 
 
 # ---------------------------------------------------------------- recovery
