@@ -11,8 +11,8 @@ on.
 
 from .engine import (Finding, LintReport, ParsedModule, Rule, Suppression,
                      json_report, render_report, run_lint)
-from .rules import (DEFAULT_RULES, FloatTimeArithRule, LayerContractRule,
-                    OrderingHazardRule, SlotsConsistencyRule, UnseededRngRule,
+from .rules import (FloatTimeArithRule, LayerContractRule, OrderingHazardRule,
+                    SlotsConsistencyRule, UnseededRngRule, UnusedSurfaceRule,
                     WallClockRule, default_rules)
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "run_lint",
     "render_report",
     "json_report",
-    "DEFAULT_RULES",
     "default_rules",
     "WallClockRule",
     "UnseededRngRule",
@@ -32,4 +31,5 @@ __all__ = [
     "SlotsConsistencyRule",
     "FloatTimeArithRule",
     "LayerContractRule",
+    "UnusedSurfaceRule",
 ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
-from .engine import Finding, ParsedModule, Rule
+from .engine import Finding, ParsedModule, Rule, iter_source_files
 
 # -- wall-clock ---------------------------------------------------------------------------
 
@@ -578,16 +578,148 @@ class LayerContractRule(Rule):
                                 f"{_LAYER_ORDER[target_layer]!r})")
 
 
-# -- registry -----------------------------------------------------------------------------
+# -- unused-surface -----------------------------------------------------------------------
 
-DEFAULT_RULES: Tuple[type, ...] = (
-    WallClockRule,
-    UnseededRngRule,
-    OrderingHazardRule,
-    SlotsConsistencyRule,
-    FloatTimeArithRule,
-    LayerContractRule,
-)
+#: Directories of the checkout, beside the package's ``src/`` parent, whose
+#: code counts as a consumer of the package.
+_CONSUMER_DIRS = ("benchmarks", "examples")
+
+
+class _Definition:
+    __slots__ = ("relpath", "name", "qualname", "kind", "first", "last")
+
+    def __init__(self, relpath: str, node: ast.stmt, name: str,
+                 qualname: str, kind: str):
+        self.relpath = relpath
+        self.name = name
+        self.qualname = qualname
+        self.kind = kind
+        decorators = getattr(node, "decorator_list", ())
+        self.first = min([node.lineno] + [d.lineno for d in decorators])
+        self.last = node.end_lineno or node.lineno
+
+
+def _public_definitions(module: ParsedModule) -> Iterator[_Definition]:
+    """Module-level public functions, classes and UPPER_CASE constants, plus
+    the public methods and properties of module-level classes."""
+    for node in module.tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not node.name.startswith("_"):
+                yield _Definition(module.relpath, node, node.name, node.name,
+                                  "function")
+        elif isinstance(node, ast.ClassDef):
+            if not node.name.startswith("_"):
+                yield _Definition(module.relpath, node, node.name, node.name,
+                                  "class")
+            for member in node.body:
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and not member.name.startswith("_"):
+                    yield _Definition(module.relpath, member, member.name,
+                                      f"{node.name}.{member.name}", "method")
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id.isupper() \
+                        and not target.id.startswith("_"):
+                    yield _Definition(module.relpath, node, target.id,
+                                      target.id, "constant")
+
+
+def _references(tree: ast.Module, *, is_package: bool
+                ) -> Iterator[Tuple[str, int]]:
+    """Every identifier ``tree`` mentions, with its line.
+
+    A name counts as ``Name``, ``Attribute.attr``, an import alias or a
+    string constant spelling it (so ``getattr(obj, "name")`` counts).  An
+    ``__all__`` list declares exports and uses nothing, and a package
+    ``__init__``'s imports are re-exports, so neither counts.
+    """
+    skipped: set = set()
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) \
+            else [node.target] if isinstance(node, ast.AnnAssign) else []
+        if any(isinstance(t, ast.Name) and t.id == "__all__"
+               for t in targets):
+            skipped.update(map(id, ast.walk(node)))
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if not is_package:
+                for alias in node.names:
+                    yield alias.name.rpartition(".")[2], node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            yield node.value, node.lineno
+
+
+class UnusedSurfaceRule(Rule):
+    """Flag public names that nothing outside their own definition uses.
+
+    Covered: module-level public functions, classes and UPPER_CASE
+    constants, and the public methods and properties of module-level
+    classes.  A name is used when it appears as an identifier anywhere in
+    the lint root outside its own definition, or in any ``.py`` under the
+    checkout's ``benchmarks/`` or ``examples/`` (the lint root's
+    grandparent, ``src/repro`` → the checkout).  Tests do not count, and
+    neither does a package ``__init__`` re-exporting the name: a public
+    name only a test calls is code kept alive for its own test.
+    """
+
+    name = "unused-surface"
+    description = ("public names must be used outside their own definition "
+                   "by the package, benchmarks/ or examples/ (tests and "
+                   "__init__ re-exports do not count)")
+
+    def __init__(self):
+        self._modules: List[ParsedModule] = []
+
+    def check_module(self, module: ParsedModule) -> Iterator[Finding]:
+        self._modules.append(module)
+        return iter(())
+
+    def finish(self) -> Iterator[Finding]:
+        if not self._modules:
+            return
+        sample = self._modules[0]
+        root = sample.path.resolve().parents[sample.relpath.count("/")]
+        external: set = set()
+        for directory in _CONSUMER_DIRS:
+            for path in iter_source_files(root.parents[1] / directory):
+                tree = ast.parse(path.read_text(encoding="utf-8"),
+                                 filename=str(path))
+                external.update(name for name, _ in
+                                _references(tree, is_package=False))
+        # name -> [(relpath, line)] of every in-package mention
+        internal: Dict[str, List[Tuple[str, int]]] = {}
+        definitions: List[_Definition] = []
+        for module in self._modules:
+            definitions.extend(_public_definitions(module))
+            is_package = module.relpath.endswith("__init__.py")
+            for name, line in _references(module.tree,
+                                          is_package=is_package):
+                internal.setdefault(name, []).append((module.relpath, line))
+        for definition in definitions:
+            if definition.name in external or any(
+                    relpath != definition.relpath
+                    or not definition.first <= line <= definition.last
+                    for relpath, line in internal.get(definition.name, ())):
+                continue
+            yield Finding(
+                path=definition.relpath, line=definition.first, column=1,
+                rule=self.name,
+                message=f"public {definition.kind} {definition.qualname} is "
+                        f"referenced nowhere outside its definition (tests "
+                        f"and __init__ re-exports do not count); delete it, "
+                        f"or suppress with why it stays")
+
+
+# -- registry -----------------------------------------------------------------------------
 
 
 def default_rules(*, strict_layers: bool = False) -> List[Rule]:
@@ -599,4 +731,5 @@ def default_rules(*, strict_layers: bool = False) -> List[Rule]:
         SlotsConsistencyRule(),
         FloatTimeArithRule(),
         LayerContractRule(strict_adjacency=strict_layers),
+        UnusedSurfaceRule(),
     ]

@@ -19,8 +19,7 @@ from .layers import (LAYER_ORDER, implemented_layers, implements, layer_index,
                      used_layers, uses)
 from .criteria import (CRITERIA, TECHNIQUE_SAFETY, SafetyCriterion,
                        criterion_for, safety_of_technique)
-from .durability import (TransactionFate, committed_state_of,
-                         is_transaction_lost, transaction_fate)
+from .durability import TransactionFate, committed_state_of, transaction_fate
 from .matrix import (CrashToleranceRow, LossCondition, crash_tolerance_table,
                      group_safety_comparison_table, loss_condition,
                      partitioned_loss_condition, render_loss_table,
@@ -59,7 +58,6 @@ __all__ = [
     "weakest_guarantee",
     "TransactionFate",
     "transaction_fate",
-    "is_transaction_lost",
     "committed_state_of",
     "group_failure_probability",
     "lazy_conflict_probability",

@@ -53,6 +53,7 @@ def classify_results(results: Sequence["TransactionResult"]
     return histogram
 
 
+# repro: allow(unused-surface): only its own test uses it; ROADMAP 7(b)
 def weakest_guarantee(results: Sequence["TransactionResult"]
                       ) -> Optional[SafetyLevel]:
     """The weakest notification-time guarantee observed (None if no commits)."""
@@ -204,11 +205,6 @@ class AuditReport:
     def transaction_lost(self) -> bool:
         """True if at least one confirmed transaction was lost."""
         return bool(self.lost_transactions)
-
-    @property
-    def consistent(self) -> bool:
-        """True if all up servers agree on the committed values."""
-        return not self.divergent_items
 
 
 class SafetyAudit:

@@ -45,14 +45,6 @@ class TransactionFate:
         return self.confirmed_to_client and not (reachable &
                                                  set(self.surviving_servers))
 
-    @property
-    def is_durable_everywhere(self) -> bool:
-        """True if every surviving server already has the transaction."""
-        surviving = set(self.surviving_servers)
-        return surviving.issubset(set(self.committed_on) |
-                                  set(self.recoverable_from_gcs_log_on) |
-                                  set(self.pending_delivery_on))
-
 
 def transaction_fate(cluster: "ReplicatedDatabaseCluster", txn_id: str,
                      confirmed_to_client: bool = True,
@@ -71,9 +63,8 @@ def transaction_fate(cluster: "ReplicatedDatabaseCluster", txn_id: str,
             fate.durably_logged_on.append(name)
         if cluster.gcs is not None:
             endpoint = cluster.gcs.endpoint(name)
-            message_log = getattr(endpoint, "message_log", None)
-            if message_log is not None:
-                for entry in message_log.unacknowledged():
+            if endpoint.journal is not None:
+                for entry in endpoint.journal.unacknowledged():
                     payload = entry.payload
                     if getattr(payload, "txn_id", None) == txn_id:
                         fate.recoverable_from_gcs_log_on.append(name)
@@ -86,13 +77,7 @@ def transaction_fate(cluster: "ReplicatedDatabaseCluster", txn_id: str,
     return fate
 
 
-def is_transaction_lost(cluster: "ReplicatedDatabaseCluster", txn_id: str,
-                        confirmed_to_client: bool = True) -> bool:
-    """Convenience wrapper: is the confirmed transaction lost for good?"""
-    return transaction_fate(cluster, txn_id,
-                            confirmed_to_client=confirmed_to_client).is_lost
-
-
+# repro: allow(unused-surface): only its own test uses it; ROADMAP 7(b)
 def committed_state_of(cluster: "ReplicatedDatabaseCluster",
                        servers: Optional[Sequence[str]] = None
                        ) -> Dict[str, List[str]]:

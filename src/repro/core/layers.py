@@ -82,11 +82,13 @@ def uses(layer: str) -> Callable[[C], C]:
     return decorate
 
 
+# repro: allow(unused-surface): tests read the stack's declarations with it
 def implemented_layers(cls: Type) -> Tuple[str, ...]:
     """Layers ``cls`` declares it implements (own declarations only)."""
     return tuple(cls.__dict__.get("__layer_implements__", ()))
 
 
+# repro: allow(unused-surface): tests read the stack's declarations with it
 def used_layers(cls: Type) -> Tuple[str, ...]:
     """Layers ``cls`` declares it uses (own declarations only)."""
     return tuple(cls.__dict__.get("__layer_uses__", ()))

@@ -73,6 +73,7 @@ class SafetyLevel(Enum):
                  SafetyLevel.TWO_SAFE, SafetyLevel.VERY_SAFE)
         return order.index(self)
 
+    # repro: allow(unused-surface): only its own test uses it; ROADMAP 7(b)
     def is_at_least(self, other: "SafetyLevel") -> bool:
         """True if this level is at least as strong as ``other``.
 
@@ -98,11 +99,13 @@ class SafetyLevel(Enum):
             return group_size - 1
         return group_size
 
+    # repro: allow(unused-surface): only its own test uses it; ROADMAP 7(b)
     @property
     def relies_on_group(self) -> bool:
         """True if durability is entrusted to the group rather than to disk."""
         return self in (SafetyLevel.GROUP_SAFE, SafetyLevel.GROUP_ONE_SAFE)
 
+    # repro: allow(unused-surface): only its own test uses it; ROADMAP 7(b)
     @property
     def relies_on_stable_storage(self) -> bool:
         """True if durability is entrusted to stable storage at notification."""

@@ -14,8 +14,8 @@ from .errors import (DatabaseError, DeadlockError, InvalidTransactionState,
                      LockError, TransactionAborted, UnknownItemError)
 from .items import Item, ItemStore, ItemVersion
 from .locks import LockManager, LockMode
-from .operations import (Operation, OperationType, TransactionProgram,
-                         make_program, read, write)
+from .operations import (Operation, OperationType, TransactionProgram, read,
+                         write)
 from .recovery import redo_from_log
 from .serializability import (CommittedTransaction, SerializabilityReport,
                               check_one_copy_serializability, has_cycle,
@@ -36,7 +36,6 @@ __all__ = [
     "Operation",
     "OperationType",
     "TransactionProgram",
-    "make_program",
     "read",
     "write",
     "Transaction",

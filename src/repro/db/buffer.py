@@ -164,6 +164,7 @@ class BufferPool:
             self._space_gate.close()
 
     # -- back-pressure ------------------------------------------------------------------
+    # repro: allow(unused-surface): tests read the apply stage's back-pressure
     @property
     def has_space(self) -> bool:
         """True while the dirty backlog is below its limit."""
@@ -180,52 +181,48 @@ class BufferPool:
             self._space_gate.open()
 
     # -- background flushing ---------------------------------------------------------
+    # repro: allow(unused-surface): tests read the write-behind backlog
     @property
     def dirty_count(self) -> int:
         """Number of items waiting for a background write."""
         return len(self._dirty)
 
-    def flush_some(self, max_items: Optional[int] = None):
-        """Generator: physically write up to ``max_items`` dirty items."""
-        written = 0
+    def flush_some(self):
+        """Generator: physically write every dirty item, oldest first."""
         node = self.node
         use_cpu = node.cpu.use
         use_disk = node.disk.use
         dirty = self._dirty
-        while dirty and (max_items is None or written < max_items):
+        while dirty:
             key = next(iter(dirty))
             dirty.pop(key, None)
             yield use_cpu(node.cpu_time_per_io)
             yield use_disk(self.background_write_factor
                            * self._write_duration())
             self.flushed_pages += 1
-            written += 1
             self._maybe_reopen()
 
-    def start_write_behind(self, interval: float = 50.0,
-                           batch: Optional[int] = None,
-                           workers: Optional[int] = None) -> None:
+    def start_write_behind(self, interval: float = 50.0) -> None:
         """Start the background flusher processes on the hosting node.
 
-        ``workers`` flusher processes (default: one per disk of the node) poll
-        every ``interval`` milliseconds and write the dirty items (up to
-        ``batch`` each) to disk.  The processes are volatile: they die with
-        the node on a crash and must be restarted after recovery.
+        One flusher process per disk of the node polls every ``interval``
+        milliseconds and writes the dirty items to disk.  The processes are
+        volatile: they die with the node on a crash and must be restarted
+        after recovery.
         """
         if self._flusher_running:
             return
         self._flusher_running = True
-        worker_count = workers if workers is not None else self.node.disk.capacity
 
         def flusher():
             try:
                 while True:
                     yield self.sim.timeout(interval)
-                    yield from self.flush_some(batch)
+                    yield from self.flush_some()
             finally:
                 self._flusher_running = False
 
-        for _index in range(max(1, worker_count)):
+        for _index in range(self.node.disk.capacity):
             self.node.spawn(flusher(), name=f"{self.name}.write_behind")
 
     # -- crash handling ------------------------------------------------------------------

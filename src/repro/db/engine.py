@@ -16,7 +16,7 @@ distinguishes 1-safe, group-safe, group-1-safe and 2-safe replication.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, Optional
 
 from ..network.node import Node
 from ..sim.engine import Simulator
@@ -24,7 +24,7 @@ from .buffer import BufferPool
 from .errors import TransactionAborted, UnknownItemError
 from .items import ItemStore
 from .locks import LockManager, LockMode
-from .operations import Operation, TransactionProgram
+from .operations import TransactionProgram
 from .recovery import redo_from_log
 from .testable import TestableTransactionRegistry
 from .transaction import Transaction, TransactionStatus, WriteSetMessage
@@ -41,12 +41,10 @@ class LocalDatabase:
                  read_time_low: float = 4.0, read_time_high: float = 12.0,
                  write_time_low: float = 4.0, write_time_high: float = 12.0,
                  buffer_max_dirty: Optional[int] = None,
-                 background_write_factor: float = 1.0,
-                 existing_items: Optional[ItemStore] = None) -> None:
+                 background_write_factor: float = 1.0) -> None:
         self.sim = sim
         self.node = node
-        self.items = existing_items if existing_items is not None \
-            else ItemStore(item_count)
+        self.items = ItemStore(item_count)
         self.locks = LockManager(sim, name=f"{node.name}.locks")
         self.wal = WriteAheadLog(sim, node, write_time_low=write_time_low,
                                  write_time_high=write_time_high)
@@ -156,20 +154,6 @@ class LocalDatabase:
                 obs.end(span)
         transaction.record_write(key, value)
 
-    def execute_operation(self, transaction: Transaction, operation: Operation,
-                          use_locks: bool = False):
-        """Generator: run one program operation (read or deferred write)."""
-        if operation.is_read:
-            value = yield from self.read(transaction, operation.key,
-                                         use_lock=use_locks)
-            return value
-        if use_locks:
-            yield from self.write_locked(transaction, operation.key,
-                                         operation.value)
-        else:
-            self.stage_write(transaction, operation.key, operation.value)
-        return None
-
     # ---------------------------------------------------------------- certification
     def certify(self, payload: WriteSetMessage) -> bool:
         """Deterministic certification test of the database state machine.
@@ -270,10 +254,6 @@ class LocalDatabase:
         self.commit_counter = max(
             [record.commit_order or 0 for record in self.wal.stable_records()] or [0])
         return redone
-
-    def logged_transactions(self) -> List[str]:
-        """Transaction ids whose commit record is durable on this server."""
-        return self.wal.committed_transactions()
 
     # -- gray failures ------------------------------------------------------------
     def degrade_disk(self, factor: float) -> None:

@@ -118,6 +118,7 @@ class LockManager:
         entry = self._table.get(key)
         return [request.owner for request in entry.queue] if entry else []
 
+    # repro: allow(unused-surface): tests read the locks crashes leave
     def holds(self, owner: str, key: str, mode: Optional[LockMode] = None) -> bool:
         """True if ``owner`` currently holds ``key`` (in ``mode`` if given)."""
         held = self.holders(key).get(owner)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, List, Mapping, Sequence, Tuple
+from typing import Iterable, List, Mapping, Tuple
 
 _program_ids = itertools.count(1)
 
@@ -93,19 +93,9 @@ class TransactionProgram:
 
     # -- structural queries -------------------------------------------------
     @property
-    def read_keys(self) -> List[str]:
-        """Keys read by the program, in operation order, without duplicates."""
-        return _unique(op.key for op in self.operations if op.is_read)
-
-    @property
     def write_keys(self) -> List[str]:
         """Keys written by the program, in operation order, without duplicates."""
         return _unique(op.key for op in self.operations if op.is_write)
-
-    @property
-    def is_read_only(self) -> bool:
-        """True if the program contains no write operation."""
-        return not any(op.is_write for op in self.operations)
 
     @property
     def length(self) -> int:
@@ -126,22 +116,3 @@ def _unique(keys: Iterable[str]) -> List[str]:
             seen.add(key)
             ordered.append(key)
     return ordered
-
-
-def make_program(spec: Sequence[Tuple[str, str]], client: str = "client"
-                 ) -> TransactionProgram:
-    """Build a program from a compact spec like ``[("r", "x"), ("w", "y")]``.
-
-    Mostly a convenience for tests and examples.
-    """
-    operations: List[Operation] = []
-    for entry in spec:
-        kind, key = entry[0], entry[1]
-        value = entry[2] if len(entry) > 2 else None
-        if kind in ("r", "read"):
-            operations.append(read(key))
-        elif kind in ("w", "write"):
-            operations.append(write(key, value))
-        else:
-            raise ValueError(f"unknown operation kind {kind!r}")
-    return TransactionProgram(operations=tuple(operations), client=client)

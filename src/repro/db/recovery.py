@@ -17,7 +17,7 @@ state wholesale with a snapshot taken on another replica:
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable
 
 from .items import ItemStore
 from .wal import LogRecord, LogRecordType
@@ -44,9 +44,3 @@ def redo_from_log(items: ItemStore, records: Iterable[LogRecord]) -> int:
             item.install(value, record.txn_id, commit_order)
         redone += 1
     return redone
-
-
-def committed_in_log(records: Iterable[LogRecord]) -> List[str]:
-    """Transaction ids with a commit record among ``records``, in order."""
-    return [record.txn_id for record in records
-            if record.record_type is LogRecordType.COMMIT]

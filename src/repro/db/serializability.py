@@ -94,6 +94,7 @@ def check_one_copy_serializability(
                                  checked_transactions=len(ordered))
 
 
+# repro: allow(unused-surface): only its own test uses it; ROADMAP 7(b)
 def precedence_graph(transactions: Sequence[CommittedTransaction]
                      ) -> Dict[str, Set[str]]:
     """Build the write-read / write-write precedence graph of the history.
@@ -118,6 +119,7 @@ def precedence_graph(transactions: Sequence[CommittedTransaction]
     return graph
 
 
+# repro: allow(unused-surface): only its own test uses it; ROADMAP 7(b)
 def has_cycle(graph: Dict[str, Set[str]]) -> bool:
     """True if the directed ``graph`` contains a cycle (DFS three-colour)."""
     WHITE, GREY, BLACK = 0, 1, 2

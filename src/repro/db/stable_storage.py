@@ -42,10 +42,6 @@ class StableStorage:
     def __contains__(self, key: str) -> bool:
         return key in self._data
 
-    def delete(self, key: str) -> None:
-        """Remove ``key`` if present."""
-        self._data.pop(key, None)
-
     def keys(self) -> List[str]:
         """All stored keys."""
         return list(self._data)
@@ -83,6 +79,7 @@ class StableLog:
     def __len__(self) -> int:
         return len(self._entries)
 
+    # repro: allow(unused-surface): only its own test uses it; ROADMAP 7(b)
     def truncate(self, up_to: int) -> None:
         """Discard entries before index ``up_to`` (log compaction)."""
         if up_to <= 0:

@@ -15,7 +15,7 @@ meaningful).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..network.node import Node
 from .stable_storage import StableStorage
@@ -67,8 +67,3 @@ class TestableTransactionRegistry:
         """All committed transaction ids on this server, in sorted order."""
         return [txn_id for txn_id in sorted(self._outcomes.keys())
                 if self.has_committed(txn_id)]
-
-    def as_dict(self) -> Dict[str, str]:
-        """Mapping txn id -> outcome, for audits and tests."""
-        return {txn_id: self._outcomes.get(txn_id)["outcome"]
-                for txn_id in sorted(self._outcomes.keys())}

@@ -86,19 +86,9 @@ class Transaction:
         self.write_values[key] = value
 
     @property
-    def read_set(self) -> List[str]:
-        """Keys read, in first-read order."""
-        return list(self.read_versions)
-
-    @property
     def write_set(self) -> List[str]:
         """Keys written, in first-write order."""
         return list(self.write_values)
-
-    @property
-    def is_update(self) -> bool:
-        """True if the transaction has at least one write."""
-        return bool(self.write_values) or not self.program.is_read_only
 
     # -- lifecycle --------------------------------------------------------------
     def set_status(self, status: TransactionStatus) -> None:
@@ -110,12 +100,6 @@ class Transaction:
                 f"{self.txn_id}: illegal transition {self.status.value} -> "
                 f"{status.value}")
         self.status = status
-
-    @property
-    def is_terminated(self) -> bool:
-        """True once the transaction committed or aborted."""
-        return self.status in (TransactionStatus.COMMITTED,
-                               TransactionStatus.ABORTED)
 
     @property
     def committed(self) -> bool:
@@ -160,11 +144,6 @@ class WriteSetMessage:
     def write_set(self) -> List[str]:
         """Keys written by the transaction."""
         return list(self.write_values)
-
-    @property
-    def read_set(self) -> List[str]:
-        """Keys read (with recorded versions) by the transaction."""
-        return list(self.read_versions)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"WriteSetMessage({self.txn_id} reads={len(self.read_versions)} "

@@ -190,6 +190,7 @@ class WriteAheadLog:
             return False
         return self.is_stable(record)
 
+    # repro: allow(unused-surface): only its own test uses it; ROADMAP 7(b)
     def flushed_gate(self, txn_id: str) -> Gate:
         """Return a gate that opens once ``txn_id``'s records are durable."""
         if self.is_logged(txn_id):

@@ -26,8 +26,7 @@ from ..core.audit import ConfirmedWrite, audit_writes
 from ..partition.cluster import PartitionedCluster
 from ..partition.migration import MigrationReport
 from ..partition.stats import PartitionedRunStatistics, collect_statistics
-from ..partition.workload import (PartitionedOpenLoopClients,
-                                  _PartitionedClientBase)
+from ..partition.workload import PartitionedOpenLoopClients
 from ..workload.params import SimulationParameters
 
 #: Default measurement windows (ms): warm-up, rebalance trigger, settle.
@@ -67,7 +66,7 @@ def _group_of_result(result) -> int:
     return int(result.delegate[1:].partition(".")[0])
 
 
-def window_commits(clients: _PartitionedClientBase, start: float,
+def window_commits(clients: PartitionedOpenLoopClients, start: float,
                    end: float, hot_group: int = 0) -> Tuple[int, int]:
     """(committed, committed-on-``hot_group``) responses in ``[start, end)``."""
     total = 0
@@ -88,7 +87,7 @@ def window_commits(clients: _PartitionedClientBase, start: float,
 
 
 def audit_commit_integrity(cluster: PartitionedCluster,
-                           clients: _PartitionedClientBase) -> List[str]:
+                           clients: PartitionedOpenLoopClients) -> List[str]:
     """Per-key / per-transaction commit audit across a (re)balanced run.
 
     Checks, over every client-visible result including warm-up:

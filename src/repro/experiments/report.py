@@ -29,9 +29,3 @@ def format_mapping(mapping: Mapping[object, object], title: str = "") -> str:
     """Render a mapping as an aligned two-column text table."""
     rows = [(key, value) for key, value in mapping.items()]
     return format_table(("parameter", "value"), rows, title=title)
-
-
-def banner(text: str, width: int = 72) -> str:
-    """A visually separated section banner for example / benchmark output."""
-    bar = "=" * width
-    return f"{bar}\n{text}\n{bar}"

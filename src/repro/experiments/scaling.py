@@ -90,13 +90,10 @@ def conflicting_updates_run(technique: str, conflicts: int = 10, seed: int = 3,
         aborted=aborted, divergent_items=audit.divergent_items())
 
 
-def analytic_scaling(server_counts: Sequence[int] = (3, 5, 7, 9, 11, 13, 15),
-                     server_down_probability: float = 0.05,
-                     system_tps: float = 30.0) -> List[ScalingPoint]:
+def analytic_scaling(server_counts: Sequence[int] = (3, 5, 7, 9, 11, 13, 15)
+                     ) -> List[ScalingPoint]:
     """The analytic Sect. 7 curves over the given group sizes."""
-    return scaling_comparison(list(server_counts),
-                              server_down_probability=server_down_probability,
-                              system_tps=system_tps)
+    return scaling_comparison(list(server_counts))
 
 
 def render_scaling(points: Sequence[ScalingPoint]) -> str:

@@ -66,11 +66,15 @@ CRASH_PATTERNS: Dict[str, Dict[str, Sequence[str]]] = {
 }
 
 
+#: Simulated time a scenario waits for the response, and again after the
+#: recoveries, for replays and catch-up to land.
+SETTLE_TIME_MS = 2_000.0
+
+
 def run_crash_scenario(technique: str, crash_pattern: str = "all-delegate-stays-down",
                        seed: int = 1,
                        params: Optional[SimulationParameters] = None,
-                       freeze_non_delegates: bool = True,
-                       settle_time: float = 2_000.0) -> ScenarioOutcome:
+                       freeze_non_delegates: bool = True) -> ScenarioOutcome:
     """Run one failure-injection scenario and return its audited outcome.
 
     ``freeze_non_delegates`` closes the processing gate of every server except
@@ -100,7 +104,7 @@ def run_crash_scenario(technique: str, crash_pattern: str = "all-delegate-stays-
                                                    client="scenario")
     waiter = cluster.run_transaction(program, server=delegate)
     response: TransactionResult = sim.run_until_complete(
-        waiter, limit=sim.now + settle_time)
+        waiter, limit=sim.now + SETTLE_TIME_MS)
     txn_id = response.txn_id
 
     # Give the survivors a short moment so that in-flight deliveries land
@@ -122,7 +126,7 @@ def run_crash_scenario(technique: str, crash_pattern: str = "all-delegate-stays-
     for name in recovered:
         cluster.recover_server(name)
         sim.run(until=sim.now + 50.0)
-    sim.run(until=sim.now + settle_time)
+    sim.run(until=sim.now + SETTLE_TIME_MS)
 
     fate = transaction_fate(cluster, txn_id,
                             confirmed_to_client=response.committed)

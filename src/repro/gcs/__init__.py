@@ -17,9 +17,7 @@ from .membership import GroupMembership, View
 from .message_log import GcsMessageLog, LoggedMessage
 from .paxos import MultiPaxosEngine
 from .reliable_broadcast import ReliableBroadcastLayer
-from .spec import (ATOMIC_BROADCAST_PROPERTIES, END_TO_END_PROPERTIES,
-                   BroadcastProperty, BroadcastTrace, DeliveryRecord,
-                   GroupModel, ProcessClass, classify_process)
+from .spec import BroadcastTrace, DeliveryRecord
 from .state_transfer import (ApplicationCheckpoint, install_checkpoint,
                              take_checkpoint)
 from .system import GroupCommunicationSystem
@@ -43,14 +41,8 @@ __all__ = [
     "ApplicationCheckpoint",
     "take_checkpoint",
     "install_checkpoint",
-    "ProcessClass",
-    "classify_process",
-    "GroupModel",
-    "BroadcastProperty",
     "BroadcastTrace",
     "DeliveryRecord",
-    "ATOMIC_BROADCAST_PROPERTIES",
-    "END_TO_END_PROPERTIES",
     "engine_names",
     "register_engine",
     "resolve_engine",

@@ -3,8 +3,7 @@
 The atomic broadcast algorithms of the literature are specified in the
 asynchronous model augmented with failure detectors (Chandra & Toueg).  Two
 detectors share the oracle-layer contract of :class:`_SuspicionOracle`
-(``watch`` / ``subscribe`` / ``is_suspected`` / ``alive_members`` and the
-suspect / restore counters):
+(``subscribe`` / ``is_suspected`` and the suspect / restore counters):
 
 * the :class:`FailureDetector` is a *perfect* detector driven by the
   simulator's oracle knowledge of node crashes, with a configurable
@@ -64,34 +63,16 @@ class _SuspicionOracle:
         self.suspicion_count = 0
         self.restore_count = 0
 
-    def _watch(self, node: Node) -> None:
-        raise NotImplementedError
-
-    def watch(self, node: Node) -> None:
-        """Start monitoring a node attached to the LAN after construction."""
-        if node.name not in self._suspected:
-            self._watch(node)
-
     # -- subscription -----------------------------------------------------------
     def subscribe(self, listener: SuspicionListener) -> None:
         """Register a listener for suspicion / restore notifications."""
         self._listeners.append(listener)
-
-    def unsubscribe(self, listener: SuspicionListener) -> None:
-        """Remove a previously registered listener."""
-        if listener in self._listeners:
-            self._listeners.remove(listener)
 
     # -- queries -----------------------------------------------------------------
     def is_suspected(self, member: str) -> bool:
         """True if ``member`` is currently suspected (crashed, or — for the
         heartbeat detector — cut off)."""
         return self._suspected.get(member, False)
-
-    def alive_members(self) -> List[str]:
-        """Names of members not currently suspected."""
-        return [name for name, suspected in self._suspected.items()
-                if not suspected]
 
     # -- announcements -------------------------------------------------------------
     def _announce(self, member: str, suspected: bool) -> None:
@@ -122,11 +103,8 @@ class FailureDetector(_SuspicionOracle):
         super().__init__(sim, lan)
         self.detection_delay = detection_delay
         for node in lan.nodes:
-            self._watch(node)
-
-    def _watch(self, node: Node) -> None:
-        self._suspected[node.name] = node.is_crashed
-        node.add_listener(self._on_node_event)
+            self._suspected[node.name] = node.is_crashed
+            node.add_listener(self._on_node_event)
 
     # -- node events ---------------------------------------------------------------
     def _on_node_event(self, node: Node, event: str) -> None:
@@ -156,7 +134,7 @@ class HeartbeatFailureDetector(_SuspicionOracle):
     the LAN at once (:meth:`~repro.network.lan.Lan.send_all` — one wire
     event per run of equal delays, so one per tick on a healthy LAN).  A
     crash takes the member off its chain; a member that starts later
-    (recovery, :meth:`watch`) gets a chain of its own, at its own phase.
+    (recovery) gets a chain of its own, at its own phase.
     Receivers record last-heard times through their dispatcher
     (:meth:`bind_dispatcher`); the member's own beat counts as a local
     self-observation.  A periodic sweep suspects member ``M`` exactly when
@@ -204,11 +182,6 @@ class HeartbeatFailureDetector(_SuspicionOracle):
             self._last_heard[(other, name)] = self.sim.now
             self._last_heard[(name, other)] = self.sim.now
         node.add_listener(self._on_node_event)
-
-    def _watch(self, node: Node) -> None:
-        self._add_member(node)
-        if not node.is_crashed:
-            self._start_beating([node.name])
 
     def bind_dispatcher(self, name: str, dispatcher: Dispatcher) -> None:
         """Route member ``name``'s incoming heartbeats into the freshness map.

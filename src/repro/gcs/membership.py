@@ -134,9 +134,5 @@ class GroupMembership:
         """True once the view lost its quorum ("the group fails", Table 3)."""
         return not self.has_quorum
 
-    def is_primary(self, member: str) -> bool:
-        """True if ``member`` is the current view's primary / sequencer."""
-        return self.view.primary == member
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"<GroupMembership view={self.view.view_id} members={self.view.members}>"

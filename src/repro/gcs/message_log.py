@@ -35,7 +35,7 @@ ordering engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, List, Optional
 
 from ..network.node import Node
 from ..db.stable_storage import StableStorage
@@ -93,11 +93,6 @@ class GcsMessageLog:
         """True if delivery of ``broadcast_id`` was recorded on this server."""
         return broadcast_id in self._storage
 
-    def is_acknowledged(self, broadcast_id: str) -> bool:
-        """True if the application acknowledged ``broadcast_id`` here."""
-        entry = self._storage.get(broadcast_id)
-        return bool(entry and entry.acknowledged)
-
     def entries(self) -> List[LoggedMessage]:
         """All logged messages, in delivery (sequence) order."""
         return sorted((self._storage.get(key)
@@ -116,10 +111,6 @@ class GcsMessageLog:
         """The largest sequence number ever logged here (0 if none)."""
         entries = self.entries()
         return entries[-1].sequence if entries else 0
-
-    def as_dict(self) -> Dict[str, LoggedMessage]:
-        """Mapping broadcast id -> logged entry (a shallow copy)."""
-        return {entry.broadcast_id: entry for entry in self.entries()}
 
     def __len__(self) -> int:
         return len(self._storage)

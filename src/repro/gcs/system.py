@@ -120,11 +120,6 @@ class GroupCommunicationSystem:
             self._dispatchers[name].start()
             endpoint.start()
 
-    def start_member(self, name: str) -> None:
-        """Start (or restart) the dispatcher and endpoint of one member."""
-        self._dispatchers[name].start()
-        self._endpoints[name].start()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         kind = "end-to-end" if self.end_to_end else "classical"
         return (f"<GroupCommunicationSystem {self.engine_name} {kind} "

@@ -226,15 +226,6 @@ class TotalOrderEngine:
         """True if this member currently coordinates the total order."""
         return self.coordinator() == self.member_name
 
-    def current_sequencer(self) -> Optional[str]:
-        """Name of the current coordinator (None if the view is empty)."""
-        return self.coordinator()
-
-    @property
-    def message_log(self):
-        """The stable delivery log (end-to-end composition only)."""
-        return self.journal
-
     # ------------------------------------------------------------------ A-broadcast
     def broadcast(self, payload: Any) -> str:
         """A-broadcast ``payload`` to the group; returns the broadcast id.
@@ -342,11 +333,8 @@ class TotalOrderEngine:
         self.ack_count += 1
         self.journal.record_ack(delivery.broadcast_id, self.sim.now)
         if self.trace is not None:
-            for record in self.trace.deliveries:
-                if record.member == self.member_name and \
-                        record.broadcast_id == delivery.broadcast_id:
-                    record.acknowledged = True
-                    record.acknowledged_at = self.sim.now
+            self.trace.record_ack(self.member_name, delivery.broadcast_id,
+                                  self.sim.now)
 
     # ------------------------------------------------------------------ view changes
     def on_view_change(self, view: Any) -> None:

@@ -46,13 +46,10 @@ class Dispatcher:
         """Route messages whose ``kind`` equals ``kind`` to ``handler``."""
         self._handlers[kind] = handler
 
+    # repro: allow(unused-surface): tests watch the served inbox with it
     def register_default(self, handler: MessageHandler) -> None:
         """Handler for message kinds nobody registered explicitly."""
         self._default_handler = handler
-
-    def unregister(self, kind: str) -> None:
-        """Remove the handler for ``kind`` if present."""
-        self._handlers.pop(kind, None)
 
     # -- lifecycle ------------------------------------------------------------------
     @property

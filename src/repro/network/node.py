@@ -119,10 +119,6 @@ class Node:
         """Return the stable object registered under ``key``."""
         return self._stable[key]
 
-    def stable_keys(self) -> List[str]:
-        """Names of all registered stable-storage objects."""
-        return list(self._stable)
-
     # -- gray failures ---------------------------------------------------------------
     def degrade_cpu(self, factor: float) -> None:
         """Multiply the per-operation CPU costs by ``factor``.

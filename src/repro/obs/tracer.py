@@ -155,6 +155,7 @@ class Observability:
             return None
         return self.end(span, labels)
 
+    # repro: allow(unused-surface): tests find a transaction's spans with it
     def span_for(self, key: Hashable) -> Optional[Span]:
         """Return the span registered under ``key``, if any."""
         return self._by_key.get(key)
@@ -171,6 +172,7 @@ class Observability:
         """Spans opened with ``root=True``, in start order."""
         return [span for span in self.spans if span.root]
 
+    # repro: allow(unused-surface): tests read the span tree with it
     def children_of(self, span: Span) -> List[Span]:
         """Direct children of ``span``, in begin order."""
         return list(self._children.get(span.span_id, ()))

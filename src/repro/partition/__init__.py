@@ -28,7 +28,7 @@ drivers keep submitting.
   :class:`RebalanceController`: windowed load watching, thresholds,
   cooldowns and hysteresis driving ``rebalance()`` with no operator;
 * :mod:`~repro.partition.workload` — partition-aware workload generation and
-  the open- and closed-loop load drivers;
+  the open-loop load driver;
 * :mod:`~repro.partition.stats` — aggregated run statistics.
 """
 
@@ -41,10 +41,8 @@ from .migration import MigrationReport
 from .router import TransactionRouter
 from .routing import (STRATEGIES, KeyRange, RoutingSnapshot, RoutingTable,
                       ShardAssignment, WrongEpochError, position_of_key)
-from .stats import (PartitionedRunStatistics, collect_statistics,
-                    render_partition_table)
-from .workload import (PartitionedClosedLoopClients, PartitionedOpenLoopClients,
-                       PartitionedWorkloadGenerator)
+from .stats import PartitionedRunStatistics, collect_statistics
+from .workload import PartitionedOpenLoopClients, PartitionedWorkloadGenerator
 
 __all__ = [
     "PartitionedCluster",
@@ -68,8 +66,6 @@ __all__ = [
     "TransactionRouter",
     "PartitionedWorkloadGenerator",
     "PartitionedOpenLoopClients",
-    "PartitionedClosedLoopClients",
     "PartitionedRunStatistics",
     "collect_statistics",
-    "render_partition_table",
 ]

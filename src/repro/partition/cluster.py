@@ -199,10 +199,6 @@ class PartitionedCluster:
         """The partition id currently owning item ``key``."""
         return self.routing.partition_of(key)
 
-    def group_of(self, key: str) -> ReplicatedDatabaseCluster:
-        """The replica group currently owning item ``key``."""
-        return self.groups[self.partition_of(key)]
-
     def server_names(self) -> List[str]:
         """Names of every server across all partitions."""
         names: List[str] = []
@@ -486,6 +482,7 @@ class PartitionedCluster:
         self._log_epoch_advisory(owner)
         return epoch
 
+    # repro: allow(unused-surface): only its own test uses it; ROADMAP 7(b)
     def merge_shards(self, left_shard) -> int:
         """Merge one shard with its right neighbour (same owner only)."""
         key_range = self.routing.range_of(left_shard)
@@ -577,11 +574,6 @@ class PartitionedCluster:
         return self.sim.spawn(recovery(),
                               name=f"recover.p{partition_id}.{server}")
 
-    def up_partitions(self) -> List[int]:
-        """Ids of partitions with at least one server up."""
-        return [partition_id for partition_id, group in enumerate(self.groups)
-                if group.up_servers()]
-
     # ------------------------------------------------------------------ recovery
     def stable_log_records(self) -> List[LogRecord]:
         """Every durable WAL record across every server of every group."""
@@ -605,28 +597,9 @@ class PartitionedCluster:
             item_count=self.params.item_count)
 
     # ------------------------------------------------------------------ results
-    def all_single_partition_results(self) -> List:
-        """Fast-path results across all groups, in response order.
-
-        Excludes the internal update-only transactions of the
-        cross-partition coordinator (2PC branch installs) and of the
-        migration machinery (copy chunks and forwarded dual-writes) — those
-        are infrastructure work, not client-visible fast-path results.
-        """
-        internal = self.coordinator.branch_txn_ids | self.migration_txn_ids
-        results = []
-        for group in self.groups:
-            results.extend(result for result in group.all_results()
-                           if result.txn_id not in internal)
-        return sorted(results, key=lambda result: result.responded_at)
-
     def cross_partition_outcomes(self) -> List[CrossPartitionOutcome]:
         """Every coordinated outcome produced so far."""
         return list(self.coordinator.outcomes)
-
-    def committed_on_partition(self, partition_id: int, txn_id: str) -> bool:
-        """True if ``txn_id`` is committed on every server of the partition."""
-        return self.groups[partition_id].committed_everywhere(txn_id)
 
     def commit_counts(self) -> Dict[int, int]:
         """Per-partition count of locally committed transactions."""

@@ -61,11 +61,6 @@ class TransactionRouter:
             keys if keys is not None else
             (operation.key for operation in program.operations))
 
-    def is_single_partition(self, program: TransactionProgram,
-                            snapshot=None) -> bool:
-        """True if every operation of ``program`` lives on one group."""
-        return len(self.partitions_of(program, snapshot=snapshot)) == 1
-
     def classify(self, program: TransactionProgram,
                  snapshot=None, keys=None) -> List[int]:
         """Like :meth:`partitions_of`, but also updates the routing counters."""

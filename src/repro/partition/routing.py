@@ -170,14 +170,6 @@ class RoutingSnapshot:
                                                     self.strategy)
         return position
 
-    def shard_index_of(self, key: str) -> int:
-        """Index (into :attr:`assignments`) of the shard owning ``key``."""
-        return bisect_right(self._bounds, self.position_of(key)) - 1
-
-    def shard_of(self, key: str) -> ShardAssignment:
-        """The shard assignment owning ``key``."""
-        return self.assignments[self.shard_index_of(key)]
-
     def partition_of(self, key: str) -> int:
         """Id of the replica group owning ``key`` (memoized per snapshot)."""
         cache = self._group_cache
@@ -379,16 +371,9 @@ class RoutingTable:
         return self._snapshot
 
     # -- lookups (delegate to the current snapshot) -------------------------------------
-    def position_of(self, key: str) -> int:
-        """The routing position of ``key`` (memoized; see the snapshot)."""
-        cache = self._position_cache
-        position = cache.get(key)
-        if position is None:
-            if len(cache) >= MEMO_CACHE_LIMIT:
-                cache.clear()
-            position = cache[key] = position_of_key(key, self.slots,
-                                                    self.strategy)
-        return position
+    #: The snapshot's memoized lookup, shared as is: a table carries the
+    #: same ``slots``, ``strategy`` and position cache as its snapshots.
+    position_of = RoutingSnapshot.position_of
 
     def partition_of(self, key: str) -> int:
         """Id of the replica group currently owning ``key``."""
@@ -631,19 +616,6 @@ class RoutingTable:
     def shard_accesses(self) -> List[int]:
         """Per-shard observed accesses, in :attr:`assignments` order."""
         return list(self._shard_totals)
-
-    def access_count_of(self, key_range: KeyRange) -> int:
-        """Observed accesses landing in ``key_range``.
-
-        A range matching a current shard exactly reads the cached total;
-        an arbitrary range falls back to scanning the tracked positions.
-        """
-        try:
-            return self._shard_totals[self.shard_index(key_range)]
-        except ValueError:
-            return sum(count
-                       for position, count in self.access_counts.items()
-                       if key_range.contains(position))
 
     def hottest_shard(self) -> int:
         """Index of the shard with the most observed accesses."""

@@ -15,7 +15,7 @@ and the migration reports themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from ..core.stats import percentile as _shared_percentile
 from ..replication.results import RunStatistics
@@ -24,7 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from .cluster import CrashEvent
     from .controller import ControllerStats
     from .migration import MigrationReport
-    from .workload import _PartitionedClientBase
+    from .workload import PartitionedOpenLoopClients
 
 
 @dataclass
@@ -104,16 +104,6 @@ class PartitionedRunStatistics:
         return sum(times) / len(times) if times else 0.0
 
     @property
-    def cross_partition_ratio(self) -> float:
-        """Fraction of terminated transactions that were cross-partition."""
-        total = (self.single.measured_commits + self.single.measured_aborts +
-                 self.cross.measured_commits + self.cross.measured_aborts)
-        if not total:
-            return 0.0
-        return (self.cross.measured_commits +
-                self.cross.measured_aborts) / total
-
-    @property
     def completed_migrations(self) -> List["MigrationReport"]:
         """Migrations that installed their epoch bump."""
         return [report for report in self.migrations if report.completed]
@@ -123,18 +113,14 @@ class PartitionedRunStatistics:
         return _shared_percentile(self.response_times, fraction)
 
 
-def collect_statistics(clients: "_PartitionedClientBase",
+def collect_statistics(clients: "PartitionedOpenLoopClients",
                        duration_ms: float) -> PartitionedRunStatistics:
-    """Summarise one driven run of a partitioned cluster.
-
-    Works for both the open-loop and the closed-loop driver (a closed-loop
-    pool has no fixed offered load, so that field stays 0).
-    """
+    """Summarise one driven run of a partitioned cluster."""
     cluster = clients.cluster
     stats = PartitionedRunStatistics(
         technique="+".join(sorted(set(cluster.techniques))),
         partition_count=cluster.partition_count,
-        offered_load_tps=getattr(clients, "load_tps", 0.0),
+        offered_load_tps=clients.load_tps,
         simulated_duration_ms=duration_ms)
     # Both populations span the same measured window, so their per-population
     # achieved_throughput_tps works out of the box.
@@ -161,20 +147,3 @@ def collect_statistics(clients: "_PartitionedClientBase",
     stats.failpoints_fired = dict(cluster.failpoints_fired)
     stats.obs = cluster.sim.obs
     return stats
-
-
-def render_partition_table(rows: Sequence[PartitionedRunStatistics]) -> str:
-    """Text table of a partition-count sweep (one row per run)."""
-    header = (f"{'partitions':>10} | {'offered tps':>11} | "
-              f"{'committed':>9} | {'tput tps':>9} | {'mean rt':>8} | "
-              f"{'p95 rt':>8} | {'cross %':>7}")
-    lines = [header, "-" * len(header)]
-    for row in rows:
-        lines.append(
-            f"{row.partition_count:>10} | {row.offered_load_tps:>11.0f} | "
-            f"{row.measured_commits:>9} | "
-            f"{row.achieved_throughput_tps:>9.1f} | "
-            f"{row.mean_response_time:>8.1f} | "
-            f"{row.percentile(0.95):>8.1f} | "
-            f"{row.cross_partition_ratio:>7.1%}")
-    return "\n".join(lines)

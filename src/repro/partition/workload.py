@@ -19,18 +19,13 @@ Every draw comes from named random streams, so two runs with the same seed —
 or two *techniques* compared under the same seed — see exactly the same
 sequence of programs until the first epoch change forces them to differ.
 
-Two load drivers are provided, mirroring the single-group client models:
-
-* :class:`PartitionedOpenLoopClients` — open loop, Poisson arrivals at a
-  fixed system-wide rate (the Fig. 9 X-axis discipline);
-* :class:`PartitionedClosedLoopClients` — the Table 4 client model taken
-  literally: ``clients_per_server`` clients per server across all groups,
-  each thinking an exponential time between transactions.
-
-Both submit through :meth:`~repro.partition.cluster.PartitionedCluster.
-submit_retrying`, so a client whose keys are mid-migration transparently
-retries against the new epoch, and both keep per-epoch and during-migration
-commit counters for the rebalance experiments.
+The load driver, :class:`PartitionedOpenLoopClients`, mirrors the
+single-group client pool: open loop, Poisson arrivals at a fixed system-wide
+rate (the Fig. 9 X-axis discipline).  It submits through
+:meth:`~repro.partition.cluster.PartitionedCluster.submit_retrying`, so a
+client whose keys are mid-migration transparently retries against the new
+epoch, and it keeps per-epoch and during-migration commit counters for the
+rebalance experiments.
 """
 
 from __future__ import annotations
@@ -209,11 +204,15 @@ class PartitionedWorkloadGenerator(WorkloadGenerator):
         return TransactionProgram(operations=tuple(operations), client=client)
 
 
-class _PartitionedClientBase:
-    """Shared bookkeeping of the partitioned load drivers."""
+class PartitionedOpenLoopClients:
+    """Poisson arrivals at a fixed system-wide rate against a partitioned cluster."""
 
-    def __init__(self, cluster: "PartitionedCluster",
+    def __init__(self, cluster: "PartitionedCluster", load_tps: float,
                  warmup: float = 0.0) -> None:
+        if load_tps <= 0:
+            raise ValueError("load must be positive")
+        self.load_tps = load_tps
+        self._next_client = 0
         self.cluster = cluster
         self.sim: Simulator = cluster.sim
         self.workload: PartitionedWorkloadGenerator = cluster.workload
@@ -281,22 +280,10 @@ class _PartitionedClientBase:
         """Committed transactions of both kinds after warm-up."""
         return sum(1 for result in self.results if result.committed)
 
-    def response_times(self, committed_only: bool = True) -> List[float]:
-        """Response times (ms) of post-warm-up transactions."""
+    def response_times(self) -> List[float]:
+        """Response times (ms) of post-warm-up committed transactions."""
         return [result.response_time for result in self.results
-                if result.committed or not committed_only]
-
-
-class PartitionedOpenLoopClients(_PartitionedClientBase):
-    """Poisson arrivals at a fixed system-wide rate against a partitioned cluster."""
-
-    def __init__(self, cluster: "PartitionedCluster", load_tps: float,
-                 warmup: float = 0.0) -> None:
-        super().__init__(cluster, warmup=warmup)
-        if load_tps <= 0:
-            raise ValueError("load must be positive")
-        self.load_tps = load_tps
-        self._next_client = 0
+                if result.committed]
 
     def start(self) -> None:
         """Start the arrival process."""
@@ -312,46 +299,3 @@ class PartitionedOpenLoopClients(_PartitionedClientBase):
                 client=f"client-{client_index}")
             self.sim.spawn(self._run_one(program, client_index),
                            name=f"client.txn.{program.program_id}")
-
-
-class PartitionedClosedLoopClients(_PartitionedClientBase):
-    """Table 4's client model across a partitioned cluster.
-
-    ``clients_per_server`` clients per server of every group, each
-    submitting a fresh transaction an exponential think time after its
-    previous one terminated — the self-throttling load model of the paper,
-    now spanning shards (the ROADMAP "closed-loop client pool" item).
-    """
-
-    def __init__(self, cluster: "PartitionedCluster", think_time_mean: float,
-                 warmup: float = 0.0,
-                 clients_per_server: Optional[int] = None) -> None:
-        super().__init__(cluster, warmup=warmup)
-        if think_time_mean <= 0:
-            raise ValueError("think time must be positive")
-        self.think_time_mean = think_time_mean
-        self.clients_per_server = clients_per_server or \
-            cluster.params.clients_per_server
-
-    @property
-    def client_count(self) -> int:
-        """Total number of closed-loop clients."""
-        return self.clients_per_server * len(self.cluster.server_names())
-
-    def start(self) -> None:
-        """Start every client process."""
-        client_index = 0
-        for server in self.cluster.server_names():
-            for _ in range(self.clients_per_server):
-                name = f"client-{client_index}"
-                self.sim.spawn(self._client_loop(name, client_index),
-                               name=f"clients.{name}")
-                client_index += 1
-
-    def _client_loop(self, client_name: str, client_index: int):
-        think_stream = self.sim.random.stream(f"clients.{client_name}.think")
-        think_rate = 1.0 / self.think_time_mean
-        while True:
-            yield self.sim.timeout(think_stream.expovariate(think_rate))
-            program = self.workload.next_program(client=client_name)
-            yield from self._run_one(program, client_index)

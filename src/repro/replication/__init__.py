@@ -10,8 +10,7 @@ together.
 """
 
 from .base import PendingSubmission, ReplicaServer
-from .cluster import (GROUP_BASED_TECHNIQUES, TECHNIQUES,
-                      ReplicatedDatabaseCluster)
+from .cluster import TECHNIQUES, ReplicatedDatabaseCluster
 from .dbsm import DatabaseStateMachineReplica
 from .lazy import PROPAGATION_KIND, LazyReplica
 from .primary_copy import (PrimaryCopyRouting, RoutingPolicy,
@@ -21,7 +20,6 @@ from .results import RunStatistics, TransactionResult
 __all__ = [
     "ReplicatedDatabaseCluster",
     "TECHNIQUES",
-    "GROUP_BASED_TECHNIQUES",
     "ReplicaServer",
     "PendingSubmission",
     "DatabaseStateMachineReplica",

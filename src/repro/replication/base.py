@@ -215,17 +215,6 @@ class ReplicaServer:
         return redone
         yield  # pragma: no cover - subclasses turn this into a real generator
 
-    # ------------------------------------------------------------------ statistics
-    @property
-    def committed_results(self) -> List[TransactionResult]:
-        """Results for which this server answered 'committed'."""
-        return [result for result in self.results if result.committed]
-
-    @property
-    def aborted_results(self) -> List[TransactionResult]:
-        """Results for which this server answered 'aborted'."""
-        return [result for result in self.results if not result.committed]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"<{type(self).__name__} {self.name} "
                 f"responded={len(self.results)}>")

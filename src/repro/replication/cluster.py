@@ -49,12 +49,6 @@ from .results import TransactionResult
 #: :data:`~repro.core.criteria.TECHNIQUE_SAFETY`, in presentation order.
 TECHNIQUES = ("group-safe", "group-1-safe", "2-safe", "1-safe", "0-safe")
 
-#: Techniques built on atomic broadcast — the delivered-on-all rows of
-#: Table 1 (the others are lazy variants).
-GROUP_BASED_TECHNIQUES = tuple(
-    name for name in TECHNIQUES
-    if TECHNIQUE_SAFETY[name].delivered_on is DeliveredOn.ALL)
-
 #: Maximum number of dirty (modified, not yet written) items a server's
 #: buffer pool holds before the apply stage is throttled.  Bounding the write
 #: cache is what keeps asynchronous disk writes honest under overload.
@@ -243,6 +237,7 @@ class ReplicatedDatabaseCluster:
         return [name for name, node in self.nodes.items() if node.is_up]
 
     # ------------------------------------------------------------------ results
+    # repro: allow(unused-surface): only its own test uses it; ROADMAP 7(b)
     def all_results(self) -> List[TransactionResult]:
         """Every client-visible result produced so far, across all servers."""
         results: List[TransactionResult] = []
@@ -250,6 +245,7 @@ class ReplicatedDatabaseCluster:
             results.extend(replica.results)
         return sorted(results, key=lambda result: result.responded_at)
 
+    # repro: allow(unused-surface): tests read where a commit landed with it
     def committed_everywhere(self, txn_id: str,
                              servers: Optional[Sequence[str]] = None) -> bool:
         """True if ``txn_id`` is recorded as committed on all given servers."""

@@ -48,7 +48,6 @@ class Simulator:
         self._now: float = 0.0
         self._queue: List[Tuple[float, int, Event]] = []
         self._sequence = 0
-        self._active_process: Optional[Process] = None
         self._finished = False
         self.random = RandomStreams(seed)
         #: Arbitrary per-run annotations experiments may attach (e.g. config).
@@ -65,11 +64,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulated time in milliseconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being stepped, if any."""
-        return self._active_process
 
     # -- event creation -------------------------------------------------------
     def event(self) -> Event:
@@ -208,6 +202,7 @@ class Simulator:
             raise process.value
         return process.value
 
+    # repro: allow(unused-surface): tests see a message path leave no event
     @property
     def queued_events(self) -> int:
         """Number of events currently waiting in the queue."""

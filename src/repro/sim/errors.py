@@ -41,7 +41,3 @@ class Interrupt(Exception):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Interrupt(cause={self.cause!r})"
-
-
-class ProcessKilled(Exception):
-    """Internal signal used to terminate a process generator permanently."""

@@ -79,18 +79,13 @@ class Event:
         """True once the event's callbacks have been executed."""
         return self._processed
 
-    @property
-    def defused(self) -> bool:
-        """True if a failure of this event has been handled somewhere.
+    def defuse(self) -> None:
+        """Mark a failed event as handled so the simulator does not raise it.
 
         The simulator raises failures of events that nobody handled (they are
-        almost always programming errors); handlers mark the event as defused
-        to signal that the failure was consumed.
+        almost always programming errors); a handler defuses the event to
+        signal that the failure was consumed.
         """
-        return self._defused
-
-    def defuse(self) -> None:
-        """Mark a failed event as handled so the simulator does not raise it."""
         self._defused = True
 
     @property

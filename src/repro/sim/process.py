@@ -71,6 +71,7 @@ class Process(Event):
         return self._target
 
     # -- control -----------------------------------------------------------
+    # repro: allow(unused-surface): tests stop processes to watch Resource
     def interrupt(self, cause: object = None) -> None:
         """Throw :class:`Interrupt` into the process at its current yield.
 
@@ -133,7 +134,6 @@ class Process(Event):
             return
         self._target = None
         sim = self.sim
-        sim._active_process = self
         try:
             if event._ok:
                 next_event = self._send(event._value)
@@ -157,8 +157,6 @@ class Process(Event):
                 self._value = exc
                 sim._schedule(self)
             return
-        finally:
-            sim._active_process = None
 
         if not isinstance(next_event, Event):
             raise SimulationError(

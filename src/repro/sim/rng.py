@@ -70,17 +70,14 @@ class RandomStreams:
         """Pick ``k`` distinct elements of ``population``."""
         return self.stream(name).sample(population, k)
 
-    def shuffle(self, name: str, items: list) -> list:
-        """Shuffle ``items`` in place and return it."""
-        self.stream(name).shuffle(items)
-        return items
-
+    # repro: allow(unused-surface): only its own test uses it; ROADMAP 7(b)
     def bernoulli(self, name: str, probability: float) -> bool:
         """Return True with the given ``probability``."""
         if not 0.0 <= probability <= 1.0:
             raise ValueError(f"probability out of range: {probability!r}")
         return self.stream(name).random() < probability
 
+    # repro: allow(unused-surface): only its own test uses it; ROADMAP 7(b)
     def stream_names(self) -> Iterable[str]:
         """Names of all streams that have been used so far."""
         return tuple(self._streams)

@@ -1,13 +1,11 @@
 """Workload model: Table 4 parameters, transaction generation and clients."""
 
-from .clients import ClosedLoopClientPool, OpenLoopClientPool
+from .clients import OpenLoopClientPool
 from .generator import WorkloadGenerator
-from .params import PAPER_PARAMETERS, SimulationParameters
+from .params import SimulationParameters
 
 __all__ = [
     "SimulationParameters",
-    "PAPER_PARAMETERS",
     "WorkloadGenerator",
     "OpenLoopClientPool",
-    "ClosedLoopClientPool",
 ]

@@ -1,22 +1,15 @@
-"""Client models driving a replicated database cluster.
+"""The client model driving a replicated database cluster.
 
-Two client models are provided:
-
-* :class:`OpenLoopClientPool` — transactions arrive as a Poisson process with
-  a configurable system-wide rate, split across the servers according to the
-  cluster's routing policy.  This is what the Fig. 9 experiment uses, because
-  it puts the exact offered load of the X axis on the system regardless of the
-  response times.
-* :class:`ClosedLoopClientPool` — the Table 4 client model taken literally:
-  ``clients_per_server`` clients per server, each submitting a new transaction
-  a think time after the previous one completed.  Used by tests and by the
-  ablation that checks both client models give the same ordering of the
-  techniques.
+:class:`OpenLoopClientPool` — transactions arrive as a Poisson process with a
+configurable system-wide rate, split across the servers according to the
+cluster's routing policy.  This is what the Fig. 9 experiment uses, because it
+puts the exact offered load of the X axis on the system regardless of the
+response times.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List
 
 from ..replication.results import TransactionResult
 from ..sim.engine import Simulator
@@ -26,15 +19,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from ..replication.cluster import ReplicatedDatabaseCluster
 
 
-class _ClientPoolBase:
-    """Shared bookkeeping of both client pools."""
+class OpenLoopClientPool:
+    """Poisson arrivals at a fixed system-wide rate (Fig. 9's X axis)."""
 
-    def __init__(self, cluster: "ReplicatedDatabaseCluster",
+    def __init__(self, cluster: "ReplicatedDatabaseCluster", load_tps: float,
                  warmup: float = 0.0) -> None:
+        if load_tps <= 0:
+            raise ValueError("load must be positive")
         self.cluster = cluster
         self.sim: Simulator = cluster.sim
         self.workload: WorkloadGenerator = cluster.workload
         self.warmup = warmup
+        self.load_tps = load_tps
+        self._next_client = 0
         #: Results observed by the clients after the warm-up period.
         self.results: List[TransactionResult] = []
         #: Results discarded because they started during warm-up.
@@ -70,18 +67,6 @@ class _ClientPoolBase:
         total = len(self.results)
         return len(self.aborted) / total if total else 0.0
 
-
-class OpenLoopClientPool(_ClientPoolBase):
-    """Poisson arrivals at a fixed system-wide rate (Fig. 9's X axis)."""
-
-    def __init__(self, cluster: "ReplicatedDatabaseCluster", load_tps: float,
-                 warmup: float = 0.0) -> None:
-        super().__init__(cluster, warmup=warmup)
-        if load_tps <= 0:
-            raise ValueError("load must be positive")
-        self.load_tps = load_tps
-        self._next_client = 0
-
     def start(self) -> None:
         """Start the arrival process."""
         self.sim.spawn(self._arrivals(), name="clients.open_loop")
@@ -104,52 +89,3 @@ class OpenLoopClientPool(_ClientPoolBase):
         self.submitted_count += 1
         result = yield self.cluster.submit(program, server=delegate)
         self._record(result, submitted_at)
-
-
-class ClosedLoopClientPool(_ClientPoolBase):
-    """Table 4's client model: N clients per server with exponential think time."""
-
-    def __init__(self, cluster: "ReplicatedDatabaseCluster",
-                 think_time_mean: float, warmup: float = 0.0,
-                 clients_per_server: Optional[int] = None) -> None:
-        super().__init__(cluster, warmup=warmup)
-        if think_time_mean <= 0:
-            raise ValueError("think time must be positive")
-        self.think_time_mean = think_time_mean
-        self.clients_per_server = clients_per_server or \
-            cluster.params.clients_per_server
-
-    def start(self) -> None:
-        """Start every client process."""
-        for server_index, server in enumerate(self.cluster.server_names()):
-            for client_index in range(self.clients_per_server):
-                name = f"client-{server_index}-{client_index}"
-                self.sim.spawn(self._client_loop(server, name),
-                               name=f"clients.{name}")
-
-    def _client_loop(self, server: str, client_name: str):
-        think_stream = self.sim.random.stream(f"clients.{client_name}.think")
-        think_rate = 1.0 / self.think_time_mean
-        while True:
-            yield self.sim.timeout(think_stream.expovariate(think_rate))
-            if not self.cluster.node(server).is_up:
-                continue
-            program = self.workload.next_program(client=client_name)
-            submitted_at = self.sim.now
-            self.submitted_count += 1
-            result = yield self.cluster.submit(program, server=server)
-            self._record(result, submitted_at)
-
-    @classmethod
-    def for_target_load(cls, cluster: "ReplicatedDatabaseCluster",
-                        load_tps: float, expected_response_time: float = 100.0,
-                        warmup: float = 0.0) -> "ClosedLoopClientPool":
-        """Build a pool whose think time approximately offers ``load_tps``.
-
-        With N clients, offered load ≈ N / (think + response); the think time
-        is derived from the target load and an expected response time.
-        """
-        clients = cluster.params.total_clients
-        cycle_time_ms = clients / load_tps * 1000.0
-        think = max(1.0, cycle_time_ms - expected_response_time)
-        return cls(cluster, think_time_mean=think, warmup=warmup)

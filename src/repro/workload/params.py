@@ -100,26 +100,6 @@ class SimulationParameters:
         return replace(self, **overrides)
 
     # -- derived quantities -------------------------------------------------------------
-    @property
-    def total_clients(self) -> int:
-        """Total number of clients in the system."""
-        return self.server_count * self.clients_per_server
-
-    @property
-    def mean_transaction_length(self) -> float:
-        """Expected number of operations per transaction."""
-        return (self.transaction_length_min + self.transaction_length_max) / 2.0
-
-    @property
-    def mean_disk_read_time(self) -> float:
-        """Expected disk read time in ms."""
-        return (self.read_time_min + self.read_time_max) / 2.0
-
-    @property
-    def mean_disk_write_time(self) -> float:
-        """Expected disk write time in ms."""
-        return (self.write_time_min + self.write_time_max) / 2.0
-
     def server_names(self) -> list:
         """The conventional server names ``s1 ... sN``."""
         return [f"s{i}" for i in range(1, self.server_count + 1)]
@@ -147,7 +127,3 @@ class SimulationParameters:
             "CPU time for a network operation":
                 f"{self.cpu_time_per_network_op:g} ms",
         }
-
-
-#: The canonical Table 4 parameter set, importable as a module constant.
-PAPER_PARAMETERS = SimulationParameters.paper()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.db import TransactionProgram, read, write
 from repro.network import Lan, Node
 from repro.replication import ReplicatedDatabaseCluster
 from repro.sim import Simulator
@@ -48,3 +49,18 @@ def build_cluster(technique: str, seed: int = 7,
 def cluster_factory():
     """Factory fixture returning :func:`build_cluster`."""
     return build_cluster
+
+
+def make_program(spec, client: str = "client") -> TransactionProgram:
+    """Build a program from a compact spec like ``[("r", "x"), ("w", "y", 1)]``."""
+    operations = []
+    for entry in spec:
+        kind, key = entry[0], entry[1]
+        value = entry[2] if len(entry) > 2 else None
+        if kind in ("r", "read"):
+            operations.append(read(key))
+        elif kind in ("w", "write"):
+            operations.append(write(key, value))
+        else:
+            raise ValueError(f"unknown operation kind {kind!r}")
+    return TransactionProgram(operations=tuple(operations), client=client)

@@ -4,7 +4,7 @@ model of the detector's ticks.
 This is how ``src/repro/gcs/failure_detector.py`` sent heartbeats until
 ticks replaced it — a volatile process per live member that stamps its own
 beat, broadcasts it to the peers and sleeps a period; killed with its node,
-respawned on recovery, spawned by a late ``watch`` — kept as the
+respawned on recovery — kept as the
 obviously-correct model the property test in ``tests/test_gcs_heartbeat.py``
 drives side by side with the real detector.  Only the suspicion contract
 (listeners, map, counters) is shared; membership, freshness and the sweep

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.db import (LocalDatabase, TransactionStatus, UnknownItemError,
-                      make_program)
+from repro.db import LocalDatabase, TransactionStatus, UnknownItemError
 from repro.network import Node
 from repro.sim import Simulator
+from tests.conftest import make_program
 
 
 @pytest.fixture
@@ -100,7 +100,10 @@ def test_full_commit_cycle_logs_and_finalizes(db_setup):
 
     def body():
         for op in program.operations:
-            yield from db.execute_operation(txn, op)
+            if op.is_read:
+                yield from db.read(txn, op.key)
+            else:
+                db.stage_write(txn, op.key, op.value)
         payload = txn.certification_payload()
         order = db.install_writes(payload)
         yield from db.apply_physical_writes(payload.write_set, synchronous=True)
@@ -179,4 +182,4 @@ def test_crash_listener_resets_lock_table(db_setup):
 
 def test_logged_transactions_lists_durable_commits(db_setup):
     sim, node, db = db_setup
-    assert db.logged_transactions() == []
+    assert db.wal.committed_transactions() == []

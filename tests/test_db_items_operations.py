@@ -6,8 +6,8 @@ import pytest
 
 from repro.core.audit import SafetyAudit
 from repro.db import (Item, ItemStore, LocalDatabase, Operation,
-                      OperationType, TransactionProgram, WriteSetMessage,
-                      make_program, read, redo_from_log, write)
+                      OperationType, TransactionProgram, WriteSetMessage, read,
+                      redo_from_log, write)
 from repro.db.items import INITIAL, item_keys
 from repro.db.wal import LogRecord, LogRecordType
 from repro.experiments.rebalance import audit_commit_integrity
@@ -17,6 +17,7 @@ from repro.partition import PartitionedCluster
 from repro.partition.workload import PartitionedOpenLoopClients
 from repro.sim import Simulator
 from repro.workload import SimulationParameters
+from tests.conftest import make_program
 
 
 def test_item_install_bumps_version_and_keeps_history():
@@ -243,9 +244,7 @@ def test_program_structure_queries():
     program = TransactionProgram(operations=(
         read("a"), write("b", 1), read("a"), write("b", 2), write("c", 3)))
     assert program.length == 5
-    assert program.read_keys == ["a"]
     assert program.write_keys == ["b", "c"]
-    assert not program.is_read_only
 
 
 def test_program_requires_operations_and_unique_ids():
@@ -258,7 +257,7 @@ def test_program_requires_operations_and_unique_ids():
 
 def test_read_only_program_detection():
     program = TransactionProgram(operations=(read("a"), read("b")))
-    assert program.is_read_only
+    assert program.write_keys == []
 
 
 def test_make_program_compact_spec():

@@ -23,7 +23,7 @@ def test_delivery_is_logged_on_stable_storage():
     gcs.endpoint("s1").broadcast("payload")
     sim.run(until=20.0)
     for name in ("s1", "s2", "s3"):
-        log = gcs.endpoint(name).message_log
+        log = gcs.endpoint(name).journal
         assert len(log) == 1
         assert log.unacknowledged()[0].payload == "payload"
 
@@ -39,7 +39,7 @@ def test_acknowledge_marks_successful_delivery():
     nodes[1].spawn(consumer())
     gcs.endpoint("s1").broadcast("ack-me")
     sim.run(until=20.0)
-    assert endpoint.message_log.unacknowledged() == []
+    assert endpoint.journal.unacknowledged() == []
     assert endpoint.ack_count == 1
     assert gcs.trace.check_end_to_end(["s2"])
 
@@ -70,7 +70,7 @@ def test_unacknowledged_messages_are_replayed_after_crash():
     nodes[2].spawn(consumer())
     sim.run(until=150.0)
     assert replays == [("must-survive", True)]
-    assert gcs.endpoint("s3").message_log.unacknowledged() == []
+    assert gcs.endpoint("s3").journal.unacknowledged() == []
 
 
 def test_acknowledged_messages_are_not_replayed():
@@ -173,4 +173,38 @@ def test_duplicate_ack_is_harmless():
     nodes[0].spawn(consumer())
     endpoint.broadcast("twice-acked")
     sim.run(until=20.0)
-    assert endpoint.message_log.is_acknowledged(deliveries[0].broadcast_id)
+    assert [entry.acknowledged for entry in endpoint.journal.entries()
+            if entry.broadcast_id == deliveries[0].broadcast_id] == [True]
+
+
+class _UnscannableList(list):
+    """A delivery history that fails any scan (appends still work)."""
+
+    def __iter__(self):
+        raise AssertionError("the history was scanned")
+
+
+def test_acknowledge_does_not_scan_the_delivery_history():
+    # Regression: every ack used to scan all of trace.deliveries, which made
+    # a long 2-safe run quadratic in its number of commits.
+    sim, lan, nodes, gcs = build_group()
+    gcs.trace.deliveries = _UnscannableList()
+    endpoint = gcs.endpoint("s2")
+    acked = []
+
+    def consumer():
+        while True:
+            delivery = yield endpoint.deliveries.get()
+            endpoint.acknowledge(delivery)
+            acked.append(delivery.broadcast_id)
+
+    nodes[1].spawn(consumer())
+    for payload in ("first", "second"):
+        gcs.endpoint("s1").broadcast(payload)
+    sim.run(until=40.0)
+    assert len(acked) == 2
+    mine = [record for record in list.__iter__(gcs.trace.deliveries)
+            if record.member == "s2"]
+    assert [record.acknowledged for record in mine] == [True, True]
+    assert [record.acknowledged_at for record in mine] == \
+        [entry.acknowledged_at for entry in endpoint.journal.entries()]

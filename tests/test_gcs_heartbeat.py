@@ -53,7 +53,7 @@ def test_parameter_validation():
 def test_healthy_group_suspects_nobody():
     sim, lan, nodes, detector = build_detector()
     sim.run(until=500.0)
-    assert detector.alive_members() == ["s1", "s2", "s3"]
+    assert not any(detector.is_suspected(node.name) for node in nodes)
     assert detector.suspicion_count == 0
 
 
@@ -163,15 +163,14 @@ def _fault(name, nodes):
     return LinkFault.slow(name, [a], [b], 3.0)
 
 
-def drive_detector(detector_class, member_count, late, schedule):
-    """``member_count`` nodes, the last ``late`` of them watched only by a
-    ``watch`` action; ``schedule`` = [(ms, action)]: toggle a node (crash,
-    or recover and restart its dispatcher), watch the next late node, or
-    toggle a named link fault."""
+def drive_detector(detector_class, member_count, schedule):
+    """``member_count`` nodes; ``schedule`` = [(ms, action)]: toggle a node
+    (crash, or recover and restart its dispatcher), or toggle a named link
+    fault."""
     sim = Simulator(seed=3)
     lan = Lan(sim)
     nodes = [lan.attach(Node(sim, f"s{i}")) for i in range(1, member_count + 1)]
-    detector = detector_class(sim, lan, nodes[:member_count - late])
+    detector = detector_class(sim, lan, nodes)
     freshness = detector._last_heard = _FreshnessLog(detector._last_heard)
     announcements = []
     detector.subscribe(lambda member, kind:
@@ -180,7 +179,6 @@ def drive_detector(detector_class, member_count, late, schedule):
     for node, dispatcher in zip(nodes, dispatchers):
         detector.bind_dispatcher(node.name, dispatcher)
         dispatcher.start()
-    unwatched = nodes[member_count - late:]
 
     def toggle(index):
         node = nodes[index % member_count]
@@ -190,17 +188,13 @@ def drive_detector(detector_class, member_count, late, schedule):
             node.recover()
             dispatchers[index % member_count].start()
 
-    def watch():
-        if unwatched:
-            detector.watch(unwatched.pop(0))
-
     def link(name):
         if name in lan.active_faults():
             lan.remove_fault(name)
         else:
             lan.install_fault(_fault(name, nodes))
 
-    actions = {"toggle": toggle, "watch": watch, "link": link}
+    actions = {"toggle": toggle, "link": link}
     for when, (action, *args) in schedule:
         sim.call_at(when, partial(actions[action], *args))
     sim.run(until=400.0)
@@ -213,26 +207,22 @@ FAULT_NAMES = [f"{kind}:{a}:{b}" for kind in ("isolate", "deaf", "lossy", "slow"
                for a in range(3) for b in range(3) if a != b]
 DETECTOR_ACTIONS = st.one_of(
     st.tuples(st.just("toggle"), st.integers(min_value=0, max_value=4)),
-    st.tuples(st.just("watch")),
     st.tuples(st.just("link"), st.sampled_from(FAULT_NAMES)))
 
 
-@given(st.integers(min_value=3, max_value=5), st.integers(min_value=0,
-                                                          max_value=2),
+@given(st.integers(min_value=3, max_value=5),
        st.lists(st.tuples(st.integers(min_value=1, max_value=380)
                           .map(float), DETECTOR_ACTIONS),
                 unique_by=lambda entry: entry[0], max_size=14))
 @settings(max_examples=120, deadline=None, derandomize=True)
-def test_ticks_match_the_per_member_beat_processes(member_count, late,
-                                                   schedule):
+def test_ticks_match_the_per_member_beat_processes(member_count, schedule):
     """Same freshness writes and announcements, at the same instants, under
-    crashes, recoveries, late watches and link faults — including actions
-    on the very instants the members beat and the sweep runs."""
-    late = min(late, member_count - 2)
+    crashes, recoveries and link faults — including actions on the very
+    instants the members beat and the sweep runs."""
     ticks, tick_events = drive_detector(HeartbeatFailureDetector,
-                                        member_count, late, schedule)
+                                        member_count, schedule)
     reference, reference_events = drive_detector(
-        ReferenceHeartbeatDetector, member_count, late, schedule)
+        ReferenceHeartbeatDetector, member_count, schedule)
     assert ticks == reference
     assert tick_events < reference_events
 

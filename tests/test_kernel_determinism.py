@@ -195,7 +195,7 @@ def test_engine_read_matches_buffer_read_item():
     copy path): identical stream draws, identical hit/miss accounting,
     identical simulated timing."""
     from repro.db.engine import LocalDatabase
-    from repro.db.operations import make_program
+    from tests.conftest import make_program
     from repro.network.node import Node
 
     def drive(via_engine: bool):
@@ -260,7 +260,7 @@ class TestInlinedUseSitesReleaseOnKill:
         self._assert_released_after_kill(sim, node, process)
 
     def test_engine_read_releases_on_kill(self):
-        from repro.db.operations import make_program
+        from tests.conftest import make_program
 
         sim, node, db = self._db(hit_ratio=0.0)
         txn = db.begin(make_program([("r", "item-0")]))

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.db.operations import make_program
 from repro.db.transaction import WriteSetMessage
 from repro.partition import (ABORT_VALIDATION, CrossPartitionOutcome,
                              PartitionedCluster, PartitionedOpenLoopClients)
 from repro.replication.results import TransactionResult
 from repro.workload import SimulationParameters
+from tests.conftest import make_program
 
 
 def build_cluster(technique="group-safe", partitions=2, items=100, seed=7,
@@ -213,13 +213,8 @@ def test_decision_records_are_not_phantom_commits():
     all_logged = [txn_id
                   for name in cluster.group(0).server_names()
                   for txn_id in cluster.group(0).database(name)
-                  .logged_transactions()]
+                  .wal.committed_transactions()]
     assert not any(txn_id.startswith("xp-") for txn_id in all_logged)
-    # And the fast-path result view excludes the internal branch installs.
-    branch_ids = {branch.txn_id for branch in waiter.value.branches}
-    fast_path_ids = {result.txn_id
-                     for result in cluster.all_single_partition_results()}
-    assert not branch_ids & fast_path_ids
 
 
 # ---------------------------------------------------------------- bulk property

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.db.operations import make_program
 from repro.partition import RoutingTable, TransactionRouter
+from tests.conftest import make_program
 
 
 # ---------------------------------------------------------------- static layouts
@@ -66,14 +66,12 @@ def test_router_classifies_single_partition():
     router = router_over_ranges()
     program = make_program([("r", "item-1"), ("w", "item-7", "v")])
     assert router.partitions_of(program) == [0]
-    assert router.is_single_partition(program)
 
 
 def test_router_classifies_cross_partition():
     router = router_over_ranges()
     program = make_program([("r", "item-1"), ("w", "item-80", "v")])
     assert router.partitions_of(program) == [0, 3]
-    assert not router.is_single_partition(program)
 
 
 def test_router_counters_update_on_classify():

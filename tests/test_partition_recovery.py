@@ -12,10 +12,10 @@ orphan instead of resurrecting the transaction.
 
 from __future__ import annotations
 
-from repro.db.operations import make_program
 from repro.db.wal import LogRecord
 from repro.partition import (CrossPartitionOutcome, PartitionedCluster)
 from repro.workload import SimulationParameters
+from tests.conftest import make_program
 
 
 def build(partitions=2, technique="group-safe", seed=7, items=100,

@@ -93,7 +93,7 @@ def test_partitioned_generation_is_deterministic():
 def test_zero_probability_generates_only_single_partition():
     generator, router = make_generator(cross=0.0)
     for _ in range(50):
-        assert router.is_single_partition(generator.next_program())
+        assert len(router.partitions_of(generator.next_program())) == 1
     assert generator.cross_partition_generated == 0
 
 
@@ -181,58 +181,3 @@ def test_generator_tolerates_emptied_partitions_after_migration():
     for _ in range(30):
         generator.next_program()
     assert generator.cross_partition_generated == 0
-
-
-# ---------------------------------------------------------------- closed loop
-def closed_loop_cluster(**overrides):
-    from repro.partition import PartitionedCluster
-    params = SimulationParameters.small(server_count=3, item_count=120)
-    params = params.with_overrides(partition_count=2,
-                                   cross_partition_probability=0.2,
-                                   **overrides)
-    cluster = PartitionedCluster("group-safe", params=params, seed=17,
-                                 strategy="range")
-    cluster.start()
-    return cluster
-
-
-def test_closed_loop_pool_drives_both_result_kinds():
-    from repro.partition import PartitionedClosedLoopClients
-    cluster = closed_loop_cluster()
-    clients = PartitionedClosedLoopClients(cluster, think_time_mean=150.0,
-                                           warmup=500.0)
-    clients.start()
-    # 2 partitions x 3 servers x 2 clients/server = 12 closed-loop clients.
-    assert clients.client_count == 12
-    cluster.run(until=6_000)
-    assert clients.committed_count > 0
-    assert clients.cross_results, "expected some cross-partition traffic"
-    assert clients.submitted_count >= clients.committed_count
-    # The closed loop self-throttles: never more in flight than clients.
-    from repro.partition import collect_statistics
-    stats = collect_statistics(clients, duration_ms=5_500)
-    assert stats.measured_commits == clients.committed_count
-    assert stats.offered_load_tps == 0.0   # no fixed offered load
-
-    assert stats.achieved_throughput_tps > 0
-
-
-def test_closed_loop_pool_validates_think_time():
-    from repro.partition import PartitionedClosedLoopClients
-    cluster = closed_loop_cluster()
-    with pytest.raises(ValueError):
-        PartitionedClosedLoopClients(cluster, think_time_mean=0.0)
-
-
-def test_closed_loop_pool_survives_a_live_migration():
-    from repro.partition import PartitionedClosedLoopClients
-    from repro.experiments import audit_commit_integrity
-    cluster = closed_loop_cluster()
-    clients = PartitionedClosedLoopClients(cluster, think_time_mean=100.0)
-    clients.start()
-    cluster.run(until=1_000)
-    driver = cluster.migrate(0, destination_group=1)
-    cluster.run(until=10_000)
-    assert driver.value.completed
-    assert clients.epoch_commits.get(1, 0) > 0
-    assert audit_commit_integrity(cluster, clients) == []

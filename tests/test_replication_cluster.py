@@ -6,13 +6,12 @@ import pytest
 
 from repro.core import (TECHNIQUE_SAFETY, DeliveredOn, LoggedOn,
                         classify_result)
-from repro.db.operations import make_program
-from repro.replication import (GROUP_BASED_TECHNIQUES, TECHNIQUES,
-                               DatabaseStateMachineReplica, LazyReplica,
-                               PrimaryCopyRouting, ReplicatedDatabaseCluster,
+from repro.replication import (TECHNIQUES, DatabaseStateMachineReplica,
+                               LazyReplica, PrimaryCopyRouting,
+                               ReplicatedDatabaseCluster,
                                UpdateEverywhereRouting, make_routing)
 from repro.workload import SimulationParameters
-from tests.conftest import build_cluster
+from tests.conftest import build_cluster, make_program
 
 
 def test_unknown_technique_rejected():
@@ -39,12 +38,11 @@ def test_group_based_techniques_get_a_gcs_and_lazy_does_not(small_params):
         level = TECHNIQUE_SAFETY[technique]
         cluster = ReplicatedDatabaseCluster(technique, params=small_params)
         replica = cluster.replica("s1")
-        if technique in GROUP_BASED_TECHNIQUES:
-            assert level.delivered_on is DeliveredOn.ALL
+        if level.delivered_on is DeliveredOn.ALL:
             assert type(replica) is DatabaseStateMachineReplica
             assert cluster.gcs is not None
             assert cluster.gcs.end_to_end == (technique == "2-safe")
-            assert (replica.endpoint.message_log is not None) == \
+            assert (replica.endpoint.journal is not None) == \
                 (level.logged_on is LoggedOn.ALL)
         else:
             assert level.delivered_on is DeliveredOn.ONE

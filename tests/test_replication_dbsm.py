@@ -5,8 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import SafetyLevel, classify_result
-from repro.db import make_program
-from tests.conftest import build_cluster
+from tests.conftest import build_cluster, make_program
 
 
 def run_one(cluster, program, server="s1", until=3_000.0):
@@ -55,8 +54,7 @@ def test_two_safe_logs_before_answering_and_uses_e2e_broadcast():
     assert result.logged_on_delegate
     assert cluster.gcs.end_to_end
     endpoint = cluster.gcs.endpoint("s1")
-    assert endpoint.message_log.is_acknowledged(
-        endpoint.message_log.entries()[0].broadcast_id)
+    assert endpoint.journal.entries()[0].acknowledged
 
 
 def test_group_safe_responds_before_delegate_logs():

