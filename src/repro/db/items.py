@@ -1,8 +1,10 @@
 """Logical database state: items, versions and the item store.
 
 The database of the paper's simulation is a flat collection of 10'000 items
-(Table 4).  Each item carries a *version*, incremented every time a committed
-transaction overwrites it.  Versions serve two purposes:
+(Table 4).  Each item carries its current committed state only — value,
+*version*, writer and commit order — and no record of earlier versions.  The
+version is incremented every time a committed transaction overwrites the item,
+and serves two purposes:
 
 * the database state machine certification test compares the versions a
   transaction read against the current versions to detect conflicts with
@@ -23,7 +25,7 @@ touched.  Everything else is in its initial state, :data:`INITIAL`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import (Dict, FrozenSet, Iterator, List, NamedTuple, Optional,
                     Tuple)
@@ -42,16 +44,15 @@ class ItemVersion(NamedTuple):
 INITIAL = ItemVersion(value=0, version=0)
 
 
-@dataclass
+@dataclass(slots=True)
 class Item:
-    """One logical database item and its committed history."""
+    """One logical database item in its current committed state."""
 
     key: str
     value: object = 0
     version: int = 0
     writer: Optional[str] = None
     commit_order: int = 0
-    history: List[ItemVersion] = field(default_factory=list)
 
     def install(self, value: object, writer: Optional[str],
                 commit_order: int) -> None:
@@ -65,9 +66,6 @@ class Item:
         """
         if commit_order < self.commit_order:
             return
-        self.history.append(ItemVersion(value=self.value, version=self.version,
-                                        writer=self.writer,
-                                        commit_order=self.commit_order))
         self.value = value
         self.version += 1
         self.writer = writer

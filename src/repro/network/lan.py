@@ -194,8 +194,9 @@ class Lan:
         crashed, partitioned away, or sampled away by a lossy link — exactly
         what a datagram network does.  Sending stamps
         :attr:`~repro.network.message.Message.sent_at` on the message itself
-        (no per-send envelope copy; callers hand over fresh envelopes, and a
-        re-sent message is simply re-stamped).
+        (no per-send envelope copy; callers hand over fresh envelopes).  A
+        re-sent, already-stamped message travels as a stamped copy, so the
+        earlier delivery keeps its own ``sent_at``.
         """
         admitted = self._admit(message)
         if admitted is not None:
@@ -264,11 +265,8 @@ class Lan:
         if message.sent_at is not None:
             # Re-send of an already-stamped envelope (retransmission): copy
             # it so the earlier in-flight delivery keeps its own timestamp.
-            message = Message(sender=message.sender,
-                              destination=message.destination,
-                              kind=message.kind, payload=message.payload,
-                              message_id=message.message_id)
-        object.__setattr__(message, "sent_at", self.sim.now)
+            message = message.with_destination(message.destination)
+        message.sent_at = self.sim.now
         return delay, (message, destination)
 
     def _deliver_run(self, run: List[Tuple[Message, Node]]) -> None:

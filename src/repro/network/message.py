@@ -1,13 +1,11 @@
 """Network message representation.
 
-Messages are small, frozen envelopes: a sender, a destination, a ``kind``
+Messages are small plain envelopes: a sender, a destination, a ``kind``
 tag used by protocol dispatch, and an arbitrary payload.  A process-wide
-monotonically increasing identifier makes every message distinguishable, which
-the group-communication layer relies on for duplicate suppression and
-acknowledgement bookkeeping.  The one exception to immutability is
-``sent_at``: the LAN stamps it in place when the message enters the network
-(sparing a copy per send on the hot path), so it is excluded from
-equality and hashing.
+monotonically increasing identifier makes every message distinguishable; the
+copies of one broadcast share it.  Only the LAN writes to an envelope: it
+stamps ``sent_at`` when the message enters the network, which is why
+``sent_at`` is excluded from equality.  Messages are not hashable.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ def next_message_id() -> int:
     return next(_message_ids)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Message:
     """An envelope travelling on the simulated LAN.
 
@@ -51,10 +49,10 @@ class Message:
     kind: str
     payload: Any = None
     message_id: int = field(default_factory=next_message_id)
-    #: Stamped in place by :meth:`repro.network.lan.Lan.send` (the one
-    #: sanctioned mutation of the otherwise-frozen envelope), so it is
-    #: excluded from equality/hashing — a stored message must not change
-    #: identity when it is sent.
+    #: Stamped by the LAN when the message is admitted
+    #: (:meth:`repro.network.lan.Lan._admit`), so it is excluded from
+    #: equality — a stored message compares the same before and after it
+    #: is sent.
     sent_at: Optional[float] = field(default=None, compare=False)
 
     def with_destination(self, destination: str) -> "Message":
@@ -63,9 +61,8 @@ class Message:
         The copy keeps the same ``message_id`` so that the per-destination
         copies produced by a broadcast are recognisably the same message.
         """
-        return Message(sender=self.sender, destination=destination,
-                       kind=self.kind, payload=self.payload,
-                       message_id=self.message_id, sent_at=self.sent_at)
+        return Message(self.sender, destination, self.kind, self.payload,
+                       self.message_id, self.sent_at)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"Message(#{self.message_id} {self.kind} "

@@ -47,7 +47,6 @@ class ReferenceItemStore:
             item.version = 0
             item.writer = None
             item.commit_order = 0
-            item.history = []
 
     def __contains__(self, key: str) -> bool:
         return key in self._items
@@ -74,7 +73,6 @@ class ReferenceItemStore:
             item.version = version.version
             item.writer = version.writer
             item.commit_order = version.commit_order
-            item.history = []
 
     def versions(self) -> Dict[str, int]:
         return {key: item.version for key, item in self._items.items()}

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.core.audit import SafetyAudit
@@ -20,14 +22,24 @@ from repro.workload import SimulationParameters
 from tests.conftest import make_program
 
 
-def test_item_install_bumps_version_and_keeps_history():
+def test_item_install_bumps_version_and_keeps_latest_state():
     item = Item(key="x", value=0)
     item.install("v1", writer="t1", commit_order=1)
     item.install("v2", writer="t2", commit_order=2)
     assert item.value == "v2"
     assert item.version == 2
     assert item.writer == "t2"
-    assert [version.value for version in item.history] == [0, "v1"]
+    assert item.commit_order == 2
+
+
+def test_item_holds_five_slots_and_installs_do_not_grow_it():
+    item = Item(key="x", value=0)
+    assert not hasattr(item, "__dict__")
+    size = sys.getsizeof(item)
+    for order in range(1, 1001):
+        item.install(f"v{order}", writer=f"t{order}", commit_order=order)
+    assert item.version == 1000
+    assert sys.getsizeof(item) == size
 
 
 def test_item_install_follows_thomas_write_rule():

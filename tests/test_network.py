@@ -38,6 +38,43 @@ def test_broadcast_reaches_every_node_including_sender():
     assert all(node.inbox.pending_items == 1 for node in nodes)
 
 
+def _recording_lan(sim):
+    """A three-node LAN whose deliveries are recorded as (message, sent_at)."""
+    lan, _nodes = make_lan(sim)
+    delivered = []
+    deliver = lan._deliver
+    lan._deliver = lambda message, node: (
+        delivered.append((message, message.sent_at)), deliver(message, node))
+    return lan, delivered
+
+
+def test_resending_a_stamped_message_leaves_the_first_copy_alone():
+    sim = Simulator()
+    lan, delivered = _recording_lan(sim)
+    message = Message(sender="s1", destination="s2", kind="X")
+    lan.send(message)
+    sim.call_at(0.03, lambda: lan.send(message))   # first copy still in flight
+    sim.run()
+    assert [sent_at for _, sent_at in delivered] == [0.0, 0.03]
+    first, second = (copy for copy, _ in delivered)
+    assert first is message and second is not message
+    assert first.message_id == second.message_id
+
+
+def test_broadcast_copies_are_distinct_objects_with_one_message_id():
+    sim = Simulator()
+    lan, delivered = _recording_lan(sim)
+    message = Message(sender="s1", destination="*", kind="HELLO")
+    lan.broadcast(message)
+    sim.run()
+    copies = [copy for copy, _ in delivered]
+    assert [copy.destination for copy in copies] == ["s1", "s2", "s3"]
+    assert len({id(copy) for copy in copies}) == 3
+    assert all(copy is not message for copy in copies)
+    assert {copy.message_id for copy in copies} == {message.message_id}
+    assert message.sent_at is None             # the original never travels
+
+
 def _fan_out(use_broadcast, jitter=0.0, slow_pair=None):
     """One message to s1..s5 plus an unknown and a blocked destination, by
     ``broadcast`` or by the equivalent ``send`` loop; what arrived, the

@@ -212,8 +212,7 @@ MODEL_KEYS = [f"item-{index}" for index in range(8)] + ["extra-a", "extra-b"]
 
 def _item_state(item):
     return None if item is None else (
-        item.key, item.value, item.version, item.writer, item.commit_order,
-        list(item.history))
+        item.key, item.value, item.version, item.writer, item.commit_order)
 
 
 class ItemStoreModel(RuleBasedStateMachine):
