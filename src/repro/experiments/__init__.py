@@ -1,24 +1,17 @@
-"""Experiment harnesses reproducing every table and figure of the paper."""
+"""Experiment harnesses reproducing every table and figure of the paper.
 
-from .failure_matrix import (crash_tolerance_summary, render_matrix,
-                             run_failure_matrix)
+The modules with a command line (``python -m repro.experiments.<name>``)
+are re-exported lazily (PEP 562): imported here, each would already be in
+``sys.modules`` when runpy executes it as ``__main__``, so it would load
+twice and runpy would warn.  A name they export is imported on first use.
+"""
+
+from importlib import import_module
+
 from .figure9 import (FIGURE9_LOADS, FIGURE9_TECHNIQUES, LoadPoint,
                       crossover_load, curves, figure9_sweep, render_figure9,
                       run_load_point)
 from .harness import LossCell, demonstrated, violations
-from .partition_failure_matrix import (PARTITIONED_CRASH_PATTERNS,
-                                       PartitionedScenarioOutcome,
-                                       ShardStatus, missing_pattern_classes,
-                                       render_partitioned_matrix,
-                                       run_partitioned_crash_scenario,
-                                       run_partitioned_failure_matrix)
-from .partition_scaling import (DEFAULT_LOAD_TPS, PARTITION_COUNTS,
-                                SPAN_VALUES, PartitionPoint, partition_sweep,
-                                render_partition_sweep, render_span_sweep,
-                                run_partition_point, span_sweep,
-                                work_per_commit)
-from .autobalance import (AutobalanceOutcome, render_autobalance_report,
-                          run_autobalance_experiment)
 from .rebalance import (RebalanceOutcome, audit_commit_integrity,
                         render_rebalance_report, run_rebalance_experiment,
                         window_commits)
@@ -28,6 +21,11 @@ from .scaling import (DivergenceOutcome, analytic_scaling,
 from .scenarios import (CRASH_PATTERNS, ScenarioOutcome, figure5_scenario,
                         figure7_scenario, run_crash_scenario,
                         single_crash_scenario)
+
+#: The submodules with a command line, searched in this order for a lazily
+#: re-exported name.
+_RUNNABLE = ("failure_matrix", "partition_failure_matrix",
+             "partition_scaling", "autobalance")
 
 __all__ = [
     "ScenarioOutcome",
@@ -82,3 +80,13 @@ __all__ = [
     "format_table",
     "format_mapping",
 ]
+
+
+def __getattr__(name):
+    if name in __all__:
+        for module_name in _RUNNABLE:
+            module = import_module(f"{__name__}.{module_name}")
+            if hasattr(module, name):
+                value = globals()[name] = getattr(module, name)
+                return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -37,7 +37,6 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Sequence
 
 from ..core.layers import implements, uses
-from ..network.dispatch import Dispatcher
 from ..network.lan import Lan
 from ..network.message import Message
 from ..network.node import Node
@@ -46,7 +45,8 @@ from ..sim.engine import Simulator
 #: Callback signature: listener(member_name, event) with event "suspect"/"restore".
 SuspicionListener = Callable[[str, str], None]
 
-#: Message kind of the heartbeat traffic (routed by the node dispatchers).
+#: Message kind of the heartbeat traffic (consumed by each watched node's
+#: network interface on arrival, never by its dispatcher).
 HEARTBEAT_KIND = "fd.heartbeat"
 
 
@@ -135,12 +135,17 @@ class HeartbeatFailureDetector(_SuspicionOracle):
     event per run of equal delays, so one per tick on a healthy LAN).  A
     crash takes the member off its chain; a member that starts later
     (recovery) gets a chain of its own, at its own phase.
-    Receivers record last-heard times through their dispatcher
-    (:meth:`bind_dispatcher`); the member's own beat counts as a local
-    self-observation.  A periodic sweep suspects member ``M`` exactly when
-    fewer than a majority of the group has heard from ``M`` within
-    ``timeout`` — so a netsplit suspects the minority side, a crash suspects
-    the crashed node, and a single slow or lossy link alone suspects nobody.
+    A beat is a NIC-level keep-alive: priced on the wire, not on a CPU.
+    Each watched node consumes :data:`HEARTBEAT_KIND` on arrival
+    (:meth:`~repro.network.node.Node.on_arrival`), so a beat that survives
+    the LAN's drop checks records the observer's last-heard time the
+    instant it lands, with no reception charge and no dispatcher.  Table 4
+    prices no failure-detector traffic; this price is the project's choice.
+    The member's own beat counts as a local self-observation.  A periodic
+    sweep suspects member ``M`` exactly when fewer than a majority of the
+    group has heard from ``M`` within ``timeout`` — so a netsplit suspects
+    the minority side, a crash suspects the crashed node, and a single slow
+    or lossy link alone suspects nobody.
 
     A tick is exact: sent one member at a time, the beats of one chain
     would hold consecutive tie-break tickets at their instant, so nothing
@@ -182,15 +187,7 @@ class HeartbeatFailureDetector(_SuspicionOracle):
             self._last_heard[(other, name)] = self.sim.now
             self._last_heard[(name, other)] = self.sim.now
         node.add_listener(self._on_node_event)
-
-    def bind_dispatcher(self, name: str, dispatcher: Dispatcher) -> None:
-        """Route member ``name``'s incoming heartbeats into the freshness map.
-
-        Called by the composition root once the per-node dispatchers exist;
-        heartbeats then share the receive path (and per-message CPU charge)
-        of every other protocol message.
-        """
-        dispatcher.register(HEARTBEAT_KIND, self._on_heartbeat)
+        node.on_arrival(HEARTBEAT_KIND, self._on_heartbeat)
 
     # -- heartbeat traffic ------------------------------------------------------
     def _start_beating(self, names: List[str]) -> None:
@@ -206,8 +203,7 @@ class HeartbeatFailureDetector(_SuspicionOracle):
         beats = []
         for name in chain:
             self._last_heard[(name, name)] = now
-            beat = Message(sender=name, destination="*", kind=HEARTBEAT_KIND)
-            beats += [beat.with_destination(peer)
+            beats += [Message(name, peer, HEARTBEAT_KIND)
                       for peer in self._members if peer != name]
         self.lan.send_all(beats)
         self.sim.call_after(self.period, self._tick, chain)

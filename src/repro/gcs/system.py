@@ -56,7 +56,6 @@ class GroupCommunicationSystem:
         members = list(nodes) if nodes is not None else list(lan.nodes)
         if not members:
             raise ValueError("the group needs at least one node")
-        self.detector_mode = detector_mode
         self.failure_detector = build_failure_detector(
             detector_mode, sim, lan, members,
             detection_delay=detection_delay,
@@ -76,8 +75,6 @@ class GroupCommunicationSystem:
         for node in members:
             dispatcher = Dispatcher(sim, node)
             self._dispatchers[node.name] = dispatcher
-            if detector_mode == "heartbeat":
-                self.failure_detector.bind_dispatcher(node.name, dispatcher)
             broadcast_layer = ReliableBroadcastLayer(sim, lan, node)
             journal = GcsMessageLog(node, name=f"{node.name}.e2e",
                                     log_time=delivery_log_time) \

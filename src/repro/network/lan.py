@@ -11,6 +11,12 @@ layer above charges, :mod:`repro.gcs.reliable_broadcast`).  Copies, and
 any messages issued together (:meth:`Lan.send_all`), that share a delay
 travel as one wire event.
 
+An arriving message goes to the destination's inbox, whose dispatcher pays
+the reception charge, unless the node consumes its kind in the network
+interface (:meth:`~repro.network.node.Node.on_arrival`): heartbeats are
+NIC-level keep-alives, priced on the wire and never on a CPU.  Either way it
+passed the same admission and in-flight drop checks.
+
 Messages addressed to a crashed node are dropped, as are messages whose
 sender and destination are separated by an active partition, and — when a
 :class:`~repro.network.faults.LinkFault` with loss probabilities is
@@ -67,7 +73,8 @@ class Lan:
         self._blocked_pairs: Set[Tuple[str, str]] = set()
         #: Count of messages handed to the network (before drops).
         self.sent_count = 0
-        #: Count of messages actually delivered to an inbox.
+        #: Count of messages actually delivered (to an inbox, or to an
+        #: arrival handler of the destination node).
         self.delivered_count = 0
         #: Count of messages dropped, total over all causes.
         self.dropped_count = 0
@@ -284,7 +291,11 @@ class Lan:
             self._drop(message, "partitioned")
             return
         self.delivered_count += 1
-        destination.inbox.put(message)
+        handler = destination._arrival_handlers.get(message.kind)
+        if handler is None:
+            destination.inbox.put(message)
+        else:
+            handler(message)
 
     def _drop(self, message: Message, cause: str) -> None:
         """Account one dropped message (total, per cause, span tracer)."""

@@ -6,7 +6,8 @@ replication logic of one server all reside in the same process and therefore
 fail together):
 
 * a set of CPUs and disks modelled as FIFO :class:`~repro.sim.resources.Resource`s,
-* a network endpoint (the inbox used by the LAN),
+* a network endpoint (the inbox used by the LAN, and the message kinds the
+  network interface itself consumes on arrival, see :meth:`Node.on_arrival`),
 * a registry of *volatile* simulated processes, all killed on crash,
 * a registry of *stable storage* objects that survive crashes,
 * crash / recovery state with listeners (failure detectors, experiments).
@@ -49,6 +50,9 @@ class Node:
         self._base_cpu_time_per_io = cpu_time_per_io
         self._base_cpu_time_per_network_op = cpu_time_per_network_op
         self.inbox = Store(sim, name=f"{name}.inbox")
+        #: Message kind -> handler the LAN calls at arrival instead of
+        #: queueing the message in :attr:`inbox` (see :meth:`on_arrival`).
+        self._arrival_handlers: Dict[str, Callable[[Any], None]] = {}
         self._crashed = False
         self._processes: List[Process] = []
         self._prune_at = 64
@@ -101,6 +105,17 @@ class Node:
 
     def _network_op_cost(self) -> float:
         return self.cpu_time_per_network_op
+
+    def on_arrival(self, kind: str, handler: Callable[[Any], None]) -> None:
+        """Consume messages of ``kind`` in the network interface.
+
+        The LAN hands such a message to ``handler`` the instant it arrives,
+        instead of queueing it in the inbox: it takes no CPU charge and never
+        reaches the dispatcher — a NIC-level keep-alive.  It still pays the
+        wire and is still dropped like any message (at a crashed node, across
+        a partition, on a lossy link).  The registration survives crashes.
+        """
+        self._arrival_handlers[kind] = handler
 
     def _prune_finished(self) -> None:
         # Doubling threshold: pruning on a fixed bound made every spawn scan

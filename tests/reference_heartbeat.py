@@ -1,16 +1,21 @@
-"""The heartbeat detector with one beat process per member: the reference
-model of the detector's ticks.
+"""The heartbeat detector with one beat process per member and beats
+received through the dispatcher: the reference model of the detector's
+ticks and keep-alives.
 
 This is how ``src/repro/gcs/failure_detector.py`` sent heartbeats until
 ticks replaced it — a volatile process per live member that stamps its own
 beat, broadcasts it to the peers and sleeps a period; killed with its node,
-respawned on recovery — kept as the
+respawned on recovery — and how it received them until beats became
+NIC-level keep-alives: each beat entered the observer's inbox and paid a
+reception charge before its dispatcher recorded it.  It is kept as the
 obviously-correct model the property test in ``tests/test_gcs_heartbeat.py``
-drives side by side with the real detector.  Only the suspicion contract
-(listeners, map, counters) is shared; membership, freshness and the sweep
-are the old code as it was.  Per period it pays one timer and one wire
-event per member where a tick pays one of each per chain, plus a bootstrap
-per start and a completion per crash.
+drives side by side with the real detector: the same announcements, sends,
+deliveries and drops, and the same freshness writes at the reception-charge
+offset.  Only the suspicion contract (listeners, map, counters) is shared;
+membership, freshness and the sweep are the old code as it was.  Per period
+it pays one timer and one wire event per member where a tick pays one of
+each per chain, plus a reception charge per beat, a bootstrap per start and
+a completion per crash.
 """
 
 from __future__ import annotations

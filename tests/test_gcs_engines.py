@@ -199,16 +199,29 @@ GOLDEN = {
     # The one scenario on a heartbeat code path (the five above run the
     # perfect detector): Multi-Paxos, s1 — the leader — crashed and
     # recovered, so beats stop, a suspicion and a restore are swept, and the
-    # recovered member beats again at its own phase.
+    # recovered member beats again at its own phase.  Re-pinned alone, once
+    # more (old → new in CHANGES.md), when a beat became a NIC-level
+    # keep-alive priced on the wire and not on a CPU: no reception charge
+    # means less CPU contention, so delivery instants moved; the first four
+    # stats and the per-kind delivery counts (the test below) did not.
     "paxos-heartbeat-crash": dict(
         technique="group-safe", engine="multi-paxos", detector="heartbeat",
         crash=True, log_time=0.0,
-        digest="66bc42ece26bd68fd20a7bf3d36974da7f8341ae"
-               "c2059280b7febc97929a0f3f",
-        model="06c9b6eb9a52b75687e8eed158ed59d01e4dbfdf"
-              "00ea91cb66d9ac9e59accf50",
-        stats=(15, 24, 1252, 1226, 3847)),
+        digest="7348ca44752a98aec6cb08f26b05ca9336773a57"
+               "043a1c37b85b2d12c0ac0924",
+        model="f72729bbe405ed2ad4ac355bc6b0d2bfaaefb4d9"
+              "73dc18260fbf55a2fccc529d",
+        stats=(15, 24, 1252, 1226, 3042)),
 }
+
+#: LAN deliveries per kind of the ``paxos-heartbeat-crash`` scenario, the
+#: same with beats received on a CPU (the parent of the keep-alive change)
+#: and on the wire.
+HEARTBEAT_SCENARIO_DELIVERIES = {
+    "ABCAST.JOIN": 3, "ABCAST.JOIN_REPLY": 2, "PAXOS.ACCEPT": 110,
+    "PAXOS.ACCEPTED": 110, "PAXOS.LEARN": 154, "PAXOS.NACK": 2,
+    "PAXOS.PREPARE": 11, "PAXOS.PROMISE": 9, "PAXOS.PROPOSE": 23,
+    "fd.heartbeat": 822}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -241,6 +254,22 @@ def test_announce_once_removed_only_stable(name):
         golden["technique"], log_time=golden["log_time"], traced=True)
     kinds = Counter(kind for _, _, _, kind in deliveries)
     assert kinds == {**PARENT_DELIVERIES, "ABCAST.STABLE": 72}
+
+
+def test_wire_priced_beats_moved_no_delivery_count():
+    """What licensed the keep-alive re-pin: a cost-model change, so every
+    message kind is delivered as often as before, beats included — and
+    none of the 822 beats took a reception charge or reached a dispatcher."""
+    golden = GOLDEN["paxos-heartbeat-crash"]
+    cluster, _, _, deliveries = run_scenario(
+        golden["technique"], engine=golden["engine"], detector="heartbeat",
+        crash_coordinator=True, traced=True)
+    assert Counter(kind for _, _, _, kind in deliveries) == \
+        HEARTBEAT_SCENARIO_DELIVERIES
+    dispatched = sum(cluster.gcs.dispatcher(name).dispatched_count
+                     for name in cluster.server_names())
+    assert dispatched == len(deliveries) - \
+        HEARTBEAT_SCENARIO_DELIVERIES["fd.heartbeat"]
 
 
 # ---------------------------------------------------------------- engine grid

@@ -10,12 +10,19 @@ these tests pin the audit side to it cell by cell.
 
 Also here: the one parallel story, ``harness.run_cells`` over independent
 cells (``--workers N``) — the pooled matrix must equal the serial one.
+And the command lines start clean under ``-W error::RuntimeWarning``.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core.audit import FindingKind
 from repro.core.matrix import loss_condition, partitioned_loss_condition
 from repro.core.safety import SafetyLevel
@@ -149,3 +156,31 @@ def test_matrix_worker_pool_with_no_cells_returns_no_entries():
         patterns=[], include_partitioned=False, seed=3) == []
     assert netsplit_matrix.run_netsplit_matrix(
         patterns=[], include_partitioned=False, seed=3, workers=2) == []
+
+
+# ------------------------------------------------------------- the command lines
+def _run_module(module, *args):
+    """``python -W error::RuntimeWarning -m repro.experiments.<module>``."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m",
+         f"repro.experiments.{module}", *args],
+        env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_matrix_cli_runs_as_a_module_without_a_runpy_warning(tmp_path):
+    """The package re-exports its command-line modules lazily, so runpy
+    finds ``failure_matrix`` unimported and raises no RuntimeWarning."""
+    completed = _run_module("failure_matrix", "--smoke",
+                            "--report-dir", str(tmp_path))
+    assert completed.returncode == 0, completed.stderr
+    assert (tmp_path / "failure_matrix_smoke.txt").exists()
+
+
+@pytest.mark.parametrize("module", ["partition_failure_matrix",
+                                    "netsplit_matrix", "partition_scaling",
+                                    "autobalance"])
+def test_every_experiment_cli_starts_without_a_runpy_warning(module):
+    completed = _run_module(module, "--help")
+    assert completed.returncode == 0, completed.stderr
