@@ -5,13 +5,13 @@ Unlike the other benchmarks — which measure *simulated* quantities
 simulated milliseconds) — this harness measures how many committed
 transactions the simulator gets through per **wall-clock** second.  Every
 experiment in the reproduction is gated by that number: the Fig. 9 sweep, the
-45-cell partitioned failure matrix and the autobalance runs all spend their
-time in the event loop, so 2x the commits per second means 2x the scenarios
+45-cell partitioned failure matrix and the live-migration runs all spend
+their time in the event loop, so 2x the commits per second means 2x the scenarios
 per CI minute.  Events per second is recorded too but is not the headline: a
 kernel change may make the same commits cost *fewer* events, which lowers
 events/s while the run gets faster.
 
-Three representative scenarios cover the three layers of the system:
+Two representative scenarios cover the layers of the system:
 
 * ``one_shard_saturation`` — the paper's own Table 4 topology (9 servers,
   group-safe) at a saturating open-loop load: atomic broadcast, WAL flushes,
@@ -19,8 +19,6 @@ Three representative scenarios cover the three layers of the system:
 * ``partitioned_zipf`` — 4 range-sharded groups under a Zipf-1.1 skew with
   10 % cross-partition 2PC traffic: routing, classification and the
   coordinator on top of the kernel.
-* ``autobalance_shift`` — the hotspot-shift experiment with the rebalance
-  controller live: migrations, fences and epoch bumps mid-run.
 
 Outputs:
 
@@ -56,7 +54,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.obs.kernel import (profile_kernel_trace,  # noqa: E402
                               render_kernel_profile)
 from repro.partition.cluster import PartitionedCluster  # noqa: E402
-from repro.partition.controller import RebalanceController  # noqa: E402
 from repro.partition.workload import PartitionedOpenLoopClients  # noqa: E402
 from repro.replication.cluster import ReplicatedDatabaseCluster  # noqa: E402
 from repro.workload.clients import OpenLoopClientPool  # noqa: E402
@@ -68,14 +65,9 @@ SMOKE_JSON = REPORT_DIR / "BENCH_kernel.json"
 DEFAULT_TOLERANCE = 0.30
 
 
-def _event_count(sim) -> int:
-    """Total events scheduled by ``sim`` (available on old and new kernels)."""
-    return getattr(sim, "scheduled_events", None) or sim._sequence
-
-
 def _summary(sim, commits: int, sim_ms: float, wall_s: float,
              trace=None) -> Dict[str, float]:
-    events = _event_count(sim)
+    events = sim.scheduled_events
     summary = {
         "events": events,
         "committed_txns": commits,
@@ -131,40 +123,9 @@ def partitioned_zipf(smoke: bool, profile: bool = False,
                     trace=trace)
 
 
-def autobalance_shift(smoke: bool, profile: bool = False,
-                      engine: str = "fixed-sequencer") -> Dict[str, float]:
-    """Hotspot shift repaired by the live rebalance controller."""
-    duration_ms = 8_000.0 if smoke else 17_000.0
-    shift_at_ms = duration_ms * 0.35
-    items = 240 if smoke else 400
-    params = SimulationParameters.small(server_count=3,
-                                        item_count=items).with_overrides(
-        partition_count=4, zipf_skew=1.1, cross_partition_probability=0.05,
-        broadcast_engine=engine)
-    cluster = PartitionedCluster("group-safe", params=params, seed=33,
-                                 strategy="range")
-    trace = cluster.sim.enable_trace() if profile else None
-    cluster.start()
-    controller = RebalanceController(cluster, window_ms=500.0,
-                                     share_threshold=0.45,
-                                     cooldown_windows=2, hysteresis_windows=4)
-    controller.start()
-    clients = PartitionedOpenLoopClients(cluster, load_tps=150.0,
-                                         warmup=0.0)
-    clients.start()
-    started = time.perf_counter()
-    cluster.run(until=shift_at_ms)
-    cluster.workload.shift_hotspot(items // 2)
-    cluster.run(until=duration_ms)
-    wall = time.perf_counter() - started
-    return _summary(cluster.sim, clients.committed_count, duration_ms, wall,
-                    trace=trace)
-
-
 SCENARIOS = {
     "one_shard_saturation": one_shard_saturation,
     "partitioned_zipf": partitioned_zipf,
-    "autobalance_shift": autobalance_shift,
 }
 
 

@@ -25,7 +25,7 @@ from .scenarios import (CRASH_PATTERNS, ScenarioOutcome, figure5_scenario,
 #: The submodules with a command line, searched in this order for a lazily
 #: re-exported name.
 _RUNNABLE = ("failure_matrix", "partition_failure_matrix",
-             "partition_scaling", "autobalance")
+             "partition_scaling")
 
 __all__ = [
     "ScenarioOutcome",
@@ -74,9 +74,6 @@ __all__ = [
     "render_rebalance_report",
     "audit_commit_integrity",
     "window_commits",
-    "AutobalanceOutcome",
-    "run_autobalance_experiment",
-    "render_autobalance_report",
     "format_table",
     "format_mapping",
 ]

@@ -6,11 +6,11 @@ ceiling: the keyspace is sharded across several independent groups — each
 running its own group-communication system and safety technique — a
 two-phase commit coordinator provides atomicity for the transactions that
 span shards, and an **epoch-versioned routing table** makes ownership live
-state: shards split, merge and migrate between groups while the load
-drivers keep submitting.
+state: shards split and migrate between groups while the load drivers
+keep submitting.
 
 * :mod:`~repro.partition.routing` — the epoch-versioned ownership map:
-  key-range -> group assignments, split/merge/migrate, fences,
+  key-range -> group assignments, split/migrate, fences,
   WAL-recoverable epoch bumps (``RoutingTable.from_strategy`` builds the
   static hash/range layouts the retired partitioner shims used to provide);
 * :mod:`~repro.partition.router` — snapshot-based single- vs.
@@ -24,16 +24,12 @@ drivers keep submitting.
 * :mod:`~repro.partition.migration` — the live-migration protocol as one
   ``Migration`` object (overlapped, throttled copy, dual writes, fence and
   drain, force-logged epoch bump) and its :class:`MigrationReport`;
-* :mod:`~repro.partition.controller` — the autobalance
-  :class:`RebalanceController`: windowed load watching, thresholds,
-  cooldowns and hysteresis driving ``rebalance()`` with no operator;
 * :mod:`~repro.partition.workload` — partition-aware workload generation and
   the open-loop load driver;
 * :mod:`~repro.partition.stats` — aggregated run statistics.
 """
 
 from .cluster import PartitionedCluster
-from .controller import ControllerStats, RebalanceController
 from .coordinator import (ABORT_TIMEOUT, ABORT_UNAVAILABLE, ABORT_VALIDATION,
                           ABORT_WRONG_EPOCH, BranchOutcome,
                           CrossPartitionCoordinator, CrossPartitionOutcome)
@@ -47,8 +43,6 @@ from .workload import PartitionedOpenLoopClients, PartitionedWorkloadGenerator
 __all__ = [
     "PartitionedCluster",
     "MigrationReport",
-    "RebalanceController",
-    "ControllerStats",
     "CrossPartitionCoordinator",
     "CrossPartitionOutcome",
     "BranchOutcome",

@@ -11,8 +11,8 @@ count as long as transactions stay within one partition.
 
 Ownership of the keyspace is *live state*: an epoch-versioned
 :class:`~repro.partition.routing.RoutingTable` maps key ranges to groups and
-supports online :meth:`split_shard` / :meth:`merge_shards` /
-:meth:`migrate`, all while the load drivers keep submitting.  The live
+supports online :meth:`split_shard` and :meth:`migrate`, both while the
+load drivers keep submitting.  The live
 migration protocol (copy, dual writes, fence and drain, force-logged epoch
 bump) is :class:`~repro.partition.migration.Migration`; this facade starts
 it and feeds it every write that lands on its source group.
@@ -164,10 +164,6 @@ class PartitionedCluster:
         self.migration_txn_ids: set = set()
         #: Timestamps of recent client submissions (for the copy throttle).
         self._recent_submits: Deque[float] = deque()
-        #: The autobalance controller driving :meth:`rebalance`, if one is
-        #: attached (see :class:`repro.partition.controller.
-        #: RebalanceController`, which registers itself here).
-        self.controller = None
         #: Registered crash-injection hooks, keyed by protocol phase (see
         #: :meth:`add_failpoint`).  Empty outside failure experiments.
         self._failpoints: Dict[str, List[_Failpoint]] = {}
@@ -482,19 +478,10 @@ class PartitionedCluster:
         self._log_epoch_advisory(owner)
         return epoch
 
-    # repro: allow(unused-surface): only its own test uses it; ROADMAP 7(b)
-    def merge_shards(self, left_shard) -> int:
-        """Merge one shard with its right neighbour (same owner only)."""
-        key_range = self.routing.range_of(left_shard)
-        owner = self.routing.owner_of_range(key_range)
-        epoch = self.routing.merge(key_range)
-        self._log_epoch_advisory(owner)
-        return epoch
-
     def _log_epoch_advisory(self, group_id: int) -> None:
         """Append (not force) the current map on one delegate's WAL.
 
-        Split and merge do not change ownership, so recovering the previous
+        A split does not change ownership, so recovering the previous
         epoch's map routes identically; the record rides the delegate's next
         group commit instead of paying a forced flush.
         """
@@ -504,23 +491,18 @@ class PartitionedCluster:
             group.database(up_servers[0]).wal.append(LogRecord.epoch(
                 self.routing.epoch, self.routing.as_payload()))
 
-    def rebalance(self, shard: Optional[int] = None,
-                  destination_group: Optional[int] = None) -> Process:
+    def rebalance(self) -> Process:
         """Move (half of) the hottest shard to the least-loaded group.
 
         The shard with the most observed accesses is split at its
         access-weighted median (so each side carries about half the load)
         and the hot head is migrated — live, under traffic — to the coolest
-        group.  Returns the migration driver process.  While a
-        :class:`~repro.partition.controller.RebalanceController` rolls
-        windows, "hottest" and "coolest" reflect recent load rather than
-        all-time totals.
+        group.  Returns the migration driver process.
         """
-        index = shard if shard is not None else self.routing.hottest_shard()
+        index = self.routing.hottest_shard()
         key_range = self.routing.range_of(index)
         source = self.routing.owner_of_range(key_range)
-        destination = (destination_group if destination_group is not None
-                       else self.routing.coolest_group(exclude=[source]))
+        destination = self.routing.coolest_group(exclude=[source])
         if key_range.width >= 2:
             self.split_shard(key_range)
             # The low half (the head of the range — the Zipf hot set) keeps

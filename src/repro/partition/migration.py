@@ -420,7 +420,7 @@ class Migration:
             # -- phase 5: force-log the new map, then install it ------------
             # Write-ahead discipline: the durable EPOCH record must describe
             # the post-bump map, so it is logged on the destination (the new
-            # authority) *before* the table moves.  A concurrent split/merge
+            # authority) *before* the table moves.  A concurrent split
             # bumping the epoch during the flush re-logs with fresh numbers.
             # Durability is judged by evidence (WriteAheadLog.force), so a
             # delegate that crashed before or during the flush reads as

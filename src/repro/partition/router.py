@@ -4,8 +4,8 @@ The :class:`TransactionRouter` classifies every
 :class:`~repro.db.operations.TransactionProgram` by the set of replica
 groups its operations touch — against an immutable
 :class:`~repro.partition.routing.RoutingSnapshot`, so one transaction sees
-one consistent ownership map even while shards split, merge or migrate
-underneath it.  Single-partition programs take the fast path — they are
+one consistent ownership map even while shards split or migrate underneath
+it.  Single-partition programs take the fast path — they are
 submitted directly to the owning replica group and enjoy exactly the latency
 the paper measured for one group.  Multi-partition programs are split into
 per-partition *branches* and handed to the

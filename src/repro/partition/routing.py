@@ -3,11 +3,10 @@
 PR 1 froze the key -> replica-group mapping at cluster construction; this
 module makes ownership a first-class piece of *versioned state*.  The map is
 an ordered list of key-range -> group assignments stamped with an **epoch**
-that is bumped by exactly three operations:
+that is bumped by exactly two operations:
 
 * :meth:`RoutingTable.split` — cut one shard in two (same owner, no data
   moves);
-* :meth:`RoutingTable.merge` — rejoin two adjacent shards of one owner;
 * :meth:`RoutingTable.migrate` — reassign a shard to another replica group.
   This is the *metadata* half only; the data movement (state-transfer copy,
   dual-write window, fence, force-logged epoch record) is driven by
@@ -57,10 +56,6 @@ STRATEGIES = ("hash", "range")
 #: addresses for the access counters).  Eviction is a wholesale clear — the
 #: caches rebuild in O(1) amortised per lookup.
 MEMO_CACHE_LIMIT = 1 << 16
-
-#: Multiplier :meth:`RoutingTable.roll_window` applies to every access
-#: counter when a controller closes a window.
-DECAY_FACTOR = 0.5
 
 
 class WrongEpochError(RuntimeError):
@@ -251,16 +246,11 @@ class RoutingTable:
         #: Ranges currently write-fenced by a live migration.
         self._fenced: List[KeyRange] = []
         #: Per-position access counters feeding the skew-aware split points.
-        #: Counters accumulate until a controller rolls windows
-        #: (:meth:`roll_window` decays each by :data:`DECAY_FACTOR`), so the
-        #: hot-spot queries then reflect recent load, not all-time totals.
         self.access_counts: Dict[int, int] = {}
         #: Cap on distinct tracked positions; beyond it the coldest
         #: positions are folded into their shard's lo position so wide
         #: keyspaces cannot grow the counter dict without bound.
         self.max_tracked_positions: int = 4096
-        #: Number of decay windows rolled so far.
-        self.windows_rolled = 0
         self._rebuild_access_index()
         #: Every epoch the table has been through: (epoch, assignments).
         self.history: List[Tuple[int, Tuple[ShardAssignment, ...]]] = [
@@ -443,27 +433,6 @@ class RoutingTable:
             ShardAssignment(KeyRange(position, key_range.hi), owner)]
         return self._bump()
 
-    def merge(self, left_shard: Union[int, KeyRange]) -> int:
-        """Rejoin ``left_shard`` with its right neighbour (same owner only).
-
-        Metadata only.  Returns the new epoch.
-        """
-        key_range = self.range_of(left_shard)
-        index = self.shard_index(key_range)
-        if index + 1 >= len(self._assignments):
-            raise ValueError(f"shard {key_range!r} has no right neighbour")
-        left, right = self._assignments[index], self._assignments[index + 1]
-        self._check_not_fenced(left.key_range)
-        self._check_not_fenced(right.key_range)
-        if left.group_id != right.group_id:
-            raise ValueError(
-                f"cannot merge {left!r} with {right!r}: different owners "
-                f"(migrate one first)")
-        self._assignments[index:index + 2] = [
-            ShardAssignment(KeyRange(left.key_range.lo, right.key_range.hi),
-                            left.group_id)]
-        return self._bump()
-
     def migrate(self, shard: Union[int, KeyRange],
                 destination_group: int) -> int:
         """Reassign one shard to ``destination_group`` (metadata half only).
@@ -537,8 +506,8 @@ class RoutingTable:
         """Recompute the per-shard totals after the shard list changed.
 
         :meth:`note_access` maintains the totals incrementally (O(log shards)
-        per access); split/merge/migrate/install/decay re-attribute the
-        tracked positions to the new shard list in one pass.
+        per access); split/migrate/install re-attribute the tracked
+        positions to the new shard list in one pass.
         """
         self._bounds = [assignment.key_range.lo
                         for assignment in self._assignments]
@@ -596,26 +565,6 @@ class RoutingTable:
             compacted[anchor] = (compacted.get(anchor, 0) +
                                  self.access_counts[position])
         self.access_counts = compacted
-
-    def roll_window(self) -> None:
-        """Close one accounting window: decay every counter by
-        :data:`DECAY_FACTOR`.
-
-        Counters that decay to zero are dropped, so cold positions stop
-        being tracked; the per-shard totals are rebuilt to match.  With the
-        factor 0.5 the totals converge to an exponentially weighted view of
-        roughly the last two windows of traffic.
-        """
-        self.access_counts = {
-            position: decayed
-            for position, count in self.access_counts.items()
-            if (decayed := int(count * DECAY_FACTOR)) > 0}
-        self.windows_rolled += 1
-        self._rebuild_access_index()
-
-    def shard_accesses(self) -> List[int]:
-        """Per-shard observed accesses, in :attr:`assignments` order."""
-        return list(self._shard_totals)
 
     def hottest_shard(self) -> int:
         """Index of the shard with the most observed accesses."""

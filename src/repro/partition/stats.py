@@ -22,7 +22,6 @@ from ..replication.results import RunStatistics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from .cluster import CrashEvent
-    from .controller import ControllerStats
     from .migration import MigrationReport
     from .workload import PartitionedOpenLoopClients
 
@@ -61,10 +60,6 @@ class PartitionedRunStatistics:
     migrations: List["MigrationReport"] = field(default_factory=list)
     #: The routing epoch when the statistics were collected.
     final_epoch: int = 0
-    #: Autobalance controller telemetry (None when no controller ran).
-    controller: Optional["ControllerStats"] = None
-    #: Decay windows the routing table rolled during the run.
-    windows_rolled: int = 0
     #: Injected crash / recovery events, in simulation order (failure
     #: experiments; empty for plain load runs).
     injected_crashes: List["CrashEvent"] = field(default_factory=list)
@@ -103,11 +98,6 @@ class PartitionedRunStatistics:
         times = self.response_times
         return sum(times) / len(times) if times else 0.0
 
-    @property
-    def completed_migrations(self) -> List["MigrationReport"]:
-        """Migrations that installed their epoch bump."""
-        return [report for report in self.migrations if report.completed]
-
     def percentile(self, fraction: float) -> float:
         """Response-time percentile over both populations combined."""
         return _shared_percentile(self.response_times, fraction)
@@ -140,9 +130,6 @@ def collect_statistics(clients: "PartitionedOpenLoopClients",
     stats.during_migration_aborts = clients.during_migration_aborts
     stats.migrations = list(cluster.migration_reports)
     stats.final_epoch = cluster.routing.epoch
-    if cluster.controller is not None:
-        stats.controller = cluster.controller.stats
-    stats.windows_rolled = cluster.routing.windows_rolled
     stats.injected_crashes = list(cluster.crash_log)
     stats.failpoints_fired = dict(cluster.failpoints_fired)
     stats.obs = cluster.sim.obs

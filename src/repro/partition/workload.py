@@ -70,8 +70,6 @@ class PartitionedWorkloadGenerator(WorkloadGenerator):
         self._global_rank = {key: index for index, key in
                              enumerate(self.item_keys)} if self.skew > 0 \
             else {}
-        #: Current rotation of the Zipf ranking (see :meth:`shift_hotspot`).
-        self.hot_offset = 0
         self._seen_epoch = routing.epoch
         self._refresh_partition_caches(strict=True)
         #: Statistics.
@@ -116,32 +114,6 @@ class PartitionedWorkloadGenerator(WorkloadGenerator):
         if epoch != self._seen_epoch:
             self._seen_epoch = epoch
             self._refresh_partition_caches(strict=False)
-
-    # -- hotspot injection ---------------------------------------------------------------
-    def shift_hotspot(self, offset: int) -> None:
-        """Rotate the Zipf ranking by ``offset`` positions mid-run.
-
-        The access distribution keeps its exact shape but the hot head moves
-        to ``item-<offset>``: after the shift, item ``i`` carries the weight
-        of global rank ``(i - offset) mod item_count``.  This is the
-        workload-side fault injection of the autobalance experiments — a
-        sudden hotspot shift the controller must detect and repair without
-        operator action.  A no-op for uniform workloads (skew 0).
-        """
-        if self.skew <= 0:
-            return
-        count = len(self.item_keys)
-        offset %= count
-        self.hot_offset = offset
-        self._global_rank = {key: (index - offset) % count
-                             for index, key in enumerate(self.item_keys)}
-        total = 0.0
-        cumulative: List[float] = []
-        for key in self.item_keys:
-            total += (self._global_rank[key] + 1) ** -self.skew
-            cumulative.append(total)
-        self._cumulative = cumulative
-        self._refresh_partition_caches(strict=False)
 
     # -- generation ----------------------------------------------------------------------
     def next_program(self, client: str = "client") -> TransactionProgram:

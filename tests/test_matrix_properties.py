@@ -179,8 +179,7 @@ def test_matrix_cli_runs_as_a_module_without_a_runpy_warning(tmp_path):
 
 
 @pytest.mark.parametrize("module", ["partition_failure_matrix",
-                                    "netsplit_matrix", "partition_scaling",
-                                    "autobalance"])
+                                    "netsplit_matrix", "partition_scaling"])
 def test_every_experiment_cli_starts_without_a_runpy_warning(module):
     completed = _run_module(module, "--help")
     assert completed.returncode == 0, completed.stderr

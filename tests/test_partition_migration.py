@@ -298,16 +298,14 @@ def test_router_and_coordinator_counters_match_what_happened():
 
 
 # ---------------------------------------------------------------- reshaping
-def test_split_and_merge_are_live_metadata_operations():
+def test_split_is_a_live_metadata_operation():
     cluster = build()
     assert cluster.split_shard(0, at=30) == 1
     assert cluster.routing.shard_count == 3
     waiter = cluster.run_transaction(make_program([("w", "item-10", "v")]))
     cluster.run(until=2_000)
     assert waiter.value.committed        # routing still total after the split
-    assert cluster.merge_shards(0) == 2
-    assert cluster.routing.shard_count == 2
-    # The reshapes left advisory EPOCH records on the owner's WAL.
+    # The split left an advisory EPOCH record on the owner's WAL.
     records = [record
                for name in cluster.group(0).server_names()
                for record in (cluster.group(0).database(name).wal
@@ -394,4 +392,25 @@ def test_rebalance_moves_the_hot_head_to_the_coolest_group():
     assert report.destination_group != 0
     assert report.key_range.lo == 0          # the head itself moved
     assert cluster.partition_of("item-0") == report.destination_group
+    assert audit_commit_integrity(cluster, clients) == []
+
+
+def test_back_to_back_rebalances_under_open_loop_load_lose_nothing():
+    # Three operator-driven moves in a row while the open loop keeps
+    # submitting: each rebalance() reshapes a map the previous one changed,
+    # and each starts only after the previous migration finished.
+    cluster = build(partitions=4, items=240, seed=7, zipf_skew=1.1,
+                    cross_partition_probability=0.05)
+    clients = PartitionedOpenLoopClients(cluster, load_tps=80.0)
+    clients.start()
+    drivers = []
+    for start_ms in (1_000, 4_000, 7_000):
+        cluster.run(until=start_ms)
+        assert not cluster.migration_active
+        drivers.append(cluster.rebalance())
+    cluster.run(until=10_000)
+    assert all(driver.triggered for driver in drivers)
+    assert all(driver.value.completed and driver.value.verified
+               for driver in drivers)
+    assert cluster.routing.epoch == 6       # one split + one move each
     assert audit_commit_integrity(cluster, clients) == []

@@ -1,4 +1,4 @@
-"""The epoch-versioned routing table: splits, merges, migrations, recovery."""
+"""The epoch-versioned routing table: splits, migrations, recovery."""
 
 from __future__ import annotations
 
@@ -55,7 +55,7 @@ def test_table_validates_cover_and_strategy():
         KeyRange(10, 10)
 
 
-# ---------------------------------------------------------------- split / merge
+# ---------------------------------------------------------------- split
 def test_split_bumps_epoch_and_keeps_owner_and_cover():
     table = range_table(2, 100)
     epoch = table.split(0, at=10)
@@ -77,23 +77,6 @@ def test_split_validation():
         table.split(0, at=0)                # boundary split is a no-op
     with pytest.raises(ValueError):
         table.split(0, at=80)               # outside the shard
-
-
-def test_merge_rejoins_adjacent_same_owner_shards():
-    table = range_table(2, 100)
-    table.split(0, at=10)
-    epoch = table.merge(0)
-    assert epoch == 2
-    assert table.shard_count == 2
-    assert table.assignments[0].key_range == KeyRange(0, 50)
-
-
-def test_merge_refuses_different_owners():
-    table = range_table(2, 100)
-    with pytest.raises(ValueError):
-        table.merge(0)                      # right neighbour belongs to g1
-    with pytest.raises(ValueError):
-        table.merge(1)                      # no right neighbour
 
 
 # ---------------------------------------------------------------- migrate
@@ -170,40 +153,13 @@ def test_hot_split_clamps_a_maximally_skewed_shard():
     assert table.hot_split_position(0) == 49
 
 
-# ---------------------------------------------------------------- windowed accounting
+# ---------------------------------------------------------------- access accounting
 def test_access_counters_are_cumulative_with_decay_disabled():
     table = range_table(2, 100)
     for _ in range(3):
         table.note_access("item-1")
-    # Only a controller's roll_window decays; nothing else does.
+    # Nothing decays the counters: they are all-time totals.
     assert table.access_counts[1] == 3
-    assert table.windows_rolled == 0
-
-
-def test_roll_window_decays_counters_and_drops_cold_positions():
-    table = range_table(2, 100)
-    for _ in range(8):
-        table.note_access("item-1")
-    table.note_access("item-60")
-    table.roll_window()
-    assert table.access_counts[1] == 4
-    assert 60 not in table.access_counts       # 1 * 0.5 floors to zero
-    assert table.windows_rolled == 1
-    assert table.shard_accesses() == [4, 0]
-
-
-def test_decayed_counters_track_the_recent_hot_set():
-    # The stale-hotness bug: cumulative counters keep yesterday's hot shard
-    # hottest forever.  With windowed decay the signal follows the load.
-    table = range_table(2, 100)
-    for _ in range(200):
-        table.note_access("item-1")            # old hot set on shard 0
-    for _ in range(3):
-        table.roll_window()
-        for _ in range(40):
-            table.note_access("item-70")       # new hot set on shard 1
-    assert table.hottest_shard() == 1
-    assert table.coolest_group() == 0
 
 
 def test_shard_totals_stay_consistent_across_reshaping():
@@ -217,15 +173,13 @@ def test_shard_totals_stay_consistent_across_reshaping():
                     if assignment.key_range.contains(position))
                 for assignment in table.assignments]
 
-    assert table.shard_accesses() == brute_force()
+    assert table._shard_totals == brute_force()
     table.split(0, at=10)
-    assert table.shard_accesses() == brute_force()
+    assert table._shard_totals == brute_force()
     table.migrate(2, destination_group=3)
-    assert table.shard_accesses() == brute_force()
-    table.merge(0)
-    assert table.shard_accesses() == brute_force()
+    assert table._shard_totals == brute_force()
     table.note_access("item-5")
-    assert table.shard_accesses() == brute_force()
+    assert table._shard_totals == brute_force()
 
 
 def test_access_counts_growth_is_capped_by_cold_aggregation():
@@ -237,8 +191,8 @@ def test_access_counts_growth_is_capped_by_cold_aggregation():
         table.note_access("item-3")
     assert len(table.access_counts) <= 16 + table.shard_count
     # Folding the cold tail never loses mass: per-shard totals stay exact.
-    assert sum(table.shard_accesses()) == 1_100
-    assert table.shard_accesses()[0] == 600
+    assert sum(table._shard_totals) == 1_100
+    assert table._shard_totals[0] == 600
     # The hot position survives compaction at full resolution.
     assert table.access_counts[3] >= 100
     # The counters hold the same mass as the totals, including the access
@@ -247,8 +201,8 @@ def test_access_counts_growth_is_capped_by_cold_aggregation():
     assert sum(table.access_counts.values()) == 1_100
     table.split(0, at=250)
     assert sum(table.access_counts.values()) == 1_100
-    assert sum(table.shard_accesses()) == 1_100
-    assert table.shard_accesses()[0] + table.shard_accesses()[1] == 600
+    assert sum(table._shard_totals) == 1_100
+    assert table._shard_totals[0] + table._shard_totals[1] == 600
 
 
 # ---------------------------------------------------------------- recovery
