@@ -31,7 +31,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 #: The meta-rule name under which malformed suppressions are reported.
 SUPPRESSION_SYNTAX = "suppression-syntax"
@@ -187,15 +187,14 @@ def iter_source_files(root: Path) -> List[Path]:
                   if "__pycache__" not in path.parts)
 
 
-def run_lint(root: Path, rules: Sequence[Rule],
-             paths: Optional[Iterable[Path]] = None) -> LintReport:
+def run_lint(root: Path, rules: Sequence[Rule]) -> LintReport:
     """Lint every source file under ``root`` with ``rules``.
 
     Rules carry per-run state (the layer-contract graph), so callers must
     pass fresh rule instances — see :func:`repro.analysis.rules.default_rules`.
     """
     root = Path(root).resolve()
-    files = list(paths) if paths is not None else iter_source_files(root)
+    files = iter_source_files(root)
     raw_findings: List[Finding] = []
     unsuppressable: List[Finding] = []
     suppressions: List[Suppression] = []

@@ -14,12 +14,12 @@
 """
 
 from .audit import (AuditReport, SafetyAudit, classify_result,
-                    classify_results, weakest_guarantee)
+                    classify_results)
 from .layers import (LAYER_ORDER, implemented_layers, implements, layer_index,
                      used_layers, uses)
 from .criteria import (CRITERIA, TECHNIQUE_SAFETY, SafetyCriterion,
                        criterion_for, safety_of_technique)
-from .durability import TransactionFate, committed_state_of, transaction_fate
+from .durability import TransactionFate, transaction_fate
 from .matrix import (CrashToleranceRow, LossCondition, crash_tolerance_table,
                      group_safety_comparison_table, loss_condition,
                      partitioned_loss_condition, render_loss_table,
@@ -55,10 +55,8 @@ __all__ = [
     "AuditReport",
     "classify_result",
     "classify_results",
-    "weakest_guarantee",
     "TransactionFate",
     "transaction_fate",
-    "committed_state_of",
     "group_failure_probability",
     "lazy_conflict_probability",
     "pairwise_conflict_probability",

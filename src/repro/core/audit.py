@@ -53,16 +53,6 @@ def classify_results(results: Sequence["TransactionResult"]
     return histogram
 
 
-# repro: allow(unused-surface): only its own test uses it; ROADMAP 7(b)
-def weakest_guarantee(results: Sequence["TransactionResult"]
-                      ) -> Optional[SafetyLevel]:
-    """The weakest notification-time guarantee observed (None if no commits)."""
-    levels = [classify_result(result) for result in results if result.committed]
-    if not levels:
-        return None
-    return min(levels, key=lambda level: level.rank)
-
-
 class FindingKind(enum.Enum):
     """What the commit-integrity audit can hold against a confirmed write."""
 
@@ -214,8 +204,7 @@ class SafetyAudit:
         self.cluster = cluster
 
     # -- individual checks ------------------------------------------------------------
-    def divergent_items(self, servers: Optional[Sequence[str]] = None
-                        ) -> List[str]:
+    def divergent_items(self) -> List[str]:
         """Item keys on which up servers currently disagree.
 
         Lazy replication may diverge even without failures (Sect. 7); the
@@ -223,27 +212,24 @@ class SafetyAudit:
         Items whose pending updates are still being propagated/processed are
         *not* excluded — call this only once the run has quiesced.
         """
-        names = list(servers) if servers is not None \
-            else self.cluster.up_servers()
+        names = self.cluster.up_servers()
         if len(names) < 2:
             return []
         return divergent_keys(self.cluster, names,
                               self.cluster.database(names[0]).items.keys())
 
-    def serializability(self, servers: Optional[Sequence[str]] = None) -> bool:
+    def serializability(self) -> bool:
         """Check one-copy serialisability of the committed history.
 
         The history is reconstructed from the write-ahead logs (commit order
-        and write sets) of the given servers; read versions are not persisted
+        and write sets) of the up servers; read versions are not persisted
         in the log, so this check targets the write/write part of the
         serialisation order (the read part is checked live by the
         certification tests in the test-suite).
         """
-        names = servers if servers is not None \
-            else self.cluster.up_servers()
         transactions: List[CommittedTransaction] = []
         seen = set()
-        for name in names:
+        for name in self.cluster.up_servers():
             database = self.cluster.database(name)
             for record in database.wal.stable_records():
                 if record.record_type.value != "commit":

@@ -18,7 +18,7 @@ evidence that survives crashes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, List
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from ..replication.cluster import ReplicatedDatabaseCluster
@@ -47,10 +47,9 @@ class TransactionFate:
 
 
 def transaction_fate(cluster: "ReplicatedDatabaseCluster", txn_id: str,
-                     confirmed_to_client: bool = True,
-                     servers: Optional[Sequence[str]] = None) -> TransactionFate:
+                     confirmed_to_client: bool = True) -> TransactionFate:
     """Collect the evidence about ``txn_id`` across the cluster's servers."""
-    names = list(servers) if servers is not None else cluster.server_names()
+    names = cluster.server_names()
     fate = TransactionFate(txn_id=txn_id,
                            confirmed_to_client=confirmed_to_client)
     fate.surviving_servers = [name for name in names
@@ -75,13 +74,3 @@ def transaction_fate(cluster: "ReplicatedDatabaseCluster", txn_id: str,
                     fate.pending_delivery_on.append(name)
                     break
     return fate
-
-
-# repro: allow(unused-surface): only its own test uses it; ROADMAP 7(b)
-def committed_state_of(cluster: "ReplicatedDatabaseCluster",
-                       servers: Optional[Sequence[str]] = None
-                       ) -> Dict[str, List[str]]:
-    """Mapping server -> committed transaction ids (for audits and tests)."""
-    names = list(servers) if servers is not None else cluster.server_names()
-    return {name: sorted(cluster.database(name).testable.committed_ids())
-            for name in names}

@@ -30,21 +30,19 @@ def _binomial(n: int, k: int) -> float:
     return math.comb(n, k)
 
 
-def group_failure_probability(server_count: int, server_down_probability: float,
-                              quorum_size: int = None) -> float:
-    """Probability that fewer than a quorum of servers is up.
+def group_failure_probability(server_count: int,
+                              server_down_probability: float) -> float:
+    """Probability that fewer than a majority of servers is up.
 
     Servers fail independently with probability ``server_down_probability``.
     The group fails when the number of simultaneously down servers exceeds
-    ``server_count - quorum_size`` (default quorum: a majority).
+    ``server_count - quorum``, the quorum being a majority.
     """
     if server_count < 1:
         raise ValueError("server count must be positive")
     if not 0.0 <= server_down_probability <= 1.0:
         raise ValueError("probability out of range")
-    if quorum_size is None:
-        quorum_size = server_count // 2 + 1
-    tolerated = server_count - quorum_size
+    tolerated = server_count - (server_count // 2 + 1)
     probability = 0.0
     p = server_down_probability
     for crashed in range(tolerated + 1, server_count + 1):
@@ -129,21 +127,12 @@ class ScalingPoint:
                 < self.lazy_violation_probability)
 
 
-def scaling_comparison(server_counts: List[int],
-                       server_down_probability: float = 0.05,
-                       system_tps: float = 30.0,
-                       propagation_delay_ms: float = 250.0,
-                       writes_per_transaction: float = 7.5,
-                       item_count: int = 10_000) -> List[ScalingPoint]:
-    """Evaluate both curves of the Sect. 7 argument over ``server_counts``."""
-    points = []
-    for count in server_counts:
-        points.append(ScalingPoint(
-            server_count=count,
-            lazy_violation_probability=acid_violation_probability(
-                "1-safe", count, server_down_probability, system_tps,
-                propagation_delay_ms, writes_per_transaction, item_count),
-            group_safe_violation_probability=acid_violation_probability(
-                "group-safe", count, server_down_probability, system_tps,
-                propagation_delay_ms, writes_per_transaction, item_count)))
-    return points
+def scaling_comparison(server_counts: List[int]) -> List[ScalingPoint]:
+    """Evaluate both curves of the Sect. 7 argument over ``server_counts``
+    at the :func:`acid_violation_probability` defaults."""
+    return [ScalingPoint(
+        server_count=count,
+        lazy_violation_probability=acid_violation_probability("1-safe", count),
+        group_safe_violation_probability=acid_violation_probability(
+            "group-safe", count))
+        for count in server_counts]

@@ -64,25 +64,6 @@ class SafetyLevel(Enum):
             return LoggedOn.ONE
         return LoggedOn.ALL
 
-    # -- strength ordering -----------------------------------------------------------
-    @property
-    def rank(self) -> int:
-        """Total-order rank used for comparisons (higher = stronger)."""
-        order = (SafetyLevel.ZERO_SAFE, SafetyLevel.ONE_SAFE,
-                 SafetyLevel.GROUP_SAFE, SafetyLevel.GROUP_ONE_SAFE,
-                 SafetyLevel.TWO_SAFE, SafetyLevel.VERY_SAFE)
-        return order.index(self)
-
-    # repro: allow(unused-surface): only its own test uses it; ROADMAP 7(b)
-    def is_at_least(self, other: "SafetyLevel") -> bool:
-        """True if this level is at least as strong as ``other``.
-
-        The comparison follows the paper's Table 2 ordering by tolerated
-        crashes, with group-1-safety placed above group-safety because it adds
-        the 1-safe guarantee on top.
-        """
-        return self.rank >= other.rank
-
     # -- crash tolerance (Table 2) -----------------------------------------------------
     def tolerated_crashes(self, group_size: int) -> int:
         """Number of simultaneous server crashes the level tolerates.
@@ -98,19 +79,6 @@ class SafetyLevel(Enum):
         if self in (SafetyLevel.GROUP_SAFE, SafetyLevel.GROUP_ONE_SAFE):
             return group_size - 1
         return group_size
-
-    # repro: allow(unused-surface): only its own test uses it; ROADMAP 7(b)
-    @property
-    def relies_on_group(self) -> bool:
-        """True if durability is entrusted to the group rather than to disk."""
-        return self in (SafetyLevel.GROUP_SAFE, SafetyLevel.GROUP_ONE_SAFE)
-
-    # repro: allow(unused-surface): only its own test uses it; ROADMAP 7(b)
-    @property
-    def relies_on_stable_storage(self) -> bool:
-        """True if durability is entrusted to stable storage at notification."""
-        return self in (SafetyLevel.ONE_SAFE, SafetyLevel.GROUP_ONE_SAFE,
-                        SafetyLevel.TWO_SAFE, SafetyLevel.VERY_SAFE)
 
     def __str__(self) -> str:
         return self.value

@@ -18,8 +18,7 @@ from .operations import (Operation, OperationType, TransactionProgram, read,
                          write)
 from .recovery import redo_from_log
 from .serializability import (CommittedTransaction, SerializabilityReport,
-                              check_one_copy_serializability, has_cycle,
-                              precedence_graph)
+                              check_one_copy_serializability)
 from .stable_storage import StableLog, StableStorage
 from .testable import TestableTransactionRegistry
 from .transaction import Transaction, TransactionStatus, WriteSetMessage
@@ -51,8 +50,6 @@ __all__ = [
     "CommittedTransaction",
     "SerializabilityReport",
     "check_one_copy_serializability",
-    "precedence_graph",
-    "has_cycle",
     "DatabaseError",
     "TransactionAborted",
     "DeadlockError",

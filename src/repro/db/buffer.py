@@ -90,9 +90,6 @@ class BufferPool:
         self.throttle_events = 0
 
     # -- timing helpers ---------------------------------------------------------
-    def _is_hit(self) -> bool:
-        return self._hit_stream.random() < self.hit_ratio
-
     def _read_duration(self) -> float:
         return self._read_stream.uniform(self.read_time_low,
                                          self.read_time_high)

@@ -18,7 +18,7 @@ delivery order, or the delegate's local order for lazy replication).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 
 @dataclass
@@ -92,47 +92,3 @@ def check_one_copy_serializability(
     return SerializabilityReport(serializable=not anomalies,
                                  anomalies=anomalies,
                                  checked_transactions=len(ordered))
-
-
-# repro: allow(unused-surface): only its own test uses it; ROADMAP 7(b)
-def precedence_graph(transactions: Sequence[CommittedTransaction]
-                     ) -> Dict[str, Set[str]]:
-    """Build the write-read / write-write precedence graph of the history.
-
-    Edges point from the earlier transaction to the later one; a cycle in this
-    graph would mean the history is not serialisable in commit order.  Exposed
-    mostly for tests and for the scaling experiment's inconsistency analysis.
-    """
-    graph: Dict[str, Set[str]] = {txn.txn_id: set() for txn in transactions}
-    ordered = sorted(transactions, key=lambda txn: txn.commit_order)
-    last_writer: Dict[str, str] = {}
-    for txn in ordered:
-        for key, _version in txn.read_versions.items():
-            writer = last_writer.get(key)
-            if writer and writer != txn.txn_id:
-                graph[writer].add(txn.txn_id)
-        for key in txn.write_keys:
-            writer = last_writer.get(key)
-            if writer and writer != txn.txn_id:
-                graph[writer].add(txn.txn_id)
-            last_writer[key] = txn.txn_id
-    return graph
-
-
-# repro: allow(unused-surface): only its own test uses it; ROADMAP 7(b)
-def has_cycle(graph: Dict[str, Set[str]]) -> bool:
-    """True if the directed ``graph`` contains a cycle (DFS three-colour)."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour = {node: WHITE for node in graph}
-
-    def visit(node: str) -> bool:
-        colour[node] = GREY
-        for successor in graph.get(node, ()):
-            if colour.get(successor, WHITE) == GREY:
-                return True
-            if colour.get(successor, WHITE) == WHITE and visit(successor):
-                return True
-        colour[node] = BLACK
-        return False
-
-    return any(colour[node] == WHITE and visit(node) for node in list(graph))

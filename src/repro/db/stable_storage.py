@@ -46,10 +46,6 @@ class StableStorage:
         """All stored keys."""
         return list(self._data)
 
-    def clear(self) -> None:
-        """Erase the storage (used only by experiment setup, never by crashes)."""
-        self._data.clear()
-
     def __len__(self) -> int:
         return len(self._data)
 
@@ -78,13 +74,6 @@ class StableLog:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    # repro: allow(unused-surface): only its own test uses it; ROADMAP 7(b)
-    def truncate(self, up_to: int) -> None:
-        """Discard entries before index ``up_to`` (log compaction)."""
-        if up_to <= 0:
-            return
-        del self._entries[:up_to]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"<StableLog {self.name!r} entries={len(self._entries)}>"

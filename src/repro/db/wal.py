@@ -24,7 +24,6 @@ from typing import Dict, List, Optional
 
 from ..network.node import Node
 from ..sim.engine import Simulator
-from ..sim.resources import Gate
 from .stable_storage import StableLog
 
 
@@ -37,7 +36,7 @@ class LogRecordType(Enum):
     CHECKPOINT = "checkpoint"
     #: Atomic-commit decision of a cross-partition coordinator.  Not a
     #: transaction commit: recovery redo, the safety audit and
-    #: ``committed_transactions()`` all ignore it.
+    #: :meth:`WriteAheadLog.is_logged` all ignore it.
     DECISION = "decision"
     #: Ownership-map version record of the epoch-versioned routing table.
     #: Force-logged before a shard migration installs the new map, so a
@@ -89,7 +88,6 @@ class WriteAheadLog:
         self._stable: StableLog = node.register_stable(
             f"{name}.stable", StableLog(f"{node.name}.{name}"))
         self._next_lsn = len(self._stable)
-        self._flush_gates: Dict[str, Gate] = {}
         #: Gray-failure knob: multiplier on the physical flush time
         #: (:meth:`degrade_disk`).  Applied *after* the random draw, so the
         #: ``{node}.log_write`` stream consumption — and therefore every
@@ -151,7 +149,7 @@ class WriteAheadLog:
         span = None
         if obs is not None:
             # Parentless on purpose: one group-commit flush serves many
-            # transactions; their own spans cover the wait via flush gates.
+            # transactions; their own spans cover the wait.
             span = obs.begin("wal.flush", category="disk",
                              track=f"server.{node.name}",
                              labels={"records": len(self._volatile)})
@@ -165,9 +163,6 @@ class WriteAheadLog:
         flushed, self._volatile = self._volatile, []
         for record in flushed:
             self._stable.append(record)
-            gate = self._flush_gates.pop(record.txn_id, None)
-            if gate is not None:
-                gate.open()
 
     def force(self, record: LogRecord):
         """Generator: append ``record``, flush, report whether it is durable.
@@ -189,15 +184,6 @@ class WriteAheadLog:
             # The node crashed mid-flush with the request in service.
             return False
         return self.is_stable(record)
-
-    # repro: allow(unused-surface): only its own test uses it; ROADMAP 7(b)
-    def flushed_gate(self, txn_id: str) -> Gate:
-        """Return a gate that opens once ``txn_id``'s records are durable."""
-        if self.is_logged(txn_id):
-            return Gate(self.sim, opened=True, name=f"flushed:{txn_id}")
-        gate = self._flush_gates.setdefault(
-            txn_id, Gate(self.sim, name=f"flushed:{txn_id}"))
-        return gate
 
     # -- queries ------------------------------------------------------------------
     def is_stable(self, record: LogRecord) -> bool:
@@ -236,16 +222,10 @@ class WriteAheadLog:
         """Records appended but not yet flushed (lost on crash)."""
         return list(self._volatile)
 
-    def committed_transactions(self) -> List[str]:
-        """Transaction ids with a durable COMMIT record, in LSN order."""
-        return [record.txn_id for record in self._stable
-                if record.record_type is LogRecordType.COMMIT]
-
     # -- crash handling ---------------------------------------------------------------
     def lose_volatile(self) -> None:
         """Drop the volatile tail (called when the hosting node crashes)."""
         self._volatile.clear()
-        self._flush_gates.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"<WriteAheadLog {self.node.name} stable={len(self._stable)} "

@@ -76,13 +76,14 @@ def confirm(cluster, values: Mapping[str, object], client: str,
     return result
 
 
-def advance_until(cluster, condition: Callable[[], bool], limit: float,
-                  step: float = 5.0) -> bool:
-    """Advance the simulation until ``condition()`` (False if ``limit`` hit)."""
+def advance_until(cluster, condition: Callable[[], bool],
+                  limit: float) -> bool:
+    """Advance the simulation in 5 ms steps until ``condition()`` (False if
+    ``limit`` hit)."""
     while not condition():
         if cluster.sim.now >= limit:
             return False
-        cluster.run(until=min(limit, cluster.sim.now + step))
+        cluster.run(until=min(limit, cluster.sim.now + 5.0))
     return True
 
 

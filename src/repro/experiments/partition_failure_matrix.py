@@ -88,6 +88,9 @@ REQUIRED_PATTERN_CLASSES: Dict[str, Tuple[str, ...]] = {
                                           "migration-post-epoch"),
 }
 
+#: Simulated time each scenario waits after its recoveries, for replays
+#: and catch-up to land.
+SETTLE_MS = 2_000.0
 
 
 # --------------------------------------------------------------------------- outcome types
@@ -207,9 +210,7 @@ def _recover_group(cluster: PartitionedCluster, partition_id: int,
 def run_partitioned_crash_scenario(technique: str, crash_pattern: str,
                                    shard_count: int = 2, seed: int = 1,
                                    params: Optional[SimulationParameters]
-                                   = None,
-                                   settle_ms: float = 2_000.0
-                                   ) -> PartitionedScenarioOutcome:
+                                   = None) -> PartitionedScenarioOutcome:
     """Run one partitioned failure-injection scenario and audit it.
 
     Builds a range-sharded cluster of ``shard_count`` groups (all running
@@ -232,17 +233,16 @@ def run_partitioned_crash_scenario(technique: str, crash_pattern: str,
         technique=technique, crash_pattern=crash_pattern,
         shard_count=shard_count, confirmed=True)
     if crash_pattern.startswith("coordinator-"):
-        _run_coordinator_pattern(cluster, outcome, settle_ms)
+        _run_coordinator_pattern(cluster, outcome)
     elif crash_pattern.startswith("migration-"):
-        _run_migration_pattern(cluster, outcome, settle_ms)
+        _run_migration_pattern(cluster, outcome)
     else:
-        _run_shard_pattern(cluster, outcome, settle_ms)
+        _run_shard_pattern(cluster, outcome)
     return outcome
 
 
 def _run_shard_pattern(cluster: PartitionedCluster,
-                       outcome: PartitionedScenarioOutcome,
-                       settle_ms: float) -> None:
+                       outcome: PartitionedScenarioOutcome) -> None:
     """The single-group Table 2/3 patterns, replayed inside shard 0."""
     sim, pattern = cluster.sim, outcome.crash_pattern
     group = cluster.group(0)
@@ -274,7 +274,7 @@ def _run_shard_pattern(cluster: PartitionedCluster,
     for name in names:
         group.replica(name).processing_gate.open()
     _recover_group(cluster, 0, recovered)
-    sim.run(until=sim.now + settle_ms)
+    sim.run(until=sim.now + SETTLE_MS)
 
     outcome.crashed_servers, outcome.recovered_servers = crashed, recovered
     outcome.audited_shards = [ShardStatus(
@@ -292,8 +292,7 @@ def _run_shard_pattern(cluster: PartitionedCluster,
 
 
 def _run_coordinator_pattern(cluster: PartitionedCluster,
-                             outcome: PartitionedScenarioOutcome,
-                             settle_ms: float) -> None:
+                             outcome: PartitionedScenarioOutcome) -> None:
     """Home-delegate (= coordinator) crashes around the 2PC decision point."""
     sim, pattern = cluster.sim, outcome.crash_pattern
     remote_shard = cluster.partition_count - 1
@@ -332,7 +331,7 @@ def _run_coordinator_pattern(cluster: PartitionedCluster,
     outcome.crashed_servers = [crash_site["server"]]
     outcome.resolved = advance_until(cluster, lambda: waiter.triggered,
                                      limit=sim.now + 20_000.0)
-    sim.run(until=sim.now + settle_ms)
+    sim.run(until=sim.now + SETTLE_MS)
 
     cross = waiter.value if waiter.triggered else None
     outcome.confirmed = bool(cross is not None and cross.committed)
@@ -360,8 +359,7 @@ def _run_coordinator_pattern(cluster: PartitionedCluster,
 
 
 def _run_migration_pattern(cluster: PartitionedCluster,
-                           outcome: PartitionedScenarioOutcome,
-                           settle_ms: float) -> None:
+                           outcome: PartitionedScenarioOutcome) -> None:
     """Whole-group crashes at deterministic points of a live migration."""
     sim, pattern = cluster.sim, outcome.crash_pattern
     source, destination = 0, cluster.partition_count - 1
@@ -414,7 +412,7 @@ def _run_migration_pattern(cluster: PartitionedCluster,
                      if name != delegate]
     _recover_group(cluster, crashed_group, non_delegates + [delegate])
     outcome.recovered_servers = non_delegates + [delegate]
-    sim.run(until=sim.now + settle_ms)
+    sim.run(until=sim.now + SETTLE_MS)
 
     outcome.audited_shards = [ShardStatus(partition_id=owner,
                                           group_failed=group_failed,

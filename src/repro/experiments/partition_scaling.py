@@ -46,11 +46,6 @@ class PartitionPoint:
         """Committed transactions per second at this point."""
         return self.statistics.achieved_throughput_tps
 
-    @property
-    def mean_response_time(self) -> float:
-        """Mean committed response time (ms) at this point."""
-        return self.statistics.mean_response_time
-
 
 def run_partition_point(technique: str = "group-safe",
                         partition_count: int = 1,
@@ -58,17 +53,18 @@ def run_partition_point(technique: str = "group-safe",
                         cross_partition_probability: float = 0.0,
                         cross_partition_span: Optional[int] = None,
                         duration_ms: float = 12_000.0,
-                        warmup_ms: float = 2_000.0,
                         seed: int = 21,
                         params: Optional[SimulationParameters] = None,
                         observability: bool = False
                         ) -> PartitionPoint:
     """Drive one partitioned configuration and summarise it.
 
-    With ``observability`` the cluster runs under the span tracer; the
-    resulting :class:`~repro.obs.tracer.Observability` is reachable as
+    The first 2 s are warm-up.  With ``observability`` the cluster runs
+    under the span tracer; the resulting
+    :class:`~repro.obs.tracer.Observability` is reachable as
     ``point.statistics.obs`` for export.
     """
+    warmup_ms = 2_000.0
     parameters = params or SimulationParameters.small(server_count=3,
                                                       item_count=400)
     parameters = parameters.with_overrides(
@@ -102,16 +98,15 @@ def run_partition_point(technique: str = "group-safe",
 
 
 def partition_sweep(partition_counts: Sequence[int] = PARTITION_COUNTS,
-                    technique: str = "group-safe",
                     load_tps: float = DEFAULT_LOAD_TPS,
                     cross_partition_probability: float = 0.0,
                     duration_ms: float = 12_000.0,
                     seed: int = 21,
                     params: Optional[SimulationParameters] = None
                     ) -> List[PartitionPoint]:
-    """Sweep the partition count at a fixed offered load."""
+    """Sweep the partition count at a fixed offered load (group-safe)."""
     return [run_partition_point(
-        technique=technique, partition_count=count, load_tps=load_tps,
+        partition_count=count, load_tps=load_tps,
         cross_partition_probability=cross_partition_probability,
         duration_ms=duration_ms, seed=seed, params=params)
         for count in partition_counts]

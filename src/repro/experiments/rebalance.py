@@ -29,7 +29,7 @@ from ..partition.stats import PartitionedRunStatistics, collect_statistics
 from ..partition.workload import PartitionedOpenLoopClients
 from ..workload.params import SimulationParameters
 
-#: Default measurement windows (ms): warm-up, rebalance trigger, settle.
+#: Measurement windows (ms): warm-up, rebalance trigger, settle, end.
 DEFAULT_WARMUP_MS = 2_000.0
 DEFAULT_REBALANCE_AT_MS = 6_000.0
 DEFAULT_SETTLE_MS = 9_000.0
@@ -67,21 +67,22 @@ def _group_of_result(result) -> int:
 
 
 def window_commits(clients: PartitionedOpenLoopClients, start: float,
-                   end: float, hot_group: int = 0) -> Tuple[int, int]:
-    """(committed, committed-on-``hot_group``) responses in ``[start, end)``."""
+                   end: float) -> Tuple[int, int]:
+    """(committed, committed-on-group-0) responses in ``[start, end)``;
+    range sharding puts the Zipf head, the hot group, on group 0."""
     total = 0
     on_hot = 0
     for population in (clients.single_results, clients.warmup_single_results):
         for result in population:
             if result.committed and start <= result.responded_at < end:
                 total += 1
-                if _group_of_result(result) == hot_group:
+                if _group_of_result(result) == 0:
                     on_hot += 1
     for population in (clients.cross_results, clients.warmup_cross_results):
         for outcome in population:
             if outcome.committed and start <= outcome.responded_at < end:
                 total += 1
-                if hot_group in outcome.partitions:
+                if 0 in outcome.partitions:
                     on_hot += 1
     return total, on_hot
 
@@ -143,37 +144,26 @@ def audit_commit_integrity(cluster: PartitionedCluster,
     return failures
 
 
-def run_rebalance_experiment(rebalance: bool = True,
-                             technique: str = "group-safe",
-                             partitions: int = 4,
-                             items: int = 400,
-                             load_tps: float = 150.0,
-                             zipf_skew: float = 1.1,
-                             cross_partition_probability: float = 0.05,
-                             warmup_ms: float = DEFAULT_WARMUP_MS,
-                             rebalance_at_ms: float = DEFAULT_REBALANCE_AT_MS,
-                             settle_ms: float = DEFAULT_SETTLE_MS,
-                             duration_ms: float = DEFAULT_DURATION_MS,
-                             seed: int = 33,
-                             params: Optional[SimulationParameters] = None
-                             ) -> RebalanceOutcome:
+def run_rebalance_experiment(rebalance: bool = True) -> RebalanceOutcome:
     """Drive one (optionally live-rebalanced) skewed run and summarise it.
 
-    Range sharding concentrates the Zipf head on group 0; at
-    ``rebalance_at_ms`` the rebalanced run splits the hot shard at its
-    observed access median and migrates the head to the coolest group — all
-    under sustained open-loop load.  The static run is the same seeded
-    workload without the move.
+    Four range shards of 400 items under Zipf-1.1 load at 150 tps with 5 %
+    cross-partition transactions (group-safe, seed 33).  Range sharding
+    concentrates the Zipf head on group 0; at :data:`DEFAULT_REBALANCE_AT_MS`
+    the rebalanced run splits the hot shard at its observed access median
+    and migrates the head to the coolest group — all under sustained
+    open-loop load.  The static run is the same seeded workload without the
+    move.
     """
-    parameters = params or SimulationParameters.small(server_count=3,
-                                                      item_count=items)
-    parameters = parameters.with_overrides(
-        partition_count=partitions, zipf_skew=zipf_skew,
-        cross_partition_probability=cross_partition_probability)
-    cluster = PartitionedCluster(technique, params=parameters, seed=seed,
+    warmup_ms, rebalance_at_ms = DEFAULT_WARMUP_MS, DEFAULT_REBALANCE_AT_MS
+    settle_ms, duration_ms = DEFAULT_SETTLE_MS, DEFAULT_DURATION_MS
+    parameters = SimulationParameters.small(
+        server_count=3, item_count=400).with_overrides(
+        partition_count=4, zipf_skew=1.1, cross_partition_probability=0.05)
+    cluster = PartitionedCluster("group-safe", params=parameters, seed=33,
                                  strategy="range")
     cluster.start()
-    clients = PartitionedOpenLoopClients(cluster, load_tps=load_tps,
+    clients = PartitionedOpenLoopClients(cluster, load_tps=150.0,
                                          warmup=warmup_ms)
     clients.start()
     cluster.run(until=rebalance_at_ms)

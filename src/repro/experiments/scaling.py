@@ -16,7 +16,7 @@ Two complementary pieces of evidence are produced:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from ..core.audit import SafetyAudit
 from ..core.reliability import ScalingPoint, scaling_comparison
@@ -41,9 +41,8 @@ class DivergenceOutcome:
         return bool(self.divergent_items)
 
 
-def conflicting_updates_run(technique: str, conflicts: int = 10, seed: int = 3,
-                            params: Optional[SimulationParameters] = None,
-                            settle_ms: float = 5_000.0) -> DivergenceOutcome:
+def conflicting_updates_run(technique: str, conflicts: int = 10,
+                            seed: int = 3) -> DivergenceOutcome:
     """Submit pairs of conflicting updates at two different servers.
 
     Each pair writes the same item from two different delegates at the same
@@ -51,10 +50,9 @@ def conflicting_updates_run(technique: str, conflicts: int = 10, seed: int = 3,
     last-writer-wins during propagation — divergence and lost updates are
     possible.  Group-safe replication certifies both in the same total order
     and commits both (blind writes are ordered) while keeping every replica
-    identical.
+    identical.  The run settles until 5 s of simulated time.
     """
-    parameters = params or SimulationParameters.small(server_count=3,
-                                                      item_count=50)
+    parameters = SimulationParameters.small(server_count=3, item_count=50)
     cluster = ReplicatedDatabaseCluster(technique, params=parameters, seed=seed)
     cluster.start()
     sim = cluster.sim
@@ -79,7 +77,7 @@ def conflicting_updates_run(technique: str, conflicts: int = 10, seed: int = 3,
     sim.run(until=200.0)
     for name in cluster.server_names():
         cluster.replica(name).processing_gate.open()
-    sim.run(until=settle_ms)
+    sim.run(until=5_000.0)
 
     results = [waiter.value for waiter in waiters if waiter.triggered]
     committed = sum(1 for result in results if result.committed)

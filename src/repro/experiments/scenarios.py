@@ -139,9 +139,7 @@ def run_crash_scenario(technique: str, crash_pattern: str = "all-delegate-stays-
         delegate_crashed=delegate in crashed and delegate not in recovered)
 
 
-def figure5_scenario(seed: int = 1,
-                     params: Optional[SimulationParameters] = None
-                     ) -> ScenarioOutcome:
+def figure5_scenario() -> ScenarioOutcome:
     """The unrecoverable-failure scenario of Fig. 5 (classical atomic broadcast).
 
     Group-1-safe replication on classical atomic broadcast: the delegate
@@ -150,13 +148,10 @@ def figure5_scenario(seed: int = 1,
     """
     return run_crash_scenario("group-1-safe",
                               crash_pattern="all-delegate-stays-down",
-                              seed=seed, params=params,
                               freeze_non_delegates=True)
 
 
-def figure7_scenario(seed: int = 1,
-                     params: Optional[SimulationParameters] = None
-                     ) -> ScenarioOutcome:
+def figure7_scenario() -> ScenarioOutcome:
     """The recovery scenario of Fig. 7 (end-to-end atomic broadcast).
 
     Same crash schedule as Fig. 5, but the technique runs on end-to-end
@@ -165,13 +160,10 @@ def figure7_scenario(seed: int = 1,
     """
     return run_crash_scenario("2-safe",
                               crash_pattern="all-delegate-stays-down",
-                              seed=seed, params=params,
                               freeze_non_delegates=True)
 
 
-def single_crash_scenario(technique: str, seed: int = 1,
-                          params: Optional[SimulationParameters] = None
-                          ) -> ScenarioOutcome:
+def single_crash_scenario(technique: str) -> ScenarioOutcome:
     """Crash only the delegate right after it confirmed the transaction.
 
     This is the pattern that separates the 0/1-safe levels (which tolerate no
@@ -179,5 +171,5 @@ def single_crash_scenario(technique: str, seed: int = 1,
     For the lazy techniques the crash happens before the propagation interval
     elapses, so nothing has left the delegate yet.
     """
-    return run_crash_scenario(technique, crash_pattern="delegate", seed=seed,
-                              params=params, freeze_non_delegates=False)
+    return run_crash_scenario(technique, crash_pattern="delegate",
+                              freeze_non_delegates=False)

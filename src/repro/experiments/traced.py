@@ -27,13 +27,12 @@ from ..partition.workload import PartitionedOpenLoopClients
 from ..workload.params import SimulationParameters
 
 
-def run_traced_scenario(technique: str = "group-safe", seed: int = 7,
-                        load_tps: float = 120.0,
-                        rebalance_at_ms: float = 1_500.0,
+def run_traced_scenario(seed: int = 7, rebalance_at_ms: float = 1_500.0,
                         duration_ms: float = 4_000.0
                         ) -> Tuple[Observability, PartitionedRunStatistics,
                                    PartitionedOpenLoopClients]:
-    """Run the mixed 2PC + migration scenario with tracing enabled.
+    """Run the mixed 2PC + migration scenario (group-safe, 120 tps) with
+    tracing enabled.
 
     Returns the :class:`~repro.obs.tracer.Observability` holding the span
     forest, the collected run statistics, and the client pool whose raw
@@ -42,11 +41,11 @@ def run_traced_scenario(technique: str = "group-safe", seed: int = 7,
     parameters = SimulationParameters.small(
         server_count=3, item_count=240).with_overrides(
         partition_count=4, zipf_skew=1.1, cross_partition_probability=0.1)
-    cluster = PartitionedCluster(technique, params=parameters, seed=seed,
+    cluster = PartitionedCluster("group-safe", params=parameters, seed=seed,
                                  strategy="range")
     observability = cluster.enable_observability()
     cluster.start()
-    clients = PartitionedOpenLoopClients(cluster, load_tps=load_tps)
+    clients = PartitionedOpenLoopClients(cluster, load_tps=120.0)
     clients.start()
     cluster.run(until=rebalance_at_ms)
     cluster.rebalance()
@@ -55,8 +54,7 @@ def run_traced_scenario(technique: str = "group-safe", seed: int = 7,
     return observability, statistics, clients
 
 
-def write_scenario_trace(path, technique: str = "group-safe", seed: int = 7
-                         ) -> Path:
+def write_scenario_trace(path, seed: int = 7) -> Path:
     """Run the traced scenario and export it to ``path``.
 
     Writes the Chrome trace-event JSON at ``path`` (open it in Perfetto or
@@ -64,23 +62,21 @@ def write_scenario_trace(path, technique: str = "group-safe", seed: int = 7
     it with a ``.txt`` suffix.  Returns the trace path.
     """
     trace_path = Path(path)
-    observability, statistics, _clients = run_traced_scenario(
-        technique=technique, seed=seed)
+    observability, statistics, _clients = run_traced_scenario(seed=seed)
     write_chrome_trace(trace_path, observability,
                        metadata={"scenario": "mixed-2pc-migration",
-                                 "technique": technique, "seed": seed,
+                                 "technique": "group-safe", "seed": seed,
                                  "committed": statistics.measured_commits})
     write_critical_path_report(trace_path.with_suffix(".txt"), observability)
     return trace_path
 
 
 def maybe_write_scenario_trace(path: Optional[str],
-                               technique: str = "group-safe",
                                seed: int = 7) -> Optional[Path]:
     """``write_scenario_trace`` guarded on ``path`` being set (CLI helper)."""
     if not path:
         return None
-    written = write_scenario_trace(path, technique=technique, seed=seed)
+    written = write_scenario_trace(path, seed=seed)
     print(f"trace written to {written} "
           f"(critical-path report: {written.with_suffix('.txt')})")
     return written

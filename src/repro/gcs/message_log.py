@@ -89,10 +89,6 @@ class GcsMessageLog:
         self._storage.put(broadcast_id, entry)
 
     # -- queries -------------------------------------------------------------------
-    def is_logged(self, broadcast_id: str) -> bool:
-        """True if delivery of ``broadcast_id`` was recorded on this server."""
-        return broadcast_id in self._storage
-
     def entries(self) -> List[LoggedMessage]:
         """All logged messages, in delivery (sequence) order."""
         return sorted((self._storage.get(key)

@@ -18,25 +18,26 @@ NIC-level keep-alives, priced on the wire and never on a CPU.  Either way it
 passed the same admission and in-flight drop checks.
 
 Messages addressed to a crashed node are dropped, as are messages whose
-sender and destination are separated by an active partition, and — when a
-:class:`~repro.network.faults.LinkFault` with loss probabilities is
-installed — messages sampled away by the interned ``lan.loss`` stream.
+sender and destination are separated by an installed
+:class:`~repro.network.faults.LinkFault` and — when a fault with loss
+probabilities is installed — messages sampled away by the interned
+``lan.loss`` stream.  Installed faults are the only way to block a link.
 Delivery is FIFO per sender–destination pair (the heap tie-break of the
 simulator preserves insertion order for equal timestamps), which is the
 usual assumption for a LAN transport such as TCP.
 
 Blocking is *directional* throughout: a blocked ``(sender, destination)``
 pair drops messages that way only, which is what an asymmetric link failure
-looks like.  The symmetric helpers (:meth:`Lan.partition`,
-:meth:`~repro.network.faults.LinkFault.partition`) simply block both
-directions.  When no fault is installed and nothing is blocked, the send
-path is byte-for-byte the pre-fault-model code: no loss stream exists, no
-extra draws happen, and the event schedule is bit-identical to the seed.
+looks like (:meth:`~repro.network.faults.LinkFault.asymmetric`); the
+symmetric :meth:`~repro.network.faults.LinkFault.partition` simply blocks
+both directions.  When no fault is installed, the send path is
+byte-for-byte the pre-fault-model code: no loss stream exists, no extra
+draws happen, and the event schedule is bit-identical to the seed.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.layers import implements
 from ..sim.engine import Simulator
@@ -62,15 +63,10 @@ class Lan:
         #: fault and never before, so fault-free runs make no extra draws.
         self._loss_stream = None
         self._nodes: Dict[str, Node] = {}
-        #: Directionally blocked pairs from :meth:`block` / :meth:`partition`.
-        self._manual_blocked: Set[Tuple[str, str]] = set()
         #: Installed faults by name, in installation order.
         self._faults: Dict[str, LinkFault] = {}
         #: Combined effect of the installed faults (hot-path tables).
         self._fault_tables = FaultTables()
-        #: Union of manual and fault blocking — the set the send and
-        #: delivery paths actually consult.
-        self._blocked_pairs: Set[Tuple[str, str]] = set()
         #: Count of messages handed to the network (before drops).
         self.sent_count = 0
         #: Count of messages actually delivered (to an inbox, or to an
@@ -99,46 +95,13 @@ class Lan:
         """All attached nodes, in attachment order."""
         return list(self._nodes.values())
 
-    # -- partitions and manual blocking ------------------------------------------------
-    def block(self, sender: str, destination: str) -> None:
-        """Block the directional link ``sender`` → ``destination``.
-
-        Only that direction is affected: replies from ``destination`` to
-        ``sender`` still flow, which models an asymmetric link failure.
-        Symmetric blocking takes two calls (or :meth:`partition`).
-        """
-        self._manual_blocked.add((sender, destination))
-        self._rebuild_blocked()
-
-    # repro: allow(unused-surface): tests lift a block to watch the drop path
-    def unblock(self, sender: str, destination: str) -> None:
-        """Remove a directional block added by :meth:`block` /
-        :meth:`partition` (no-op if absent; fault blocking is unaffected —
-        remove the fault instead)."""
-        self._manual_blocked.discard((sender, destination))
-        self._rebuild_blocked()
-
-    def partition(self, group_a: Iterable[str], group_b: Iterable[str]) -> None:
-        """Block all traffic between the two groups of node names."""
-        for a in group_a:
-            for b in group_b:
-                self._manual_blocked.add((a, b))
-                self._manual_blocked.add((b, a))
-        self._rebuild_blocked()
-
-    # repro: allow(unused-surface): tests lift blocks to watch the drop path
-    def heal(self) -> None:
-        """Remove every manual block and partition (installed faults stay)."""
-        self._manual_blocked.clear()
-        self._rebuild_blocked()
-
-    # repro: allow(unused-surface): tests read what partitions and faults block
+    # -- faults -----------------------------------------------------------------------
+    # repro: allow(unused-surface): tests read what the installed faults block
     def is_blocked(self, sender: str, destination: str) -> bool:
         """True if ``sender`` → ``destination`` traffic is currently dropped
-        (by a manual block, a partition, or an installed fault)."""
-        return (sender, destination) in self._blocked_pairs
+        by an installed fault."""
+        return (sender, destination) in self._fault_tables.blocked
 
-    # -- faults -----------------------------------------------------------------------
     def install_fault(self, fault: LinkFault) -> LinkFault:
         """Activate ``fault`` (replacing any installed fault of the same name).
 
@@ -182,10 +145,6 @@ class Lan:
 
     def _rebuild_faults(self) -> None:
         self._fault_tables = FaultTables.combine(self._faults.values())
-        self._rebuild_blocked()
-
-    def _rebuild_blocked(self) -> None:
-        self._blocked_pairs = self._manual_blocked | self._fault_tables.blocked
 
     # -- transmission -----------------------------------------------------------------
     def _delivery_delay(self) -> float:
@@ -254,12 +213,12 @@ class Lan:
         if destination is None:
             self._drop(message, "destination-unknown")
             return None
-        if self._blocked_pairs and \
-                (message.sender, message.destination) in self._blocked_pairs:
+        tables = self._fault_tables
+        if tables.blocked and \
+                (message.sender, message.destination) in tables.blocked:
             self._drop(message, "partitioned")
             return None
         delay = self._delivery_delay()
-        tables = self._fault_tables
         if tables.loss or tables.latency:
             pair = (message.sender, message.destination)
             probability = tables.loss.get(pair)
@@ -285,8 +244,8 @@ class Lan:
             # The destination crashed while the message was in flight.
             self._drop(message, "destination-crashed")
             return
-        if self._blocked_pairs and \
-                (message.sender, message.destination) in self._blocked_pairs:
+        blocked = self._fault_tables.blocked
+        if blocked and (message.sender, message.destination) in blocked:
             # A partition came up while the message was in flight.
             self._drop(message, "partitioned")
             return

@@ -157,7 +157,7 @@ class Node:
         """Subscribe to crash / recovery notifications."""
         self._listeners.append(listener)
 
-    def crash(self, cause: object = "crash") -> None:
+    def crash(self) -> None:
         """Crash the node: kill volatile processes, drop queued work.
 
         Stable-storage objects registered via :meth:`register_stable` are kept
@@ -173,7 +173,7 @@ class Node:
         # would grant the slot to the next process about to be killed.
         queued = self.cpu.cancel_all() + self.disk.cancel_all()
         for process in self._processes:
-            process.kill(cause=f"{self.name}:{cause}")
+            process.kill(cause=f"{self.name}:crash")
         # A queued charge has no completion entry on the heap.  Killing this
         # node's processes detached their waiters; a charge that still has
         # one belongs to a process hosted elsewhere (a migration's chunk copy

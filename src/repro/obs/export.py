@@ -204,10 +204,9 @@ def critical_path_report(obs: Observability,
 
 
 def write_critical_path_report(path: Union[str, Path],
-                               obs: Observability,
-                               limit: Optional[int] = 40) -> str:
+                               obs: Observability) -> str:
     """Write :func:`critical_path_report` next to a trace; returns the text."""
-    text = critical_path_report(obs, limit=limit)
+    text = critical_path_report(obs, limit=40)
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(text + "\n", encoding="utf-8")

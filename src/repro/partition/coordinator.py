@@ -339,7 +339,7 @@ class CrossPartitionCoordinator:
         # would hang the client forever.  On timeout no branch has installed
         # anything yet, so aborting everywhere is safe.  The record has its
         # own WAL type (not COMMIT), so recovery redo, the safety audit and
-        # ``committed_transactions()`` never mistake it for a transaction;
+        # ``WriteAheadLog.is_logged`` never mistake it for a transaction;
         # a straggler that becomes durable after a timed-out abort is
         # reconciled by :meth:`replay_decisions` (an orphan decision).
         # ``WriteAheadLog.force`` judges success by evidence, so a crash of

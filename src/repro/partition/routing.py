@@ -252,9 +252,6 @@ class RoutingTable:
         #: keyspaces cannot grow the counter dict without bound.
         self.max_tracked_positions: int = 4096
         self._rebuild_access_index()
-        #: Every epoch the table has been through: (epoch, assignments).
-        self.history: List[Tuple[int, Tuple[ShardAssignment, ...]]] = [
-            (epoch, tuple(self._assignments))]
 
     # -- construction -------------------------------------------------------------------
     @classmethod
@@ -399,7 +396,6 @@ class RoutingTable:
         self._epoch += 1
         self._snapshot = None
         self._rebuild_access_index()
-        self.history.append((self._epoch, tuple(self._assignments)))
         return self._epoch
 
     def _check_not_fenced(self, key_range: KeyRange) -> None:
@@ -455,25 +451,6 @@ class RoutingTable:
                                                    destination_group)
         return self._bump()
 
-    def install(self, assignments: Sequence[ShardAssignment],
-                epoch: int) -> None:
-        """Install a recovered or force-logged map wholesale.
-
-        ``epoch`` must move forward; installing a stale map is the exact
-        failure the epoch discipline exists to prevent.
-        """
-        if epoch <= self._epoch:
-            raise WrongEpochError(
-                f"cannot install epoch {epoch}: table is already at "
-                f"{self._epoch}", epoch_seen=epoch, epoch_now=self._epoch)
-        self._assignments = sorted(
-            assignments, key=lambda assignment: assignment.key_range.lo)
-        self._validate_cover()
-        self._epoch = epoch
-        self._snapshot = None
-        self._rebuild_access_index()
-        self.history.append((epoch, tuple(self._assignments)))
-
     # -- fencing ------------------------------------------------------------------------
     @property
     def has_fences(self) -> bool:
@@ -506,7 +483,7 @@ class RoutingTable:
         """Recompute the per-shard totals after the shard list changed.
 
         :meth:`note_access` maintains the totals incrementally (O(log shards)
-        per access); split/migrate/install re-attribute the tracked
+        per access); split and migrate re-attribute the tracked
         positions to the new shard list in one pass.
         """
         self._bounds = [assignment.key_range.lo

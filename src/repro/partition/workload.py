@@ -197,7 +197,6 @@ class PartitionedOpenLoopClients:
         #: the commit-integrity audits, excluded from the statistics).
         self.warmup_single_results: List[TransactionResult] = []
         self.warmup_cross_results: List[CrossPartitionOutcome] = []
-        self.warmup_count = 0
         self.submitted_count = 0
         #: Arrivals dropped because no delegate was reachable.
         self.rejected_count = 0
@@ -230,7 +229,6 @@ class PartitionedOpenLoopClients:
             epoch = self.cluster.routing.epoch
             self.epoch_commits[epoch] = self.epoch_commits.get(epoch, 0) + 1
         if submitted_at < self.warmup:
-            self.warmup_count += 1
             if isinstance(outcome, CrossPartitionOutcome):
                 self.warmup_cross_results.append(outcome)
             else:
@@ -251,11 +249,6 @@ class PartitionedOpenLoopClients:
     def committed_count(self) -> int:
         """Committed transactions of both kinds after warm-up."""
         return sum(1 for result in self.results if result.committed)
-
-    def response_times(self) -> List[float]:
-        """Response times (ms) of post-warm-up committed transactions."""
-        return [result.response_time for result in self.results
-                if result.committed]
 
     def start(self) -> None:
         """Start the arrival process."""

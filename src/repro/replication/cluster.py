@@ -23,7 +23,7 @@ Typical use::
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..core.criteria import TECHNIQUE_SAFETY
 from ..core.layers import implements, uses
@@ -43,7 +43,6 @@ from .base import ReplicaServer
 from .dbsm import DatabaseStateMachineReplica
 from .lazy import LazyReplica
 from .primary_copy import RoutingPolicy, make_routing
-from .results import TransactionResult
 
 #: Names accepted by :class:`ReplicatedDatabaseCluster`: the rows of
 #: :data:`~repro.core.criteria.TECHNIQUE_SAFETY`, in presentation order.
@@ -237,22 +236,6 @@ class ReplicatedDatabaseCluster:
         return [name for name, node in self.nodes.items() if node.is_up]
 
     # ------------------------------------------------------------------ results
-    # repro: allow(unused-surface): only its own test uses it; ROADMAP 7(b)
-    def all_results(self) -> List[TransactionResult]:
-        """Every client-visible result produced so far, across all servers."""
-        results: List[TransactionResult] = []
-        for replica in self.replicas.values():
-            results.extend(replica.results)
-        return sorted(results, key=lambda result: result.responded_at)
-
-    # repro: allow(unused-surface): tests read where a commit landed with it
-    def committed_everywhere(self, txn_id: str,
-                             servers: Optional[Sequence[str]] = None) -> bool:
-        """True if ``txn_id`` is recorded as committed on all given servers."""
-        names = list(servers) if servers is not None else self.server_names()
-        return all(self.databases[name].testable.has_committed(txn_id)
-                   for name in names)
-
     def committed_anywhere(self, txn_id: str) -> List[str]:
         """Names of servers on which ``txn_id`` is recorded as committed."""
         return [name for name in self.server_names()

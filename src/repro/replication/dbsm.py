@@ -236,7 +236,7 @@ class DatabaseStateMachineReplica(ReplicaServer):
                          delivered_to_group=True)
 
     # ------------------------------------------------------------------ recovery
-    def recover_after_crash(self, rejoin_timeout: float = 10.0):
+    def recover_after_crash(self):
         """Generator: technique-specific recovery after the node came back.
 
         * The local database is rebuilt from the flushed write-ahead log.
@@ -248,7 +248,7 @@ class DatabaseStateMachineReplica(ReplicaServer):
           certifier is what processes any replayed deliveries.
         """
         self.db.recover()
-        outcome = yield from self.endpoint.recover(rejoin_timeout=rejoin_timeout)
+        outcome = yield from self.endpoint.recover()
         if outcome is not None and not isinstance(outcome, int):
             # Classical atomic broadcast handed us an application checkpoint
             # from a live member: adopt it wholesale (state transfer).  Any

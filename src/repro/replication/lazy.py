@@ -75,7 +75,6 @@ class LazyReplica(ReplicaServer):
         #: Statistics.
         self.propagated_batches = 0
         self.applied_remote_writesets = 0
-        self.deadlock_aborts = 0
 
     # ------------------------------------------------------------------ lifecycle
     def _start_technique(self) -> None:
@@ -94,7 +93,6 @@ class LazyReplica(ReplicaServer):
                     yield from self.db.write_locked(transaction, operation.key,
                                                     operation.value)
         except (DeadlockError, TransactionAborted) as error:
-            self.deadlock_aborts += 1
             self.db.finalize_abort(transaction, getattr(error, "reason", "deadlock"))
             self.respond(transaction.txn_id, committed=False,
                          abort_reason=getattr(error, "reason", "deadlock"))

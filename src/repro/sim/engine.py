@@ -48,7 +48,6 @@ class Simulator:
         self._now: float = 0.0
         self._queue: List[Tuple[float, int, Event]] = []
         self._sequence = 0
-        self._finished = False
         self.random = RandomStreams(seed)
         #: Arbitrary per-run annotations experiments may attach (e.g. config).
         self.metadata: dict = {}

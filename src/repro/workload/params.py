@@ -89,11 +89,11 @@ class SimulationParameters:
         return cls()
 
     @classmethod
-    def small(cls, server_count: int = 3, item_count: int = 200,
-              clients_per_server: int = 2) -> "SimulationParameters":
+    def small(cls, server_count: int = 3,
+              item_count: int = 200) -> "SimulationParameters":
         """A scaled-down configuration for unit tests and quick examples."""
         return cls(item_count=item_count, server_count=server_count,
-                   clients_per_server=clients_per_server)
+                   clients_per_server=2)
 
     def with_overrides(self, **overrides) -> "SimulationParameters":
         """Return a copy with the given fields replaced."""

@@ -20,8 +20,7 @@ def sim() -> Simulator:
 @pytest.fixture
 def small_params() -> SimulationParameters:
     """A scaled-down Table 4 configuration for fast tests."""
-    return SimulationParameters.small(server_count=3, item_count=100,
-                                      clients_per_server=2)
+    return SimulationParameters.small(server_count=3, item_count=100)
 
 
 @pytest.fixture

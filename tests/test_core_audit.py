@@ -5,8 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import (SafetyAudit, SafetyLevel, classify_results,
-                        committed_state_of, transaction_fate,
-                        weakest_guarantee)
+                        transaction_fate)
 from repro.core.audit import ConfirmedWrite, FindingKind, audit_writes
 from repro.db.operations import TransactionProgram
 from repro.replication import TransactionResult
@@ -26,7 +25,7 @@ def make_result(**overrides):
     return TransactionResult(**defaults)
 
 
-def test_classify_results_histogram_and_weakest():
+def test_classify_results_histogram_counts_only_commits():
     results = [
         make_result(txn_id="a", delivered_to_group=True),
         make_result(txn_id="b", delivered_to_group=True, logged_on_delegate=True),
@@ -37,8 +36,7 @@ def test_classify_results_histogram_and_weakest():
     assert histogram == {SafetyLevel.GROUP_SAFE: 1,
                          SafetyLevel.GROUP_ONE_SAFE: 1,
                          SafetyLevel.ONE_SAFE: 1}
-    assert weakest_guarantee(results) is SafetyLevel.ONE_SAFE
-    assert weakest_guarantee([make_result(committed=False)]) is None
+    assert classify_results([make_result(committed=False)]) == {}
 
 
 def test_transaction_fate_reflects_cluster_state():
@@ -65,14 +63,6 @@ def test_transaction_fate_detects_loss_after_catastrophe():
     fate = transaction_fate(cluster, result.txn_id)
     assert fate.is_lost
     assert "s1" not in fate.surviving_servers
-
-
-def test_committed_state_of_lists_per_server_commits():
-    cluster = build_cluster("group-safe")
-    result = run_one(cluster, cluster.workload.update_only_program(2))
-    state = committed_state_of(cluster)
-    assert state["s1"] == [result.txn_id]
-    assert state["s2"] == [result.txn_id]
 
 
 def test_safety_audit_report_on_healthy_run():

@@ -182,4 +182,4 @@ def test_crash_listener_resets_lock_table(db_setup):
 
 def test_logged_transactions_lists_durable_commits(db_setup):
     sim, node, db = db_setup
-    assert db.wal.committed_transactions() == []
+    assert db.wal.stable_records() == []

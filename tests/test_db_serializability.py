@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from repro.db import (CommittedTransaction, check_one_copy_serializability,
-                      has_cycle, precedence_graph)
+from repro.db import CommittedTransaction, check_one_copy_serializability
 
 
 def test_clean_serial_history_passes():
@@ -51,21 +50,3 @@ def test_reads_of_current_versions_are_fine():
 def test_empty_history_is_serializable():
     assert check_one_copy_serializability([]).serializable
 
-
-def test_precedence_graph_edges_and_acyclicity():
-    history = [
-        CommittedTransaction("t1", 1, write_keys=("x",)),
-        CommittedTransaction("t2", 2, read_versions={"x": 1}, write_keys=("y",)),
-        CommittedTransaction("t3", 3, read_versions={"y": 1}, write_keys=("x",)),
-    ]
-    graph = precedence_graph(history)
-    assert "t2" in graph["t1"]       # t2 read what t1 wrote
-    assert "t3" in graph["t2"]       # t3 read what t2 wrote
-    assert "t3" in graph["t1"]       # t3 overwrote what t1 wrote
-    assert not has_cycle(graph)
-
-
-def test_has_cycle_detects_cycles():
-    assert has_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}})
-    assert not has_cycle({"a": {"b"}, "b": set(), "c": {"a", "b"}})
-    assert not has_cycle({})

@@ -20,15 +20,14 @@ def test_stable_storage_basic_operations():
     assert storage.write_count == 2
 
 
-def test_stable_log_append_and_truncate():
+def test_stable_log_append_numbers_entries():
     log = StableLog()
     first = log.append("r1")
     second = log.append("r2")
     assert (first, second) == (0, 1)
     assert log.entries() == ["r1", "r2"]
-    log.truncate(1)
-    assert log.entries() == ["r2"]
-    assert len(log) == 1
+    assert log.entries(1) == ["r2"]
+    assert len(log) == 2
 
 
 def test_wal_volatile_until_flushed():
@@ -45,7 +44,6 @@ def test_wal_volatile_until_flushed():
     node.spawn(flusher())
     sim.run()
     assert wal.is_logged("t1")
-    assert wal.committed_transactions() == ["t1"]
     assert not wal.volatile_records()
     assert wal.flush_count == 1
 
@@ -76,7 +74,7 @@ def test_wal_group_commit_covers_records_appended_before_flush():
 
     node.spawn(flusher())
     sim.run()
-    assert wal.committed_transactions() == ["t1", "t2"]
+    assert [record.txn_id for record in wal.stable_records()] == ["t1", "t2"]
     assert wal.flush_count == 1
 
 
@@ -123,29 +121,6 @@ def test_wal_force_on_a_crashed_node_appends_nothing():
     assert wal.volatile_records() == [] and wal.stable_records() == []
 
 
-def test_wal_flushed_gate_opens_on_durability():
-    sim = Simulator()
-    node = Node(sim, "s1")
-    wal = WriteAheadLog(sim, node)
-    wal.append_commit("t1", {})
-    waited = []
-
-    def waiter():
-        yield wal.flushed_gate("t1").wait()
-        waited.append(sim.now)
-
-    def flusher():
-        yield sim.timeout(5.0)
-        yield from wal.flush()
-
-    node.spawn(waiter())
-    node.spawn(flusher())
-    sim.run()
-    assert waited and waited[0] > 5.0
-    # Gate for an already durable transaction opens immediately.
-    assert wal.flushed_gate("t1").is_open
-
-
 def test_wal_abort_records_are_not_commits():
     sim = Simulator()
     node = Node(sim, "s1")
@@ -158,8 +133,8 @@ def test_wal_abort_records_are_not_commits():
 
     node.spawn(flusher())
     sim.run()
-    assert wal.committed_transactions() == []
-    assert not wal.is_logged("t1")
+    assert len(wal.stable_records()) == 2
+    assert not wal.is_logged("t1") and not wal.is_logged("chk")
 
 
 def test_empty_flush_is_a_noop():

@@ -366,7 +366,7 @@ def test_takeover_reposts_an_assignment_only_a_late_replier_knows():
     attach_consumers(sim, gcs, nodes, delivered)
     # s1's SEQ reaches only s1 and s5: two ACKs are no quorum of five, so
     # the assignment is neither stable nor known to s2..s4.
-    lan.partition(["s1"], ["s2", "s3", "s4"])
+    lan.install_fault(LinkFault.partition("split", ["s1"], ["s2", "s3", "s4"]))
     gcs.endpoint("s5").broadcast("only-s5-knows")
     sim.run(until=20.0)
     assert 1 in gcs.endpoint("s5")._pending

@@ -36,7 +36,7 @@ def test_degraded_disk_inflates_flush_latency_and_restores():
     assert healthy == pytest.approx(8.4)
     assert degraded == pytest.approx(80.4)
     assert restored == pytest.approx(8.4)
-    assert wal.committed_transactions() == ["t1", "t2", "t3"]
+    assert all(wal.is_logged(txn_id) for txn_id in ("t1", "t2", "t3"))
 
 
 def test_degradation_factor_must_be_at_least_one():

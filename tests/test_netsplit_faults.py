@@ -2,8 +2,8 @@
 
 Pins the fault taxonomy (partition / isolate / asymmetric / lossy / slow),
 the scheduled install/remove machinery that gives faults durations, the
-directional semantics of ``Lan.block`` / ``unblock``, and the
-``dropped_by_cause`` split the metrics collectors surface.
+directional semantics of blocking, and the ``dropped_by_cause`` split the
+metrics collectors surface.
 """
 
 from __future__ import annotations
@@ -62,15 +62,15 @@ def test_fault_tables_compose_loss_and_latency():
     assert tables.latency[("a", "b")] == pytest.approx(6.0)
 
 
-# -- directional manual blocking ------------------------------------------------------
+# -- directional blocking -------------------------------------------------------------
 
 def test_block_is_directional_and_unblock_restores_it():
     sim = Simulator()
     lan, _nodes = make_lan(sim)
-    lan.block("s1", "s2")
+    lan.install_fault(LinkFault.asymmetric("oneway", [("s1", "s2")]))
     assert delivered(lan, "s1", "s2") == 0       # blocked direction drops
     assert delivered(lan, "s2", "s1") == 1       # reverse direction flows
-    lan.unblock("s1", "s2")
+    lan.remove_fault("oneway")
     assert delivered(lan, "s1", "s2") == 1
     assert lan.dropped_by_cause == {"partitioned": 1}
 
@@ -78,25 +78,13 @@ def test_block_is_directional_and_unblock_restores_it():
 def test_symmetric_blocking_takes_both_directions():
     sim = Simulator()
     lan, _nodes = make_lan(sim)
-    lan.block("s1", "s2")
-    lan.block("s2", "s1")
+    lan.install_fault(LinkFault.asymmetric("there", [("s1", "s2")]))
+    lan.install_fault(LinkFault.asymmetric("back", [("s2", "s1")]))
     assert delivered(lan, "s1", "s2") == 0
     assert delivered(lan, "s2", "s1") == 0
-    lan.unblock("s1", "s2")
+    lan.remove_fault("there")
     assert delivered(lan, "s1", "s2") == 1
     assert delivered(lan, "s2", "s1") == 0       # other direction still pinned
-
-
-def test_heal_clears_manual_blocks_but_not_faults():
-    sim = Simulator()
-    lan, _nodes = make_lan(sim)
-    lan.block("s1", "s2")
-    lan.install_fault(LinkFault.partition("split", ["s1"], ["s3"]))
-    lan.heal()
-    assert not lan.is_blocked("s1", "s2")
-    assert lan.is_blocked("s1", "s3")
-    lan.remove_fault("split")
-    assert not lan.is_blocked("s1", "s3")
 
 
 # -- installed faults -----------------------------------------------------------------
@@ -229,7 +217,7 @@ def test_dropped_by_cause_distinguishes_all_causes():
     lan.send(Message(sender="s1", destination="nowhere", kind="X"))
     b.crash()
     lan.send(Message(sender="s1", destination="s2", kind="X"))
-    lan.block("s1", "s3")
+    lan.install_fault(LinkFault.asymmetric("oneway", [("s1", "s3")]))
     lan.send(Message(sender="s1", destination="s3", kind="X"))
     sim.run()
     assert lan.dropped_by_cause == {"destination-unknown": 1,

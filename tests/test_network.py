@@ -84,7 +84,7 @@ def _fan_out(use_broadcast, jitter=0.0, slow_pair=None):
     sim = Simulator(seed=4)
     lan = Lan(sim, jitter=jitter)
     nodes = [lan.attach(Node(sim, f"s{i}")) for i in range(1, 6)]
-    lan.block("s1", "s3")
+    lan.install_fault(LinkFault.asymmetric("oneway", [("s1", "s3")]))
     if slow_pair is not None:
         lan.install_fault(LinkFault("slow",
                                     latency_factors=((slow_pair, 3.0),)))
@@ -144,15 +144,17 @@ def test_message_dropped_if_destination_crashes_in_flight():
 
 
 def test_partition_blocks_and_heals():
+    from repro.network.faults import LinkFault
+
     sim = Simulator()
     lan, (a, b, c) = make_lan(sim)
-    lan.partition(["s1"], ["s2", "s3"])
+    lan.install_fault(LinkFault.partition("split", ["s1"], ["s2", "s3"]))
     assert lan.is_blocked("s1", "s2") and lan.is_blocked("s3", "s1")
     assert not lan.is_blocked("s2", "s3")
     lan.send(Message(sender="s1", destination="s2", kind="X"))
     sim.run()
     assert lan.dropped_count == 1
-    lan.heal()
+    lan.remove_fault("split")
     lan.send(Message(sender="s1", destination="s2", kind="X"))
     sim.run()
     assert lan.delivered_count == 1

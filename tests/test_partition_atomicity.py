@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.db.transaction import WriteSetMessage
+from repro.db.wal import LogRecordType
 from repro.partition import (ABORT_VALIDATION, CrossPartitionOutcome,
                              PartitionedCluster, PartitionedOpenLoopClients)
 from repro.replication.results import TransactionResult
@@ -56,8 +57,9 @@ def test_cross_partition_commit_lands_on_all_partitions():
     assert outcome.partitions == (0, 1)
     for branch in outcome.branches:
         assert branch.committed and branch.txn_id is not None
-        assert cluster.group(branch.partition_id).committed_everywhere(
-            branch.txn_id)
+        group = cluster.group(branch.partition_id)
+        assert group.committed_anywhere(branch.txn_id) == \
+            group.server_names()
     # The written values are installed on every server of both groups.
     for group, key, value in ((cluster.group(0), "item-10", "both-0"),
                               (cluster.group(1), "item-90", "both-1")):
@@ -209,12 +211,15 @@ def test_decision_records_are_not_phantom_commits():
     cluster.run(until=5_000)
     assert waiter.value.committed
     # The 2PC decision went to some p0 WAL, but it must never surface as a
-    # committed transaction (recovery redo / audit / committed_transactions).
-    all_logged = [txn_id
-                  for name in cluster.group(0).server_names()
-                  for txn_id in cluster.group(0).database(name)
-                  .wal.committed_transactions()]
-    assert not any(txn_id.startswith("xp-") for txn_id in all_logged)
+    # committed transaction (recovery redo / audit / ``is_logged``).
+    wals = [cluster.group(0).database(name).wal
+            for name in cluster.group(0).server_names()]
+    decisions = [record.txn_id for wal in wals
+                 for record in wal.stable_records()
+                 if record.record_type is LogRecordType.DECISION]
+    assert decisions
+    assert not any(wal.is_logged(txn_id)
+                   for wal in wals for txn_id in decisions)
 
 
 # ---------------------------------------------------------------- bulk property
@@ -244,7 +249,8 @@ def test_bulk_workload_is_all_or_nothing(technique):
                 # Lazy durability is delegate-local; propagation is eventual.
                 assert group.committed_anywhere(branch.txn_id)
             else:
-                assert group.committed_everywhere(branch.txn_id)
+                assert group.committed_anywhere(branch.txn_id) == \
+                    group.server_names()
     for outcome in aborted:
         assert not outcome.in_doubt
         # An aborted transaction never submitted any branch anywhere.

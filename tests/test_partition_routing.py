@@ -116,13 +116,6 @@ def test_fence_blocks_mutations_and_reports_keys():
     assert table.split(0, at=10) == 1
 
 
-def test_install_refuses_stale_epochs():
-    table = range_table(2, 100)
-    table.split(0, at=10)
-    with pytest.raises(WrongEpochError):
-        table.install(table.assignments, epoch=0)
-
-
 # ---------------------------------------------------------------- hot-spot tools
 def test_hot_split_position_tracks_the_access_mass():
     table = range_table(2, 100)

@@ -25,8 +25,8 @@ from tests.reference_item_store import ReferenceItemStore
 @given(st.integers(min_value=0, max_value=2**32),
        st.text(min_size=1, max_size=20))
 def test_random_streams_reproducible_for_any_seed_and_name(seed, name):
-    first = RandomStreams(seed).uniform(name, 0.0, 1.0)
-    second = RandomStreams(seed).uniform(name, 0.0, 1.0)
+    first = RandomStreams(seed).stream(name).uniform(0.0, 1.0)
+    second = RandomStreams(seed).stream(name).uniform(0.0, 1.0)
     assert first == second
     assert 0.0 <= first <= 1.0
 

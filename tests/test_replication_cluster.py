@@ -100,18 +100,6 @@ def test_choose_delegate_skips_crashed_servers(cluster_factory):
     assert choices == {"s2", "s3"}
 
 
-def test_all_results_aggregates_across_servers(cluster_factory):
-    cluster = cluster_factory("group-safe")
-    for index, server in enumerate(cluster.server_names()):
-        cluster.run_transaction(cluster.workload.update_only_program(2),
-                                server=server)
-    cluster.run(until=4_000.0)
-    results = cluster.all_results()
-    assert len(results) == 3
-    assert {result.delegate for result in results} == {"s1", "s2", "s3"}
-    assert results == sorted(results, key=lambda result: result.responded_at)
-
-
 def test_crash_all_and_up_servers(cluster_factory):
     cluster = cluster_factory("group-safe")
     assert cluster.up_servers() == ["s1", "s2", "s3"]
