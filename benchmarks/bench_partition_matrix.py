@@ -39,6 +39,7 @@ def test_partitioned_failure_matrix_is_sound_and_demonstrates(benchmark):
     losing = {(entry.technique, entry.crash_pattern)
               for entry in demonstrated(entries)}
     assert ("group-safe", "shard-outage") in losing
+    assert ("group-safe", "shard-outage-recover-all") in losing
     assert ("group-1-safe", "shard-outage") in losing
     assert ("1-safe", "shard-delegate") in losing
     assert not any(technique == "2-safe" for technique, _ in losing)

@@ -50,6 +50,9 @@ def test_failure_matrix_tables_2_and_3(benchmark):
               for entry in demonstrated(entries)}
     assert ("1-safe", "delegate") in losing
     assert ("group-safe", "all-delegate-stays-down") in losing
+    # Table 3's group-fails / delegate-recovers column.
+    assert ("group-safe", "all-recover-all") in losing
+    assert ("group-1-safe", "all-recover-all") not in losing
     assert not any(technique == "2-safe" for technique, _pattern in losing)
     tolerance = crash_tolerance_summary(entries)
     assert tolerance["2-safe"] == 3

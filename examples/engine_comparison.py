@@ -3,7 +3,7 @@
 
 The replication techniques never name an ordering protocol; the engine is a
 parameter (``SimulationParameters.broadcast_engine``).  This example runs
-the identical 30-transaction workload over every registered engine twice —
+the identical 30-transaction workload over every engine twice —
 once undisturbed, once crashing the initial coordinator/leader mid-run —
 and prints committed counts, mean response time and message cost side by
 side.  On a quiet LAN the two commit the same transactions at comparable
@@ -19,7 +19,7 @@ Run it with::
 from __future__ import annotations
 
 from repro.experiments import format_table
-from repro.gcs.engines import engine_names, resolve_engine
+from repro.gcs.engines import ENGINES
 from repro.replication import ReplicatedDatabaseCluster
 from repro.workload import SimulationParameters
 
@@ -66,15 +66,14 @@ def main() -> None:
     print(f"Broadcast-engine comparison — {TECHNIQUE}, "
           f"{TRANSACTIONS} transactions, 3 servers\n")
     rows = []
-    for engine in engine_names():
-        spec = resolve_engine(engine)
+    for engine, (_engine_class, description) in ENGINES.items():
         for crash_leader in (False, True):
             committed, responded, mean_rt, sent = run_cell(engine,
                                                            crash_leader)
             rows.append((engine,
                          "leader crash+recover" if crash_leader else "steady",
                          f"{committed}/{responded}", mean_rt, sent))
-        print(f"  {engine}: {spec.description}")
+        print(f"  {engine}: {description}")
     print()
     print(format_table(
         ("engine", "scenario", "committed/responded", "mean response",

@@ -9,8 +9,9 @@ simulator:
 * classical and **end-to-end** atomic broadcast with view membership, failure
   detection, checkpoint state transfer and log-based message replay in
   :mod:`repro.gcs`;
-* a local database engine (2PL, WAL, buffer pool, testable transactions,
-  crash recovery) in :mod:`repro.db`;
+* a local database engine (2PL, a WAL that is also the one record of each
+  transaction's outcome — testable transactions —, buffer pool, crash
+  recovery) in :mod:`repro.db`;
 * the replication techniques — the database state machine at three safety
   levels plus the lazy and 0-safe baselines — in :mod:`repro.replication`;
 * the Table 4 workload model in :mod:`repro.workload`;

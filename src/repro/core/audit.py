@@ -104,7 +104,7 @@ def _serves(group: "ReplicatedDatabaseCluster", name: str,
     write without values) the transaction's commit record?"""
     database = group.database(name)
     if not write.values:
-        return database.testable.has_committed(write.txn_id)
+        return database.wal.has_committed(write.txn_id)
     return all(database.value_of(key) == value
                for key, value in write.values.items())
 
@@ -247,8 +247,13 @@ class SafetyAudit:
     # -- full audit ------------------------------------------------------------------------
     def report(self, results: Sequence["TransactionResult"]) -> AuditReport:
         """Run every check and assemble the full report."""
-        confirmed = [result.txn_id for result in results if result.committed]
-        findings = audit_writes(self.cluster, map(ConfirmedWrite, confirmed))
+        confirmed = [result for result in results if result.committed]
+        # A commit without a commit order is a read-only transaction its
+        # delegate decided alone: it installed and logged nothing to lose.
+        findings = audit_writes(self.cluster,
+                                [ConfirmedWrite(result.txn_id)
+                                 for result in confirmed
+                                 if result.commit_order is not None])
         report = AuditReport(
             technique=self.cluster.technique,
             confirmed_transactions=len(confirmed),

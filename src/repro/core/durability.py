@@ -7,8 +7,9 @@ reflect it.  The functions below decide this question for a concrete
 :class:`~repro.replication.cluster.ReplicatedDatabaseCluster`, looking at the
 evidence that survives crashes:
 
-* the testable-transaction registry and the write-ahead log of every *up*
-  server (is the transaction already committed / durably logged there?);
+* the write-ahead log of every server, the one record of a transaction's
+  outcome there (is the transaction committed there — a record still in the
+  volatile tail of an up server counts — and is it durably logged?);
 * the group-communication component's stable message log (will the
   transaction still be delivered and processed — the end-to-end case?);
 * pending, not-yet-processed deliveries of up servers (the transaction is
@@ -56,7 +57,7 @@ def transaction_fate(cluster: "ReplicatedDatabaseCluster", txn_id: str,
                               if cluster.node(name).is_up]
     for name in names:
         database = cluster.database(name)
-        if database.testable.has_committed(txn_id):
+        if database.wal.has_committed(txn_id):
             fate.committed_on.append(name)
         if database.wal.is_logged(txn_id):
             fate.durably_logged_on.append(name)

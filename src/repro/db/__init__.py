@@ -1,8 +1,9 @@
 """The local database component (Sect. 2.2 of the paper).
 
 Each server of the replicated database hosts one :class:`LocalDatabase`, which
-bundles the logical item store, strict two-phase locking, the write-ahead log,
-the buffer pool / disk-timing model and the testable-transaction registry.
+bundles the logical item store, strict two-phase locking, the write-ahead log
+and the buffer pool / disk-timing model.  The write-ahead log is also the one
+record of each transaction's outcome on its server (testable transactions).
 The replication techniques of :mod:`repro.replication` are built on top of
 this component and of the group-communication component
 (:mod:`repro.gcs`).
@@ -20,7 +21,6 @@ from .recovery import redo_from_log
 from .serializability import (CommittedTransaction, SerializabilityReport,
                               check_one_copy_serializability)
 from .stable_storage import StableLog, StableStorage
-from .testable import TestableTransactionRegistry
 from .transaction import Transaction, TransactionStatus, WriteSetMessage
 from .wal import LogRecord, LogRecordType, WriteAheadLog
 
@@ -45,7 +45,6 @@ __all__ = [
     "LogRecordType",
     "StableStorage",
     "StableLog",
-    "TestableTransactionRegistry",
     "redo_from_log",
     "CommittedTransaction",
     "SerializabilityReport",

@@ -2,8 +2,9 @@
 
 :class:`LocalDatabase` assembles the pieces of the database component of the
 paper's architecture (Fig. 1 / Sect. 2.2): the logical item store, the lock
-manager, the write-ahead log, the buffer pool and the testable-transaction
-registry, all bound to one :class:`~repro.network.node.Node`.
+manager, the write-ahead log — also the one record of every transaction's
+outcome on this server — and the buffer pool, all bound to one
+:class:`~repro.network.node.Node`.
 
 It deliberately exposes *mechanisms*, not *policy*: whether writes are applied
 synchronously or buffered, whether the commit record is flushed before or
@@ -26,7 +27,6 @@ from .items import ItemStore
 from .locks import LockManager, LockMode
 from .operations import TransactionProgram
 from .recovery import redo_from_log
-from .testable import TestableTransactionRegistry
 from .transaction import Transaction, TransactionStatus, WriteSetMessage
 from .wal import WriteAheadLog
 
@@ -55,7 +55,6 @@ class LocalDatabase:
                                  write_time_high=write_time_high,
                                  max_dirty=buffer_max_dirty,
                                  background_write_factor=background_write_factor)
-        self.testable = TestableTransactionRegistry(node)
         #: Monotonic counter of certified commits (the logical total order
         #: position at which each commit was installed on this copy).
         self.commit_counter = 0
@@ -221,23 +220,29 @@ class LocalDatabase:
             yield from self.wal.flush()
 
     # ------------------------------------------------------------------ finalisation
-    def finalize_commit(self, transaction: Transaction,
+    def finalize_commit(self, transaction: Optional[Transaction],
                         commit_order: Optional[int] = None) -> None:
-        """Mark ``transaction`` committed locally and release its locks."""
-        transaction.commit_order = commit_order
-        transaction.set_status(TransactionStatus.COMMITTED)
-        transaction.decision_time = self.sim.now
-        self.testable.record_commit(transaction.txn_id, commit_order)
-        self.locks.release_all(transaction.txn_id)
+        """Count a commit decided here; a local ``transaction`` (None for a
+        remote write set) is also marked committed and its locks released.
+
+        The outcome itself is the COMMIT record the caller logged.
+        """
+        if transaction is not None:
+            transaction.commit_order = commit_order
+            transaction.set_status(TransactionStatus.COMMITTED)
+            transaction.decision_time = self.sim.now
+            self.locks.release_all(transaction.txn_id)
         self.committed_count += 1
 
-    def finalize_abort(self, transaction: Transaction, reason: str) -> None:
-        """Mark ``transaction`` aborted locally and release its locks."""
-        transaction.abort_reason = reason
-        transaction.set_status(TransactionStatus.ABORTED)
-        transaction.decision_time = self.sim.now
-        self.testable.record_abort(transaction.txn_id, reason)
-        self.locks.release_all(transaction.txn_id)
+    def finalize_abort(self, transaction: Optional[Transaction],
+                       reason: str) -> None:
+        """Count an abort decided here; a local ``transaction`` (None for a
+        remote write set) is also marked aborted and its locks released."""
+        if transaction is not None:
+            transaction.abort_reason = reason
+            transaction.set_status(TransactionStatus.ABORTED)
+            transaction.decision_time = self.sim.now
+            self.locks.release_all(transaction.txn_id)
         self.aborted_count += 1
         if reason == "certification":
             self.certification_aborts += 1

@@ -6,6 +6,14 @@ transaction "has been logged and will eventually commit": for this library a
 transaction counts as *logged on a server* exactly when its commit record has
 been **flushed** by that server's :class:`WriteAheadLog`.
 
+The log is also the one record of a transaction's *outcome* on its server —
+the testable-transaction test of Sect. 2.2 ("was this transaction already
+decided here?") that lets a replayed or resubmitted transaction be answered
+instead of committed twice.  :meth:`WriteAheadLog.decision` reads it from an
+index of the COMMIT / ABORT records the log holds: the volatile tail's too
+while the server is up, only the flushed ones after a crash.  A commit adopted
+with a state-transfer checkpoint joins the same volatile index.
+
 The log separates the *logical* append (free, volatile tail) from the
 *physical* flush (a disk write of 4–12 ms per Table 4).  The replication
 techniques differ only in *when* they flush:
@@ -43,6 +51,10 @@ class LogRecordType(Enum):
     #: restarted cluster recovers a consistent ownership map.  Like DECISION
     #: it is not a transaction commit and is ignored by redo and the audit.
     EPOCH = "epoch"
+
+
+#: The record types that decide a transaction's outcome on a server.
+_OUTCOMES = (LogRecordType.COMMIT, LogRecordType.ABORT)
 
 
 @dataclass
@@ -88,6 +100,9 @@ class WriteAheadLog:
         self._stable: StableLog = node.register_stable(
             f"{name}.stable", StableLog(f"{node.name}.{name}"))
         self._next_lsn = len(self._stable)
+        #: txn id -> the latest COMMIT / ABORT record this log holds for it
+        #: (see :meth:`decision`).
+        self._decisions: Dict[str, LogRecord] = {}
         #: Gray-failure knob: multiplier on the physical flush time
         #: (:meth:`degrade_disk`).  Applied *after* the random draw, so the
         #: ``{node}.log_write`` stream consumption — and therefore every
@@ -102,6 +117,8 @@ class WriteAheadLog:
         record.lsn = self._next_lsn
         self._next_lsn += 1
         self._volatile.append(record)
+        if record.record_type in _OUTCOMES:
+            self._decisions[record.txn_id] = record
         return record
 
     def append_commit(self, txn_id: str, write_values: Dict[str, object],
@@ -209,10 +226,47 @@ class WriteAheadLog:
             return False
         return self._stable.entries(low, low + 1)[0] is record
 
+    def decision(self, txn_id: str) -> Optional[LogRecord]:
+        """The latest COMMIT or ABORT record of ``txn_id`` this log holds.
+
+        None if this server never decided ``txn_id`` — or decided it and
+        crashed before the record was flushed.  A commit adopted from a
+        state-transfer checkpoint reads as a COMMIT record without an LSN.
+        """
+        return self._decisions.get(txn_id)
+
+    def has_committed(self, txn_id: str) -> bool:
+        """True if this server holds a commit of ``txn_id``."""
+        record = self._decisions.get(txn_id)
+        return record is not None and record.record_type is LogRecordType.COMMIT
+
     def is_logged(self, txn_id: str) -> bool:
-        """True if a COMMIT record of ``txn_id`` has reached stable storage."""
-        return any(record.record_type is LogRecordType.COMMIT and
-                   record.txn_id == txn_id for record in self._stable)
+        """True if a COMMIT record of ``txn_id`` has reached stable storage.
+
+        The indexed record is on stable storage unless it is still in the
+        volatile tail, whose LSNs all follow the stable ones.
+        """
+        record = self._decisions.get(txn_id)
+        return (record is not None
+                and record.record_type is LogRecordType.COMMIT
+                and record.lsn is not None
+                and (not self._volatile or record.lsn < self._volatile[0].lsn))
+
+    def committed_ids(self) -> Dict[str, Optional[int]]:
+        """Every transaction this server holds a commit of, with its commit
+        order (what a state-transfer checkpoint carries)."""
+        return {txn_id: record.commit_order
+                for txn_id, record in self._decisions.items()
+                if record.record_type is LogRecordType.COMMIT}
+
+    def adopt_commit(self, txn_id: str, commit_order: Optional[int]) -> None:
+        """Record a commit installed by a state-transfer checkpoint.
+
+        Volatile, like the checkpoint's items: a later crash forgets it.
+        """
+        if not self.has_committed(txn_id):
+            self._decisions[txn_id] = LogRecord(LogRecordType.COMMIT, txn_id,
+                                                commit_order=commit_order)
 
     def stable_records(self) -> List[LogRecord]:
         """All records currently on stable storage."""
@@ -224,8 +278,14 @@ class WriteAheadLog:
 
     # -- crash handling ---------------------------------------------------------------
     def lose_volatile(self) -> None:
-        """Drop the volatile tail (called when the hosting node crashes)."""
+        """Drop the volatile tail (called when the hosting node crashes).
+
+        The outcome index goes with it and is rebuilt from the flushed
+        records: a decision whose record never reached the disk is forgotten.
+        """
         self._volatile.clear()
+        self._decisions = {record.txn_id: record for record in self._stable
+                           if record.record_type in _OUTCOMES}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"<WriteAheadLog {self.node.name} stable={len(self._stable)} "

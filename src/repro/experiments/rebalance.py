@@ -107,10 +107,11 @@ def audit_commit_integrity(cluster: PartitionedCluster,
 
     Returns a list of human-readable failures (empty = audit passed).
     """
+    # A commit without a commit order is read-only: nothing to audit.
     writes = [ConfirmedWrite(result.txn_id, _group_of_result(result))
               for result in (list(clients.single_results)
                              + list(clients.warmup_single_results))
-              if result.committed
+              if result.committed and result.commit_order is not None
               and not result.txn_id.startswith("rejected:")]
     writes += [ConfirmedWrite(branch.txn_id, branch.partition_id)
                for outcome in (list(clients.cross_results)

@@ -2,15 +2,14 @@
 
 The package is a layered protocol stack matching
 :data:`repro.core.layers.LAYER_ORDER`: a reliable-broadcast layer over the
-LAN, a perfect failure detector, pluggable total-order engines (fixed
+LAN, a perfect failure detector, two total-order engines (fixed
 sequencer and Multi-Paxos, selected through :mod:`repro.gcs.engines`),
 view-based membership, the stable message log used for log-based recovery
 (handed to an engine as its ``journal``, it makes the broadcast end-to-end),
 and checkpoint-based state transfer.
 """
 
-from .engines import (DEFAULT_ENGINE, BroadcastEngineSpec, engine_names,
-                      register_engine, resolve_engine)
+from .engines import DEFAULT_ENGINE, ENGINES, engine_names, resolve_engine
 from .failure_detector import FailureDetector
 from .fixed_sequencer import FixedSequencerEngine
 from .membership import GroupMembership, View
@@ -24,8 +23,8 @@ from .system import GroupCommunicationSystem
 from .total_order import Delivery, MembershipPort, TotalOrderEngine
 
 __all__ = [
-    "BroadcastEngineSpec",
     "DEFAULT_ENGINE",
+    "ENGINES",
     "Delivery",
     "FixedSequencerEngine",
     "GroupCommunicationSystem",
@@ -44,6 +43,5 @@ __all__ = [
     "BroadcastTrace",
     "DeliveryRecord",
     "engine_names",
-    "register_engine",
     "resolve_engine",
 ]

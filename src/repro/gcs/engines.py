@@ -1,12 +1,10 @@
-"""Registry of total-order broadcast engines.
+"""The total-order broadcast engines, by name.
 
 The replication techniques are written against the
 :class:`~repro.gcs.total_order.TotalOrderEngine` endpoint surface and never
 name an ordering protocol; which protocol runs underneath is selected by
-name through this registry — ``SimulationParameters.broadcast_engine`` /
+name through :data:`ENGINES` — ``SimulationParameters.broadcast_engine`` /
 the ``--engine`` flag of the experiment CLIs end up here.
-
-Built-in engines:
 
 ``fixed-sequencer`` (default)
     The classical LAN scheme of the seed
@@ -15,26 +13,11 @@ Built-in engines:
 ``multi-paxos``
     Per-slot prepare/accept/learn Multi-Paxos with the leader read off the
     failure detector (:class:`~repro.gcs.paxos.MultiPaxosEngine`).
-
-Third-party engines register with :func:`register_engine`::
-
-    from repro.gcs.engines import BroadcastEngineSpec, register_engine
-
-    register_engine("my-engine", BroadcastEngineSpec(
-        name="my-engine", factory=build_my_engine,
-        description="token-ring total order"))
-
-A factory is called once per member with keyword arguments ``sim``, ``node``,
-``dispatcher``, ``broadcast_layer``, ``group`` (a
-:class:`~repro.gcs.total_order.MembershipPort`), ``failure_detector``,
-``delivery_cpu_time``, ``trace`` and ``journal`` and returns the member's
-endpoint.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List
+from typing import Dict, List, Tuple, Type
 
 from .fixed_sequencer import FixedSequencerEngine
 from .paxos import MultiPaxosEngine
@@ -43,63 +26,26 @@ from .total_order import TotalOrderEngine
 #: Name of the engine used when nothing is configured (the seed behaviour).
 DEFAULT_ENGINE = "fixed-sequencer"
 
-
-@dataclass(frozen=True)
-class BroadcastEngineSpec:
-    """How to build one member's endpoint of a total-order engine."""
-
-    #: Registry name (also stamped into experiment reports/JSON).
-    name: str
-    #: Factory called with the keyword arguments documented in the module
-    #: docstring; returns a :class:`TotalOrderEngine`.
-    factory: Callable[..., TotalOrderEngine]
-    #: One-line description for ``--help`` output and reports.
-    description: str = ""
-
-    def build(self, **kwargs: Any) -> TotalOrderEngine:
-        """Build one member endpoint."""
-        return self.factory(**kwargs)
+#: Engine name -> (endpoint class, one-line description).
+ENGINES: Dict[str, Tuple[Type[TotalOrderEngine], str]] = {
+    "fixed-sequencer": (
+        FixedSequencerEngine,
+        "fixed sequencer with explicit stability (the seed scheme)"),
+    "multi-paxos": (
+        MultiPaxosEngine,
+        "per-slot Multi-Paxos, leader from the failure detector"),
+}
 
 
-def _build_fixed_sequencer(*, failure_detector: Any = None,
-                           **kwargs: Any) -> TotalOrderEngine:
-    # The fixed sequencer takes its coordinator from the view, not from the
-    # failure detector.
-    return FixedSequencerEngine(**kwargs)
-
-
-def _build_multi_paxos(*, failure_detector: Any,
-                       **kwargs: Any) -> TotalOrderEngine:
-    return MultiPaxosEngine(failure_detector=failure_detector, **kwargs)
-
-
-_REGISTRY: Dict[str, BroadcastEngineSpec] = {}
-
-
-def register_engine(name: str, spec: BroadcastEngineSpec) -> None:
-    """Register (or replace) the engine spec known under ``name``."""
-    if not name:
-        raise ValueError("engine name must be non-empty")
-    _REGISTRY[name] = spec
-
-
-def resolve_engine(name: str) -> BroadcastEngineSpec:
-    """Look up an engine spec by name; raises ``KeyError`` with the choices."""
+def resolve_engine(name: str) -> Type[TotalOrderEngine]:
+    """The endpoint class of engine ``name``; ``KeyError`` names the choices."""
     try:
-        return _REGISTRY[name]
+        return ENGINES[name][0]
     except KeyError:
         raise KeyError(f"unknown broadcast engine {name!r}; "
                        f"known engines: {engine_names()}") from None
 
 
 def engine_names() -> List[str]:
-    """Names of every registered engine, in registration order."""
-    return list(_REGISTRY)
-
-
-register_engine("fixed-sequencer", BroadcastEngineSpec(
-    name="fixed-sequencer", factory=_build_fixed_sequencer,
-    description="fixed sequencer with explicit stability (the seed scheme)"))
-register_engine("multi-paxos", BroadcastEngineSpec(
-    name="multi-paxos", factory=_build_multi_paxos,
-    description="per-slot Multi-Paxos, leader from the failure detector"))
+    """Names of every engine, the default first."""
+    return list(ENGINES)

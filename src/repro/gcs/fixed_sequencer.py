@@ -59,8 +59,6 @@ from .total_order import TotalOrderEngine, _PendingMessage
 class FixedSequencerEngine(TotalOrderEngine):
     """The group-communication component of one server (fixed sequencer)."""
 
-    engine_name = "fixed-sequencer"
-
     #: Message-kind namespace used on the shared per-node dispatcher.
     KIND_DATA = "ABCAST.DATA"
     KIND_SEQ = "ABCAST.SEQ"

@@ -25,11 +25,11 @@ handed a :class:`GcsMessageLog` as its ``journal``
   delivers every message it delivered — the End-to-End property.
 
 The refined uniform integrity holds because replays are marked and the
-application's testable-transaction registry (plus the log's acknowledged
-flag) ensures at-most-once *successful* delivery.  This is the primitive that
-makes 2-safe database replication possible (Sect. 4.3, Fig. 7), at the price
-of a stable-storage write per delivery, and it works identically under every
-ordering engine.
+outcome records of the application's write-ahead log (testable
+transactions, plus this log's acknowledged flag) ensure at-most-once
+*successful* delivery.  This is the primitive that makes 2-safe database
+replication possible (Sect. 4.3, Fig. 7), at the price of a stable-storage
+write per delivery, and it works identically under every ordering engine.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """A Multi-Paxos total-order engine (per-slot prepare/accept/learn).
 
-The alternative ordering protocol behind the engine registry: instead of a
+The alternative ordering protocol of the engine table: instead of a
 fixed sequencer with explicit stability, total order is agreed slot by slot
 with Paxos over the same reliable-broadcast layer.
 
@@ -53,8 +53,6 @@ from .total_order import MembershipPort, TotalOrderEngine, _PendingMessage
 class MultiPaxosEngine(TotalOrderEngine):
     """One member's endpoint of the Multi-Paxos ordering protocol."""
 
-    engine_name = "multi-paxos"
-
     KIND_PROPOSE = "PAXOS.PROPOSE"
     KIND_PREPARE = "PAXOS.PREPARE"
     KIND_PROMISE = "PAXOS.PROMISE"
@@ -70,11 +68,10 @@ class MultiPaxosEngine(TotalOrderEngine):
                  delivery_cpu_time: float = 0.07,
                  trace: Optional[BroadcastTrace] = None,
                  journal: Optional[GcsMessageLog] = None) -> None:
-        self._fd = failure_detector
         super().__init__(sim, node, dispatcher, broadcast_layer, group,
                          member_name=member_name,
                          delivery_cpu_time=delivery_cpu_time, trace=trace,
-                         journal=journal)
+                         journal=journal, failure_detector=failure_detector)
         self._rank = {name: index for index, name in enumerate(group.members)}
         #: Statistics.
         self.prepare_count = 0
@@ -83,7 +80,7 @@ class MultiPaxosEngine(TotalOrderEngine):
     def coordinator(self) -> Optional[str]:
         """The lowest-ranked static member the failure detector trusts."""
         for member in self.group.members:
-            if not self._fd.is_suspected(member):
+            if not self.failure_detector.is_suspected(member):
                 return member
         return None
 

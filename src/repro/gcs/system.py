@@ -51,8 +51,8 @@ class GroupCommunicationSystem:
         self.sim = sim
         self.lan = lan
         self.end_to_end = end_to_end
-        self.engine_spec = resolve_engine(engine)
-        self.engine_name = self.engine_spec.name
+        engine_class = resolve_engine(engine)
+        self.engine_name = engine
         members = list(nodes) if nodes is not None else list(lan.nodes)
         if not members:
             raise ValueError("the group needs at least one node")
@@ -79,7 +79,7 @@ class GroupCommunicationSystem:
             journal = GcsMessageLog(node, name=f"{node.name}.e2e",
                                     log_time=delivery_log_time) \
                 if end_to_end else None
-            endpoint = self.engine_spec.build(
+            endpoint = engine_class(
                 sim=sim, node=node, dispatcher=dispatcher,
                 broadcast_layer=broadcast_layer, group=group_port,
                 failure_detector=self.failure_detector,

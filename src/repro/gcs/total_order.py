@@ -93,9 +93,6 @@ class MembershipPort:
 class TotalOrderEngine:
     """Base class: the endpoint surface shared by every ordering engine."""
 
-    #: Registry name; subclasses override (stamped into reports/JSON).
-    engine_name = "abstract"
-
     #: Message-kind namespace shared by every engine on the dispatcher.
     KIND_JOIN = "ABCAST.JOIN"
     KIND_JOIN_REPLY = "ABCAST.JOIN_REPLY"
@@ -107,7 +104,8 @@ class TotalOrderEngine:
                  member_name: Optional[str] = None,
                  delivery_cpu_time: float = 0.07,
                  trace: Optional[BroadcastTrace] = None,
-                 journal: Optional[GcsMessageLog] = None) -> None:
+                 journal: Optional[GcsMessageLog] = None,
+                 failure_detector: Any = None) -> None:
         self.sim = sim
         self.node = node
         self.dispatcher = dispatcher
@@ -119,6 +117,9 @@ class TotalOrderEngine:
         #: Stable message log of the end-to-end composition, or ``None``
         #: for the classical primitive.
         self.journal = journal
+        #: The group's failure detector, for engines that take their leader
+        #: from it (the fixed sequencer takes its coordinator from the view).
+        self.failure_detector = failure_detector
         #: Deliveries ready for the application (A-deliver), in total order.
         self.deliveries: Store = Store(sim, name=f"{self.member_name}.deliveries")
         #: Provider of an application checkpoint for state transfer (set by

@@ -108,7 +108,6 @@ class PartitionedCluster:
                  seed: int = 0, partition_count: Optional[int] = None,
                  strategy: str = "hash",
                  sim: Optional[Simulator] = None,
-                 routing: str = "update-everywhere",
                  techniques: Optional[Sequence[str]] = None) -> None:
         self.params = params or SimulationParameters.paper()
         self.partition_count = (partition_count if partition_count is not None
@@ -138,8 +137,7 @@ class PartitionedCluster:
         self.groups: List[ReplicatedDatabaseCluster] = [
             ReplicatedDatabaseCluster(
                 group_technique, params=self.params, sim=self.sim,
-                lan=self.lan, routing=routing,
-                name_prefix=f"p{partition_id}.")
+                lan=self.lan, name_prefix=f"p{partition_id}.")
             for partition_id, group_technique in enumerate(techniques)]
         self.router = TransactionRouter(self.routing)
         self.workload = PartitionedWorkloadGenerator(

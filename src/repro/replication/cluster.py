@@ -42,7 +42,6 @@ from ..workload.params import SimulationParameters
 from .base import ReplicaServer
 from .dbsm import DatabaseStateMachineReplica
 from .lazy import LazyReplica
-from .primary_copy import RoutingPolicy, make_routing
 
 #: Names accepted by :class:`ReplicatedDatabaseCluster`: the rows of
 #: :data:`~repro.core.criteria.TECHNIQUE_SAFETY`, in presentation order.
@@ -72,8 +71,6 @@ class ReplicatedDatabaseCluster:
     def __init__(self, technique: str = "group-safe",
                  params: Optional[SimulationParameters] = None,
                  seed: int = 0, sim: Optional[Simulator] = None,
-                 routing: str = "update-everywhere",
-                 primary: Optional[str] = None,
                  gcs_delivery_log_time: float = 0.0,
                  lan: Optional[Lan] = None,
                  name_prefix: str = "") -> None:
@@ -86,7 +83,6 @@ class ReplicatedDatabaseCluster:
         self.level = TECHNIQUE_SAFETY[technique]
         self.params = params or SimulationParameters.paper()
         self.sim = sim or Simulator(seed=seed)
-        self.routing: RoutingPolicy = make_routing(routing, primary)
         #: Prefix prepended to every server name; lets several replica groups
         #: (e.g. the partitions of :class:`~repro.partition.PartitionedCluster`)
         #: coexist on one shared LAN without name collisions.
@@ -185,9 +181,12 @@ class ReplicatedDatabaseCluster:
 
     # ------------------------------------------------------------------ submission
     def choose_delegate(self, client_index: int = 0) -> str:
-        """Pick a delegate server for a client according to the routing policy."""
-        up_servers = [name for name, node in self.nodes.items() if node.is_up]
-        return self.routing.choose(up_servers, client_index)
+        """The delegate of client ``client_index``: update everywhere, each
+        client attached to one up server (Table 4: 4 clients per server)."""
+        up_servers = self.up_servers()
+        if not up_servers:
+            raise ValueError("no servers to route to")
+        return up_servers[client_index % len(up_servers)]
 
     def submit(self, program: TransactionProgram,
                server: Optional[str] = None, client_index: int = 0) -> Event:
@@ -239,7 +238,7 @@ class ReplicatedDatabaseCluster:
     def committed_anywhere(self, txn_id: str) -> List[str]:
         """Names of servers on which ``txn_id`` is recorded as committed."""
         return [name for name in self.server_names()
-                if self.databases[name].testable.has_committed(txn_id)]
+                if self.databases[name].wal.has_committed(txn_id)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"<ReplicatedDatabaseCluster {self.technique} "

@@ -35,8 +35,9 @@ level               client answered after ...
                     broadcast (Sect. 4.2, Fig. 7): the group-communication
                     component logs deliveries and replays unacknowledged
                     messages after a crash, the replica acknowledges once
-                    the transaction is logged, and testable transactions
-                    make commits exactly-once — no committed transaction can
+                    the transaction is logged, and the write-ahead log's
+                    outcome records make it a testable transaction, so
+                    commits are exactly-once — no committed transaction can
                     be lost even if every server crashes.  Impossible on
                     classical atomic broadcast (Sect. 3): a delivery
                     guarantees nothing about processing, and nobody ever
@@ -51,6 +52,7 @@ from ..core.safety import LoggedOn, SafetyLevel
 from ..db.engine import LocalDatabase
 from ..db.operations import OperationType
 from ..db.transaction import TransactionStatus, WriteSetMessage
+from ..db.wal import LogRecord, LogRecordType
 from ..gcs.total_order import Delivery, TotalOrderEngine
 from ..gcs.state_transfer import install_checkpoint, take_checkpoint
 from ..network.dispatch import Dispatcher
@@ -138,12 +140,16 @@ class DatabaseStateMachineReplica(ReplicaServer):
             # curves of Fig. 9 turn upward.
             yield self.db.buffer.wait_for_space()
             payload: WriteSetMessage = delivery.payload
-            if self.db.testable.check_duplicate(payload.txn_id):
-                # Replayed message (end-to-end recovery) for a transaction we
-                # already decided: acknowledge and move on — the testable
-                # transaction mechanism gives exactly-once commits.
+            decision = self.db.wal.decision(payload.txn_id)
+            if decision is not None:
+                # A replayed message (end-to-end recovery) or a resubmission
+                # of a transaction this server already decided: acknowledge
+                # it and answer a waiting client with the logged outcome —
+                # testable transactions give exactly-once commits.
                 self.duplicate_deliveries += 1
                 self.endpoint.acknowledge(delivery)
+                if payload.delegate == self.name:
+                    self._answer_decided(payload.txn_id, decision)
                 continue
             committed = self.db.certify(payload)
             self.certified_count += 1
@@ -153,6 +159,21 @@ class DatabaseStateMachineReplica(ReplicaServer):
             else:
                 self.certification_abort_count += 1
                 self._handle_abort(payload, delivery)
+
+    def _answer_decided(self, txn_id: str, decision: LogRecord) -> None:
+        """Answer the delegate's client of an already-decided transaction
+        (no-op when no client waits), with the Table 1 flags that hold now."""
+        obs = self.sim.obs
+        if obs is not None:
+            obs.end_key(("order", txn_id))
+        if decision.record_type is LogRecordType.COMMIT:
+            self.respond(txn_id, committed=True, delivered_to_group=True,
+                         logged_on_delegate=self.db.wal.is_logged(txn_id),
+                         commit_order=decision.commit_order)
+        else:
+            self.respond(txn_id, committed=False,
+                         abort_reason="certification",
+                         delivered_to_group=True)
 
     def _handle_commit(self, payload: WriteSetMessage, delivery: Delivery,
                        commit_order: int) -> None:
@@ -200,11 +221,7 @@ class DatabaseStateMachineReplica(ReplicaServer):
             if span is not None:
                 obs.end(span)
         self.endpoint.acknowledge(delivery)
-        if transaction is not None:
-            self.db.finalize_commit(transaction, commit_order)
-        else:
-            self.db.testable.record_commit(payload.txn_id, commit_order)
-            self.db.committed_count += 1
+        self.db.finalize_commit(transaction, commit_order)
         if is_delegate and self.responds_after_logging:
             # With end-to-end atomic broadcast the delivery is logged by the
             # group-communication component on every server and replayed
@@ -221,13 +238,8 @@ class DatabaseStateMachineReplica(ReplicaServer):
             obs = self.sim.obs
             if obs is not None:
                 obs.end_key(("order", payload.txn_id))
-        transaction = self.pending_transaction(payload.txn_id)
-        if transaction is not None:
-            self.db.finalize_abort(transaction, "certification")
-        else:
-            self.db.testable.record_abort(payload.txn_id, "certification")
-            self.db.aborted_count += 1
-            self.db.certification_aborts += 1
+        self.db.finalize_abort(self.pending_transaction(payload.txn_id),
+                               "certification")
         self.endpoint.acknowledge(delivery)
         self.db.wal.append_abort(payload.txn_id)
         if payload.delegate == self.name:

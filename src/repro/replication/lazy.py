@@ -145,7 +145,7 @@ class LazyReplica(ReplicaServer):
         """Apply a batch of remote write sets (cheap, sequential, batched I/O)."""
         write_stream = self.sim.random.stream(f"{self.name}.propagated_write")
         for payload in batch:
-            if self.db.testable.check_duplicate(payload.txn_id):
+            if self.db.wal.decision(payload.txn_id) is not None:
                 continue
             yield self.processing_gate.wait()
             commit_order = next(self._local_order)
@@ -159,8 +159,7 @@ class LazyReplica(ReplicaServer):
                     yield self.node.disk.use(duration)
             self.db.wal.append_commit(payload.txn_id, payload.write_values,
                                       commit_order=commit_order)
-            self.db.testable.record_commit(payload.txn_id, commit_order)
-            self.db.committed_count += 1
+            self.db.finalize_commit(None, commit_order)
         # One group flush per propagated batch: the receiving replica logs the
         # whole batch with a single sequential write.
         yield from self.db.wal.flush()

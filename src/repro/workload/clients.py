@@ -1,8 +1,8 @@
 """The client model driving a replicated database cluster.
 
 :class:`OpenLoopClientPool` — transactions arrive as a Poisson process with a
-configurable system-wide rate, split across the servers according to the
-cluster's routing policy.  This is what the Fig. 9 experiment uses, because it
+configurable system-wide rate, split across the servers by the cluster's
+``choose_delegate``.  This is what the Fig. 9 experiment uses, because it
 puts the exact offered load of the X axis on the system regardless of the
 response times.
 """

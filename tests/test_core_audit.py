@@ -114,7 +114,7 @@ def test_audit_of_a_clean_run_finds_nothing():
     write = confirmed_write(cluster)
     assert audit_writes(cluster, [write],
                         caught_up=cluster.server_names()) == []
-    # Transaction-level evidence (no values) audits the registry instead.
+    # Transaction-level evidence (no values) audits the commit records instead.
     assert audit_writes([cluster], [ConfirmedWrite(write.txn_id)],
                         caught_up=cluster.server_names()) == []
 
@@ -145,7 +145,7 @@ def test_audit_holds_one_id_committed_on_two_groups_as_duplicated():
     groups = [build_cluster("group-safe"), build_cluster("group-safe")]
     write = confirmed_write(groups[0])
     assert audit_writes(groups, [write]) == []
-    groups[1].database("s2").testable.record_commit(write.txn_id)
+    groups[1].database("s2").wal.append_commit(write.txn_id, {})
     findings = audit_writes(groups, [write])
     assert kinds(findings) == [FindingKind.DUPLICATED]
     assert "[0, 1]" in findings[0].detail
@@ -189,9 +189,9 @@ def test_audit_holds_an_agreed_but_wrong_value_as_unserved():
     findings = audit_writes(cluster, [write],
                             caught_up=cluster.server_names())
     assert kinds(findings) == [FindingKind.UNSERVED]
-    # Without values, a caught-up server missing the registry entry.
+    # Without values, a caught-up server missing the commit record.
     other = build_cluster("group-safe")
-    other.database("s1").testable.record_commit("t-9")
+    other.database("s1").wal.append_commit("t-9", {})
     findings = audit_writes(other, [ConfirmedWrite("t-9")],
                             caught_up=["s1", "s2"])
     assert kinds(findings) == [FindingKind.UNSERVED]

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.db import LocalDatabase, TransactionStatus, UnknownItemError
+from repro.db import (LocalDatabase, LogRecordType, TransactionStatus,
+                      UnknownItemError)
 from repro.network import Node
 from repro.sim import Simulator
 from tests.conftest import make_program
@@ -113,7 +114,7 @@ def test_full_commit_cycle_logs_and_finalizes(db_setup):
     run_generator(sim, node, body())
     assert txn.status is TransactionStatus.COMMITTED
     assert db.committed_count == 1
-    assert db.testable.has_committed(txn.txn_id)
+    assert db.wal.has_committed(txn.txn_id)
     assert db.wal.is_logged(txn.txn_id)
 
 
@@ -124,7 +125,10 @@ def test_finalize_abort_releases_and_counts(db_setup):
     assert txn.status is TransactionStatus.ABORTED
     assert db.aborted_count == 1
     assert db.certification_aborts == 1
-    assert db.testable.outcome(txn.txn_id) == "abort"
+    # The outcome is the ABORT record the replication technique logs.
+    assert db.wal.decision(txn.txn_id) is None
+    db.wal.append_abort(txn.txn_id)
+    assert db.wal.decision(txn.txn_id).record_type is LogRecordType.ABORT
 
 
 def test_locked_write_charges_disk_and_takes_lock(db_setup):

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.db import (LogRecord, LogRecordType, StableLog, StableStorage,
-                      TestableTransactionRegistry, WriteAheadLog)
+from repro.db import (LocalDatabase, LogRecord, LogRecordType, StableLog,
+                      StableStorage, WriteAheadLog)
 from repro.network import Node
 from repro.sim import Simulator
 
@@ -151,27 +151,52 @@ def test_empty_flush_is_a_noop():
     assert node.disk.busy_time == 0.0
 
 
-def test_testable_registry_exactly_once_bookkeeping():
+def test_wal_indexes_the_latest_outcome_of_each_transaction():
     sim = Simulator()
     node = Node(sim, "s1")
-    registry = TestableTransactionRegistry(node)
-    registry.record_commit("t1", commit_order=3)
-    registry.record_abort("t2", "certification")
-    assert registry.has_committed("t1")
-    assert registry.outcome("t2") == "abort"
-    assert registry.has_decided("t2")
-    assert not registry.has_decided("t3")
-    assert registry.check_duplicate("t1")
-    assert not registry.check_duplicate("t3")
-    assert registry.duplicates_detected == 1
-    assert registry.committed_ids() == ["t1"]
+    wal = WriteAheadLog(sim, node)
+    wal.append_commit("t1", {}, commit_order=3)
+    wal.append_abort("t2")
+    wal.append(LogRecord.decision("xp-1"))
+    assert wal.decision("t1").commit_order == 3
+    assert wal.decision("t2").record_type is LogRecordType.ABORT
+    assert wal.decision("t3") is None and wal.decision("xp-1") is None
+    assert wal.has_committed("t1") and not wal.has_committed("t2")
+    # A state-transfer checkpoint's commits join the index; a commit the
+    # log already holds keeps its own record.
+    wal.adopt_commit("t1", 9)
+    wal.adopt_commit("t4", 5)
+    assert wal.decision("t1").commit_order == 3
+    assert wal.committed_ids() == {"t1": 3, "t4": 5}
+    assert wal.has_committed("t4") and not wal.is_logged("t4")
 
 
-def test_testable_registry_survives_crash():
+def test_wal_outcome_survives_a_crash_iff_its_record_was_flushed():
     sim = Simulator()
     node = Node(sim, "s1")
-    registry = TestableTransactionRegistry(node)
-    registry.record_commit("t1")
+    db = LocalDatabase(sim, node, write_time_low=8.0, write_time_high=8.0)
+    wal = db.wal
+    wal.append_commit("t-flushed", {})
+    wal.append_abort("t-aborted")
+
+    def flusher():
+        yield from wal.flush()
+
+    node.spawn(flusher())
+    sim.run(until=4.0)
+    # Group commit: a record appended while the flush waits for the disk is
+    # made durable by that same flush.
+    wal.append_commit("t-joined", {})
+    assert wal.has_committed("t-joined") and not wal.is_logged("t-joined")
+    sim.run()
+    assert wal.is_logged("t-joined")
+    wal.append_commit("t-volatile", {})
+    wal.adopt_commit("t-adopted", 7)
+    assert wal.has_committed("t-volatile") and wal.has_committed("t-adopted")
     node.crash()
     node.recover()
-    assert registry.has_committed("t1")
+    assert wal.is_logged("t-flushed") and wal.is_logged("t-joined")
+    assert wal.decision("t-aborted").record_type is LogRecordType.ABORT
+    assert wal.decision("t-volatile") is None
+    assert wal.decision("t-adopted") is None
+    assert wal.committed_ids() == {"t-flushed": None, "t-joined": None}

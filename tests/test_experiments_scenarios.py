@@ -8,7 +8,7 @@ from repro.experiments import (CRASH_PATTERNS, crash_tolerance_summary,
                                demonstrated, figure5_scenario,
                                figure7_scenario, render_matrix,
                                run_crash_scenario, run_failure_matrix,
-                               single_crash_scenario, violations)
+                               scenarios, single_crash_scenario, violations)
 
 
 def test_figure5_classical_broadcast_loses_the_confirmed_transaction():
@@ -55,6 +55,43 @@ def test_group_safe_loses_when_the_whole_group_fails():
     assert outcome.transaction_lost
 
 
+def _scenario_with_its_cluster(monkeypatch, technique, pattern):
+    """Run a crash scenario and return it with the cluster it built."""
+    built = []
+
+    class Recorded(scenarios.ReplicatedDatabaseCluster):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(scenarios, "ReplicatedDatabaseCluster", Recorded)
+    return run_crash_scenario(technique, pattern,
+                              freeze_non_delegates=True), built[0]
+
+
+def test_group_fails_and_all_recover_separates_group_safe_from_group_1_safe(
+        monkeypatch):
+    # Table 3's distinguishing column: the group fails, the delegate comes
+    # back.  Group-safe flushed the commit record nowhere before answering,
+    # so nothing brings the transaction back; group-1-safe flushed it on the
+    # delegate, whose redo restores it.
+    lost, cluster = _scenario_with_its_cluster(monkeypatch, "group-safe",
+                                               "all-recover-all")
+    assert lost.confirmed and lost.transaction_lost
+    assert lost.committed_on == []
+    # The scenario writes "scenario@0", "scenario@1", ...; no server serves
+    # any of them.
+    assert not any(str(version.value).startswith("scenario@")
+                   for name in cluster.server_names()
+                   for version in
+                   cluster.database(name).items.snapshot().values())
+    kept, cluster = _scenario_with_its_cluster(monkeypatch, "group-1-safe",
+                                               "all-recover-all")
+    assert kept.confirmed and not kept.transaction_lost
+    assert "s1" in kept.committed_on
+    assert kept.fate.durably_logged_on == ["s1"]
+
+
 def test_unknown_crash_pattern_rejected():
     with pytest.raises(ValueError):
         run_crash_scenario("group-safe", "not-a-pattern")
@@ -77,6 +114,9 @@ def test_failure_matrix_demonstrates_the_expected_losses(failure_matrix):
     assert ("0-safe", "delegate") in losing
     assert ("group-safe", "all-delegate-stays-down") in losing
     assert ("group-1-safe", "all-delegate-stays-down") in losing
+    # Table 3's group-fails / delegate-recovers column.
+    assert ("group-safe", "all-recover-all") in losing
+    assert ("group-1-safe", "all-recover-all") not in losing
     assert not any(technique == "2-safe" for technique, _ in losing)
 
 
@@ -87,6 +127,9 @@ def test_failure_matrix_crash_tolerance_matches_table2(failure_matrix):
     # The group-based techniques survived the single-crash patterns.
     assert tolerance["group-safe"] >= 1
     assert tolerance["group-1-safe"] >= 1
+    # Group-safe does not survive the group failing, even when every
+    # server recovers.
+    assert tolerance["group-safe"] < 3
 
 
 def test_render_matrix_output(failure_matrix):

@@ -1,4 +1,4 @@
-"""The pluggable broadcast-engine stack: registry semantics, golden-trace
+"""The broadcast-engine stack: the engine table, golden-trace
 digests proving the fixed sequencer reproduces the seed bit-for-bit, and the
 technique x engine equivalence grid over Multi-Paxos."""
 
@@ -10,8 +10,9 @@ from collections import Counter
 import pytest
 
 from repro.core.audit import ConfirmedWrite, audit_writes
-from repro.gcs.engines import (DEFAULT_ENGINE, BroadcastEngineSpec,
-                               engine_names, register_engine, resolve_engine)
+from repro.gcs import FixedSequencerEngine, MultiPaxosEngine
+from repro.gcs.engines import (DEFAULT_ENGINE, ENGINES, engine_names,
+                               resolve_engine)
 from repro.replication.cluster import ReplicatedDatabaseCluster
 from repro.workload import SimulationParameters
 
@@ -30,23 +31,11 @@ def test_resolve_unknown_engine_names_the_choices():
         resolve_engine("zab")
 
 
-def test_register_and_resolve_a_custom_engine():
-    from repro.gcs import engines
-    spec = BroadcastEngineSpec(name="token-ring",
-                               factory=lambda **kwargs: None,
-                               description="test double")
-    register_engine("token-ring", spec)
-    try:
-        assert resolve_engine("token-ring") is spec
-        assert "token-ring" in engine_names()
-    finally:
-        engines._REGISTRY.pop("token-ring", None)
-
-
-def test_register_engine_rejects_empty_names():
-    with pytest.raises(ValueError):
-        register_engine("", BroadcastEngineSpec(
-            name="", factory=lambda **kwargs: None))
+def test_engine_table_names_each_endpoint_class_and_description():
+    assert resolve_engine("fixed-sequencer") is FixedSequencerEngine
+    assert resolve_engine("multi-paxos") is MultiPaxosEngine
+    assert engine_names() == list(ENGINES)
+    assert all(description for _engine_class, description in ENGINES.values())
 
 
 def test_unknown_engine_fails_at_cluster_construction():

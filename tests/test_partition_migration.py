@@ -184,6 +184,14 @@ def test_group_crash_at_every_migration_phase_settles(phase, side):
     assert cluster.recovered_routing().owner_of_range(key_range) == \
         cluster.routing.owner_of_range(key_range)
     assert audit_commit_integrity(cluster, clients) == []
+    # Exactly-once: a retried copy chunk whose commit record a group-commit
+    # flush made durable is answered from that record, not committed again.
+    for group in cluster.groups:
+        for name in group.server_names():
+            commits = [record.txn_id
+                       for record in group.database(name).wal.stable_records()
+                       if record.record_type is LogRecordType.COMMIT]
+            assert len(commits) == len(set(commits)), name
 
 
 def test_crash_after_epoch_bump_recovers_the_new_owner():

@@ -70,7 +70,7 @@ def test_rejoined_leader_holds_every_confirmed_transaction():
         seed=92, recover_at_ms=23_000.0, load_until_ms=24_000.0,
         settle_ms=30_000.0)
     assert leader in cluster.gcs.membership.view
-    rejoined = cluster.database(leader).testable
+    rejoined = cluster.database(leader).wal
     # Read-only transactions commit on their delegate alone, so only those
     # delivered to the group can be missing on the rejoined replica.
     missing = [result.txn_id for result in clients.results

@@ -1,4 +1,4 @@
-"""Tests of the cluster facade, routing policies and result bookkeeping."""
+"""Tests of the cluster facade, delegate choice and result bookkeeping."""
 
 from __future__ import annotations
 
@@ -7,9 +7,7 @@ import pytest
 from repro.core import (TECHNIQUE_SAFETY, DeliveredOn, LoggedOn,
                         classify_result)
 from repro.replication import (TECHNIQUES, DatabaseStateMachineReplica,
-                               LazyReplica, PrimaryCopyRouting,
-                               ReplicatedDatabaseCluster,
-                               UpdateEverywhereRouting, make_routing)
+                               LazyReplica, ReplicatedDatabaseCluster)
 from repro.workload import SimulationParameters
 from tests.conftest import build_cluster, make_program
 
@@ -63,33 +61,13 @@ def test_submit_requires_started_cluster(small_params):
         cluster.submit(cluster.workload.next_program())
 
 
-def test_routing_policies():
-    update_everywhere = UpdateEverywhereRouting()
-    assert update_everywhere.choose(["s1", "s2", "s3"], 0) == "s1"
-    assert update_everywhere.choose(["s1", "s2", "s3"], 4) == "s2"
-    primary = PrimaryCopyRouting("s2")
-    assert primary.choose(["s1", "s2", "s3"], 7) == "s2"
-    default_primary = PrimaryCopyRouting()
-    assert default_primary.choose(["s1", "s2"], 3) == "s1"
+def test_choose_delegate_attaches_each_client_to_one_server(cluster_factory):
+    cluster = cluster_factory("group-safe")
+    assert cluster.choose_delegate(0) == "s1"
+    assert cluster.choose_delegate(4) == "s2"
+    cluster.crash_all()
     with pytest.raises(ValueError):
-        primary.choose(["s1"], 0)
-    with pytest.raises(ValueError):
-        update_everywhere.choose([], 0)
-    assert isinstance(make_routing("update-everywhere"), UpdateEverywhereRouting)
-    assert isinstance(make_routing("primary-copy", "s1"), PrimaryCopyRouting)
-    with pytest.raises(ValueError):
-        make_routing("round-robin")
-
-
-def test_primary_copy_cluster_routes_everything_to_the_primary(small_params):
-    cluster = ReplicatedDatabaseCluster("1-safe", params=small_params,
-                                        routing="primary-copy", primary="s1",
-                                        seed=2)
-    cluster.start()
-    waiters = [cluster.run_transaction(cluster.workload.update_only_program(2))
-               for _ in range(4)]
-    cluster.run(until=4_000.0)
-    assert all(waiter.value.delegate == "s1" for waiter in waiters)
+        cluster.choose_delegate(0)
 
 
 def test_choose_delegate_skips_crashed_servers(cluster_factory):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core import SafetyLevel, classify_result
+from repro.db import LogRecordType, TransactionProgram
+from repro.workload import SimulationParameters
 from tests.conftest import build_cluster, make_program
 
 
@@ -84,8 +86,10 @@ def test_read_only_transaction_commits_locally_without_broadcast():
     result = run_one(cluster, program)
     assert result.committed
     assert not result.delivered_to_group
-    # Only the delegate decided it; the others never heard of it.
-    assert cluster.committed_anywhere(result.txn_id) == ["s1"]
+    # Only the delegate decided it, and it installs and logs nothing: no
+    # server's write-ahead log records it, and it has no commit order.
+    assert cluster.committed_anywhere(result.txn_id) == []
+    assert result.commit_order is None
     assert cluster.gcs.endpoint("s1").broadcast_count == 0
 
 
@@ -111,7 +115,8 @@ def test_certification_aborts_conflicting_transaction_everywhere():
     assert results[1].abort_reason == "certification"
     loser = results[1].txn_id
     for name in cluster.server_names():
-        assert cluster.database(name).testable.outcome(loser) == "abort"
+        assert cluster.database(name).wal.decision(loser).record_type is \
+            LogRecordType.ABORT
     # The committed value is the winner's value on every copy.
     values = {cluster.database(name).value_of("item-5")
               for name in cluster.server_names()}
@@ -134,7 +139,7 @@ def test_delegate_crash_after_confirmation_does_not_lose_group_safe_txn():
     cluster.crash_server("s1")
     cluster.run(until=cluster.sim.now + 2_000.0)
     survivors = [name for name in cluster.server_names() if name != "s1"]
-    assert all(cluster.database(name).testable.has_committed(result.txn_id)
+    assert all(cluster.database(name).wal.has_committed(result.txn_id)
                for name in survivors)
 
 
@@ -147,4 +152,32 @@ def test_recovered_server_catches_up_after_minority_crash_two_safe():
     assert first.committed and second.committed
     cluster.recover_server("s3")
     cluster.run(until=cluster.sim.now + 3_000.0)
-    assert cluster.database("s3").testable.has_committed(second.txn_id)
+    assert cluster.database("s3").wal.has_committed(second.txn_id)
+
+
+def test_resubmission_after_a_delegate_crash_is_answered_with_its_outcome():
+    # The delegate crashes 1 ms after broadcasting: its client is told
+    # "delegate-crash", yet the group commits the transaction.  Resubmitted
+    # to the recovered delegate, the same transaction (same id) is already
+    # decided there, so the client gets that outcome instead of silence.
+    cluster = build_cluster("group-1-safe", seed=1,
+                            params=SimulationParameters.small(3, 100))
+    program = TransactionProgram.of_writes({"item-1": "v1", "item-2": "v2"})
+    first = cluster.run_transaction(program, server="s1")
+    cluster.run(until=cluster.sim.now + 1.0)
+    cluster.crash_server("s1")
+    cluster.run(until=cluster.sim.now + 1_000.0)
+    assert first.value.abort_reason == "delegate-crash"
+    assert cluster.committed_anywhere(first.value.txn_id) == ["s2", "s3"]
+    cluster.recover_server("s1")
+    cluster.run(until=cluster.sim.now + 1_000.0)
+    again = cluster.run_transaction(program, server="s1")
+    cluster.run(until=cluster.sim.now + 5_000.0)
+    assert again.triggered, "the resubmission was never answered"
+    assert again.value.txn_id == first.value.txn_id
+    assert again.value.committed
+    # s1 holds the commit through the checkpoint it recovered from, not
+    # through a flushed record of its own: the answer says so.
+    assert again.value.delivered_to_group
+    assert not again.value.logged_on_delegate
+    assert cluster.database("s1").value_of("item-2") == "v2"

@@ -61,7 +61,7 @@ def test_propagation_happens_outside_the_response_time():
     # ... but the other replicas have not applied anything yet (the
     # propagation interval of 250 ms has not elapsed).
     others = [name for name in cluster.server_names() if name != "s1"]
-    assert not any(cluster.database(name).testable.has_committed(result.txn_id)
+    assert not any(cluster.database(name).wal.has_committed(result.txn_id)
                    for name in others)
 
 
@@ -115,7 +115,7 @@ def test_lazy_recovery_redoes_only_local_durable_state():
     cluster.run(until=cluster.sim.now + 50.0)
     cluster.recover_server("s2")
     cluster.run(until=cluster.sim.now + 2_000.0)
-    assert cluster.database("s2").testable.has_committed(result.txn_id)
+    assert cluster.database("s2").wal.has_committed(result.txn_id)
 
 
 def test_lazy_delegate_crash_before_propagation_loses_transaction():
@@ -126,5 +126,5 @@ def test_lazy_delegate_crash_before_propagation_loses_transaction():
     cluster.crash_server("s1")
     cluster.run(until=cluster.sim.now + 5_000.0)
     others = [name for name in cluster.server_names() if name != "s1"]
-    assert not any(cluster.database(name).testable.has_committed(result.txn_id)
+    assert not any(cluster.database(name).wal.has_committed(result.txn_id)
                    for name in others)
