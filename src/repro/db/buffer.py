@@ -10,7 +10,10 @@ simulated time:
 * :meth:`write_item_sync` — same, for a synchronous (in-transaction) write;
 * :meth:`write_item_async` — mark the item dirty and return immediately; the
   background write-behind flusher started with :meth:`start_write_behind`
-  later performs the physical writes, outside any transaction boundary.
+  later performs the physical writes, outside any transaction boundary;
+* :meth:`background_write` — the one path of every background page write
+  (the write-behind flusher and lazy replication's remote apply): one CPU
+  charge per batch of pages, one disk hold per page.
 
 The asynchronous path is what the group-safe technique uses ("group-safe
 replication basically allows all disk writes to be done asynchronously, thus
@@ -20,11 +23,19 @@ is what group-1-safe and lazy replication use on the delegate.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+import random
+from typing import Callable, Dict, Optional
 
 from ..network.node import Node
 from ..sim.engine import Simulator
 from ..sim.resources import Gate
+
+#: Most pages one background write charges to the CPU at once.  The paper
+#: schedules "writes of adjacent pages together" (Sect. 5.1) but gives no
+#: batch size; a batch pays its ``cpu_time_per_io`` per page as one CPU
+#: charge, while each page keeps its own disk hold, so a read still queues
+#: behind at most one background page.
+WRITE_BEHIND_BATCH = 1
 
 
 class BufferPool:
@@ -185,19 +196,49 @@ class BufferPool:
         return len(self._dirty)
 
     def flush_some(self):
-        """Generator: physically write every dirty item, oldest first."""
-        node = self.node
-        use_cpu = node.cpu.use
-        use_disk = node.disk.use
+        """Generator: physically write every dirty item, oldest first.
+
+        Each pass takes up to :data:`WRITE_BEHIND_BATCH` of the oldest dirty
+        pages — they leave the dirty count as the batch is taken — and
+        writes them with :meth:`background_write`, counting each page and
+        re-checking the back-pressure gate as its disk hold ends.
+        """
         dirty = self._dirty
         while dirty:
-            key = next(iter(dirty))
-            dirty.pop(key, None)
-            yield use_cpu(node.cpu_time_per_io)
-            yield use_disk(self.background_write_factor
-                           * self._write_duration())
-            self.flushed_pages += 1
-            self._maybe_reopen()
+            batch = min(len(dirty), WRITE_BEHIND_BATCH)
+            for _ in range(batch):
+                del dirty[next(iter(dirty))]
+            yield from self.background_write(batch,
+                                             self.background_write_factor,
+                                             self._write_stream,
+                                             self._page_flushed)
+
+    def _page_flushed(self) -> None:
+        self.flushed_pages += 1
+        self._maybe_reopen()
+
+    def background_write(self, pages: int, factor: float,
+                         stream: random.Random,
+                         on_page: Optional[Callable[[], None]] = None):
+        """Generator: write ``pages`` pages off any transaction's path.
+
+        The pages go in batches of at most :data:`WRITE_BEHIND_BATCH`.  A
+        batch of k pages takes one CPU charge of k × ``cpu_time_per_io``;
+        then each page holds a disk on its own for ``factor`` × a write
+        time drawn from ``stream`` as its disk request is made, and
+        ``on_page`` (if given) runs as that hold ends.
+        """
+        node = self.node
+        use_disk = node.disk.use
+        low, high = self.write_time_low, self.write_time_high
+        while pages > 0:
+            batch = min(pages, WRITE_BEHIND_BATCH)
+            pages -= batch
+            yield node.cpu.use(batch * node.cpu_time_per_io)
+            for _ in range(batch):
+                yield use_disk(factor * stream.uniform(low, high))
+                if on_page is not None:
+                    on_page()
 
     def start_write_behind(self, interval: float = 50.0) -> None:
         """Start the background flusher processes on the hosting node.

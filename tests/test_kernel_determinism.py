@@ -190,6 +190,30 @@ class TestPinnedSeedValues:
             pytest.approx(71.94061683576605, abs=1e-9)
 
 
+def test_unbatched_background_writes_reproduce_the_parent(monkeypatch):
+    """With one page per CPU charge, ``BufferPool.background_write`` is the
+    two per-page loops it replaced (the write-behind flusher's and lazy
+    apply's), bit for bit: the group-safe golden and load point keep the
+    literals they had before background writes were batched."""
+    from repro.db import buffer
+    from tests.test_gcs_engines import (model_digest, run_scenario,
+                                        scenario_stats, trace_digest)
+
+    monkeypatch.setattr(buffer, "WRITE_BEHIND_BATCH", 1)
+    cluster, results, trace, deliveries = run_scenario("group-safe",
+                                                       traced=True)
+    assert scenario_stats(cluster, results) == (15, 24, 240, 240, 2055)
+    assert model_digest(deliveries, results) == (
+        "0cd113d7bfad220c66651cd34168b2ff8d74e2beeb1444b8573d38b8b95d6621")
+    assert trace_digest(trace) == (
+        "cae9eaf8718e10a9f789f9a9fcd83bae2371d8dd087de661838604f3c338bace")
+    point = run_load_point("group-safe", 30.0, duration_ms=4_000.0,
+                           warmup_ms=1_000.0, seed=5)
+    assert point.committed_transactions == 80
+    assert point.mean_response_time_ms == \
+        pytest.approx(71.94061683576605, abs=1e-9)
+
+
 def test_engine_read_matches_buffer_read_item():
     """The inlined read charge of ``LocalDatabase.read`` must stay in
     lockstep with ``BufferPool.read_item`` (still used by the migration
