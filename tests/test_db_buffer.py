@@ -5,8 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.db import BufferPool
+from repro.db.buffer import WRITE_BEHIND_BATCH
+from repro.db.transaction import WriteSetMessage
 from repro.network import Node
+from repro.replication.cluster import ReplicatedDatabaseCluster
 from repro.sim import Simulator
+from repro.sim.resources import Resource
+from repro.workload import SimulationParameters
 
 
 def make_buffer(sim, **kwargs):
@@ -100,6 +105,80 @@ def test_background_write_factor_reduces_disk_time():
     node.spawn(drain())
     sim.run()
     assert node.disk.busy_time == pytest.approx(4.0)
+
+
+class RecordingResource(Resource):
+    """A resource that records the duration of every hold it grants."""
+
+    def __init__(self, sim, capacity, name):
+        super().__init__(sim, capacity=capacity, name=name)
+        self.holds = []
+
+    def _hold(self, request):
+        self.holds.append(request.duration)
+        super()._hold(request)
+
+
+def record_grants(node):
+    """Swap the node's CPU and disk for recording ones of the same size."""
+    node.cpu = RecordingResource(node.sim, node.cpu.capacity, node.cpu.name)
+    node.disk = RecordingResource(node.sim, node.disk.capacity,
+                                  node.disk.name)
+    return node.cpu, node.disk
+
+
+def test_flush_some_charges_the_cpu_once_per_batch():
+    assert WRITE_BEHIND_BATCH == 16
+    sim = Simulator(seed=7)
+    node, buffer = make_buffer(sim)
+    cpu, disk = record_grants(node)
+    for index in range(40):
+        buffer.write_item_async(f"item-{index}")
+
+    def drain():
+        yield from buffer.flush_some()
+
+    node.spawn(drain())
+    sim.run()
+    per_io = node.cpu_time_per_io
+    assert cpu.holds == [16 * per_io, 16 * per_io, 8 * per_io]
+    assert disk.holds == [8.0] * 40      # one disk hold per page
+    assert cpu.busy_time == pytest.approx(40 * per_io, abs=1e-12)
+    assert disk.busy_time == pytest.approx(40 * 8.0)
+    assert buffer.flushed_pages == 40 and buffer.dirty_count == 0
+
+
+def test_flush_some_takes_a_batch_out_of_the_dirty_count():
+    sim = Simulator()
+    node, buffer = make_buffer(sim)
+    for index in range(20):
+        buffer.write_item_async(f"item-{index}")
+    node.spawn(buffer.flush_some())
+    sim.run(until=0.1)                  # inside the first batch's CPU charge
+    assert buffer.dirty_count == 20 - WRITE_BEHIND_BATCH
+    assert buffer.flushed_pages == 0
+
+
+def test_propagated_write_set_charges_the_cpu_once():
+    params = SimulationParameters.small(server_count=3, item_count=120)
+    cluster = ReplicatedDatabaseCluster("1-safe", params=params, seed=3)
+    replica = cluster.replicas["s2"]
+    cpu, disk = record_grants(replica.node)
+    payload = WriteSetMessage(
+        txn_id="remote-1", delegate="s1", read_versions={},
+        write_values={f"item-{index}": index for index in range(7)},
+        program_id=1)
+    replica.node.spawn(replica._apply_propagated([payload]))
+    cluster.run(until=200.0)
+    per_io = replica.node.cpu_time_per_io
+    # The write set: one CPU charge for its 7 pages, then 7 disk holds at
+    # the propagation discount; then the batch's one WAL flush (one CPU
+    # charge, one disk hold at a full write time).
+    assert cpu.holds == [7 * per_io, per_io]
+    assert len(disk.holds) == 8
+    assert all(hold <= 0.45 * params.write_time_max
+               for hold in disk.holds[:7])
+    assert replica.db.wal.has_committed("remote-1")
 
 
 def test_backpressure_gate_closes_and_reopens():
