@@ -251,8 +251,8 @@ class SlotsConsistencyRule(Rule):
                    "@dataclass(slots=True)")
 
     def __init__(self, hot_modules: Sequence[str] = (
-            "sim/events.py", "sim/process.py", "sim/resources.py",
-            "network/message.py")):
+            "sim/events.py", "sim/poll.py", "sim/process.py",
+            "sim/resources.py", "network/message.py")):
         self.hot_modules = frozenset(hot_modules)
 
     @staticmethod

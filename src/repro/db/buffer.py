@@ -29,6 +29,7 @@ from typing import Callable, Dict, Optional
 
 from ..network.node import Node
 from ..sim.engine import Simulator
+from ..sim.poll import Parked, Poller
 from ..sim.resources import Gate
 
 #: Most pages one background write charges to the CPU at once.  The paper
@@ -86,6 +87,8 @@ class BufferPool:
         # the drain order is independent of string hashing (a plain set
         # would make runs depend on PYTHONHASHSEED).
         self._dirty: Dict[str, None] = {}
+        #: Write-behind flushers parked on an empty ``_dirty``.
+        self._parked = Parked()
         # Interned per-node stream handles (seeded by name only, so hoisting
         # them out of the per-I/O hot path is draw-exact).
         streams = sim.random
@@ -168,6 +171,8 @@ class BufferPool:
 
     def _mark_dirty(self, key: str) -> None:
         self._dirty[key] = None
+        if self._parked:
+            self._parked.notify()
         if self.max_dirty is not None and len(self._dirty) >= self.max_dirty:
             if self._space_gate.is_open:
                 self.throttle_events += 1
@@ -245,19 +250,23 @@ class BufferPool:
     def start_write_behind(self, interval: float = 50.0) -> None:
         """Start the background flusher processes on the hosting node.
 
-        One flusher process per disk of the node polls every ``interval``
-        milliseconds and writes the dirty items to disk.  The processes are
-        volatile: they die with the node on a crash and must be restarted
-        after recovery.
+        One flusher process per disk of the node ticks every ``interval``
+        milliseconds and writes the dirty items to disk.  A flusher that
+        would tick with nothing dirty parks instead and takes its next tick
+        at the first instant of its grid after an item becomes dirty
+        (:mod:`repro.sim.poll`).  The processes are volatile: they die with
+        the node on a crash and must be restarted after recovery.
         """
         if self._flusher_running:
             return
         self._flusher_running = True
+        dirty = self._dirty
 
         def flusher():
             try:
+                poll = Poller(self.sim, interval, self._parked)
                 while True:
-                    yield self.sim.timeout(interval)
+                    yield poll.next_tick(idle=not dirty)
                     yield from self.flush_some()
             finally:
                 self._flusher_running = False
@@ -269,6 +278,7 @@ class BufferPool:
     def lose_volatile(self) -> None:
         """Forget dirty state (the buffer content dies with the node)."""
         self._dirty.clear()
+        self._parked.clear()
         self._flusher_running = False
         self._space_gate.open()
 

@@ -32,6 +32,7 @@ from typing import Dict, List, Optional
 
 from ..network.node import Node
 from ..sim.engine import Simulator
+from ..sim.poll import Parked, Poller
 from .stable_storage import StableLog
 
 
@@ -97,6 +98,8 @@ class WriteAheadLog:
         self.write_time_high = write_time_high
         self._log_write_stream = sim.random.stream(f"{node.name}.log_write")
         self._volatile: List[LogRecord] = []
+        #: The group-commit loop while it is parked on an empty tail.
+        self._parked = Parked()
         self._stable: StableLog = node.register_stable(
             f"{name}.stable", StableLog(f"{node.name}.{name}"))
         self._next_lsn = len(self._stable)
@@ -119,6 +122,8 @@ class WriteAheadLog:
         self._volatile.append(record)
         if record.record_type in _OUTCOMES:
             self._decisions[record.txn_id] = record
+        if self._parked:
+            self._parked.notify()
         return record
 
     def append_commit(self, txn_id: str, write_values: Dict[str, object],
@@ -180,6 +185,18 @@ class WriteAheadLog:
         flushed, self._volatile = self._volatile, []
         for record in flushed:
             self._stable.append(record)
+
+    def group_commit(self, interval: float):
+        """Generator: the background group-commit loop.
+
+        Flushes the volatile tail every ``interval`` milliseconds; while the
+        tail is empty the loop is parked and takes no tick (see
+        :mod:`repro.sim.poll`).
+        """
+        poll = Poller(self.sim, interval, self._parked)
+        while True:
+            yield poll.next_tick(idle=not self._volatile)
+            yield from self.flush()
 
     def force(self, record: LogRecord):
         """Generator: append ``record``, flush, report whether it is durable.
@@ -272,10 +289,6 @@ class WriteAheadLog:
         """All records currently on stable storage."""
         return list(self._stable)
 
-    def volatile_records(self) -> List[LogRecord]:
-        """Records appended but not yet flushed (lost on crash)."""
-        return list(self._volatile)
-
     # -- crash handling ---------------------------------------------------------------
     def lose_volatile(self) -> None:
         """Drop the volatile tail (called when the hosting node crashes).
@@ -284,6 +297,7 @@ class WriteAheadLog:
         records: a decision whose record never reached the disk is forgotten.
         """
         self._volatile.clear()
+        self._parked.clear()
         self._decisions = {record.txn_id: record for record in self._stable
                            if record.record_type in _OUTCOMES}
 

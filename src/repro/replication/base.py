@@ -83,19 +83,13 @@ class ReplicaServer:
         self._running = True
         if not self.dispatcher.is_running:
             self.dispatcher.start()
-        self.node.spawn(self._log_flusher(), name="wal.group_commit")
+        self.node.spawn(self.db.wal.group_commit(LOG_FLUSH_INTERVAL),
+                        name="wal.group_commit")
         self.db.buffer.start_write_behind(interval=WRITE_BEHIND_INTERVAL)
         self._start_technique()
 
     def _start_technique(self) -> None:
         """Hook: subclasses start their protocol-specific processes here."""
-
-    def _log_flusher(self):
-        """Background group-commit flusher for asynchronously logged records."""
-        while True:
-            yield self.sim.timeout(LOG_FLUSH_INTERVAL)
-            if self.db.wal.volatile_records():
-                yield from self.db.wal.flush()
 
     def _on_node_event(self, node: Node, event: str) -> None:
         if event == "crash":

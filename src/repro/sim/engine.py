@@ -23,12 +23,16 @@ per-event cost is a heappop, a clock store and the callback dispatch.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Generator, Iterable,
+                    List, Optional, Tuple)
 
 from .errors import SchedulingError, SimulationError
 from .events import NORMAL_BIAS, AllOf, AnyOf, Deferred, Event, Timeout
 from .process import Process
 from .rng import RandomStreams
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
+    from .poll import Tick
 
 _INFINITY = float("inf")
 
@@ -48,6 +52,10 @@ class Simulator:
         self._now: float = 0.0
         self._queue: List[Tuple[float, int, Event]] = []
         self._sequence = 0
+        #: Instant -> the one queue entry of the pollers due then, and the
+        #: number of pollers made so far (see :mod:`repro.sim.poll`).
+        self._ticks: Dict[float, "Tick"] = {}
+        self._poller_count = 0
         self.random = RandomStreams(seed)
         #: Arbitrary per-run annotations experiments may attach (e.g. config).
         self.metadata: dict = {}
