@@ -260,13 +260,12 @@ class BufferPool:
         if self._flusher_running:
             return
         self._flusher_running = True
-        dirty = self._dirty
 
         def flusher():
             try:
                 poll = Poller(self.sim, interval, self._parked)
                 while True:
-                    yield poll.next_tick(idle=not dirty)
+                    yield poll.next_tick(idle=not self._dirty)
                     yield from self.flush_some()
             finally:
                 self._flusher_running = False
