@@ -57,10 +57,9 @@ class Parked(list):
 
     def notify(self) -> None:
         """The source gained work: make every parked poller due."""
-        pollers = self[:]
-        self.clear()
-        for poller in pollers:
+        for poller in self:
             poller._wake()
+        self.clear()
 
 
 class Poller:
