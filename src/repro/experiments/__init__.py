@@ -18,7 +18,7 @@ from .rebalance import (RebalanceOutcome, audit_commit_integrity,
 from .report import format_mapping, format_table
 from .scaling import (DivergenceOutcome, analytic_scaling,
                       conflicting_updates_run, render_scaling)
-from .scenarios import (CRASH_PATTERNS, ScenarioOutcome, figure5_scenario,
+from .scenarios import (CRASH_PLANS, ScenarioOutcome, figure5_scenario,
                         figure7_scenario, run_crash_scenario,
                         single_crash_scenario)
 
@@ -29,7 +29,7 @@ _RUNNABLE = ("failure_matrix", "partition_failure_matrix",
 
 __all__ = [
     "ScenarioOutcome",
-    "CRASH_PATTERNS",
+    "CRASH_PLANS",
     "run_crash_scenario",
     "figure5_scenario",
     "figure7_scenario",

@@ -26,26 +26,20 @@ from typing import Dict, List, Optional, Sequence
 from ..workload.params import SimulationParameters
 from .harness import (SMOKE_TECHNIQUES, TECHNIQUES, TRACE_ARGUMENT, LossCell,
                       loss_bars, loss_cell, matrix_cli, run_cells)
-from .scenarios import run_crash_scenario
+from .scenarios import FROZEN, run_crash_scenario
 
-#: The crash patterns exercised for every technique, with the gate setting
-#: that makes the pattern meaningful (freeze = crash between delivery and
-#: processing on the non-delegates).
-_PATTERNS = (
-    ("none", False),
-    ("delegate", False),
-    ("minority", False),
-    ("all-delegate-stays-down", True),
-    ("all-recover-all", True),
-)
+#: The crash patterns exercised for every technique; those in
+#: :data:`~repro.experiments.scenarios.FROZEN` crash in Fig. 5's window.
+_PATTERNS = ("none", "delegate", "minority", "all-delegate-stays-down",
+             "all-recover-all")
 
 
 def _matrix_cell(cell) -> LossCell:
     """Run one (technique, crash pattern) cell."""
-    technique, pattern, freeze, seed, params = cell
+    technique, pattern, seed, params = cell
     outcome = run_crash_scenario(technique, crash_pattern=pattern,
                                  seed=seed, params=params,
-                                 freeze_non_delegates=freeze)
+                                 freeze_non_delegates=pattern in FROZEN)
     return loss_cell(technique, pattern, outcome,
                      [(outcome.group_failed, outcome.delegate_crashed)])
 
@@ -56,9 +50,9 @@ def run_failure_matrix(techniques: Optional[Sequence[str]] = None,
                        workers: int = 1) -> List[LossCell]:
     """Run every (technique, crash pattern) scenario, technique-major."""
     return run_cells(_matrix_cell,
-                     ((technique, pattern, freeze, seed, params)
+                     ((technique, pattern, seed, params)
                       for technique in techniques or TECHNIQUES
-                      for pattern, freeze in _PATTERNS), workers)
+                      for pattern in _PATTERNS), workers)
 
 
 def crash_tolerance_summary(entries: List[LossCell]) -> Dict[str, int]:

@@ -12,10 +12,10 @@ Every cell is one (engine × fault pattern × detector configuration)
 simulation of a three-server ``group-1-safe`` replica group:
 
 1. two writes are confirmed while the network is healthy;
-2. the fault is installed for a fixed window
-   (:data:`FAULT_START`–:data:`FAULT_END`) via
-   :meth:`~repro.network.lan.Lan.schedule_fault` (or the gray-failure
-   degradation knobs);
+2. the pattern's plan (:data:`GROUP_FAULT_PLANS`) puts the fault on the
+   simulator's calendar for a fixed window
+   (:data:`FAULT_START`–:data:`FAULT_END`): a
+   :class:`~repro.network.faults.LinkFault`, or a gray-failure degradation;
 3. during the window, transactions are submitted through a majority-side
    delegate and through the minority member, and their confirmations are
    counted per side — the observed progress/blocking axes;
@@ -51,6 +51,7 @@ bit-identical to the seed — pinned by the golden-trace tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.audit import (ConfirmedWrite, Finding, FindingKind, audit_writes,
@@ -61,9 +62,10 @@ from ..network.faults import LinkFault
 from ..partition.cluster import PartitionedCluster
 from ..replication.cluster import ReplicatedDatabaseCluster
 from ..workload.params import SimulationParameters
-from .harness import (advance_until, confirm, demonstrated, matrix_cli, probe,
+from .harness import (confirm, demonstrated, matrix_cli, probe,
                       run_cells, small_parameters, submit_writes, violations)
-from .partition_failure_matrix import branch_writes
+from .partition_failure_matrix import branch_writes, migrate_shard_zero
+from .plans import ALL_SERVERS, WORKLOAD, Plan, PlanDriver, plan_entry
 
 #: Replication technique of the group cells: group delivery plus a
 #: synchronous delegate flush, so degraded disks are visible in the
@@ -83,17 +85,35 @@ DETECTOR_CONFIGS: Dict[str, Dict[str, object]] = {
                 "heartbeat_period": 10.0, "heartbeat_timeout": 2000.0},
 }
 
-#: Group fault patterns: name -> (fault kind, minority members,
-#: coordinator-in-minority).  The ordering coordinator of both engines is
-#: initially ``s1`` (first member in static order).
-GROUP_FAULT_PATTERNS: Dict[str, Tuple[str, Tuple[str, ...], bool]] = {
-    "split-minority-coordinator": ("partition", ("s1",), True),
-    "split-minority-follower": ("partition", ("s3",), False),
-    "asymmetric-mute-follower": ("asymmetric", ("s3",), False),
-    "lossy-follower-link": ("lossy", ("s3",), False),
-    "slow-follower-link": ("slow", ("s3",), False),
-    "gray-degraded-disk": ("gray-disk", (), False),
-    "gray-slow-cpu": ("gray-cpu", (), False),
+
+def _window(fault: LinkFault) -> Plan:
+    """``fault`` installed over the fault window."""
+    return ((FAULT_START, "fault", (fault, FAULT_END - FAULT_START)),)
+
+
+def _gray_window(degrade: str, factor: float) -> Plan:
+    """The majority delegate ``s2`` degraded by ``factor`` over the window."""
+    return ((FAULT_START, degrade, (("s2",), factor)),
+            (FAULT_END - FAULT_START, degrade.replace("degrade", "restore"),
+             ("s2",)))
+
+
+#: Group fault patterns: name -> (fault kind, minority members, plan).  The
+#: ordering coordinator of both engines is initially ``s1`` (first member in
+#: static order); ``s2`` is in the majority of every pattern.
+GROUP_FAULT_PLANS: Dict[str, Tuple[str, Tuple[str, ...], Plan]] = {
+    "split-minority-coordinator": ("partition", ("s1",), _window(
+        LinkFault.partition("split", ("s1",), ("s2", "s3")))),
+    "split-minority-follower": ("partition", ("s3",), _window(
+        LinkFault.partition("split", ("s3",), ("s1", "s2")))),
+    "asymmetric-mute-follower": ("asymmetric", ("s3",), _window(
+        LinkFault.asymmetric("mute", (("s3", "s1"), ("s3", "s2"))))),
+    "lossy-follower-link": ("lossy", ("s3",), _window(
+        LinkFault.lossy("lossy", ("s3",), ("s1", "s2"), probability=0.3))),
+    "slow-follower-link": ("slow", ("s3",), _window(
+        LinkFault.slow("slow", ("s3",), ("s1", "s2"), factor=50.0))),
+    "gray-degraded-disk": ("gray-disk", (), _gray_window("degrade-disk", 8.0)),
+    "gray-slow-cpu": ("gray-cpu", (), _gray_window("degrade-cpu", 20.0)),
 }
 
 #: Reduced cell set of the CI ``--smoke`` run: still spans a blocked
@@ -171,20 +191,24 @@ class NetsplitCellOutcome:
 
 
 # --------------------------------------------------------------------------- helpers
-def _detector_sees(fault_kind: str, detector: str) -> bool:
-    """Will the configured detector see the fault before it heals?
+def _resync_plan(minority: Sequence[str], config: Dict[str, object]) -> Plan:
+    """Operator resync of the members that sat out a split.
 
-    Only quorum-starving faults (partitions, minority-muting asymmetry)
-    produce the quorum silence the heartbeat detector triggers on, and only
-    when its timeout fits inside the fault window.  The perfect detector
-    never sees a link fault.
+    Such a member has missed deliveries forever (the LAN never
+    retransmits); the documented remedy is a crash-recovery cycle through
+    the tested state-transfer machinery.  The member must stay down long
+    enough for the configured detector to suspect it — removal from the
+    view is what triggers both the state transfer on re-add and the
+    re-submission of messages that hung during the fault.
     """
-    if fault_kind not in ("partition", "asymmetric"):
-        return False
-    config = DETECTOR_CONFIGS[detector]
-    if config["failure_detector_mode"] != "heartbeat":
-        return False
-    return config["heartbeat_timeout"] < (FAULT_END - FAULT_START)
+    down_for, settle = 50.0, 350.0
+    if config["failure_detector_mode"] == "heartbeat":
+        down_for = (config["heartbeat_timeout"]
+                    + 5.0 * config["heartbeat_period"])
+        settle = 500.0
+    return tuple(step for name in minority
+                 for step in ((0.0, "crash", (name,)),
+                              (down_for, "recover", ((name,), settle))))
 
 
 # --------------------------------------------------------------------------- group cells
@@ -193,30 +217,34 @@ def run_group_netsplit_scenario(engine: str, fault_pattern: str,
                                 params: Optional[SimulationParameters] = None
                                 ) -> NetsplitCellOutcome:
     """Run one (engine, fault pattern, detector) group cell and audit it."""
-    if fault_pattern not in GROUP_FAULT_PATTERNS:
-        raise ValueError(f"unknown fault pattern {fault_pattern!r}; expected "
-                         f"one of {sorted(GROUP_FAULT_PATTERNS)}")
-    if detector not in DETECTOR_CONFIGS:
-        raise ValueError(f"unknown detector config {detector!r}; expected "
-                         f"one of {sorted(DETECTOR_CONFIGS)}")
-    fault_kind, minority, coordinator_in_minority = \
-        GROUP_FAULT_PATTERNS[fault_pattern]
-    prediction = netsplit_outcome(fault_kind, coordinator_in_minority,
-                                  _detector_sees(fault_kind, detector))
+    fault_kind, minority, window = plan_entry(GROUP_FAULT_PLANS,
+                                              fault_pattern, "fault pattern")
+    config = plan_entry(DETECTOR_CONFIGS, detector, "detector config")
+    # Only quorum-starving faults (partitions, minority-muting asymmetry)
+    # produce the quorum silence the heartbeat detector triggers on, and only
+    # when its timeout fits inside the fault window.  The perfect detector
+    # never sees a link fault.
+    detector_sees = (fault_kind in ("partition", "asymmetric")
+                     and config["failure_detector_mode"] == "heartbeat"
+                     and config["heartbeat_timeout"] < FAULT_END - FAULT_START)
+    prediction = netsplit_outcome(fault_kind, "s1" in minority, detector_sees)
     outcome = NetsplitCellOutcome(engine=engine, fault_pattern=fault_pattern,
                                   detector=detector, prediction=prediction)
 
     cluster = ReplicatedDatabaseCluster(
         GROUP_TECHNIQUE, seed=seed,
-        params=small_parameters(params, broadcast_engine=engine,
-                                **DETECTOR_CONFIGS[detector]))
+        params=small_parameters(params, broadcast_engine=engine, **config))
     cluster.start()
-    sim, lan = cluster.sim, cluster.lan
-    names = cluster.server_names()
-    majority = [name for name in names if name not in minority]
-    #: ``s2`` is in the majority of every pattern (minorities are s1 or s3).
+    sim, names = cluster.sim, cluster.server_names()
     majority_delegate = "s2"
     minority_delegate = minority[0] if minority else "s3"
+    # Made before the warm-ups, the plan measures its window from the start
+    # of the run; after the window (the workload's turn) come a 300 ms heal
+    # margin and the resync of a cut-off minority.
+    resync = (_resync_plan(minority, config)
+              if fault_kind in ("partition", "asymmetric", "lossy") else ())
+    driver = PlanDriver(cluster, window + (WORKLOAD, (300.0, "wait", None))
+                        + resync)
 
     # -- phase 1: healthy-network confirmations ------------------------------------
     confirmed: List[ConfirmedWrite] = []
@@ -228,93 +256,43 @@ def run_group_netsplit_scenario(engine: str, fault_pattern: str,
         confirmed.append(ConfirmedWrite(result.txn_id, values=values))
         healthy_latencies.append(result.responded_at - result.submitted_at)
 
-    # -- phase 2: the fault, with a duration ---------------------------------------
-    if fault_kind == "partition":
-        lan.schedule_fault(LinkFault.partition(fault_pattern, minority,
-                                               majority),
-                           at=FAULT_START, until=FAULT_END)
-    elif fault_kind == "asymmetric":
-        pairs = [(minority[0], name) for name in majority]
-        lan.schedule_fault(LinkFault.asymmetric(fault_pattern, pairs),
-                           at=FAULT_START, until=FAULT_END)
-    elif fault_kind == "lossy":
-        lan.schedule_fault(LinkFault.lossy(fault_pattern, minority, majority,
-                                           probability=0.3),
-                           at=FAULT_START, until=FAULT_END)
-    elif fault_kind == "slow":
-        lan.schedule_fault(LinkFault.slow(fault_pattern, minority, majority,
-                                          factor=50.0),
-                           at=FAULT_START, until=FAULT_END)
-    elif fault_kind == "gray-disk":
-        database = cluster.database(majority_delegate)
-        sim.call_at(FAULT_START, lambda: database.degrade_disk(8.0))
-        sim.call_at(FAULT_END, database.restore_disk)
-    else:  # gray-cpu
-        node = cluster.node(majority_delegate)
-        sim.call_at(FAULT_START, lambda: node.degrade_cpu(20.0))
-        sim.call_at(FAULT_END, node.restore_cpu)
+    # -- phase 2: the fault window goes on the calendar ----------------------------
+    driver.advance()
 
     # -- phase 3: submissions during the window ------------------------------------
     in_flight: List[Tuple[str, str, str, object]] = []  # (side, key, value, waiter)
 
-    def submit_at(when: float, side: str, key: str, server: str) -> None:
-        def submit() -> None:
-            # A refused submission (e.g. the member left the view) surfaces
-            # inside the spawned process: its waiter never commits, which the
-            # blocking predictions allow and ``unresolved`` counts.
-            value = f"{fault_pattern}.{side}:{key}"
-            in_flight.append((side, key, value, submit_writes(
-                cluster, {key: value}, client=f"{side}.{key}",
-                server=server)))
-        sim.call_at(when, submit)
+    def submit(side: str, key: str, server: str) -> None:
+        # A refused submission (e.g. the member left the view) surfaces
+        # inside the spawned process: its waiter never commits, which the
+        # blocking predictions allow and ``unresolved`` counts.
+        value = f"{fault_pattern}.{side}:{key}"
+        in_flight.append((side, key, value, submit_writes(
+            cluster, {key: value}, client=f"{side}.{key}", server=server)))
 
     majority_keys = ("item-20", "item-21", "item-22")
     minority_keys = ("item-30", "item-31")
     for index, key in enumerate(majority_keys):
-        submit_at(FAULT_START + 20.0 + 140.0 * index, "majority", key,
-                  majority_delegate)
+        sim.call_at(FAULT_START + 20.0 + 140.0 * index,
+                    partial(submit, "majority", key, majority_delegate))
     for index, key in enumerate(minority_keys):
-        submit_at(FAULT_START + 50.0 + 180.0 * index, "minority", key,
-                  minority_delegate)
+        sim.call_at(FAULT_START + 50.0 + 180.0 * index,
+                    partial(submit, "minority", key, minority_delegate))
     sim.run(until=FAULT_END)
 
-    fault_latencies: List[float] = []
-    for side, _key, _value, waiter in in_flight:
-        result = waiter.value if waiter.triggered else None
-        if result is not None and result.committed:
-            if side == "majority":
-                outcome.majority_commits += 1
-                fault_latencies.append(result.responded_at
-                                       - result.submitted_at)
-            else:
-                outcome.minority_commits += 1
-    if fault_latencies and healthy_latencies:
+    committed = [(side, waiter.value) for side, _key, _value, waiter
+                 in in_flight if waiter.triggered and waiter.value.committed]
+    fault_latencies = [result.responded_at - result.submitted_at
+                       for side, result in committed if side == "majority"]
+    outcome.majority_commits = len(fault_latencies)
+    outcome.minority_commits = len(committed) - len(fault_latencies)
+    if fault_latencies:
         outcome.latency_inflation = (
             (sum(fault_latencies) / len(fault_latencies))
             / (sum(healthy_latencies) / len(healthy_latencies)))
 
     # -- phase 4: heal, resync, probe ----------------------------------------------
-    sim.run(until=FAULT_END + 300.0)
-    if fault_kind in ("partition", "asymmetric", "lossy"):
-        # Operator resync: a member that sat out a split has missed
-        # deliveries forever (the LAN never retransmits); the documented
-        # remedy is a crash-recovery cycle through the tested state-transfer
-        # machinery.  The member must stay down long enough for the
-        # configured detector to suspect it — removal from the view is what
-        # triggers both the state transfer on re-add and the re-submission
-        # of messages that hung during the fault.
-        config = DETECTOR_CONFIGS[detector]
-        if config["failure_detector_mode"] == "heartbeat":
-            down_for = (config["heartbeat_timeout"]
-                        + 5.0 * config["heartbeat_period"])
-            settle = 500.0
-        else:
-            down_for, settle = 50.0, 350.0
-        for name in minority:
-            cluster.crash_server(name)
-            sim.run(until=sim.now + down_for)
-            cluster.recover_server(name)
-            sim.run(until=sim.now + settle)
+    driver.finish()
 
     def probe_commits(key: str, server: str) -> bool:
         values = {key: f"probe:{key}"}
@@ -334,41 +312,58 @@ def run_group_netsplit_scenario(engine: str, fault_pattern: str,
     # during the fault) join the audited set like those of the window: once
     # a client was answered "committed", the write must be durable and
     # served, whenever it landed.
-    for _side, key, value, waiter in in_flight:
-        if not waiter.triggered:
-            outcome.unresolved += 1
-        elif waiter.value.committed:
-            confirmed.append(ConfirmedWrite(waiter.value.txn_id,
-                                            values={key: value}))
+    outcome.unresolved = sum(not waiter.triggered
+                             for _side, _key, _value, waiter in in_flight)
+    confirmed.extend(ConfirmedWrite(waiter.value.txn_id, values={key: value})
+                     for _side, key, value, waiter in in_flight
+                     if waiter.triggered and waiter.value.committed)
 
     # After heal + resync every server must serve every confirmed value.
     outcome.findings = audit_writes(cluster, confirmed, caught_up=names)
     outcome.converged = not divergent_keys(
         cluster, names, ("item-10", "item-11", "item-40", "item-41")
         + majority_keys + minority_keys)
-    outcome.drops_by_cause = dict(lan.dropped_by_cause)
+    outcome.drops_by_cause = dict(cluster.lan.dropped_by_cause)
     outcome.suspicion_count = cluster.gcs.failure_detector.suspicion_count
     return outcome
 
 
 # --------------------------------------------------------------------------- partitioned cells
-def _partitioned_cluster(engine: str, seed: int,
-                         params: Optional[SimulationParameters]
-                         ) -> PartitionedCluster:
+#: ``migration-fence-split``: when the fence goes up, destination member
+#: ``p1.s3`` is cut off from every other server for 400 ms; after the
+#: migration it is resynchronised through a crash-recovery cycle.
+FENCE_SPLIT_PLAN: Plan = (
+    ("migration.fence", "fault", (LinkFault.isolate("fence-split", "p1.s3", (
+        "p0.s1", "p0.s2", "p0.s3", "p1.s1", "p1.s2")), 400.0)),
+    WORKLOAD, (300.0, "crash", ("p1.s3",)),
+    (50.0, "recover", (("p1.s3",), 500.0)))
+
+#: ``gray-2pc-participant``: every server of the remote shard flushes at 8x
+#: cost for the duration of one cross-partition transaction.
+GRAY_2PC_PLAN: Plan = ((0.0, "degrade-disk", (ALL_SERVERS, 8.0)), WORKLOAD,
+                       (0.0, "restore-disk", ALL_SERVERS))
+
+
+def _partitioned_cell(engine: str, pattern: str,
+                      prediction: NetsplitPrediction, seed: int,
+                      params: Optional[SimulationParameters]
+                      ) -> Tuple[NetsplitCellOutcome, PartitionedCluster]:
+    """The outcome of a partitioned cell, and its started two-shard cluster."""
     cluster = PartitionedCluster(
         GROUP_TECHNIQUE, seed=seed, strategy="range",
         params=small_parameters(params, partition_count=2,
                                 broadcast_engine=engine,
                                 cross_partition_probability=0.0))
     cluster.start()
-    return cluster
+    return NetsplitCellOutcome(engine=engine, fault_pattern=pattern,
+                               detector="perfect",
+                               prediction=prediction), cluster
 
 
 def _range_key(cluster: PartitionedCluster, shard: int,
                offset: int = 1) -> str:
     key_range = cluster.routing.range_of(shard)
-    position = key_range.lo + offset * key_range.width // 8
-    return f"item-{position}"
+    return f"item-{key_range.lo + offset * key_range.width // 8}"
 
 
 def run_migration_fence_split_scenario(engine: str, seed: int = 1,
@@ -381,12 +376,10 @@ def run_migration_fence_split_scenario(engine: str, seed: int = 1,
     epoch record under the split — and the isolated member must serve the
     migrated values after heal + resync.
     """
-    prediction = netsplit_outcome("partition", coordinator_in_minority=False,
-                                  detector_sees_fault=False)
-    outcome = NetsplitCellOutcome(engine=engine,
-                                  fault_pattern="migration-fence-split",
-                                  detector="perfect", prediction=prediction)
-    cluster = _partitioned_cluster(engine, seed, params)
+    outcome, cluster = _partitioned_cell(
+        engine, "migration-fence-split",
+        netsplit_outcome("partition", coordinator_in_minority=False,
+                         detector_sees_fault=False), seed, params)
     sim = cluster.sim
     source, destination = 0, 1
     source_key = _range_key(cluster, source, offset=1)
@@ -395,24 +388,9 @@ def run_migration_fence_split_scenario(engine: str, seed: int = 1,
         confirm(cluster, values, client="fence-setup").txn_id, source,
         values)]
 
-    destination_group = cluster.group(destination)
-    victim = destination_group.server_names()[-1]
-    everyone = [name for group in cluster.groups
-                for name in group.server_names()]
-
-    def split(_context) -> None:
-        cluster.lan.install_fault(
-            LinkFault.isolate("fence-split", victim, everyone))
-        sim.call_after(400.0,
-                       lambda: cluster.lan.remove_fault("fence-split"))
-
-    cluster.add_failpoint("migration.fence", split)
-    driver = cluster.migrate(source, destination, chunk_size=8)
-    if not advance_until(cluster, lambda: driver.triggered,
-                         limit=sim.now + 30_000.0):
-        raise RuntimeError("migration driver never finished under the "
-                           "fence split")
-    report = cluster.migration_reports[-1]
+    driver = PlanDriver(cluster, FENCE_SPLIT_PLAN, shard=destination)
+    driver.advance()
+    report = migrate_shard_zero(cluster, outcome.fault_pattern)
     migration_ok = bool(report.completed and report.verified)
     if migration_ok:
         outcome.majority_commits = 1   # progress under the split
@@ -420,13 +398,7 @@ def run_migration_fence_split_scenario(engine: str, seed: int = 1,
         outcome.problems.append(
             f"migration did not complete under the fence split "
             f"(aborted={report.aborted}, reason={report.abort_reason})")
-    sim.run(until=sim.now + 300.0)
-
-    # Resync the isolated member through crash recovery, then audit.
-    cluster.crash_server(destination, victim)
-    sim.run(until=sim.now + 50.0)
-    cluster.recover_server(destination, victim)
-    sim.run(until=sim.now + 500.0)
+    driver.finish()
 
     probe_key = _range_key(cluster, source, offset=2)
     answer = probe(cluster, {probe_key: f"probe:{probe_key}"},
@@ -438,8 +410,7 @@ def run_migration_fence_split_scenario(engine: str, seed: int = 1,
                                     cluster.partition_of)
     outcome.converged = (
         migration_ok and cluster.partition_of(source_key) == destination
-        and not divergent_keys(destination_group,
-                               destination_group.server_names(),
+        and not divergent_keys(driver.group, driver.group.server_names(),
                                [source_key]))
     outcome.drops_by_cause = dict(cluster.lan.dropped_by_cause)
     outcome.suspicion_count = sum(
@@ -461,23 +432,19 @@ def run_gray_2pc_scenario(engine: str, seed: int = 1,
     # This cell has no minority side (nothing is partitioned away), so the
     # derived minority axis is neutralised: only the progress-under-
     # degradation and no-loss axes are checked.
-    prediction = replace(
-        netsplit_outcome("gray-disk", coordinator_in_minority=False,
-                         detector_sees_fault=False),
-        minority_blocks=None)
-    outcome = NetsplitCellOutcome(engine=engine,
-                                  fault_pattern="gray-2pc-participant",
-                                  detector="perfect", prediction=prediction)
-    cluster = _partitioned_cluster(engine, seed, params)
+    outcome, cluster = _partitioned_cell(
+        engine, "gray-2pc-participant", replace(
+            netsplit_outcome("gray-disk", coordinator_in_minority=False,
+                             detector_sees_fault=False),
+            minority_blocks=None), seed, params)
     sim = cluster.sim
     remote = cluster.partition_count - 1
 
     def cross(tag: str):
         """Run one cross-partition update: its outcome if committed."""
-        values = {_range_key(cluster, 0, offset=1 + len(confirmed)):
-                  f"{tag}:local",
-                  _range_key(cluster, remote, offset=1 + len(confirmed)):
-                  f"{tag}:remote"}
+        offset = 1 + len(confirmed)
+        values = {_range_key(cluster, 0, offset): f"{tag}:local",
+                  _range_key(cluster, remote, offset): f"{tag}:remote"}
         answer = probe(cluster, values, client=tag, limit_ms=10_000.0)
         if answer is None or not answer.committed:
             return None
@@ -489,12 +456,10 @@ def run_gray_2pc_scenario(engine: str, seed: int = 1,
     if healthy is None:
         raise RuntimeError("healthy cross-partition transaction failed")
 
-    remote_group = cluster.group(remote)
-    for name in remote_group.server_names():
-        remote_group.database(name).degrade_disk(8.0)
+    driver = PlanDriver(cluster, GRAY_2PC_PLAN, shard=remote)
+    driver.advance()
     degraded = cross("gray2pc-degraded")
-    for name in remote_group.server_names():
-        remote_group.database(name).restore_disk()
+    driver.finish()
     if degraded is not None:
         outcome.majority_commits = 1
         outcome.latency_inflation = (degraded.response_time
@@ -547,7 +512,7 @@ def run_netsplit_matrix(engines: Optional[Sequence[str]] = None,
     engines = engine_names() if engines is None else engines
     cells = [(engine, pattern, detector, seed, params)
              for engine in engines
-             for pattern in (GROUP_FAULT_PATTERNS if patterns is None
+             for pattern in (GROUP_FAULT_PLANS if patterns is None
                              else patterns)
              for detector in (DETECTOR_CONFIGS if detectors is None
                               else detectors)]

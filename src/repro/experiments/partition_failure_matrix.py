@@ -6,18 +6,22 @@ on one replica group.  This module extends the same discipline to the
 partitioned subsystem: every (technique, shard count, crash pattern) cell
 derives a predicted-loss verdict by composing the per-shard criteria with
 the 2PC blocking rules (:func:`repro.core.matrix.partitioned_loss_condition`),
-runs the concrete schedule through the crash-injection failpoints of
-:class:`~repro.partition.cluster.PartitionedCluster` (deterministic crash
+runs the pattern's workload against its fault plan
+(:class:`~repro.experiments.plans.PlanDriver`; the 2PC and migration crashes
+land through the failpoints of
+:class:`~repro.partition.cluster.PartitionedCluster`, deterministic crash
 points keyed to WAL / 2PC / migration phase, never to wall time), and audits
 per-key commit integrity.
 
-Crash-pattern taxonomy (:data:`PARTITIONED_CRASH_PATTERNS`):
+Crash-pattern taxonomy (:data:`PARTITIONED_CRASH_PATTERNS`, pattern name ->
+workload, group and plan):
 
 * **shard-local** — ``none``, ``shard-delegate``, ``shard-outage`` (the
   whole group of one shard crashes, the delegate never recovers) and
   ``shard-outage-recover-all``.  These are the single-group Table 2/3
-  patterns replayed *inside* one shard of a live partitioned cluster, with
-  the extra observation that the other shards keep serving.
+  plans (:data:`~repro.experiments.scenarios.CRASH_PLANS`) applied *inside*
+  shard 0 of a live partitioned cluster, with the extra observation that
+  the other shards keep serving.
 * **coordinator** — ``coordinator-before-decision`` (the home delegate, and
   with it the 2PC coordinator, crashes after every branch voted yes but
   before the decision record is durable: nothing was installed, the client
@@ -48,7 +52,8 @@ the shared :mod:`repro.experiments.harness`; the per-key audit is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.audit import ConfirmedWrite, Finding, FindingKind, audit_writes
 from ..partition.cluster import PartitionedCluster
@@ -59,23 +64,12 @@ from .harness import (SMOKE_TECHNIQUES, TECHNIQUES, TRACE_ARGUMENT, LossCell,
                       advance_until, confirm, demonstrated, loss_bars,
                       loss_cell, matrix_cli, probe, run_cells,
                       small_parameters, submit_writes, violations)
+from .plans import (DELEGATE, NON_DELEGATES, WORKLOAD, Plan, PlanDriver,
+                    plan_entry)
+from .scenarios import CRASH_PLANS, FREEZE, FROZEN, SETTLE
 
-#: The partitioned crash patterns, with one-line descriptions (the taxonomy
-#: of the module docstring; validated by :func:`run_partitioned_crash_scenario`).
-PARTITIONED_CRASH_PATTERNS: Dict[str, str] = {
-    "none": "no crash (audit-machinery baseline)",
-    "shard-delegate": "the delegate of the owning shard crashes, stays down",
-    "shard-outage": "whole-shard outage; only the non-delegates recover",
-    "shard-outage-recover-all": "whole-shard outage; every server recovers",
-    "coordinator-before-decision": "home delegate dies after the votes, "
-                                   "before the decision is durable",
-    "coordinator-after-decision": "home delegate dies after the forced "
-                                  "DECISION record, mid phase 2",
-    "migration-source-copy": "source group dies during the warm copy",
-    "migration-dest-fence": "destination group dies under the write fence",
-    "migration-post-epoch": "old owner dies after the EPOCH record is "
-                            "durable on the destination",
-}
+#: A pattern's entry: (workload, the group its plan addresses, plan).
+_Entry = Tuple[Callable, int, Plan]
 
 #: Patterns every matrix run must include for the acceptance bars
 #: (whole-shard outage, a coordinator crash, two mid-migration points).
@@ -88,10 +82,6 @@ REQUIRED_PATTERN_CLASSES: Dict[str, Tuple[str, ...]] = {
                                           "migration-post-epoch"),
 }
 
-#: Simulated time each scenario waits after its recoveries, for replays
-#: and catch-up to land.
-SETTLE_MS = 2_000.0
-
 
 # --------------------------------------------------------------------------- outcome types
 @dataclass
@@ -99,9 +89,9 @@ class ShardStatus:
     """What the crash pattern did to one shard the audited transaction needs."""
 
     partition_id: int
-    group_failed: bool
+    group_failed: bool = False
     #: Crashed and never recovered (the Table 3 meaning of "Sd crashes").
-    delegate_crashed: bool
+    delegate_crashed: bool = False
 
 
 @dataclass
@@ -136,8 +126,6 @@ class PartitionedScenarioOutcome:
     #: right reason, or completed verified).  None for non-migration patterns.
     migration_ok: Optional[bool] = None
     migration: Optional[MigrationReport] = None
-    crashed_servers: List[str] = field(default_factory=list)
-    recovered_servers: List[str] = field(default_factory=list)
 
     def _found(self, kind: FindingKind) -> bool:
         return any(finding.kind is kind for finding in self.findings)
@@ -199,11 +187,15 @@ def _probe_commits(cluster: PartitionedCluster, shard: int, tag: str) -> bool:
     return bool(result is not None and result.committed)
 
 
-def _recover_group(cluster: PartitionedCluster, partition_id: int,
-                   servers: Sequence[str], step_ms: float = 50.0) -> None:
-    for name in servers:
-        cluster.recover_server(partition_id, name)
-        cluster.run(until=cluster.sim.now + step_ms)
+def migrate_shard_zero(cluster: PartitionedCluster,
+                       pattern: str) -> MigrationReport:
+    """Migrate shard 0 to the last group and wait for the migration's end."""
+    migration = cluster.migrate(0, cluster.partition_count - 1, chunk_size=8)
+    if not advance_until(cluster, lambda: migration.triggered,
+                         limit=cluster.sim.now + 30_000.0):
+        raise RuntimeError(f"migration driver never finished under "
+                           f"pattern {pattern!r}")
+    return cluster.migration_reports[-1]
 
 
 # --------------------------------------------------------------------------- scenarios
@@ -214,14 +206,12 @@ def run_partitioned_crash_scenario(technique: str, crash_pattern: str,
     """Run one partitioned failure-injection scenario and audit it.
 
     Builds a range-sharded cluster of ``shard_count`` groups (all running
-    ``technique``), confirms an update inside shard 0's range, injects the
-    pattern's crash — through a deterministic failpoint for the 2PC and
-    migration patterns — runs the recoveries, and audits the aftermath.
+    ``technique``) and runs the pattern's workload against its plan
+    (:data:`PARTITIONED_CRASH_PATTERNS`): the crashes land through a
+    deterministic failpoint for the 2PC and migration patterns.
     """
-    if crash_pattern not in PARTITIONED_CRASH_PATTERNS:
-        raise ValueError(
-            f"unknown crash pattern {crash_pattern!r}; expected one of "
-            f"{sorted(PARTITIONED_CRASH_PATTERNS)}")
+    workload, shard, plan = plan_entry(PARTITIONED_CRASH_PATTERNS,
+                                       crash_pattern, "crash pattern")
     if shard_count < 2:
         raise ValueError("the partitioned matrix needs at least 2 shards")
     cluster = PartitionedCluster(
@@ -232,58 +222,26 @@ def run_partitioned_crash_scenario(technique: str, crash_pattern: str,
     outcome = PartitionedScenarioOutcome(
         technique=technique, crash_pattern=crash_pattern,
         shard_count=shard_count, confirmed=True)
-    if crash_pattern.startswith("coordinator-"):
-        _run_coordinator_pattern(cluster, outcome)
-    elif crash_pattern.startswith("migration-"):
-        _run_migration_pattern(cluster, outcome)
-    else:
-        _run_shard_pattern(cluster, outcome)
+    workload(cluster, outcome, PlanDriver(cluster, plan, shard=shard))
     return outcome
 
 
-def _run_shard_pattern(cluster: PartitionedCluster,
-                       outcome: PartitionedScenarioOutcome) -> None:
-    """The single-group Table 2/3 patterns, replayed inside shard 0."""
-    sim, pattern = cluster.sim, outcome.crash_pattern
-    group = cluster.group(0)
-    names = group.server_names()
-    delegate = group.choose_delegate(0)
-    remote_shard = cluster.partition_count - 1
-    freeze = pattern in ("shard-outage", "shard-outage-recover-all")
-    non_delegates = [name for name in names if name != delegate]
-    if freeze:
-        # The Fig. 5 window: the non-delegates crash after *delivering* the
-        # transaction's message but before processing it.
-        for name in non_delegates:
-            group.replica(name).processing_gate.close()
-
+def _shard_workload(cluster: PartitionedCluster,
+                    outcome: PartitionedScenarioOutcome,
+                    driver: PlanDriver) -> None:
+    """Confirm an update inside shard 0; the other shards keep serving."""
+    pattern, group = outcome.crash_pattern, driver.group
+    names, delegate = group.server_names(), group.choose_delegate(0)
+    driver.advance()
     write = _confirmed(cluster, _shard_keys(cluster, 0), tag=pattern)
-    sim.run(until=sim.now + 10.0)
+    driver.finish()
 
-    crashed: List[str] = []
-    recovered: List[str] = []
-    if pattern == "shard-delegate":
-        crashed = [delegate]
-        cluster.crash_server(0, delegate)
-    elif pattern != "none":
-        crashed = list(names)
-        recovered = (non_delegates if pattern == "shard-outage"
-                     else non_delegates + [delegate])
-        cluster.crash_partition(0)
-    sim.run(until=sim.now + 5.0)
-    for name in names:
-        group.replica(name).processing_gate.open()
-    _recover_group(cluster, 0, recovered)
-    sim.run(until=sim.now + SETTLE_MS)
-
-    outcome.crashed_servers, outcome.recovered_servers = crashed, recovered
+    crashed, recovered = driver.crashed, driver.recovered
     outcome.audited_shards = [ShardStatus(
-        partition_id=0,
-        group_failed=len(crashed) > len(names) // 2,
+        0, group_failed=len(crashed) > len(names) // 2,
         delegate_crashed=delegate in crashed and delegate not in recovered)]
-    # The outage is contained: the other shards keep serving.
-    outcome.fresh_commit_ok = _probe_commits(cluster, remote_shard,
-                                             tag=f"{pattern}.probe")
+    outcome.fresh_commit_ok = _probe_commits(
+        cluster, cluster.partition_count - 1, tag=f"{pattern}.probe")
     outcome.findings = audit_writes(cluster.groups, [write],
                                     cluster.partition_of)
     outcome.routing_consistent = (
@@ -291,56 +249,39 @@ def _run_shard_pattern(cluster: PartitionedCluster,
             next(iter(write.values))) == 0)
 
 
-def _run_coordinator_pattern(cluster: PartitionedCluster,
-                             outcome: PartitionedScenarioOutcome) -> None:
-    """Home-delegate (= coordinator) crashes around the 2PC decision point."""
+def _coordinator_workload(cluster: PartitionedCluster,
+                          outcome: PartitionedScenarioOutcome,
+                          driver: PlanDriver, decided: bool) -> None:
+    """A 2PC transaction from shard 0 (its home) to the last shard."""
     sim, pattern = cluster.sim, outcome.crash_pattern
     remote_shard = cluster.partition_count - 1
-    local_key = _shard_keys(cluster, 0, count=1)[0]
-    remote_key = _shard_keys(cluster, remote_shard, count=1)[0]
-    values = {local_key: f"{pattern}:{local_key}",
-              remote_key: f"{pattern}:{remote_key}"}
-
-    crash_site: Dict[str, object] = {}
-
-    def crash_home(context: Dict[str, object]) -> None:
-        home = context["home"]
-        server = context["delegates"][home]
-        crash_site.update(partition=home, server=server)
-        cluster.crash_server(home, server)
-
-    phase = ("2pc.prepared" if pattern == "coordinator-before-decision"
-             else "2pc.decided")
-    cluster.add_failpoint(phase, crash_home)
+    values = {key: f"{pattern}:{key}"
+              for shard in (0, remote_shard)
+              for key in _shard_keys(cluster, shard, count=1)}
+    driver.advance()
     waiter = submit_writes(cluster, values, client=pattern)
-
-    if pattern == "coordinator-before-decision":
+    if decided:
+        # The decision is durable: the client blocks (classic 2PC) until
+        # the recovered home delegate replays the DECISION record.
+        sim.run(until=sim.now + 1_500.0)
+        outcome.blocked_before_recovery = not waiter.triggered
+    else:
         # The decision was never durable: the coordinator aborts (bounded
         # decision wait) and the client is answered while the crashed home
         # delegate is still down — nothing installed, nobody waits for it.
         outcome.resolved_before_recovery = advance_until(
             cluster, lambda: waiter.triggered, limit=sim.now + 8_000.0)
-    else:
-        # The decision is durable: the client blocks (classic 2PC) until
-        # the recovered home delegate replays the DECISION record.
-        sim.run(until=sim.now + 1_500.0)
-        outcome.blocked_before_recovery = not waiter.triggered
-    assert crash_site, "the 2PC failpoint never fired"
-    cluster.recover_server(crash_site["partition"], crash_site["server"])
-    outcome.recovered_servers = [crash_site["server"]]
-    outcome.crashed_servers = [crash_site["server"]]
+    driver.advance()
     outcome.resolved = advance_until(cluster, lambda: waiter.triggered,
                                      limit=sim.now + 20_000.0)
-    sim.run(until=sim.now + SETTLE_MS)
+    driver.finish()
 
     cross = waiter.value if waiter.triggered else None
     outcome.confirmed = bool(cross is not None and cross.committed)
     # Every involved delegate is up again: each branch enters the
     # composition as an ordinary no-crash shard (the 2PC blocking rules
     # turn the coordinator crash into delay, not loss).
-    outcome.audited_shards = [
-        ShardStatus(partition_id=pid, group_failed=False,
-                    delegate_crashed=False) for pid in (0, remote_shard)]
+    outcome.audited_shards = [ShardStatus(pid) for pid in (0, remote_shard)]
     if outcome.confirmed:
         outcome.findings = audit_writes(
             cluster.groups, branch_writes(cluster, cross, values),
@@ -358,65 +299,36 @@ def _run_coordinator_pattern(cluster: PartitionedCluster,
         and _probe_commits(cluster, remote_shard, tag=f"{pattern}.probe1"))
 
 
-def _run_migration_pattern(cluster: PartitionedCluster,
-                           outcome: PartitionedScenarioOutcome) -> None:
-    """Whole-group crashes at deterministic points of a live migration."""
-    sim, pattern = cluster.sim, outcome.crash_pattern
+def _migration_workload(cluster: PartitionedCluster,
+                        outcome: PartitionedScenarioOutcome,
+                        driver: PlanDriver,
+                        abort_reason: Optional[str]) -> None:
+    """Migrate shard 0 to the last group while the plan crashes a group.
+
+    The migration must abort with ``abort_reason`` and leave the source
+    serving, or (``None``) complete and hand the range to the destination.
+    """
+    pattern = outcome.crash_pattern
     source, destination = 0, cluster.partition_count - 1
+    owner = source if abort_reason else destination
     target_keys = _shard_keys(cluster, source)
+    driver.advance()
     write = _confirmed(cluster, target_keys, tag=pattern)
-    # Let the confirmed write finish processing and reach the delegate's
-    # log before anything crashes (the lazy techniques confirm early).
-    sim.run(until=sim.now + 150.0)
-
-    phase = {"migration-source-copy": "migration.copy-chunk",
-             "migration-dest-fence": "migration.fence",
-             "migration-post-epoch": "migration.epoch-logged"}[pattern]
-    crashed_group = destination if pattern == "migration-dest-fence" \
-        else source
-    cluster.add_failpoint(
-        phase, lambda context: cluster.crash_partition(crashed_group))
-    driver = cluster.migrate(source, destination, chunk_size=8)
-    if not advance_until(cluster, lambda: driver.triggered,
-                         limit=sim.now + 30_000.0):
-        raise RuntimeError(f"migration driver never finished under "
-                           f"pattern {pattern!r}")
-    report = outcome.migration = cluster.migration_reports[-1]
-    group = cluster.group(crashed_group)
-    outcome.crashed_servers = list(group.server_names())
-
-    if pattern == "migration-source-copy":
-        outcome.migration_ok = (report.aborted
-                                and report.abort_reason
-                                == "source-unavailable")
-        owner, group_failed = source, True
-    elif pattern == "migration-dest-fence":
-        outcome.migration_ok = (report.aborted
-                                and report.abort_reason
-                                == "destination-unavailable")
-        owner, group_failed = source, False
-        # The fence must have lifted with the abort: the range accepts
-        # writes again while the destination group is still down.
+    driver.advance()
+    report = outcome.migration = migrate_shard_zero(cluster, pattern)
+    outcome.migration_ok = (
+        report.aborted and report.abort_reason == abort_reason
+        if abort_reason else bool(report.completed and report.verified))
+    if driver.shard != owner:
+        # The owner serves while the crashed group is down: the fence
+        # lifted with the abort, or the handoff already serves.
+        tag = "unfenced" if abort_reason else "handoff"
         outcome.fresh_commit_ok = _probe_commits(cluster, source,
-                                                 tag=f"{pattern}.unfenced")
-    else:  # migration-post-epoch
-        outcome.migration_ok = bool(report.completed and report.verified)
-        owner, group_failed = destination, False
-        # The handoff must already serve: the migrated range commits on
-        # the destination while the old owner is still down.
-        outcome.fresh_commit_ok = _probe_commits(cluster, 0,
-                                                 tag=f"{pattern}.handoff")
+                                                 tag=f"{pattern}.{tag}")
+    driver.finish()
 
-    delegate = group.server_names()[0]
-    non_delegates = [name for name in group.server_names()
-                     if name != delegate]
-    _recover_group(cluster, crashed_group, non_delegates + [delegate])
-    outcome.recovered_servers = non_delegates + [delegate]
-    sim.run(until=sim.now + SETTLE_MS)
-
-    outcome.audited_shards = [ShardStatus(partition_id=owner,
-                                          group_failed=group_failed,
-                                          delegate_crashed=False)]
+    outcome.audited_shards = [
+        ShardStatus(owner, group_failed=driver.shard == owner)]
     served_by = cluster.partition_of(target_keys[0])
     recovered_by = cluster.recovered_routing().partition_of(target_keys[0])
     outcome.routing_consistent = served_by == owner == recovered_by
@@ -425,6 +337,47 @@ def _run_migration_pattern(cluster: PartitionedCluster,
     if outcome.fresh_commit_ok:
         outcome.fresh_commit_ok = _probe_commits(cluster, destination,
                                                  tag=f"{pattern}.probe")
+
+
+def _shard(pattern: str) -> _Entry:
+    """The single-group crash plan ``pattern``, applied to shard 0."""
+    return (_shard_workload, 0,
+            (FREEZE if pattern in FROZEN else ()) + CRASH_PLANS[pattern])
+
+
+def _coordinator(phase: str) -> _Entry:
+    """The home delegate (shard 0's first server) crashes at the 2PC
+    ``phase``; it recovers after the client's first wait."""
+    return (partial(_coordinator_workload, decided=phase == "2pc.decided"), 0,
+            ((phase, "crash", DELEGATE), WORKLOAD,
+             (0.0, "recover", (DELEGATE, 0.0)), WORKLOAD, SETTLE))
+
+
+def _migration(phase: str, shard: int, abort_reason: Optional[str]) -> _Entry:
+    """After the confirmed write had 150 ms to reach the delegate's log
+    (the lazy techniques confirm early), group ``shard`` crashes whole at
+    the migration ``phase``; it recovers non-delegates first."""
+    return (partial(_migration_workload, abort_reason=abort_reason), shard,
+            (WORKLOAD, (150.0, "wait", None), (phase, "crash-group", None),
+             WORKLOAD, (0.0, "recover", (NON_DELEGATES, 50.0)),
+             (0.0, "recover", (DELEGATE, 50.0)), SETTLE))
+
+
+#: The partitioned crash patterns (the taxonomy of the module docstring):
+#: name -> (workload, the group the plan addresses, plan).
+PARTITIONED_CRASH_PATTERNS: Dict[str, _Entry] = {
+    "none": _shard("none"),
+    "shard-delegate": _shard("delegate"),
+    "shard-outage": _shard("all-delegate-stays-down"),
+    "shard-outage-recover-all": _shard("all-recover-all"),
+    "coordinator-before-decision": _coordinator("2pc.prepared"),
+    "coordinator-after-decision": _coordinator("2pc.decided"),
+    "migration-source-copy": _migration("migration.copy-chunk", 0,
+                                        "source-unavailable"),
+    "migration-dest-fence": _migration("migration.fence", -1,
+                                       "destination-unavailable"),
+    "migration-post-epoch": _migration("migration.epoch-logged", 0, None),
+}
 
 
 # --------------------------------------------------------------------------- the matrix

@@ -23,6 +23,16 @@ from ..core.reliability import ScalingPoint, scaling_comparison
 from ..db.operations import Operation, OperationType, TransactionProgram
 from ..replication.cluster import ReplicatedDatabaseCluster
 from ..workload.params import SimulationParameters
+from .plans import ALL_SERVERS, WORKLOAD, Plan, PlanDriver
+
+
+#: Every processing stage stays frozen while the conflicting pairs execute
+#: their read phases (the first 200 ms), so that both members of every pair
+#: observe the same item versions: the conflict is then guaranteed, not a
+#: race on disk timings.  (For the lazy techniques the gate only delays the
+#: background propagation, which the settling time absorbs.)
+CONFLICT_WINDOW_PLAN: Plan = ((0.0, "close-gates", ALL_SERVERS), WORKLOAD,
+                              (200.0, "open-gates", ALL_SERVERS))
 
 
 @dataclass
@@ -57,13 +67,8 @@ def conflicting_updates_run(technique: str, conflicts: int = 10,
     cluster.start()
     sim = cluster.sim
     servers = cluster.server_names()[:2]
-    # Freeze the processing stage while the conflicting pairs execute their
-    # read phases, so that both members of every pair observe the same item
-    # versions: the conflict is then guaranteed, not a race on disk timings.
-    # (For the lazy techniques the gate only delays the background
-    # propagation, which the settling time below absorbs.)
-    for name in cluster.server_names():
-        cluster.replica(name).processing_gate.close()
+    driver = PlanDriver(cluster, CONFLICT_WINDOW_PLAN)
+    driver.advance()
     waiters = []
     for index in range(conflicts):
         key = f"item-{index % parameters.item_count}"
@@ -74,9 +79,7 @@ def conflicting_updates_run(technique: str, conflicts: int = 10,
                                       value=f"{server}-update-{index}")),
                 client=f"conflict-{index}-{which}")
             waiters.append(cluster.run_transaction(program, server=server))
-    sim.run(until=200.0)
-    for name in cluster.server_names():
-        cluster.replica(name).processing_gate.open()
+    driver.finish()
     sim.run(until=5_000.0)
 
     results = [waiter.value for waiter in waiters if waiter.triggered]

@@ -1,18 +1,18 @@
 """Failure-injection scenarios (Fig. 5, Fig. 7 and the Table 2/3 patterns).
 
-Every scenario follows the same script, parameterised by the replication
-technique and the crash pattern:
+Every scenario is one workload run against the crash plan of a pattern
+(:data:`CRASH_PLANS`, applied by :class:`~repro.experiments.plans.PlanDriver`)
+on a small cluster (3 servers by default, ``s1`` is the delegate):
 
-1. build a small cluster (3 servers by default, ``s1`` is the delegate);
-2. optionally freeze the *processing* stage of the non-delegate servers by
-   closing their processing gate — this creates the delivered-but-not-
-   processed window at the heart of the paper's Fig. 5 argument;
-3. submit one update transaction to the delegate and wait until the client is
-   notified of the commit;
-4. crash the servers of the chosen pattern;
-5. re-open the gates, recover the chosen servers and let their recovery
-   procedures (redo, state transfer or message replay) finish;
-6. audit the cluster: is the confirmed transaction still (or again) part of
+1. optionally (:data:`FREEZE`) close the processing gate of the non-delegate
+   servers — the delivered-but-not-processed window at the heart of the
+   paper's Fig. 5 argument;
+2. the workload: submit one update transaction to the delegate and wait
+   until the client is notified of the commit;
+3. the plan: crash the pattern's servers, re-open the gates, recover the
+   pattern's servers and let their recovery procedures (redo, state
+   transfer or message replay) finish;
+4. audit the cluster: is the confirmed transaction still (or again) part of
    the replicated database, or was it lost?
 
 The outcome of the audit is what Tables 2 and 3 and the Fig. 5/7 comparison
@@ -22,12 +22,15 @@ are about.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..core.durability import TransactionFate, transaction_fate
 from ..replication.cluster import ReplicatedDatabaseCluster
 from ..replication.results import TransactionResult
 from ..workload.params import SimulationParameters
+from .harness import small_parameters
+from .plans import (ALL_SERVERS, DELEGATE, NON_DELEGATES, WORKLOAD, Plan,
+                    PlanDriver, Step, plan_entry)
 
 
 @dataclass
@@ -52,23 +55,46 @@ class ScenarioOutcome:
         return self.fate.is_lost
 
 
-#: Named crash patterns used by the Table 2 / Table 3 experiments.  Each maps
-#: to (servers to crash, servers to recover afterwards).
-CRASH_PATTERNS: Dict[str, Dict[str, Sequence[str]]] = {
-    "none": {"crash": (), "recover": ()},
-    "delegate": {"crash": ("s1",), "recover": ()},
-    "minority": {"crash": ("s3",), "recover": ()},
-    "group-fails-delegate-up": {"crash": ("s2", "s3"), "recover": ("s2", "s3")},
-    "all-delegate-stays-down": {"crash": ("s1", "s2", "s3"),
-                                "recover": ("s2", "s3")},
-    "all-recover-all": {"crash": ("s1", "s2", "s3"),
-                        "recover": ("s2", "s3", "s1")},
-}
-
-
 #: Simulated time a scenario waits for the response, and again after the
 #: recoveries, for replays and catch-up to land.
 SETTLE_TIME_MS = 2_000.0
+SETTLE: Step = (SETTLE_TIME_MS, "wait", None)
+
+#: Closes the processing gate of every server but the delegate before the
+#: transaction is submitted, so that those servers crash *after delivering*
+#: its message but *before processing it* — Fig. 5's window.
+FREEZE: Plan = ((0.0, "close-gates", NON_DELEGATES),)
+#: The matrix patterns that crash in that window (the others crash after
+#: the survivors processed the transaction).
+FROZEN = ("all-delegate-stays-down", "all-recover-all")
+
+
+def _crash_plan(verb: str, target, *recoveries) -> Plan:
+    """Confirm; crash 10 ms later; re-open every gate; recover; settle.
+
+    The 10 ms let in-flight deliveries land (frozen *before processing* if
+    the gates are closed) while staying well below the lazy propagation
+    interval, so a crashed delegate still crashes before anything left it.
+    Recovered servers process the replays through the re-opened gates.
+    """
+    return ((WORKLOAD, (10.0, verb, target), (5.0, "open-gates", ALL_SERVERS))
+            + tuple((0.0, "recover", (servers, 50.0))
+                    for servers in recoveries)
+            + (SETTLE,))
+
+
+#: The crash plans of the Table 2 / Table 3 experiments, by pattern name.
+CRASH_PLANS: Dict[str, Plan] = {
+    "none": _crash_plan("wait", None),
+    "delegate": _crash_plan("crash", DELEGATE),
+    "minority": _crash_plan("crash", ("s3",)),
+    "group-fails-delegate-up": _crash_plan("crash", NON_DELEGATES,
+                                           NON_DELEGATES),
+    "all-delegate-stays-down": _crash_plan("crash-group", None,
+                                           NON_DELEGATES),
+    "all-recover-all": _crash_plan("crash-group", None,
+                                   NON_DELEGATES, DELEGATE),
+}
 
 
 def run_crash_scenario(technique: str, crash_pattern: str = "all-delegate-stays-down",
@@ -77,62 +103,34 @@ def run_crash_scenario(technique: str, crash_pattern: str = "all-delegate-stays-
                        freeze_non_delegates: bool = True) -> ScenarioOutcome:
     """Run one failure-injection scenario and return its audited outcome.
 
-    ``freeze_non_delegates`` closes the processing gate of every server except
-    the delegate before the transaction is submitted, so that those servers
-    crash *after delivering* the transaction's message but *before processing
-    it* — the exact window of Fig. 5.  Set it to False for patterns where the
-    survivors are supposed to have processed the transaction normally.
+    ``freeze_non_delegates`` prefixes the pattern's plan with
+    :data:`FREEZE`.  Set it to False for patterns where the survivors are
+    supposed to have processed the transaction normally.
     """
-    if crash_pattern not in CRASH_PATTERNS:
-        raise ValueError(f"unknown crash pattern {crash_pattern!r}; "
-                         f"expected one of {sorted(CRASH_PATTERNS)}")
-    pattern = CRASH_PATTERNS[crash_pattern]
-    parameters = params or SimulationParameters.small(server_count=3,
-                                                      item_count=100)
-    cluster = ReplicatedDatabaseCluster(technique, params=parameters, seed=seed)
+    plan = plan_entry(CRASH_PLANS, crash_pattern, "crash pattern")
+    cluster = ReplicatedDatabaseCluster(technique, seed=seed,
+                                        params=small_parameters(params))
     cluster.start()
-    sim = cluster.sim
     delegate = "s1"
-
-    if freeze_non_delegates:
-        for name in cluster.server_names():
-            if name != delegate:
-                cluster.replica(name).processing_gate.close()
+    driver = PlanDriver(cluster,
+                        (FREEZE if freeze_non_delegates else ()) + plan)
+    driver.advance()
 
     # One deterministic update-only transaction on the delegate.
     program = cluster.workload.update_only_program(write_count=3,
                                                    client="scenario")
     waiter = cluster.run_transaction(program, server=delegate)
-    response: TransactionResult = sim.run_until_complete(
-        waiter, limit=sim.now + SETTLE_TIME_MS)
+    response: TransactionResult = cluster.sim.run_until_complete(
+        waiter, limit=cluster.sim.now + SETTLE_TIME_MS)
     txn_id = response.txn_id
+    driver.finish()
 
-    # Give the survivors a short moment so that in-flight deliveries land
-    # (they stay frozen *before processing* if the gates are closed), but stay
-    # well below the lazy propagation interval so that crashing the delegate
-    # still happens before anything left it.
-    sim.run(until=sim.now + 10.0)
-
-    crashed = list(pattern["crash"])
-    for name in crashed:
-        cluster.crash_server(name)
-    sim.run(until=sim.now + 5.0)
-
-    # Re-open the gates so that recovered servers can process replays.
-    for name in cluster.server_names():
-        cluster.replica(name).processing_gate.open()
-
-    recovered = list(pattern["recover"])
-    for name in recovered:
-        cluster.recover_server(name)
-        sim.run(until=sim.now + 50.0)
-    sim.run(until=sim.now + SETTLE_TIME_MS)
-
-    fate = transaction_fate(cluster, txn_id,
-                            confirmed_to_client=response.committed)
+    crashed, recovered = driver.crashed, driver.recovered
     return ScenarioOutcome(
         technique=technique, crash_pattern=crash_pattern, txn_id=txn_id,
-        confirmed=response.committed, response=response, fate=fate,
+        confirmed=response.committed, response=response,
+        fate=transaction_fate(cluster, txn_id,
+                              confirmed_to_client=response.committed),
         committed_on=cluster.committed_anywhere(txn_id),
         recovered_servers=recovered, crashed_servers=crashed,
         group_failed=len(crashed) > len(cluster.server_names()) // 2,

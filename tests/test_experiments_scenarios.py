@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import (CRASH_PATTERNS, crash_tolerance_summary,
+from repro.experiments import (CRASH_PLANS, crash_tolerance_summary,
                                demonstrated, figure5_scenario,
                                figure7_scenario, render_matrix,
                                run_crash_scenario, run_failure_matrix,
@@ -95,7 +95,15 @@ def test_group_fails_and_all_recover_separates_group_safe_from_group_1_safe(
 def test_unknown_crash_pattern_rejected():
     with pytest.raises(ValueError):
         run_crash_scenario("group-safe", "not-a-pattern")
-    assert "all-recover-all" in CRASH_PATTERNS
+    assert "all-recover-all" in CRASH_PLANS
+
+
+@pytest.mark.parametrize("pattern", sorted(CRASH_PLANS))
+def test_every_crash_plan_runs_and_two_safe_keeps_the_transaction(pattern):
+    outcome = run_crash_scenario("2-safe", pattern)
+    assert outcome.confirmed and not outcome.transaction_lost
+    # The outcome records what the plan did, in plan order.
+    assert set(outcome.recovered_servers) <= set(outcome.crashed_servers)
 
 
 @pytest.fixture(scope="module")

@@ -17,7 +17,7 @@ from repro.core.matrix import (NETSPLIT_FAULT_KINDS, NetsplitPrediction,
                                netsplit_outcome)
 from repro.experiments.harness import violations
 from repro.experiments.netsplit_matrix import (
-    DETECTOR_CONFIGS, FAULT_END, FAULT_START, GROUP_FAULT_PATTERNS,
+    DETECTOR_CONFIGS, FAULT_END, FAULT_START, GROUP_FAULT_PLANS,
     NetsplitCellOutcome, engines_missing_minority_blocking,
     netsplit_prediction_mismatches, render_netsplit_matrix,
     run_gray_2pc_scenario, run_group_netsplit_scenario,
@@ -216,6 +216,27 @@ def test_fault_window_and_configs_are_consistent():
         FAULT_END - FAULT_START
     assert DETECTOR_CONFIGS["hb-slow"]["heartbeat_timeout"] > \
         FAULT_END - FAULT_START
-    for pattern, (kind, minority, _) in GROUP_FAULT_PATTERNS.items():
+    for pattern, (kind, minority, plan) in GROUP_FAULT_PLANS.items():
         assert kind in NETSPLIT_FAULT_KINDS, pattern
+        assert set(minority) <= {"s1", "s3"}, pattern
         assert "s2" not in minority, "s2 is the fixed majority delegate"
+        # The plan opens the fault window and breaks the declared
+        # minority's links, or (a gray failure) degrades s2 itself.
+        assert plan[0][0] == FAULT_START, pattern
+        for _when, verb, target in plan:
+            if verb == "fault":
+                fault, duration = target
+                assert duration == FAULT_END - FAULT_START
+                pairs = fault.blocked + tuple(
+                    pair for pair, _ in fault.loss + fault.latency_factors)
+                assert pairs and all(minority[0] in pair for pair in pairs)
+            else:
+                names = target[0] if verb.startswith("degrade") else target
+                assert names == ("s2",), pattern
+
+
+@pytest.mark.parametrize("pattern", sorted(GROUP_FAULT_PLANS))
+def test_every_group_fault_plan_runs_sound(pattern):
+    outcome = run_group_netsplit_scenario("fixed-sequencer", pattern,
+                                          "perfect")
+    assert outcome.sound and outcome.matched, pattern
