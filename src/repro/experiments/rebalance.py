@@ -230,10 +230,7 @@ def render_rebalance_report(static: RebalanceOutcome,
             f"{migration.forwarded_writes} dual-writes forwarded",
             f"  copy {migration.copy_duration_ms:.0f} ms in "
             f"{migration.copy_chunks} chunks "
-            f"(concurrency {migration.copy_concurrency}, peak "
-            f"{migration.copy_inflight_peak} in flight, "
-            f"{migration.throttle_waits} throttle waits, "
-            f"{migration.throttle_wait_ms:.0f} ms throttled)",
+            f"(peak {migration.copy_inflight_peak} in flight)",
             f"  total {migration.duration_ms:.0f} ms, write fence "
             f"{migration.fence_duration_ms:.0f} ms, verified="
             f"{migration.verified}",

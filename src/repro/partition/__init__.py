@@ -22,7 +22,7 @@ keep submitting.
   submission, failpoints, crash / recovery, and the ``migrate()`` and
   :meth:`~repro.partition.cluster.PartitionedCluster.rebalance` entry points;
 * :mod:`~repro.partition.migration` — the live-migration protocol as one
-  ``Migration`` object (overlapped, throttled copy, dual writes, fence and
+  ``Migration`` object (overlapped copy, dual writes, fence and
   drain, force-logged epoch bump) and its :class:`MigrationReport`;
 * :mod:`~repro.partition.workload` — partition-aware workload generation and
   the open-loop load driver;

@@ -41,9 +41,8 @@ Typical use::
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..db.operations import TransactionProgram
 from ..db.wal import LogRecord
@@ -57,8 +56,7 @@ from ..sim.process import Process
 from ..workload.params import SimulationParameters
 from .coordinator import (ABORT_WRONG_EPOCH, CrossPartitionCoordinator,
                           CrossPartitionOutcome)
-from .migration import (COPY_BUDGET_TPS, COPY_CONCURRENCY, COPY_MIN_TPS,
-                        Migration, MigrationReport)
+from .migration import Migration, MigrationReport
 from .routing import RoutingTable, WrongEpochError
 from .router import TransactionRouter
 from .workload import PartitionedWorkloadGenerator
@@ -78,17 +76,6 @@ class CrashEvent:
         return f"<CrashEvent {self.kind} p{self.partition_id}.{scope} @{self.at:.1f}>"
 
 
-@dataclass
-class _Failpoint:
-    """One registered crash-injection hook (see :meth:`PartitionedCluster.
-    add_failpoint`)."""
-
-    phase: str
-    callback: Callable[[Dict[str, object]], None]
-    once: bool = True
-    fired: int = 0
-
-
 class PartitionedCluster:
     """Several independent replica groups sharing one simulated world."""
 
@@ -100,8 +87,6 @@ class PartitionedCluster:
     WRONG_EPOCH_MAX_BACKOFF = 50.0
     #: Submission attempts before a wrong-epoch retry gives up.
     WRONG_EPOCH_MAX_RETRIES = 100
-    #: Trailing window (ms) over which the client submit rate is measured.
-    SUBMIT_RATE_WINDOW_MS = 1_000.0
 
     def __init__(self, technique: str = "group-safe",
                  params: Optional[SimulationParameters] = None,
@@ -145,26 +130,16 @@ class PartitionedCluster:
         self.coordinator = CrossPartitionCoordinator(self)
         #: The live migration in flight, if any (migrations are serialised).
         self.migration: Optional[Migration] = None
-        #: Per-group submissions whose response has not fired yet.  A
-        #: migration starting *now* must dual-write the writes that were
-        #: already in flight on its source group, not just future ones.
-        self._inflight_by_group: Dict[int, List] = {
-            partition_id: [] for partition_id in range(self.partition_count)}
-        #: Per-group compaction thresholds for the in-flight lists (doubled
-        #: after each compaction so the scan stays amortised O(1) per submit).
-        self._inflight_compact_at: Dict[int, int] = {
-            partition_id: 128 for partition_id in range(self.partition_count)}
         #: One report per migration ever started, in start order.
         self.migration_reports: List[MigrationReport] = []
         #: Transaction ids of internal migration work (copy chunks and
         #: forwarded dual-writes) — excluded from fast-path results like the
         #: coordinator's branch installs.
         self.migration_txn_ids: set = set()
-        #: Timestamps of recent client submissions (for the copy throttle).
-        self._recent_submits: Deque[float] = deque()
         #: Registered crash-injection hooks, keyed by protocol phase (see
         #: :meth:`add_failpoint`).  Empty outside failure experiments.
-        self._failpoints: Dict[str, List[_Failpoint]] = {}
+        self._failpoints: Dict[
+            str, List[Callable[[Dict[str, object]], None]]] = {}
         #: Phase -> number of times a registered failpoint fired there.
         self.failpoints_fired: Dict[str, int] = {}
         #: Every injected crash / recovery, in simulation order — the audit
@@ -209,27 +184,6 @@ class PartitionedCluster:
         """True if any of ``keys`` is inside a write-fenced (migrating) range."""
         return self.routing.has_fences and self.routing.is_fenced(keys)
 
-    def _note_submit(self) -> None:
-        now = self.sim.now
-        submits = self._recent_submits
-        submits.append(now)
-        horizon = now - self.SUBMIT_RATE_WINDOW_MS
-        while submits and submits[0] < horizon:
-            submits.popleft()
-
-    def recent_submit_rate(self) -> float:
-        """Client submissions per second over the trailing rate window.
-
-        Counts every :meth:`submit` attempt (including fenced ones that were
-        refused — they are still foreground pressure); the migration copy
-        throttles its chunk dispatch against this.
-        """
-        submits = self._recent_submits
-        horizon = self.sim.now - self.SUBMIT_RATE_WINDOW_MS
-        while submits and submits[0] < horizon:
-            submits.popleft()
-        return len(submits) / (self.SUBMIT_RATE_WINDOW_MS / 1000.0)
-
     # ------------------------------------------------------------------ failpoints
     #: Protocol phases at which a failpoint can fire.  Each is keyed to a
     #: WAL / 2PC / migration state transition, never to wall time, so a
@@ -247,49 +201,38 @@ class PartitionedCluster:
         f"migration.{phase}" for phase in Migration.PHASES)
 
     def add_failpoint(self, phase: str,
-                      callback: Callable[[Dict[str, object]], None],
-                      once: bool = True) -> None:
-        """Register ``callback`` to run when the protocol reaches ``phase``.
+                      callback: Callable[[Dict[str, object]], None]) -> None:
+        """Register ``callback`` to run once, when the protocol next reaches
+        ``phase``.
 
         The callback receives a context dict (``phase``, ``cluster``, plus
         the phase-specific keys listed on :attr:`FAILPOINT_PHASES`) and
         typically calls :meth:`crash_server` / :meth:`crash_partition` — the
         deterministic crash-injection mechanism of the partitioned failure
-        matrix.  With ``once`` (the default) the hook is removed after its
-        first firing.
+        matrix.
         """
         if phase not in self.FAILPOINT_PHASES:
             raise ValueError(f"unknown failpoint phase {phase!r}; expected "
                              f"one of {self.FAILPOINT_PHASES}")
-        self._failpoints.setdefault(phase, []).append(
-            _Failpoint(phase=phase, callback=callback, once=once))
+        self._failpoints.setdefault(phase, []).append(callback)
 
     def fire_failpoint(self, phase: str, **context) -> int:
-        """Fire the failpoints of ``phase`` (internal; called by protocol code).
+        """Fire, and unregister, the failpoints of ``phase`` (internal;
+        called by protocol code).
 
         Returns how many hooks ran.  A no-op (and O(1)) when nothing is
         registered, so production paths pay nothing for the instrumentation.
         """
-        hooks = self._failpoints.get(phase)
+        hooks = self._failpoints.pop(phase, None)
         if not hooks:
             return 0
         context["phase"] = phase
         context["cluster"] = self
-        fired = 0
-        survivors: List[_Failpoint] = []
-        for hook in hooks:
-            hook.fired += 1
-            fired += 1
+        for callback in hooks:
             self.failpoints_fired[phase] = \
                 self.failpoints_fired.get(phase, 0) + 1
-            hook.callback(dict(context))
-            if not hook.once:
-                survivors.append(hook)
-        if survivors:
-            self._failpoints[phase] = survivors
-        else:
-            del self._failpoints[phase]
-        return fired
+            callback(dict(context))
+        return len(hooks)
 
     # ------------------------------------------------------------------ lifecycle
     def start(self) -> None:
@@ -317,7 +260,6 @@ class PartitionedCluster:
         touches a range fenced by a live migration — callers retry (see
         :meth:`submit_retrying`).
         """
-        self._note_submit()
         keys = [operation.key for operation in program.operations]
         if self.routing_fenced(keys):
             raise WrongEpochError(
@@ -355,18 +297,6 @@ class PartitionedCluster:
         """
         event = self.groups[partition_id].submit(program, server=server,
                                                  client_index=client_index)
-        inflight = self._inflight_by_group[partition_id]
-        if len(inflight) >= self._inflight_compact_at[partition_id]:
-            # Amortised compaction: readers filter by ``triggered`` anyway,
-            # so stale entries are harmless — compacting on every submit made
-            # the fast path O(in-flight transactions) per submission.  The
-            # doubling threshold keeps the scan O(1) amortised even when an
-            # overloaded open loop grows the genuinely-in-flight population.
-            inflight[:] = [pending for pending in inflight
-                           if not pending[0].triggered]
-            self._inflight_compact_at[partition_id] = max(
-                128, 2 * len(inflight))
-        inflight.append((event, program))
         migration = self.migration
         if migration is not None and migration.source_group == partition_id:
             migration.register_dual_write(program, event)
@@ -431,17 +361,15 @@ class PartitionedCluster:
         return self.sim.spawn(waiter(), name=f"client.{program.program_id}")
 
     # ------------------------------------------------------------------ migration
-    def migrate(self, shard, destination_group: int, chunk_size: int = 32,
-                copy_concurrency: int = COPY_CONCURRENCY,
-                copy_budget_tps: float = COPY_BUDGET_TPS,
-                copy_min_tps: float = COPY_MIN_TPS) -> Process:
+    def migrate(self, shard, destination_group: int,
+                chunk_size: int = 32) -> Process:
         """Start a live migration of ``shard`` to ``destination_group``.
 
         ``shard`` is a shard index or its exact
-        :class:`~repro.partition.routing.KeyRange`.  Returns the driver
-        process (:meth:`~repro.partition.migration.Migration.run`, which
-        documents the abort rules and the ``copy_*`` throttle); run the
-        simulation to let it finish.
+        :class:`~repro.partition.routing.KeyRange`; the warm copy moves
+        ``chunk_size`` keys per install.  Returns the driver process
+        (:meth:`~repro.partition.migration.Migration.run`, which documents
+        the copy and the abort rules); run the simulation to let it finish.
         """
         key_range = self.routing.range_of(shard)
         source_group = self.routing.owner_of_range(key_range)
@@ -456,9 +384,7 @@ class PartitionedCluster:
                 "another migration is in flight; migrations are "
                 "serialised to keep the force-logged epoch exact")
         migration = Migration(self, key_range, source_group, destination_group)
-        return migration.start(self._inflight_by_group[source_group],
-                               chunk_size, copy_concurrency, copy_budget_tps,
-                               copy_min_tps)
+        return migration.start(chunk_size)
 
     # ------------------------------------------------------------------ reshaping
     def split_shard(self, shard, at: Optional[int] = None) -> int:

@@ -487,62 +487,55 @@ class CrossPartitionCoordinator:
                              track="coordinator", parent=("xp", xid),
                              labels={"partition": partition_id})
         try:
-            yield from self._drive_branch(
-                group, partition_id, server, write_operations, transaction,
-                xid, branch_outcome, home_node, attempt)
+            while True:
+                if home_node is not None:
+                    pending = self.decided_pending.get(xid)
+                    if pending is not None and pending.resuming:
+                        # A replay pass owns this transaction now.
+                        return
+                    if home_node.is_crashed:
+                        # The coordinator died with its home delegate; the
+                        # durable decision record takes over via replay.
+                        return
+                attempt += 1
+                backoff = min(RETRY_BACKOFF_MS * attempt, MAX_RETRY_BACKOFF_MS)
+                if not group.node(server).is_up:
+                    up_servers = group.up_servers()
+                    if not up_servers:
+                        # The whole group is down; wait for a recovery — the
+                        # decision is durable, the branch is in doubt until
+                        # a member comes back.
+                        if not branch_outcome.in_doubt:
+                            branch_outcome.in_doubt = True
+                            self.in_doubt_branches += 1
+                        yield self.sim.timeout(backoff)
+                        continue
+                    server = up_servers[0]
+                if branch_outcome.in_doubt:
+                    branch_outcome.in_doubt = False
+                    self.in_doubt_branches -= 1
+                program = TransactionProgram(operations=write_operations,
+                                             client=f"xp.{xid}")
+                try:
+                    result = yield self.cluster.submit_to_group(
+                        partition_id, program, server=server)
+                except RuntimeError:
+                    # The chosen server stopped between the check and the
+                    # submit.
+                    yield self.sim.timeout(backoff)
+                    continue
+                # Every attempt — including crash/deadlock aborts that will
+                # be retried — is internal 2PC work, never a fast-path result.
+                self.branch_txn_ids.add(result.txn_id)
+                if result.committed:
+                    branch_outcome.committed = True
+                    branch_outcome.txn_id = result.txn_id
+                    return
+                yield self.sim.timeout(backoff)
         finally:
             if span is not None:
                 obs.end(span, labels={"committed": branch_outcome.committed,
                                       "in_doubt": branch_outcome.in_doubt})
-
-    def _drive_branch(self, group, partition_id: int, server: str,
-                      write_operations, transaction: Transaction, xid: str,
-                      branch_outcome: BranchOutcome, home_node, attempt: int):
-        """Generator: the retry loop of :meth:`_commit_branch`."""
-        while True:
-            if home_node is not None:
-                pending = self.decided_pending.get(xid)
-                if pending is not None and pending.resuming:
-                    # A replay pass owns this transaction now.
-                    return
-                if home_node.is_crashed:
-                    # The coordinator died with its home delegate; the
-                    # durable decision record takes over via replay.
-                    return
-            attempt += 1
-            backoff = min(RETRY_BACKOFF_MS * attempt, MAX_RETRY_BACKOFF_MS)
-            if not group.node(server).is_up:
-                up_servers = group.up_servers()
-                if not up_servers:
-                    # The whole group is down; wait for a recovery — the
-                    # decision is durable, the branch is in doubt until a
-                    # member comes back.
-                    if not branch_outcome.in_doubt:
-                        branch_outcome.in_doubt = True
-                        self.in_doubt_branches += 1
-                    yield self.sim.timeout(backoff)
-                    continue
-                server = up_servers[0]
-            if branch_outcome.in_doubt:
-                branch_outcome.in_doubt = False
-                self.in_doubt_branches -= 1
-            program = TransactionProgram(operations=write_operations,
-                                         client=f"xp.{xid}")
-            try:
-                result = yield self.cluster.submit_to_group(
-                    partition_id, program, server=server)
-            except RuntimeError:
-                # The chosen server stopped between the check and the submit.
-                yield self.sim.timeout(backoff)
-                continue
-            # Every attempt — including crash/deadlock aborts that will be
-            # retried — is internal 2PC work, never a fast-path result.
-            self.branch_txn_ids.add(result.txn_id)
-            if result.committed:
-                branch_outcome.committed = True
-                branch_outcome.txn_id = result.txn_id
-                return
-            yield self.sim.timeout(backoff)
 
     # ------------------------------------------------------------------ decision replay
     def replay_decisions(self, partition_id: int, server: str) -> int:

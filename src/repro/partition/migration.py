@@ -46,11 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 #: Chunk installs the warm copy keeps in flight at once, overlapping the
 #: destination group's commit latency.
 COPY_CONCURRENCY = 4
-#: Combined (foreground + copy) transaction budget the copy throttles to:
-#: the chunk dispatch rate is the budget minus the recent client submit
-#: rate, floored at COPY_MIN_TPS.
-COPY_BUDGET_TPS = 500.0
-COPY_MIN_TPS = 50.0
 #: Longest the fence drain may wait for in-flight writers (ms) before the
 #: migration aborts with ``fence-timeout``.
 FENCE_TIMEOUT_MS = 10_000.0
@@ -78,18 +73,12 @@ class MigrationReport:
     verified: bool = False
     #: Epoch installed by the bump (None if the migration aborted).
     epoch: Optional[int] = None
-    #: Copy-phase telemetry: chunk installs the driver keeps in flight.
-    copy_concurrency: int = 1
     #: When the warm copy finished (0 while running / if it never did).
     copy_completed_at: float = 0.0
     #: Chunk transactions installed by the warm copy.
     copy_chunks: int = 0
     #: Most chunk installs observed in flight at once.
     copy_inflight_peak: int = 0
-    #: Times the token throttle paused the copy for foreground load.
-    throttle_waits: int = 0
-    #: Total sim-time the copy spent throttled.
-    throttle_wait_ms: float = 0.0
 
     @property
     def completed(self) -> bool:
@@ -104,7 +93,7 @@ class MigrationReport:
 
     @property
     def copy_duration_ms(self) -> float:
-        """How long the (overlapped, throttled) warm copy phase took."""
+        """How long the (overlapped) warm copy phase took."""
         if not self.copy_completed_at:
             return 0.0
         return self.copy_completed_at - self.started_at
@@ -154,25 +143,20 @@ class Migration:
         #: Dual-write forward processes (see :meth:`register_dual_write`).
         self.forwards: List[Process] = []
 
-    def start(self, in_flight: List[Tuple[Event, TransactionProgram]],
-              chunk_size: int, copy_concurrency: int,
-              copy_budget_tps: float, copy_min_tps: float) -> Process:
+    def start(self, chunk_size: int) -> Process:
         """Make this the cluster's migration and spawn the driver (:meth:`run`).
 
-        ``in_flight`` holds the source group's ``(event, program)``
-        submissions.  Those still unanswered predate the dual-write window,
-        so they are registered retroactively: the fence drain waits them
-        out and their values reach the destination.
+        The source group's unanswered submissions predate the dual-write
+        window, so they are registered retroactively: the fence drain waits
+        them out and their values reach the destination.
         """
         cluster = self.cluster
         cluster.migration = self
         cluster.migration_reports.append(self.report)
-        for event, program in in_flight:
-            if not event.triggered:
-                self.register_dual_write(program, event)
+        for event, program in cluster.groups[self.source_group].unanswered():
+            self.register_dual_write(program, event)
         return self.sim.spawn(
-            self.run(chunk_size, copy_concurrency, copy_budget_tps,
-                     copy_min_tps),
+            self.run(chunk_size),
             name=f"migration.{self.key_range!r}"
                  f".g{self.source_group}->g{self.destination_group}")
 
@@ -210,11 +194,11 @@ class Migration:
         self.report.forwarded_writes += len(values)
         yield from self._install_on_destination(values)
 
-    def _install_on_destination(self, values: Dict[str, object],
-                                max_attempts: int = 40):
+    def _install_on_destination(self, values: Dict[str, object]):
         """Generator: install ``values`` via the destination group's own
         replication technique (update-only, so certification is a
-        deterministic pass).  Returns True once committed."""
+        deterministic pass).  Returns True once committed, False after 40
+        attempts that found no up server or ended in an abort."""
         cluster = self.cluster
         group = cluster.groups[self.destination_group]
         program = TransactionProgram.of_writes(
@@ -225,20 +209,16 @@ class Migration:
             attempt += 1
             backoff = min(RETRY_BACKOFF_MS * attempt, MAX_RETRY_BACKOFF_MS)
             up_servers = group.up_servers()
-            if not up_servers:
-                if attempt >= max_attempts:
-                    return False
-                yield self.sim.timeout(backoff)
-                continue
-            try:
-                result = yield group.submit(program, server=up_servers[0])
-            except RuntimeError:
-                yield self.sim.timeout(backoff)
-                continue
-            cluster.migration_txn_ids.add(result.txn_id)
-            if result.committed:
-                return True
-            if attempt >= max_attempts:
+            if up_servers:
+                try:
+                    result = yield group.submit(program, server=up_servers[0])
+                except RuntimeError:
+                    yield self.sim.timeout(backoff)
+                    continue
+                cluster.migration_txn_ids.add(result.txn_id)
+                if result.committed:
+                    return True
+            if attempt >= 40:
                 return False
             yield self.sim.timeout(backoff)
 
@@ -247,7 +227,7 @@ class Migration:
         """Generator: read one chunk on the source, install on the destination.
 
         Returns None on success, else the abort reason.  Several of these run
-        concurrently (up to the driver's ``copy_concurrency``); the shared
+        concurrently (up to :data:`COPY_CONCURRENCY`); the shared
         ``versions_seen`` map records each key's source version *before* its
         install, so the under-fence delta pass re-copies anything that moved.
         """
@@ -287,18 +267,15 @@ class Migration:
         return still, failure
 
     # ------------------------------------------------------------------ driver
-    def run(self, chunk_size: int, copy_concurrency: int,
-            copy_budget_tps: float, copy_min_tps: float):
+    def run(self, chunk_size: int):
         """Generator: the driver process; returns the report, done or aborted.
 
         Aborts — leaving the old owner authoritative — if either group loses
         all its servers or the fence drain exceeds :data:`FENCE_TIMEOUT_MS`.
 
-        The warm copy keeps up to ``copy_concurrency`` chunk transactions in
-        flight at once (overlapping the destination group's commit latency)
-        and throttles its dispatch with a token budget: chunks are issued at
-        ``copy_budget_tps`` minus the recent client submit rate, floored at
-        ``copy_min_tps`` so a saturated foreground cannot starve the copy.
+        The warm copy installs ``chunk_size`` keys per transaction and keeps
+        up to :data:`COPY_CONCURRENCY` chunk transactions in flight at once,
+        overlapping the destination group's commit latency.
         """
         cluster, sim, report = self.cluster, self.sim, self.report
         routing = cluster.routing
@@ -313,13 +290,9 @@ class Migration:
                         "range": repr(self.key_range)})
         try:
             # -- phase 1: warm copy (dual-write forwarding already active) --
-            # Up to copy_concurrency chunk transactions run in flight at
+            # Up to COPY_CONCURRENCY chunk transactions run in flight at
             # once, so consecutive installs overlap the destination group's
-            # commit latency instead of serialising on one delegate; a token
-            # bucket refilled at (budget - foreground submit rate) throttles
-            # chunk dispatch so the copy yields to client traffic.
-            copy_concurrency = max(1, copy_concurrency)
-            report.copy_concurrency = copy_concurrency
+            # commit latency instead of serialising on one delegate.
             if not source.up_servers():
                 return self._abort("source-unavailable")
             delegate = source.up_servers()[0]
@@ -329,42 +302,21 @@ class Migration:
             versions_seen: Dict[str, int] = {}
             pending: List[Process] = []
             failure: Optional[str] = None
-            tokens = float(copy_concurrency)
-            refilled_at = sim.now
             if obs is not None:
                 copy_span = obs.begin("migration.copy", category="protocol",
                                       track="migration", parent=root_span,
                                       labels={"keys": len(keys)})
             self._reach("copy-start")
-
-            def refill(tokens: float, refilled_at: float):
-                rate = max(copy_min_tps,
-                           copy_budget_tps - cluster.recent_submit_rate())
-                now = sim.now
-                tokens = min(float(copy_concurrency),
-                             tokens + (now - refilled_at) * rate / 1000.0)
-                return tokens, now, rate
-
             for start in range(0, len(keys), chunk_size):
-                chunk = keys[start:start + chunk_size]
-                tokens, refilled_at, rate = refill(tokens, refilled_at)
-                while tokens < 1.0 - 1e-6:
-                    # Floor the wait so float rounding in the refill can
-                    # never produce a zero-advance timeout loop.
-                    wait = max((1.0 - tokens) * 1000.0 / rate, 0.1)
-                    report.throttle_waits += 1
-                    report.throttle_wait_ms += wait
-                    yield sim.timeout(wait)
-                    tokens, refilled_at, rate = refill(tokens, refilled_at)
-                tokens = max(0.0, tokens - 1.0)
                 pending, failure = self._reap_copies(pending)
-                while failure is None and len(pending) >= copy_concurrency:
+                while failure is None and len(pending) >= COPY_CONCURRENCY:
                     yield sim.any_of(pending)
                     pending, failure = self._reap_copies(pending)
                 if failure is not None:
                     break
                 pending.append(sim.spawn(
-                    self._copy_chunk(chunk, versions_seen),
+                    self._copy_chunk(keys[start:start + chunk_size],
+                                     versions_seen),
                     name=f"migration.copy.g{self.source_group}"
                          f"->g{self.destination_group}.{start}"))
                 report.copy_inflight_peak = max(report.copy_inflight_peak,

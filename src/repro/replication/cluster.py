@@ -23,7 +23,7 @@ Typical use::
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..core.criteria import TECHNIQUE_SAFETY
 from ..core.layers import implements, uses
@@ -193,6 +193,13 @@ class ReplicatedDatabaseCluster:
         """Submit ``program`` to ``server`` (or a routed delegate)."""
         delegate = server or self.choose_delegate(client_index)
         return self.replicas[delegate].submit(program)
+
+    def unanswered(self) -> List[Tuple[Event, TransactionProgram]]:
+        """``(response event, program)`` of every submission no server has
+        answered yet, server by server in submission order."""
+        return [(pending.response_event, pending.transaction.program)
+                for replica in self.replicas.values()
+                for pending in replica._pending.values()]
 
     def run_transaction(self, program: TransactionProgram,
                         server: Optional[str] = None) -> Process:

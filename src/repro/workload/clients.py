@@ -77,9 +77,9 @@ class OpenLoopClientPool:
             yield self.sim.timeout(gap)
             client_index = self._next_client
             self._next_client += 1
-            delegate = self.cluster.choose_delegate(client_index)
-            if not self.cluster.node(delegate).is_up:
+            if not self.cluster.up_servers():
                 continue
+            delegate = self.cluster.choose_delegate(client_index)
             program = self.workload.next_program(client=f"client-{client_index}")
             self.sim.spawn(self._one_transaction(program, delegate),
                            name=f"client.txn.{program.program_id}")

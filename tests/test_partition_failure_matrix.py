@@ -49,16 +49,6 @@ def test_failpoint_fires_once_by_default_and_counts():
     assert cluster.failpoints_fired == {"2pc.prepared": 1}
 
 
-def test_persistent_failpoint_fires_every_time():
-    cluster = build()
-    seen = []
-    cluster.add_failpoint("migration.copy-chunk", seen.append, once=False)
-    cluster.fire_failpoint("migration.copy-chunk", chunk_index=1)
-    cluster.fire_failpoint("migration.copy-chunk", chunk_index=2)
-    assert [context["chunk_index"] for context in seen] == [1, 2]
-    assert cluster.failpoints_fired["migration.copy-chunk"] == 2
-
-
 def test_unregistered_phase_is_a_noop():
     cluster = build()
     assert cluster.fire_failpoint("migration.fence") == 0

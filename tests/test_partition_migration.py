@@ -18,7 +18,7 @@ from repro.db.wal import LogRecordType
 from repro.experiments import audit_commit_integrity
 from repro.partition import (ABORT_WRONG_EPOCH, KeyRange, PartitionedCluster,
                              PartitionedOpenLoopClients)
-from repro.partition.migration import Migration
+from repro.partition import migration
 from repro.workload import SimulationParameters
 from tests.conftest import make_program
 
@@ -70,21 +70,29 @@ def test_migrated_key_is_served_by_the_new_owner():
                for name in group.server_names())
 
 
-def test_in_flight_write_at_migration_start_is_dual_written():
+@pytest.mark.parametrize("answered_before_migrate", [False, True])
+def test_in_flight_write_at_migration_start_is_dual_written(
+        answered_before_migrate):
     # A write submitted *before* the migration begins predates the
-    # dual-write window; the driver must register it retroactively so the
-    # fence drain waits it out and its value reaches the destination.
+    # dual-write window; the driver must register it retroactively (from
+    # the source group's unanswered submissions) so the fence drain waits it
+    # out and its value reaches the destination.  A write already answered
+    # when the migration starts is the warm copy's job, not a forward.
     cluster = build()
     waiter = cluster.run_transaction(
         make_program([("r", "item-10"), ("w", "item-10", "inflight")]))
-    cluster.run(until=1.0)               # submitted, still reading (>= 4 ms)
-    assert not waiter.triggered
+    cluster.run(until=2_000.0 if answered_before_migrate else 1.0)
+    # Still reading after 1 ms (a read takes >= 4 ms); answered by 2 s.
+    assert waiter.triggered == answered_before_migrate
     driver = cluster.migrate(0, destination_group=1)
     cluster.run(until=10_000)
     assert waiter.value.committed
     report = driver.value
     assert report.completed and report.verified
-    assert report.forwarded_writes >= 1
+    if answered_before_migrate:
+        assert report.forwarded_writes == 0
+    else:
+        assert report.forwarded_writes >= 1
     for name in cluster.group(1).server_names():
         assert cluster.group(1).database(name).value_of("item-10") == \
             "inflight"
@@ -148,7 +156,7 @@ def test_source_delegate_crash_during_the_warm_copy_aborts_the_migration():
 
 
 @pytest.mark.parametrize("side", ["source", "destination"])
-@pytest.mark.parametrize("phase", Migration.PHASES)
+@pytest.mark.parametrize("phase", migration.Migration.PHASES)
 def test_group_crash_at_every_migration_phase_settles(phase, side):
     # Crash a whole group at each boundary the protocol lists, recover it
     # and run to quiescence.  group-1-safe logs a commit on its delegate
@@ -332,58 +340,41 @@ def test_concurrent_migrations_are_refused():
 
 # ---------------------------------------------------------------- overlapped copy
 def test_overlapped_copy_keeps_chunks_in_flight_and_stays_atomic():
-    # The copy phase issues up to copy_concurrency chunk transactions at
+    # The copy phase issues up to COPY_CONCURRENCY chunk transactions at
     # once; the per-key commit audit must still find zero lost / duplicated
     # commits, and the under-fence verification must still pass.
     cluster = build(items=120, cross_partition_probability=0.1)
     clients = PartitionedOpenLoopClients(cluster, load_tps=40.0)
     clients.start()
     cluster.run(until=1_500)
-    driver = cluster.migrate(0, destination_group=1, chunk_size=8,
-                             copy_concurrency=4)
+    driver = cluster.migrate(0, destination_group=1, chunk_size=8)
     cluster.run(until=10_000)
 
     report = driver.value
     assert report.completed and report.verified
     assert report.keys_copied == 60
     assert report.copy_chunks == 8               # ceil(60 / 8)
-    assert report.copy_concurrency == 4
     assert report.copy_inflight_peak > 1         # genuinely overlapped
     assert 0 < report.copy_duration_ms <= report.duration_ms
     assert audit_commit_integrity(cluster, clients) == []
 
 
-def test_overlapped_copy_is_faster_than_the_serial_copy():
-    def copy_duration(copy_concurrency):
+def test_overlapped_copy_is_faster_than_the_serial_copy(monkeypatch):
+    def copy_duration():
         cluster = build(items=120)
-        driver = cluster.migrate(0, destination_group=1, chunk_size=8,
-                                 copy_concurrency=copy_concurrency)
+        driver = cluster.migrate(0, destination_group=1, chunk_size=8)
         cluster.run(until=20_000)
         report = driver.value
         assert report.completed and report.verified
         return report.copy_duration_ms
 
-    serial = copy_duration(1)
-    overlapped = copy_duration(4)
+    assert migration.COPY_CONCURRENCY == 4
+    overlapped = copy_duration()
+    monkeypatch.setattr(migration, "COPY_CONCURRENCY", 1)
+    serial = copy_duration()
     # Overlapping the destination's commit latency across 8 chunks must cut
     # the copy phase decisively, not marginally.
     assert overlapped < 0.6 * serial
-
-
-def test_copy_throttle_paces_the_chunk_dispatch():
-    # With the token budget pinned to a trickle, the copy must wait between
-    # chunks and account for it.
-    cluster = build(items=120)
-    driver = cluster.migrate(0, destination_group=1, chunk_size=8,
-                             copy_concurrency=2, copy_budget_tps=10.0,
-                             copy_min_tps=10.0)
-    cluster.run(until=20_000)
-    report = driver.value
-    assert report.completed and report.verified
-    assert report.throttle_waits > 0
-    assert report.throttle_wait_ms > 0
-    # 8 chunks at 10 dispatches/s: the copy phase spans several hundred ms.
-    assert report.copy_duration_ms > 300.0
 
 
 def test_rebalance_moves_the_hot_head_to_the_coolest_group():

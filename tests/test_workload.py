@@ -135,3 +135,21 @@ def test_open_loop_pool_drives_the_cluster():
     assert all(result.committed is not None for result in pool.warmup_results)
     with pytest.raises(ValueError):
         OpenLoopClientPool(cluster, load_tps=0.0)
+
+
+def test_open_loop_pool_rides_out_a_whole_group_outage():
+    # With every server down the pool must skip its arrivals, not abort the
+    # run; once the servers are back it resumes submitting and committing.
+    cluster = build_cluster("group-safe", seed=3,
+                            params=SimulationParameters.small())
+    pool = OpenLoopClientPool(cluster, load_tps=30.0)
+    pool.start()
+    cluster.run(until=500.0)
+    cluster.crash_all()
+    cluster.run(until=1_500.0)
+    submitted_during_outage = pool.submitted_count
+    for name in cluster.server_names():
+        cluster.recover_server(name)
+    cluster.run(until=4_000.0)
+    assert pool.submitted_count > submitted_during_outage
+    assert any(result.submitted_at > 1_500.0 for result in pool.committed)
