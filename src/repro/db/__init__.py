@@ -20,7 +20,6 @@ from .operations import (Operation, OperationType, TransactionProgram, read,
 from .recovery import redo_from_log
 from .serializability import (CommittedTransaction, SerializabilityReport,
                               check_one_copy_serializability)
-from .stable_storage import StableLog, StableStorage
 from .transaction import Transaction, TransactionStatus, WriteSetMessage
 from .wal import LogRecord, LogRecordType, WriteAheadLog
 
@@ -43,8 +42,6 @@ __all__ = [
     "WriteAheadLog",
     "LogRecord",
     "LogRecordType",
-    "StableStorage",
-    "StableLog",
     "redo_from_log",
     "CommittedTransaction",
     "SerializabilityReport",

@@ -70,10 +70,8 @@ class LocalDatabase:
         """Create the runtime transaction for ``program`` on this server."""
         delegate_name = delegate or self.node.name
         identifier = txn_id or f"{delegate_name}:{program.program_id}"
-        transaction = Transaction(txn_id=identifier, program=program,
-                                  delegate=delegate_name,
-                                  start_time=self.sim.now)
-        return transaction
+        return Transaction(txn_id=identifier, program=program,
+                           delegate=delegate_name)
 
     # ------------------------------------------------------------- read / write
     def read(self, transaction: Transaction, key: str, use_lock: bool = False):
@@ -230,7 +228,6 @@ class LocalDatabase:
         if transaction is not None:
             transaction.commit_order = commit_order
             transaction.set_status(TransactionStatus.COMMITTED)
-            transaction.decision_time = self.sim.now
             self.locks.release_all(transaction.txn_id)
         self.committed_count += 1
 
@@ -241,7 +238,6 @@ class LocalDatabase:
         if transaction is not None:
             transaction.abort_reason = reason
             transaction.set_status(TransactionStatus.ABORTED)
-            transaction.decision_time = self.sim.now
             self.locks.release_all(transaction.txn_id)
         self.aborted_count += 1
         if reason == "certification":

@@ -68,10 +68,6 @@ class Transaction:
     status: TransactionStatus = TransactionStatus.ACTIVE
     read_versions: Dict[str, int] = field(default_factory=dict)
     write_values: Dict[str, object] = field(default_factory=dict)
-    start_time: Optional[float] = None
-    broadcast_time: Optional[float] = None
-    decision_time: Optional[float] = None
-    response_time: Optional[float] = None
     commit_order: Optional[int] = None
     abort_reason: Optional[str] = None
 

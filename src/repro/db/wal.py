@@ -26,14 +26,15 @@ techniques differ only in *when* they flush:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Dict, List, Optional
 
 from ..network.node import Node
 from ..sim.engine import Simulator
 from ..sim.poll import Parked, Poller
-from .stable_storage import StableLog
 
 
 class LogRecordType(Enum):
@@ -83,26 +84,26 @@ class WriteAheadLog:
     """Per-server write-ahead log with explicit flush timing.
 
     Records are appended to a volatile tail; :meth:`flush` moves the tail to
-    the crash-surviving :class:`~repro.db.stable_storage.StableLog` while
-    occupying one of the server's disks for a Table 4 write time.  Only
-    flushed records survive a crash.
+    the crash-surviving stable log while occupying one of the server's disks
+    for a Table 4 write time.  Only flushed records survive a crash: the
+    crash listener (:meth:`lose_volatile`) drops the tail and keeps the
+    stable log.
     """
 
     def __init__(self, sim: Simulator, node: Node,
-                 write_time_low: float = 4.0, write_time_high: float = 12.0,
-                 name: str = "wal") -> None:
+                 write_time_low: float = 4.0,
+                 write_time_high: float = 12.0) -> None:
         self.sim = sim
         self.node = node
-        self.name = name
         self.write_time_low = write_time_low
         self.write_time_high = write_time_high
         self._log_write_stream = sim.random.stream(f"{node.name}.log_write")
         self._volatile: List[LogRecord] = []
         #: The group-commit loop while it is parked on an empty tail.
         self._parked = Parked()
-        self._stable: StableLog = node.register_stable(
-            f"{name}.stable", StableLog(f"{node.name}.{name}"))
-        self._next_lsn = len(self._stable)
+        #: The flushed records, in LSN order; they survive a crash.
+        self._stable: List[LogRecord] = []
+        self._next_lsn = 0
         #: txn id -> the latest COMMIT / ABORT record this log holds for it
         #: (see :meth:`decision`).
         self._decisions: Dict[str, LogRecord] = {}
@@ -182,9 +183,8 @@ class WriteAheadLog:
             if span is not None:
                 obs.end(span)
         self.flush_count += 1
-        flushed, self._volatile = self._volatile, []
-        for record in flushed:
-            self._stable.append(record)
+        self._stable.extend(self._volatile)
+        self._volatile = []
 
     def group_commit(self, interval: float):
         """Generator: the background group-commit loop.
@@ -223,25 +223,16 @@ class WriteAheadLog:
     def is_stable(self, record: LogRecord) -> bool:
         """True if ``record`` (an object this log appended) is on stable storage.
 
-        Records reach the stable log in LSN order, so the record's LSN can
-        be bisected in O(log n) instead of scanning (and copying) the whole
-        stable log — this runs once per forced 2PC decision.  The final
-        identity comparison distinguishes the record itself from a
-        same-LSN successor appended after a crash dropped the original with
-        the volatile tail.
+        Records reach the stable log in LSN order, so the record's LSN is
+        bisected in O(log n) instead of scanning the whole stable log — this
+        runs once per forced 2PC decision.  The final identity comparison
+        distinguishes the record itself from a same-LSN successor appended
+        after a crash dropped the original with the volatile tail.
         """
         if record.lsn is None:
             return False
-        low, high = 0, len(self._stable)
-        while low < high:
-            mid = (low + high) // 2
-            if self._stable.entries(mid, mid + 1)[0].lsn < record.lsn:
-                low = mid + 1
-            else:
-                high = mid
-        if low >= len(self._stable):
-            return False
-        return self._stable.entries(low, low + 1)[0] is record
+        index = bisect_left(self._stable, record.lsn, key=attrgetter("lsn"))
+        return index < len(self._stable) and self._stable[index] is record
 
     def decision(self, txn_id: str) -> Optional[LogRecord]:
         """The latest COMMIT or ABORT record of ``txn_id`` this log holds.

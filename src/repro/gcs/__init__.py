@@ -16,7 +16,6 @@ from .membership import GroupMembership, View
 from .message_log import GcsMessageLog, LoggedMessage
 from .paxos import MultiPaxosEngine
 from .reliable_broadcast import ReliableBroadcastLayer
-from .spec import BroadcastTrace, DeliveryRecord
 from .state_transfer import (ApplicationCheckpoint, install_checkpoint,
                              take_checkpoint)
 from .system import GroupCommunicationSystem
@@ -40,8 +39,6 @@ __all__ = [
     "ApplicationCheckpoint",
     "take_checkpoint",
     "install_checkpoint",
-    "BroadcastTrace",
-    "DeliveryRecord",
     "engine_names",
     "resolve_engine",
 ]

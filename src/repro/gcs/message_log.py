@@ -7,9 +7,10 @@ application (``ack(m)``, i.e. successful delivery) is recorded when it
 arrives.  After a crash, the messages whose acknowledgement is missing are
 replayed to the application.
 
-The log lives on the node's stable storage, so it survives crashes — that is
-the whole point.  The classical atomic broadcast does **not** use this log,
-which is exactly why it cannot be used to build 2-safe replication (Sect. 3).
+The log lives on the node's stable storage: no crash listener clears it, so
+it survives crashes — that is the whole point.  The classical atomic
+broadcast does **not** use this log, which is exactly why it cannot be used
+to build 2-safe replication (Sect. 3).
 
 End-to-end delivery is a composition option of any
 :class:`~repro.gcs.total_order.TotalOrderEngine`, not a subclass: an engine
@@ -35,10 +36,9 @@ write per delivery, and it works identically under every ordering engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional
+from typing import Any, Dict, List, Optional
 
 from ..network.node import Node
-from ..db.stable_storage import StableStorage
 
 
 @dataclass
@@ -56,16 +56,15 @@ class LoggedMessage:
 class GcsMessageLog:
     """Crash-surviving record of delivered messages and their acknowledgements."""
 
-    def __init__(self, node: Node, name: str = "gcs_log",
-                 log_time: float = 0.0) -> None:
+    def __init__(self, node: Node, log_time: float = 0.0) -> None:
         self.node = node
         #: Time charged on a disk for logging one delivery.  The protocol
         #: experiments leave it at 0 (timing is irrelevant there); the 2-safe
         #: performance ablation sets it to a Table 4 write time to expose the
         #: cost of end-to-end guarantees.
         self.log_time = log_time
-        self._storage: StableStorage = node.register_stable(
-            f"{name}.messages", StableStorage(f"{node.name}.{name}"))
+        #: broadcast id -> its logged message.
+        self._storage: Dict[str, LoggedMessage] = {}
 
     # -- recording ----------------------------------------------------------------
     def record_delivery(self, sequence: int, broadcast_id: str, payload: Any,
@@ -76,23 +75,21 @@ class GcsMessageLog:
             return existing
         entry = LoggedMessage(sequence=sequence, broadcast_id=broadcast_id,
                               payload=payload, delivered_at=delivered_at)
-        self._storage.put(broadcast_id, entry)
+        self._storage[broadcast_id] = entry
         return entry
 
     def record_ack(self, broadcast_id: str, acknowledged_at: float) -> None:
         """Durably record the application's ack(m) for ``broadcast_id``."""
-        entry: Optional[LoggedMessage] = self._storage.get(broadcast_id)
+        entry = self._storage.get(broadcast_id)
         if entry is None:
             return
         entry.acknowledged = True
         entry.acknowledged_at = acknowledged_at
-        self._storage.put(broadcast_id, entry)
 
     # -- queries -------------------------------------------------------------------
     def entries(self) -> List[LoggedMessage]:
         """All logged messages, in delivery (sequence) order."""
-        return sorted((self._storage.get(key)
-                       for key in self._storage.keys()),
+        return sorted(self._storage.values(),
                       key=lambda entry: entry.sequence)
 
     def unacknowledged(self) -> List[LoggedMessage]:

@@ -43,7 +43,6 @@ from ..sim.engine import Simulator
 from .failure_detector import FailureDetector
 from .message_log import GcsMessageLog
 from .reliable_broadcast import ReliableBroadcastLayer
-from .spec import BroadcastTrace
 from .total_order import MembershipPort, TotalOrderEngine, _PendingMessage
 
 
@@ -66,11 +65,10 @@ class MultiPaxosEngine(TotalOrderEngine):
                  failure_detector: FailureDetector,
                  member_name: Optional[str] = None,
                  delivery_cpu_time: float = 0.07,
-                 trace: Optional[BroadcastTrace] = None,
                  journal: Optional[GcsMessageLog] = None) -> None:
         super().__init__(sim, node, dispatcher, broadcast_layer, group,
                          member_name=member_name,
-                         delivery_cpu_time=delivery_cpu_time, trace=trace,
+                         delivery_cpu_time=delivery_cpu_time,
                          journal=journal, failure_detector=failure_detector)
         self._rank = {name: index for index, name in enumerate(group.members)}
         #: Statistics.

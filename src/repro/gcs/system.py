@@ -30,7 +30,6 @@ from .failure_detector import build_failure_detector
 from .membership import GroupMembership
 from .message_log import GcsMessageLog
 from .reliable_broadcast import ReliableBroadcastLayer
-from .spec import BroadcastTrace
 from .total_order import MembershipPort, TotalOrderEngine
 
 
@@ -64,7 +63,6 @@ class GroupCommunicationSystem:
         self.membership = GroupMembership(
             sim, [node.name for node in members],
             failure_detector=self.failure_detector, quorum_size=quorum_size)
-        self.trace = BroadcastTrace()
         group_port = MembershipPort(
             members=tuple(node.name for node in members),
             view=lambda: self.membership.view,
@@ -76,15 +74,13 @@ class GroupCommunicationSystem:
             dispatcher = Dispatcher(sim, node)
             self._dispatchers[node.name] = dispatcher
             broadcast_layer = ReliableBroadcastLayer(sim, lan, node)
-            journal = GcsMessageLog(node, name=f"{node.name}.e2e",
-                                    log_time=delivery_log_time) \
+            journal = GcsMessageLog(node, log_time=delivery_log_time) \
                 if end_to_end else None
             endpoint = engine_class(
                 sim=sim, node=node, dispatcher=dispatcher,
                 broadcast_layer=broadcast_layer, group=group_port,
                 failure_detector=self.failure_detector,
-                delivery_cpu_time=delivery_cpu_time, trace=self.trace,
-                journal=journal)
+                delivery_cpu_time=delivery_cpu_time, journal=journal)
             self.membership.subscribe(endpoint.on_view_change)
             self._endpoints[node.name] = endpoint
 

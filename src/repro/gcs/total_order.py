@@ -44,7 +44,6 @@ from ..sim.engine import Simulator
 from ..sim.resources import Store
 from .message_log import GcsMessageLog
 from .reliable_broadcast import ReliableBroadcastLayer
-from .spec import BroadcastTrace, DeliveryRecord
 
 
 @dataclass
@@ -103,7 +102,6 @@ class TotalOrderEngine:
                  broadcast_layer: ReliableBroadcastLayer, group: MembershipPort,
                  member_name: Optional[str] = None,
                  delivery_cpu_time: float = 0.07,
-                 trace: Optional[BroadcastTrace] = None,
                  journal: Optional[GcsMessageLog] = None,
                  failure_detector: Any = None) -> None:
         self.sim = sim
@@ -113,7 +111,6 @@ class TotalOrderEngine:
         self.group = group
         self.member_name = member_name or node.name
         self.delivery_cpu_time = delivery_cpu_time
-        self.trace = trace
         #: Stable message log of the end-to-end composition, or ``None``
         #: for the classical primitive.
         self.journal = journal
@@ -236,8 +233,6 @@ class TotalOrderEngine:
         """
         broadcast_id = f"{self.member_name}#{next(self._broadcast_counter)}"
         self._unsequenced[broadcast_id] = payload
-        if self.trace is not None:
-            self.trace.record_send(broadcast_id)
         obs = self.sim.obs
         if obs is not None:
             obs.instant("abcast.broadcast", track=f"gcs.{self.member_name}",
@@ -308,10 +303,6 @@ class TotalOrderEngine:
                                 sequence=sequence, delivered_at=self.sim.now,
                                 member=self.member_name, replayed=replayed)
             self.delivered_count += 1
-            if self.trace is not None:
-                self.trace.record_delivery(DeliveryRecord(
-                    member=self.member_name, broadcast_id=entry.broadcast_id,
-                    sequence=sequence, delivered_at=self.sim.now))
             obs = self.sim.obs
             if obs is not None:
                 obs.instant("abcast.deliver", track=f"gcs.{self.member_name}",
@@ -333,9 +324,10 @@ class TotalOrderEngine:
             return
         self.ack_count += 1
         self.journal.record_ack(delivery.broadcast_id, self.sim.now)
-        if self.trace is not None:
-            self.trace.record_ack(self.member_name, delivery.broadcast_id,
-                                  self.sim.now)
+        obs = self.sim.obs
+        if obs is not None:
+            obs.instant("abcast.ack", track=f"gcs.{self.member_name}",
+                        labels={"broadcast_id": delivery.broadcast_id})
 
     # ------------------------------------------------------------------ view changes
     def on_view_change(self, view: Any) -> None:

@@ -9,8 +9,8 @@ fail together):
 * a network endpoint (the inbox used by the LAN, and the message kinds the
   network interface itself consumes on arrival, see :meth:`Node.on_arrival`),
 * a registry of *volatile* simulated processes, all killed on crash,
-* a registry of *stable storage* objects that survive crashes,
-* crash / recovery state with listeners (failure detectors, experiments).
+* crash / recovery state with listeners (failure detectors, experiments);
+  what survives a crash is decided by each component's crash listener.
 
 The paper's Table 4 gives each server 2 CPUs and 2 disks; those are the
 defaults here.
@@ -56,13 +56,9 @@ class Node:
         self._crashed = False
         self._processes: List[Process] = []
         self._prune_at = 64
-        self._stable: Dict[str, Any] = {}
         self._listeners: List[NodeListener] = []
         #: Number of times this node has crashed (incarnation counter).
         self.crash_count = 0
-        #: Simulated times of crashes and recoveries, for the experiment audit.
-        self.crash_times: List[float] = []
-        self.recovery_times: List[float] = []
 
     # -- status ---------------------------------------------------------------
     @property
@@ -124,16 +120,6 @@ class Node:
             self._processes = [p for p in self._processes if p.is_alive]
             self._prune_at = max(64, 2 * len(self._processes))
 
-    # -- stable storage registry -------------------------------------------------
-    def register_stable(self, key: str, obj: Any) -> Any:
-        """Register ``obj`` as surviving crashes under ``key`` and return it."""
-        self._stable[key] = obj
-        return obj
-
-    def stable(self, key: str) -> Any:
-        """Return the stable object registered under ``key``."""
-        return self._stable[key]
-
     # -- gray failures ---------------------------------------------------------------
     def degrade_cpu(self, factor: float) -> None:
         """Multiply the per-operation CPU costs by ``factor``.
@@ -160,15 +146,14 @@ class Node:
     def crash(self) -> None:
         """Crash the node: kill volatile processes, drop queued work.
 
-        Stable-storage objects registered via :meth:`register_stable` are kept
-        untouched; everything else (inbox, resource queues, running processes)
-        is lost, exactly as in the paper's failure model.
+        The inbox, the resource queues and the running processes are lost,
+        exactly as in the paper's failure model; each listener then drops its
+        own volatile state and keeps what its stable storage holds.
         """
         if self._crashed:
             return
         self._crashed = True
         self.crash_count += 1
-        self.crash_times.append(self.sim.now)
         # Resources first: a killed process hands its charge back, which
         # would grant the slot to the next process about to be killed.
         queued = self.cpu.cancel_all() + self.disk.cancel_all()
@@ -199,7 +184,6 @@ class Node:
         if not self._crashed:
             return
         self._crashed = False
-        self.recovery_times.append(self.sim.now)
         for listener in list(self._listeners):
             listener(self, "recover")
 

@@ -41,7 +41,6 @@ Typical use::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..db.operations import TransactionProgram
@@ -60,20 +59,6 @@ from .migration import Migration, MigrationReport
 from .routing import RoutingTable, WrongEpochError
 from .router import TransactionRouter
 from .workload import PartitionedWorkloadGenerator
-
-
-@dataclass
-class CrashEvent:
-    """One injected crash or recovery, for the failure-injection audit trail."""
-
-    at: float
-    kind: str                      # "crash" | "recover"
-    partition_id: int
-    server: Optional[str] = None   # None = the whole group
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        scope = self.server or "group"
-        return f"<CrashEvent {self.kind} p{self.partition_id}.{scope} @{self.at:.1f}>"
 
 
 class PartitionedCluster:
@@ -142,9 +127,6 @@ class PartitionedCluster:
             str, List[Callable[[Dict[str, object]], None]]] = {}
         #: Phase -> number of times a registered failpoint fired there.
         self.failpoints_fired: Dict[str, int] = {}
-        #: Every injected crash / recovery, in simulation order — the audit
-        #: trail the failure-matrix experiments attach to their report.
-        self.crash_log: List[CrashEvent] = []
         self._started = False
 
     # ------------------------------------------------------------------ observability
@@ -437,9 +419,6 @@ class PartitionedCluster:
     # ------------------------------------------------------------------ failures
     def crash_server(self, partition_id: int, server: str) -> None:
         """Crash one server of one partition's group."""
-        self.crash_log.append(CrashEvent(at=self.sim.now, kind="crash",
-                                         partition_id=partition_id,
-                                         server=server))
         obs = self.sim.obs
         if obs is not None:
             obs.instant("crash.server", track="faults",
@@ -448,8 +427,6 @@ class PartitionedCluster:
 
     def crash_partition(self, partition_id: int) -> None:
         """Crash every server of one partition (shard-wide outage)."""
-        self.crash_log.append(CrashEvent(at=self.sim.now, kind="crash",
-                                         partition_id=partition_id))
         obs = self.sim.obs
         if obs is not None:
             obs.instant("crash.partition", track="faults",
@@ -464,9 +441,6 @@ class PartitionedCluster:
         delegate), resolving in-doubt branches and finally answering the
         blocked clients.
         """
-        self.crash_log.append(CrashEvent(at=self.sim.now, kind="recover",
-                                         partition_id=partition_id,
-                                         server=server))
         obs = self.sim.obs
         if obs is not None:
             obs.instant("recover.server", track="faults",

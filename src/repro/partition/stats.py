@@ -8,8 +8,8 @@ population so the percentile / throughput machinery stays in one place.
 
 With the epoch-versioned routing table the summary also tracks the
 *rebalancing* axis: commits bucketed by routing epoch, terminations that
-happened while a migration was in flight, wrong-epoch submission retries,
-and the migration reports themselves.
+happened while a migration was in flight, and wrong-epoch submission
+retries.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from ..core.stats import percentile as _shared_percentile
 from ..replication.results import RunStatistics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from .cluster import CrashEvent
-    from .migration import MigrationReport
     from .workload import PartitionedOpenLoopClients
 
 
@@ -43,12 +41,6 @@ class PartitionedRunStatistics:
     #: Locally committed transactions per partition (includes the replicated
     #: copies, so it measures per-group work, not client-visible commits).
     per_partition_commits: Dict[int, int] = field(default_factory=dict)
-    #: Fast-path arrivals dropped before submission because their whole
-    #: partition was down.  Kept separate from ``single.measured_aborts``
-    #: (which only counts transactions a server answered), so outage
-    #: experiments can see the fast path's losses next to the coordinated
-    #: path's unavailability aborts.
-    rejected_submissions: int = 0
     #: Client-visible commits per routing epoch (at response time).
     epoch_commits: Dict[int, int] = field(default_factory=dict)
     #: Submissions re-routed after ownership moved under them.
@@ -56,15 +48,6 @@ class PartitionedRunStatistics:
     #: Client-visible terminations while a migration was in flight.
     during_migration_commits: int = 0
     during_migration_aborts: int = 0
-    #: Every migration the cluster ran (completed or aborted).
-    migrations: List["MigrationReport"] = field(default_factory=list)
-    #: The routing epoch when the statistics were collected.
-    final_epoch: int = 0
-    #: Injected crash / recovery events, in simulation order (failure
-    #: experiments; empty for plain load runs).
-    injected_crashes: List["CrashEvent"] = field(default_factory=list)
-    #: Failpoint phases that fired during the run, with counts.
-    failpoints_fired: Dict[str, int] = field(default_factory=dict)
     #: The span tracer attached to the run's simulator (None when tracing was
     #: off), so experiment CLIs can export traces after collection.
     obs: Optional[Any] = field(default=None, repr=False)
@@ -123,14 +106,9 @@ def collect_statistics(clients: "PartitionedOpenLoopClients",
         # of which CrossPartitionOutcome provides.
         stats.cross.record(outcome)
     stats.per_partition_commits = cluster.commit_counts()
-    stats.rejected_submissions = clients.rejected_count
     stats.epoch_commits = dict(clients.epoch_commits)
     stats.wrong_epoch_retries = cluster.router.wrong_epoch_retries
     stats.during_migration_commits = clients.during_migration_commits
     stats.during_migration_aborts = clients.during_migration_aborts
-    stats.migrations = list(cluster.migration_reports)
-    stats.final_epoch = cluster.routing.epoch
-    stats.injected_crashes = list(cluster.crash_log)
-    stats.failpoints_fired = dict(cluster.failpoints_fired)
     stats.obs = cluster.sim.obs
     return stats

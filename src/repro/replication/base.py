@@ -11,7 +11,7 @@ responses, background flushers, crash bookkeeping and statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..core.layers import implements, uses
 from ..db.engine import LocalDatabase
@@ -39,7 +39,6 @@ class PendingSubmission:
     transaction: Transaction
     response_event: Event
     submitted_at: float
-    responded: bool = False
 
 
 @implements("replication")
@@ -64,8 +63,6 @@ class ReplicaServer:
         self.processing_gate = Gate(sim, opened=True,
                                     name=f"{node.name}.processing")
         self._pending: Dict[str, PendingSubmission] = {}
-        #: Every result this server has sent back to a client.
-        self.results: List[TransactionResult] = []
         self._running = False
         node.add_listener(self._on_node_event)
 
@@ -98,24 +95,8 @@ class ReplicaServer:
 
     def _fail_pending(self, reason: str) -> None:
         """Answer every waiting client with an abort when the server crashes."""
-        obs = self.sim.obs
-        for pending in list(self._pending.values()):
-            if pending.responded:
-                continue
-            pending.responded = True
-            result = TransactionResult(
-                txn_id=pending.transaction.txn_id, committed=False,
-                delegate=self.name, submitted_at=pending.submitted_at,
-                responded_at=self.sim.now, abort_reason=reason,
-                technique=self.technique_name)
-            self.results.append(result)
-            if obs is not None:
-                obs.end_key(("txn", result.txn_id),
-                            labels={"committed": False,
-                                    "abort_reason": reason})
-            if not pending.response_event.triggered:
-                pending.response_event.succeed(result)
-        self._pending.clear()
+        for txn_id in list(self._pending):
+            self.respond(txn_id, committed=False, abort_reason=reason)
 
     # ------------------------------------------------------------------ submission
     def submit(self, program: TransactionProgram) -> Event:
@@ -161,10 +142,9 @@ class ReplicaServer:
                 logged_on_all: bool = False,
                 commit_order: Optional[int] = None) -> Optional[TransactionResult]:
         """Send the client response for ``txn_id`` (idempotent)."""
-        pending = self._pending.get(txn_id)
-        if pending is None or pending.responded:
+        pending = self._pending.pop(txn_id, None)
+        if pending is None:
             return None
-        pending.responded = True
         result = TransactionResult(
             txn_id=txn_id, committed=committed, delegate=self.name,
             submitted_at=pending.submitted_at, responded_at=self.sim.now,
@@ -173,9 +153,6 @@ class ReplicaServer:
             delivered_to_group=delivered_to_group,
             logged_on_all=logged_on_all,
             technique=self.technique_name, commit_order=commit_order)
-        pending.transaction.response_time = result.response_time
-        self.results.append(result)
-        del self._pending[txn_id]
         obs = self.sim.obs
         if obs is not None:
             obs.end_key(("txn", txn_id),
@@ -211,4 +188,4 @@ class ReplicaServer:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"<{type(self).__name__} {self.name} "
-                f"responded={len(self.results)}>")
+                f"pending={len(self._pending)}>")

@@ -114,7 +114,6 @@ class DatabaseStateMachineReplica(ReplicaServer):
             return
 
         transaction.set_status(TransactionStatus.BROADCAST)
-        transaction.broadcast_time = self.sim.now
         payload = transaction.certification_payload()
         self.endpoint.broadcast(payload)
         obs = self.sim.obs

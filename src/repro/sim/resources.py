@@ -185,16 +185,14 @@ class Store:
     kernel event, and the only entry an item puts on the heap is its charge.
     """
 
-    __slots__ = ("sim", "name", "_items", "_getters", "put_count",
-                 "_resource", "_cost", "_handler", "_charge", "_on_charged")
+    __slots__ = ("sim", "name", "_items", "_getters", "_resource", "_cost",
+                 "_handler", "_charge", "_on_charged")
 
     def __init__(self, sim: "Simulator", name: Optional[str] = None) -> None:
         self.sim = sim
         self.name = name or "store"
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        #: Count of items ever put, for statistics.
-        self.put_count = 0
         self._resource: Optional[Resource] = None
         self._cost: Optional[Callable[[], float]] = None
         #: The serving callback; ``None`` while the store is a plain buffer.
@@ -210,7 +208,6 @@ class Store:
         On a served store an idle server starts the item's charge here, in
         the put; a busy one finds the item when it gets that far.
         """
-        self.put_count += 1
         if self._handler is not None:
             self._items.append(item)
             if self._charge is None:
@@ -304,13 +301,8 @@ class Store:
             self._charge.cancel()
             self._charge = None
 
-    # repro: allow(unused-surface): tests read the backlog the network leaves
-    @property
-    def pending_items(self) -> int:
-        """Number of items buffered and not yet taken."""
-        return len(self._items)
-
     def __len__(self) -> int:
+        """Number of items buffered and not yet taken."""
         return len(self._items)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

@@ -2,11 +2,16 @@
 
 Sect. 2.3 of the paper states validity, uniform agreement, uniform integrity
 and uniform total order for atomic broadcast, and Sect. 4.2 adds the
-end-to-end property.  :class:`BroadcastTrace` records what every endpoint
-A-broadcast, A-delivered and acknowledged, and states each property as a
-check over that history; tests compare the engines against these checks.
+end-to-end property.  :class:`BroadcastTrace` is the history of what every
+endpoint A-broadcast, A-delivered and acknowledged, and states each property
+as a check over it; tests compare the engines against these checks.
 Uniform agreement and the end-to-end property bind only the non-red
 processes (those that are eventually forever up), which the caller names.
+
+A run does not keep this history itself: :func:`broadcast_trace` rebuilds it
+from the ``abcast.broadcast``, ``abcast.deliver`` and ``abcast.ack`` instants
+the endpoints log on the span tracer (``sim.obs``), so a test attaches an
+:class:`~repro.obs.tracer.Observability` before it runs the group.
 """
 
 from __future__ import annotations
@@ -14,10 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.tracer import Observability
+
 
 @dataclass
 class DeliveryRecord:
-    """One observed A-deliver event, used by tests to check the properties."""
+    """One observed A-deliver event."""
 
     member: str
     broadcast_id: str
@@ -33,7 +40,7 @@ class BroadcastTrace:
 
     Collecting the sent broadcasts and the per-member delivery sequences is
     enough to check validity, integrity, total order and (given the non-red
-    members) agreement; tests use the check methods directly.
+    members) agreement.
     """
 
     sent: List[str] = field(default_factory=list)
@@ -66,13 +73,11 @@ class BroadcastTrace:
         return [d.broadcast_id for d in ordered]
 
     # -- property checks ----------------------------------------------------------
-    # repro: allow(unused-surface): reference oracle the engine tests check
     def check_validity(self) -> bool:
         """Every delivered message was actually broadcast."""
         sent = set(self.sent)
         return all(d.broadcast_id in sent for d in self.deliveries)
 
-    # repro: allow(unused-surface): reference oracle the engine tests check
     def check_integrity(self) -> bool:
         """No member delivered the same message twice."""
         seen = set()
@@ -83,7 +88,6 @@ class BroadcastTrace:
             seen.add(key)
         return True
 
-    # repro: allow(unused-surface): reference oracle the engine tests check
     def check_total_order(self) -> bool:
         """All members deliver common messages in the same relative order."""
         sequences = {}
@@ -102,7 +106,6 @@ class BroadcastTrace:
                     return False
         return True
 
-    # repro: allow(unused-surface): reference oracle the engine tests check
     def check_uniform_agreement(self, non_red_members: Sequence[str]) -> bool:
         """Every message delivered anywhere is delivered by all non-red members."""
         delivered_anywhere = {d.broadcast_id for d in self.deliveries}
@@ -112,10 +115,31 @@ class BroadcastTrace:
                 return False
         return True
 
-    # repro: allow(unused-surface): reference oracle the engine tests check
     def check_end_to_end(self, non_red_members: Sequence[str]) -> bool:
         """Every delivery at a non-red member is eventually acknowledged."""
         for delivery in self.deliveries:
             if delivery.member in non_red_members and not delivery.acknowledged:
                 return False
         return True
+
+
+def broadcast_trace(obs: Observability) -> BroadcastTrace:
+    """The broadcast history the endpoints logged on ``obs``.
+
+    Each endpoint logs on the track ``gcs.<member>``; an instant that is
+    not an ``abcast.*`` one adds nothing.
+    """
+    trace = BroadcastTrace()
+    for instant in obs.instants:
+        member = instant.track.removeprefix("gcs.")
+        broadcast_id = instant.labels.get("broadcast_id")
+        if instant.name == "abcast.broadcast":
+            trace.record_send(broadcast_id)
+        elif instant.name == "abcast.deliver":
+            trace.record_delivery(DeliveryRecord(
+                member=member, broadcast_id=broadcast_id,
+                sequence=instant.labels["sequence"],
+                delivered_at=instant.at))
+        elif instant.name == "abcast.ack":
+            trace.record_ack(member, broadcast_id, instant.at)
+    return trace

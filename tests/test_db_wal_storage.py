@@ -1,33 +1,12 @@
-"""Tests of stable storage, the stable log and the write-ahead log."""
+"""Tests of the write-ahead log and its stable records."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.db import (LocalDatabase, LogRecord, LogRecordType, StableLog,
-                      StableStorage, WriteAheadLog)
+from repro.db import LocalDatabase, LogRecord, LogRecordType, WriteAheadLog
 from repro.network import Node
 from repro.sim import Simulator
-
-
-def test_stable_storage_basic_operations():
-    storage = StableStorage("s")
-    storage.put("a", 1)
-    storage.put("b", 2)
-    assert storage.get("a") == 1
-    assert storage.get("missing", "default") == "default"
-    assert "b" in storage and len(storage) == 2
-    assert storage.write_count == 2
-
-
-def test_stable_log_append_numbers_entries():
-    log = StableLog()
-    first = log.append("r1")
-    second = log.append("r2")
-    assert (first, second) == (0, 1)
-    assert log.entries() == ["r1", "r2"]
-    assert log.entries(1) == ["r2"]
-    assert len(log) == 2
 
 
 def test_wal_volatile_until_flushed():

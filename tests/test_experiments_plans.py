@@ -72,6 +72,7 @@ def test_environment_steps_go_on_the_calendar_when_due_later():
 
 def test_a_partitioned_plan_addresses_its_shard():
     cluster = _sharded()
+    obs = cluster.enable_observability()
     driver = PlanDriver(cluster, ((0.0, "close-gates", ALL_SERVERS),
                                   (1.0, "crash-group", None)), shard=-1)
     driver.finish()
@@ -83,9 +84,10 @@ def test_a_partitioned_plan_addresses_its_shard():
     assert all(group.node(name).is_crashed for name in driver.crashed)
     assert not any(cluster.group(0).node(name).is_crashed
                    for name in cluster.group(0).server_names())
-    # One whole-group crash on the audit trail, not three server crashes.
-    assert [(event.kind, event.partition_id, event.server)
-            for event in cluster.crash_log] == [("crash", 1, None)]
+    # One whole-group crash on the faults track, not three server crashes.
+    assert [(instant.name, instant.labels)
+            for instant in obs.instants if instant.track == "faults"] == \
+        [("crash.partition", {"partition": 1})]
 
 
 def test_a_failpoint_step_that_never_fires_raises():

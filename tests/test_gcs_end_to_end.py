@@ -6,7 +6,9 @@ import pytest
 
 from repro.gcs import GroupCommunicationSystem
 from repro.network import Lan, Node
+from repro.obs.tracer import Observability
 from repro.sim import Simulator
+from tests.reference_broadcast import broadcast_trace
 
 
 def build_group(member_count=3, seed=5, **kwargs):
@@ -30,6 +32,7 @@ def test_delivery_is_logged_on_stable_storage():
 
 def test_acknowledge_marks_successful_delivery():
     sim, lan, nodes, gcs = build_group()
+    obs = Observability(sim)
     endpoint = gcs.endpoint("s2")
 
     def consumer():
@@ -41,7 +44,7 @@ def test_acknowledge_marks_successful_delivery():
     sim.run(until=20.0)
     assert endpoint.journal.unacknowledged() == []
     assert endpoint.ack_count == 1
-    assert gcs.trace.check_end_to_end(["s2"])
+    assert broadcast_trace(obs).check_end_to_end(["s2"])
 
 
 def test_unacknowledged_messages_are_replayed_after_crash():
@@ -95,7 +98,7 @@ def test_acknowledged_messages_are_not_replayed():
     process = nodes[2].spawn(recovery())
     sim.run(until=100.0)
     assert process.value == 0
-    assert endpoint.deliveries.pending_items == 0
+    assert len(endpoint.deliveries) == 0
 
 
 def test_whole_group_crash_recovery_replays_everywhere():
@@ -178,17 +181,19 @@ def test_duplicate_ack_is_harmless():
 
 
 class _UnscannableList(list):
-    """A delivery history that fails any scan (appends still work)."""
+    """A record list that fails any scan (appends still work)."""
 
     def __iter__(self):
         raise AssertionError("the history was scanned")
 
 
 def test_acknowledge_does_not_scan_the_delivery_history():
-    # Regression: every ack used to scan all of trace.deliveries, which made
-    # a long 2-safe run quadratic in its number of commits.
+    # Regression: every ack used to scan the whole delivery history, which
+    # made a long 2-safe run quadratic in its number of commits.  An ack
+    # appends one instant to the tracer and reads nothing already there.
     sim, lan, nodes, gcs = build_group()
-    gcs.trace.deliveries = _UnscannableList()
+    obs = Observability(sim)
+    obs.instants = _UnscannableList()
     endpoint = gcs.endpoint("s2")
     acked = []
 
@@ -203,7 +208,8 @@ def test_acknowledge_does_not_scan_the_delivery_history():
         gcs.endpoint("s1").broadcast(payload)
     sim.run(until=40.0)
     assert len(acked) == 2
-    mine = [record for record in list.__iter__(gcs.trace.deliveries)
+    obs.instants = list(list.__iter__(obs.instants))
+    mine = [record for record in broadcast_trace(obs).deliveries
             if record.member == "s2"]
     assert [record.acknowledged for record in mine] == [True, True]
     assert [record.acknowledged_at for record in mine] == \

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.gcs import (BroadcastTrace, DeliveryRecord, FailureDetector,
-                       GroupMembership)
+from repro.gcs import FailureDetector, GroupMembership
 from repro.network import Lan, Node
 from repro.sim import Simulator
+from tests.reference_broadcast import BroadcastTrace, DeliveryRecord
 
 
 def test_broadcast_trace_checks():

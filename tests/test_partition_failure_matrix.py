@@ -1,7 +1,8 @@
 """Partitioned failure-injection matrix: failpoints, scenarios, entries.
 
 The deterministic crash-injection machinery (failpoints keyed to WAL / 2PC /
-migration phases plus the crash log) lives on
+migration phases, and the crash and recovery instants it logs on the
+``faults`` track of the span tracer) lives on
 :class:`~repro.partition.cluster.PartitionedCluster`; the scenarios and the
 matrix itself live in :mod:`repro.experiments.partition_failure_matrix`.
 """
@@ -16,8 +17,6 @@ from repro.experiments.partition_failure_matrix import (
     render_partitioned_matrix, run_partitioned_crash_scenario,
     run_partitioned_failure_matrix)
 from repro.partition import PartitionedCluster
-from repro.partition.stats import collect_statistics
-from repro.partition.workload import PartitionedOpenLoopClients
 from repro.workload import SimulationParameters
 
 
@@ -57,26 +56,17 @@ def test_unregistered_phase_is_a_noop():
 
 def test_crash_log_records_crashes_and_recoveries():
     cluster = build()
+    obs = cluster.enable_observability()
     cluster.crash_server(0, "p0.s1")
     cluster.crash_partition(1)
     cluster.run(until=100)
     cluster.recover_server(0, "p0.s1")
-    kinds = [(event.kind, event.partition_id, event.server)
-             for event in cluster.crash_log]
-    assert kinds == [("crash", 0, "p0.s1"), ("crash", 1, None),
-                     ("recover", 0, "p0.s1")]
-
-
-def test_statistics_carry_the_injection_trail():
-    cluster = build()
-    clients = PartitionedOpenLoopClients(cluster, load_tps=30.0)
-    clients.start()
-    cluster.run(until=300)
-    cluster.crash_server(1, "p1.s3")
-    cluster.run(until=600)
-    stats = collect_statistics(clients, duration_ms=600)
-    assert [event.kind for event in stats.injected_crashes] == ["crash"]
-    assert stats.failpoints_fired == {}
+    faults = [(instant.name, instant.labels["partition"],
+               instant.labels.get("server"))
+              for instant in obs.instants if instant.track == "faults"]
+    assert faults == [("crash.server", 0, "p0.s1"),
+                      ("crash.partition", 1, None),
+                      ("recover.server", 0, "p0.s1")]
 
 
 # ------------------------------------------------------------------ scenarios

@@ -307,7 +307,7 @@ def test_store_clear_drops_items_and_getters():
     store.put(1)
     store.clear()
     assert len(store) == 0
-    assert store.pending_items == 0
+    assert len(store) == 0
 
 
 # ---------------------------------------------------------------- served store
@@ -326,13 +326,13 @@ def test_served_store_is_fifo_one_charge_one_event_per_item():
     for item in "abc":
         store.put(item)
     # One item at a time, whatever the capacity; only its charge is queued.
-    assert (resource.in_use, store.pending_items) == (1, 3)
+    assert (resource.in_use, len(store)) == (1, 3)
     assert sim.scheduled_events == 1
     sim.run()
     assert handled == [("a", 2.0), ("b", 4.0), ("c", 6.0)]
     assert sim.scheduled_events == 3
     assert (resource.granted_count, resource.busy_time) == (3, 6.0)
-    assert store.pending_items == 0 and store.is_served
+    assert len(store) == 0 and store.is_served
 
 
 def test_served_store_calls_the_handler_before_charging_the_next_item():
@@ -376,7 +376,7 @@ def test_items_put_before_serve_are_served_after_it():
     store = Store(sim)
     store.put("early")
     sim.run(until=3.0)
-    assert store.pending_items == 1 and not store.is_served
+    assert len(store) == 1 and not store.is_served
     handled = serve_recording(sim, store, resource)
     store.put("late")
     sim.run()
@@ -408,7 +408,7 @@ def test_clearing_a_served_store_mid_charge_frees_the_slot():
     sim.run(until=1.0)
     scheduled = sim.scheduled_events
     store.clear()
-    assert (resource.in_use, store.pending_items) == (0, 0)
+    assert (resource.in_use, len(store)) == (0, 0)
     assert resource.busy_time == pytest.approx(1.0)
     assert not store.is_served
     sim.run()           # the completion entry at 4 ms pops inert
@@ -449,7 +449,7 @@ def test_crash_drops_a_served_charge_without_scheduling_anything(contended):
     scheduled = sim.scheduled_events
     node.crash()
     assert sim.scheduled_events == scheduled
-    assert not node.inbox.is_served and node.inbox.pending_items == 0
+    assert not node.inbox.is_served and len(node.inbox) == 0
     sim.run()
     assert handled == [] and sim.scheduled_events == scheduled
 
