@@ -76,7 +76,7 @@ def test_abort_rate_sensitivity_to_database_size(benchmark):
 
 def test_two_safe_overhead(benchmark):
     """A4: end-to-end guarantees cost a stable-storage write per delivery."""
-    from repro.replication import ReplicatedDatabaseCluster
+    from repro.replication import ReplicatedDatabaseCluster, RunStatistics
     from repro.workload import OpenLoopClientPool
 
     def run(delivery_log_time):
@@ -84,10 +84,11 @@ def test_two_safe_overhead(benchmark):
             "2-safe", params=SimulationParameters.paper(), seed=4,
             gcs_delivery_log_time=delivery_log_time)
         cluster.start()
-        clients = OpenLoopClientPool(cluster, load_tps=22.0, warmup=2_000.0)
+        clients = OpenLoopClientPool(cluster, load_tps=22.0)
         clients.start()
         cluster.run(until=8_000.0)
-        return clients.mean_response_time()
+        return RunStatistics.of(clients.results, 2_000.0,
+                                8_000.0).mean_response_time
 
     free_logging = benchmark.pedantic(run, args=(0.0,), rounds=1, iterations=1)
     charged_logging = run(8.0)

@@ -65,9 +65,10 @@ SMOKE_JSON = REPORT_DIR / "BENCH_kernel.json"
 DEFAULT_TOLERANCE = 0.30
 
 
-def _summary(sim, commits: int, sim_ms: float, wall_s: float,
+def _summary(sim, clients, sim_ms: float, wall_s: float,
              trace=None) -> Dict[str, float]:
     events = sim.scheduled_events
+    commits = sum(answer.committed for answer in clients.results)
     summary = {
         "events": events,
         "committed_txns": commits,
@@ -93,13 +94,12 @@ def one_shard_saturation(smoke: bool, profile: bool = False,
     cluster = ReplicatedDatabaseCluster("group-safe", params=params, seed=11)
     trace = cluster.sim.enable_trace() if profile else None
     cluster.start()
-    clients = OpenLoopClientPool(cluster, load_tps=40.0, warmup=0.0)
+    clients = OpenLoopClientPool(cluster, load_tps=40.0)
     clients.start()
     started = time.perf_counter()
     cluster.run(until=duration_ms)
     wall = time.perf_counter() - started
-    return _summary(cluster.sim, len(clients.committed), duration_ms, wall,
-                    trace=trace)
+    return _summary(cluster.sim, clients, duration_ms, wall, trace=trace)
 
 
 def partitioned_zipf(smoke: bool, profile: bool = False,
@@ -114,13 +114,12 @@ def partitioned_zipf(smoke: bool, profile: bool = False,
                                  strategy="range")
     trace = cluster.sim.enable_trace() if profile else None
     cluster.start()
-    clients = PartitionedOpenLoopClients(cluster, load_tps=300.0, warmup=0.0)
+    clients = PartitionedOpenLoopClients(cluster, load_tps=300.0)
     clients.start()
     started = time.perf_counter()
     cluster.run(until=duration_ms)
     wall = time.perf_counter() - started
-    return _summary(cluster.sim, clients.committed_count, duration_ms, wall,
-                    trace=trace)
+    return _summary(cluster.sim, clients, duration_ms, wall, trace=trace)
 
 
 SCENARIOS = {

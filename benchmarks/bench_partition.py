@@ -49,12 +49,12 @@ def test_cross_partition_cost(benchmark):
 
     points = benchmark.pedantic(sweep, rounds=1, iterations=1)
     pure, _light, heavy = points
-    assert pure.statistics.cross.measured_commits == 0
-    assert heavy.statistics.cross.measured_commits > 0
+    assert pure.cross.measured_commits == 0
+    assert heavy.cross.measured_commits > 0
     # Cross-partition transactions introduce a failure mode the fast path
     # does not have: the optimistic prepare can be invalidated between the
     # branches' read phases and vote collection.
-    assert heavy.statistics.cross.abort_reasons.get(
+    assert heavy.cross.abort_reasons.get(
         "xpartition-validation", 0) > 0
     # And the 2PC tax is paid in *work amplification*, not client latency
     # (branch read phases run in parallel on two delegates): one committed
@@ -62,7 +62,7 @@ def test_cross_partition_cost(benchmark):
     # two replica groups plus a forced decision log, so the per-commit local
     # work is strictly higher than in the pure single-partition workload.
     def work_per_commit(point):
-        local_work = sum(point.statistics.per_partition_commits.values())
+        local_work = sum(point.per_partition_commits.values())
         return local_work / point.statistics.measured_commits
     assert work_per_commit(heavy) > work_per_commit(pure)
     write_report("partition_cross_cost", render_partition_sweep(points))

@@ -46,8 +46,8 @@ def test_live_rebalance_of_a_hot_zipf_head(benchmark):
     assert migration.verified
     assert DEFAULT_REBALANCE_AT_MS <= migration.completed_at \
         <= DEFAULT_SETTLE_MS
-    assert rebalanced.statistics.during_migration_commits > 0
-    assert rebalanced.statistics.epoch_commits.get(migration.epoch, 0) > 0
+    assert rebalanced.during_migration_commits > 0
+    assert rebalanced.epoch_commits.get(migration.epoch, 0) > 0
 
     # Zero lost / duplicated commits (per-key commit audit), both runs.
     assert static.audit_ok, static.audit_failures

@@ -16,12 +16,14 @@ Run it with::
 
 from __future__ import annotations
 
-from repro.partition import (PartitionedCluster, PartitionedOpenLoopClients,
-                             collect_statistics)
+from repro.partition import (CrossPartitionOutcome, PartitionedCluster,
+                             PartitionedOpenLoopClients)
+from repro.replication import RunStatistics
 from repro.workload import SimulationParameters
 
 PARTITIONS = 4
 LOAD_TPS = 60.0
+WARMUP_MS = 1_000.0
 DURATION_MS = 10_000.0
 
 
@@ -31,24 +33,31 @@ def main() -> None:
                                    cross_partition_probability=0.2)
     cluster = PartitionedCluster("group-safe", params=params, seed=7)
     cluster.start()
-    clients = PartitionedOpenLoopClients(cluster, load_tps=LOAD_TPS,
-                                         warmup=1_000.0)
+    clients = PartitionedOpenLoopClients(cluster, load_tps=LOAD_TPS)
     clients.start()
     cluster.run(until=DURATION_MS)
-    stats = collect_statistics(clients, duration_ms=DURATION_MS - 1_000.0)
+    stats = RunStatistics.of(clients.results, WARMUP_MS, DURATION_MS)
+    single = RunStatistics.of(
+        [answer for answer in clients.results
+         if not isinstance(answer, CrossPartitionOutcome)],
+        WARMUP_MS, DURATION_MS)
+    cross = RunStatistics.of(
+        [answer for answer in clients.results
+         if isinstance(answer, CrossPartitionOutcome)],
+        WARMUP_MS, DURATION_MS)
 
     print(f"Partitioned cluster: {PARTITIONS} group-safe replica groups, "
           f"{LOAD_TPS:.0f} tps offered\n")
     print(f"  routing: {cluster.router.single_partition_count} single-partition, "
           f"{cluster.router.cross_partition_count} cross-partition")
     print(f"  per-partition local commits: {cluster.commit_counts()}")
-    print(f"  fast path   : {stats.single.measured_commits} committed, "
-          f"mean rt {stats.single.mean_response_time:.1f} ms, "
-          f"p95 {stats.single.percentile(0.95):.1f} ms")
-    print(f"  coordinated : {stats.cross.measured_commits} committed, "
-          f"{stats.cross.measured_aborts} aborted "
-          f"({stats.cross.abort_reasons or 'no aborts'}), "
-          f"mean rt {stats.cross.mean_response_time:.1f} ms")
+    print(f"  fast path   : {single.measured_commits} committed, "
+          f"mean rt {single.mean_response_time:.1f} ms, "
+          f"p95 {single.percentile(0.95):.1f} ms")
+    print(f"  coordinated : {cross.measured_commits} committed, "
+          f"{cross.measured_aborts} aborted "
+          f"({cross.abort_reasons or 'no aborts'}), "
+          f"mean rt {cross.mean_response_time:.1f} ms")
     print(f"  overall throughput: {stats.achieved_throughput_tps:.1f} tps\n")
 
     violations = 0

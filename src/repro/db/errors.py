@@ -20,7 +20,6 @@ class TransactionAborted(DatabaseError):
 
     def __init__(self, transaction_id: str, reason: str = "aborted") -> None:
         super().__init__(f"transaction {transaction_id} aborted: {reason}")
-        self.transaction_id = transaction_id
         self.reason = reason
 
 

@@ -125,7 +125,6 @@ class ItemStore:
     """
 
     def __init__(self, item_count: int = 0, prefix: str = "item") -> None:
-        self.prefix = prefix
         self._keys = item_keys(item_count, prefix)
         self._overlay = _Overlay(_key_set(item_count, prefix))
         #: The hot per-operation handle: the canonical item of a key, or

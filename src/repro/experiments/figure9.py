@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..core.stats import percentile
 from ..replication.cluster import ReplicatedDatabaseCluster
+from ..replication.results import RunStatistics
 from ..workload.clients import OpenLoopClientPool
 from ..workload.params import SimulationParameters
 
@@ -54,23 +54,20 @@ def run_load_point(technique: str, load_tps: float,
     parameters = params or SimulationParameters.paper()
     cluster = ReplicatedDatabaseCluster(technique, params=parameters, seed=seed)
     cluster.start()
-    clients = OpenLoopClientPool(cluster, load_tps=load_tps, warmup=warmup_ms)
+    clients = OpenLoopClientPool(cluster, load_tps=load_tps)
     clients.start()
     cluster.run(until=duration_ms)
 
-    committed = clients.committed
-    aborted = clients.aborted
-    measured_ms = max(1.0, duration_ms - warmup_ms)
+    stats = RunStatistics.of(clients.results, warmup_ms, duration_ms)
     return LoadPoint(
         technique=technique,
         offered_load_tps=load_tps,
-        mean_response_time_ms=clients.mean_response_time(),
-        p90_response_time_ms=percentile(
-            [result.response_time for result in committed], 0.9),
-        abort_rate=clients.abort_rate(),
-        committed_transactions=len(committed),
-        aborted_transactions=len(aborted),
-        achieved_throughput_tps=len(committed) / (measured_ms / 1000.0),
+        mean_response_time_ms=stats.mean_response_time,
+        p90_response_time_ms=stats.percentile(0.9),
+        abort_rate=stats.abort_rate,
+        committed_transactions=stats.measured_commits,
+        aborted_transactions=stats.measured_aborts,
+        achieved_throughput_tps=stats.achieved_throughput_tps,
         simulated_ms=duration_ms)
 
 

@@ -16,11 +16,13 @@ partition layout forces it to.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
+from ..obs.tracer import Observability
 from ..partition.cluster import PartitionedCluster
-from ..partition.stats import PartitionedRunStatistics, collect_statistics
+from ..partition.coordinator import CrossPartitionOutcome
 from ..partition.workload import PartitionedOpenLoopClients
+from ..replication.results import RunStatistics
 from ..workload.params import SimulationParameters
 
 #: Partition counts swept by default (1 reproduces the paper's system shape).
@@ -37,9 +39,18 @@ class PartitionPoint:
     technique: str
     cross_partition_probability: float
     offered_load_tps: float
-    statistics: PartitionedRunStatistics
+    #: Every answer of the measured window, of both kinds.
+    statistics: RunStatistics
+    #: The cross-partition answers of the same window.
+    cross: RunStatistics
+    #: Locally committed transactions per partition in the window (the
+    #: replicated copies included, so it measures per-group work, not
+    #: client-visible commits).
+    per_partition_commits: Dict[int, int]
     #: Number of partitions each cross-partition transaction touches.
     cross_partition_span: int = 2
+    #: The span tracer of the run (None when tracing was off).
+    obs: Optional[Observability] = None
 
     @property
     def achieved_throughput_tps(self) -> float:
@@ -61,8 +72,8 @@ def run_partition_point(technique: str = "group-safe",
 
     The first 2 s are warm-up.  With ``observability`` the cluster runs
     under the span tracer; the resulting
-    :class:`~repro.obs.tracer.Observability` is reachable as
-    ``point.statistics.obs`` for export.
+    :class:`~repro.obs.tracer.Observability` is reachable as ``point.obs``
+    for export.
     """
     warmup_ms = 2_000.0
     parameters = params or SimulationParameters.small(server_count=3,
@@ -77,24 +88,27 @@ def run_partition_point(technique: str = "group-safe",
     if observability:
         cluster.enable_observability()
     cluster.start()
-    clients = PartitionedOpenLoopClients(cluster, load_tps=load_tps,
-                                         warmup=warmup_ms)
+    clients = PartitionedOpenLoopClients(cluster, load_tps=load_tps)
     clients.start()
     cluster.run(until=warmup_ms)
     warmup_commits = cluster.commit_counts()
     cluster.run(until=duration_ms)
-    statistics = collect_statistics(clients,
-                                    duration_ms=duration_ms - warmup_ms)
+    cross = [answer for answer in clients.results
+             if isinstance(answer, CrossPartitionOutcome)]
     # Local commits are counted since t=0; restrict them to the measured
     # window so work-per-commit ratios compare like with like.
-    statistics.per_partition_commits = {
+    per_partition_commits = {
         partition_id: count - warmup_commits.get(partition_id, 0)
-        for partition_id, count in statistics.per_partition_commits.items()}
+        for partition_id, count in cluster.commit_counts().items()}
     return PartitionPoint(
         partition_count=partition_count, technique=technique,
         cross_partition_probability=cross_partition_probability,
-        offered_load_tps=load_tps, statistics=statistics,
-        cross_partition_span=parameters.cross_partition_span)
+        offered_load_tps=load_tps,
+        statistics=RunStatistics.of(clients.results, warmup_ms, duration_ms),
+        cross=RunStatistics.of(cross, warmup_ms, duration_ms),
+        per_partition_commits=per_partition_commits,
+        cross_partition_span=parameters.cross_partition_span,
+        obs=cluster.sim.obs)
 
 
 def partition_sweep(partition_counts: Sequence[int] = PARTITION_COUNTS,
@@ -150,7 +164,7 @@ def span_sweep(spans: Sequence[int] = SPAN_VALUES,
 
 def work_per_commit(point: PartitionPoint) -> float:
     """Local (per-server, per-group) commits behind one client commit."""
-    local_work = sum(point.statistics.per_partition_commits.values())
+    local_work = sum(point.per_partition_commits.values())
     if not point.statistics.measured_commits:
         return 0.0
     return local_work / point.statistics.measured_commits
@@ -169,10 +183,10 @@ def render_span_sweep(points: Sequence[PartitionPoint]) -> str:
             f"{point.cross_partition_probability:>7.0%} | "
             f"{point.offered_load_tps:>8.0f} | "
             f"{stats.achieved_throughput_tps:>9.1f} | "
-            f"{stats.cross.achieved_throughput_tps:>10.1f} | "
+            f"{point.cross.achieved_throughput_tps:>10.1f} | "
             f"{stats.mean_response_time:>8.1f} | "
             f"{work_per_commit(point):>11.2f} | "
-            f"{stats.cross.abort_reasons.get('xpartition-validation', 0):>17}")
+            f"{point.cross.abort_reasons.get('xpartition-validation', 0):>17}")
     return "\n".join(lines)
 
 
@@ -224,12 +238,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             duration_ms=duration, seed=arguments.seed, params=params,
             observability=True)
         trace_path = Path(arguments.trace)
-        write_chrome_trace(trace_path, traced.statistics.obs,
+        write_chrome_trace(trace_path, traced.obs,
                            metadata={"scenario": "partition-scaling",
                                      "partitions": counts[-1],
                                      "seed": arguments.seed})
         write_critical_path_report(trace_path.with_suffix(".txt"),
-                                   traced.statistics.obs)
+                                   traced.obs)
         print(f"trace written to {trace_path} (critical-path report: "
               f"{trace_path.with_suffix('.txt')})")
     return 0

@@ -20,12 +20,12 @@ no client-visible commit is lost and none is duplicated across groups.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.audit import ConfirmedWrite, audit_writes
 from ..partition.cluster import PartitionedCluster
+from ..partition.coordinator import CrossPartitionOutcome
 from ..partition.migration import MigrationReport
-from ..partition.stats import PartitionedRunStatistics, collect_statistics
 from ..partition.workload import PartitionedOpenLoopClients
 from ..workload.params import SimulationParameters
 
@@ -41,7 +41,10 @@ class RebalanceOutcome:
     """One run of the rebalance experiment (static or live-rebalanced)."""
 
     rebalanced: bool
-    statistics: PartitionedRunStatistics
+    #: Client-visible commits while a migration was in flight.
+    during_migration_commits: int = 0
+    #: Client-visible commits per routing epoch (at response time).
+    epoch_commits: Dict[int, int] = field(default_factory=dict)
     #: Committed throughput (tps) in the three measurement windows.
     before_tput: float = 0.0
     during_tput: float = 0.0
@@ -72,18 +75,13 @@ def window_commits(clients: PartitionedOpenLoopClients, start: float,
     range sharding puts the Zipf head, the hot group, on group 0."""
     total = 0
     on_hot = 0
-    for population in (clients.single_results, clients.warmup_single_results):
-        for result in population:
-            if result.committed and start <= result.responded_at < end:
-                total += 1
-                if _group_of_result(result) == 0:
-                    on_hot += 1
-    for population in (clients.cross_results, clients.warmup_cross_results):
-        for outcome in population:
-            if outcome.committed and start <= outcome.responded_at < end:
-                total += 1
-                if 0 in outcome.partitions:
-                    on_hot += 1
+    for answer in clients.results:
+        if answer.committed and start <= answer.responded_at < end:
+            total += 1
+            if isinstance(answer, CrossPartitionOutcome):
+                on_hot += 0 in answer.partitions
+            else:
+                on_hot += _group_of_result(answer) == 0
     return total, on_hot
 
 
@@ -107,17 +105,17 @@ def audit_commit_integrity(cluster: PartitionedCluster,
 
     Returns a list of human-readable failures (empty = audit passed).
     """
+    committed = [answer for answer in clients.results if answer.committed]
     # A commit without a commit order is read-only: nothing to audit.
-    writes = [ConfirmedWrite(result.txn_id, _group_of_result(result))
-              for result in (list(clients.single_results)
-                             + list(clients.warmup_single_results))
-              if result.committed and result.commit_order is not None
-              and not result.txn_id.startswith("rejected:")]
+    writes = [ConfirmedWrite(answer.txn_id, _group_of_result(answer))
+              for answer in committed
+              if not isinstance(answer, CrossPartitionOutcome)
+              and answer.commit_order is not None
+              and not answer.txn_id.startswith("rejected:")]
     writes += [ConfirmedWrite(branch.txn_id, branch.partition_id)
-               for outcome in (list(clients.cross_results)
-                               + list(clients.warmup_cross_results))
-               if outcome.committed
-               for branch in outcome.branches if branch.txn_id is not None]
+               for answer in committed
+               if isinstance(answer, CrossPartitionOutcome)
+               for branch in answer.branches if branch.txn_id is not None]
     failures = [str(finding)
                 for finding in audit_writes(cluster.groups, writes)]
 
@@ -164,17 +162,17 @@ def run_rebalance_experiment(rebalance: bool = True) -> RebalanceOutcome:
     cluster = PartitionedCluster("group-safe", params=parameters, seed=33,
                                  strategy="range")
     cluster.start()
-    clients = PartitionedOpenLoopClients(cluster, load_tps=150.0,
-                                         warmup=warmup_ms)
+    clients = PartitionedOpenLoopClients(cluster, load_tps=150.0)
     clients.start()
     cluster.run(until=rebalance_at_ms)
     if rebalance:
         cluster.rebalance()
     cluster.run(until=duration_ms)
 
-    statistics = collect_statistics(clients,
-                                    duration_ms=duration_ms - warmup_ms)
-    outcome = RebalanceOutcome(rebalanced=rebalance, statistics=statistics)
+    outcome = RebalanceOutcome(
+        rebalanced=rebalance,
+        during_migration_commits=clients.during_migration_commits,
+        epoch_commits=dict(clients.epoch_commits))
     before, before_hot = window_commits(clients, warmup_ms, rebalance_at_ms)
     during, _ = window_commits(clients, rebalance_at_ms, settle_ms)
     after, after_hot = window_commits(clients, settle_ms, duration_ms)

@@ -1,12 +1,13 @@
-"""A canonical traced scenario shared by the experiment CLIs.
+"""A canonical traced scenario shared by the two loss-matrix CLIs.
 
-Every ``--trace <path>`` flag across the experiment entry points funnels
-through :func:`write_scenario_trace`: one mixed 2PC + migration run (the
-same shape as the kernel-determinism golden scenario — four range shards,
-a Zipf hot head, cross-partition traffic, one mid-run ``rebalance()``)
-executed with :meth:`~repro.partition.cluster.PartitionedCluster.
+The ``--trace <path>`` flag of ``failure_matrix`` and
+``partition_failure_matrix`` funnels through :func:`write_scenario_trace`:
+one mixed 2PC + migration run (the same shape as the kernel-determinism
+golden scenario — four range shards, a Zipf hot head, cross-partition
+traffic, one mid-run ``rebalance()``) executed with :meth:`~repro.partition.cluster.PartitionedCluster.
 enable_observability`, exported as Chrome trace-event JSON next to a
-plain-text critical-path report.
+plain-text critical-path report.  (``partition_scaling --trace`` traces its
+own largest sweep point instead.)
 
 The scenario deliberately exercises every instrumented layer — fast-path
 submit/respond, 2PC prepare/decision/branch installs, atomic broadcast,
@@ -22,21 +23,19 @@ from typing import Optional, Tuple
 from ..obs.export import write_chrome_trace, write_critical_path_report
 from ..obs.tracer import Observability
 from ..partition.cluster import PartitionedCluster
-from ..partition.stats import PartitionedRunStatistics, collect_statistics
 from ..partition.workload import PartitionedOpenLoopClients
 from ..workload.params import SimulationParameters
 
 
 def run_traced_scenario(seed: int = 7, rebalance_at_ms: float = 1_500.0,
                         duration_ms: float = 4_000.0
-                        ) -> Tuple[Observability, PartitionedRunStatistics,
-                                   PartitionedOpenLoopClients]:
+                        ) -> Tuple[Observability, PartitionedOpenLoopClients]:
     """Run the mixed 2PC + migration scenario (group-safe, 120 tps) with
     tracing enabled.
 
     Returns the :class:`~repro.obs.tracer.Observability` holding the span
-    forest, the collected run statistics, and the client pool whose raw
-    per-transaction results the critical-path trees must reconcile with.
+    forest and the client pool whose answers the critical-path trees must
+    reconcile with.
     """
     parameters = SimulationParameters.small(
         server_count=3, item_count=240).with_overrides(
@@ -50,8 +49,7 @@ def run_traced_scenario(seed: int = 7, rebalance_at_ms: float = 1_500.0,
     cluster.run(until=rebalance_at_ms)
     cluster.rebalance()
     cluster.run(until=duration_ms)
-    statistics = collect_statistics(clients, duration_ms=duration_ms)
-    return observability, statistics, clients
+    return observability, clients
 
 
 def write_scenario_trace(path, seed: int = 7) -> Path:
@@ -62,11 +60,12 @@ def write_scenario_trace(path, seed: int = 7) -> Path:
     it with a ``.txt`` suffix.  Returns the trace path.
     """
     trace_path = Path(path)
-    observability, statistics, _clients = run_traced_scenario(seed=seed)
+    observability, clients = run_traced_scenario(seed=seed)
+    committed = sum(answer.committed for answer in clients.results)
     write_chrome_trace(trace_path, observability,
                        metadata={"scenario": "mixed-2pc-migration",
                                  "technique": "group-safe", "seed": seed,
-                                 "committed": statistics.measured_commits})
+                                 "committed": committed})
     write_critical_path_report(trace_path.with_suffix(".txt"), observability)
     return trace_path
 

@@ -3,7 +3,7 @@
 The paper's Table 4 models the network with two constants: 0.07 ms for a
 message or a broadcast on the network, and 0.07 ms of CPU time per network
 operation.  The :class:`Lan` therefore delivers every message after a fixed
-(optionally jittered) latency, and charges no bandwidth: a 100 Mb/s switched
+latency, and charges no bandwidth: a 100 Mb/s switched
 LAN is effectively uncontended at the message sizes and rates of the study.
 A broadcast is one operation like a message: its copies leave at once and
 arrive one latency later, and the sender pays one CPU charge for it (the
@@ -51,14 +51,11 @@ from .node import Node
 class Lan:
     """A broadcast-capable local-area network connecting :class:`Node` objects."""
 
-    def __init__(self, sim: Simulator, latency: float = 0.07,
-                 jitter: float = 0.0) -> None:
-        if latency < 0 or jitter < 0:
-            raise ValueError("latency and jitter must be non-negative")
+    def __init__(self, sim: Simulator, latency: float = 0.07) -> None:
+        if latency < 0:
+            raise ValueError("latency must be non-negative")
         self.sim = sim
         self.latency = latency
-        self.jitter = jitter
-        self._jitter_stream = sim.random.stream("lan.jitter") if jitter else None
         #: The interned loss stream; created on the first install of a lossy
         #: fault and never before, so fault-free runs make no extra draws.
         self._loss_stream = None
@@ -147,12 +144,6 @@ class Lan:
         self._fault_tables = FaultTables.combine(self._faults.values())
 
     # -- transmission -----------------------------------------------------------------
-    def _delivery_delay(self) -> float:
-        delay = self.latency
-        if self.jitter:
-            delay += self.jitter * self._jitter_stream.random()
-        return delay
-
     def send(self, message: Message) -> None:
         """Send a point-to-point message.
 
@@ -218,7 +209,7 @@ class Lan:
                 (message.sender, message.destination) in tables.blocked:
             self._drop(message, "partitioned")
             return None
-        delay = self._delivery_delay()
+        delay = self.latency
         if tables.loss or tables.latency:
             pair = (message.sender, message.destination)
             probability = tables.loss.get(pair)

@@ -25,8 +25,9 @@ keep submitting.
   ``Migration`` object (overlapped copy, dual writes, fence and
   drain, force-logged epoch bump) and its :class:`MigrationReport`;
 * :mod:`~repro.partition.workload` — partition-aware workload generation and
-  the open-loop load driver;
-* :mod:`~repro.partition.stats` — aggregated run statistics.
+  the open-loop load driver, which keeps every answer of either kind in one
+  list (summarise a window of it with
+  :meth:`~repro.replication.results.RunStatistics.of`).
 """
 
 from .cluster import PartitionedCluster
@@ -37,7 +38,6 @@ from .migration import MigrationReport
 from .router import TransactionRouter
 from .routing import (STRATEGIES, KeyRange, RoutingSnapshot, RoutingTable,
                       ShardAssignment, WrongEpochError, position_of_key)
-from .stats import PartitionedRunStatistics, collect_statistics
 from .workload import PartitionedOpenLoopClients, PartitionedWorkloadGenerator
 
 __all__ = [
@@ -60,6 +60,4 @@ __all__ = [
     "TransactionRouter",
     "PartitionedWorkloadGenerator",
     "PartitionedOpenLoopClients",
-    "PartitionedRunStatistics",
-    "collect_statistics",
 ]

@@ -246,8 +246,7 @@ class PartitionedCluster:
         if self.routing_fenced(keys):
             raise WrongEpochError(
                 f"program {program.program_id} touches a fenced range of a "
-                f"live migration; retry against the new epoch",
-                epoch_seen=self.routing.epoch, epoch_now=self.routing.epoch)
+                f"live migration; retry against the new epoch")
         self.routing.note_keys(keys)
         snapshot = self.router.snapshot()
         partitions = self.router.classify(program, snapshot=snapshot,

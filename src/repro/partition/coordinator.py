@@ -59,8 +59,8 @@ the decision — the essence of 2PC — is fundamentally in tension with
 re-certifying at install time; closing the window would need prepare-time
 locks that the certification-based techniques do not take for their own
 transactions.  This mirrors the anomaly budget the paper itself tolerates for
-lazy replication (Sect. 7) and is measured, not hidden: validation aborts and
-the cross-partition abort rate are reported by the statistics module.
+lazy replication (Sect. 7) and is measured, not hidden: the partition
+experiments report the validation aborts and the cross-partition abort rate.
 """
 
 from __future__ import annotations

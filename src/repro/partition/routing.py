@@ -68,12 +68,6 @@ class WrongEpochError(RuntimeError):
     The remedy is always the same: take a fresh snapshot and resubmit.
     """
 
-    def __init__(self, message: str, epoch_seen: Optional[int] = None,
-                 epoch_now: Optional[int] = None) -> None:
-        super().__init__(message)
-        self.epoch_seen = epoch_seen
-        self.epoch_now = epoch_now
-
 
 def position_of_key(key: str, slots: int, strategy: str) -> int:
     """Map ``key`` to its routing position in ``[0, slots)``.
@@ -403,8 +397,7 @@ class RoutingTable:
             if fenced.lo < key_range.hi and key_range.lo < fenced.hi:
                 raise WrongEpochError(
                     f"range {key_range!r} overlaps the fenced range "
-                    f"{fenced!r} of a live migration",
-                    epoch_seen=self._epoch, epoch_now=self._epoch)
+                    f"{fenced!r} of a live migration")
 
     def split(self, shard: Union[int, KeyRange],
               at: Optional[int] = None) -> int:

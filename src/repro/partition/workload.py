@@ -24,13 +24,14 @@ single-group client pool: open loop, Poisson arrivals at a fixed system-wide
 rate (the Fig. 9 X-axis discipline).  It submits through
 :meth:`~repro.partition.cluster.PartitionedCluster.submit_retrying`, so a
 client whose keys are mid-migration transparently retries against the new
-epoch, and it keeps per-epoch and during-migration commit counters for the
-rebalance experiments.
+epoch.  It keeps every answer of either kind in one list, in answer order,
+and per-epoch and during-migration commit counters for the rebalance
+experiments.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 from ..db.operations import Operation, OperationType, TransactionProgram
 from ..replication.results import TransactionResult
@@ -179,8 +180,8 @@ class PartitionedWorkloadGenerator(WorkloadGenerator):
 class PartitionedOpenLoopClients:
     """Poisson arrivals at a fixed system-wide rate against a partitioned cluster."""
 
-    def __init__(self, cluster: "PartitionedCluster", load_tps: float,
-                 warmup: float = 0.0) -> None:
+    def __init__(self, cluster: "PartitionedCluster",
+                 load_tps: float) -> None:
         if load_tps <= 0:
             raise ValueError("load must be positive")
         self.load_tps = load_tps
@@ -188,15 +189,10 @@ class PartitionedOpenLoopClients:
         self.cluster = cluster
         self.sim: Simulator = cluster.sim
         self.workload: PartitionedWorkloadGenerator = cluster.workload
-        self.warmup = warmup
-        #: Fast-path results observed after warm-up.
-        self.single_results: List[TransactionResult] = []
-        #: Cross-partition outcomes observed after warm-up.
-        self.cross_results: List[CrossPartitionOutcome] = []
-        #: Results whose submission fell inside the warm-up window (kept for
-        #: the commit-integrity audits, excluded from the statistics).
-        self.warmup_single_results: List[TransactionResult] = []
-        self.warmup_cross_results: List[CrossPartitionOutcome] = []
+        #: Every answer, in answer order: a fast-path
+        #: :class:`~repro.replication.results.TransactionResult` or a
+        #: :class:`~repro.partition.coordinator.CrossPartitionOutcome`.
+        self.results: List[Union[TransactionResult, CrossPartitionOutcome]] = []
         self.submitted_count = 0
         #: Arrivals dropped because no delegate was reachable.
         self.rejected_count = 0
@@ -208,7 +204,6 @@ class PartitionedOpenLoopClients:
 
     def _run_one(self, program: TransactionProgram, client_index: int):
         """Generator: submit one program (with epoch retries) and record it."""
-        submitted_at = self.sim.now
         try:
             outcome = yield from self.cluster.submit_retrying(
                 program, client_index=client_index)
@@ -217,9 +212,6 @@ class PartitionedOpenLoopClients:
             self.rejected_count += 1
             return
         self.submitted_count += 1
-        self._record(outcome, submitted_at)
-
-    def _record(self, outcome, submitted_at: float) -> None:
         if self.cluster.migration_active:
             if outcome.committed:
                 self.during_migration_commits += 1
@@ -228,27 +220,7 @@ class PartitionedOpenLoopClients:
         if outcome.committed:
             epoch = self.cluster.routing.epoch
             self.epoch_commits[epoch] = self.epoch_commits.get(epoch, 0) + 1
-        if submitted_at < self.warmup:
-            if isinstance(outcome, CrossPartitionOutcome):
-                self.warmup_cross_results.append(outcome)
-            else:
-                self.warmup_single_results.append(outcome)
-            return
-        if isinstance(outcome, CrossPartitionOutcome):
-            self.cross_results.append(outcome)
-        else:
-            self.single_results.append(outcome)
-
-    # -- derived statistics -------------------------------------------------------------
-    @property
-    def results(self) -> List[object]:
-        """All post-warm-up results (fast path first, then cross-partition)."""
-        return list(self.single_results) + list(self.cross_results)
-
-    @property
-    def committed_count(self) -> int:
-        """Committed transactions of both kinds after warm-up."""
-        return sum(1 for result in self.results if result.committed)
+        self.results.append(outcome)
 
     def start(self) -> None:
         """Start the arrival process."""

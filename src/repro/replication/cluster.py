@@ -83,10 +83,6 @@ class ReplicatedDatabaseCluster:
         self.level = TECHNIQUE_SAFETY[technique]
         self.params = params or SimulationParameters.paper()
         self.sim = sim or Simulator(seed=seed)
-        #: Prefix prepended to every server name; lets several replica groups
-        #: (e.g. the partitions of :class:`~repro.partition.PartitionedCluster`)
-        #: coexist on one shared LAN without name collisions.
-        self.name_prefix = name_prefix
         self.lan = lan if lan is not None \
             else Lan(self.sim, latency=self.params.network_latency)
         self.nodes: Dict[str, Node] = {}
@@ -96,6 +92,8 @@ class ReplicatedDatabaseCluster:
         self.gcs: Optional[GroupCommunicationSystem] = None
         self._started = False
 
+        # ``name_prefix`` lets several replica groups (the partitions of a
+        # PartitionedCluster) share one LAN without name collisions.
         for base_name in self.params.server_names():
             name = f"{name_prefix}{base_name}"
             node = Node(self.sim, name,

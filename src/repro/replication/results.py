@@ -13,7 +13,7 @@ exactly this information.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from ..core.stats import percentile as _shared_percentile
 
@@ -57,25 +57,40 @@ class TransactionResult:
 
 @dataclass
 class RunStatistics:
-    """Aggregated statistics of one simulation run of a technique."""
+    """The answers submitted inside one measurement window, summarised.
 
-    technique: str
-    offered_load_tps: float = 0.0
+    Sect. 6 judges a technique by the mean response time of its committed
+    transactions and by its abort rate over a measured window (Fig. 9).
+    """
+
     measured_commits: int = 0
     measured_aborts: int = 0
     response_times: List[float] = field(default_factory=list)
     abort_reasons: Dict[str, int] = field(default_factory=dict)
     simulated_duration_ms: float = 0.0
 
-    def record(self, result: TransactionResult) -> None:
-        """Fold one client-visible result into the statistics."""
-        if result.committed:
-            self.measured_commits += 1
-            self.response_times.append(result.response_time)
-        else:
-            self.measured_aborts += 1
-            reason = result.abort_reason or "unknown"
-            self.abort_reasons[reason] = self.abort_reasons.get(reason, 0) + 1
+    @classmethod
+    def of(cls, answers: Iterable[Any], start_ms: float,
+           end_ms: float) -> "RunStatistics":
+        """Summarise the ``answers`` submitted in ``[start_ms, end_ms)``.
+
+        An answer is a :class:`TransactionResult` or a cross-partition
+        outcome; both carry ``committed``, ``submitted_at``,
+        ``response_time`` and ``abort_reason``.
+        """
+        stats = cls(simulated_duration_ms=end_ms - start_ms)
+        for answer in answers:
+            if not start_ms <= answer.submitted_at < end_ms:
+                continue
+            if answer.committed:
+                stats.measured_commits += 1
+                stats.response_times.append(answer.response_time)
+            else:
+                stats.measured_aborts += 1
+                reason = answer.abort_reason or "unknown"
+                stats.abort_reasons[reason] = \
+                    stats.abort_reasons.get(reason, 0) + 1
+        return stats
 
     @property
     def mean_response_time(self) -> float:

@@ -57,8 +57,6 @@ class Simulator:
         self._ticks: Dict[float, "Tick"] = {}
         self._poller_count = 0
         self.random = RandomStreams(seed)
-        #: Arbitrary per-run annotations experiments may attach (e.g. config).
-        self.metadata: dict = {}
         #: Optional event-trace sink (see :meth:`enable_trace`).
         self._trace: Optional[list] = None
         #: Optional span tracer (see :class:`repro.obs.tracer.Observability`).

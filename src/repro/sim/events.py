@@ -169,7 +169,7 @@ class Event:
 class Timeout(Event):
     """An event that fires after a fixed delay of simulated time."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
         if delay < 0:
@@ -184,7 +184,6 @@ class Timeout(Event):
         self._ok = True
         self._defused = False
         self._processed = False
-        self.delay = delay
         sim._sequence += 1
         heappush(sim._queue,
                  (sim._now + delay, NORMAL_BIAS + sim._sequence, self))

@@ -46,7 +46,6 @@ class WorkloadGenerator:
                  skew: Optional[float] = None) -> None:
         self.sim = sim
         self.params = params
-        self.stream_prefix = stream_prefix
         #: The keyspace; by default the item stores' own (shared) key tuple.
         self.item_keys: Sequence[str] = (
             list(item_keys) if item_keys is not None

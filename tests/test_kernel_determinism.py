@@ -23,6 +23,7 @@ import pytest
 from repro.experiments.figure9 import run_load_point
 from repro.experiments.scenarios import figure5_scenario
 from repro.partition.cluster import PartitionedCluster
+from repro.partition.coordinator import CrossPartitionOutcome
 from repro.partition.workload import PartitionedOpenLoopClients
 from repro.sim.engine import Simulator
 from repro.workload.params import SimulationParameters
@@ -45,18 +46,23 @@ def _mixed_run(seed: int):
                                  strategy="range")
     trace = cluster.sim.enable_trace()
     cluster.start()
-    clients = PartitionedOpenLoopClients(cluster, load_tps=120.0, warmup=0.0)
+    clients = PartitionedOpenLoopClients(cluster, load_tps=120.0)
     clients.start()
     cluster.run(until=1_500.0)
     cluster.rebalance()          # live migration of the hot head under load
     cluster.run(until=4_000.0)
+    # The pinned response times list the fast-path answers first, then the
+    # 2PC ones, each kind in answer order: a stable sort on the kind.
+    by_kind = sorted(clients.results,
+                     key=lambda answer: isinstance(answer,
+                                                   CrossPartitionOutcome))
     stats = (
-        clients.committed_count,
+        sum(answer.committed for answer in clients.results),
         clients.submitted_count,
         cluster.routing.epoch,
         len(cluster.migration_reports),
-        tuple(result.response_time for result in clients.results
-              if result.committed),
+        tuple(answer.response_time for answer in by_kind
+              if answer.committed),
         cluster.lan.sent_count,
         cluster.lan.delivered_count,
         cluster.router.wrong_epoch_retries,
@@ -107,8 +113,7 @@ class TestPinnedMigrationRuns:
                                      partition_count=2, strategy="range")
         trace = cluster.sim.enable_trace()
         cluster.start()
-        clients = PartitionedOpenLoopClients(cluster, load_tps=40.0,
-                                             warmup=0.0)
+        clients = PartitionedOpenLoopClients(cluster, load_tps=40.0)
         clients.start()
         cluster.add_failpoint("migration.fence",
                               lambda context: cluster.crash_partition(1))
@@ -131,7 +136,8 @@ class TestPinnedMigrationRuns:
         assert not cluster.routing.has_fences
         assert not cluster.migration_active
         assert cluster.failpoints_fired == {"migration.fence": 1}
-        assert (clients.committed_count, clients.submitted_count,
+        assert (sum(answer.committed for answer in clients.results),
+                clients.submitted_count,
                 cluster.lan.sent_count, cluster.sim.scheduled_events) == \
             (78, 267, 2080, 28516)
         assert _digest(trace) == ("7cd79dd78e6d4e4cab85580f095f7cc2"

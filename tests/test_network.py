@@ -75,14 +75,14 @@ def test_broadcast_copies_are_distinct_objects_with_one_message_id():
     assert message.sent_at is None             # the original never travels
 
 
-def _fan_out(use_broadcast, jitter=0.0, slow_pair=None):
+def _fan_out(use_broadcast, slow_pair=None):
     """One message to s1..s5 plus an unknown and a blocked destination, by
     ``broadcast`` or by the equivalent ``send`` loop; what arrived, the
     counters and the number of kernel events it took."""
     from repro.network.faults import LinkFault
 
     sim = Simulator(seed=4)
-    lan = Lan(sim, jitter=jitter)
+    lan = Lan(sim)
     nodes = [lan.attach(Node(sim, f"s{i}")) for i in range(1, 6)]
     lan.install_fault(LinkFault.asymmetric("oneway", [("s1", "s3")]))
     if slow_pair is not None:
@@ -111,7 +111,6 @@ def _fan_out(use_broadcast, jitter=0.0, slow_pair=None):
 @pytest.mark.parametrize("options,broadcast_events", [
     ({}, 1),                                   # one delay: one event
     ({"slow_pair": ("s1", "s4")}, 3),          # runs s1 s2 | s4 | s5
-    ({"jitter": 0.05}, 4),                     # every delay differs
 ])
 def test_broadcast_is_the_send_loop_in_fewer_events(options, broadcast_events):
     sends, send_counters, send_events = _fan_out(False, **options)

@@ -21,13 +21,14 @@ import hashlib
 
 import pytest
 
-from repro.core.stats import percentile, summarize
+from repro.core.stats import percentile
 from repro.experiments.traced import run_traced_scenario
 from repro.obs.export import (chrome_trace, critical_path_report,
                               validate_chrome_trace)
 from repro.obs.kernel import profile_kernel_trace, render_kernel_profile
 from repro.obs.tracer import Observability, STAGES
 from repro.partition.cluster import PartitionedCluster
+from repro.partition.coordinator import CrossPartitionOutcome
 from repro.partition.workload import PartitionedOpenLoopClients
 from repro.replication.results import RunStatistics
 from repro.sim.engine import Simulator
@@ -66,7 +67,7 @@ def _mixed_digest(observability: bool):
     committed_rt = sum(result.response_time for result in clients.results
                       if result.committed)
     return (digest.hexdigest(), cluster.sim.scheduled_events,
-            clients.committed_count, committed_rt)
+            sum(result.committed for result in clients.results), committed_rt)
 
 
 class TestTracerDeterminism:
@@ -89,7 +90,7 @@ def traced_run():
 
 class TestCriticalPathReconciliation:
     def test_stages_sum_to_duration_for_every_closed_root(self, traced_run):
-        obs, _stats, _clients = traced_run
+        obs, _clients = traced_run
         closed = [root for root in obs.roots() if root.closed]
         assert closed, "the traced scenario produced no closed root spans"
         for root in closed:
@@ -99,38 +100,31 @@ class TestCriticalPathReconciliation:
                                                          abs=1e-6)
 
     def test_root_span_duration_is_the_response_time(self, traced_run):
-        obs, _stats, clients = traced_run
-        checked = 0
-        for result in clients.single_results:
-            if not result.committed:
-                continue
-            root = obs.span_for(("txn", result.txn_id))
+        obs, clients = traced_run
+        committed = [answer for answer in clients.results if answer.committed]
+        assert committed
+        for answer in committed:
+            key = (("xp", answer.xid)
+                   if isinstance(answer, CrossPartitionOutcome)
+                   else ("txn", answer.txn_id))
+            root = obs.span_for(key)
             assert root is not None and root.closed
-            assert root.duration == pytest.approx(result.response_time,
+            assert root.duration == pytest.approx(answer.response_time,
                                                   abs=1e-6)
-            checked += 1
-        for outcome in clients.cross_results:
-            if not outcome.committed:
-                continue
-            root = obs.span_for(("xp", outcome.xid))
-            assert root is not None and root.closed
-            assert root.duration == pytest.approx(outcome.response_time,
-                                                  abs=1e-6)
-            checked += 1
-        assert checked > 0
 
     def test_committed_transactions_have_complete_span_trees(self,
                                                              traced_run):
-        obs, _stats, clients = traced_run
-        for result in clients.single_results:
-            if not result.committed:
+        obs, clients = traced_run
+        committed = [answer for answer in clients.results if answer.committed]
+        for result in committed:
+            if isinstance(result, CrossPartitionOutcome):
                 continue
             root = obs.span_for(("txn", result.txn_id))
             children = obs.children_of(root)
             assert children, f"committed {result.txn_id} has no child spans"
             assert all(child.closed for child in obs.descendants(root))
-        cross_committed = [outcome for outcome in clients.cross_results
-                           if outcome.committed]
+        cross_committed = [outcome for outcome in committed
+                           if isinstance(outcome, CrossPartitionOutcome)]
         assert cross_committed, "scenario produced no committed 2PC txns"
         for outcome in cross_committed:
             root = obs.span_for(("xp", outcome.xid))
@@ -139,7 +133,7 @@ class TestCriticalPathReconciliation:
             assert "2pc.commit-branch" in names
 
     def test_migration_root_span_recorded(self, traced_run):
-        obs, _stats, _clients = traced_run
+        obs, _clients = traced_run
         migrations = [span for span in obs.roots()
                       if span.name == "migration"]
         assert migrations
@@ -153,7 +147,7 @@ class TestCriticalPathReconciliation:
 # ----------------------------------------------------------------- exporter
 class TestChromeTraceExport:
     def test_traced_scenario_payload_validates(self, traced_run):
-        obs, _stats, _clients = traced_run
+        obs, _clients = traced_run
         payload = chrome_trace(obs, metadata={"scenario": "test"})
         assert validate_chrome_trace(payload) == []
         phases = {event["ph"] for event in payload["traceEvents"]}
@@ -192,7 +186,7 @@ class TestChromeTraceExport:
         assert len(problems) == 6
 
     def test_critical_path_report_renders_all_stages(self, traced_run):
-        obs, _stats, _clients = traced_run
+        obs, _clients = traced_run
         report = critical_path_report(obs, limit=5)
         header = report.splitlines()[0]
         for stage in STAGES:
@@ -271,7 +265,7 @@ class TestCriticalPathSweep:
 class TestSharedPercentile:
     def test_empty_input_is_zero_everywhere(self):
         assert percentile([], 0.5) == 0.0
-        assert RunStatistics(technique="t").percentile(0.5) == 0.0
+        assert RunStatistics().percentile(0.5) == 0.0
 
     def test_fraction_out_of_range_raises(self):
         with pytest.raises(ValueError):
@@ -281,20 +275,13 @@ class TestSharedPercentile:
 
     def test_interpolation_matches_across_implementations(self):
         values = [5.0, 1.0, 4.0, 2.0, 3.0]
-        stats = RunStatistics(technique="t", response_times=list(values))
+        stats = RunStatistics(response_times=list(values))
         for fraction in (0.0, 0.25, 0.5, 0.75, 0.9, 1.0):
             expected = percentile(values, fraction)
             assert stats.percentile(fraction) == expected
         assert percentile(values, 0.5) == 3.0
         assert percentile(values, 0.75) == 4.0
         assert percentile(values, 1.0) == 5.0
-
-    def test_summarize_reports_the_standard_fields(self):
-        summary = summarize([1.0, 2.0, 3.0, 4.0])
-        assert summary["count"] == 4
-        assert summary["mean"] == pytest.approx(2.5)
-        assert summary["min"] == 1.0 and summary["max"] == 4.0
-        assert summary["p50"] == pytest.approx(2.5)
 
 
 # ----------------------------------------------------------- kernel profile

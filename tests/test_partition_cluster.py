@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.partition import PartitionedCluster, PartitionedOpenLoopClients
+from repro.partition import (CrossPartitionOutcome, PartitionedCluster,
+                             PartitionedOpenLoopClients)
+from repro.replication import RunStatistics
 from repro.workload import SimulationParameters
 
 
@@ -17,6 +19,11 @@ def build(partitions=2, technique="group-safe", seed=5, items=200,
                                  partition_count=partitions)
     cluster.start()
     return cluster
+
+
+def committed(clients):
+    """Client-visible commits of the whole run."""
+    return sum(answer.committed for answer in clients.results)
 
 
 # ---------------------------------------------------------------- wiring
@@ -69,11 +76,10 @@ def test_four_partitions_outcommit_one_at_saturating_load():
         params = params.with_overrides(partition_count=partitions)
         cluster = PartitionedCluster("group-safe", params=params, seed=21)
         cluster.start()
-        clients = PartitionedOpenLoopClients(cluster, load_tps=100.0,
-                                             warmup=1_000.0)
+        clients = PartitionedOpenLoopClients(cluster, load_tps=100.0)
         clients.start()
         cluster.run(until=7_000)
-        return clients.committed_count
+        return RunStatistics.of(clients.results, 1_000, 7_000).measured_commits
 
     assert committed_at(4) > 1.5 * committed_at(1)
 
@@ -87,11 +93,11 @@ def test_partition_crash_leaves_other_partitions_serving():
     cluster.run(until=2_000)
     cluster.crash_partition(1)
     assert not cluster.group(1).up_servers() and cluster.group(0).up_servers()
-    committed_before = clients.committed_count
+    committed_before = committed(clients)
     cluster.run(until=6_000)
     # The surviving partition keeps committing its single-partition traffic;
     # arrivals owned by the dead partition are rejected, not hung.
-    assert clients.committed_count > committed_before
+    assert committed(clients) > committed_before
     assert clients.rejected_count > 0
 
 
@@ -109,18 +115,55 @@ def test_run_transaction_to_dead_partition_aborts_instead_of_raising():
     assert result.abort_reason == "partition-unavailable"
 
 
-def test_collect_statistics_sets_population_throughput():
+def test_window_summaries_split_by_kind_add_up():
     cluster = build(partitions=2, cross_partition_probability=0.3, items=120)
     clients = PartitionedOpenLoopClients(cluster, load_tps=20.0)
     clients.start()
     cluster.run(until=4_000)
-    from repro.partition import collect_statistics
-    stats = collect_statistics(clients, duration_ms=4_000)
-    assert stats.single.achieved_throughput_tps > 0
-    assert stats.cross.achieved_throughput_tps > 0
-    assert stats.achieved_throughput_tps == pytest.approx(
-        stats.single.achieved_throughput_tps +
-        stats.cross.achieved_throughput_tps)
+
+    def window(answers):
+        return RunStatistics.of(answers, 1_000, 4_000)
+
+    both = window(clients.results)
+    cross = window([answer for answer in clients.results
+                    if isinstance(answer, CrossPartitionOutcome)])
+    single = window([answer for answer in clients.results
+                     if not isinstance(answer, CrossPartitionOutcome)])
+    assert single.achieved_throughput_tps > 0
+    assert cross.achieved_throughput_tps > 0
+    assert both.achieved_throughput_tps == pytest.approx(
+        single.achieved_throughput_tps + cross.achieved_throughput_tps)
+    assert both.measured_commits == \
+        single.measured_commits + cross.measured_commits
+    assert both.measured_aborts == \
+        single.measured_aborts + cross.measured_aborts
+    assert sorted(both.response_times) == \
+        sorted(single.response_times + cross.response_times)
+    # The warm-up answers stay in the pool; the window leaves them out.
+    assert both.measured_commits + both.measured_aborts < len(clients.results)
+
+
+def test_partitioned_pool_keeps_every_answer_in_answer_order():
+    cluster = build(partitions=2, cross_partition_probability=0.3, items=120,
+                    seed=9)
+    clients = PartitionedOpenLoopClients(cluster, load_tps=20.0)
+    clients.start()
+    cluster.run(until=2_000)
+    warmup = list(clients.results)
+    # Warm-up answers of both kinds are kept.
+    assert any(isinstance(answer, CrossPartitionOutcome) for answer in warmup)
+    assert any(not isinstance(answer, CrossPartitionOutcome)
+               for answer in warmup)
+    cluster.crash_partition(1)
+    cluster.run(until=6_000)
+    answered = [answer.responded_at for answer in clients.results]
+    assert answered == sorted(answered)
+    assert clients.results[:len(warmup)] == warmup
+    # An arrival no delegate could take is counted, never answered.
+    assert clients.rejected_count > 0
+    assert len(clients.results) == clients.submitted_count
+    assert len(clients.results) + clients.rejected_count <= \
+        cluster.workload.generated_count
 
 
 def test_crash_and_recover_single_server():
@@ -144,6 +187,6 @@ def test_identical_seeds_produce_identical_runs():
         outcomes = tuple((outcome.xid, outcome.committed,
                           round(outcome.response_time, 9))
                          for outcome in cluster.cross_partition_outcomes())
-        return clients.committed_count, outcomes
+        return committed(clients), outcomes
 
     assert run_once() == run_once()

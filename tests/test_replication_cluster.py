@@ -102,16 +102,27 @@ def test_crashed_delegate_fails_pending_clients(cluster_factory):
 
 
 def test_run_statistics_helper():
+    from repro.partition import CrossPartitionOutcome
     from repro.replication import RunStatistics, TransactionResult
-    stats = RunStatistics(technique="group-safe", simulated_duration_ms=10_000)
-    stats.record(TransactionResult("t1", True, "s1", 0.0, 50.0))
-    stats.record(TransactionResult("t2", True, "s1", 0.0, 150.0))
-    stats.record(TransactionResult("t3", False, "s1", 0.0, 10.0,
-                                   abort_reason="certification"))
-    assert stats.measured_commits == 2
+    answers = [
+        TransactionResult("t0", True, "s1", 999.0, 1_000.0),  # before start
+        TransactionResult("t1", True, "s1", 1_000.0, 1_050.0),
+        TransactionResult("t2", True, "s1", 2_000.0, 2_150.0),
+        TransactionResult("t3", False, "s1", 3_000.0, 3_010.0,
+                          abort_reason="certification"),
+        CrossPartitionOutcome("x1", True, 4_000.0, 4_100.0, partitions=(0, 1)),
+        CrossPartitionOutcome("x2", False, 5_000.0, 5_020.0, partitions=(0, 1),
+                              abort_reason="xpartition-validation"),
+        TransactionResult("t4", True, "s1", 11_000.0, 11_001.0),  # at end
+    ]
+    stats = RunStatistics.of(answers, 1_000.0, 11_000.0)
+    assert stats.measured_commits == 3
+    assert stats.measured_aborts == 2
+    assert stats.response_times == [50.0, 150.0, 100.0]
     assert stats.mean_response_time == 100.0
-    assert stats.abort_rate == pytest.approx(1 / 3)
-    assert stats.achieved_throughput_tps == pytest.approx(0.2)
-    assert stats.abort_reasons == {"certification": 1}
+    assert stats.abort_rate == pytest.approx(2 / 5)
+    assert stats.achieved_throughput_tps == pytest.approx(0.3)
+    assert stats.abort_reasons == {"certification": 1,
+                                   "xpartition-validation": 1}
     assert stats.percentile(0.0) == 50.0
     assert stats.percentile(1.0) == 150.0

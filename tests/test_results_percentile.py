@@ -8,9 +8,7 @@ from repro.replication import RunStatistics
 
 
 def make_stats(times):
-    stats = RunStatistics("test")
-    stats.response_times = list(times)
-    return stats
+    return RunStatistics(response_times=list(times))
 
 
 def test_empty_sample_yields_zero():
