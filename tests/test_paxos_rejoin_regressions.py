@@ -1,4 +1,4 @@
-"""Two Multi-Paxos rejoin bugs, pinned as strict expected failures.
+"""Two rejoin bugs, pinned as strict expected failures.
 
 Both were found while the perf ledger was being defined (benchmarks/ledger/
 README.md, "Found while measuring") and are why its ``paxos_leader_failover``
@@ -6,10 +6,14 @@ workload rejoins the old leader in an idle drain.  Neither is fixed yet: the
 tests state the property that must hold, ``xfail(strict=True)`` turns the day
 one of them starts passing into a failure that asks for the marker's removal.
 
-Configuration of both: the Table 4 cluster (9 servers, 10 000 items),
-group-safe over ``multi-paxos`` with the heartbeat detector (10 ms period,
-50 ms timeout), open-loop Poisson arrivals at 30 tps; the coordinator is
-crashed a third into a 20 000 ms window that follows 2 000 ms of warm-up.
+Configuration of the pinned pair: the Table 4 cluster (9 servers, 10 000
+items), group-safe over ``multi-paxos`` with the heartbeat detector (10 ms
+period, 50 ms timeout), open-loop Poisson arrivals at 30 tps; the
+coordinator is crashed a third into a 20 000 ms window that follows
+2 000 ms of warm-up.  Each bug also has a 3-server schedule that runs in a
+fraction of a second (``SimulationParameters.small(server_count=3,
+item_count=100)``, group-safe at 30 tps, the coordinator crashed at 500 ms,
+1 000 ms more load after its recovery, then 10 000 ms of quiet).
 
 Each run is made once, in a module fixture the xfails share with
 ``test_known_failure_signatures_do_not_grow``, which pins how large each
@@ -29,17 +33,23 @@ WINDOW_MS = 20_000.0
 CRASH_AT_MS = WARMUP_MS + WINDOW_MS / 3.0          # 8 667 ms
 
 
+#: The pinned runs' stack: Multi-Paxos with the heartbeat detector.
+PAXOS_HEARTBEAT = dict(broadcast_engine="multi-paxos",
+                       failure_detector_mode="heartbeat",
+                       heartbeat_period=10.0, heartbeat_timeout=50.0)
+
+
 def _run_leader_outage(seed: int, recover_at_ms: float, load_until_ms: float,
-                       settle_ms: float):
-    """Crash the Paxos leader, recover it under load, then let the group idle."""
-    params = SimulationParameters.paper().with_overrides(
-        broadcast_engine="multi-paxos", failure_detector_mode="heartbeat",
-        heartbeat_period=10.0, heartbeat_timeout=50.0)
+                       settle_ms: float, params=None,
+                       crash_at_ms: float = CRASH_AT_MS):
+    """Crash the coordinator, recover it under load, then let the group idle."""
+    if params is None:
+        params = SimulationParameters.paper().with_overrides(**PAXOS_HEARTBEAT)
     cluster = ReplicatedDatabaseCluster("group-safe", params=params, seed=seed)
     cluster.start()
     clients = OpenLoopClientPool(cluster, load_tps=30.0)
     clients.start()
-    cluster.run(until=CRASH_AT_MS)
+    cluster.run(until=crash_at_ms)
     leader = cluster.gcs.endpoint(cluster.server_names()[-1]).coordinator()
     cluster.crash_server(leader)
     cluster.run(until=recover_at_ms)
@@ -61,16 +71,27 @@ def unanswered_run():
     return clients.submitted_count, len(clients.results)
 
 
-@pytest.fixture(scope="module")
-def rejoin_run():
-    """Bug (ii): cell seed 92, leader s1 recovered at 23 000 ms.
+def _small_outage(seed: int, recover_at_ms: float, **overrides):
+    """The 3-server schedule: crash at 500 ms, recover at ``recover_at_ms``."""
+    params = SimulationParameters.small(
+        server_count=3, item_count=100).with_overrides(**overrides)
+    return _run_leader_outage(seed=seed, recover_at_ms=recover_at_ms,
+                              load_until_ms=recover_at_ms + 1_000.0,
+                              settle_ms=10_000.0, params=params,
+                              crash_at_ms=500.0)
 
-    Returns whether the leader is back in the view, the group-delivered
-    commits missing on it and the items on which the replicas diverge.
-    """
-    cluster, clients, leader = _run_leader_outage(
-        seed=92, recover_at_ms=23_000.0, load_until_ms=24_000.0,
-        settle_ms=30_000.0)
+
+@pytest.fixture(scope="module")
+def small_unanswered_run():
+    """Bug (i) in the default stack: fixed sequencer, perfect detector,
+    seed 28, s1 recovered at 3 500 ms."""
+    _cluster, clients, _leader = _small_outage(seed=28, recover_at_ms=3_500.0)
+    return clients.submitted_count, len(clients.results)
+
+
+def _rejoin_signature(cluster, clients, leader):
+    """Whether ``leader`` is back in the view, the group-delivered commits
+    missing on it and the items on which the replicas diverge."""
     rejoined = cluster.database(leader).wal
     # Read-only transactions commit on their delegate alone, so only those
     # delivered to the group can be missing on the rejoined replica.
@@ -79,6 +100,22 @@ def rejoin_run():
                and not rejoined.has_committed(result.txn_id)]
     return (leader in cluster.gcs.membership.view, missing,
             SafetyAudit(cluster).divergent_items())
+
+
+@pytest.fixture(scope="module")
+def rejoin_run():
+    """Bug (ii): cell seed 92, leader s1 recovered at 23 000 ms."""
+    return _rejoin_signature(*_run_leader_outage(
+        seed=92, recover_at_ms=23_000.0, load_until_ms=24_000.0,
+        settle_ms=30_000.0))
+
+
+@pytest.fixture(scope="module")
+def small_rejoin_run():
+    """Bug (ii) on 3 servers: Multi-Paxos, heartbeat detector, seed 9, s1
+    recovered at 6 500 ms."""
+    return _rejoin_signature(*_small_outage(
+        seed=9, recover_at_ms=6_500.0, **PAXOS_HEARTBEAT))
 
 
 @pytest.mark.xfail(strict=True, reason="Multi-Paxos: a transaction in flight "
@@ -105,8 +142,32 @@ def test_rejoined_leader_holds_every_confirmed_transaction(rejoin_run):
     assert divergent == []
 
 
-def test_known_failure_signatures_do_not_grow(unanswered_run, rejoin_run):
-    """The two strict xfails above fail for the reasons they name, at the
+@pytest.mark.xfail(strict=True, reason="a transaction in flight when the "
+                   "old coordinator rejoins may never be answered")
+def test_every_request_is_answered_when_the_coordinator_rejoins_on_3_servers(
+        small_unanswered_run):
+    # The default stack: s2's submission of 3 455.5 ms is still pending on
+    # a running delegate after 10 000 ms of quiet.
+    submitted, answered = small_unanswered_run
+    assert submitted == answered
+
+
+@pytest.mark.xfail(strict=True, reason="Multi-Paxos: a transaction confirmed "
+                   "as the old leader rejoins may be missing on it")
+def test_rejoined_leader_holds_every_confirmed_transaction_on_3_servers(
+        small_rejoin_run):
+    # The JOIN reply pairs a delivery horizon with a checkpoint that does
+    # not yet reflect every delivery inside it.
+    in_view, missing, divergent = small_rejoin_run
+    assert in_view
+    assert missing == []
+    assert divergent == []
+
+
+def test_known_failure_signatures_do_not_grow(unanswered_run, rejoin_run,
+                                              small_unanswered_run,
+                                              small_rejoin_run):
+    """The strict xfails above fail for the reasons they name, at the
     size they have: a change that makes either bug bigger (or smaller)
     fails here and must re-pin the signature knowingly.  The fix of a bug
     deletes its line here together with its xfail marker."""
@@ -114,3 +175,7 @@ def test_known_failure_signatures_do_not_grow(unanswered_run, rejoin_run):
     in_view, missing, divergent = rejoin_run
     assert in_view
     assert (len(missing), len(divergent)) == (13, 95)
+    assert small_unanswered_run == (146, 145)
+    in_view, missing, divergent = small_rejoin_run
+    assert in_view
+    assert (len(missing), len(divergent)) == (15, 74)
