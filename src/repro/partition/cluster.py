@@ -257,10 +257,10 @@ class PartitionedCluster:
                         labels={"partitions": len(partitions),
                                 "epoch": snapshot.epoch})
         if len(partitions) == 1:
-            group = self.groups[partitions[0]]
-            if not any(node.is_up for node in group.nodes.values()):
+            if not self.groups[partitions[0]].available_delegates():
                 raise RuntimeError(
-                    f"partition {partitions[0]} has no live servers")
+                    f"partition {partitions[0]} has no server taking "
+                    f"submissions")
             return self.submit_to_group(partitions[0], program,
                                         client_index=client_index)
         return self.coordinator.submit(program, client_index=client_index,
@@ -290,7 +290,7 @@ class PartitionedCluster:
         Re-routes the program against a fresh snapshot when a fenced range
         refuses it or the 2PC coordinator aborts it with
         ``xpartition-wrong-epoch``; returns the final outcome.  A partition
-        with no live servers still raises ``RuntimeError`` synchronously,
+        with no server taking submissions still raises ``RuntimeError`` synchronously,
         exactly like :meth:`submit`.
         """
         attempt = 0
@@ -323,7 +323,8 @@ class PartitionedCluster:
     def run_transaction(self, program: TransactionProgram) -> Process:
         """Submit and wrap the wait for the outcome into a process.
 
-        A program whose owning partition has no live servers completes with
+        A program whose owning partition has no server taking submissions
+        completes with
         an aborted :class:`~repro.replication.results.TransactionResult`
         (mirroring the coordinated path's unavailability abort) instead of
         raising inside the simulation; a program whose range is mid-migration

@@ -241,7 +241,7 @@ class CrossPartitionCoordinator:
         delegates: Dict[int, str] = {}
         for partition_id in partitions:
             group = self.cluster.group(partition_id)
-            if not group.up_servers():
+            if not group.available_delegates():
                 outcome.branches = [
                     BranchOutcome(partition_id=pid, delegate="")
                     for pid in partitions]
@@ -499,31 +499,25 @@ class CrossPartitionCoordinator:
                         return
                 attempt += 1
                 backoff = min(RETRY_BACKOFF_MS * attempt, MAX_RETRY_BACKOFF_MS)
-                if not group.node(server).is_up:
-                    up_servers = group.up_servers()
-                    if not up_servers:
-                        # The whole group is down; wait for a recovery — the
-                        # decision is durable, the branch is in doubt until
-                        # a member comes back.
+                delegates = group.available_delegates()
+                if server not in delegates:
+                    if not delegates:
+                        # No member takes submissions; wait for a recovery —
+                        # the decision is durable, the branch is in doubt
+                        # until a member comes back.
                         if not branch_outcome.in_doubt:
                             branch_outcome.in_doubt = True
                             self.in_doubt_branches += 1
                         yield self.sim.timeout(backoff)
                         continue
-                    server = up_servers[0]
+                    server = delegates[0]
                 if branch_outcome.in_doubt:
                     branch_outcome.in_doubt = False
                     self.in_doubt_branches -= 1
                 program = TransactionProgram(operations=write_operations,
                                              client=f"xp.{xid}")
-                try:
-                    result = yield self.cluster.submit_to_group(
-                        partition_id, program, server=server)
-                except RuntimeError:
-                    # The chosen server stopped between the check and the
-                    # submit.
-                    yield self.sim.timeout(backoff)
-                    continue
+                result = yield self.cluster.submit_to_group(
+                    partition_id, program, server=server)
                 # Every attempt — including crash/deadlock aborts that will
                 # be retried — is internal 2PC work, never a fast-path result.
                 self.branch_txn_ids.add(result.txn_id)

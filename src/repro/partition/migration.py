@@ -198,7 +198,8 @@ class Migration:
         """Generator: install ``values`` via the destination group's own
         replication technique (update-only, so certification is a
         deterministic pass).  Returns True once committed, False after 40
-        attempts that found no up server or ended in an abort."""
+        attempts that found no server taking submissions or ended in an
+        abort."""
         cluster = self.cluster
         group = cluster.groups[self.destination_group]
         program = TransactionProgram.of_writes(
@@ -208,13 +209,9 @@ class Migration:
         while True:
             attempt += 1
             backoff = min(RETRY_BACKOFF_MS * attempt, MAX_RETRY_BACKOFF_MS)
-            up_servers = group.up_servers()
-            if up_servers:
-                try:
-                    result = yield group.submit(program, server=up_servers[0])
-                except RuntimeError:
-                    yield self.sim.timeout(backoff)
-                    continue
+            delegates = group.available_delegates()
+            if delegates:
+                result = yield group.submit(program, server=delegates[0])
                 cluster.migration_txn_ids.add(result.txn_id)
                 if result.committed:
                     return True

@@ -194,7 +194,8 @@ class PartitionedOpenLoopClients:
         #: :class:`~repro.partition.coordinator.CrossPartitionOutcome`.
         self.results: List[Union[TransactionResult, CrossPartitionOutcome]] = []
         self.submitted_count = 0
-        #: Arrivals dropped because no delegate was reachable.
+        #: Arrivals dropped because no server of their partition took
+        #: submissions.
         self.rejected_count = 0
         #: Committed transactions per routing epoch (at response time).
         self.epoch_commits: Dict[int, int] = {}
@@ -208,7 +209,7 @@ class PartitionedOpenLoopClients:
             outcome = yield from self.cluster.submit_retrying(
                 program, client_index=client_index)
         except RuntimeError:
-            # Every server of the owning partition is down right now.
+            # No server of the owning partition takes submissions now.
             self.rejected_count += 1
             return
         self.submitted_count += 1

@@ -72,6 +72,12 @@ class ReplicaServer:
         """The server's name (same as its node's name)."""
         return self.node.name
 
+    @property
+    def takes_submissions(self) -> bool:
+        """True while the server can act as a delegate: started, and not
+        crashed or still recovering (its node is up before it runs)."""
+        return self._running
+
     # ------------------------------------------------------------------ lifecycle
     def start(self) -> None:
         """Start the server's processes (dispatcher, flushers, technique loops)."""
@@ -104,12 +110,19 @@ class ReplicaServer:
 
         Returns an event that fires with the :class:`TransactionResult` when
         the technique decides to answer the client — *when* that happens is
-        exactly what distinguishes the safety levels.
+        exactly what distinguishes the safety levels.  A server that does
+        not :attr:`take submissions <takes_submissions>` answers at once
+        with an abort (``delegate-unavailable``).
         """
-        if not self._running:
-            raise RuntimeError(
-                f"server {self.name} is not running (crashed or not started)")
         response_event = Event(self.sim)
+        if not self._running:
+            response_event.succeed(TransactionResult(
+                txn_id=f"unavailable:{program.program_id}", committed=False,
+                delegate=self.name, submitted_at=self.sim.now,
+                responded_at=self.sim.now,
+                abort_reason="delegate-unavailable",
+                technique=self.technique_name))
+            return response_event
         transaction = self.db.begin(program, delegate=self.name)
         pending = PendingSubmission(transaction=transaction,
                                     response_event=response_event,

@@ -180,15 +180,28 @@ class ReplicatedDatabaseCluster:
     # ------------------------------------------------------------------ submission
     def choose_delegate(self, client_index: int = 0) -> str:
         """The delegate of client ``client_index``: update everywhere, each
-        client attached to one up server (Table 4: 4 clients per server)."""
-        up_servers = self.up_servers()
-        if not up_servers:
+        client attached to one server that takes submissions (Table 4: 4
+        clients per server)."""
+        delegates = self.available_delegates()
+        if not delegates:
             raise ValueError("no servers to route to")
-        return up_servers[client_index % len(up_servers)]
+        return delegates[client_index % len(delegates)]
+
+    def available_delegates(self) -> List[str]:
+        """Names of the servers that take submissions now — the one notion
+        every router reads (a recovering server is up before it is)."""
+        return [name for name, replica in self.replicas.items()
+                if replica.takes_submissions]
 
     def submit(self, program: TransactionProgram,
                server: Optional[str] = None, client_index: int = 0) -> Event:
-        """Submit ``program`` to ``server`` (or a routed delegate)."""
+        """Submit ``program`` to ``server`` (or a routed delegate).
+
+        A server that does not take submissions answers with an abort; a
+        cluster that was never started raises.
+        """
+        if not self._started:
+            raise RuntimeError("the cluster is not started")
         delegate = server or self.choose_delegate(client_index)
         return self.replicas[delegate].submit(program)
 

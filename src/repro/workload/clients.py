@@ -47,7 +47,7 @@ class OpenLoopClientPool:
             yield self.sim.timeout(gap)
             client_index = self._next_client
             self._next_client += 1
-            if not self.cluster.up_servers():
+            if not self.cluster.available_delegates():
                 continue
             delegate = self.cluster.choose_delegate(client_index)
             program = self.workload.next_program(client=f"client-{client_index}")
