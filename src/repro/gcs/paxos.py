@@ -15,14 +15,26 @@ with Paxos over the same reliable-broadcast layer.
   Learning after a majority-accept is what makes delivery *uniform*: the
   value is durable at a majority before anyone delivers it.
 * A **leader change** (the failure detector suspects the old leader) runs
-  phase 1: the new leader picks a higher ballot, collects ``PROMISE``s from
-  a majority and re-proposes every value a promise carried — the classical
-  Paxos invariant that preserves majority-accepted slots across crashes.
+  phase 1 from the new leader's delivery horizon: ``PREPARE(ballot, from)``
+  names the first slot the leader has not delivered, each ``PROMISE``
+  carries what its acceptor accepted from that slot on, and the leader
+  re-proposes the carried values it does not already know are chosen — the
+  classical Paxos invariant that preserves majority-accepted slots across
+  crashes, paid for what is undecided rather than for the whole history.
   Proposals arriving while phase 1 runs are backlogged and drained once the
   ballot is established.
-* On every view installation the leader re-posts ``LEARN`` for every chosen
-  slot it knows, which is how a rejoined member fills delivery gaps (the
-  fixed-sequencer engine does the same with its ``VC_STATE`` re-propagation).
+* **Catch-up is per member** (the learner gap-fill of Multi-Paxos): every
+  member reports its delivery horizon to the leader, on ``PROMISE`` and
+  piggybacked on ``ACCEPTED``.  A member whose ``PROMISE`` shows a gap gets
+  the decided slots above its horizon, point to point.  On a view that adds
+  a member the leader does the same for every view member, from its last
+  report; a joiner has none and counts at the lowest horizon the others
+  reported, which is at least what its state transfer installs.  A later
+  report below that mark (a member that was excluded alive, not crashed)
+  gets the slots in between.  *Decided* includes the slots whose ``LEARN``
+  is still queued in the leader's outbox, addressed to the view it was
+  posted to.  A rejoining member reports no horizon and leads no phase 1
+  until its rejoin installed one.
 
 Compared to the fixed-sequencer engine the failure-free message cost is one
 round higher (accept + learn instead of seq + stable piggybacked on acks),
@@ -71,6 +83,7 @@ class MultiPaxosEngine(TotalOrderEngine):
                          delivery_cpu_time=delivery_cpu_time,
                          journal=journal, failure_detector=failure_detector)
         self._rank = {name: index for index, name in enumerate(group.members)}
+        self._rejoining = False
         #: Statistics.
         self.prepare_count = 0
 
@@ -99,20 +112,26 @@ class MultiPaxosEngine(TotalOrderEngine):
         # Acceptor state.
         self._promised = -1
         self._accepted: Dict[int, Tuple[int, Tuple[str, Any, str]]] = {}
-        # Learner state: every chosen slot this member knows about.
+        # Learner state: every slot this member knows is chosen — learned,
+        # or, as leader, decided with its LEARN posted.
         self._chosen: Dict[int, Tuple[str, Any, str]] = {}
         self._learned_ids: Set[str] = set()
         # Leader state.
         self._ballot = -1
         self._established = False
         self._preparing = False
+        self._prepare_from = 1
         self._next_slot = 1
         self._slot_of: Dict[str, int] = {}
         self._backlog: Dict[str, Tuple[Any, str]] = {}
         self._prepare_votes: Dict[str, Dict[int, Tuple[int, Tuple[str, Any, str]]]] = {}
         self._accept_votes: Dict[Tuple[int, int], Set[str]] = {}
-        self._learn_sent: Set[int] = set()
         self._max_ballot_seen = -1
+        # The delivery horizon each view member last reported to this leader
+        # in its current term; for a joiner that has not reported yet, the
+        # horizon it was filled from.
+        self._horizons: Dict[str, int] = {}
+        self._view_members = frozenset(self.group.view().members)
 
     def _submit(self, broadcast_id: str, payload: Any, target: str) -> None:
         self._post(self.KIND_PROPOSE, target,
@@ -131,17 +150,70 @@ class MultiPaxosEngine(TotalOrderEngine):
         self._next_slot = max(self._next_slot, self._delivered_seq + 1)
 
     def _on_coordinator_change(self, view: Any, coordinator: str) -> None:
+        joined = [member for member in view.members
+                  if member not in self._view_members]
+        self._view_members = frozenset(view.members)
+        for member in [m for m in self._horizons if m not in view]:
+            del self._horizons[member]   # it left, and may rejoin with less
         if coordinator != self.member_name:
             return
-        # Fill delivery gaps of (re)joined members: re-post every chosen
-        # slot; receivers ignore what they already delivered.
-        for slot in sorted(self._chosen):
-            broadcast_id, payload, origin = self._chosen[slot]
-            self._post_view(self.KIND_LEARN,
-                            {"slot": slot, "broadcast_id": broadcast_id,
-                             "payload": payload, "origin": origin})
-        if not self._established and not self._preparing:
-            self._begin_prepare()
+        if joined:
+            self._fill_view(view)
+        self._lead()
+
+    def _on_excluded(self, view: Any) -> None:
+        # The views installed while this member is out go unseen here, so
+        # none of the reports it holds can be trusted when it is back.
+        self._horizons = {}
+
+    # ------------------------------------------------------------------ rejoin
+    def recover(self, rejoin_timeout: float = 10.0):
+        # Until the rejoin installed a horizon (a JOIN reply, or the journal
+        # and its catch-up) this member has none to report or to lead from.
+        self._rejoining = True
+        outcome = yield from super().recover(rejoin_timeout)
+        self._rejoining = False
+        if self._backlog and self.is_sequencer:
+            self._lead()                     # the phase 1 it deferred
+        return outcome
+
+    def _horizon_report(self) -> Optional[int]:
+        return None if self._rejoining else self._delivered_seq
+
+    # ------------------------------------------------------------------ catch-up
+    def _fill(self, member: str, horizon: int,
+              upto: Optional[int] = None) -> None:
+        """Post ``member`` every decided slot above ``horizon`` (up to
+        ``upto``), point to point."""
+        if upto is None:
+            upto = max(self._chosen, default=horizon)
+        for slot in range(horizon + 1, upto + 1):
+            value = self._chosen.get(slot)
+            if value is not None:
+                broadcast_id, payload, origin = value
+                self._post(self.KIND_LEARN, member,
+                           {"slot": slot, "broadcast_id": broadcast_id,
+                            "payload": payload, "origin": origin})
+
+    def _fill_view(self, view: Any) -> None:
+        """A view added members: fill every member from its last report, a
+        joiner from the lowest horizon the others reported."""
+        floor = min([self._delivered_seq] +
+                    [self._horizons[m] for m in view.members
+                     if m in self._horizons])
+        for member in view.members:
+            if member != self.member_name:
+                self._fill(member, self._horizons.setdefault(member, floor))
+
+    def _note_report(self, member: str, horizon: Optional[int]) -> None:
+        """Record a steady-state report; one below the mark on record means
+        the member lacks the slots in between."""
+        if horizon is None or member == self.member_name:
+            return
+        recorded = self._horizons.get(member)
+        self._horizons[member] = horizon
+        if recorded is not None and horizon < recorded:
+            self._fill(member, horizon, recorded)
 
     # ------------------------------------------------------------------ ballots
     def _next_ballot(self) -> int:
@@ -149,15 +221,25 @@ class MultiPaxosEngine(TotalOrderEngine):
         rank = self._rank[self.member_name]
         return ((self._max_ballot_seen // size) + 1) * size + rank
 
+    def _lead(self) -> None:
+        """Start phase 1 unless it runs, or this member has no horizon yet."""
+        if not self._established and not self._preparing \
+                and not self._rejoining:
+            self._begin_prepare()
+
     def _begin_prepare(self) -> None:
-        """Phase 1: claim leadership with a fresh, higher ballot."""
+        """Phase 1: claim leadership with a fresh, higher ballot, from the
+        first slot this member has not delivered."""
         self._ballot = self._next_ballot()
         self._max_ballot_seen = max(self._max_ballot_seen, self._ballot)
         self._preparing = True
         self._established = False
         self._prepare_votes = {}
+        self._prepare_from = self._delivered_seq + 1
+        self._horizons = {}
         self.prepare_count += 1
-        self._post_view(self.KIND_PREPARE, {"ballot": self._ballot})
+        self._post_view(self.KIND_PREPARE, {"ballot": self._ballot,
+                                            "from": self._prepare_from})
 
     # ------------------------------------------------------------------ proposer side
     def _on_propose(self, message: Message) -> None:
@@ -175,8 +257,7 @@ class MultiPaxosEngine(TotalOrderEngine):
         if not self._established:
             self._backlog[broadcast_id] = (payload["payload"],
                                            payload["origin"])
-            if not self._preparing:
-                self._begin_prepare()
+            self._lead()
             return
         self._propose(broadcast_id, payload["payload"], payload["origin"])
 
@@ -201,10 +282,13 @@ class MultiPaxosEngine(TotalOrderEngine):
                        {"ballot": ballot, "promised": self._promised})
             return
         self._promised = ballot
-        accepted = {slot: value for slot, value in self._accepted.items()}
+        start = message.payload["from"]
+        accepted = {slot: value for slot, value in self._accepted.items()
+                    if slot >= start}
         self._post(self.KIND_PROMISE, message.sender,
                    {"ballot": ballot, "accepted": accepted,
-                    "member": self.member_name})
+                    "member": self.member_name,
+                    "horizon": self._horizon_report()})
 
     def _on_accept(self, message: Message) -> None:
         payload = message.payload
@@ -221,32 +305,47 @@ class MultiPaxosEngine(TotalOrderEngine):
         self._accepted[slot] = (ballot, value)
         self._post(self.KIND_ACCEPTED, message.sender,
                    {"ballot": ballot, "slot": slot,
-                    "member": self.member_name})
+                    "member": self.member_name,
+                    "horizon": self._horizon_report()})
 
     # ------------------------------------------------------------------ leader side
     def _on_promise(self, message: Message) -> None:
         payload = message.payload
-        if not self._preparing or payload["ballot"] != self._ballot:
+        if payload["ballot"] != self._ballot or \
+                not (self._preparing or self._established):
             return
-        self._prepare_votes[payload["member"]] = payload["accepted"]
+        member, horizon = payload["member"], payload["horizon"]
+        if horizon is not None and member != self.member_name:
+            self._horizons[member] = horizon
+            self._fill(member, horizon)
+        if not self._preparing:
+            return  # a late promise: its gap is filled, the ballot stands
+        self._prepare_votes[member] = payload["accepted"]
         if len(self._prepare_votes) < self.group.quorum_size():
             return
         self._preparing = False
         self._established = True
         # Classical Paxos invariant: adopt, per slot, the value accepted at
         # the highest ballot any promise carried (plus our own acceptances).
-        merged: Dict[int, Tuple[int, Tuple[str, Any, str]]] = dict(self._accepted)
+        start = self._prepare_from
+        merged: Dict[int, Tuple[int, Tuple[str, Any, str]]] = {
+            slot: value for slot, value in self._accepted.items()
+            if slot >= start}
         for member in sorted(self._prepare_votes):
             accepted = self._prepare_votes[member]
             for slot, (ballot, value) in accepted.items():
                 known = merged.get(slot)
                 if known is None or ballot > known[0]:
                     merged[slot] = (ballot, value)
+        self._next_slot = max(self._next_slot, start,
+                              max(self._chosen, default=0) + 1)
         for slot in sorted(merged):
             _, value = merged[slot]
             broadcast_id, data, origin = value
             self._slot_of[broadcast_id] = slot
             self._next_slot = max(self._next_slot, slot + 1)
+            if slot in self._chosen:
+                continue  # decided: its LEARN went out, or a fill carries it
             self._post_view(self.KIND_ACCEPT,
                             {"ballot": self._ballot, "slot": slot,
                              "broadcast_id": broadcast_id, "payload": data,
@@ -264,15 +363,17 @@ class MultiPaxosEngine(TotalOrderEngine):
         ballot = payload["ballot"]
         if ballot != self._ballot or not self._established:
             return
+        self._note_report(payload["member"], payload["horizon"])
         slot = payload["slot"]
         votes = self._accept_votes.setdefault((ballot, slot), set())
         votes.add(payload["member"])
-        if len(votes) < self.group.quorum_size() or slot in self._learn_sent:
+        if len(votes) < self.group.quorum_size() or slot in self._chosen:
             return
         known = self._accepted.get(slot)
         if known is None:
             return  # we have not accepted our own proposal yet; wait for it
-        self._learn_sent.add(slot)
+        # Decided: chosen from now on, though its LEARN is still queued.
+        self._chosen[slot] = known[1]
         broadcast_id, data, origin = known[1]
         self._post_view(self.KIND_LEARN,
                         {"slot": slot, "broadcast_id": broadcast_id,

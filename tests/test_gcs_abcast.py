@@ -400,3 +400,235 @@ def test_takeover_reposts_an_assignment_only_a_late_replier_knows():
     reposted = [destination for _, kind, destination, payload in sent
                 if kind == "ABCAST.SEQ" and payload["sequence"] == 1]
     assert sorted(reposted) == survivors
+
+
+# ---------------------------------------------------------------- Multi-Paxos catch-up
+def record_deliveries(lan):
+    """Record, from outside the program, every LAN delivery as
+    ``(time, message, destination)``."""
+    deliveries = []
+    deliver = lan._deliver
+
+    def recording_deliver(message, destination):
+        deliveries.append((lan.sim.now, message, destination))
+        deliver(message, destination)
+
+    lan._deliver = recording_deliver
+    return deliveries
+
+
+def learns_at_or_below_a_reported_horizon(deliveries, restarts=None):
+    """``(member, slot)`` of every LEARN that reached a member for a slot at
+    or below a horizon the member had reported (on PROMISE or ACCEPTED) to
+    the LEARN's sender before it was sent.  ``restarts`` maps a member to
+    the instant it recovered: what it reported before is void."""
+    restarts = restarts or {}
+    reports = {}                     # (leader, member) -> [(at, horizon)]
+    found = []
+    for at, message, destination in deliveries:
+        payload = message.payload
+        if message.kind in ("PAXOS.PROMISE", "PAXOS.ACCEPTED"):
+            if payload["horizon"] is not None:
+                reports.setdefault((destination, payload["member"]),
+                                   []).append((at, payload["horizon"]))
+        elif message.kind == "PAXOS.LEARN":
+            since = restarts.get(destination, float("-inf"))
+            known = [horizon for reported_at, horizon
+                     in reports.get((message.sender, destination), ())
+                     if since <= reported_at <= message.sent_at]
+            if known and max(known) >= payload["slot"]:
+                found.append((destination, payload["slot"]))
+    return found
+
+
+def leader_change_after(slots):
+    """Choose ``slots`` slots one by one, crash the leader s1, and let each
+    survivor A-broadcast once 100 ms later."""
+    sim, lan, nodes, gcs = build_group(engine="multi-paxos")
+    obs = Observability(sim)
+    delivered = {node.name: [] for node in nodes}
+    attach_consumers(sim, gcs, nodes, delivered)
+    broadcast_sequentially(sim, gcs, nodes, slots)
+    deliveries = record_deliveries(lan)
+    crashed_at = sim.now
+    nodes[0].crash()
+    sim.run(until=crashed_at + 100.0)
+    gcs.endpoint("s2").broadcast("after-s2")
+    gcs.endpoint("s3").broadcast("after-s3")
+    sim.run(until=crashed_at + 200.0)
+    kinds = Counter(message.kind for _, message, _ in deliveries)
+    return kinds, deliveries, delivered, broadcast_trace(obs)
+
+
+def test_a_leader_change_costs_the_same_after_k_and_4k_slots():
+    """Phase 1 starts at the new leader's delivery horizon and a view change
+    re-posts nothing, so the 200 ms after a leader crash deliver as many
+    ACCEPTs and LEARNs after 25 chosen slots as after 100 (re-accepting and
+    re-posting the history made both grow with it)."""
+    runs = {slots: leader_change_after(slots) for slots in (25, 100)}
+    for slots, (kinds, deliveries, delivered, trace) in runs.items():
+        assert delivered["s2"] == delivered["s3"]
+        assert len(delivered["s2"]) == slots + 2
+        assert trace.check_total_order() and trace.check_integrity()
+        assert trace.check_uniform_agreement(["s2", "s3"])
+        assert learns_at_or_below_a_reported_horizon(deliveries) == []
+    short, long = runs[25][0], runs[100][0]
+    for kind in ("PAXOS.ACCEPT", "PAXOS.LEARN"):
+        assert short[kind] == long[kind] == 4, kind
+
+
+@pytest.mark.parametrize("view_change", ("leader-crash", "member-rejoin"))
+def test_a_member_cut_off_from_the_leader_catches_up_at_a_view_change(
+        view_change):
+    """s3 hears nothing from the leader s1 while 12 slots are chosen; after
+    the link heals it still lacks them (each new LEARN waits behind the
+    gap).  A view change fills exactly what it lacks: a new leader from
+    s3's PROMISE, or s1 — when a view re-adds the crashed s2 — from the
+    horizon s3 last reported.  s3 then delivers every slot, in order."""
+    sim, lan, nodes, gcs = build_group(engine="multi-paxos")
+    obs = Observability(sim)
+    delivered = {node.name: [] for node in nodes}
+    attach_consumers(sim, gcs, nodes, delivered)
+    deliveries = record_deliveries(lan)
+    broadcast_sequentially(sim, gcs, nodes, 6)
+    lan.install_fault(LinkFault.asymmetric("deaf-s3", [("s1", "s3")]))
+    broadcast_sequentially(sim, gcs, nodes[:2], 12)
+    lan.remove_fault("deaf-s3")
+    broadcast_sequentially(sim, gcs, nodes[:2], 2)
+    assert len(delivered["s3"]) == 6 and len(delivered["s1"]) == 20
+
+    restarts = {}
+    if view_change == "leader-crash":
+        nodes[0].crash()
+        survivors = ["s2", "s3"]
+    else:
+        nodes[1].crash()
+        sim.run(until=sim.now + 20.0)
+        nodes[1].recover()
+        restarts["s2"] = sim.now
+        nodes[1].spawn(gcs.endpoint("s2").recover(rejoin_timeout=20.0))
+        survivors = ["s1", "s3"]
+    sim.run(until=sim.now + 50.0)
+    broadcast_sequentially(sim, gcs, [nodes[2]], 2)
+    sim.run(until=sim.now + 50.0)
+
+    assert len(delivered["s3"]) == 22
+    assert delivered["s3"] == delivered[survivors[0]]
+    trace = broadcast_trace(obs)
+    # A rejoined s2 is a new incarnation: it delivers again from the
+    # horizon its state transfer installed, so the oracle checks the two
+    # members that stayed up.
+    trace.deliveries = [record for record in trace.deliveries
+                        if record.member in survivors]
+    assert trace.check_total_order() and trace.check_integrity()
+    assert trace.check_uniform_agreement(survivors)
+    assert learns_at_or_below_a_reported_horizon(deliveries, restarts) == []
+
+
+def test_a_follower_excluded_alive_catches_up_from_its_first_report():
+    """A netsplit cuts s3 off, the heartbeat detector excludes it, and s1
+    and s2 choose 12 slots without it.  s3 kept its state, so when the
+    view re-adds it the leader holds no report of it and counts it at the
+    others' horizon; s3's first ACCEPTED reports its own, lower one, and
+    the leader sends the slots in between."""
+    sim, lan, nodes, gcs = build_group(
+        engine="multi-paxos", detector_mode="heartbeat",
+        heartbeat_period=10.0, heartbeat_timeout=50.0)
+    obs = Observability(sim)
+    delivered = {node.name: [] for node in nodes}
+    attach_consumers(sim, gcs, nodes, delivered)
+    deliveries = record_deliveries(lan)
+    broadcast_sequentially(sim, gcs, nodes, 6)
+    lan.install_fault(LinkFault.isolate("cut-s3", "s3", ["s1", "s2"]))
+    sim.run(until=sim.now + 100.0)
+    assert gcs.membership.view.members == ("s1", "s2")
+    broadcast_sequentially(sim, gcs, nodes[:2], 12)
+    lan.remove_fault("cut-s3")
+    sim.run(until=sim.now + 100.0)
+    assert gcs.membership.view.members == ("s1", "s2", "s3")
+    assert len(delivered["s3"]) == 6
+
+    broadcast_sequentially(sim, gcs, nodes[:2], 2)
+    assert delivered["s3"] == delivered["s1"]
+    assert len(delivered["s3"]) == 20
+    trace = broadcast_trace(obs)
+    assert trace.check_total_order() and trace.check_integrity()
+    assert trace.check_uniform_agreement(["s1", "s2", "s3"])
+    assert learns_at_or_below_a_reported_horizon(deliveries) == []
+
+
+def test_a_rejoined_leader_leads_phase_1_from_the_horizon_it_installed():
+    """s1 recovers and the detector trusts it again (so it leads) 1 ms
+    later, while the JOIN replies that carry its horizon are still on slow
+    links.  A proposal reaching it meanwhile waits: phase 1 runs once the
+    rejoin installed the horizon, from the slot after it, so no promise
+    carries the history and only the new proposal is accepted."""
+    sim, lan, nodes, gcs = build_group(engine="multi-paxos")
+    delivered = {node.name: [] for node in nodes}
+    attach_consumers(sim, gcs, nodes, delivered)
+    broadcast_sequentially(sim, gcs, nodes, 3)
+    nodes[0].crash()
+    sim.run(until=sim.now + 20.0)
+    broadcast_sequentially(sim, gcs, nodes[1:], 4)
+    sent = record_sends(lan)
+    lan.install_fault(LinkFault.slow("slow-replies", ["s2", "s3"], ["s1"],
+                                     100.0))
+    nodes[0].recover()
+    rejoin = nodes[0].spawn(gcs.endpoint("s1").recover(rejoin_timeout=50.0))
+    sim.run(until=sim.now + 2.0)
+    assert gcs.endpoint("s3").coordinator() == "s1" and not rejoin.triggered
+    gcs.endpoint("s3").broadcast("while-s1-rejoins")
+    sim.run(until=sim.now + 2.0)
+    assert not rejoin.triggered
+    assert [kind for _, kind, _, _ in sent].count("PAXOS.PREPARE") == 0
+    sim.run(until=sim.now + 100.0)
+    lan.remove_fault("slow-replies")
+    sim.run(until=sim.now + 100.0)
+
+    assert rejoin.ok
+    assert delivered["s2"] == delivered["s3"]
+    assert delivered["s3"][-1] == "while-s1-rejoins"
+    prepares = [payload for _, kind, _, payload in sent
+                if kind == "PAXOS.PREPARE"]
+    assert prepares and all(payload["from"] == 8 for payload in prepares)
+    promised = [slot for _, kind, _, payload in sent
+                if kind == "PAXOS.PROMISE" for slot in payload["accepted"]]
+    assert promised == []
+    # The new proposal is the only slot accepted; the view that re-added
+    # s1 refilled only slot 7, whose LEARN no report had covered yet.
+    assert kinds_sent(sent)["PAXOS.ACCEPT"] == len(nodes)
+    learned = {payload["slot"] for _, kind, _, payload in sent
+               if kind == "PAXOS.LEARN"}
+    assert learned == {7, 8}
+
+
+def test_a_rejoining_member_reports_no_horizon_until_it_installed_one():
+    """s3 rejoins while its JOIN crawls to its peers; it accepts a new slot
+    meanwhile, and its ACCEPTED reports no horizon (its empty state is not
+    one), so the leader sends it no history."""
+    sim, lan, nodes, gcs = build_group(engine="multi-paxos")
+    delivered = {node.name: [] for node in nodes}
+    attach_consumers(sim, gcs, nodes, delivered)
+    broadcast_sequentially(sim, gcs, nodes, 6)
+    nodes[2].crash()
+    sim.run(until=sim.now + 20.0)
+    broadcast_sequentially(sim, gcs, nodes[:2], 4)
+    sent = record_sends(lan)
+    lan.install_fault(LinkFault.slow("slow-joins", ["s3"], ["s1", "s2"],
+                                     100.0))
+    nodes[2].recover()
+    rejoin = nodes[2].spawn(gcs.endpoint("s3").recover(rejoin_timeout=50.0))
+    sim.run(until=sim.now + 2.0)
+    gcs.endpoint("s2").broadcast("while-s3-rejoins")
+    sim.run(until=sim.now + 100.0)
+    lan.remove_fault("slow-joins")
+    sim.run(until=sim.now + 100.0)
+
+    assert rejoin.ok
+    assert delivered["s1"][-1] == delivered["s2"][-1] == "while-s3-rejoins"
+    reports = [payload["horizon"] for _, kind, _, payload in sent
+               if kind == "PAXOS.ACCEPTED" and payload["member"] == "s3"]
+    assert reports == [None]
+    to_s3 = sorted(payload["slot"] for _, kind, destination, payload in sent
+                   if kind == "PAXOS.LEARN" and destination == "s3")
+    assert to_s3 == [10, 11]

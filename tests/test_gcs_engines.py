@@ -202,24 +202,31 @@ GOLDEN = {
     # keep-alive priced on the wire and not on a CPU: no reception charge
     # means less CPU contention, so delivery instants moved; the first four
     # stats and the per-kind delivery counts (the test below) did not.
+    # Re-pinned once more for a protocol change (old → new in CHANGES.md):
+    # phase 1 starts at the new leader's delivery horizon and a view change
+    # re-posts no history, so fewer ACCEPT, ACCEPTED and LEARN messages are
+    # sent; ``(committed, responded)`` did not move.
     "paxos-heartbeat-crash": dict(
         technique="group-safe", engine="multi-paxos", detector="heartbeat",
         crash=True, log_time=0.0,
-        digest="50f20bee20adc5c434c882f8e5c2d45af9b7db01"
-               "1a414a9ed108d60ab3b203aa",
-        model="24b7b990fbd6586c456b035709989635203fb6e7"
-              "6101b82277ea67c6952a0bdc",
-        stats=(17, 24, 1243, 1215, 2683)),
+        digest="d462feb50ddba07b67be02c572267526f147a59a"
+               "ad93f843da8db1d1d9a01350",
+        model="6560f846aa03dc62512cb6e94408272636aa8e34"
+              "72b75d3f758fa541007d68c9",
+        stats=(17, 24, 1077, 1049, 2329)),
 }
 
 #: LAN deliveries per kind of the ``paxos-heartbeat-crash`` scenario, the
 #: same with beats received on a CPU (the parent of the keep-alive change)
 #: and on the wire.  Batched background writes moved where the crash cuts
 #: the ballot (ACCEPT / ACCEPTED 110 → 107, LEARN 154 → 149, PROPOSE
-#: 23 → 25); the crash-free run below kept every count.
+#: 23 → 25); the crash-free run below kept every count.  The per-member
+#: catch-up moved only the kinds it names (ACCEPT / ACCEPTED 107 → 65:
+#: phase 1 re-proposes no delivered slot; LEARN 149 → 67: no view change
+#: re-posts the chosen slots); every other kind kept its count.
 HEARTBEAT_SCENARIO_DELIVERIES = {
-    "ABCAST.JOIN": 3, "ABCAST.JOIN_REPLY": 2, "PAXOS.ACCEPT": 107,
-    "PAXOS.ACCEPTED": 107, "PAXOS.LEARN": 149, "PAXOS.NACK": 2,
+    "ABCAST.JOIN": 3, "ABCAST.JOIN_REPLY": 2, "PAXOS.ACCEPT": 65,
+    "PAXOS.ACCEPTED": 65, "PAXOS.LEARN": 67, "PAXOS.NACK": 2,
     "PAXOS.PREPARE": 11, "PAXOS.PROMISE": 9, "PAXOS.PROPOSE": 25,
     "fd.heartbeat": 822}
 

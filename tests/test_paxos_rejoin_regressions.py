@@ -18,6 +18,16 @@ item_count=100)``, group-safe at 30 tps, the coordinator crashed at 500 ms,
 Each run is made once, in a module fixture the xfails share with
 ``test_known_failure_signatures_do_not_grow``, which pins how large each
 failure is: a change that makes a known bug worse fails tier-1.
+
+A pinned run that starts passing because its schedule moved, not because
+its bug was fixed, stays as a plain test, and a still-failing schedule of
+the same rejoin sweep takes its strict-xfail place.  The Multi-Paxos
+per-member catch-up did that twice: the 9-server bug (i) run and the
+3-server bug (ii) run at seed 9 now pass.  Their places went to the fixed
+sequencer with the heartbeat detector (seed 10, a 3 000 ms outage: no
+Multi-Paxos rejoin schedule of seeds 1-1 000 on 3 servers, 1-300 on 5 and
+1-300 on 9 leaves a request unanswered any more) and to Multi-Paxos at seed
+637.
 """
 
 from __future__ import annotations
@@ -89,6 +99,16 @@ def small_unanswered_run():
     return clients.submitted_count, len(clients.results)
 
 
+@pytest.fixture(scope="module")
+def heartbeat_unanswered_run():
+    """Bug (i) with the pinned runs' detector: fixed sequencer, heartbeat
+    detector, seed 10, s1 recovered at 3 500 ms."""
+    _cluster, clients, _leader = _small_outage(
+        seed=10, recover_at_ms=3_500.0, failure_detector_mode="heartbeat",
+        heartbeat_period=10.0, heartbeat_timeout=50.0)
+    return clients.submitted_count, len(clients.results)
+
+
 def _rejoin_signature(cluster, clients, leader):
     """Whether ``leader`` is back in the view, the group-delivered commits
     missing on it and the items on which the replicas diverge."""
@@ -112,18 +132,17 @@ def rejoin_run():
 
 @pytest.fixture(scope="module")
 def small_rejoin_run():
-    """Bug (ii) on 3 servers: Multi-Paxos, heartbeat detector, seed 9, s1
+    """Bug (ii) on 3 servers: Multi-Paxos, heartbeat detector, seed 637, s1
     recovered at 6 500 ms."""
     return _rejoin_signature(*_small_outage(
-        seed=9, recover_at_ms=6_500.0, **PAXOS_HEARTBEAT))
+        seed=637, recover_at_ms=6_500.0, **PAXOS_HEARTBEAT))
 
 
-@pytest.mark.xfail(strict=True, reason="Multi-Paxos: a transaction in flight "
-                   "when the old leader rejoins may never be answered")
 def test_every_request_is_answered_when_the_old_leader_rejoins_under_load(
         unanswered_run):
-    # The transaction submitted to s6 at 15 205 ms is still pending on a
-    # running delegate long after.
+    # A strict xfail until the leader change and the rejoin stopped
+    # re-sending history: the transaction submitted to s6 at 15 205 ms then
+    # stayed pending on a running delegate.
     submitted, answered = unanswered_run
     assert submitted == answered
 
@@ -131,8 +150,8 @@ def test_every_request_is_answered_when_the_old_leader_rejoins_under_load(
 @pytest.mark.xfail(strict=True, reason="Multi-Paxos: a transaction confirmed "
                    "as the old leader rejoins may be missing on it")
 def test_rejoined_leader_holds_every_confirmed_transaction(rejoin_run):
-    # 13 group-delivered transactions are applied on s2-s9 but never on the
-    # rejoined s1, and 95 items diverge after 30 000 ms of quiet.  Some were
+    # 9 group-delivered transactions are applied on s2-s9 but never on the
+    # rejoined s1, and 65 items diverge after 30 000 ms of quiet.  Some were
     # confirmed before s1 recovered (from 22 838 ms), so the state-transfer
     # checkpoint should have carried them; others after it (up to
     # 24 096 ms), so s1 also missed the live stream.
@@ -152,30 +171,54 @@ def test_every_request_is_answered_when_the_coordinator_rejoins_on_3_servers(
     assert submitted == answered
 
 
+@pytest.mark.xfail(strict=True, reason="a transaction in flight when the "
+                   "old coordinator rejoins may never be answered")
+def test_every_request_is_answered_when_a_suspected_coordinator_rejoins(
+        heartbeat_unanswered_run):
+    # The heartbeat detector's schedule took the strict-xfail place of the
+    # 9-server Multi-Paxos run above when that one started passing.
+    submitted, answered = heartbeat_unanswered_run
+    assert submitted == answered
+
+
 @pytest.mark.xfail(strict=True, reason="Multi-Paxos: a transaction confirmed "
                    "as the old leader rejoins may be missing on it")
 def test_rejoined_leader_holds_every_confirmed_transaction_on_3_servers(
         small_rejoin_run):
     # The JOIN reply pairs a delivery horizon with a checkpoint that does
-    # not yet reflect every delivery inside it.
+    # not yet reflect every delivery inside it: s3 answers with horizon 188
+    # while its delivery loop has handed 187 deliveries upward.
     in_view, missing, divergent = small_rejoin_run
     assert in_view
     assert missing == []
     assert divergent == []
 
 
-def test_known_failure_signatures_do_not_grow(unanswered_run, rejoin_run,
+def test_rejoined_leader_holds_every_confirmed_transaction_at_seed_9():
+    # The 3-server schedule of bug (ii) until the leader change and the
+    # rejoin stopped re-sending history: 15 transactions were missing on
+    # s1 and 74 items diverged.  Both JOIN replies now pair horizon 193
+    # with a checkpoint that holds all 193 deliveries.
+    in_view, missing, divergent = _rejoin_signature(*_small_outage(
+        seed=9, recover_at_ms=6_500.0, **PAXOS_HEARTBEAT))
+    assert in_view
+    assert missing == []
+    assert divergent == []
+
+
+def test_known_failure_signatures_do_not_grow(rejoin_run,
                                               small_unanswered_run,
+                                              heartbeat_unanswered_run,
                                               small_rejoin_run):
     """The strict xfails above fail for the reasons they name, at the
     size they have: a change that makes either bug bigger (or smaller)
     fails here and must re-pin the signature knowingly.  The fix of a bug
     deletes its line here together with its xfail marker."""
-    assert unanswered_run == (736, 735)
     in_view, missing, divergent = rejoin_run
     assert in_view
-    assert (len(missing), len(divergent)) == (13, 95)
+    assert (len(missing), len(divergent)) == (9, 65)
     assert small_unanswered_run == (146, 145)
+    assert heartbeat_unanswered_run == (137, 136)
     in_view, missing, divergent = small_rejoin_run
     assert in_view
-    assert (len(missing), len(divergent)) == (15, 74)
+    assert (len(missing), len(divergent)) == (21, 89)
