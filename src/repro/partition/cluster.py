@@ -290,8 +290,8 @@ class PartitionedCluster:
         Re-routes the program against a fresh snapshot when a fenced range
         refuses it or the 2PC coordinator aborts it with
         ``xpartition-wrong-epoch``; returns the final outcome.  A partition
-        with no server taking submissions still raises ``RuntimeError`` synchronously,
-        exactly like :meth:`submit`.
+        with no server taking submissions still raises ``RuntimeError``
+        synchronously, exactly like :meth:`submit`.
         """
         attempt = 0
         while True:
@@ -324,11 +324,11 @@ class PartitionedCluster:
         """Submit and wrap the wait for the outcome into a process.
 
         A program whose owning partition has no server taking submissions
-        completes with
-        an aborted :class:`~repro.replication.results.TransactionResult`
-        (mirroring the coordinated path's unavailability abort) instead of
-        raising inside the simulation; a program whose range is mid-migration
-        is transparently retried against the new epoch.
+        completes with an aborted
+        :class:`~repro.replication.results.TransactionResult` (mirroring the
+        coordinated path's unavailability abort) instead of raising inside
+        the simulation; a program whose range is mid-migration is
+        transparently retried against the new epoch.
         """
         def waiter():
             try:

@@ -189,7 +189,8 @@ class ReplicatedDatabaseCluster:
 
     def available_delegates(self) -> List[str]:
         """Names of the servers that take submissions now — the one notion
-        every router reads (a recovering server is up before it is)."""
+        every router reads (a recovering server's node is up before its
+        replica runs)."""
         return [name for name, replica in self.replicas.items()
                 if replica.takes_submissions]
 
