@@ -190,18 +190,15 @@ class LocalDatabase:
             item.install(value, payload.txn_id, commit_order)
         return commit_order
 
-    def apply_physical_writes(self, keys: Iterable[str], synchronous: bool):
-        """Generator: charge the disk/CPU cost of writing ``keys``.
-
-        ``synchronous=True`` performs the buffer-pool write inside the caller
-        (in-transaction, group-1-safe / lazy delegate); ``synchronous=False``
-        only marks the items dirty for the write-behind flusher (group-safe).
-        """
+    def apply_physical_writes(self, keys: Iterable[str]):
+        """Generator: charge the disk/CPU cost of writing ``keys``, one
+        buffer-pool write after the other inside the caller (in-transaction:
+        group-1-safe, 2-safe).  An asynchronous apply (group-safe) only
+        marks the items dirty for the write-behind flusher
+        (:meth:`~repro.db.buffer.BufferPool.write_item_async`) and takes no
+        simulated time."""
         for key in keys:
-            if synchronous:
-                yield from self.buffer.write_item_sync(key)
-            else:
-                self.buffer.write_item_async(key)
+            yield from self.buffer.write_item_sync(key)
 
     # ------------------------------------------------------------------ logging
     def log_commit(self, transaction_or_payload, commit_order: Optional[int],

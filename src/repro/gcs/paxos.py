@@ -76,12 +76,10 @@ class MultiPaxosEngine(TotalOrderEngine):
                  broadcast_layer: ReliableBroadcastLayer, group: MembershipPort,
                  failure_detector: FailureDetector,
                  member_name: Optional[str] = None,
-                 delivery_cpu_time: float = 0.07,
                  journal: Optional[GcsMessageLog] = None) -> None:
         super().__init__(sim, node, dispatcher, broadcast_layer, group,
-                         member_name=member_name,
-                         delivery_cpu_time=delivery_cpu_time,
-                         journal=journal, failure_detector=failure_detector)
+                         member_name=member_name, journal=journal,
+                         failure_detector=failure_detector)
         self._rank = {name: index for index, name in enumerate(group.members)}
         self._rejoining = False
         #: Statistics.

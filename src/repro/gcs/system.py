@@ -39,7 +39,6 @@ class GroupCommunicationSystem:
     def __init__(self, sim: Simulator, lan: Lan,
                  nodes: Optional[Sequence[Node]] = None,
                  end_to_end: bool = False,
-                 delivery_cpu_time: float = 0.07,
                  delivery_log_time: float = 0.0,
                  detection_delay: float = 1.0,
                  quorum_size: Optional[int] = None,
@@ -79,8 +78,7 @@ class GroupCommunicationSystem:
             endpoint = engine_class(
                 sim=sim, node=node, dispatcher=dispatcher,
                 broadcast_layer=broadcast_layer, group=group_port,
-                failure_detector=self.failure_detector,
-                delivery_cpu_time=delivery_cpu_time, journal=journal)
+                failure_detector=self.failure_detector, journal=journal)
             self.membership.subscribe(endpoint.on_view_change)
             self._endpoints[node.name] = endpoint
 

@@ -5,9 +5,9 @@ The paper's replication techniques are written against *atomic broadcast*
 captures exactly that boundary: :class:`TotalOrderEngine` is the per-member
 endpoint the application sees (``broadcast`` / ``deliveries`` /
 ``acknowledge`` / ``recover``), plus everything every ordering protocol
-needs — the delivery process, duplicate suppression, the JOIN/state-transfer
-rejoin protocol, and the optional end-to-end delivery journal — while the
-ordering protocol itself lives in a subclass:
+needs — the served delivery queue, duplicate suppression, the
+JOIN/state-transfer rejoin protocol, and the optional end-to-end delivery
+journal — while the ordering protocol itself lives in a subclass:
 
 * :class:`repro.gcs.fixed_sequencer.FixedSequencerEngine` — the classical
   fixed-sequencer scheme (the seed behaviour, bit-identical schedules);
@@ -41,6 +41,7 @@ from ..network.dispatch import Dispatcher
 from ..network.message import Message
 from ..network.node import Node
 from ..sim.engine import Simulator
+from ..sim.events import Event
 from ..sim.resources import Store
 from .message_log import GcsMessageLog
 from .reliable_broadcast import ReliableBroadcastLayer
@@ -101,7 +102,6 @@ class TotalOrderEngine:
     def __init__(self, sim: Simulator, node: Node, dispatcher: Dispatcher,
                  broadcast_layer: ReliableBroadcastLayer, group: MembershipPort,
                  member_name: Optional[str] = None,
-                 delivery_cpu_time: float = 0.07,
                  journal: Optional[GcsMessageLog] = None,
                  failure_detector: Any = None) -> None:
         self.sim = sim
@@ -110,7 +110,6 @@ class TotalOrderEngine:
         self.rb = broadcast_layer
         self.group = group
         self.member_name = member_name or node.name
-        self.delivery_cpu_time = delivery_cpu_time
         #: Stable message log of the end-to-end composition, or ``None``
         #: for the classical primitive.
         self.journal = journal
@@ -198,6 +197,7 @@ class TotalOrderEngine:
         """
         if event != "crash":
             return
+        self._ready.clear()
         self.deliveries.clear()
         self._reset_volatile()
         self._started = False
@@ -212,12 +212,14 @@ class TotalOrderEngine:
 
     # ------------------------------------------------------------------ lifecycle
     def start(self) -> None:
-        """Start the endpoint's outbound channel and its delivery process."""
+        """Start the endpoint's outbound channel and serve its ordered
+        messages: each takes one network operation of CPU
+        (:meth:`~repro.network.node.Node.serve`) and is then handed up."""
         if self._started:
             return
         self._started = True
         self.rb.start()
-        self.node.spawn(self._delivery_loop(), name="abcast.delivery")
+        self.node.serve(self._ready, self._hand_up)
 
     @property
     def is_sequencer(self) -> bool:
@@ -260,7 +262,7 @@ class TotalOrderEngine:
 
     # ------------------------------------------------------------------ ordering → delivery
     def _try_deliver(self) -> None:
-        """Move contiguously ordered-and-safe messages to the delivery process."""
+        """Queue contiguously ordered-and-safe messages for A-delivery."""
         limit = self._deliverable_up_to()
         while True:
             next_seq = self._delivered_seq + 1
@@ -284,32 +286,47 @@ class TotalOrderEngine:
         self._engine_merge_horizon(sequence)
 
     # ------------------------------------------------------------------ delivery
-    def _delivery_loop(self):
-        while True:
-            sequence, entry, replayed = yield self._ready.get()
-            if self.delivery_cpu_time:
-                yield self.node.cpu.use(self.delivery_cpu_time)
-            journal = self.journal
-            if journal is not None:
-                # Log the delivery on stable storage before handing it
-                # upward (the end-to-end composition, Sect. 4).
-                if journal.log_time:
-                    yield self.node.cpu.use(self.node.cpu_time_per_io)
-                    yield self.node.disk.use(journal.log_time)
-                journal.record_delivery(sequence, entry.broadcast_id,
-                                        entry.payload, self.sim.now)
-            delivery = Delivery(payload=entry.payload,
-                                broadcast_id=entry.broadcast_id,
-                                sequence=sequence, delivered_at=self.sim.now,
-                                member=self.member_name, replayed=replayed)
-            self.delivered_count += 1
-            obs = self.sim.obs
-            if obs is not None:
-                obs.instant("abcast.deliver", track=f"gcs.{self.member_name}",
-                            labels={"broadcast_id": entry.broadcast_id,
-                                    "sequence": sequence,
-                                    "replayed": replayed})
-            self.deliveries.put(delivery)
+    def _hand_up(self, item: Tuple[int, _PendingMessage, bool]
+                 ) -> Optional[Event]:
+        """A-deliver one served message, its delivery charge paid.
+
+        With the end-to-end journal the delivery is first logged on stable
+        storage (Sect. 4): a CPU charge for the I/O, then ``log_time`` on a
+        disk.  The returned event fires once the message is handed up, and
+        the next message's delivery charge waits for it.
+        """
+        journal = self.journal
+        if journal is None or not journal.log_time:
+            self._deliver(item)
+            return None
+        node = self.node
+        logged = Event(self.sim)
+
+        def written() -> None:
+            self._deliver(item)
+            logged.succeed()
+
+        node.cpu.use_then(node.cpu_time_per_io,
+                          lambda: node.disk.use_then(journal.log_time,
+                                                     written))
+        return logged
+
+    def _deliver(self, item: Tuple[int, _PendingMessage, bool]) -> None:
+        sequence, entry, replayed = item
+        if self.journal is not None:
+            self.journal.record_delivery(sequence, entry.broadcast_id,
+                                         entry.payload, self.sim.now)
+        delivery = Delivery(payload=entry.payload,
+                            broadcast_id=entry.broadcast_id,
+                            sequence=sequence, delivered_at=self.sim.now,
+                            member=self.member_name, replayed=replayed)
+        self.delivered_count += 1
+        obs = self.sim.obs
+        if obs is not None:
+            obs.instant("abcast.deliver", track=f"gcs.{self.member_name}",
+                        labels={"broadcast_id": entry.broadcast_id,
+                                "sequence": sequence, "replayed": replayed})
+        self.deliveries.put(delivery)
 
     def acknowledge(self, delivery: Delivery) -> None:
         """Signal successful delivery (ack(m), Fig. 6).

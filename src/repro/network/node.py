@@ -22,6 +22,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional
 
 from ..core.layers import implements
 from ..sim.engine import Simulator
+from ..sim.events import Event
 from ..sim.process import Process
 from ..sim.resources import Resource, Store
 
@@ -86,7 +87,8 @@ class Node:
         self._prune_finished()
         return process
 
-    def serve(self, store: Store, handler: Callable[[Any], None]) -> None:
+    def serve(self, store: Store,
+              handler: Callable[[Any], Optional[Event]]) -> None:
         """Serve ``store`` on this node: one network operation of CPU per
         item (:meth:`~repro.sim.resources.Store.serve`), then ``handler``.
 

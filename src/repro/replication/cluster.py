@@ -117,7 +117,6 @@ class ReplicatedDatabaseCluster:
             self.gcs = GroupCommunicationSystem(
                 self.sim, self.lan, nodes=list(self.nodes.values()),
                 end_to_end=self.level.logged_on is LoggedOn.ALL,
-                delivery_cpu_time=self.params.cpu_time_per_network_op,
                 delivery_log_time=gcs_delivery_log_time,
                 detection_delay=FAILURE_DETECTION_DELAY,
                 engine=self.params.broadcast_engine,

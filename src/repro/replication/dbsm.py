@@ -185,43 +185,56 @@ class DatabaseStateMachineReplica(ReplicaServer):
                 # certifier sees this delivery, at different times.
                 obs.end_key(("order", payload.txn_id))
 
-        if is_delegate and not self.responds_after_logging:
-            # Fig. 8: answer as soon as the decision is known; disk writes
-            # happen asynchronously, outside the transaction boundary.
+        if self.responds_after_logging:
+            self.node.spawn(
+                self._apply(payload, delivery, commit_order, is_delegate,
+                            transaction),
+                name=f"apply.{payload.txn_id}")
+            return
+        # Fig. 8: answer as soon as the decision is known; the disk writes
+        # happen asynchronously, outside the transaction boundary, so the
+        # apply takes no simulated time and runs in place.
+        if is_delegate:
             self.respond(payload.txn_id, committed=True,
                          delivered_to_group=True, logged_on_delegate=False,
                          commit_order=commit_order)
+        span = self._begin_apply_span(payload, is_delegate)
+        buffer = self.db.buffer
+        for key in payload.write_set:
+            buffer.write_item_async(key)
+        self.db.wal.append_commit(payload.txn_id, payload.write_values,
+                                  commit_order=commit_order)
+        if span is not None:
+            # Zero-length, and after the response: outside the root span.
+            self.sim.obs.end(span)
+        self.endpoint.acknowledge(delivery)
+        self.db.finalize_commit(transaction, commit_order)
 
-        self.node.spawn(
-            self._apply(payload, delivery, commit_order, is_delegate,
-                        transaction),
-            name=f"apply.{payload.txn_id}")
+    def _begin_apply_span(self, payload: WriteSetMessage, is_delegate: bool):
+        obs = self.sim.obs
+        if obs is None or not is_delegate:
+            return None
+        return obs.begin("dbsm.apply", category="disk",
+                         track=f"server.{self.name}",
+                         parent=("txn", payload.txn_id),
+                         labels={"synchronous": self.responds_after_logging})
 
     def _apply(self, payload: WriteSetMessage, delivery: Delivery,
                commit_order: int, is_delegate: bool, transaction):
-        """Apply the certified write set and log the decision."""
-        synchronous = self.responds_after_logging
-        obs = self.sim.obs
-        span = None
-        if obs is not None and is_delegate:
-            # Delegate-side apply + commit logging.  For the levels that
-            # respond after logging this sits on the commit critical path;
-            # for group-safe it falls outside the root span and is clipped.
-            span = obs.begin("dbsm.apply", category="disk",
-                             track=f"server.{self.name}",
-                             parent=("txn", payload.txn_id),
-                             labels={"synchronous": synchronous})
+        """Apply the certified write set and log the decision synchronously,
+        then answer (Fig. 2): the delegate's disks are on the commit
+        critical path, inside the root span."""
+        span = self._begin_apply_span(payload, is_delegate)
         try:
-            yield from self.db.apply_physical_writes(payload.write_set,
-                                                     synchronous=synchronous)
+            yield from self.db.apply_physical_writes(payload.write_set)
             yield from self.db.log_commit(payload, commit_order,
-                                          synchronous=synchronous)
+                                          synchronous=True)
         finally:
             if span is not None:
-                obs.end(span)
+                self.sim.obs.end(span)
         self.endpoint.acknowledge(delivery)
         self.db.finalize_commit(transaction, commit_order)
-        if is_delegate and self.responds_after_logging:
+        if is_delegate:
             # With end-to-end atomic broadcast the delivery is logged by the
             # group-communication component on every server and replayed
             # until successfully processed, so at notification time the

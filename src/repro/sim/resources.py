@@ -125,6 +125,23 @@ class Resource:
             self._waiting.append(request)
         return request
 
+    def use_then(self, duration: float, then: Callable[[], None]) -> Request:
+        """Hold one slot for ``duration`` milliseconds, then call ``then()``.
+
+        The charge of :meth:`use` with a continuation in place of a waiting
+        process: ``then`` runs when the hold ends, right after the slot is
+        handed back.  Whatever gives the charge up — :meth:`Request.cancel`,
+        a crash's :meth:`cancel_all` — drops the continuation with it.
+        """
+        request = self.use(duration)
+
+        def done(_request: Request) -> None:
+            self._release(_request)
+            then()
+
+        request._cb = done
+        return request
+
     def _hold(self, request: Request) -> None:
         """Grant a slot now and schedule the end of the hold."""
         sim = self.sim
@@ -183,10 +200,13 @@ class Store:
     loop ``item = yield store.get(); yield resource.use(cost()); handler(item)``
     without the process: a hand-off takes no simulated time, so it takes no
     kernel event, and the only entry an item puts on the heap is its charge.
+    A handler that has more work to do before the next item (further
+    charges) returns an event, and serving resumes when it is processed —
+    the loop's ``yield handler(item)``.
     """
 
     __slots__ = ("sim", "name", "_items", "_getters", "_resource", "_cost",
-                 "_handler", "_charge", "_on_charged")
+                 "_handler", "_charge", "_on_charged", "_on_handled")
 
     def __init__(self, sim: "Simulator", name: Optional[str] = None) -> None:
         self.sim = sim
@@ -196,11 +216,13 @@ class Store:
         self._resource: Optional[Resource] = None
         self._cost: Optional[Callable[[], float]] = None
         #: The serving callback; ``None`` while the store is a plain buffer.
-        self._handler: Optional[Callable[[Any], None]] = None
-        #: The charge of the item at the head of a served store (which stays
-        #: buffered until its handler is called); ``None`` while idle.
-        self._charge: Optional[Request] = None
+        self._handler: Optional[Callable[[Any], Optional[Event]]] = None
+        #: What a served store waits for: the charge of the item at its head
+        #: (which stays buffered until its handler is called), or the event
+        #: the last handler returned; ``None`` while idle.
+        self._charge: Optional[Event] = None
         self._on_charged = self._charged
+        self._on_handled = self._handled
 
     def put(self, item: Any) -> None:
         """Append ``item``; wakes the oldest waiting getter, if any.
@@ -250,15 +272,17 @@ class Store:
         return self._handler is not None
 
     def serve(self, resource: Resource, cost: Callable[[], float],
-              handler: Callable[[Any], None]) -> None:
+              handler: Callable[[Any], Optional[Event]]) -> None:
         """Drain the store through ``handler``, one charge per item.
 
         Items are taken in FIFO order, one at a time: each holds a slot of
         ``resource`` for ``cost()`` milliseconds (read when the charge
         starts, queued behind whoever holds the resource) and is then passed
         to ``handler``.  The handler runs before the next item's charge
-        starts, so whatever it puts on the resource itself goes first.
-        Items already buffered are served first; :meth:`clear` stops it.
+        starts, so whatever it puts on the resource itself goes first.  If
+        it returns an event, the next charge starts only once that event is
+        processed.  Items already buffered are served first; :meth:`clear`
+        stops it.
         """
         if self._handler is not None or self._getters:
             raise SimulationError(
@@ -279,10 +303,18 @@ class Store:
 
     def _charged(self, request: Request) -> None:
         self._resource._release(request)
-        self._handler(self._items.popleft())
+        done = self._handler(self._items.popleft())
         # The handler may have cleared the store (it crashed the node) and
         # even had it served again; only the charge it ran under continues.
         if self._charge is request:
+            if done is None:
+                self._handled(request)
+            else:
+                self._charge = done
+                done.add_callback(self._on_handled)
+
+    def _handled(self, done: Event) -> None:
+        if self._charge is done:
             if self._items:
                 self._charge_head()
             else:
@@ -292,14 +324,15 @@ class Store:
         """Drop all buffered items, abandon all waiting getters, stop serving.
 
         The charge in progress on a served store is given up (its slot, or
-        its place in the queue, goes back now) and its handler never runs.
+        its place in the queue, goes back now) and its handler never runs;
+        an event a handler returned no longer resumes serving.
         """
         self._items.clear()
         self._getters.clear()
         self._handler = None
-        if self._charge is not None:
-            self._charge.cancel()
-            self._charge = None
+        charge, self._charge = self._charge, None
+        if type(charge) is Request:
+            charge.cancel()
 
     def __len__(self) -> int:
         """Number of items buffered and not yet taken."""

@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, List
 
 from ..replication.results import TransactionResult
 from ..sim.engine import Simulator
+from ..sim.events import Event
 from .generator import WorkloadGenerator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -51,10 +52,9 @@ class OpenLoopClientPool:
                 continue
             delegate = self.cluster.choose_delegate(client_index)
             program = self.workload.next_program(client=f"client-{client_index}")
-            self.sim.spawn(self._one_transaction(program, delegate),
-                           name=f"client.txn.{program.program_id}")
+            self.submitted_count += 1
+            self.cluster.submit(program, server=delegate).add_callback(
+                self._answered)
 
-    def _one_transaction(self, program, delegate):
-        self.submitted_count += 1
-        result = yield self.cluster.submit(program, server=delegate)
-        self.results.append(result)
+    def _answered(self, response: Event) -> None:
+        self.results.append(response.value)

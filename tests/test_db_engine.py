@@ -107,7 +107,7 @@ def test_full_commit_cycle_logs_and_finalizes(db_setup):
                 db.stage_write(txn, op.key, op.value)
         payload = txn.certification_payload()
         order = db.install_writes(payload)
-        yield from db.apply_physical_writes(payload.write_set, synchronous=True)
+        yield from db.apply_physical_writes(payload.write_set)
         yield from db.log_commit(txn, order, synchronous=True)
         db.finalize_commit(txn, order)
 

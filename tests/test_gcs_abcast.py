@@ -277,7 +277,8 @@ def test_a_unicast_is_three_kernel_events_a_view_post_n_plus_two(engine):
     therefore 3 events and a view post to N members N + 2.  The hand-offs in
     between (outbox → CPU, inbox → CPU) take none and are not events (they
     were: 5 per message before the served store), so the next zero-delay
-    hop added to the path fails here."""
+    hop added to the path fails here.  So does one added above it: an
+    A-delivery is its delivery charge and the consumer's ``get``."""
     sim, lan, nodes, gcs = build_group(3, engine=engine)
     delivered = {node.name: [] for node in nodes}
     attach_consumers(sim, gcs, nodes, delivered)
@@ -301,11 +302,11 @@ def test_a_unicast_is_three_kernel_events_a_view_post_n_plus_two(engine):
     assert set(copies.values()) == {1, len(nodes)}
     unicasts = sum(1 for count in copies.values() if count == 1)
     view_posts = len(copies) - unicasts
-    # Above the message path each A-delivery costs three more: the delivery
-    # process and the consumer are parked on stores (a ``get`` each) and the
-    # delivery is charged to the CPU.
+    # Above the message path each A-delivery costs two more: its charge on
+    # the CPU (the ordered message goes to it with no process in between)
+    # and the wake-up of the consumer parked on ``deliveries``.
     a_deliveries = broadcasts * len(nodes)
-    assert events - 3 * a_deliveries == \
+    assert events - 2 * a_deliveries == \
         3 * unicasts + (len(nodes) + 2) * view_posts
 
 

@@ -157,43 +157,45 @@ def scenario_stats(cluster, results):
 # now cuts the message flow elsewhere, so those counts moved with it.
 # ``digest`` and the scheduled-event count were re-pinned alone once more
 # when the write-behind and group-commit loops stopped taking a kernel
-# event for a tick with nothing to do (``repro.sim.poll``).
+# event for a tick with nothing to do (``repro.sim.poll``), and again when
+# an A-delivery became a served store's charge, not a process's wake-up,
+# and a group-safe apply stopped being a process of its own.
 GOLDEN = {
     "group-safe": dict(
         technique="group-safe", crash=False, log_time=0.0,
-        digest="350f456dc7f2ddda3ae16e80009aa54155c423bf"
-               "08c68c338edb5143a2d2e0fb",
+        digest="7c662a44131ef49b198a46ae382c959c55bcac9b"
+               "5288688034ef75c565b34711",
         model="933e952095dc96be84a20144cd25c63d4f003b15"
               "fee8dd8e5815e5249bbb1121",
-        stats=(18, 24, 240, 240, 1696)),
+        stats=(18, 24, 240, 240, 1567)),
     "group-1-safe": dict(
         technique="group-1-safe", crash=False, log_time=0.0,
-        digest="424dc52b40979dd1791daf23e77e6c50f56f92ba"
-               "34cbc77a89a026e53ce779b0",
+        digest="e0ed729e6947627546bd429586a34f51ec687d80"
+               "88402f5e1e28b5e20e31d898",
         model="ee1e6660965a5a800e1485d4318e82e19b81307f"
               "6211aa2f174f83f8cf8a507a",
-        stats=(16, 24, 240, 240, 2090)),
+        stats=(16, 24, 240, 240, 2015)),
     "2-safe-logged": dict(
         technique="2-safe", crash=False, log_time=0.05,
-        digest="ff96b0c8663952e77dd166f8913c2f5052a48763"
-               "8fb20797370ba1182d38dd75",
+        digest="9d52029d941790eb05724715f1b90d87b4c06f62"
+               "92dd096701bc1dc997be2d5a",
         model="bbd6e95bb1d6f7e38de3c0890256341286f90bdd"
               "8feda743de910a3eb72d7c9d",
-        stats=(15, 24, 240, 240, 2220)),
+        stats=(15, 24, 240, 240, 2217)),
     "group-safe-crash": dict(
         technique="group-safe", crash=True, log_time=0.0,
-        digest="5f3549d0dfaa9c6ed699b8da2cdde30f18497d10"
-               "6f723c54725efa48242db22c",
+        digest="106a57caa26ac581f81147c1d89169aca8ee55bb"
+               "62e357f2446fb942cdc3de22",
         model="abd17a34e18ea5a1794aedce769e2886354d2257"
               "30b134eb10285c5b0d4a2f13",
-        stats=(17, 24, 233, 233, 1650)),
+        stats=(17, 24, 233, 233, 1531)),
     "2-safe-crash": dict(
         technique="2-safe", crash=True, log_time=0.05,
-        digest="9212a7c927bb3b2b31976edd463946d748d0a0c4"
-               "d36ddbe14953bb186050a786",
+        digest="e7cb6b6f5e514fdb5b61f80d708bea7ad295e0c8"
+               "81204afaf0ad94f4a4ae6f4a",
         model="ba02fd634b1f45f78bdb47a3ebeca2abd173ce74"
               "9ce57cee0e26cc8865414f47",
-        stats=(16, 24, 233, 233, 2269)),
+        stats=(16, 24, 233, 233, 2264)),
     # The one scenario on a heartbeat code path (the five above run the
     # perfect detector): Multi-Paxos, s1 — the leader — crashed and
     # recovered, so beats stop, a suspicion and a restore are swept, and the
@@ -209,11 +211,11 @@ GOLDEN = {
     "paxos-heartbeat-crash": dict(
         technique="group-safe", engine="multi-paxos", detector="heartbeat",
         crash=True, log_time=0.0,
-        digest="d462feb50ddba07b67be02c572267526f147a59a"
-               "ad93f843da8db1d1d9a01350",
+        digest="0e6ceabc179dd31d67f77539b412b6f19fa576b6"
+               "f35ddfb047590ce3dcdd7c8c",
         model="6560f846aa03dc62512cb6e94408272636aa8e34"
               "72b75d3f758fa541007d68c9",
-        stats=(17, 24, 1077, 1049, 2329)),
+        stats=(17, 24, 1077, 1049, 2210)),
 }
 
 #: LAN deliveries per kind of the ``paxos-heartbeat-crash`` scenario, the

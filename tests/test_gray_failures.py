@@ -131,6 +131,36 @@ def test_degraded_cpu_slows_the_network_path_too():
     assert handled[2] == pytest.approx(10.0 + (10 + 1 + 1) * 0.07)
 
 
+def test_degraded_cpu_slows_an_a_delivery_too():
+    # Regression: the total-order engine charged a delivery cost captured
+    # when it was built, so a gray-slow CPU slowed every network operation
+    # but A-delivery.
+    from repro.gcs import GroupCommunicationSystem
+    from repro.gcs.total_order import _PendingMessage
+    from repro.network import Lan
+
+    sim = Simulator()
+    lan = Lan(sim)
+    node = lan.attach(Node(sim, "s1", cpu_time_per_network_op=0.07))
+    gcs = GroupCommunicationSystem(sim, lan)
+    gcs.start()
+    endpoint = gcs.endpoint("s1")
+    delivered = []
+
+    def application():
+        while True:
+            yield endpoint.deliveries.get()
+            delivered.append(sim.now)
+
+    node.spawn(application())
+    sim.run(until=1.0)
+    node.degrade_cpu(5.0)
+    endpoint._ready.put((1, _PendingMessage("s1#1", "payload", "s1"), False))
+    sim.run()
+    assert delivered == [pytest.approx(1.0 + 0.35)]
+    assert node.cpu.busy_time == pytest.approx(0.35)
+
+
 def test_local_database_passthrough():
     from repro.db.engine import LocalDatabase
 

@@ -94,18 +94,19 @@ class TestPinnedMigrationRuns:
     failpoint.  A refactor of the migration code must leave both unedited.
     Both were re-pinned once, for a cost-model change outside it: a
     background write charges the CPU once per batch of pages.  Their trace
-    digests and event counts moved once more, alone, when idle background
-    loops stopped taking a kernel event per tick.
+    digests and event counts moved alone twice more: when idle background
+    loops stopped taking a kernel event per tick, and when A-delivery and
+    the group-safe apply stopped taking one per hand-off.
     """
 
     def test_completed_migration_is_pinned(self):
         digest, stats = _mixed_run(seed=71)
-        assert digest == ("6ed51192e22509c6f1f55325842cc790"
-                          "3f78e35def75b1241c289e7bc21f9a18")
+        assert digest == ("1cd0e5d98c9c29dfab51354cef9637cc"
+                          "dd19f99480a47e312b91e54f3c810d71")
         assert stats[:4] == (176, 479, 2, 1)
         assert _digest(stats[4]) == ("705a2be278b3ceb917cbe53c6dd769c7"
                                      "cdfb6c8b64d21d387de4cb7e19fe5b1d")
-        assert stats[5:] == (4780, 4780, 208, 31174)
+        assert stats[5:] == (4780, 4780, 208, 29080)
 
     def test_aborted_migration_is_pinned(self):
         params = SimulationParameters.small(server_count=3, item_count=120)
@@ -139,9 +140,9 @@ class TestPinnedMigrationRuns:
         assert (sum(answer.committed for answer in clients.results),
                 clients.submitted_count,
                 cluster.lan.sent_count, cluster.sim.scheduled_events) == \
-            (78, 267, 2080, 28516)
-        assert _digest(trace) == ("7cd79dd78e6d4e4cab85580f095f7cc2"
-                                  "f037f05a5f5babf0799e82388abbe921")
+            (78, 267, 2080, 27640)
+        assert _digest(trace) == ("bc38eeff3966fb43cd3092e228ad9fc1"
+                                  "871eb8c8f16431f6c6f647c54ccfa842")
 
 
 def test_trace_hook_records_every_processed_event():
@@ -211,8 +212,9 @@ def test_unbatched_background_writes_reproduce_the_parent(monkeypatch):
     two per-page loops it replaced (the write-behind flusher's and lazy
     apply's), bit for bit: the group-safe golden and load point keep the
     literals they had before background writes were batched.  The event
-    count and trace digest are the kernel's and were re-pinned once, when
-    idle background loops stopped taking a kernel event per tick."""
+    count and trace digest are the kernel's and were re-pinned twice, when
+    idle background loops stopped taking a kernel event per tick and when
+    zero-time hand-offs of a group-safe commit stopped taking one."""
     from repro.db import buffer
     from tests.test_gcs_engines import (model_digest, run_scenario,
                                         scenario_stats, trace_digest)
@@ -220,11 +222,11 @@ def test_unbatched_background_writes_reproduce_the_parent(monkeypatch):
     monkeypatch.setattr(buffer, "WRITE_BEHIND_BATCH", 1)
     cluster, results, trace, deliveries = run_scenario("group-safe",
                                                        traced=True)
-    assert scenario_stats(cluster, results) == (15, 24, 240, 240, 1907)
+    assert scenario_stats(cluster, results) == (15, 24, 240, 240, 1787)
     assert model_digest(deliveries, results) == (
         "0cd113d7bfad220c66651cd34168b2ff8d74e2beeb1444b8573d38b8b95d6621")
     assert trace_digest(trace) == (
-        "c21975a7a17f84109caada0652a87462fa1784b4dd1e4a7201ac361cd7fffb4f")
+        "185cfadd23a6ba75d48b221712ccf097d960027ffc633ecea219baf2dfca8c83")
     point = run_load_point("group-safe", 30.0, duration_ms=4_000.0,
                            warmup_ms=1_000.0, seed=5)
     assert point.committed_transactions == 80

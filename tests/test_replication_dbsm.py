@@ -32,6 +32,28 @@ def test_update_transaction_commits_on_every_server(technique):
         assert len(values) == 1
 
 
+@pytest.mark.parametrize("technique,applies", [("group-safe", 0),
+                                                ("group-1-safe", 3)])
+def test_only_a_synchronous_apply_is_a_process(technique, applies):
+    """A group-safe commit marks its writes dirty and appends its COMMIT
+    record in place, on every server: it takes no simulated time, so it
+    starts no process but its transaction's ``_execute``.  Group-1-safe
+    charges the disks, and keeps an ``apply`` process per server."""
+    cluster = build_cluster(technique)
+    cluster.run(until=100.0)
+    started = []
+    for node in cluster.nodes.values():
+        def recording_spawn(generator, name=None, spawn=node.spawn):
+            started.append(name.split(".")[0])
+            return spawn(generator, name=name)
+        node.spawn = recording_spawn
+    response = cluster.submit(cluster.workload.update_only_program(3),
+                              server="s1")
+    cluster.run(until=cluster.sim.now + 3_000.0)
+    assert response.value.committed
+    assert started == ["txn"] + ["apply"] * applies
+
+
 def test_group_safe_notification_guarantee_flags():
     cluster = build_cluster("group-safe")
     result = run_one(cluster, cluster.workload.update_only_program(3))

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim import Gate, Resource, SimulationError, Simulator, Store
+from repro.sim import (Event, Gate, Resource, SimulationError, Simulator,
+                       Store)
 
 
 def test_resource_grants_up_to_capacity():
@@ -502,6 +503,99 @@ def test_a_handler_that_clears_and_reserves_the_store_ends_its_own_run():
     sim.run()
     assert handled == [("first", "a", 2.0), ("second", "after", 3.0)]
     assert resource.granted_count == 2 and resource.in_use == 0
+
+
+def chained_handler(sim, resource, handled, hold=3.0):
+    """A handler with more work per item: a further ``hold`` on
+    ``resource``, after which the item counts as handled."""
+    def handler(item):
+        done = Event(sim)
+
+        def held():
+            handled.append((item, sim.now))
+            done.succeed()
+
+        resource.use_then(hold, held)
+        return done
+    return handler
+
+
+def test_a_served_store_waits_for_the_event_its_handler_returns():
+    sim = Simulator()
+    resource = Resource(sim, capacity=2)
+    store = Store(sim)
+    handled = []
+    store.serve(resource, lambda: 2.0, chained_handler(sim, resource,
+                                                       handled))
+    store.put("a")
+    store.put("b")
+    sim.run(until=4.0)
+    # "a": charged 0 → 2, held 2 → 5; "b" is not charged before 5, although
+    # the second slot is free.
+    assert (resource.in_use, len(store)) == (1, 1)
+    sim.run()
+    assert handled == [("a", 5.0), ("b", 10.0)]
+    assert (resource.granted_count, resource.busy_time) == (4, 10.0)
+    store.put("c")      # an idle store charges at the put, as before
+    assert resource.in_use == 1
+
+
+def test_clearing_a_served_store_that_waits_for_its_handler():
+    sim = Simulator()
+    resource = Resource(sim, capacity=1)
+    store = Store(sim)
+    handled = []
+    store.serve(resource, lambda: 2.0, chained_handler(sim, resource,
+                                                       handled))
+    store.put("a")
+    store.put("dropped")
+    sim.run(until=3.0)
+    store.clear()
+    assert not store.is_served and len(store) == 0
+    # The handler's own work is not the store's: it runs on, and its event
+    # no longer resumes serving, not even a store served anew meanwhile.
+    fresh = []
+    store.serve(resource, lambda: 1.0,
+                lambda item: fresh.append((item, sim.now)))
+    store.put("fresh")
+    sim.run()
+    assert handled == [("a", 5.0)]
+    assert fresh == [("fresh", 6.0)]
+    assert resource.granted_count == 3 and resource.in_use == 0
+
+
+def test_a_crash_mid_chain_drops_the_chain_and_schedules_nothing():
+    from repro.network.node import Node
+
+    sim = Simulator()
+    node = Node(sim, "s1", cpus=1, cpu_time_per_network_op=2.0)
+    store = Store(sim)
+    handled = []
+    node.serve(store, chained_handler(sim, node.disk, handled))
+    node.add_listener(lambda _node, event: store.clear())
+    store.put("lost")
+    store.put("backlog")
+    sim.run(until=3.0)          # "lost" holds a disk, 2 → 5 ms
+    assert node.disk.in_use == 1
+    scheduled = sim.scheduled_events
+    node.crash()
+    sim.run()
+    assert handled == [] and sim.scheduled_events == scheduled
+    assert node.disk.busy_time == pytest.approx(1.0)
+    assert node.cpu.granted_count == 1
+
+
+def test_use_then_continues_after_the_slot_is_back_and_cancels_with_it():
+    sim = Simulator()
+    resource = Resource(sim, capacity=1)
+    seen = []
+    resource.use_then(2.0, lambda: seen.append((sim.now, resource.in_use)))
+    cancelled = resource.use_then(1.0, lambda: seen.append("cancelled"))
+    sim.run(until=1.0)
+    cancelled.cancel()
+    sim.run()
+    assert seen == [(2.0, 0)]
+    assert resource.granted_count == 1
 
 
 def test_gate_blocks_until_opened():
