@@ -11,7 +11,7 @@ recovering — is harmless.
 The checkpoint-based alternative used by the *state-transfer* recovery of
 classical group communication (Sect. 2.3 of the paper) replaces the local
 state wholesale with a snapshot taken on another replica:
-:func:`repro.gcs.state_transfer.install_checkpoint`, over
+:func:`repro.replication.dbsm.install_checkpoint`, over
 :meth:`ItemStore.restore <repro.db.items.ItemStore.restore>`.
 """
 

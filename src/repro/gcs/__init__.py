@@ -4,9 +4,10 @@ The package is a layered protocol stack matching
 :data:`repro.core.layers.LAYER_ORDER`: a reliable-broadcast layer over the
 LAN, a perfect failure detector, two total-order engines (fixed
 sequencer and Multi-Paxos, selected through :mod:`repro.gcs.engines`),
-view-based membership, the stable message log used for log-based recovery
-(handed to an engine as its ``journal``, it makes the broadcast end-to-end),
-and checkpoint-based state transfer.
+view-based membership, and the stable message log used for log-based
+recovery (handed to an engine as its ``journal``, it makes the broadcast
+end-to-end).  An engine moves a checkpoint for state transfer as opaque
+state; the application defines what it holds.
 """
 
 from .engines import DEFAULT_ENGINE, ENGINES, engine_names, resolve_engine
@@ -16,8 +17,6 @@ from .membership import GroupMembership, View
 from .message_log import GcsMessageLog, LoggedMessage
 from .paxos import MultiPaxosEngine
 from .reliable_broadcast import ReliableBroadcastLayer
-from .state_transfer import (ApplicationCheckpoint, install_checkpoint,
-                             take_checkpoint)
 from .system import GroupCommunicationSystem
 from .total_order import Delivery, MembershipPort, TotalOrderEngine
 
@@ -36,9 +35,6 @@ __all__ = [
     "FailureDetector",
     "GcsMessageLog",
     "LoggedMessage",
-    "ApplicationCheckpoint",
-    "take_checkpoint",
-    "install_checkpoint",
     "engine_names",
     "resolve_engine",
 ]

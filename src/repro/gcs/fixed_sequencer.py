@@ -39,10 +39,11 @@ at the member it leaves sequencer, including one that only drops or re-admits
 a follower: the re-propagation is how a rejoined member fills its delivery
 gap, and the sequencer forgets which horizon it announced so the next
 acknowledgement re-announces it to the new view.  ``_assigned`` is never
-pruned, so the re-propagation is the whole history, once per member;
-re-sending only what is not yet stable needs a per-member catch-up first
-(a joiner installs the ``delivered_seq`` of whichever peer answers first,
-which may trail a horizon the sequencer already announced — ROADMAP item 2).
+pruned, so the re-propagation is the whole history, once per member.  A
+joiner installs the sequence its state-transfer checkpoint reflects, which
+may trail what the group has delivered and what the sequencer announced
+stable; the re-propagation is what fills that gap, so re-sending only what
+is not yet stable needs per-member horizon reports first (ROADMAP ★21).
 """
 
 from __future__ import annotations
@@ -115,10 +116,6 @@ class FixedSequencerEngine(TotalOrderEngine):
     def _engine_install_horizon(self, sequence: int) -> None:
         self._stable_up_to = sequence
         self._next_seq = sequence + 1
-
-    def _engine_merge_horizon(self, sequence: int) -> None:
-        self._stable_up_to = max(self._stable_up_to, sequence)
-        self._next_seq = self._delivered_seq + 1
 
     def _on_coordinator_change(self, view: Any, coordinator: str) -> None:
         if coordinator != self.member_name:

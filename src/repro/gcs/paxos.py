@@ -29,9 +29,12 @@ with Paxos over the same reliable-broadcast layer.
   the decided slots above its horizon, point to point.  On a view that adds
   a member the leader does the same for every view member, from its last
   report; a joiner has none and counts at the lowest horizon the others
-  reported, which is at least what its state transfer installs.  A later
-  report below that mark (a member that was excluded alive, not crashed)
-  gets the slots in between.  *Decided* includes the slots whose ``LEARN``
+  reported.  Its state transfer may install less — the sequence its
+  checkpoint reflects, which leaves out what the provider's application
+  has not finished — so a later report below the mark (the joiner's first
+  ``ACCEPTED``, or a member that was excluded alive, not crashed) gets the
+  slots in between, and a joiner Ω hands the lead back to fills the gap
+  with its own phase 1.  *Decided* includes the slots whose ``LEARN``
   is still queued in the leader's outbox, addressed to the view it was
   posted to.  A rejoining member reports no horizon and leads no phase 1
   until its rejoin installed one.
@@ -144,9 +147,6 @@ class MultiPaxosEngine(TotalOrderEngine):
     def _engine_install_horizon(self, sequence: int) -> None:
         self._next_slot = sequence + 1
 
-    def _engine_merge_horizon(self, sequence: int) -> None:
-        self._next_slot = max(self._next_slot, self._delivered_seq + 1)
-
     def _on_coordinator_change(self, view: Any, coordinator: str) -> None:
         joined = [member for member in view.members
                   if member not in self._view_members]
@@ -195,7 +195,8 @@ class MultiPaxosEngine(TotalOrderEngine):
 
     def _fill_view(self, view: Any) -> None:
         """A view added members: fill every member from its last report, a
-        joiner from the lowest horizon the others reported."""
+        joiner from the lowest horizon the others reported (its first
+        report fills whatever its state transfer installed below that)."""
         floor = min([self._delivered_seq] +
                     [self._horizons[m] for m in view.members
                      if m in self._horizons])

@@ -5,9 +5,9 @@ The paper's replication techniques are written against *atomic broadcast*
 captures exactly that boundary: :class:`TotalOrderEngine` is the per-member
 endpoint the application sees (``broadcast`` / ``deliveries`` /
 ``acknowledge`` / ``recover``), plus everything every ordering protocol
-needs — the served delivery queue, duplicate suppression, the
-JOIN/state-transfer rejoin protocol, and the optional end-to-end delivery
-journal — while the ordering protocol itself lives in a subclass:
+needs — the served delivery queue, duplicate suppression, the JOIN rejoin
+exchange, and the optional end-to-end delivery journal — while the ordering
+protocol itself lives in a subclass:
 
 * :class:`repro.gcs.fixed_sequencer.FixedSequencerEngine` — the classical
   fixed-sequencer scheme (the seed behaviour, bit-identical schedules);
@@ -28,6 +28,17 @@ a :class:`repro.gcs.message_log.GcsMessageLog` as ``journal`` and the engine
 logs every delivery on stable storage, honours ``ack(m)`` and recovers by
 replaying unacknowledged messages instead of asking for an application
 checkpoint.
+
+A rejoin is one exchange in both compositions: the recovering member posts
+``JOIN(member, have_up_to)`` to the view and takes the first reply.
+``have_up_to`` is ``None`` in the classical composition, and a peer answers
+with the pair its application hands out: the sequence of the last delivery
+its state reflects, and that state.  The joiner installs exactly that
+sequence, so a delivery the provider's application has not finished (Fig. 5,
+at the provider) is outside both the state and the horizon, and reaches the
+joiner through the ordering protocol.  With the journal ``have_up_to`` is the
+highest logged sequence, and a peer answers with its logged deliveries above
+it.
 """
 
 from __future__ import annotations
@@ -96,8 +107,6 @@ class TotalOrderEngine:
     #: Message-kind namespace shared by every engine on the dispatcher.
     KIND_JOIN = "ABCAST.JOIN"
     KIND_JOIN_REPLY = "ABCAST.JOIN_REPLY"
-    KIND_SYNC_REQUEST = "ABCAST.E2E.SYNC_REQUEST"
-    KIND_SYNC_REPLY = "ABCAST.E2E.SYNC_REPLY"
 
     def __init__(self, sim: Simulator, node: Node, dispatcher: Dispatcher,
                  broadcast_layer: ReliableBroadcastLayer, group: MembershipPort,
@@ -119,8 +128,10 @@ class TotalOrderEngine:
         #: Deliveries ready for the application (A-deliver), in total order.
         self.deliveries: Store = Store(sim, name=f"{self.member_name}.deliveries")
         #: Provider of an application checkpoint for state transfer (set by
-        #: the replication technique); called with no argument, returns state.
-        self.checkpoint_provider: Optional[Callable[[], Any]] = None
+        #: the replication technique); called with no argument, returns
+        #: ``(sequence, state)``: the state and the last delivery it reflects.
+        self.checkpoint_provider: Optional[
+            Callable[[], Tuple[int, Any]]] = None
 
         self._broadcast_counter = itertools.count(1)
         self._register_base_handlers()
@@ -159,10 +170,6 @@ class TotalOrderEngine:
         """Set engine counters exactly to a recovered horizon."""
         raise NotImplementedError
 
-    def _engine_merge_horizon(self, sequence: int) -> None:
-        """Merge one caught-up sequence into the engine counters."""
-        raise NotImplementedError
-
     def _on_coordinator_change(self, view: Any, coordinator: str) -> None:
         """React to a view change (run a takeover protocol if needed)."""
         raise NotImplementedError
@@ -185,6 +192,8 @@ class TotalOrderEngine:
         self._delivered_seq = 0
         self._delivered_ids: Set[str] = set()
         self._unsequenced: Dict[str, Any] = {}
+        # Replies to this member's JOIN, while its rejoin waits for one.
+        self._join_replies: Optional[Store] = None
         self._reset_engine_state()
         self._started = False
 
@@ -205,10 +214,6 @@ class TotalOrderEngine:
     def _register_base_handlers(self) -> None:
         self.dispatcher.register(self.KIND_JOIN, self._on_join)
         self.dispatcher.register(self.KIND_JOIN_REPLY, self._on_join_reply)
-        if self.journal is not None:
-            self.dispatcher.register(self.KIND_SYNC_REQUEST,
-                                     self._on_sync_request)
-            self.dispatcher.register(self.KIND_SYNC_REPLY, self._on_sync_reply)
 
     # ------------------------------------------------------------------ lifecycle
     def start(self) -> None:
@@ -276,14 +281,12 @@ class TotalOrderEngine:
             self._ready.put((next_seq, entry, False))
 
     def _install_horizon(self, sequence: int) -> None:
-        """Set the delivery horizon exactly (recovery from a log or reply)."""
+        """Set the delivery horizon exactly (recovery from a log or reply);
+        what was ordered at or below it is delivered or covered."""
         self._delivered_seq = sequence
+        self._pending = {seq: entry for seq, entry in self._pending.items()
+                         if seq > sequence}
         self._engine_install_horizon(sequence)
-
-    def _merge_horizon(self, sequence: int) -> None:
-        """Monotonically merge one caught-up sequence into the horizon."""
-        self._delivered_seq = max(self._delivered_seq, sequence)
-        self._engine_merge_horizon(sequence)
 
     # ------------------------------------------------------------------ delivery
     def _hand_up(self, item: Tuple[int, _PendingMessage, bool]
@@ -374,17 +377,22 @@ class TotalOrderEngine:
         """Generator: recover after a crash.
 
         The endpoint resets its volatile state, restarts its processes and
-        rejoins the group.  What happens next depends on the composition:
+        rejoins the group with one JOIN, taking the first reply (or none
+        within ``rejoin_timeout``).  What it asks for depends on the
+        composition:
 
         * **classical** (no journal, dynamic crash no-recovery model): a live
           member supplies an application *checkpoint* via state transfer,
-          which is returned (or ``None`` when nobody answered).  Delivered-
-          but-unprocessed messages are *not* replayed — the behaviour
-          Sect. 3 of the paper builds its impossibility argument on.
+          which is returned (or ``None`` when nobody answered), and the
+          endpoint installs the delivery the checkpoint reflects as its
+          horizon.  Delivered-but-unprocessed messages are *not* replayed —
+          the behaviour Sect. 3 of the paper builds its impossibility
+          argument on.
         * **end-to-end** (journal, static crash recovery model): the delivery
           horizon is rebuilt from the stable message log, every
-          unacknowledged message is replayed to the application and missed
-          messages are fetched from live peers; returns the replay count.
+          unacknowledged message is replayed to the application, and the
+          reply carries the messages live peers logged above that horizon;
+          returns the replay count.
         """
         self._reset_volatile()
         self._started = False
@@ -392,101 +400,81 @@ class TotalOrderEngine:
             self.dispatcher.start()
         self.start()
         self.group.announce_join(self.member_name)
-        if self.journal is None:
-            return (yield from self._recover_by_state_transfer(rejoin_timeout))
-        return (yield from self._recover_by_replay(rejoin_timeout))
-
-    def _recover_by_state_transfer(self, rejoin_timeout: float):
-        reply_box: Store = Store(self.sim,
-                                 name=f"{self.member_name}.join_replies")
-        self._join_replies = reply_box
-        self._post_view(self.KIND_JOIN, {"member": self.member_name})
-        timeout = self.sim.timeout(rejoin_timeout)
-        first_reply = reply_box.get()
-        outcome = yield self.sim.any_of([first_reply, timeout])
-        if first_reply in outcome:
-            reply = first_reply.value
-            self._install_horizon(reply["delivered_seq"])
-            return reply["checkpoint"]
-        return None
-
-    def _recover_by_replay(self, rejoin_timeout: float):
-        logged = self.journal.entries()
-        self._install_horizon(self.journal.highest_sequence())
-        self._delivered_ids = {entry.broadcast_id for entry in logged}
-
-        # Replay unacknowledged messages to the application (Fig. 7).
+        journal = self.journal
         replayed = 0
-        for entry in self.journal.unacknowledged():
-            delivery = Delivery(payload=entry.payload,
-                                broadcast_id=entry.broadcast_id,
-                                sequence=entry.sequence,
-                                delivered_at=self.sim.now,
-                                member=self.member_name, replayed=True)
-            self.replayed_count += 1
-            replayed += 1
-            self.deliveries.put(delivery)
+        have_up_to = None
+        if journal is not None:
+            have_up_to = journal.highest_sequence()
+            self._install_horizon(have_up_to)
+            self._delivered_ids = {entry.broadcast_id
+                                   for entry in journal.entries()}
+            # Replay unacknowledged messages to the application (Fig. 7).
+            for entry in journal.unacknowledged():
+                self.replayed_count += 1
+                replayed += 1
+                self.deliveries.put(Delivery(
+                    payload=entry.payload, broadcast_id=entry.broadcast_id,
+                    sequence=entry.sequence, delivered_at=self.sim.now,
+                    member=self.member_name, replayed=True))
 
-        # Catch up on messages delivered by others while we were down.
-        reply_box: Store = Store(self.sim,
-                                 name=f"{self.member_name}.sync_replies")
-        self._sync_replies = reply_box
-        self._post_view(self.KIND_SYNC_REQUEST,
-                        {"member": self.member_name,
-                         "have_up_to": self._delivered_seq})
+        replies = self._join_replies = Store(
+            self.sim, name=f"{self.member_name}.join_replies")
+        self._post_view(self.KIND_JOIN, {"member": self.member_name,
+                                         "have_up_to": have_up_to})
         timeout = self.sim.timeout(rejoin_timeout)
-        first_reply = reply_box.get()
+        first_reply = replies.get()
         outcome = yield self.sim.any_of([first_reply, timeout])
-        if first_reply in outcome:
-            for entry in sorted(first_reply.value["entries"],
-                                key=lambda e: e["sequence"]):
-                if entry["broadcast_id"] in self._delivered_ids:
-                    continue
-                self._delivered_ids.add(entry["broadcast_id"])
-                self._merge_horizon(entry["sequence"])
-                self._ready.put((entry["sequence"],
-                                 _PendingMessage(
-                                     broadcast_id=entry["broadcast_id"],
-                                     payload=entry["payload"],
-                                     sender=entry["origin"]),
-                                 True))
-        return replayed
+        self._join_replies = None
+        if first_reply not in outcome:
+            return None if journal is None else replayed
+        reply = first_reply.value
+        if journal is not None:
+            self._catch_up(reply["entries"])
+            return replayed
+        self._install_horizon(reply["sequence"])
+        return reply["checkpoint"]
+
+    def _catch_up(self, entries) -> None:
+        """Hand up the messages a peer logged while this member was down."""
+        horizon = self._delivered_seq
+        for entry in sorted(entries, key=lambda e: e["sequence"]):
+            if entry["broadcast_id"] in self._delivered_ids:
+                continue
+            self._delivered_ids.add(entry["broadcast_id"])
+            horizon = max(horizon, entry["sequence"])
+            self._ready.put((entry["sequence"],
+                             _PendingMessage(
+                                 broadcast_id=entry["broadcast_id"],
+                                 payload=entry["payload"],
+                                 sender=entry["origin"]),
+                             True))
+        if horizon > self._delivered_seq:
+            self._install_horizon(horizon)
 
     # ------------------------------------------------------------------ rejoin protocol
     def _on_join(self, message: Message) -> None:
-        joining = message.payload["member"]
+        request = message.payload
+        joining = request["member"]
         self.group.announce_join(joining)
         if joining == self.member_name:
             return
-        checkpoint = self.checkpoint_provider() if self.checkpoint_provider \
-            else None
-        self._post(self.KIND_JOIN_REPLY, joining,
-                   {"delivered_seq": self._delivered_seq,
-                    "checkpoint": checkpoint, "member": self.member_name})
+        have_up_to = request["have_up_to"]
+        if have_up_to is not None:
+            reply = {"entries": [{"sequence": entry.sequence,
+                                  "broadcast_id": entry.broadcast_id,
+                                  "payload": entry.payload,
+                                  "origin": self.member_name}
+                                 for entry in self.journal.entries()
+                                 if entry.sequence > have_up_to]}
+        else:
+            sequence, checkpoint = self.checkpoint_provider() \
+                if self.checkpoint_provider else (self._delivered_seq, None)
+            reply = {"sequence": sequence, "checkpoint": checkpoint}
+        self._post(self.KIND_JOIN_REPLY, joining, reply)
 
     def _on_join_reply(self, message: Message) -> None:
-        box = getattr(self, "_join_replies", None)
-        if box is not None:
-            box.put(message.payload)
-
-    # ------------------------------------------------------------------ e2e catch-up protocol
-    def _on_sync_request(self, message: Message) -> None:
-        if message.payload["member"] == self.member_name:
-            return
-        have_up_to = message.payload["have_up_to"]
-        entries = [{"sequence": entry.sequence,
-                    "broadcast_id": entry.broadcast_id,
-                    "payload": entry.payload,
-                    "origin": self.member_name}
-                   for entry in self.journal.entries()
-                   if entry.sequence > have_up_to]
-        self._post(self.KIND_SYNC_REPLY, message.payload["member"],
-                   {"entries": entries, "member": self.member_name})
-
-    def _on_sync_reply(self, message: Message) -> None:
-        box = getattr(self, "_sync_replies", None)
-        if box is not None:
-            box.put(message.payload)
+        if self._join_replies is not None:
+            self._join_replies.put(message.payload)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"<{type(self).__name__} {self.member_name} "

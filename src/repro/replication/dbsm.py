@@ -47,19 +47,66 @@ level               client answered after ...
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
+
 from ..core.layers import implements, uses
 from ..core.safety import LoggedOn, SafetyLevel
 from ..db.engine import LocalDatabase
+from ..db.items import ItemVersion
 from ..db.operations import OperationType
 from ..db.transaction import TransactionStatus, WriteSetMessage
 from ..db.wal import LogRecord, LogRecordType
 from ..gcs.total_order import Delivery, TotalOrderEngine
-from ..gcs.state_transfer import install_checkpoint, take_checkpoint
 from ..network.dispatch import Dispatcher
 from ..network.node import Node
 from ..sim.engine import Simulator
 from ..workload.params import SimulationParameters
 from .base import PendingSubmission, ReplicaServer
+
+
+@dataclass
+class ApplicationCheckpoint:
+    """A transferable snapshot of one replica's database state (Sect. 2.3):
+    the items, the committed transactions with their commit orders and the
+    commit counter — but **not** the messages that were delivered and not
+    yet processed, which is why checkpoint-based recovery loses the Fig. 5
+    transaction."""
+
+    #: The last delivery the snapshot reflects.
+    sequence: int
+    items: Dict[str, ItemVersion]
+    #: txn id -> commit order of every commit the source holds.
+    committed_transactions: Dict[str, Optional[int]]
+    commit_counter: int
+
+
+def take_checkpoint(database: LocalDatabase,
+                    sequence: int) -> ApplicationCheckpoint:
+    """Capture the current committed state of ``database``, which reflects
+    every delivery up to ``sequence``."""
+    return ApplicationCheckpoint(
+        sequence=sequence,
+        items=database.items.snapshot(),
+        committed_transactions=database.wal.committed_ids(),
+        commit_counter=database.commit_counter)
+
+
+def install_checkpoint(database: LocalDatabase,
+                       checkpoint: ApplicationCheckpoint) -> None:
+    """Replace ``database``'s state with the transferred ``checkpoint``.
+
+    The item snapshot is sparse and :meth:`ItemStore.restore` replaces the
+    store wholesale: an item the checkpoint does not mention ends at version
+    0, whatever the rejoining replica had installed locally.  The
+    receiving write-ahead log adopts the checkpoint's commits, so the replica
+    knows which transactions are already reflected in the installed state and
+    will not commit them a second time.
+    """
+    database.items.restore(checkpoint.items)
+    database.commit_counter = checkpoint.commit_counter
+    for txn_id, commit_order in checkpoint.committed_transactions.items():
+        database.wal.adopt_commit(txn_id, commit_order)
 
 
 @implements("replication")
@@ -80,6 +127,9 @@ class DatabaseStateMachineReplica(ReplicaServer):
         self.responds_after_logging = level.logged_on is not LoggedOn.NONE
         self.logged_on_all = level.logged_on is LoggedOn.ALL
         endpoint.checkpoint_provider = self._take_checkpoint
+        #: Sequence of the last delivery the certifier decided: the horizon
+        #: a checkpoint of this database reflects.
+        self._decided_seq = 0
         #: Statistics.
         self.certified_count = 0
         self.certification_abort_count = 0
@@ -90,8 +140,9 @@ class DatabaseStateMachineReplica(ReplicaServer):
         self.endpoint.start()
         self.node.spawn(self._certifier(), name="dbsm.certifier")
 
-    def _take_checkpoint(self):
-        return take_checkpoint(self.db, self.sim.now, source=self.name)
+    def _take_checkpoint(self) -> Tuple[int, ApplicationCheckpoint]:
+        checkpoint = take_checkpoint(self.db, self._decided_seq)
+        return checkpoint.sequence, checkpoint
 
     # ------------------------------------------------------------------ delegate side
     def _execute(self, pending: PendingSubmission):
@@ -138,6 +189,9 @@ class DatabaseStateMachineReplica(ReplicaServer):
             # certification stage to the disks and makes the group-based
             # curves of Fig. 9 turn upward.
             yield self.db.buffer.wait_for_space()
+            # The decision below takes no simulated time: from here on the
+            # database reflects this delivery, whatever the outcome.
+            self._decided_seq = delivery.sequence
             payload: WriteSetMessage = delivery.payload
             decision = self.db.wal.decision(payload.txn_id)
             if decision is not None:
@@ -272,13 +326,15 @@ class DatabaseStateMachineReplica(ReplicaServer):
           certifier is what processes any replayed deliveries.
         """
         self.db.recover()
+        self._decided_seq = 0
         outcome = yield from self.endpoint.recover()
-        if outcome is not None and not isinstance(outcome, int):
+        if isinstance(outcome, ApplicationCheckpoint):
             # Classical atomic broadcast handed us an application checkpoint
             # from a live member: adopt it wholesale (state transfer).  Any
             # local commit unknown to the group is discarded — this is the
             # 1-safe transaction-loss behaviour discussed in Sect. 5.1.
             install_checkpoint(self.db, outcome)
+            self._decided_seq = outcome.sequence
         self._running = False
         self.start()
         return outcome

@@ -13,7 +13,7 @@ from repro.db import (Item, ItemStore, LocalDatabase, Operation,
 from repro.db.items import INITIAL, item_keys
 from repro.db.wal import LogRecord, LogRecordType
 from repro.experiments.rebalance import audit_commit_integrity
-from repro.gcs.state_transfer import install_checkpoint, take_checkpoint
+from repro.replication.dbsm import install_checkpoint, take_checkpoint
 from repro.network import Node
 from repro.partition import PartitionedCluster
 from repro.partition.workload import PartitionedOpenLoopClients
@@ -144,14 +144,14 @@ def _writes(txn_id: str, delegate: str, write_values) -> WriteSetMessage:
 
 
 def test_install_checkpoint_discards_keys_the_source_never_wrote():
-    # Regression: the gcs install_checkpoint used to restore() without a
+    # Regression: install_checkpoint (then in gcs) used to restore() without a
     # reset, which a sparse snapshot turns into a stale local version.
     sim = Simulator(seed=1)
     source, target = _database(sim, "s1"), _database(sim, "s2")
     source.install_writes(_writes("t1", "s1", {"item-1": "group"}))
     target.install_writes(_writes("local", "s2", {"item-7": "mine"}))
     assert target.version_of("item-7") == 1
-    install_checkpoint(target, take_checkpoint(source, at_time=0.0))
+    install_checkpoint(target, take_checkpoint(source, sequence=1))
     assert target.items.versions() == source.items.versions()
     assert target.items.snapshot() == source.items.snapshot()
     assert target.version_of("item-7") == 0

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.audit import SafetyAudit
 from repro.gcs import GroupCommunicationSystem, engine_names
+from repro.gcs.total_order import _PendingMessage
 from repro.network import Lan, LinkFault, Node
 from repro.obs.tracer import Observability
 from repro.replication.cluster import ReplicatedDatabaseCluster
@@ -164,8 +165,9 @@ def test_classical_recovery_uses_state_transfer_not_replay():
     sim, lan, nodes, gcs = build_group()
     delivered = {node.name: [] for node in nodes}
     attach_consumers(sim, gcs, nodes[:2], delivered)
-    gcs.endpoint("s1").checkpoint_provider = lambda: {"state": "from-s1"}
-    gcs.endpoint("s2").checkpoint_provider = lambda: {"state": "from-s2"}
+    # A provider hands out its state with the last delivery it reflects.
+    gcs.endpoint("s1").checkpoint_provider = lambda: (1, {"state": "from-s1"})
+    gcs.endpoint("s2").checkpoint_provider = lambda: (1, {"state": "from-s2"})
     gcs.endpoint("s1").broadcast("missed-by-s3")
     sim.run(until=20.0)
     nodes[2].crash()
@@ -183,6 +185,101 @@ def test_classical_recovery_uses_state_transfer_not_replay():
     assert process.value in ({"state": "from-s1"}, {"state": "from-s2"})
     # ... and the missed message is NOT replayed (classical primitive).
     assert len(gcs.endpoint("s3").deliveries) == 0
+
+
+@pytest.mark.parametrize("engine", engine_names())
+def test_a_joiner_installs_the_delivery_its_checkpoint_reflects(engine):
+    """Fig. 5 at the provider: the live members' applications hold their
+    second delivery unprocessed when s3 rejoins, so their checkpoints
+    reflect one delivery while their endpoints have delivered two.  s3
+    installs the sequence the provider names, not the provider's delivery
+    horizon, and the ordering protocol hands it the held message, once."""
+    sim, lan, nodes, gcs = build_group(engine=engine)
+    processed = {node.name: [] for node in nodes}
+    release = sim.event()
+
+    def consumer(name):
+        endpoint = gcs.endpoint(name)
+        while True:
+            delivery = yield endpoint.deliveries.get()
+            if delivery.payload == "held":
+                yield release
+            processed[name].append(delivery.payload)
+
+    for node in nodes:
+        node.spawn(consumer(node.name))
+        gcs.endpoint(node.name).checkpoint_provider = (
+            lambda name=node.name: (len(processed[name]),
+                                    list(processed[name])))
+    gcs.endpoint("s1").broadcast("m1")
+    sim.run(until=20.0)
+    nodes[2].crash()
+    gcs.endpoint("s1").broadcast("held")
+    sim.run(until=40.0)
+    assert [gcs.endpoint(name)._delivered_seq for name in ("s1", "s2")] \
+        == [2, 2]
+    assert processed["s1"] == processed["s2"] == ["m1"]
+    nodes[2].recover()
+    installed = []
+
+    def recovery():
+        endpoint = gcs.endpoint("s3")
+        state = yield from endpoint.recover(rejoin_timeout=20.0)
+        installed.append(endpoint._delivered_seq)
+        processed["s3"] = state
+        nodes[2].spawn(consumer("s3"))
+
+    nodes[2].spawn(recovery())
+    sim.run(until=60.0)
+    assert installed == [1]
+    # A new broadcast is what makes a Multi-Paxos leader see the joiner's
+    # horizon (its first ACCEPTED report); the fixed sequencer re-posted
+    # its assignments when the rejoin view was installed.
+    gcs.endpoint("s2").broadcast("m3")
+    sim.run(until=100.0)
+    release.succeed()
+    sim.run(until=200.0)
+    assert processed["s3"] == processed["s1"] == processed["s2"] \
+        == ["m1", "held", "m3"]
+
+
+@pytest.mark.parametrize("end_to_end", [False, True],
+                         ids=["classical", "end-to-end"])
+def test_a_rejoined_endpoint_holds_no_join_reply(end_to_end):
+    # Every live member answers the JOIN; the rejoin takes the first reply
+    # and must not keep the others (each a checkpoint) for the rest of
+    # the run.
+    sim, lan, nodes, gcs = build_group(member_count=5, end_to_end=end_to_end)
+    delivered = {node.name: [] for node in nodes}
+    attach_consumers(sim, gcs, nodes, delivered, acknowledge=True)
+    for node in nodes:
+        gcs.endpoint(node.name).checkpoint_provider = (
+            lambda name=node.name: (len(delivered[name]), name))
+    gcs.endpoint("s1").broadcast("m1")
+    sim.run(until=20.0)
+    nodes[4].crash()
+    sim.run(until=30.0)
+    nodes[4].recover()
+    process = nodes[4].spawn(gcs.endpoint("s5").recover(rejoin_timeout=20.0))
+    sim.run(until=200.0)
+    assert process.ok
+    assert gcs.endpoint("s5")._join_replies is None
+
+
+@pytest.mark.parametrize("engine", engine_names())
+def test_an_installed_horizon_drops_the_pending_entries_it_covers(engine):
+    # A slot learned while a rejoin waits for its JOIN reply, then covered
+    # by the horizon the reply installs, is delivered by the state it came
+    # with; left in ``_pending`` it never leaves (seen on a 5-server
+    # Multi-Paxos rejoin) and feeds the fixed sequencer's VC_STATE.
+    sim, lan, nodes, gcs = build_group(engine=engine)
+    endpoint = gcs.endpoint("s3")
+    for sequence in (2, 3, 5):
+        endpoint._pending[sequence] = _PendingMessage(
+            broadcast_id=f"s1#{sequence}", payload=sequence, sender="s1")
+    endpoint._install_horizon(3)
+    assert endpoint._delivered_seq == 3
+    assert list(endpoint._pending) == [5]
 
 
 def test_recovery_with_no_survivors_returns_none():

@@ -1,10 +1,16 @@
-"""Two rejoin bugs, pinned as strict expected failures.
+"""Two rejoin bugs: (i) pinned as strict expected failures, (ii) fixed.
 
 Both were found while the perf ledger was being defined (benchmarks/ledger/
 README.md, "Found while measuring") and are why its ``paxos_leader_failover``
-workload rejoins the old leader in an idle drain.  Neither is fixed yet: the
-tests state the property that must hold, ``xfail(strict=True)`` turns the day
-one of them starts passing into a failure that asks for the marker's removal.
+workload rejoins the old leader in an idle drain.  Bug (i), a submission
+never answered, is not fixed yet: its tests state the property that must
+hold, and ``xfail(strict=True)`` turns the day one of them starts passing
+into a failure that asks for the marker's removal.  Bug (ii), a rejoined
+member missing group-delivered transactions and then diverging, is fixed:
+the JOIN reply installed a peer's delivery horizon with a checkpoint that
+did not yet reflect every delivery inside it, and now installs the
+sequence the checkpoint names.  Its tests are plain tests, together with
+every schedule known to have failed it.
 
 Configuration of the pinned pair: the Table 4 cluster (9 servers, 10 000
 items), group-safe over ``multi-paxos`` with the heartbeat detector (10 ms
@@ -81,10 +87,11 @@ def unanswered_run():
     return clients.submitted_count, len(clients.results)
 
 
-def _small_outage(seed: int, recover_at_ms: float, **overrides):
+def _small_outage(seed: int, recover_at_ms: float, server_count: int = 3,
+                  **overrides):
     """The 3-server schedule: crash at 500 ms, recover at ``recover_at_ms``."""
     params = SimulationParameters.small(
-        server_count=3, item_count=100).with_overrides(**overrides)
+        server_count=server_count, item_count=100).with_overrides(**overrides)
     return _run_leader_outage(seed=seed, recover_at_ms=recover_at_ms,
                               load_until_ms=recover_at_ms + 1_000.0,
                               settle_ms=10_000.0, params=params,
@@ -147,14 +154,10 @@ def test_every_request_is_answered_when_the_old_leader_rejoins_under_load(
     assert submitted == answered
 
 
-@pytest.mark.xfail(strict=True, reason="Multi-Paxos: a transaction confirmed "
-                   "as the old leader rejoins may be missing on it")
 def test_rejoined_leader_holds_every_confirmed_transaction(rejoin_run):
-    # 9 group-delivered transactions are applied on s2-s9 but never on the
-    # rejoined s1, and 65 items diverge after 30 000 ms of quiet.  Some were
-    # confirmed before s1 recovered (from 22 838 ms), so the state-transfer
-    # checkpoint should have carried them; others after it (up to
-    # 24 096 ms), so s1 also missed the live stream.
+    # Before the JOIN reply named the delivery its checkpoint reflects, 9
+    # group-delivered transactions were applied on s2-s9 but never on the
+    # rejoined s1, and 65 items diverged after 30 000 ms of quiet.
     in_view, missing, divergent = rejoin_run
     assert in_view
     assert missing == []
@@ -183,13 +186,13 @@ def test_every_request_is_answered_when_a_suspected_coordinator_rejoins(
     assert submitted == answered
 
 
-@pytest.mark.xfail(strict=True, reason="Multi-Paxos: a transaction confirmed "
-                   "as the old leader rejoins may be missing on it")
 def test_rejoined_leader_holds_every_confirmed_transaction_on_3_servers(
         small_rejoin_run):
-    # The JOIN reply pairs a delivery horizon with a checkpoint that does
-    # not yet reflect every delivery inside it: s3 answers with horizon 188
-    # while its delivery loop has handed 187 deliveries upward.
+    # The JOIN reply paired a delivery horizon with a checkpoint that did
+    # not yet reflect every delivery inside it: s3 answered with horizon 188
+    # while its delivery loop had handed 187 deliveries upward (21 missing,
+    # 89 divergent).  It now answers with the sequence its certifier
+    # decided last.
     in_view, missing, divergent = small_rejoin_run
     assert in_view
     assert missing == []
@@ -208,19 +211,38 @@ def test_rejoined_leader_holds_every_confirmed_transaction_at_seed_9():
     assert divergent == []
 
 
-def test_known_failure_signatures_do_not_grow(rejoin_run,
-                                              small_unanswered_run,
-                                              heartbeat_unanswered_run,
-                                              small_rejoin_run):
+#: The Multi-Paxos schedules that failed bug (ii) before its fix, as
+#: (servers, seed, outage in ms, detector) with the (missing, divergent)
+#: they had: the rejoin sweep's failures on 3 and 5 servers.
+BUG_II_SCHEDULES = [
+    (3, 471, 14_000.0, "heartbeat"),     # 20 missing, 87 divergent
+    (3, 746, 6_000.0, "heartbeat"),      # 18, 90
+    (3, 802, 14_000.0, "heartbeat"),     # 17, 81
+    (3, 192, 14_000.0, "perfect"),       # 5, 50
+    (3, 543, 14_000.0, "perfect"),       # 13, 71
+    (5, 236, 3_000.0, "heartbeat"),      # 24, 87
+]
+
+
+@pytest.mark.parametrize("server_count,seed,outage_ms,detector",
+                         BUG_II_SCHEDULES)
+def test_rejoined_leader_holds_every_confirmed_transaction_after_an_outage(
+        server_count, seed, outage_ms, detector):
+    overrides = PAXOS_HEARTBEAT if detector == "heartbeat" \
+        else dict(broadcast_engine="multi-paxos")
+    in_view, missing, divergent = _rejoin_signature(*_small_outage(
+        seed=seed, recover_at_ms=500.0 + outage_ms,
+        server_count=server_count, **overrides))
+    assert in_view
+    assert missing == []
+    assert divergent == []
+
+
+def test_known_failure_signatures_do_not_grow(small_unanswered_run,
+                                              heartbeat_unanswered_run):
     """The strict xfails above fail for the reasons they name, at the
     size they have: a change that makes either bug bigger (or smaller)
     fails here and must re-pin the signature knowingly.  The fix of a bug
     deletes its line here together with its xfail marker."""
-    in_view, missing, divergent = rejoin_run
-    assert in_view
-    assert (len(missing), len(divergent)) == (9, 65)
     assert small_unanswered_run == (146, 145)
     assert heartbeat_unanswered_run == (137, 136)
-    in_view, missing, divergent = small_rejoin_run
-    assert in_view
-    assert (len(missing), len(divergent)) == (21, 89)

@@ -177,6 +177,26 @@ def test_recovered_server_catches_up_after_minority_crash_two_safe():
     assert cluster.database("s3").wal.has_committed(second.txn_id)
 
 
+@pytest.mark.parametrize("technique", ["group-safe", "group-1-safe"])
+def test_a_checkpoint_names_the_last_delivery_its_replica_decided(technique):
+    # Four update deliveries, one while s3 is down; s3 rejoins from a
+    # checkpoint and decides nothing more.  Every replica's checkpoint then
+    # names delivery 4: s3's is the sequence of the checkpoint it installed,
+    # so a member that rejoins from s3 next installs the same horizon as
+    # from any other.
+    cluster = build_cluster(technique)
+    for _ in range(3):
+        run_one(cluster, cluster.workload.update_only_program(3))
+    cluster.crash_server("s3")
+    cluster.run(until=cluster.sim.now + 100.0)
+    run_one(cluster, cluster.workload.update_only_program(3))
+    recovery = cluster.recover_server("s3")
+    cluster.run(until=cluster.sim.now + 3_000.0)
+    assert recovery.ok
+    assert [cluster.replica(name)._take_checkpoint()[0]
+            for name in cluster.server_names()] == [4, 4, 4]
+
+
 def test_resubmission_after_a_delegate_crash_is_answered_with_its_outcome():
     # The delegate crashes 1 ms after broadcasting: its client is told
     # "delegate-crash", yet the group commits the transaction.  Resubmitted
