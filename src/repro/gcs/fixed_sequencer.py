@@ -32,23 +32,28 @@ message reached the application boundary.  The end-to-end composition
 
 When the sequencer crashes, the next live member (view primary) takes over:
 it collects the group's pending assignments (``VC_REQUEST``/``VC_STATE``)
-and re-propagates every known assignment so all members can re-acknowledge —
-each assignment once per takeover, when the first reply that makes it known
-arrives, not once per reply.  *Every* view installation runs this collection
-at the member it leaves sequencer, including one that only drops or re-admits
-a follower: the re-propagation is how a rejoined member fills its delivery
-gap, and the sequencer forgets which horizon it announced so the next
-acknowledgement re-announces it to the new view.  ``_assigned`` is never
-pruned, so the re-propagation is the whole history, once per member.  A
-joiner installs the sequence its state-transfer checkpoint reflects, which
-may trail what the group has delivered and what the sequencer announced
-stable; the re-propagation is what fills that gap, so re-sending only what
-is not yet stable needs per-member horizon reports first (ROADMAP ★21).
+and re-posts to the view each assignment a reply taught it, so all members
+can re-acknowledge it.  *Every* view installation runs this collection at
+the member it leaves sequencer, including one that only drops or re-admits
+a follower, and the sequencer forgets which horizon it announced so the
+next acknowledgement re-announces it to the new view.  No sequence number
+is assigned until a quorum of the view has answered, and a rejoin's
+installed horizon does not lower the next one.
+
+Catch-up is the per-member one of :mod:`repro.gcs.total_order`: a member
+reports its delivery horizon on ``ACK`` and on ``VC_STATE``, and a fill
+posts one ``SEQ`` per assignment of ``_assigned`` above the member's
+horizon, then one ``STABLE`` with the horizon the sequencer knows is
+stable.  So a view that adds a member fills it, and a joiner whose state
+transfer installed less than the mark gets the rest on its first report.
+A new sequencer holds only the assignments its takeover collected, and no
+follower keeps what it delivered, so a gap older than those stays open
+(ROADMAP ★21).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Set
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..core.layers import implements, uses
 from ..network.message import Message
@@ -102,7 +107,6 @@ class FixedSequencerEngine(TotalOrderEngine):
         # did not include us.  DATA arriving meanwhile is buffered.
         self._takeover_waiting: Optional[Set[str]] = None
         self._takeover_replies: Set[str] = set()
-        self._takeover_reposted: Set[int] = set()
         self._takeover_buffer: list = []
 
     def _submit(self, broadcast_id: str, payload: Any, target: str) -> None:
@@ -113,9 +117,22 @@ class FixedSequencerEngine(TotalOrderEngine):
     def _deliverable_up_to(self) -> float:
         return self._stable_up_to
 
-    def _engine_install_horizon(self, sequence: int) -> None:
-        self._stable_up_to = sequence
-        self._next_seq = sequence + 1
+    def _install_horizon(self, sequence: int) -> None:
+        super()._install_horizon(sequence)
+        self._stable_up_to = max(self._stable_up_to, sequence)
+
+    def _decided_log(self) -> Dict[int, _PendingMessage]:
+        return self._assigned
+
+    def _post_fill(self, member: str,
+                   entries: List[Tuple[int, _PendingMessage]]) -> None:
+        for sequence, entry in entries:
+            self._post(self.KIND_SEQ, member,
+                       {"sequence": sequence,
+                        "broadcast_id": entry.broadcast_id,
+                        "payload": entry.payload, "origin": entry.sender})
+        self._post(self.KIND_STABLE, member,
+                   {"up_to": max(self._stable_up_to, self._stable_announced)})
 
     def _on_coordinator_change(self, view: Any, coordinator: str) -> None:
         if coordinator != self.member_name:
@@ -131,11 +148,10 @@ class FixedSequencerEngine(TotalOrderEngine):
         # has answered, DATA is buffered (see ``_on_data``) — sequencing
         # before the collection completes could re-use sequence numbers the
         # old sequencer already stabilised.  A view installation that leaves
-        # us sequencer lands here too (module docstring): the new view gets
-        # every assignment and, with the next ACK, the stability horizon.
+        # us sequencer lands here too (module docstring): a joiner has been
+        # filled, and the next ACK re-announces the stability horizon.
         self._takeover_waiting = set(view.members)
         self._takeover_replies = set()
-        self._takeover_reposted = set()
         self._stable_announced = 0
         self._post_view(self.KIND_VC_REQUEST, {"view_id": view.view_id})
 
@@ -162,7 +178,6 @@ class FixedSequencerEngine(TotalOrderEngine):
         self._stable_announced = 0
         self._takeover_waiting = None
         self._takeover_replies = set()
-        self._takeover_reposted = set()
         self._takeover_buffer = []
 
     # ------------------------------------------------------------------ handlers
@@ -206,13 +221,15 @@ class FixedSequencerEngine(TotalOrderEngine):
         # view may still be counting towards its quorum.
         sequencer = message.sender
         self._post(self.KIND_ACK, sequencer,
-                   {"sequence": sequence, "member": self.member_name})
+                   {"sequence": sequence, "member": self.member_name,
+                    "horizon": self._horizon_report()})
         self._try_deliver()
 
     def _on_ack(self, message: Message) -> None:
         if not self.is_sequencer:
             return
         payload = message.payload
+        self._note_report(payload["member"], payload["horizon"])
         sequence = payload["sequence"]
         self._acks.setdefault(sequence, set()).add(payload["member"])
         self._advance_stability()
@@ -245,29 +262,30 @@ class FixedSequencerEngine(TotalOrderEngine):
         self._post(self.KIND_VC_STATE, message.sender,
                    {"pending": pending, "delivered_seq": self._delivered_seq,
                     "stable_up_to": self._stable_up_to,
-                    "member": self.member_name})
+                    "member": self.member_name,
+                    "horizon": self._horizon_report()})
 
     def _on_vc_state(self, message: Message) -> None:
         if not self.is_sequencer:
             return
         payload = message.payload
+        self._note_report(payload["member"], payload["horizon"])
+        learned = []
         for sequence, (broadcast_id, data, origin) in payload["pending"].items():
             if sequence not in self._assigned:
                 self._assigned[sequence] = _PendingMessage(
                     broadcast_id=broadcast_id, payload=data, sender=origin)
                 self._sequenced_ids.add(broadcast_id)
+                learned.append(sequence)
         highest_known = max(payload["delivered_seq"], payload["stable_up_to"],
                             self._stable_up_to, self._delivered_seq,
                             *self._assigned)
         self._next_seq = max(self._next_seq, highest_known + 1)
         self._stable_up_to = max(self._stable_up_to,
                                  min(payload["stable_up_to"], highest_known))
-        # Re-propagate every assignment we know about so that all members can
-        # (re-)acknowledge; receivers ignore duplicates they already delivered.
-        # Once per takeover: a later reply only adds what it alone knew.
-        fresh = sorted(self._assigned.keys() - self._takeover_reposted)
-        self._takeover_reposted.update(fresh)
-        for sequence in fresh:
+        # Re-propagate what this reply taught us so that all members can
+        # (re-)acknowledge it; receivers ignore what they already delivered.
+        for sequence in sorted(learned):
             entry = self._assigned[sequence]
             self._post_view(self.KIND_SEQ,
                             {"sequence": sequence,

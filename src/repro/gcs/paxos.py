@@ -23,21 +23,19 @@ with Paxos over the same reliable-broadcast layer.
   crashes, paid for what is undecided rather than for the whole history.
   Proposals arriving while phase 1 runs are backlogged and drained once the
   ballot is established.
-* **Catch-up is per member** (the learner gap-fill of Multi-Paxos): every
-  member reports its delivery horizon to the leader, on ``PROMISE`` and
-  piggybacked on ``ACCEPTED``.  A member whose ``PROMISE`` shows a gap gets
-  the decided slots above its horizon, point to point.  On a view that adds
-  a member the leader does the same for every view member, from its last
-  report; a joiner has none and counts at the lowest horizon the others
-  reported.  Its state transfer may install less — the sequence its
-  checkpoint reflects, which leaves out what the provider's application
-  has not finished — so a later report below the mark (the joiner's first
-  ``ACCEPTED``, or a member that was excluded alive, not crashed) gets the
-  slots in between, and a joiner Ω hands the lead back to fills the gap
-  with its own phase 1.  *Decided* includes the slots whose ``LEARN``
-  is still queued in the leader's outbox, addressed to the view it was
-  posted to.  A rejoining member reports no horizon and leads no phase 1
-  until its rejoin installed one.
+* **Catch-up is per member** (the learner gap-fill of Multi-Paxos, shared
+  with the fixed sequencer in :mod:`repro.gcs.total_order`): every member
+  reports its delivery horizon to the leader, on ``PROMISE`` and
+  piggybacked on ``ACCEPTED``, and a fill posts one ``LEARN`` per decided
+  slot of ``_chosen``.  A member whose ``PROMISE`` shows a gap gets the
+  decided slots above its horizon, point to point; a view that adds a
+  member, or a later report below the mark on record (a joiner's first
+  ``ACCEPTED``), fills as the shared catch-up describes.  A joiner Ω
+  hands the lead back to fills its gap with its own phase 1.  *Decided*
+  includes the slots whose ``LEARN`` is still queued in the leader's
+  outbox, addressed to the view it was posted to.  A rejoining member
+  leads no phase 1 until its rejoin installed a horizon: phase 1 is what
+  sets its next slot.
 
 Compared to the fixed-sequencer engine the failure-free message cost is one
 round higher (accept + learn instead of seq + stable piggybacked on acks),
@@ -48,7 +46,7 @@ views are slow to form.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..core.layers import implements, uses
 from ..network.dispatch import Dispatcher
@@ -84,7 +82,6 @@ class MultiPaxosEngine(TotalOrderEngine):
                          member_name=member_name, journal=journal,
                          failure_detector=failure_detector)
         self._rank = {name: index for index, name in enumerate(group.members)}
-        self._rejoining = False
         #: Statistics.
         self.prepare_count = 0
 
@@ -128,11 +125,6 @@ class MultiPaxosEngine(TotalOrderEngine):
         self._prepare_votes: Dict[str, Dict[int, Tuple[int, Tuple[str, Any, str]]]] = {}
         self._accept_votes: Dict[Tuple[int, int], Set[str]] = {}
         self._max_ballot_seen = -1
-        # The delivery horizon each view member last reported to this leader
-        # in its current term; for a joiner that has not reported yet, the
-        # horizon it was filled from.
-        self._horizons: Dict[str, int] = {}
-        self._view_members = frozenset(self.group.view().members)
 
     def _submit(self, broadcast_id: str, payload: Any, target: str) -> None:
         self._post(self.KIND_PROPOSE, target,
@@ -144,75 +136,28 @@ class MultiPaxosEngine(TotalOrderEngine):
         # delivery (``_pending`` only ever holds learned slots).
         return float("inf")
 
-    def _engine_install_horizon(self, sequence: int) -> None:
-        self._next_slot = sequence + 1
+    def _decided_log(self) -> Dict[int, Tuple[str, Any, str]]:
+        return self._chosen
+
+    def _post_fill(self, member: str,
+                   entries: List[Tuple[int, Tuple[str, Any, str]]]) -> None:
+        for slot, (broadcast_id, payload, origin) in entries:
+            self._post(self.KIND_LEARN, member,
+                       {"slot": slot, "broadcast_id": broadcast_id,
+                        "payload": payload, "origin": origin})
 
     def _on_coordinator_change(self, view: Any, coordinator: str) -> None:
-        joined = [member for member in view.members
-                  if member not in self._view_members]
-        self._view_members = frozenset(view.members)
-        for member in [m for m in self._horizons if m not in view]:
-            del self._horizons[member]   # it left, and may rejoin with less
-        if coordinator != self.member_name:
-            return
-        if joined:
-            self._fill_view(view)
-        self._lead()
-
-    def _on_excluded(self, view: Any) -> None:
-        # The views installed while this member is out go unseen here, so
-        # none of the reports it holds can be trusted when it is back.
-        self._horizons = {}
+        if coordinator == self.member_name:
+            self._lead()
 
     # ------------------------------------------------------------------ rejoin
     def recover(self, rejoin_timeout: float = 10.0):
-        # Until the rejoin installed a horizon (a JOIN reply, or the journal
-        # and its catch-up) this member has none to report or to lead from.
-        self._rejoining = True
+        # A rejoining member leads no phase 1 until its rejoin installed a
+        # horizon to lead from.
         outcome = yield from super().recover(rejoin_timeout)
-        self._rejoining = False
         if self._backlog and self.is_sequencer:
             self._lead()                     # the phase 1 it deferred
         return outcome
-
-    def _horizon_report(self) -> Optional[int]:
-        return None if self._rejoining else self._delivered_seq
-
-    # ------------------------------------------------------------------ catch-up
-    def _fill(self, member: str, horizon: int,
-              upto: Optional[int] = None) -> None:
-        """Post ``member`` every decided slot above ``horizon`` (up to
-        ``upto``), point to point."""
-        if upto is None:
-            upto = max(self._chosen, default=horizon)
-        for slot in range(horizon + 1, upto + 1):
-            value = self._chosen.get(slot)
-            if value is not None:
-                broadcast_id, payload, origin = value
-                self._post(self.KIND_LEARN, member,
-                           {"slot": slot, "broadcast_id": broadcast_id,
-                            "payload": payload, "origin": origin})
-
-    def _fill_view(self, view: Any) -> None:
-        """A view added members: fill every member from its last report, a
-        joiner from the lowest horizon the others reported (its first
-        report fills whatever its state transfer installed below that)."""
-        floor = min([self._delivered_seq] +
-                    [self._horizons[m] for m in view.members
-                     if m in self._horizons])
-        for member in view.members:
-            if member != self.member_name:
-                self._fill(member, self._horizons.setdefault(member, floor))
-
-    def _note_report(self, member: str, horizon: Optional[int]) -> None:
-        """Record a steady-state report; one below the mark on record means
-        the member lacks the slots in between."""
-        if horizon is None or member == self.member_name:
-            return
-        recorded = self._horizons.get(member)
-        self._horizons[member] = horizon
-        if recorded is not None and horizon < recorded:
-            self._fill(member, horizon, recorded)
 
     # ------------------------------------------------------------------ ballots
     def _next_ballot(self) -> int:
@@ -235,7 +180,7 @@ class MultiPaxosEngine(TotalOrderEngine):
         self._established = False
         self._prepare_votes = {}
         self._prepare_from = self._delivered_seq + 1
-        self._horizons = {}
+        self._horizons = {}             # a new term: its PROMISEs report anew
         self.prepare_count += 1
         self._post_view(self.KIND_PREPARE, {"ballot": self._ballot,
                                             "from": self._prepare_from})

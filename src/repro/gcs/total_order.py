@@ -6,8 +6,8 @@ captures exactly that boundary: :class:`TotalOrderEngine` is the per-member
 endpoint the application sees (``broadcast`` / ``deliveries`` /
 ``acknowledge`` / ``recover``), plus everything every ordering protocol
 needs — the served delivery queue, duplicate suppression, the JOIN rejoin
-exchange, and the optional end-to-end delivery journal — while the ordering
-protocol itself lives in a subclass:
+exchange, the per-member catch-up, and the optional end-to-end delivery
+journal — while the ordering protocol itself lives in a subclass:
 
 * :class:`repro.gcs.fixed_sequencer.FixedSequencerEngine` — the classical
   fixed-sequencer scheme (the seed behaviour, bit-identical schedules);
@@ -39,13 +39,27 @@ at the provider) is outside both the state and the horizon, and reaches the
 joiner through the ordering protocol.  With the journal ``have_up_to`` is the
 highest logged sequence, and a peer answers with its logged deliveries above
 it.
+
+Catch-up is per member, on both engines.  Every member reports its delivery
+horizon to the coordinator on the engine's acknowledgements (and on its
+answer to a leader change), and the coordinator keeps the last report of
+each view member.  A view that adds a member makes the coordinator fill
+every view member from its last report, point to point, and a joiner, which
+has none, from the lowest horizon the others reported.  A later report
+below the mark on record gets the entries in between: that is how a
+joiner's state transfer that installed less than the mark, or a member
+excluded alive and re-added, gets its gap.  A rejoining member reports no
+horizon until its rejoin installed one.  An engine supplies only its log of
+decided entries (:meth:`TotalOrderEngine._decided_log`) and how a run of
+them is posted to one member (:meth:`TotalOrderEngine._post_fill`); a
+member can be filled only from what its coordinator's log holds.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.layers import implements, uses
 from ..network.dispatch import Dispatcher
@@ -134,6 +148,9 @@ class TotalOrderEngine:
             Callable[[], Tuple[int, Any]]] = None
 
         self._broadcast_counter = itertools.count(1)
+        # True while a rejoin has not installed a horizon yet (a JOIN reply,
+        # or the journal and its catch-up): this member has none to report.
+        self._rejoining = False
         self._register_base_handlers()
         self._register_engine_handlers()
         self.node.add_listener(self._on_node_event)
@@ -166,8 +183,14 @@ class TotalOrderEngine:
         """Highest sequence currently safe to A-deliver."""
         raise NotImplementedError
 
-    def _engine_install_horizon(self, sequence: int) -> None:
-        """Set engine counters exactly to a recovered horizon."""
+    def _decided_log(self) -> Dict[int, Any]:
+        """Every entry this member knows is decided, by sequence: what a
+        member that lacks it may be sent."""
+        raise NotImplementedError
+
+    def _post_fill(self, member: str, entries: List[Tuple[int, Any]]) -> None:
+        """Post ``member`` the decided ``(sequence, entry)`` pairs, in
+        order, point to point."""
         raise NotImplementedError
 
     def _on_coordinator_change(self, view: Any, coordinator: str) -> None:
@@ -194,6 +217,11 @@ class TotalOrderEngine:
         self._unsequenced: Dict[str, Any] = {}
         # Replies to this member's JOIN, while its rejoin waits for one.
         self._join_replies: Optional[Store] = None
+        # The delivery horizon each view member last reported to this member
+        # as coordinator; for a joiner not heard from yet, the horizon it was
+        # filled from.
+        self._horizons: Dict[str, int] = {}
+        self._view_members = frozenset(self.group.view().members)
         self._reset_engine_state()
         self._started = False
 
@@ -286,7 +314,6 @@ class TotalOrderEngine:
         self._delivered_seq = sequence
         self._pending = {seq: entry for seq, entry in self._pending.items()
                          if seq > sequence}
-        self._engine_install_horizon(sequence)
 
     # ------------------------------------------------------------------ delivery
     def _hand_up(self, item: Tuple[int, _PendingMessage, bool]
@@ -360,7 +387,10 @@ class TotalOrderEngine:
             # ordering authority we held is void in the new view — engines
             # that hold coordinator state must drop it here, or a later
             # rejoin re-asserts stale assignments over sequences the
-            # surviving majority has meanwhile given to other messages.
+            # surviving majority has meanwhile given to other messages.  The
+            # views installed while it is out go unseen here, so none of the
+            # horizon reports it holds can be trusted when it is back.
+            self._horizons = {}
             self._on_excluded(view)
             return
         coordinator = self.coordinator()
@@ -370,7 +400,53 @@ class TotalOrderEngine:
         # new) coordinator.
         for broadcast_id, payload in list(self._unsequenced.items()):
             self._submit(broadcast_id, payload, coordinator)
+        joined = [member for member in view.members
+                  if member not in self._view_members]
+        self._view_members = frozenset(view.members)
+        for member in [m for m in self._horizons if m not in view]:
+            del self._horizons[member]   # it left, and may rejoin with less
+        if joined and coordinator == self.member_name:
+            self._fill_view(view)
         self._on_coordinator_change(view, coordinator)
+
+    # ------------------------------------------------------------------ catch-up
+    def _horizon_report(self) -> Optional[int]:
+        """The delivery horizon this member reports to its coordinator."""
+        return None if self._rejoining else self._delivered_seq
+
+    def _fill(self, member: str, horizon: int,
+              upto: Optional[int] = None) -> None:
+        """Post ``member`` every decided entry above ``horizon`` (up to
+        ``upto``), point to point."""
+        log = self._decided_log()
+        if upto is None:
+            upto = max(log, default=horizon)
+        entries = [(sequence, log[sequence])
+                   for sequence in range(horizon + 1, upto + 1)
+                   if sequence in log]
+        if entries:
+            self._post_fill(member, entries)
+
+    def _fill_view(self, view: Any) -> None:
+        """A view added members: fill every member from its last report, a
+        joiner from the lowest horizon the others reported (its first
+        report fills whatever its state transfer installed below that)."""
+        floor = min([self._delivered_seq] +
+                    [self._horizons[m] for m in view.members
+                     if m in self._horizons])
+        for member in view.members:
+            if member != self.member_name:
+                self._fill(member, self._horizons.setdefault(member, floor))
+
+    def _note_report(self, member: str, horizon: Optional[int]) -> None:
+        """Record a steady-state report; one below the mark on record means
+        the member lacks the entries in between."""
+        if horizon is None or member == self.member_name:
+            return
+        recorded = self._horizons.get(member)
+        self._horizons[member] = horizon
+        if recorded is not None and horizon < recorded:
+            self._fill(member, horizon, recorded)
 
     # ------------------------------------------------------------------ recovery
     def recover(self, rejoin_timeout: float = 10.0):
@@ -394,6 +470,7 @@ class TotalOrderEngine:
           reply carries the messages live peers logged above that horizon;
           returns the replay count.
         """
+        self._rejoining = True
         self._reset_volatile()
         self._started = False
         if not self.dispatcher.is_running:
@@ -425,6 +502,8 @@ class TotalOrderEngine:
         first_reply = replies.get()
         outcome = yield self.sim.any_of([first_reply, timeout])
         self._join_replies = None
+        # What follows installs the horizon, or finds there is none to get.
+        self._rejoining = False
         if first_reply not in outcome:
             return None if journal is None else replayed
         reply = first_reply.value

@@ -130,6 +130,9 @@ class DatabaseStateMachineReplica(ReplicaServer):
         #: Sequence of the last delivery the certifier decided: the horizon
         #: a checkpoint of this database reflects.
         self._decided_seq = 0
+        #: txn id -> commit order of every commit whose synchronous apply
+        #: has not logged its COMMIT record yet.
+        self._applying: Dict[str, int] = {}
         #: Statistics.
         self.certified_count = 0
         self.certification_abort_count = 0
@@ -142,6 +145,9 @@ class DatabaseStateMachineReplica(ReplicaServer):
 
     def _take_checkpoint(self) -> Tuple[int, ApplicationCheckpoint]:
         checkpoint = take_checkpoint(self.db, self._decided_seq)
+        # The snapshot holds the writes of the commits whose synchronous
+        # apply has not appended its COMMIT record yet: name them too.
+        checkpoint.committed_transactions.update(self._applying)
         return checkpoint.sequence, checkpoint
 
     # ------------------------------------------------------------------ delegate side
@@ -240,6 +246,7 @@ class DatabaseStateMachineReplica(ReplicaServer):
                 obs.end_key(("order", payload.txn_id))
 
         if self.responds_after_logging:
+            self._applying[payload.txn_id] = commit_order
             self.node.spawn(
                 self._apply(payload, delivery, commit_order, is_delegate,
                             transaction),
@@ -283,6 +290,7 @@ class DatabaseStateMachineReplica(ReplicaServer):
             yield from self.db.apply_physical_writes(payload.write_set)
             yield from self.db.log_commit(payload, commit_order,
                                           synchronous=True)
+            del self._applying[payload.txn_id]
         finally:
             if span is not None:
                 self.sim.obs.end(span)
@@ -327,6 +335,7 @@ class DatabaseStateMachineReplica(ReplicaServer):
         """
         self.db.recover()
         self._decided_seq = 0
+        self._applying = {}
         outcome = yield from self.endpoint.recover()
         if isinstance(outcome, ApplicationCheckpoint):
             # Classical atomic broadcast handed us an application checkpoint

@@ -134,6 +134,22 @@ def test_redo_from_log_drops_unlogged_state():
     assert store.materialised == 2
 
 
+def test_redo_from_log_redoes_in_commit_order_not_log_order():
+    # Synchronous applies flush out of commit order: the newer commit's
+    # record reached the log first.  Both installs count in the version,
+    # as they did on the replicas that applied them in commit order.
+    store = ItemStore(item_count=4)
+    records = [
+        LogRecord(LogRecordType.COMMIT, "newer", {"item-1": "b"},
+                  commit_order=5),
+        LogRecord(LogRecordType.COMMIT, "older", {"item-1": "a"},
+                  commit_order=4),
+    ]
+    assert redo_from_log(store, records) == 2
+    item = store.committed("item-1")
+    assert (item.value, item.writer, item.version) == ("b", "newer", 2)
+
+
 def _database(sim: Simulator, name: str, item_count: int = 10) -> LocalDatabase:
     return LocalDatabase(sim, Node(sim, name), item_count=item_count)
 

@@ -1,16 +1,26 @@
-"""Two rejoin bugs: (i) pinned as strict expected failures, (ii) fixed.
+"""Rejoin bugs: (i) and (ii) fixed, the 2-safe replay case pinned.
 
 Both were found while the perf ledger was being defined (benchmarks/ledger/
 README.md, "Found while measuring") and are why its ``paxos_leader_failover``
 workload rejoins the old leader in an idle drain.  Bug (i), a submission
-never answered, is not fixed yet: its tests state the property that must
-hold, and ``xfail(strict=True)`` turns the day one of them starts passing
-into a failure that asks for the marker's removal.  Bug (ii), a rejoined
-member missing group-delivered transactions and then diverging, is fixed:
-the JOIN reply installed a peer's delivery horizon with a checkpoint that
-did not yet reflect every delivery inside it, and now installs the
-sequence the checkpoint names.  Its tests are plain tests, together with
-every schedule known to have failed it.
+never answered, is fixed: a rejoined fixed sequencer's JOIN reply set its
+next sequence number back below what its takeover collection had raised it
+to, and it gave a number another member had already assigned to a second
+message.  The rejoin now installs the delivery horizon alone.  Bug (ii), a
+rejoined member missing group-delivered transactions and then diverging, is
+fixed: the JOIN reply installed a peer's delivery horizon with a checkpoint
+that did not yet reflect every delivery inside it, and now installs the
+sequence the checkpoint names.  Their tests are plain tests, together with
+every schedule known to have failed them.
+
+Two more holes on the same path are fixed and have a plain test each: a
+group-1-safe checkpoint taken while a synchronous apply runs names that
+transaction, and crash recovery redoes the log in commit order.  The 2-safe
+replay case is not fixed: a replayed, unacknowledged delivery is certified
+against a redo state that already holds a later commit whose record flushed
+first.  Its tests state the property that must hold, and
+``xfail(strict=True)`` turns the day one of them starts passing into a
+failure that asks for the marker's removal.
 
 Configuration of the pinned pair: the Table 4 cluster (9 servers, 10 000
 items), group-safe over ``multi-paxos`` with the heartbeat detector (10 ms
@@ -21,9 +31,11 @@ fraction of a second (``SimulationParameters.small(server_count=3,
 item_count=100)``, group-safe at 30 tps, the coordinator crashed at 500 ms,
 1 000 ms more load after its recovery, then 10 000 ms of quiet).
 
-Each run is made once, in a module fixture the xfails share with
+Each pinned run is made once, in a module fixture the xfails share with
 ``test_known_failure_signatures_do_not_grow``, which pins how large each
-failure is: a change that makes a known bug worse fails tier-1.
+failure is: a change that makes a known bug worse fails tier-1.  The gate
+also pins the fixed sequencer's unfilled gap of
+``tests/test_gcs_abcast.py`` (a strict xfail there).
 
 A pinned run that starts passing because its schedule moved, not because
 its bug was fixed, stays as a plain test, and a still-failing schedule of
@@ -43,6 +55,7 @@ import pytest
 from repro.core.audit import SafetyAudit
 from repro.replication import ReplicatedDatabaseCluster
 from repro.workload import OpenLoopClientPool, SimulationParameters
+from tests.test_gcs_abcast import cut_off_from_the_leader
 
 WARMUP_MS = 2_000.0
 WINDOW_MS = 20_000.0
@@ -57,16 +70,20 @@ PAXOS_HEARTBEAT = dict(broadcast_engine="multi-paxos",
 
 def _run_leader_outage(seed: int, recover_at_ms: float, load_until_ms: float,
                        settle_ms: float, params=None,
-                       crash_at_ms: float = CRASH_AT_MS):
-    """Crash the coordinator, recover it under load, then let the group idle."""
+                       crash_at_ms: float = CRASH_AT_MS,
+                       technique: str = "group-safe",
+                       follower: bool = False):
+    """Crash the coordinator (or, with ``follower``, the last server),
+    recover it under load, then let the group idle."""
     if params is None:
         params = SimulationParameters.paper().with_overrides(**PAXOS_HEARTBEAT)
-    cluster = ReplicatedDatabaseCluster("group-safe", params=params, seed=seed)
+    cluster = ReplicatedDatabaseCluster(technique, params=params, seed=seed)
     cluster.start()
     clients = OpenLoopClientPool(cluster, load_tps=30.0)
     clients.start()
     cluster.run(until=crash_at_ms)
-    leader = cluster.gcs.endpoint(cluster.server_names()[-1]).coordinator()
+    last = cluster.server_names()[-1]
+    leader = last if follower else cluster.gcs.endpoint(last).coordinator()
     cluster.crash_server(leader)
     cluster.run(until=recover_at_ms)
     cluster.recover_server(leader)
@@ -88,6 +105,7 @@ def unanswered_run():
 
 
 def _small_outage(seed: int, recover_at_ms: float, server_count: int = 3,
+                  technique: str = "group-safe", follower: bool = False,
                   **overrides):
     """The 3-server schedule: crash at 500 ms, recover at ``recover_at_ms``."""
     params = SimulationParameters.small(
@@ -95,25 +113,13 @@ def _small_outage(seed: int, recover_at_ms: float, server_count: int = 3,
     return _run_leader_outage(seed=seed, recover_at_ms=recover_at_ms,
                               load_until_ms=recover_at_ms + 1_000.0,
                               settle_ms=10_000.0, params=params,
-                              crash_at_ms=500.0)
+                              crash_at_ms=500.0, technique=technique,
+                              follower=follower)
 
 
-@pytest.fixture(scope="module")
-def small_unanswered_run():
-    """Bug (i) in the default stack: fixed sequencer, perfect detector,
-    seed 28, s1 recovered at 3 500 ms."""
-    _cluster, clients, _leader = _small_outage(seed=28, recover_at_ms=3_500.0)
-    return clients.submitted_count, len(clients.results)
-
-
-@pytest.fixture(scope="module")
-def heartbeat_unanswered_run():
-    """Bug (i) with the pinned runs' detector: fixed sequencer, heartbeat
-    detector, seed 10, s1 recovered at 3 500 ms."""
-    _cluster, clients, _leader = _small_outage(
-        seed=10, recover_at_ms=3_500.0, failure_detector_mode="heartbeat",
-        heartbeat_period=10.0, heartbeat_timeout=50.0)
-    return clients.submitted_count, len(clients.results)
+#: The fixed sequencer with the pinned runs' detector.
+HEARTBEAT = dict(failure_detector_mode="heartbeat", heartbeat_period=10.0,
+                 heartbeat_timeout=50.0)
 
 
 def _rejoin_signature(cluster, clients, leader):
@@ -164,26 +170,51 @@ def test_rejoined_leader_holds_every_confirmed_transaction(rejoin_run):
     assert divergent == []
 
 
-@pytest.mark.xfail(strict=True, reason="a transaction in flight when the "
-                   "old coordinator rejoins may never be answered")
-def test_every_request_is_answered_when_the_coordinator_rejoins_on_3_servers(
-        small_unanswered_run):
-    # The default stack: s2's submission of 3 455.5 ms is still pending on
-    # a running delegate after 10 000 ms of quiet.
-    submitted, answered = small_unanswered_run
-    assert submitted == answered
+def test_every_request_is_answered_when_the_coordinator_rejoins_on_3_servers():
+    # The default stack, seed 28, s1 recovered at 3 500 ms: s2 had put
+    # s3#48 at 98, and s1's JOIN reply set s1's next sequence number back
+    # below it after its takeover had raised it past it, so s1 put s2's
+    # submission of 3 455.5 ms at 98 too.  145 of 146 were answered.
+    _cluster, clients, _leader = _small_outage(seed=28, recover_at_ms=3_500.0)
+    assert clients.submitted_count == len(clients.results) == 146
 
 
-@pytest.mark.xfail(strict=True, reason="a transaction in flight when the "
-                   "old coordinator rejoins may never be answered")
-def test_every_request_is_answered_when_a_suspected_coordinator_rejoins(
-        heartbeat_unanswered_run):
-    # The heartbeat detector's schedule took the strict-xfail place of the
-    # 9-server Multi-Paxos run above when that one started passing: s2's
-    # submission of 3 471.3 ms is still pending on a running delegate after
-    # 10 000 ms of quiet.
-    submitted, answered = heartbeat_unanswered_run
-    assert submitted == answered
+def test_every_request_is_answered_when_a_suspected_coordinator_rejoins():
+    # The heartbeat detector's schedule, seed 10, s1 recovered at
+    # 3 500 ms: sequence 96 was reused the same way, and s2's submission of
+    # 3 471.3 ms stayed pending (136 of 137 answered).
+    _cluster, clients, _leader = _small_outage(
+        seed=10, recover_at_ms=3_500.0, **HEARTBEAT)
+    assert clients.submitted_count == len(clients.results) == 137
+
+
+#: The fixed-sequencer schedules of the 3-server coordinator-rejoin sweep
+#: (seeds 1-100 x outages of 3, 6 and 14 s) that left one submission
+#: unanswered before the rejoin stopped setting the sequencer's next
+#: number back, as (detector, seed, outage in ms).
+BUG_I_SCHEDULES = [
+    ("perfect", 28, 3_000.0), ("perfect", 55, 3_000.0),
+    ("perfect", 72, 6_000.0), ("perfect", 93, 6_000.0),
+    ("perfect", 100, 14_000.0),
+    ("heartbeat", 10, 3_000.0), ("heartbeat", 25, 3_000.0),
+    ("heartbeat", 26, 3_000.0), ("heartbeat", 72, 6_000.0),
+    ("heartbeat", 89, 6_000.0), ("heartbeat", 93, 6_000.0),
+    ("heartbeat", 16, 14_000.0), ("heartbeat", 28, 14_000.0),
+    ("heartbeat", 43, 14_000.0), ("heartbeat", 90, 14_000.0),
+]
+
+
+@pytest.mark.parametrize("detector,seed,outage_ms", BUG_I_SCHEDULES)
+def test_every_request_is_answered_when_a_fixed_sequencer_rejoins(
+        detector, seed, outage_ms):
+    overrides = HEARTBEAT if detector == "heartbeat" else {}
+    cluster, clients, leader = _small_outage(
+        seed=seed, recover_at_ms=500.0 + outage_ms, **overrides)
+    assert clients.submitted_count == len(clients.results)
+    in_view, missing, divergent = _rejoin_signature(cluster, clients, leader)
+    assert in_view
+    assert missing == []
+    assert divergent == []
 
 
 def test_rejoined_leader_holds_every_confirmed_transaction_on_3_servers(
@@ -238,11 +269,83 @@ def test_rejoined_leader_holds_every_confirmed_transaction_after_an_outage(
     assert divergent == []
 
 
-def test_known_failure_signatures_do_not_grow(small_unanswered_run,
-                                              heartbeat_unanswered_run):
-    """The strict xfails above fail for the reasons they name, at the
-    size they have: a change that makes either bug bigger (or smaller)
-    fails here and must re-pin the signature knowingly.  The fix of a bug
-    deletes its line here together with its xfail marker."""
-    assert small_unanswered_run == (146, 145)
-    assert heartbeat_unanswered_run == (137, 136)
+def _missing_and_divergent(cluster, clients, leader):
+    _in_view, missing, divergent = _rejoin_signature(cluster, clients, leader)
+    return len(missing), len(divergent)
+
+
+@pytest.mark.parametrize("engine,detector", [
+    ("fixed-sequencer", "perfect"),     # 6 missing
+    ("multi-paxos", "heartbeat"),       # 7 missing
+])
+def test_a_group_1_safe_checkpoint_names_the_commits_it_holds(engine,
+                                                              detector):
+    # Seed 58, a 6 000 ms coordinator outage.  A synchronous apply installs
+    # its writes at certification and appends its COMMIT record after its
+    # disk writes; a checkpoint taken in between held the writes but not
+    # the transaction id, so the joiner never held that commit.
+    overrides = dict(broadcast_engine=engine)
+    if detector == "heartbeat":
+        overrides.update(HEARTBEAT)
+    signature = _rejoin_signature(*_small_outage(
+        seed=58, recover_at_ms=6_500.0, technique="group-1-safe",
+        **overrides))
+    assert signature == (True, [], [])
+
+
+def test_a_2_safe_follower_redoes_its_log_in_commit_order():
+    # Seed 4, s3 recovered at 3 500 ms on the fixed sequencer.  Synchronous
+    # applies flush out of commit order, and redo in log order skipped an
+    # older install under the Thomas write rule, so an item came back a
+    # version short of its peers': 62 commits missing, 100 items divergent.
+    signature = _rejoin_signature(*_small_outage(
+        seed=4, recover_at_ms=3_500.0, technique="2-safe", follower=True))
+    assert signature == (True, [], [])
+
+
+@pytest.fixture(scope="module")
+def replay_follower_run():
+    """The 2-safe replay case: fixed sequencer, perfect detector, seed 36,
+    the follower s3 recovered at 3 500 ms."""
+    return _missing_and_divergent(*_small_outage(
+        seed=36, recover_at_ms=3_500.0, technique="2-safe", follower=True))
+
+
+@pytest.fixture(scope="module")
+def replay_coordinator_runs():
+    """The 2-safe replay case on a coordinator rejoin: fixed sequencer,
+    perfect detector, seeds 2 and 11, s1 recovered at 3 500 ms."""
+    return {seed: _missing_and_divergent(*_small_outage(
+        seed=seed, recover_at_ms=3_500.0, technique="2-safe"))
+        for seed in (2, 11)}
+
+
+_REPLAY = pytest.mark.xfail(
+    strict=True, reason="a replayed delivery is certified against a redo "
+    "state that already holds a later commit whose record flushed first")
+
+
+@_REPLAY
+def test_a_2_safe_follower_holds_every_confirmed_transaction(
+        replay_follower_run):
+    assert replay_follower_run == (0, 0)
+
+
+@_REPLAY
+def test_a_2_safe_coordinator_holds_every_confirmed_transaction(
+        replay_coordinator_runs):
+    assert set(replay_coordinator_runs.values()) == {(0, 0)}
+
+
+def test_known_failure_signatures_do_not_grow(replay_follower_run,
+                                              replay_coordinator_runs):
+    """The strict xfails fail for the reasons they name, at the size they
+    have: a change that makes a bug bigger (or smaller) fails here and must
+    re-pin the signature knowingly.  The fix of a bug deletes its line here
+    together with its xfail marker."""
+    assert replay_follower_run == (78, 100)
+    assert replay_coordinator_runs == {2: (63, 99), 11: (65, 100)}
+    # The fixed sequencer's unfilled gap: s3 delivers 6 of 22 messages.
+    delivered = cut_off_from_the_leader("fixed-sequencer",
+                                        "leader-crash")[0]
+    assert len(delivered["s3"]) == 6
