@@ -33,18 +33,20 @@ message reached the application boundary.  The end-to-end composition
 When the sequencer crashes, the next live member (view primary) takes over:
 it collects the group's pending assignments (``VC_REQUEST``/``VC_STATE``)
 and re-posts to the view each assignment a reply taught it, so all members
-can re-acknowledge it.  *Every* view installation runs this collection at
-the member it leaves sequencer, including one that only drops or re-admits
-a follower, and the sequencer forgets which horizon it announced so the
-next acknowledgement re-announces it to the new view.  No sequence number
-is assigned until a quorum of the view has answered, and a rejoin's
-installed horizon does not lower the next one.
+can re-acknowledge it, and it forgets which horizon it announced so the
+next acknowledgement re-announces it to the new view.  A member collects
+once per tenure, at the first view installation it sequences after a
+start, a rejoin or an exclusion; a later view that only drops or re-admits
+a follower runs no collection.  No sequence number is assigned until a
+quorum of the view has answered, and a rejoin's installed horizon does not
+lower the next one.
 
 Catch-up is the per-member one of :mod:`repro.gcs.total_order`: a member
 reports its delivery horizon on ``ACK`` and on ``VC_STATE``, and a fill
 posts one ``SEQ`` per assignment of ``_assigned`` above the member's
 horizon, then one ``STABLE`` with the horizon the sequencer knows is
-stable.  So a view that adds a member fills it, and a joiner whose state
+stable.  So every view installation fills each member from its last
+report (a joiner from the lowest one on record), and a joiner whose state
 transfer installed less than the mark gets the rest on its first report.
 A new sequencer holds only the assignments its takeover collected, and no
 follower keeps what it delivered, so a gap older than those stays open
@@ -92,6 +94,9 @@ class FixedSequencerEngine(TotalOrderEngine):
 
     def _reset_engine_state(self) -> None:
         self._stable_up_to = 0
+        # Whether this member collected the group's pending state since it
+        # last became sequencer.
+        self._collected = False
         # Sequencer-only state.
         self._next_seq = 1
         self._assigned: Dict[int, _PendingMessage] = {}
@@ -138,18 +143,21 @@ class FixedSequencerEngine(TotalOrderEngine):
         if coordinator != self.member_name:
             # Someone else sequences now; anything buffered during an
             # abandoned takeover of ours belongs to them.
+            self._collected = False
             self._takeover_waiting = None
             buffered, self._takeover_buffer = self._takeover_buffer, []
             for message in buffered:
                 self._post(self.KIND_DATA, coordinator, message.payload)
             return
-        # We just became the sequencer: collect the group's pending state so
+        if self._collected and self._takeover_waiting is None:
+            return      # we stay sequencer: the view's fill caught members up
+        # We just became the sequencer (or the view changed again before our
+        # collection completed): collect the group's pending state so
         # assignments known to others survive the handoff.  Until a quorum
         # has answered, DATA is buffered (see ``_on_data``) — sequencing
         # before the collection completes could re-use sequence numbers the
-        # old sequencer already stabilised.  A view installation that leaves
-        # us sequencer lands here too (module docstring): a joiner has been
-        # filled, and the next ACK re-announces the stability horizon.
+        # old sequencer already stabilised.
+        self._collected = True
         self._takeover_waiting = set(view.members)
         self._takeover_replies = set()
         self._stable_announced = 0
@@ -176,6 +184,7 @@ class FixedSequencerEngine(TotalOrderEngine):
         self._sequenced_ids = set()
         self._next_seq = self._delivered_seq + 1
         self._stable_announced = 0
+        self._collected = False
         self._takeover_waiting = None
         self._takeover_replies = set()
         self._takeover_buffer = []

@@ -28,14 +28,14 @@ with Paxos over the same reliable-broadcast layer.
   reports its delivery horizon to the leader, on ``PROMISE`` and
   piggybacked on ``ACCEPTED``, and a fill posts one ``LEARN`` per decided
   slot of ``_chosen``.  A member whose ``PROMISE`` shows a gap gets the
-  decided slots above its horizon, point to point; a view that adds a
-  member, or a later report below the mark on record (a joiner's first
-  ``ACCEPTED``), fills as the shared catch-up describes.  A joiner Ω
-  hands the lead back to fills its gap with its own phase 1.  *Decided*
-  includes the slots whose ``LEARN`` is still queued in the leader's
-  outbox, addressed to the view it was posted to.  A rejoining member
-  leads no phase 1 until its rejoin installed a horizon: phase 1 is what
-  sets its next slot.
+  decided slots above its horizon, point to point; every view
+  installation at the leader, and a later report below the mark on record
+  (a joiner's first ``ACCEPTED``), fill as the shared catch-up describes.
+  A joiner Ω hands the lead back to fills its gap with its own phase 1.
+  *Decided* includes the slots whose ``LEARN`` is still queued in the
+  leader's outbox, addressed to the view it was posted to.  A rejoining
+  member leads no phase 1 until its rejoin installed a horizon: phase 1 is
+  what sets its next slot.
 
 Compared to the fixed-sequencer engine the failure-free message cost is one
 round higher (accept + learn instead of seq + stable piggybacked on acks),

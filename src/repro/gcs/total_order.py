@@ -43,16 +43,18 @@ it.
 Catch-up is per member, on both engines.  Every member reports its delivery
 horizon to the coordinator on the engine's acknowledgements (and on its
 answer to a leader change), and the coordinator keeps the last report of
-each view member.  A view that adds a member makes the coordinator fill
+each view member.  Every view installation makes the coordinator fill
 every view member from its last report, point to point, and a joiner, which
-has none, from the lowest horizon the others reported.  A later report
-below the mark on record gets the entries in between: that is how a
-joiner's state transfer that installed less than the mark, or a member
-excluded alive and re-added, gets its gap.  A rejoining member reports no
-horizon until its rejoin installed one.  An engine supplies only its log of
-decided entries (:meth:`TotalOrderEngine._decided_log`) and how a run of
-them is posted to one member (:meth:`TotalOrderEngine._post_fill`); a
-member can be filled only from what its coordinator's log holds.
+has none, from the lowest horizon the others reported: that is how a member
+that stopped hearing the coordinator while it stayed up gets its gap, at
+the next view change of any kind.  A later report below the mark on record
+gets the entries in between: that is how a joiner's state transfer that
+installed less than the mark, or a member excluded alive and re-added, gets
+its gap.  A rejoining member reports no horizon until its rejoin installed
+one.  An engine supplies only its log of decided entries
+(:meth:`TotalOrderEngine._decided_log`) and how a run of them is posted to
+one member (:meth:`TotalOrderEngine._post_fill`); a member can be filled
+only from what its coordinator's log holds.
 """
 
 from __future__ import annotations
@@ -221,7 +223,6 @@ class TotalOrderEngine:
         # as coordinator; for a joiner not heard from yet, the horizon it was
         # filled from.
         self._horizons: Dict[str, int] = {}
-        self._view_members = frozenset(self.group.view().members)
         self._reset_engine_state()
         self._started = False
 
@@ -400,12 +401,9 @@ class TotalOrderEngine:
         # new) coordinator.
         for broadcast_id, payload in list(self._unsequenced.items()):
             self._submit(broadcast_id, payload, coordinator)
-        joined = [member for member in view.members
-                  if member not in self._view_members]
-        self._view_members = frozenset(view.members)
         for member in [m for m in self._horizons if m not in view]:
             del self._horizons[member]   # it left, and may rejoin with less
-        if joined and coordinator == self.member_name:
+        if coordinator == self.member_name:
             self._fill_view(view)
         self._on_coordinator_change(view, coordinator)
 
@@ -428,7 +426,7 @@ class TotalOrderEngine:
             self._post_fill(member, entries)
 
     def _fill_view(self, view: Any) -> None:
-        """A view added members: fill every member from its last report, a
+        """A view was installed: fill every member from its last report, a
         joiner from the lowest horizon the others reported (its first
         report fills whatever its state transfer installed below that)."""
         floor = min([self._delivered_seq] +

@@ -452,17 +452,27 @@ def test_follower_crash_does_not_replay_history_once_per_reply(
     assert len(survivors) == 8 and cluster.gcs.endpoint("s1").is_sequencer
     assigned = cluster.gcs.endpoint("s1")._next_seq - 1
     assert assigned >= 200
-    # The sequencer stays and the view adds no member, so the view change
-    # re-posts no assignment: every SEQ after the crash is a new one, and
-    # each is acknowledged once per member at most.
+    # The sequencer stays, and the view change fills each member from the
+    # horizon it last reported: it re-posts what was in flight at the
+    # crash, none of the history, and every SEQ after the crash is
+    # acknowledged once per member at most.
     before = max(payload["sequence"] for at, kind, _, payload in sent
                  if kind == "ABCAST.SEQ" and at < crashed_at)
-    after = [(kind, payload) for at, kind, _, payload in sent
-             if at >= crashed_at]
-    assert all(payload["sequence"] > before for kind, payload in after
-               if kind == "ABCAST.SEQ")
-    acks = Counter(kind for kind, _ in after)["ABCAST.ACK"]
-    assert acks <= (assigned - before) * 9
+    reported = {payload["member"]: payload["horizon"]
+                for at, kind, _, payload in sent
+                if kind == "ABCAST.ACK" and at < crashed_at}
+    after = [(kind, destination, payload)
+             for at, kind, destination, payload in sent if at >= crashed_at]
+    reposted = [(destination, payload["sequence"])
+                for kind, destination, payload in after
+                if kind == "ABCAST.SEQ" and payload["sequence"] <= before]
+    assert reposted and all(reported[member] < sequence
+                            for member, sequence in reposted)
+    in_flight = before - min(reported[name] for name in survivors
+                             if name != "s1")
+    assert len(reposted) <= in_flight * 7
+    acks = Counter(kind for kind, _, _ in after)["ABCAST.ACK"]
+    assert acks <= (assigned - before) * 9 + len(reposted)
     assert all(cluster.gcs.endpoint(name)._delivered_seq == assigned
                for name in survivors)
     report = SafetyAudit(cluster).report(clients.results)
@@ -624,11 +634,13 @@ def follower_rejoin_after(broadcasts):
 
 
 def test_a_follower_rejoin_costs_the_same_after_k_and_4k_broadcasts():
-    """The fixed sequencer stays through a follower's crash and rejoin: the
-    rejoin view fills s3 from the horizons on record and the takeover
-    collection learns nothing, so as many SEQs and ACKs are delivered
-    after 25 broadcasts as after 100 (re-posting the whole history to the
-    view made both grow with it)."""
+    """The fixed sequencer stays through a follower's crash and rejoin, so
+    it collects no pending state after the first view change, and each
+    view change fills every member from the horizon on record: s2 gets,
+    at each, the entry it delivered after its last report, and s3 what its
+    state transfer left out.  So as many SEQs and ACKs are delivered after
+    25 broadcasts as after 100 (re-posting the whole history to the view
+    made both grow with it)."""
     runs = {count: follower_rejoin_after(count) for count in (25, 100)}
     for count, (kinds, deliveries, delivered, restarts, trace) in \
             runs.items():
@@ -644,7 +656,7 @@ def test_a_follower_rejoin_costs_the_same_after_k_and_4k_broadcasts():
             deliveries, "fixed-sequencer", restarts) == []
     short, long = runs[25][0], runs[100][0]
     for kind in ("ABCAST.SEQ", "ABCAST.ACK"):
-        assert short[kind] == long[kind] == 10, kind
+        assert short[kind] == long[kind] == 11, kind
 
 
 def cut_off_from_the_leader(engine, view_change):
@@ -668,11 +680,12 @@ def cut_off_from_the_leader(engine, view_change):
         survivors = ["s2", "s3"]
     else:
         nodes[1].crash()
+        survivors = ["s1", "s3"]
+    if view_change == "member-rejoin":
         sim.run(until=sim.now + 20.0)
         nodes[1].recover()
         restarts["s2"] = sim.now
         nodes[1].spawn(gcs.endpoint("s2").recover(rejoin_timeout=20.0))
-        survivors = ["s1", "s3"]
     sim.run(until=sim.now + 50.0)
     broadcast_sequentially(sim, gcs, [nodes[2]], 2)
     sim.run(until=sim.now + 50.0)
@@ -692,17 +705,21 @@ _UNFILLED_GAP = pytest.mark.xfail(
                  id="fixed-sequencer-leader-crash", marks=_UNFILLED_GAP),
     pytest.param("fixed-sequencer", "member-rejoin",
                  id="fixed-sequencer-member-rejoin"),
+    pytest.param("multi-paxos", "member-leave", id="member-leave"),
+    pytest.param("fixed-sequencer", "member-leave",
+                 id="fixed-sequencer-member-leave"),
 ])
 def test_a_member_cut_off_from_the_leader_catches_up_at_a_view_change(
         engine, view_change):
     """s3 hears nothing from the leader s1 while 12 entries are decided;
     after the link heals it still lacks them (each new one waits behind
     the gap).  A view change fills exactly what it lacks: a new Multi-Paxos
-    leader from s3's PROMISE, or s1 — when a view re-adds the crashed s2 —
-    from the horizon s3 last reported.  s3 then delivers every entry, in
-    order.  A new fixed sequencer holds only the assignments its takeover
-    collected, and no follower keeps what it delivered, so s3's gap stays
-    open after a leader crash there (strict xfail)."""
+    leader from s3's PROMISE, or s1 — when a view drops the crashed s2, and
+    again when one re-adds it — from the horizon s3 last reported.  s3 then
+    delivers every entry, in order.  A new fixed sequencer holds only the
+    assignments its takeover collected, and no follower keeps what it
+    delivered, so s3's gap stays open after a leader crash there (strict
+    xfail)."""
     delivered, deliveries, restarts, survivors, trace = \
         cut_off_from_the_leader(engine, view_change)
     assert len(delivered["s3"]) == 22
@@ -804,10 +821,10 @@ def test_a_rejoined_leader_leads_phase_1_from_the_horizon_it_installed():
 def test_a_rejoining_member_reports_no_horizon_until_it_installed_one(
         engine):
     """s3 rejoins while its JOIN crawls to its peers; it takes a new entry
-    meanwhile, and its reports (ACCEPTED, or ACK and VC_STATE) carry no
-    horizon (its empty state is not one), so the leader sends it no
-    history: the rejoin view's fill from the lowest horizon on record, and
-    the new entry."""
+    meanwhile, and its reports (its ACCEPTED of it, or its ACKs of the fill
+    and of it) carry no horizon (its empty state is not one), so the leader
+    sends it no history: the rejoin view's fill from the lowest horizon on
+    record, and the new entry."""
     report_kinds, post_kind, key = CATCH_UP_KINDS[engine]
     sim, lan, nodes, gcs = build_group(engine=engine)
     delivered = {node.name: [] for node in nodes}
@@ -831,7 +848,8 @@ def test_a_rejoining_member_reports_no_horizon_until_it_installed_one(
     assert delivered["s1"][-1] == delivered["s2"][-1] == "while-s3-rejoins"
     reports = [payload["horizon"] for _, kind, _, payload in sent
                if kind in report_kinds and payload["member"] == "s3"]
-    assert reports and set(reports) == {None}
+    assert reports == {"multi-paxos": [None],
+                       "fixed-sequencer": [None, None]}[engine]
     to_s3 = sorted(payload[key] for _, kind, destination, payload in sent
                    if kind == post_kind and destination == "s3")
     assert to_s3 == [10, 11]
