@@ -28,7 +28,9 @@ that could still be lost by the crash of a minority.  What the primitive does
 **not** give — and this is the crux of the paper — is any guarantee that the
 application has *processed* a delivered message: delivery only means the
 message reached the application boundary.  The end-to-end composition
-(:mod:`repro.gcs.end_to_end`) adds that missing guarantee.
+adds that missing guarantee: a
+:class:`~repro.gcs.message_log.GcsMessageLog` passed as the engine's
+``journal``.
 
 When the sequencer crashes, the next live member (view primary) takes over:
 it collects the group's pending assignments (``VC_REQUEST``/``VC_STATE``)

@@ -238,7 +238,6 @@ class TotalOrderEngine:
         self._ready.clear()
         self.deliveries.clear()
         self._reset_volatile()
-        self._started = False
 
     def _register_base_handlers(self) -> None:
         self.dispatcher.register(self.KIND_JOIN, self._on_join)
@@ -470,7 +469,6 @@ class TotalOrderEngine:
         """
         self._rejoining = True
         self._reset_volatile()
-        self._started = False
         if not self.dispatcher.is_running:
             self.dispatcher.start()
         self.start()

@@ -56,22 +56,23 @@ from ..workload.params import SimulationParameters
 from .coordinator import (ABORT_WRONG_EPOCH, CrossPartitionCoordinator,
                           CrossPartitionOutcome)
 from .migration import Migration, MigrationReport
-from .routing import RoutingTable, WrongEpochError
+from .routing import RoutingTable
 from .router import TransactionRouter
 from .workload import PartitionedWorkloadGenerator
 
 
+#: Base backoff between wrong-epoch submission retries (ms); grows linearly
+#: with the attempt, capped at the max.  The budget must ride out a whole
+#: migration fence (typically the residual response time of the source
+#: shard), not just a metadata bump.
+WRONG_EPOCH_RETRY_BACKOFF = 5.0
+WRONG_EPOCH_MAX_BACKOFF = 50.0
+#: Fenced submission attempts before a program is answered ``wrong-epoch``.
+WRONG_EPOCH_MAX_RETRIES = 100
+
+
 class PartitionedCluster:
     """Several independent replica groups sharing one simulated world."""
-
-    #: Base backoff between wrong-epoch submission retries (ms); grows
-    #: linearly with the attempt, capped at the max.  The budget must ride
-    #: out a whole migration fence (typically the residual response time of
-    #: the source shard), not just a metadata bump.
-    WRONG_EPOCH_RETRY_BACKOFF = 5.0
-    WRONG_EPOCH_MAX_BACKOFF = 50.0
-    #: Submission attempts before a wrong-epoch retry gives up.
-    WRONG_EPOCH_MAX_RETRIES = 100
 
     def __init__(self, technique: str = "group-safe",
                  params: Optional[SimulationParameters] = None,
@@ -230,41 +231,67 @@ class PartitionedCluster:
         return self.sim.run(until=until)
 
     # ------------------------------------------------------------------ submission
-    def submit(self, program: TransactionProgram,
-               client_index: int = 0) -> Event:
-        """Submit ``program``, routing by the partitions it touches.
+    def submit(self, program: TransactionProgram, client_index: int = 0):
+        """Generator: route ``program`` by the partitions it touches and
+        return its answer.
 
-        Returns an event that fires with a
+        The answer is a
         :class:`~repro.replication.results.TransactionResult` (fast path) or
         a :class:`~repro.partition.coordinator.CrossPartitionOutcome`
-        (coordinated path).  Raises
-        :class:`~repro.partition.routing.WrongEpochError` when the program
-        touches a range fenced by a live migration — callers retry (see
-        :meth:`submit_retrying`).
+        (coordinated path).  A program touching a range fenced by a live
+        migration, or aborted by the coordinator with
+        ``xpartition-wrong-epoch``, is re-routed against a fresh snapshot
+        after a backoff of 5 ms per attempt (capped at 50 ms).  After
+        :data:`WRONG_EPOCH_MAX_RETRIES` retries a fenced program is answered
+        ``wrong-epoch`` and a coordinated one keeps the coordinator's abort.
+        A single-partition program whose partition has no server taking
+        submissions is answered ``partition-unavailable``.  Both refusals
+        carry the time of the first attempt as ``submitted_at``.
         """
+        submitted_at = self.sim.now
         keys = [operation.key for operation in program.operations]
-        if self.routing_fenced(keys):
-            raise WrongEpochError(
-                f"program {program.program_id} touches a fenced range of a "
-                f"live migration; retry against the new epoch")
-        self.routing.note_keys(keys)
-        snapshot = self.router.snapshot()
-        partitions = self.router.classify(program, snapshot=snapshot,
-                                          keys=keys)
-        obs = self.sim.obs
-        if obs is not None:
-            obs.instant("router.classify", track="router",
-                        labels={"partitions": len(partitions),
-                                "epoch": snapshot.epoch})
-        if len(partitions) == 1:
-            if not self.groups[partitions[0]].available_delegates():
-                raise RuntimeError(
-                    f"partition {partitions[0]} has no server taking "
-                    f"submissions")
-            return self.submit_to_group(partitions[0], program,
-                                        client_index=client_index)
-        return self.coordinator.submit(program, client_index=client_index,
-                                       snapshot=snapshot)
+        attempt = 0
+        while True:
+            if self.routing_fenced(keys):
+                attempt += 1
+                self.router.wrong_epoch_retries += 1
+                if attempt > WRONG_EPOCH_MAX_RETRIES:
+                    return self._refusal(program, submitted_at, "wrong-epoch")
+            else:
+                self.routing.note_keys(keys)
+                snapshot = self.router.snapshot()
+                partitions = self.router.classify(program, snapshot=snapshot,
+                                                  keys=keys)
+                obs = self.sim.obs
+                if obs is not None:
+                    obs.instant("router.classify", track="router",
+                                labels={"partitions": len(partitions),
+                                        "epoch": snapshot.epoch})
+                if len(partitions) > 1:
+                    event = self.coordinator.submit(
+                        program, client_index=client_index, snapshot=snapshot)
+                elif self.groups[partitions[0]].available_delegates():
+                    event = self.submit_to_group(partitions[0], program,
+                                                 client_index=client_index)
+                else:
+                    return self._refusal(program, submitted_at,
+                                         "partition-unavailable")
+                outcome = yield event
+                if (outcome.abort_reason != ABORT_WRONG_EPOCH
+                        or attempt >= WRONG_EPOCH_MAX_RETRIES):
+                    return outcome
+                attempt += 1
+                self.router.wrong_epoch_retries += 1
+            yield self.sim.timeout(min(WRONG_EPOCH_RETRY_BACKOFF * attempt,
+                                       WRONG_EPOCH_MAX_BACKOFF))
+
+    def _refusal(self, program: TransactionProgram, submitted_at: float,
+                 reason: str) -> TransactionResult:
+        """The abort answering a program no group was asked to run."""
+        return TransactionResult(
+            txn_id=f"rejected:{program.program_id}", committed=False,
+            delegate="", submitted_at=submitted_at,
+            responded_at=self.sim.now, abort_reason=reason)
 
     def submit_to_group(self, partition_id: int, program: TransactionProgram,
                         server: Optional[str] = None,
@@ -283,64 +310,10 @@ class PartitionedCluster:
             migration.register_dual_write(program, event)
         return event
 
-    def submit_retrying(self, program: TransactionProgram,
-                        client_index: int = 0):
-        """Generator: submit with wrong-epoch retries (live-migration safe).
-
-        Re-routes the program against a fresh snapshot when a fenced range
-        refuses it or the 2PC coordinator aborts it with
-        ``xpartition-wrong-epoch``; returns the final outcome.  A partition
-        with no server taking submissions still raises ``RuntimeError``
-        synchronously, exactly like :meth:`submit`.
-        """
-        attempt = 0
-        while True:
-            backoff = min(self.WRONG_EPOCH_RETRY_BACKOFF * (attempt + 1),
-                          self.WRONG_EPOCH_MAX_BACKOFF)
-            try:
-                event = self.submit(program, client_index=client_index)
-            except WrongEpochError:
-                attempt += 1
-                self.router.wrong_epoch_retries += 1
-                if attempt > self.WRONG_EPOCH_MAX_RETRIES:
-                    return TransactionResult(
-                        txn_id=f"rejected:{program.program_id}",
-                        committed=False, delegate="",
-                        submitted_at=self.sim.now, responded_at=self.sim.now,
-                        abort_reason="wrong-epoch")
-                yield self.sim.timeout(backoff)
-                continue
-            outcome = yield event
-            if (isinstance(outcome, CrossPartitionOutcome)
-                    and outcome.abort_reason == ABORT_WRONG_EPOCH
-                    and attempt < self.WRONG_EPOCH_MAX_RETRIES):
-                attempt += 1
-                self.router.wrong_epoch_retries += 1
-                yield self.sim.timeout(backoff)
-                continue
-            return outcome
-
     def run_transaction(self, program: TransactionProgram) -> Process:
-        """Submit and wrap the wait for the outcome into a process.
-
-        A program whose owning partition has no server taking submissions
-        completes with an aborted
-        :class:`~repro.replication.results.TransactionResult` (mirroring the
-        coordinated path's unavailability abort) instead of raising inside
-        the simulation; a program whose range is mid-migration is
-        transparently retried against the new epoch.
-        """
-        def waiter():
-            try:
-                outcome = yield from self.submit_retrying(program)
-            except RuntimeError:
-                return TransactionResult(
-                    txn_id=f"rejected:{program.program_id}", committed=False,
-                    delegate="", submitted_at=self.sim.now,
-                    responded_at=self.sim.now,
-                    abort_reason="partition-unavailable")
-            return outcome
-        return self.sim.spawn(waiter(), name=f"client.{program.program_id}")
+        """Run :meth:`submit` as a process that completes with the answer."""
+        return self.sim.spawn(self.submit(program),
+                              name=f"client.{program.program_id}")
 
     # ------------------------------------------------------------------ migration
     def migrate(self, shard, destination_group: int,
@@ -392,9 +365,9 @@ class PartitionedCluster:
         group commit instead of paying a forced flush.
         """
         group = self.groups[group_id]
-        up_servers = group.up_servers()
-        if up_servers:
-            group.database(up_servers[0]).wal.append(LogRecord.epoch(
+        delegates = group.available_delegates()
+        if delegates:
+            group.database(delegates[0]).wal.append(LogRecord.epoch(
                 self.routing.epoch, self.routing.as_payload()))
 
     def rebalance(self) -> Process:

@@ -429,7 +429,7 @@ class CrossPartitionCoordinator:
                                      "delegate": delegate})
         try:
             group = self.cluster.group(partition_id)
-            if not group.node(delegate).is_up:
+            if not group.replica(delegate).takes_submissions:
                 return None
             database = group.database(delegate)
             transaction = database.begin(branch, delegate=delegate,

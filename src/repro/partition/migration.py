@@ -12,10 +12,10 @@ mini-protocol layered on the existing pieces:
 2. **Dual-write window.**  From the moment the migration starts, every
    client or 2PC write that commits into the migrating range on the source
    is forwarded to the destination the same way, keeping the copy fresh.
-3. **Fence.**  A brief write fence refuses new submissions into the range
-   (:class:`~repro.partition.routing.WrongEpochError`; the submission path
-   retries), in-flight writers are drained, and a delta pass re-copies every
-   key whose version moved since the warm copy.
+3. **Fence.**  A brief write fence holds new submissions into the range
+   back (the submission path retries them until the fence lifts), in-flight
+   writers are drained, and a delta pass re-copies every key whose version
+   moved since the warm copy.
 4. **Epoch bump.**  The *new* ownership map is force-logged (an ``EPOCH``
    write-ahead-log record) on the destination delegate before it is
    installed — so a crash mid-migration recovers to a consistent map: old
@@ -229,10 +229,10 @@ class Migration:
         install, so the under-fence delta pass re-copies anything that moved.
         """
         source = self.cluster.groups[self.source_group]
-        up_servers = source.up_servers()
-        if not up_servers:
+        delegates = source.available_delegates()
+        if not delegates:
             return "source-unavailable"
-        database = source.database(up_servers[0])
+        database = source.database(delegates[0])
         values: Dict[str, object] = {}
         try:
             for key in chunk:
@@ -290,9 +290,10 @@ class Migration:
             # Up to COPY_CONCURRENCY chunk transactions run in flight at
             # once, so consecutive installs overlap the destination group's
             # commit latency instead of serialising on one delegate.
-            if not source.up_servers():
+            delegates = source.available_delegates()
+            if not delegates:
                 return self._abort("source-unavailable")
-            delegate = source.up_servers()[0]
+            delegate = delegates[0]
             # repro: allow(ordering-hazard): ItemStore.keys() is a list in creation order
             keys = [key for key in source.database(delegate).items.keys()
                     if self._in_range(key)]
@@ -343,10 +344,10 @@ class Migration:
                 return self._abort("fence-timeout")
 
             # -- phase 3: delta copy of keys written since the warm pass ----
-            up_servers = source.up_servers()
-            if not up_servers:
+            delegates = source.available_delegates()
+            if not delegates:
                 return self._abort("source-unavailable")
-            database = source.database(up_servers[0])
+            database = source.database(delegates[0])
             delta = {key: database.value_of(key) for key in keys
                      if database.version_of(key) != versions_seen.get(key)}
             if delta:
@@ -357,9 +358,10 @@ class Migration:
 
             # -- phase 4: verify the copy under the fence -------------------
             destination = cluster.groups[self.destination_group]
-            if not destination.up_servers():
+            delegates = destination.available_delegates()
+            if not delegates:
                 return self._abort("destination-unavailable")
-            destination_db = destination.database(destination.up_servers()[0])
+            destination_db = destination.database(delegates[0])
             report.verified = all(
                 database.value_of(key) == destination_db.value_of(key)
                 for key in keys)
@@ -388,10 +390,11 @@ class Migration:
             if obs is not None:
                 obs.instant("migration.epoch-logged", track="migration",
                             labels={"epoch": payload["epoch"]})
-            if source.up_servers():
+            delegates = source.available_delegates()
+            if delegates:
                 # Advisory copy on the old owner (flushed with its next
                 # group commit); recovery takes the max epoch anywhere.
-                source.database(source.up_servers()[0]).wal.append(
+                source.database(delegates[0]).wal.append(
                     LogRecord.epoch(payload["epoch"], payload))
             routing.unfence(self.key_range)
             if obs is not None:

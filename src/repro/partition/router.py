@@ -13,11 +13,10 @@ per-partition *branches* and handed to the
 
 When ownership moves *under* a routed transaction (a migration bumped the
 epoch between classification and execution), the stale routing is detected —
-synchronously at submission for fenced ranges, or at 2PC vote collection via
-:meth:`snapshot_is_current` — and surfaces as
-:class:`~repro.partition.routing.WrongEpochError` /
-``xpartition-wrong-epoch``.  The submission path retries against a fresh
-snapshot; :attr:`wrong_epoch_retries` counts those rounds.
+at submission for fenced ranges, or at 2PC vote collection via
+:meth:`snapshot_is_current`, which aborts with ``xpartition-wrong-epoch``.
+The submission path retries against a fresh snapshot;
+:attr:`wrong_epoch_retries` counts those rounds.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ class TransactionRouter:
         self.cross_partition_count = 0
         #: Submissions re-routed after ownership moved under them (fenced
         #: range at submit, or a wrong-epoch 2PC abort); incremented by the
-        #: retry loop in ``cluster.submit_retrying``.
+        #: retry loop in ``PartitionedCluster.submit``.
         self.wrong_epoch_retries = 0
 
     def snapshot(self) -> RoutingSnapshot:

@@ -15,10 +15,11 @@ that is bumped by exactly two operations:
 
 Routing decisions are made against an immutable :class:`RoutingSnapshot`, so
 a transaction in flight keeps one consistent view while the table moves
-underneath it.  When ownership did move under a transaction, the submission
-path raises (or the 2PC coordinator aborts with) :class:`WrongEpochError` and
-the client retries against the current epoch — the optimistic-routing
-discipline of systems with movable shards.
+underneath it.  When ownership did move under a transaction — its range is
+fenced at submission, or the 2PC coordinator aborts it with
+``xpartition-wrong-epoch`` — the submission path retries it against the
+current epoch: the optimistic-routing discipline of systems with movable
+shards.
 
 Durability: every ownership change is serialised (:meth:`RoutingTable.
 as_payload`) into an ``EPOCH`` write-ahead-log record.  A migration
@@ -59,13 +60,11 @@ MEMO_CACHE_LIMIT = 1 << 16
 
 
 class WrongEpochError(RuntimeError):
-    """A transaction was routed against a stale or fenced ownership map.
+    """A split cut into a range fenced by a live migration.
 
-    Raised synchronously by the submission path when a touched range is
-    fenced by a live migration, and reported as the
-    ``xpartition-wrong-epoch`` abort reason when the 2PC coordinator detects
-    at vote collection that ownership moved under a prepared transaction.
-    The remedy is always the same: take a fresh snapshot and resubmit.
+    Raised by :meth:`RoutingTable.split`.  A *submission* into a fenced
+    range raises nothing: the submission path retries it
+    (:meth:`~repro.partition.cluster.PartitionedCluster.submit`).
     """
 
 

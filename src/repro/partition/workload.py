@@ -19,26 +19,26 @@ Every draw comes from named random streams, so two runs with the same seed —
 or two *techniques* compared under the same seed — see exactly the same
 sequence of programs until the first epoch change forces them to differ.
 
-The load driver, :class:`PartitionedOpenLoopClients`, mirrors the
-single-group client pool: open loop, Poisson arrivals at a fixed system-wide
-rate (the Fig. 9 X-axis discipline).  It submits through
-:meth:`~repro.partition.cluster.PartitionedCluster.submit_retrying`, so a
-client whose keys are mid-migration transparently retries against the new
-epoch.  It keeps every answer of either kind in one list, in answer order,
-and per-epoch and during-migration commit counters for the rebalance
+The load driver, :class:`PartitionedOpenLoopClients`, is the single-group
+:class:`~repro.workload.clients.OpenLoopClientPool` with another arrival:
+open loop, Poisson arrivals at a fixed system-wide rate (the Fig. 9 X-axis
+discipline).  Each arrival runs
+:meth:`~repro.partition.cluster.PartitionedCluster.submit`, which retries a
+client whose keys are mid-migration against the new epoch and answers every
+program.  The pool keeps every answer of either kind in one list, in answer
+order, and per-epoch and during-migration commit counters for the rebalance
 experiments.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ..db.operations import Operation, OperationType, TransactionProgram
-from ..replication.results import TransactionResult
 from ..sim.engine import Simulator
+from ..workload.clients import OpenLoopClientPool
 from ..workload.generator import WorkloadGenerator
 from ..workload.params import SimulationParameters
-from .coordinator import CrossPartitionOutcome
 from .routing import RoutingTable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -177,25 +177,19 @@ class PartitionedWorkloadGenerator(WorkloadGenerator):
         return TransactionProgram(operations=tuple(operations), client=client)
 
 
-class PartitionedOpenLoopClients:
-    """Poisson arrivals at a fixed system-wide rate against a partitioned cluster."""
+class PartitionedOpenLoopClients(OpenLoopClientPool):
+    """Poisson arrivals at a fixed system-wide rate against a partitioned cluster.
+
+    Each answer in :attr:`results` is a fast-path
+    :class:`~repro.replication.results.TransactionResult` or a
+    :class:`~repro.partition.coordinator.CrossPartitionOutcome`.
+    """
 
     def __init__(self, cluster: "PartitionedCluster",
                  load_tps: float) -> None:
-        if load_tps <= 0:
-            raise ValueError("load must be positive")
-        self.load_tps = load_tps
-        self._next_client = 0
-        self.cluster = cluster
-        self.sim: Simulator = cluster.sim
-        self.workload: PartitionedWorkloadGenerator = cluster.workload
-        #: Every answer, in answer order: a fast-path
-        #: :class:`~repro.replication.results.TransactionResult` or a
-        #: :class:`~repro.partition.coordinator.CrossPartitionOutcome`.
-        self.results: List[Union[TransactionResult, CrossPartitionOutcome]] = []
-        self.submitted_count = 0
-        #: Arrivals dropped because no server of their partition took
-        #: submissions.
+        super().__init__(cluster, load_tps)
+        #: Arrivals answered ``partition-unavailable``: no server of their
+        #: partition took submissions.  They are not in :attr:`results`.
         self.rejected_count = 0
         #: Committed transactions per routing epoch (at response time).
         self.epoch_commits: Dict[int, int] = {}
@@ -203,13 +197,16 @@ class PartitionedOpenLoopClients:
         self.during_migration_commits = 0
         self.during_migration_aborts = 0
 
+    def _arrive(self, client_index: int) -> None:
+        program = self.workload.next_program(client=f"client-{client_index}")
+        self.sim.spawn(self._run_one(program, client_index),
+                       name=f"client.txn.{program.program_id}")
+
     def _run_one(self, program: TransactionProgram, client_index: int):
-        """Generator: submit one program (with epoch retries) and record it."""
-        try:
-            outcome = yield from self.cluster.submit_retrying(
-                program, client_index=client_index)
-        except RuntimeError:
-            # No server of the owning partition takes submissions now.
+        """Generator: submit one program and record its answer."""
+        outcome = yield from self.cluster.submit(program,
+                                                 client_index=client_index)
+        if outcome.abort_reason == "partition-unavailable":
             self.rejected_count += 1
             return
         self.submitted_count += 1
@@ -222,18 +219,3 @@ class PartitionedOpenLoopClients:
             epoch = self.cluster.routing.epoch
             self.epoch_commits[epoch] = self.epoch_commits.get(epoch, 0) + 1
         self.results.append(outcome)
-
-    def start(self) -> None:
-        """Start the arrival process."""
-        self.sim.spawn(self._arrivals(), name="clients.partitioned_open_loop")
-
-    def _arrivals(self):
-        while True:
-            gap = self.workload.interarrival_time(self.load_tps)
-            yield self.sim.timeout(gap)
-            client_index = self._next_client
-            self._next_client += 1
-            program = self.workload.next_program(
-                client=f"client-{client_index}")
-            self.sim.spawn(self._run_one(program, client_index),
-                           name=f"client.txn.{program.program_id}")

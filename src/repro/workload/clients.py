@@ -6,7 +6,9 @@ configurable system-wide rate, split across the servers by the cluster's
 puts the exact offered load of the X axis on the system regardless of the
 response times.  The pool keeps every answer; a reader picks its
 measurement window with
-:meth:`~repro.replication.results.RunStatistics.of`.
+:meth:`~repro.replication.results.RunStatistics.of`.  The partitioned pool,
+:class:`~repro.partition.workload.PartitionedOpenLoopClients`, is this pool
+with another :meth:`~OpenLoopClientPool._arrive`.
 """
 
 from __future__ import annotations
@@ -48,13 +50,18 @@ class OpenLoopClientPool:
             yield self.sim.timeout(gap)
             client_index = self._next_client
             self._next_client += 1
-            if not self.cluster.available_delegates():
-                continue
-            delegate = self.cluster.choose_delegate(client_index)
-            program = self.workload.next_program(client=f"client-{client_index}")
-            self.submitted_count += 1
-            self.cluster.submit(program, server=delegate).add_callback(
-                self._answered)
+            self._arrive(client_index)
+
+    def _arrive(self, client_index: int) -> None:
+        """Submit the transaction of client ``client_index``, if a server
+        takes submissions."""
+        if not self.cluster.available_delegates():
+            return
+        delegate = self.cluster.choose_delegate(client_index)
+        program = self.workload.next_program(client=f"client-{client_index}")
+        self.submitted_count += 1
+        self.cluster.submit(program, server=delegate).add_callback(
+            self._answered)
 
     def _answered(self, response: Event) -> None:
         self.results.append(response.value)

@@ -254,6 +254,11 @@ def test_fenced_range_submissions_eventually_give_up():
     result = waiter.value
     assert not result.committed
     assert result.abort_reason == "wrong-epoch"
+    # 100 retries (5, 10, ..., 45 ms, then 50 ms each) and the refusal that
+    # gives up; the answer keeps the time of the first attempt.
+    assert cluster.router.wrong_epoch_retries == 101
+    assert result.submitted_at == 0.0
+    assert result.responded_at == 4_775.0
 
 
 def test_coordinator_aborts_wrong_epoch_when_ownership_moves_mid_prepare():
