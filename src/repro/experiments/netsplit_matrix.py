@@ -19,9 +19,10 @@ simulation of a three-server ``group-1-safe`` replica group:
 3. during the window, transactions are submitted through a majority-side
    delegate and through the minority member, and their confirmations are
    counted per side — the observed progress/blocking axes;
-4. the fault heals, stale minority members are resynchronised through the
-   tested crash-recovery machinery (the "operator resync" a real deployment
-   performs after a split), and fresh probes must commit on both sides;
+4. the fault heals and fresh probes must commit on both sides; no server
+   is restarted: a member that lost ordering messages during the fault is
+   repaired by the engines' own catch-up (:mod:`repro.gcs.total_order`),
+   on the first evidence of the loss the probes give it;
 5. the per-key commit-integrity audit checks every confirmed write is still
    committed and served by every server, and that all servers converged to
    identical values — divergence here is the split-brain signature.
@@ -38,8 +39,9 @@ a destination-group member during a live migration's write fence
 cross-partition 2PC (``gray-2pc-participant``).
 
 **Soundness** per cell: no confirmed transaction lost, no value divergence
-(split-brain), a predicted-blocked minority really confirms nothing, and
-the cluster is fully available again after the heal.  **Prediction match**:
+(split-brain), a predicted-blocked minority really confirms nothing, every
+submission answered by the end of the cell, and the cluster is fully
+available again after the heal.  **Prediction match**:
 the progress/blocking verdicts of :func:`netsplit_outcome` are observed.
 The matrix must demonstrate at least one minority-blocking cell per engine.
 
@@ -140,7 +142,7 @@ class NetsplitCellOutcome:
     minority_commits: int = 0
     #: Submissions still unanswered when the cell ended (blocked clients).
     unresolved: int = 0
-    #: Fresh transactions committed on both sides after heal + resync.
+    #: Fresh transactions committed on both sides after the heal.
     post_heal_ok: bool = False
     #: All servers serve identical values for every audited key at the end.
     converged: bool = False
@@ -164,9 +166,10 @@ class NetsplitCellOutcome:
 
     @property
     def sound(self) -> bool:
-        """No split-brain, no lost/duplicated commit, blocked means blocked."""
+        """No split-brain, no lost/duplicated commit, blocked means blocked,
+        every submission answered."""
         return (self.converged
-                and self.post_heal_ok
+                and self.post_heal_ok and self.unresolved == 0
                 and not self.findings and not self.problems
                 and (self.prediction.minority_blocks is not True
                      or self.minority_commits == 0))
@@ -188,27 +191,6 @@ class NetsplitCellOutcome:
         return (self.prediction.minority_blocks is True
                 and self.minority_commits == 0
                 and not self.observed_loss)
-
-
-# --------------------------------------------------------------------------- helpers
-def _resync_plan(minority: Sequence[str], config: Dict[str, object]) -> Plan:
-    """Operator resync of the members that sat out a split.
-
-    Such a member has missed deliveries forever (the LAN never
-    retransmits); the documented remedy is a crash-recovery cycle through
-    the tested state-transfer machinery.  The member must stay down long
-    enough for the configured detector to suspect it — removal from the
-    view is what triggers both the state transfer on re-add and the
-    re-submission of messages that hung during the fault.
-    """
-    down_for, settle = 50.0, 350.0
-    if config["failure_detector_mode"] == "heartbeat":
-        down_for = (config["heartbeat_timeout"]
-                    + 5.0 * config["heartbeat_period"])
-        settle = 500.0
-    return tuple(step for name in minority
-                 for step in ((0.0, "crash", (name,)),
-                              (down_for, "recover", ((name,), settle))))
 
 
 # --------------------------------------------------------------------------- group cells
@@ -239,12 +221,9 @@ def run_group_netsplit_scenario(engine: str, fault_pattern: str,
     majority_delegate = "s2"
     minority_delegate = minority[0] if minority else "s3"
     # Made before the warm-ups, the plan measures its window from the start
-    # of the run; after the window (the workload's turn) come a 300 ms heal
-    # margin and the resync of a cut-off minority.
-    resync = (_resync_plan(minority, config)
-              if fault_kind in ("partition", "asymmetric", "lossy") else ())
-    driver = PlanDriver(cluster, window + (WORKLOAD, (300.0, "wait", None))
-                        + resync)
+    # of the run; after the window (the workload's turn) comes a 300 ms heal
+    # margin.
+    driver = PlanDriver(cluster, window + (WORKLOAD, (300.0, "wait", None)))
 
     # -- phase 1: healthy-network confirmations ------------------------------------
     confirmed: List[ConfirmedWrite] = []
@@ -291,7 +270,7 @@ def run_group_netsplit_scenario(engine: str, fault_pattern: str,
             (sum(fault_latencies) / len(fault_latencies))
             / (sum(healthy_latencies) / len(healthy_latencies)))
 
-    # -- phase 4: heal, resync, probe ----------------------------------------------
+    # -- phase 4: heal, probe ------------------------------------------------------
     driver.finish()
 
     def probe_commits(key: str, server: str) -> bool:
@@ -318,7 +297,7 @@ def run_group_netsplit_scenario(engine: str, fault_pattern: str,
                      for _side, key, value, waiter in in_flight
                      if waiter.triggered and waiter.value.committed)
 
-    # After heal + resync every server must serve every confirmed value.
+    # After the heal every server must serve every confirmed value.
     outcome.findings = audit_writes(cluster, confirmed, caught_up=names)
     outcome.converged = not divergent_keys(
         cluster, names, ("item-10", "item-11", "item-40", "item-41")
@@ -331,12 +310,12 @@ def run_group_netsplit_scenario(engine: str, fault_pattern: str,
 # --------------------------------------------------------------------------- partitioned cells
 #: ``migration-fence-split``: when the fence goes up, destination member
 #: ``p1.s3`` is cut off from every other server for 400 ms; after the
-#: migration it is resynchronised through a crash-recovery cycle.
+#: migration and a 300 ms heal margin, the probe's entry is its first
+#: evidence of what it lost.
 FENCE_SPLIT_PLAN: Plan = (
     ("migration.fence", "fault", (LinkFault.isolate("fence-split", "p1.s3", (
         "p0.s1", "p0.s2", "p0.s3", "p1.s1", "p1.s2")), 400.0)),
-    WORKLOAD, (300.0, "crash", ("p1.s3",)),
-    (50.0, "recover", (("p1.s3",), 500.0)))
+    WORKLOAD, (300.0, "wait", None))
 
 #: ``gray-2pc-participant``: every server of the remote shard flushes at 8x
 #: cost for the duration of one cross-partition transaction.
@@ -374,7 +353,7 @@ def run_migration_fence_split_scenario(engine: str, seed: int = 1,
     The migration must still complete — the destination's majority (its
     primary serves as install delegate) keeps committing deltas and the
     epoch record under the split — and the isolated member must serve the
-    migrated values after heal + resync.
+    migrated values after the heal.
     """
     outcome, cluster = _partitioned_cell(
         engine, "migration-fence-split",
@@ -564,7 +543,8 @@ def render_netsplit_matrix(entries: Sequence[NetsplitCellOutcome]) -> str:
     lines.append(
         f"cells: {len(entries)}  soundness violations: {len(broken)}  "
         f"prediction mismatches: {len(mismatches)}  "
-        f"minority-blocking demonstrations: {len(demonstrated(entries))}")
+        f"minority-blocking demonstrations: {len(demonstrated(entries))}  "
+        f"unanswered: {sum(entry.unresolved for entry in entries)}")
     lines.append("majority/minority columns: predicted(go/block/?) : "
                  "observed confirmed commits during the fault window")
     for entry in entries:
@@ -576,7 +556,7 @@ def render_netsplit_matrix(entries: Sequence[NetsplitCellOutcome]) -> str:
     for entry in broken:
         held = [str(finding) for finding in entry.findings] + entry.problems
         lines.append(f"  VIOLATION {entry.engine}/{entry.fault_pattern}"
-                     f"/{entry.detector}: "
+                     f"/{entry.detector}: unanswered={entry.unresolved} "
                      f"{held or 'minority committed / unavailable'}")
     for entry in mismatches:
         lines.append(f"  MISMATCH {entry.engine}/{entry.fault_pattern}"

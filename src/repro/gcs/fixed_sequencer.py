@@ -33,26 +33,31 @@ adds that missing guarantee: a
 ``journal``.
 
 When the sequencer crashes, the next live member (view primary) takes over:
-it collects the group's pending assignments (``VC_REQUEST``/``VC_STATE``)
-and re-posts to the view each assignment a reply taught it, so all members
-can re-acknowledge it, and it forgets which horizon it announced so the
-next acknowledgement re-announces it to the new view.  A member collects
-once per tenure, at the first view installation it sequences after a
-start, a rejoin or an exclusion; a later view that only drops or re-admits
-a follower runs no collection.  No sequence number is assigned until a
-quorum of the view has answered, and a rejoin's installed horizon does not
-lower the next one.
+it collects the group's pending state (``VC_REQUEST``/``VC_STATE``) from
+its own delivery horizon, as Multi-Paxos's ``PREPARE(from)`` does.  Each
+reply carries what its member holds undelivered, and the assignments above
+that horizon it announced stable itself, as sequencer.  The new
+sequencer re-posts to the view each unstable assignment a reply taught it,
+so all members can re-acknowledge it; a stable one it takes as its own
+delivery (so an ex-sequencer re-admitted after a split or a crash gets
+what the interim sequencer assigned).  It forgets which horizon it
+announced so the next acknowledgement re-announces it to the new view.  A
+member collects once per tenure, at the first view installation it
+sequences after a start, a rejoin or an exclusion; a later view that only
+drops or re-admits a follower runs no collection.  No sequence number is
+assigned until a quorum of the view has answered, and a rejoin's installed
+horizon does not lower the next one.
 
 Catch-up is the per-member one of :mod:`repro.gcs.total_order`: a member
 reports its delivery horizon on ``ACK`` and on ``VC_STATE``, and a fill
 posts one ``SEQ`` per assignment of ``_assigned`` above the member's
 horizon, then one ``STABLE`` with the horizon the sequencer knows is
 stable.  So every view installation fills each member from its last
-report (a joiner from the lowest one on record), and a joiner whose state
-transfer installed less than the mark gets the rest on its first report.
-A new sequencer holds only the assignments its takeover collected, and no
-follower keeps what it delivered, so a gap older than those stays open
-(ROADMAP ★21).
+report (a joiner from the lowest one on record), and an ``ACK`` of a
+``SEQ`` held above a missing one (lost, or below the mark a joiner's state
+transfer installed) gets the assignments in between.  A new sequencer
+holds only the assignments its takeover collected, and no follower keeps
+what it delivered, so a gap older than those stays open (ROADMAP ★24).
 """
 
 from __future__ import annotations
@@ -131,6 +136,9 @@ class FixedSequencerEngine(TotalOrderEngine):
     def _decided_log(self) -> Dict[int, _PendingMessage]:
         return self._assigned
 
+    def _posted_up_to(self) -> int:
+        return self._next_seq - 1
+
     def _post_fill(self, member: str,
                    entries: List[Tuple[int, _PendingMessage]]) -> None:
         for sequence, entry in entries:
@@ -163,7 +171,8 @@ class FixedSequencerEngine(TotalOrderEngine):
         self._takeover_waiting = set(view.members)
         self._takeover_replies = set()
         self._stable_announced = 0
-        self._post_view(self.KIND_VC_REQUEST, {"view_id": view.view_id})
+        self._post_view(self.KIND_VC_REQUEST, {"view_id": view.view_id,
+                                               "from": self._delivered_seq})
 
     def _on_excluded(self, view: Any) -> None:
         # Excluded while alive (partitioned away, not crashed): our
@@ -227,21 +236,20 @@ class FixedSequencerEngine(TotalOrderEngine):
             self._pending[sequence] = _PendingMessage(
                 broadcast_id=broadcast_id, payload=payload["payload"],
                 sender=payload["origin"])
-        self._unsequenced.pop(broadcast_id, None)
+        self._ordered(broadcast_id)
         # Acknowledge even what we already delivered: the sequencer of a new
         # view may still be counting towards its quorum.
         sequencer = message.sender
         self._post(self.KIND_ACK, sequencer,
-                   {"sequence": sequence, "member": self.member_name,
-                    "horizon": self._horizon_report()})
+                   {"sequence": sequence, **self._report(sequence)})
         self._try_deliver()
 
     def _on_ack(self, message: Message) -> None:
         if not self.is_sequencer:
             return
         payload = message.payload
-        self._note_report(payload["member"], payload["horizon"])
         sequence = payload["sequence"]
+        self._note_report(payload, sequence)
         self._acks.setdefault(sequence, set()).add(payload["member"])
         self._advance_stability()
 
@@ -268,26 +276,36 @@ class FixedSequencerEngine(TotalOrderEngine):
 
     # ------------------------------------------------------------------ sequencer handoff
     def _on_vc_request(self, message: Message) -> None:
+        # What this member holds undelivered, and the assignments above the
+        # collector's horizon it announced stable itself as sequencer (one
+        # its stable horizon covers but it never announced may have been
+        # given to another message since).
+        held = {seq: entry for seq, entry in self._assigned.items()
+                if message.payload["from"] < seq <= self._stable_announced}
+        held.update(self._pending)
         pending = {seq: (entry.broadcast_id, entry.payload, entry.sender)
-                   for seq, entry in self._pending.items()}
+                   for seq, entry in held.items()}
         self._post(self.KIND_VC_STATE, message.sender,
                    {"pending": pending, "delivered_seq": self._delivered_seq,
-                    "stable_up_to": self._stable_up_to,
-                    "member": self.member_name,
-                    "horizon": self._horizon_report()})
+                    "stable_up_to": self._stable_up_to, **self._report()})
 
     def _on_vc_state(self, message: Message) -> None:
         if not self.is_sequencer:
             return
         payload = message.payload
-        self._note_report(payload["member"], payload["horizon"])
+        self._note_report(payload)
         learned = []
         for sequence, (broadcast_id, data, origin) in payload["pending"].items():
             if sequence not in self._assigned:
-                self._assigned[sequence] = _PendingMessage(
+                entry = self._assigned[sequence] = _PendingMessage(
                     broadcast_id=broadcast_id, payload=data, sender=origin)
                 self._sequenced_ids.add(broadcast_id)
-                learned.append(sequence)
+                if sequence > payload["stable_up_to"]:
+                    learned.append(sequence)
+                elif sequence > self._delivered_seq:
+                    # Stable already: taken as a SEQ is, and not re-posted.
+                    self._pending[sequence] = entry
+        self._try_deliver()
         highest_known = max(payload["delivered_seq"], payload["stable_up_to"],
                             self._stable_up_to, self._delivered_seq,
                             *self._assigned)

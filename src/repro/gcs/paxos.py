@@ -29,9 +29,15 @@ with Paxos over the same reliable-broadcast layer.
   piggybacked on ``ACCEPTED``, and a fill posts one ``LEARN`` per decided
   slot of ``_chosen``.  A member whose ``PROMISE`` shows a gap gets the
   decided slots above its horizon, point to point; every view
-  installation at the leader, and a later report below the mark on record
-  (a joiner's first ``ACCEPTED``), fill as the shared catch-up describes.
-  A joiner Ω hands the lead back to fills its gap with its own phase 1.
+  installation at the leader, and an ``ACCEPTED`` that shows a gap (a
+  slot learned above one not learned, or accepted above one neither
+  accepted nor learned), fill as the shared catch-up describes.  An
+  ``ACCEPTED`` also shows, to the leader that counts the answers, each
+  earlier undecided slot of its ballot the member never answered: the
+  leader posts that slot's ``ACCEPT`` to the member again.  A proposal
+  whose slot was chosen for another value is proposed afresh when its
+  sender submits it again.  A joiner Ω hands the lead back to fills its
+  gap with its own phase 1.
   *Decided* includes the slots whose ``LEARN`` is still queued in the
   leader's outbox, addressed to the view it was posted to.  A rejoining
   member leads no phase 1 until its rejoin installed a horizon: phase 1 is
@@ -139,6 +145,16 @@ class MultiPaxosEngine(TotalOrderEngine):
     def _decided_log(self) -> Dict[int, Tuple[str, Any, str]]:
         return self._chosen
 
+    def _posted_up_to(self) -> int:
+        return self._next_slot - 1
+
+    def _lacks_below(self, entry: int) -> bool:
+        # A slot accepted is held too; but a slot learned above it shows
+        # that its LEARN was lost.
+        lacking = self._delivered_seq + 1
+        return super()._lacks_below(entry) and (
+            lacking not in self._accepted or bool(self._pending))
+
     def _post_fill(self, member: str,
                    entries: List[Tuple[int, Tuple[str, Any, str]]]) -> None:
         for slot, (broadcast_id, payload, origin) in entries:
@@ -195,6 +211,9 @@ class MultiPaxosEngine(TotalOrderEngine):
             return
         payload = message.payload
         broadcast_id = payload["broadcast_id"]
+        slot = self._slot_of.get(broadcast_id)
+        if slot in self._chosen and self._chosen[slot][0] != broadcast_id:
+            del self._slot_of[broadcast_id]     # its slot went to another
         if broadcast_id in self._slot_of or broadcast_id in self._learned_ids \
                 or broadcast_id in self._delivered_ids:
             return  # duplicate resend after a leader change
@@ -209,10 +228,19 @@ class MultiPaxosEngine(TotalOrderEngine):
         slot = self._next_slot
         self._next_slot += 1
         self._slot_of[broadcast_id] = slot
-        self._post_view(self.KIND_ACCEPT,
-                        {"ballot": self._ballot, "slot": slot,
-                         "broadcast_id": broadcast_id, "payload": payload,
-                         "origin": origin})
+        self._post_accept(slot, (broadcast_id, payload, origin))
+
+    def _post_accept(self, slot: int, value: Tuple[str, Any, str],
+                     member: Optional[str] = None) -> None:
+        """Post ACCEPT(ballot, slot, value) to the view, or to ``member``."""
+        broadcast_id, payload, origin = value
+        accept = {"ballot": self._ballot, "slot": slot,
+                  "broadcast_id": broadcast_id, "payload": payload,
+                  "origin": origin}
+        if member is None:
+            self._post_view(self.KIND_ACCEPT, accept)
+        else:
+            self._post(self.KIND_ACCEPT, member, accept)
 
     # ------------------------------------------------------------------ acceptor side
     def _on_prepare(self, message: Message) -> None:
@@ -230,9 +258,7 @@ class MultiPaxosEngine(TotalOrderEngine):
         accepted = {slot: value for slot, value in self._accepted.items()
                     if slot >= start}
         self._post(self.KIND_PROMISE, message.sender,
-                   {"ballot": ballot, "accepted": accepted,
-                    "member": self.member_name,
-                    "horizon": self._horizon_report()})
+                   {"ballot": ballot, "accepted": accepted, **self._report()})
 
     def _on_accept(self, message: Message) -> None:
         payload = message.payload
@@ -248,9 +274,7 @@ class MultiPaxosEngine(TotalOrderEngine):
                  payload["origin"])
         self._accepted[slot] = (ballot, value)
         self._post(self.KIND_ACCEPTED, message.sender,
-                   {"ballot": ballot, "slot": slot,
-                    "member": self.member_name,
-                    "horizon": self._horizon_report()})
+                   {"ballot": ballot, "slot": slot, **self._report(slot)})
 
     # ------------------------------------------------------------------ leader side
     def _on_promise(self, message: Message) -> None:
@@ -285,15 +309,11 @@ class MultiPaxosEngine(TotalOrderEngine):
                               max(self._chosen, default=0) + 1)
         for slot in sorted(merged):
             _, value = merged[slot]
-            broadcast_id, data, origin = value
-            self._slot_of[broadcast_id] = slot
+            self._slot_of[value[0]] = slot
             self._next_slot = max(self._next_slot, slot + 1)
             if slot in self._chosen:
                 continue  # decided: its LEARN went out, or a fill carries it
-            self._post_view(self.KIND_ACCEPT,
-                            {"ballot": self._ballot, "slot": slot,
-                             "broadcast_id": broadcast_id, "payload": data,
-                             "origin": origin})
+            self._post_accept(slot, value)
         for broadcast_id, (data, origin) in list(self._backlog.items()):
             if broadcast_id in self._slot_of or \
                     broadcast_id in self._learned_ids or \
@@ -307,10 +327,17 @@ class MultiPaxosEngine(TotalOrderEngine):
         ballot = payload["ballot"]
         if ballot != self._ballot or not self._established:
             return
-        self._note_report(payload["member"], payload["horizon"])
-        slot = payload["slot"]
+        member, slot = payload["member"], payload["slot"]
+        self._note_report(payload, slot)
+        # The member answers in order: an earlier undecided slot of this
+        # ballot it never answered lost its ACCEPT (or its answer).
+        for earlier in range(self._delivered_seq + 1, slot):
+            ours = self._accepted.get(earlier, (None, None))
+            if ours[0] == ballot and earlier not in self._chosen and member \
+                    not in self._accept_votes.get((ballot, earlier), ()):
+                self._post_accept(earlier, ours[1], member)
         votes = self._accept_votes.setdefault((ballot, slot), set())
-        votes.add(payload["member"])
+        votes.add(member)
         if len(votes) < self.group.quorum_size() or slot in self._chosen:
             return
         known = self._accepted.get(slot)
@@ -343,7 +370,7 @@ class MultiPaxosEngine(TotalOrderEngine):
         value = (broadcast_id, payload["payload"], payload["origin"])
         self._chosen[slot] = value
         self._learned_ids.add(broadcast_id)
-        self._unsequenced.pop(broadcast_id, None)
+        self._ordered(broadcast_id)
         if slot <= self._delivered_seq or slot in self._pending:
             return  # already delivered (or queued) here
         self._pending[slot] = _PendingMessage(

@@ -3,11 +3,15 @@
 This is the bottom protocol of the group-communication stack (between the
 raw links and the total-order engines): a per-member outbound channel that
 charges the sending CPU for each protocol message and hands it to the LAN.
-On the paper's switched 100 Mb/s LAN the link layer itself neither loses nor
-reorders frames, so reliability at this level reduces to (a) surviving the
-*sender's* crash — volatile outbound state is dropped and rebuilt, and the
-engines above re-send what was never ordered — and (b) never blocking the
-protocol handlers: sends are queued on a served store
+On the paper's switched 100 Mb/s LAN a link never reorders frames; it loses
+them only under a fault (a split, an asymmetric or lossy link).  This layer
+retransmits nothing: the engines above repair a loss by their own catch-up
+(:mod:`repro.gcs.total_order`), on the evidence a FIFO link gives — a
+later message from the same sender arrived.  Reliability at this level
+reduces to (a) surviving the *sender's* crash — volatile outbound state is
+dropped and rebuilt, and the engines above re-send what was never ordered —
+and (b) never blocking the protocol handlers: sends are queued on a served
+store
 (:meth:`repro.sim.resources.Store.serve`), which is what gives every protocol
 message its CPU cost — one charge, then the LAN; nothing else is scheduled.
 

@@ -40,21 +40,27 @@ joiner through the ordering protocol.  With the journal ``have_up_to`` is the
 highest logged sequence, and a peer answers with its logged deliveries above
 it.
 
-Catch-up is per member, on both engines.  Every member reports its delivery
-horizon to the coordinator on the engine's acknowledgements (and on its
-answer to a leader change), and the coordinator keeps the last report of
-each view member.  Every view installation makes the coordinator fill
-every view member from its last report, point to point, and a joiner, which
-has none, from the lowest horizon the others reported: that is how a member
-that stopped hearing the coordinator while it stayed up gets its gap, at
-the next view change of any kind.  A later report below the mark on record
-gets the entries in between: that is how a joiner's state transfer that
-installed less than the mark, or a member excluded alive and re-added, gets
-its gap.  A rejoining member reports no horizon until its rejoin installed
+Catch-up is per member, on both engines, and it is the one repair path for
+a lost ordering message, whether a crash, a split or a lossy link lost it.
+Every member reports its delivery horizon to the coordinator on the
+engine's acknowledgements (and on its answer to a leader change), and the
+coordinator keeps the last report of each view member.  Every view
+installation makes the coordinator fill every view member from its last
+report, point to point, and a joiner, which has none, from the lowest
+horizon the others reported.  Between view changes the evidence of a loss
+is the one fact a FIFO link gives: a member that holds an entry above one
+it lacks (:meth:`TotalOrderEngine._lacks_below`) lost that one, and says
+so on the acknowledgement of the entry it holds.  The coordinator then
+fills it from its horizon up to that entry, once per loss: only a report
+on an entry posted after that fill went out asks again.  The same holds
+for a member's own broadcasts: one ordered while an older one is not yet
+ordered means the older submission was lost, and the member submits it
+again.  A rejoining member reports no horizon until its rejoin installed
 one.  An engine supplies only its log of decided entries
-(:meth:`TotalOrderEngine._decided_log`) and how a run of them is posted to
-one member (:meth:`TotalOrderEngine._post_fill`); a member can be filled
-only from what its coordinator's log holds.
+(:meth:`TotalOrderEngine._decided_log`), the highest entry it posted, and
+how a run of decided entries is posted to one member
+(:meth:`TotalOrderEngine._post_fill`); a member can be filled only from
+what its coordinator's log holds.
 """
 
 from __future__ import annotations
@@ -91,6 +97,11 @@ class _PendingMessage:
     broadcast_id: str
     payload: Any
     sender: str
+
+
+def _broadcast_number(broadcast_id: str) -> int:
+    """The per-origin number of an ``origin#n`` broadcast id."""
+    return int(broadcast_id.rsplit("#", 1)[1])
 
 
 @dataclass(frozen=True)
@@ -195,6 +206,11 @@ class TotalOrderEngine:
         order, point to point."""
         raise NotImplementedError
 
+    def _posted_up_to(self) -> int:
+        """Highest sequence this member, as coordinator, has posted to the
+        view for ordering."""
+        raise NotImplementedError
+
     def _on_coordinator_change(self, view: Any, coordinator: str) -> None:
         """React to a view change (run a takeover protocol if needed)."""
         raise NotImplementedError
@@ -223,6 +239,10 @@ class TotalOrderEngine:
         # as coordinator; for a joiner not heard from yet, the horizon it was
         # filled from.
         self._horizons: Dict[str, int] = {}
+        # Per member, the highest sequence posted when the gap it reported
+        # was last filled (a view's fill clears it): a report on an entry at
+        # or below it was sent before that fill could arrive.
+        self._refilled: Dict[str, int] = {}
         self._reset_engine_state()
         self._started = False
 
@@ -407,9 +427,13 @@ class TotalOrderEngine:
         self._on_coordinator_change(view, coordinator)
 
     # ------------------------------------------------------------------ catch-up
-    def _horizon_report(self) -> Optional[int]:
-        """The delivery horizon this member reports to its coordinator."""
-        return None if self._rejoining else self._delivered_seq
+    def _report(self, entry: int = 0) -> Dict[str, Any]:
+        """The report this member's answers carry to its coordinator: its
+        name, its delivery horizon (none until a rejoin installed one), and
+        whether, holding ``entry``, it lacks an entry below it."""
+        return {"member": self.member_name,
+                "horizon": None if self._rejoining else self._delivered_seq,
+                "gap": self._lacks_below(entry)}
 
     def _fill(self, member: str, horizon: int,
               upto: Optional[int] = None) -> None:
@@ -426,24 +450,47 @@ class TotalOrderEngine:
 
     def _fill_view(self, view: Any) -> None:
         """A view was installed: fill every member from its last report, a
-        joiner from the lowest horizon the others reported (its first
-        report fills whatever its state transfer installed below that)."""
+        joiner from the lowest horizon the others reported (the first gap
+        it reports fills whatever its state transfer installed below
+        that)."""
         floor = min([self._delivered_seq] +
                     [self._horizons[m] for m in view.members
                      if m in self._horizons])
+        self._refilled = {}
         for member in view.members:
             if member != self.member_name:
                 self._fill(member, self._horizons.setdefault(member, floor))
 
-    def _note_report(self, member: str, horizon: Optional[int]) -> None:
-        """Record a steady-state report; one below the mark on record means
-        the member lacks the entries in between."""
+    def _lacks_below(self, entry: int) -> bool:
+        """Whether this member, holding ``entry``, lacks an entry below it.
+        Only the entry after the horizon is looked at: a gap above that
+        one shows once the horizon reaches it."""
+        lacking = self._delivered_seq + 1
+        return entry > lacking and lacking not in self._pending
+
+    def _note_report(self, report: Dict[str, Any], entry: int = 0) -> None:
+        """Record a member's report.  One that shows a gap below ``entry``
+        gets the entries from its horizon up to that entry, unless the gap
+        was filled after ``entry`` was posted: that fill is on its way."""
+        member, horizon = report["member"], report["horizon"]
         if horizon is None or member == self.member_name:
             return
-        recorded = self._horizons.get(member)
         self._horizons[member] = horizon
-        if recorded is not None and horizon < recorded:
-            self._fill(member, horizon, recorded)
+        if report["gap"] and entry > self._refilled.get(member, 0):
+            self._refilled[member] = self._posted_up_to()
+            self._fill(member, horizon, entry - 1)
+
+    def _ordered(self, broadcast_id: str) -> None:
+        """``broadcast_id`` was ordered.  If it is one of ours, every older
+        one of ours still unordered was lost on its way to the coordinator
+        (the link is FIFO): submit it again."""
+        if broadcast_id not in self._unsequenced:
+            return
+        del self._unsequenced[broadcast_id]
+        number, target = _broadcast_number(broadcast_id), self.coordinator()
+        for older, payload in list(self._unsequenced.items()):
+            if target is not None and _broadcast_number(older) < number:
+                self._submit(older, payload, target)
 
     # ------------------------------------------------------------------ recovery
     def recover(self, rejoin_timeout: float = 10.0):

@@ -25,7 +25,7 @@ queued before that, or where the grids of two loops that have drifted apart
 meet again.  The firing order of simultaneously enabled
 pollers is thereby a declared priority of the net, not an accident of which
 loop was notified first (Montali & Rivkin's coloured Petri nets with
-priorities, PAPERS.md; ROADMAP 3(2)).
+priorities, PAPERS.md; ROADMAP ★23).
 
 A loop killed by a crash is skipped when its tick comes due, and the
 source's owner drops its parked loops with the rest of its volatile state.

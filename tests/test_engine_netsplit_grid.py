@@ -4,8 +4,9 @@ The grid half runs the netsplit cells over *both* engines and pins the
 quorum discipline: a partitioned-away minority never confirms anything, a
 majority with a working coordinator keeps committing, a majority whose
 coordinator sits in the minority blocks under a blind detector and fails
-over under a detecting one — and after heal + resync the group converges
-with zero lost or duplicated commits.
+over under a detecting one — and after the heal the group converges with
+zero lost or duplicated commits, no server restarted: what a member lost
+during the split reaches it through the engines' own catch-up.
 
 The regression half guards two fixed-sequencer bugs the netsplit injection
 originally exposed:
@@ -148,20 +149,16 @@ def test_excluded_sequencer_forfeits_its_ordering_state():
     # rejoin view change re-submits it for fresh sequencing.
     assert len(endpoint._unsequenced) == 1
 
-    # Heal, resync through crash-recovery, and require convergence: the
-    # stranded write must either commit everywhere or nowhere.
-    sim.run(until=1_200.0)
-    cluster.crash_server("s1")
-    sim.run(until=sim.now + 120.0)
-    cluster.recover_server("s1")
-    sim.run(until=sim.now + 1_000.0)
+    # Heal and require convergence with no server restarted: the stranded
+    # write is answered, and it commits everywhere or nowhere.
+    sim.run(until=2_200.0)
     names = cluster.server_names()
     for key in ("item-10", "item-20"):
         values = {repr(cluster.database(name).value_of(key))
                   for name in names}
         assert len(values) == 1, f"{key} diverged: {values}"
-    result = stranded[0].value if stranded[0].triggered else None
-    if result is not None and result.committed:
+    assert stranded[0].triggered
+    if stranded[0].value.committed:
         assert all(cluster.database(name).value_of("item-20") == "stranded"
                    for name in names)
 

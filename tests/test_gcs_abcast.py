@@ -660,8 +660,9 @@ def test_a_follower_rejoin_costs_the_same_after_k_and_4k_broadcasts():
 
 
 def cut_off_from_the_leader(engine, view_change):
-    """The schedule of the test below; returns what each member delivered
-    and what it takes to check the run."""
+    """The schedule of the test below; returns what each member delivered,
+    what s3 had delivered after the first entry posted after the heal, and
+    what it takes to check the run."""
     sim, lan, nodes, gcs = build_group(engine=engine)
     obs = Observability(sim)
     delivered = {node.name: [] for node in nodes}
@@ -671,14 +672,16 @@ def cut_off_from_the_leader(engine, view_change):
     lan.install_fault(LinkFault.asymmetric("deaf-s3", [("s1", "s3")]))
     broadcast_sequentially(sim, gcs, nodes[:2], 12)
     lan.remove_fault("deaf-s3")
-    broadcast_sequentially(sim, gcs, nodes[:2], 2)
-    assert len(delivered["s3"]) == 6 and len(delivered["s1"]) == 20
+    # The view change (if any) meets s3's gap: no entry posted after the
+    # heal has reached s3 yet.
+    assert len(delivered["s3"]) == 6 and len(delivered["s1"]) == 18
 
     restarts = {}
+    survivors = ["s1", "s2", "s3"]
     if view_change == "leader-crash":
         nodes[0].crash()
         survivors = ["s2", "s3"]
-    else:
+    elif view_change != "no-view-change":
         nodes[1].crash()
         survivors = ["s1", "s3"]
     if view_change == "member-rejoin":
@@ -687,9 +690,15 @@ def cut_off_from_the_leader(engine, view_change):
         restarts["s2"] = sim.now
         nodes[1].spawn(gcs.endpoint("s2").recover(rejoin_timeout=20.0))
     sim.run(until=sim.now + 50.0)
+    others = [node for node in nodes
+              if node.name in survivors and node.name != "s3"]
+    broadcast_sequentially(sim, gcs, others, 1)
+    first = len(delivered["s3"])
+    broadcast_sequentially(sim, gcs, others[::-1], 1)
     broadcast_sequentially(sim, gcs, [nodes[2]], 2)
     sim.run(until=sim.now + 50.0)
-    return delivered, deliveries, restarts, survivors, broadcast_trace(obs)
+    return delivered, first, deliveries, restarts, survivors, \
+        broadcast_trace(obs)
 
 
 #: A new fixed sequencer holds only the assignments its takeover collected.
@@ -699,6 +708,9 @@ _UNFILLED_GAP = pytest.mark.xfail(
 
 
 @pytest.mark.parametrize("engine,view_change", [
+    pytest.param("multi-paxos", "no-view-change", id="no-view-change"),
+    pytest.param("fixed-sequencer", "no-view-change",
+                 id="fixed-sequencer-no-view-change"),
     pytest.param("multi-paxos", "leader-crash", id="leader-crash"),
     pytest.param("multi-paxos", "member-rejoin", id="member-rejoin"),
     pytest.param("fixed-sequencer", "leader-crash",
@@ -711,17 +723,20 @@ _UNFILLED_GAP = pytest.mark.xfail(
 ])
 def test_a_member_cut_off_from_the_leader_catches_up_at_a_view_change(
         engine, view_change):
-    """s3 hears nothing from the leader s1 while 12 entries are decided;
-    after the link heals it still lacks them (each new one waits behind
-    the gap).  A view change fills exactly what it lacks: a new Multi-Paxos
-    leader from s3's PROMISE, or s1 — when a view drops the crashed s2, and
-    again when one re-adds it — from the horizon s3 last reported.  s3 then
+    """s3 hears nothing from the leader s1 while 12 entries are decided,
+    and the link heals.  With no view change, the first entry posted after
+    the heal shows s3 holding an entry above the ones it lacks: its
+    acknowledgement says so, and the leader fills the gap.  A view change
+    that comes first fills exactly what s3 lacks: a new Multi-Paxos leader
+    from s3's PROMISE, or s1 — when a view drops the crashed s2, and again
+    when one re-adds it — from the horizon s3 last reported.  s3 then
     delivers every entry, in order.  A new fixed sequencer holds only the
     assignments its takeover collected, and no follower keeps what it
     delivered, so s3's gap stays open after a leader crash there (strict
     xfail)."""
-    delivered, deliveries, restarts, survivors, trace = \
+    delivered, first, deliveries, restarts, survivors, trace = \
         cut_off_from_the_leader(engine, view_change)
+    assert first == 19
     assert len(delivered["s3"]) == 22
     assert delivered["s3"] == delivered[survivors[0]]
     # A rejoined s2 is a new incarnation: it delivers again from the
@@ -733,6 +748,34 @@ def test_a_member_cut_off_from_the_leader_catches_up_at_a_view_change(
     assert trace.check_uniform_agreement(survivors)
     assert posts_at_or_below_a_reported_horizon(deliveries, engine,
                                                 restarts) == []
+
+
+@pytest.mark.parametrize("engine", engine_names())
+def test_a_broadcast_lost_on_its_way_to_the_leader_is_submitted_again(
+        engine):
+    """What s3 sends to the leader s1 is dropped while s3 A-broadcasts
+    once.  After the heal s3 A-broadcasts again; that one is ordered while
+    the older one is not, so the older submission was lost, and s3 submits
+    it again.  Every member delivers both, with no view change."""
+    sim, lan, nodes, gcs = build_group(engine=engine)
+    obs = Observability(sim)
+    delivered = {node.name: [] for node in nodes}
+    attach_consumers(sim, gcs, nodes, delivered)
+    broadcast_sequentially(sim, gcs, nodes, 3)
+    view = gcs.membership.view
+    lan.install_fault(LinkFault.asymmetric("mute-s3", [("s3", "s1")]))
+    gcs.endpoint("s3").broadcast("lost")
+    sim.run(until=sim.now + 20.0)
+    lan.remove_fault("mute-s3")
+    assert all(len(delivered[node.name]) == 3 for node in nodes)
+    gcs.endpoint("s3").broadcast("after-the-heal")
+    sim.run(until=sim.now + 20.0)
+    assert gcs.membership.view is view
+    for node in nodes:
+        assert delivered[node.name][3:] == ["after-the-heal", "lost"]
+    trace = broadcast_trace(obs)
+    assert trace.check_total_order() and trace.check_integrity()
+    assert trace.check_uniform_agreement(["s1", "s2", "s3"])
 
 
 @pytest.mark.parametrize("engine", engine_names())

@@ -174,7 +174,7 @@ class TestPinnedSeedValues:
     dispatcher takes its tie-break ticket *at the arrival*, not one
     zero-delay hop later, so among completions at the same instant on one
     CPU it now sorts by arrival order.  That is a declared order (ROADMAP
-    3(2)), not an accident of how many hops the kernel took; inline open
+    ★23), not an accident of how many hops the kernel took; inline open
     gates and unqueued waiter-less completions alone leave the number exact.
 
     Re-pinned for a cost-model change (81 → 80 commits, 72.7491009360775 →

@@ -97,6 +97,8 @@ def test_observed_loss_and_divergence_are_soundness_violations():
     assert not _outcome(problems=["migration did not complete"]).sound
     assert not _outcome(converged=False).sound
     assert not _outcome(post_heal_ok=False).sound
+    # A hung client is a violation too: every submission must be answered.
+    assert not _outcome(unresolved=1).sound
 
 
 def test_blocked_majority_in_a_progress_cell_is_a_mismatch_not_a_violation():
@@ -124,10 +126,13 @@ def test_engines_missing_minority_blocking_names_the_engine():
 
 
 def test_render_lists_counts_and_violations():
-    text = render_netsplit_matrix([_outcome(), _outcome(minority_commits=2)])
-    assert "cells: 2" in text
-    assert "soundness violations: 1" in text
-    assert "VIOLATION" in text
+    text = render_netsplit_matrix([_outcome(), _outcome(minority_commits=2),
+                                   _outcome(unresolved=3)])
+    assert "cells: 3" in text
+    assert "soundness violations: 2" in text
+    assert "unanswered: 3" in text
+    assert "VIOLATION fixed-sequencer/split-minority-follower/perfect: " \
+        "unanswered=3" in text
 
 
 # ---------------------------------------------------------------- live cells

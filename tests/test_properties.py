@@ -56,7 +56,7 @@ def test_simulated_clock_is_monotone_for_any_timeout_set(delays):
 #: further k ns late.  Charges and loads are whole microseconds, so no chain
 #: of them leads from one action's instant to another's and the two
 #: dispatchers never face a same-instant tie — the one place where they are
-#: *meant* to differ (ROADMAP 3(2)).
+#: *meant* to differ (ROADMAP ★23).
 TICK_MS = 0.013
 SKEW_MS = 1e-6
 LOAD_MS = (0.031, 0.11, 0.29)
