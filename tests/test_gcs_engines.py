@@ -15,7 +15,7 @@ from repro.gcs.engines import (DEFAULT_ENGINE, ENGINES, engine_names,
                                resolve_engine)
 from repro.network.lan import Lan
 from repro.replication.cluster import ReplicatedDatabaseCluster
-from repro.workload import SimulationParameters
+from repro.workload import OpenLoopClientPool, SimulationParameters
 
 
 # ---------------------------------------------------------------- registry
@@ -280,9 +280,10 @@ ENTRY_KEYS = {
 @pytest.mark.parametrize("engine", engine_names())
 def test_a_failure_free_run_repairs_nothing(engine, monkeypatch):
     """The gap repair fires only on the evidence of a loss: in a
-    failure-free group-safe run no member is posted a SEQ, LEARN or ACCEPT
-    twice (a fill, or a re-posted ACCEPT), and no broadcast is submitted
-    twice (a lost submission sent again)."""
+    failure-free group-safe run loaded so that broadcasts overlap, no
+    member is posted a SEQ, LEARN or ACCEPT twice (a fill, or a re-posted
+    ACCEPT), and no broadcast is submitted twice (a lost submission sent
+    again)."""
     entry_keys = ENTRY_KEYS[engine]
     copies = Counter()
     deliver = Lan._deliver
@@ -295,8 +296,16 @@ def test_a_failure_free_run_repairs_nothing(engine, monkeypatch):
         deliver(lan, message, destination)
 
     monkeypatch.setattr(Lan, "_deliver", counting_deliver)
-    _, results, _, _ = run_scenario("group-safe", engine=engine)
-    assert all(entry.triggered for entry in results)
+    params = SimulationParameters.small(server_count=3, item_count=120) \
+        .with_overrides(broadcast_engine=engine)
+    cluster = ReplicatedDatabaseCluster("group-safe", params=params, seed=11)
+    cluster.start()
+    clients = OpenLoopClientPool(cluster, load_tps=800.0)
+    clients.start()
+    cluster.run(until=300.0)
+    clients.load_tps = 1e-12              # ends the arrivals
+    cluster.run(until=3_000.0)
+    assert len(clients.results) == clients.submitted_count > 200
     assert {kind for kind, _, _ in copies} == set(entry_keys)
     assert set(copies.values()) == {1}
 
