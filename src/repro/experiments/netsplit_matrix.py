@@ -112,6 +112,8 @@ GROUP_FAULT_PLANS: Dict[str, Tuple[str, Tuple[str, ...], Plan]] = {
         LinkFault.asymmetric("mute", (("s3", "s1"), ("s3", "s2"))))),
     "lossy-follower-link": ("lossy", ("s3",), _window(
         LinkFault.lossy("lossy", ("s3",), ("s1", "s2"), probability=0.3))),
+    "lossy-coordinator-link": ("lossy", ("s1",), _window(
+        LinkFault.lossy("lossy", ("s1",), ("s2", "s3"), probability=0.3))),
     "slow-follower-link": ("slow", ("s3",), _window(
         LinkFault.slow("slow", ("s3",), ("s1", "s2"), factor=50.0))),
     "gray-degraded-disk": ("gray-disk", (), _gray_window("degrade-disk", 8.0)),
@@ -119,10 +121,12 @@ GROUP_FAULT_PLANS: Dict[str, Tuple[str, Tuple[str, ...], Plan]] = {
 }
 
 #: Reduced cell set of the CI ``--smoke`` run: still spans a blocked
-#: coordinator, a progressing majority and a lossy link, under both a blind
-#: and a detecting detector, plus both partitioned cells.
+#: coordinator, a progressing majority and a lossy link at either end of
+#: the ordering protocol, under both a blind and a detecting detector, plus
+#: both partitioned cells.
 SMOKE_GROUP_PATTERNS = ("split-minority-coordinator",
-                        "split-minority-follower", "lossy-follower-link")
+                        "split-minority-follower", "lossy-follower-link",
+                        "lossy-coordinator-link")
 SMOKE_DETECTORS = ("perfect", "hb-fast")
 
 

@@ -55,7 +55,12 @@ horizon, then one ``STABLE`` with the horizon the sequencer knows is
 stable.  So every view installation fills each member from its last
 report (a joiner from the lowest one on record), and an ``ACK`` of a
 ``SEQ`` held above a missing one (lost, or below the mark a joiner's state
-transfer installed) gets the assignments in between.  A new sequencer
+transfer installed) gets the assignments in between.  ACKs are not
+cumulative, so a lost one is repaired on its own: an ``ACK`` also shows
+each earlier unstable assignment the member never acknowledged (its
+``SEQ`` or its ``ACK`` was lost), and the sequencer posts the member that
+``SEQ`` again, as Multi-Paxos re-posts an ``ACCEPT``; the member
+acknowledges even what it delivered.  A new sequencer
 holds only the assignments its takeover collected, and no follower keeps
 what it delivered, so a gap older than those stays open (ROADMAP ★24).
 """
@@ -141,13 +146,21 @@ class FixedSequencerEngine(TotalOrderEngine):
 
     def _post_fill(self, member: str,
                    entries: List[Tuple[int, _PendingMessage]]) -> None:
-        for sequence, entry in entries:
-            self._post(self.KIND_SEQ, member,
-                       {"sequence": sequence,
-                        "broadcast_id": entry.broadcast_id,
-                        "payload": entry.payload, "origin": entry.sender})
+        for sequence, _entry in entries:
+            self._post_seq(sequence, member)
         self._post(self.KIND_STABLE, member,
                    {"up_to": max(self._stable_up_to, self._stable_announced)})
+
+    def _post_seq(self, sequence: int, member: Optional[str] = None) -> None:
+        """Post SEQ(sequence) of ``_assigned`` to the view, or to
+        ``member``."""
+        entry = self._assigned[sequence]
+        seq = {"sequence": sequence, "broadcast_id": entry.broadcast_id,
+               "payload": entry.payload, "origin": entry.sender}
+        if member is None:
+            self._post_view(self.KIND_SEQ, seq)
+        else:
+            self._post(self.KIND_SEQ, member, seq)
 
     def _on_coordinator_change(self, view: Any, coordinator: str) -> None:
         if coordinator != self.member_name:
@@ -222,9 +235,7 @@ class FixedSequencerEngine(TotalOrderEngine):
                                 sender=payload["origin"])
         self._assigned[sequence] = entry
         self._sequenced_ids.add(broadcast_id)
-        self._post_view(self.KIND_SEQ,
-                        {"sequence": sequence, "broadcast_id": broadcast_id,
-                         "payload": entry.payload, "origin": entry.sender})
+        self._post_seq(sequence)
 
     def _on_seq(self, message: Message) -> None:
         payload = message.payload
@@ -248,9 +259,17 @@ class FixedSequencerEngine(TotalOrderEngine):
         if not self.is_sequencer:
             return
         payload = message.payload
-        sequence = payload["sequence"]
+        member, sequence = payload["member"], payload["sequence"]
         self._note_report(payload, sequence)
-        self._acks.setdefault(sequence, set()).add(payload["member"])
+        # The member answers in order: an earlier unstable assignment it
+        # never acknowledged lost its SEQ or its ACK.  Post it again; the
+        # member acknowledges even what it delivered.
+        announced = max(self._stable_up_to, self._stable_announced)
+        for earlier in range(announced + 1, sequence):
+            if earlier in self._assigned and \
+                    member not in self._acks.get(earlier, ()):
+                self._post_seq(earlier, member)
+        self._acks.setdefault(sequence, set()).add(member)
         self._advance_stability()
 
     def _advance_stability(self) -> None:
@@ -315,11 +334,7 @@ class FixedSequencerEngine(TotalOrderEngine):
         # Re-propagate what this reply taught us so that all members can
         # (re-)acknowledge it; receivers ignore what they already delivered.
         for sequence in sorted(learned):
-            entry = self._assigned[sequence]
-            self._post_view(self.KIND_SEQ,
-                            {"sequence": sequence,
-                             "broadcast_id": entry.broadcast_id,
-                             "payload": entry.payload, "origin": entry.sender})
+            self._post_seq(sequence)
         if self._takeover_waiting is not None:
             self._takeover_replies.add(payload["member"])
             needed = min(self.group.quorum_size(),

@@ -34,7 +34,12 @@ with Paxos over the same reliable-broadcast layer.
   accepted nor learned), fill as the shared catch-up describes.  An
   ``ACCEPTED`` also shows, to the leader that counts the answers, each
   earlier undecided slot of its ballot the member never answered: the
-  leader posts that slot's ``ACCEPT`` to the member again.  A proposal
+  leader posts that slot's ``ACCEPT`` to the member again.  A ``LEARN``
+  of a slot above one the member accepted but never learned shows that
+  the ``LEARN`` in between was lost; the member's ``ACCEPTED`` of the
+  lacking slot went out before the gap showed, so it posts the sender a
+  fresh ``ACCEPTED`` of the learned slot with its report, and the leader
+  fills it (that slot is chosen: the vote changes nothing).  A proposal
   whose slot was chosen for another value is proposed afresh when its
   sender submits it again.  A joiner Ω hands the lead back to fills its
   gap with its own phase 1.
@@ -377,3 +382,11 @@ class MultiPaxosEngine(TotalOrderEngine):
             broadcast_id=broadcast_id, payload=payload["payload"],
             sender=payload["origin"])
         self._try_deliver()
+        # A LEARN below this slot was lost after this member's last
+        # ACCEPTED went out, so no answer of its own would report the gap:
+        # report it now (the slot is chosen, the vote is moot).
+        if self._delivered_seq + 1 in self._accepted and \
+                self._lacks_below(slot):
+            self._post(self.KIND_ACCEPTED, message.sender,
+                       {"ballot": self._promised, "slot": slot,
+                        **self._report(slot)})

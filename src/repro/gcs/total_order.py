@@ -52,11 +52,17 @@ is the one fact a FIFO link gives: a member that holds an entry above one
 it lacks (:meth:`TotalOrderEngine._lacks_below`) lost that one, and says
 so on the acknowledgement of the entry it holds.  The coordinator then
 fills it from its horizon up to that entry, once per loss: only a report
-on an entry posted after that fill went out asks again.  The same holds
-for a member's own broadcasts: one ordered while an older one is not yet
-ordered means the older submission was lost, and the member submits it
-again.  A rejoining member reports no horizon until its rejoin installed
-one.  An engine supplies only its log of decided entries
+on an entry posted after that fill went out asks again.  A member answers
+in order, so its answer to an entry also shows the coordinator every
+earlier undecided entry it never answered, and the coordinator posts that
+one to it again (a fixed-sequencer ``SEQ``, a Multi-Paxos ``ACCEPT``).  A
+member that learns an entry above one it answered but never learned
+reports the gap with a fresh answer, since its last answer went out
+before the gap showed (Multi-Paxos; a fixed-sequencer member learns the
+stable horizon, not each entry).  The same evidence serves a member's own
+broadcasts: one ordered while an older one is not yet ordered means the
+older submission was lost, and the member submits it again.  A rejoining
+member reports no horizon until its rejoin installed one.  An engine supplies only its log of decided entries
 (:meth:`TotalOrderEngine._decided_log`), the highest entry it posted, and
 how a run of decided entries is posted to one member
 (:meth:`TotalOrderEngine._post_fill`); a member can be filled only from

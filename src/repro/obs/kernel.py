@@ -1,11 +1,12 @@
 """Kernel profiling over the ``Simulator.enable_trace()`` seam.
 
-The PR-5 fast path exposes one observation hook: ``enable_trace()`` records
-every processed event as ``(time, queue key, event type name)``.  This module
+The kernel exposes one observation hook: ``enable_trace()`` records every
+processed event as ``(time, queue key, event type name)``.  This module
 turns such a trace into a per-event-type profile — how many events of each
 class the kernel processed and how many went through the priority (interrupt)
-lane — which is the input future kernel-optimisation PRs need to decide what
-to attack next (``python benchmarks/bench_kernel.py --profile``).
+lane.  The perf ledger's traced pass (``python benchmarks/ledger/run.py
+--trace``, its ``ObserveHooks``) reads it to report each workload's event
+shares, which is where a kernel change looks for what to attack next.
 """
 
 from __future__ import annotations
@@ -46,17 +47,3 @@ def profile_kernel_trace(trace: Sequence[Tuple[float, int, str]]
         },
     }
 
-
-def render_kernel_profile(profile: Dict[str, Any]) -> str:
-    """Fixed-width table of a :func:`profile_kernel_trace` result."""
-    total = profile["total_events"] or 1
-    lines = [f"{'event type':<24} {'events':>10} {'share':>7} {'priority':>9}",
-             "-" * 53]
-    for name, row in profile["by_type"].items():
-        share = 100.0 * row["events"] / total
-        lines.append(f"{name:<24} {row['events']:>10} {share:>6.1f}% "
-                     f"{row['priority']:>9}")
-    lines.append("-" * 53)
-    lines.append(f"{'total':<24} {profile['total_events']:>10} {'100.0%':>7} "
-                 f"{profile['priority_events']:>9}")
-    return "\n".join(lines)

@@ -778,6 +778,101 @@ def test_a_broadcast_lost_on_its_way_to_the_leader_is_submitted_again(
     assert trace.check_uniform_agreement(["s1", "s2", "s3"])
 
 
+def drop_first_copies(monkeypatch, lost):
+    """Drop, at arrival (``Lan._deliver``), the first copy from each sender
+    to each member of every message ``lost(message, member)`` names; later
+    copies pass.  Returns the ``(sender, member)`` pairs dropped."""
+    dropped = []
+    deliver = Lan._deliver
+
+    def dropping_deliver(lan, message, destination):
+        key = (message.sender, destination.name)
+        if lost(message, destination.name) and key not in dropped:
+            dropped.append(key)
+            return
+        deliver(lan, message, destination)
+
+    monkeypatch.setattr(Lan, "_deliver", dropping_deliver)
+    return dropped
+
+
+def test_a_sequence_whose_acks_were_all_lost_is_posted_again(monkeypatch):
+    """Every follower's ACK of sequence 4 is lost, so the sequencer s1 holds
+    only its own and cannot announce 4, nor anything after it, stable.  A
+    follower's ACK of sequence 5 shows that it never answered 4: s1 posts it
+    SEQ(4) again, the follower acknowledges it again, and every broadcast
+    is delivered everywhere with no view change."""
+    dropped = drop_first_copies(
+        monkeypatch, lambda message, member: message.kind == "ABCAST.ACK"
+        and message.sender != member and message.payload["sequence"] == 4)
+    sim, lan, nodes, gcs = build_group(engine="fixed-sequencer")
+    obs = Observability(sim)
+    delivered = {node.name: [] for node in nodes}
+    attach_consumers(sim, gcs, nodes, delivered)
+    view = gcs.membership.view
+    broadcast_sequentially(sim, gcs, nodes, 4)
+    assert dropped == [("s2", "s1"), ("s3", "s1")]
+    assert all(len(delivered[node.name]) == 3 for node in nodes)
+    broadcast_sequentially(sim, gcs, nodes, 2)
+    assert gcs.membership.view is view
+    for node in nodes:
+        assert delivered[node.name] == ["m0", "m1", "m2", "m3", "m0", "m1"]
+    trace = broadcast_trace(obs)
+    assert trace.check_total_order() and trace.check_integrity()
+    assert trace.check_uniform_agreement(["s1", "s2", "s3"])
+
+
+def test_a_sequence_is_posted_again_only_to_who_did_not_answer(
+        monkeypatch):
+    """Five members: s3's, s4's and s5's ACKs of sequence 4 are lost, so s1
+    holds two of the three it needs.  Their ACKs of sequence 5 get SEQ(4)
+    again; s2, whose ACK of 4 arrived, gets it once."""
+    drop_first_copies(
+        monkeypatch, lambda message, member: message.kind == "ABCAST.ACK"
+        and message.sender not in (member, "s2")
+        and message.payload["sequence"] == 4)
+    sim, lan, nodes, gcs = build_group(member_count=5,
+                                       engine="fixed-sequencer")
+    deliveries = record_deliveries(lan)
+    delivered = {node.name: [] for node in nodes}
+    attach_consumers(sim, gcs, nodes, delivered)
+    broadcast_sequentially(sim, gcs, nodes, 5)
+    copies = Counter(destination.name
+                     for _, message, destination in deliveries
+                     if message.kind == "ABCAST.SEQ"
+                     and message.payload["sequence"] == 4)
+    assert copies == {"s1": 1, "s2": 1, "s3": 2, "s4": 2, "s5": 2}
+    assert all(len(delivered[node.name]) == 5 for node in nodes)
+
+
+def test_a_learn_lost_after_the_last_accepted_is_reported(monkeypatch):
+    """Both followers' LEARN of slot 4 is lost after they accepted it, and
+    their ACCEPTED of 4 went out before the gap showed.  The next broadcast
+    is learned above the gap; the follower reports it to the leader on an
+    ACCEPTED of that slot, and the leader sends LEARN(4) again: every member
+    delivers both, with no view change."""
+    dropped = drop_first_copies(
+        monkeypatch, lambda message, member: message.kind == "PAXOS.LEARN"
+        and member != message.sender and message.payload["slot"] == 4)
+    sim, lan, nodes, gcs = build_group(engine="multi-paxos")
+    obs = Observability(sim)
+    delivered = {node.name: [] for node in nodes}
+    attach_consumers(sim, gcs, nodes, delivered)
+    view = gcs.membership.view
+    broadcast_sequentially(sim, gcs, nodes, 4)
+    assert dropped == [("s1", "s2"), ("s1", "s3")]
+    assert len(delivered["s1"]) == 4
+    assert len(delivered["s2"]) == len(delivered["s3"]) == 3
+    gcs.endpoint("s2").broadcast("next")
+    sim.run(until=sim.now + 20.0)
+    assert gcs.membership.view is view
+    for node in nodes:
+        assert delivered[node.name][3:] == ["m3", "next"]
+    trace = broadcast_trace(obs)
+    assert trace.check_total_order() and trace.check_integrity()
+    assert trace.check_uniform_agreement(["s1", "s2", "s3"])
+
+
 @pytest.mark.parametrize("engine", engine_names())
 def test_a_follower_excluded_alive_catches_up_from_its_first_report(engine):
     """A netsplit cuts s3 off, the heartbeat detector excludes it, and s1

@@ -267,12 +267,14 @@ def test_fixed_sequencer_reproduces_the_seed_traces(name):
 
 
 #: Per engine, the key of each ordering message: a view post reaches each
-#: member once, so a second copy to a member is a repair.
+#: member once, and each member answers an ACCEPT once, so a second copy to
+#: a member is a repair (an ACCEPTED reporting a lost LEARN among them).
 ENTRY_KEYS = {
     "fixed-sequencer": {"ABCAST.DATA": ("broadcast_id",),
                         "ABCAST.SEQ": ("sequence",)},
     "multi-paxos": {"PAXOS.PROPOSE": ("broadcast_id",),
                     "PAXOS.ACCEPT": ("ballot", "slot"),
+                    "PAXOS.ACCEPTED": ("ballot", "slot", "member"),
                     "PAXOS.LEARN": ("slot",)},
 }
 
@@ -281,9 +283,9 @@ ENTRY_KEYS = {
 def test_a_failure_free_run_repairs_nothing(engine, monkeypatch):
     """The gap repair fires only on the evidence of a loss: in a
     failure-free group-safe run loaded so that broadcasts overlap, no
-    member is posted a SEQ, LEARN or ACCEPT twice (a fill, or a re-posted
-    ACCEPT), and no broadcast is submitted twice (a lost submission sent
-    again)."""
+    member is posted a SEQ, LEARN or ACCEPT twice (a fill, a re-posted SEQ
+    or ACCEPT), no member answers an ACCEPT twice (a lost LEARN reported),
+    and no broadcast is submitted twice (a lost submission sent again)."""
     entry_keys = ENTRY_KEYS[engine]
     copies = Counter()
     deliver = Lan._deliver

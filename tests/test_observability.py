@@ -25,7 +25,7 @@ from repro.core.stats import percentile
 from repro.experiments.traced import run_traced_scenario
 from repro.obs.export import (chrome_trace, critical_path_report,
                               validate_chrome_trace)
-from repro.obs.kernel import profile_kernel_trace, render_kernel_profile
+from repro.obs.kernel import profile_kernel_trace
 from repro.obs.tracer import Observability, STAGES
 from repro.partition.cluster import PartitionedCluster
 from repro.partition.coordinator import CrossPartitionOutcome
@@ -299,8 +299,6 @@ class TestKernelProfile:
         assert profile["by_type"]["Timeout"] == {"events": 2, "priority": 0}
         assert profile["by_type"]["Interrupt"] == {"events": 1,
                                                    "priority": 1}
-        rendered = render_kernel_profile(profile)
-        assert "Timeout" in rendered and "total" in rendered
 
     def test_profile_of_a_real_run_matches_scheduled_events(self):
         sim = Simulator(seed=3)
