@@ -3,18 +3,23 @@
 This is the seed's ordering protocol, extracted from the fused endpoint into
 a :class:`~repro.gcs.total_order.TotalOrderEngine` subclass; it differs from
 the seed's only in saying each ordering fact once (step 4 and the handoff
-below), and its schedules are pinned by the golden-digest tests.  The scheme
-is representative of what LAN group-communication toolkits do and produces
-the ~1 ms broadcast cost the paper quotes for a 100 Mb/s LAN:
+below) and in a cumulative ``ACK`` (step 3), and its schedules are pinned by
+the golden-digest tests.  The scheme is representative of what LAN
+group-communication toolkits do and produces the ~1 ms broadcast cost the
+paper quotes for a 100 Mb/s LAN:
 
 1. the sender ships ``DATA(m)`` to the current *sequencer* (the first member
    of the current view);
 2. the sequencer assigns the next global sequence number and ships
    ``SEQ(seq, m)`` to every view member (including itself);
-3. every member buffers the message and acknowledges with ``ACK(seq)``;
-4. once a quorum (majority of the static group) has acknowledged ``seq``, the
-   sequencer ships ``STABLE(up_to=seq)`` — once: the acknowledgements that
-   arrive after the quorum-th do not repeat an announcement already posted.
+3. every member buffers the message and acknowledges with
+   ``ACK(seq, held)``: ``held`` is the highest sequence up to ``seq`` that it
+   holds (delivered or buffered) with every one below it, so ACKs are
+   cumulative;
+4. the sequencer keeps the highest ``held`` of each member, and once a
+   quorum (majority of the static group) holds ``seq`` it ships
+   ``STABLE(up_to=seq)`` — once: the acknowledgements that arrive after the
+   quorum-th do not repeat an announcement already posted.
    Members A-deliver messages in sequence order once they are covered by the
    stability horizon, which is cumulative, so a later announcement subsumes
    an earlier one.
@@ -53,16 +58,14 @@ reports its delivery horizon on ``ACK`` and on ``VC_STATE``, and a fill
 posts one ``SEQ`` per assignment of ``_assigned`` above the member's
 horizon, then one ``STABLE`` with the horizon the sequencer knows is
 stable.  So every view installation fills each member from its last
-report (a joiner from the lowest one on record), and an ``ACK`` of a
-``SEQ`` held above a missing one (lost, or below the mark a joiner's state
-transfer installed) gets the assignments in between.  ACKs are not
-cumulative, so a lost one is repaired on its own: an ``ACK`` also shows
-each earlier unstable assignment the member never acknowledged (its
-``SEQ`` or its ``ACK`` was lost), and the sequencer posts the member that
-``SEQ`` again, as Multi-Paxos re-posts an ``ACCEPT``; the member
-acknowledges even what it delivered.  A new sequencer
-holds only the assignments its takeover collected, and no follower keeps
-what it delivered, so a gap older than those stays open (ROADMAP ★24).
+report (a joiner from the lowest one on record), and an ``ACK`` whose
+``held`` falls short of its sequence (a ``SEQ`` below it was lost, or lies
+below the mark a joiner's state transfer installed) gets the assignments
+from its horizon through that sequence, which the member acknowledges
+again, holding them all.  A lost ``ACK`` needs no repair: the member's
+next one covers it.  A new sequencer holds only the assignments its
+takeover collected, and no follower keeps what it delivered, so a gap
+older than those stays open (ROADMAP ★24).
 """
 
 from __future__ import annotations
@@ -112,7 +115,9 @@ class FixedSequencerEngine(TotalOrderEngine):
         # Sequencer-only state.
         self._next_seq = 1
         self._assigned: Dict[int, _PendingMessage] = {}
-        self._acks: Dict[int, Set[str]] = {}
+        # Per member, the highest ``held`` its ACKs reported: it holds
+        # every sequence up to that one.
+        self._acked: Dict[str, int] = {}
         self._sequenced_ids: Set[str] = set()
         # Highest ``up_to`` already posted as STABLE in the current view; our
         # own ``_stable_up_to`` only follows once the STABLE comes back over
@@ -204,7 +209,7 @@ class FixedSequencerEngine(TotalOrderEngine):
                                              entry.payload)
         self._pending.clear()
         self._assigned = {}
-        self._acks = {}
+        self._acked = {}
         self._sequenced_ids = set()
         self._next_seq = self._delivered_seq + 1
         self._stable_announced = 0
@@ -252,37 +257,44 @@ class FixedSequencerEngine(TotalOrderEngine):
         # view may still be counting towards its quorum.
         sequencer = message.sender
         self._post(self.KIND_ACK, sequencer,
-                   {"sequence": sequence, **self._report(sequence)})
+                   {"sequence": sequence, "held": self._held(sequence),
+                    **self._report(sequence)})
         self._try_deliver()
+
+    def _held(self, sequence: int) -> int:
+        """The highest sequence at or below ``sequence`` this member holds
+        (delivered or pending) with every one below it.  Capped at
+        ``sequence``: the link from the sequencer is FIFO, so what it posted
+        at or below ``sequence`` arrived first, and a later SEQ is
+        acknowledged on its own."""
+        held = self._delivered_seq
+        while held < sequence and held + 1 in self._pending:
+            held += 1
+        return min(held, sequence)
+
+    def _lacks_below(self, entry: int) -> bool:
+        # Any sequence missing below ``entry``, not only the next one.
+        return self._held(entry) < entry
 
     def _on_ack(self, message: Message) -> None:
         if not self.is_sequencer:
             return
         payload = message.payload
-        member, sequence = payload["member"], payload["sequence"]
-        self._note_report(payload, sequence)
-        # The member answers in order: an earlier unstable assignment it
-        # never acknowledged lost its SEQ or its ACK.  Post it again; the
-        # member acknowledges even what it delivered.
-        announced = max(self._stable_up_to, self._stable_announced)
-        for earlier in range(announced + 1, sequence):
-            if earlier in self._assigned and \
-                    member not in self._acks.get(earlier, ()):
-                self._post_seq(earlier, member)
-        self._acks.setdefault(sequence, set()).add(member)
+        self._note_report(payload, payload["sequence"])
+        member = payload["member"]
+        self._acked[member] = max(self._acked.get(member, 0), payload["held"])
         self._advance_stability()
 
     def _advance_stability(self) -> None:
+        # A sequence is stable once a quorum holds it: announce the
+        # contiguous assigned prefix up to the quorum-th largest ``held``.
         quorum = self.group.quorum_size()
+        held = sorted(self._acked.values(), reverse=True)
+        held_by_quorum = held[quorum - 1] if len(held) >= quorum else 0
         announced = max(self._stable_up_to, self._stable_announced)
         new_stable = announced
-        while True:
-            candidate = new_stable + 1
-            if candidate not in self._assigned:
-                break
-            if len(self._acks.get(candidate, ())) < quorum:
-                break
-            new_stable = candidate
+        while new_stable < held_by_quorum and new_stable + 1 in self._assigned:
+            new_stable += 1
         if new_stable > announced:
             self._stable_announced = new_stable
             self._post_view(self.KIND_STABLE, {"up_to": new_stable})

@@ -142,7 +142,7 @@ def test_excluded_sequencer_forfeits_its_ordering_state():
     # Tenancy voided: nothing assigned, nothing acknowledged, no sequenced
     # ids that could suppress a legitimate reassignment after rejoin.
     assert endpoint._assigned == {}
-    assert endpoint._acks == {}
+    assert endpoint._acked == {}
     assert endpoint._sequenced_ids == set()
     assert endpoint._pending == {}
     # The stranded broadcast went back to the unsequenced pool so the

@@ -350,6 +350,21 @@ def test_fixed_sequencer_message_bill_is_3n_plus_1(member_count):
     assert len(announcements) == len(set(announcements))
 
 
+def test_the_sequencers_ack_state_is_one_entry_per_member():
+    """ACKs are cumulative, so the sequencer keeps one ``held`` per member,
+    the same after 20 broadcasts as after 200, while its log of assignments
+    grows with the history (ROADMAP item 24)."""
+    sizes = []
+    for broadcasts in (20, 200):
+        sim, lan, nodes, gcs = build_group()
+        broadcast_sequentially(sim, gcs, nodes, broadcasts)
+        sequencer = gcs.endpoint("s1")
+        assert sequencer._acked == {"s1": broadcasts, "s2": broadcasts,
+                                    "s3": broadcasts}
+        sizes.append((len(sequencer._acked), len(sequencer._assigned)))
+    assert sizes == [(3, 20), (3, 200)]
+
+
 @pytest.mark.parametrize("member_count", (3, 5, 9))
 def test_multi_paxos_message_bill_is_4n_plus_1(member_count):
     sim, lan, nodes, gcs = build_group(member_count, engine="multi-paxos")
@@ -796,12 +811,13 @@ def drop_first_copies(monkeypatch, lost):
     return dropped
 
 
-def test_a_sequence_whose_acks_were_all_lost_is_posted_again(monkeypatch):
+def test_a_sequence_whose_acks_were_all_lost_is_covered_by_the_next_ack(
+        monkeypatch):
     """Every follower's ACK of sequence 4 is lost, so the sequencer s1 holds
-    only its own and cannot announce 4, nor anything after it, stable.  A
-    follower's ACK of sequence 5 shows that it never answered 4: s1 posts it
-    SEQ(4) again, the follower acknowledges it again, and every broadcast
-    is delivered everywhere with no view change."""
+    only its own and cannot announce 4, nor anything after it, stable.  ACKs
+    are cumulative: a follower's ACK of sequence 5 says it holds every
+    sequence up to 5, so s1 announces both, and every broadcast is delivered
+    everywhere with no view change."""
     dropped = drop_first_copies(
         monkeypatch, lambda message, member: message.kind == "ABCAST.ACK"
         and message.sender != member and message.payload["sequence"] == 4)
@@ -822,11 +838,18 @@ def test_a_sequence_whose_acks_were_all_lost_is_posted_again(monkeypatch):
     assert trace.check_uniform_agreement(["s1", "s2", "s3"])
 
 
-def test_a_sequence_is_posted_again_only_to_who_did_not_answer(
-        monkeypatch):
+def seq_copies(deliveries, sequence):
+    """Per member, the copies of SEQ(sequence) that reached the LAN's
+    delivery, lost ones included."""
+    return Counter(destination.name for _, message, destination in deliveries
+                   if message.kind == "ABCAST.SEQ"
+                   and message.payload["sequence"] == sequence)
+
+
+def test_a_lost_ack_is_covered_by_the_next_one(monkeypatch):
     """Five members: s3's, s4's and s5's ACKs of sequence 4 are lost, so s1
-    holds two of the three it needs.  Their ACKs of sequence 5 get SEQ(4)
-    again; s2, whose ACK of 4 arrived, gets it once."""
+    holds two of the three it needs.  Their ACKs of sequence 5 say they
+    hold 4 too: no SEQ is posted again, and each member gets SEQ(4) once."""
     drop_first_copies(
         monkeypatch, lambda message, member: message.kind == "ABCAST.ACK"
         and message.sender not in (member, "s2")
@@ -837,12 +860,69 @@ def test_a_sequence_is_posted_again_only_to_who_did_not_answer(
     delivered = {node.name: [] for node in nodes}
     attach_consumers(sim, gcs, nodes, delivered)
     broadcast_sequentially(sim, gcs, nodes, 5)
-    copies = Counter(destination.name
-                     for _, message, destination in deliveries
-                     if message.kind == "ABCAST.SEQ"
-                     and message.payload["sequence"] == 4)
-    assert copies == {"s1": 1, "s2": 1, "s3": 2, "s4": 2, "s5": 2}
+    assert seq_copies(deliveries, 4) == {
+        "s1": 1, "s2": 1, "s3": 1, "s4": 1, "s5": 1}
     assert all(len(delivered[node.name]) == 5 for node in nodes)
+
+
+def test_a_lost_sequence_is_posted_again_once(monkeypatch):
+    """SEQ(4) is lost to both followers.  Their ACKs of sequence 5 hold
+    only up to 3, which is the gap: s1 fills each of them through 5, and
+    no other rule posts SEQ(4) again, so each follower gets it twice (the
+    lost copy and the fill).  No ACK claims more than the SEQ it answers."""
+    dropped = drop_first_copies(
+        monkeypatch, lambda message, member: message.kind == "ABCAST.SEQ"
+        and member != message.sender and message.payload["sequence"] == 4)
+    sim, lan, nodes, gcs = build_group(engine="fixed-sequencer")
+    deliveries = record_deliveries(lan)
+    delivered = {node.name: [] for node in nodes}
+    attach_consumers(sim, gcs, nodes, delivered)
+    view = gcs.membership.view
+    broadcast_sequentially(sim, gcs, nodes, 6)
+    assert dropped == [("s1", "s2"), ("s1", "s3")]
+    assert gcs.membership.view is view
+    assert seq_copies(deliveries, 4) == {"s1": 1, "s2": 2, "s3": 2}
+    acks = [message.payload for _, message, _ in deliveries
+            if message.kind == "ABCAST.ACK"]
+    assert all(ack["held"] <= ack["sequence"] for ack in acks)
+    assert any(ack["held"] < ack["sequence"] for ack in acks)
+    for node in nodes:
+        assert delivered[node.name] == ["m0", "m1", "m2", "m3", "m4", "m5"]
+
+
+@pytest.mark.xfail(strict=True, reason="a follower keeps a pending SEQ of "
+                   "the old sequencer's tenure that the new sequencer's "
+                   "collection left out, and delivers it when the SEQ that "
+                   "reassigned its sequence is lost to it")
+def test_a_stale_assignment_is_not_delivered_after_a_takeover(monkeypatch):
+    """Five members: s1's SEQ(1) of s5's broadcast reaches only s1 and s5,
+    and s1 crashes.  The new sequencer s2 ends its collection with the
+    quorum s2, s3, s4, none of which holds sequence 1, and gives it to s3's
+    broadcast; that SEQ is lost to s5.  s5 still holds s1's assignment at
+    1, shows no gap, and delivers it once STABLE covers 1, where s2..s4
+    deliver s3's broadcast."""
+    lost = {("s1", "s2"), ("s1", "s3"), ("s1", "s4"), ("s2", "s5")}
+    dropped = drop_first_copies(
+        monkeypatch, lambda message, member: message.kind == "ABCAST.SEQ"
+        and message.payload["sequence"] == 1
+        and (message.sender, member) in lost)
+    sim, lan, nodes, gcs = build_group(5)
+    obs = Observability(sim)
+    delivered = {node.name: [] for node in nodes}
+    attach_consumers(sim, gcs, nodes, delivered)
+    gcs.endpoint("s5").broadcast("stale")
+    sim.run(until=20.0)
+    nodes[0].crash()
+    sim.call_at(sim.now + 0.01, lambda: gcs.endpoint("s3").broadcast("b"))
+    sim.run(until=sim.now + 300.0)
+    gcs.endpoint("s4").broadcast("c")
+    sim.run(until=sim.now + 300.0)
+    assert sorted(dropped) == sorted(lost)
+    survivors = ["s2", "s3", "s4", "s5"]
+    assert {"b", "c"} <= set(delivered["s2"])
+    assert all(delivered[name] == delivered["s2"] for name in survivors)
+    trace = broadcast_trace(obs)
+    assert trace.check_uniform_agreement(survivors)
 
 
 def test_a_learn_lost_after_the_last_accepted_is_reported(monkeypatch):
