@@ -13,8 +13,8 @@ paper quotes for a 100 Mb/s LAN:
 2. the sequencer assigns the next global sequence number and ships
    ``SEQ(seq, m)`` to every view member (including itself);
 3. every member buffers the message and acknowledges with
-   ``ACK(seq, held)``: ``held`` is the highest sequence up to ``seq`` that it
-   holds (delivered or buffered) with every one below it, so ACKs are
+   ``ACK(seq, held)``: ``held`` is the highest sequence it holds
+   (delivered or buffered) with every one below it, so ACKs are
    cumulative;
 4. the sequencer keeps the highest ``held`` of each member, and once a
    quorum (majority of the static group) holds ``seq`` it ships
@@ -61,9 +61,9 @@ stable.  So every view installation fills each member from its last
 report (a joiner from the lowest one on record), and an ``ACK`` whose
 ``held`` falls short of its sequence (a ``SEQ`` below it was lost, or lies
 below the mark a joiner's state transfer installed) gets the assignments
-from its horizon through that sequence, which the member acknowledges
-again, holding them all.  A lost ``ACK`` needs no repair: the member's
-next one covers it.  A new sequencer holds only the assignments its
+from its horizon up to that sequence; the member's ``ACK`` of the last
+one it lacked then reports all it holds.  A lost ``ACK`` needs no
+repair: the member's next one covers it.  A new sequencer holds only the assignments its
 takeover collected, and no follower keeps what it delivered, so a gap
 older than those stays open (ROADMAP ★24).
 """
@@ -257,24 +257,21 @@ class FixedSequencerEngine(TotalOrderEngine):
         # view may still be counting towards its quorum.
         sequencer = message.sender
         self._post(self.KIND_ACK, sequencer,
-                   {"sequence": sequence, "held": self._held(sequence),
+                   {"sequence": sequence, "held": self._held(),
                     **self._report(sequence)})
         self._try_deliver()
 
-    def _held(self, sequence: int) -> int:
-        """The highest sequence at or below ``sequence`` this member holds
-        (delivered or pending) with every one below it.  Capped at
-        ``sequence``: the link from the sequencer is FIFO, so what it posted
-        at or below ``sequence`` arrived first, and a later SEQ is
-        acknowledged on its own."""
+    def _held(self) -> int:
+        """The highest sequence this member holds (delivered or pending)
+        with every one below it."""
         held = self._delivered_seq
-        while held < sequence and held + 1 in self._pending:
+        while held + 1 in self._pending:
             held += 1
-        return min(held, sequence)
+        return held
 
     def _lacks_below(self, entry: int) -> bool:
         # Any sequence missing below ``entry``, not only the next one.
-        return self._held(entry) < entry
+        return self._held() < entry
 
     def _on_ack(self, message: Message) -> None:
         if not self.is_sequencer:

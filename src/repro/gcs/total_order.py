@@ -51,9 +51,8 @@ horizon the others reported.  Between view changes the evidence of a loss
 is the one fact a FIFO link gives: a member that holds an entry above one
 it lacks (:meth:`TotalOrderEngine._lacks_below`) lost that one, and says
 so on the acknowledgement of the entry it holds.  The coordinator then
-fills it from its horizon through that entry, once per loss: only a report
-on an entry posted after that fill went out asks again, and the member
-answers the entry again once it holds what is below it.  A Multi-Paxos
+fills it from its horizon up to that entry, once per loss: only a report
+on an entry posted after that fill went out asks again.  A Multi-Paxos
 member answers in order, so its ``ACCEPTED`` of a slot also shows the
 leader every earlier undecided slot it never answered, and the leader
 posts it that ``ACCEPT`` again (a fixed-sequencer ``ACK`` is cumulative,
@@ -478,8 +477,7 @@ class TotalOrderEngine:
 
     def _note_report(self, report: Dict[str, Any], entry: int = 0) -> None:
         """Record a member's report.  One that shows a gap below ``entry``
-        gets the entries from its horizon through that entry (so that it
-        answers ``entry`` again, holding what is below it), unless the gap
+        gets the entries from its horizon up to that entry, unless the gap
         was filled after ``entry`` was posted: that fill is on its way."""
         member, horizon = report["member"], report["horizon"]
         if horizon is None or member == self.member_name:
@@ -487,7 +485,7 @@ class TotalOrderEngine:
         self._horizons[member] = horizon
         if report["gap"] and entry > self._refilled.get(member, 0):
             self._refilled[member] = self._posted_up_to()
-            self._fill(member, horizon, entry)
+            self._fill(member, horizon, entry - 1)
 
     def _ordered(self, broadcast_id: str) -> None:
         """``broadcast_id`` was ordered.  If it is one of ours, every older

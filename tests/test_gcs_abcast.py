@@ -867,9 +867,10 @@ def test_a_lost_ack_is_covered_by_the_next_one(monkeypatch):
 
 def test_a_lost_sequence_is_posted_again_once(monkeypatch):
     """SEQ(4) is lost to both followers.  Their ACKs of sequence 5 hold
-    only up to 3, which is the gap: s1 fills each of them through 5, and
-    no other rule posts SEQ(4) again, so each follower gets it twice (the
-    lost copy and the fill).  No ACK claims more than the SEQ it answers."""
+    only up to 3, which is the gap: s1 fills each of them with SEQ(4), and
+    no other rule posts it again, so each follower gets it twice (the lost
+    copy and the fill).  Each follower's ACK of the refilled SEQ(4) says it
+    holds 5 as well."""
     dropped = drop_first_copies(
         monkeypatch, lambda message, member: message.kind == "ABCAST.SEQ"
         and member != message.sender and message.payload["sequence"] == 4)
@@ -884,8 +885,32 @@ def test_a_lost_sequence_is_posted_again_once(monkeypatch):
     assert seq_copies(deliveries, 4) == {"s1": 1, "s2": 2, "s3": 2}
     acks = [message.payload for _, message, _ in deliveries
             if message.kind == "ABCAST.ACK"]
-    assert all(ack["held"] <= ack["sequence"] for ack in acks)
-    assert any(ack["held"] < ack["sequence"] for ack in acks)
+    assert [(ack["member"], ack["held"]) for ack in acks
+            if ack["sequence"] == 4 and ack["member"] != "s1"] == [
+        ("s2", 5), ("s3", 5)]
+    for node in nodes:
+        assert delivered[node.name] == ["m0", "m1", "m2", "m3", "m4", "m5"]
+
+
+def test_a_sequence_lost_while_broadcasts_overlap_is_delivered(monkeypatch):
+    """SEQ 4, 5 and 6 are posted back to back, SEQ(4) is lost to both
+    followers, and no broadcast follows.  s1 fills each follower on its ACK
+    of 5 and ignores its ACK of 6, which shows the same gap; the follower's
+    ACK of the refilled SEQ(4) reports that it holds 6, so all three are
+    announced stable and delivered everywhere with no view change."""
+    dropped = drop_first_copies(
+        monkeypatch, lambda message, member: message.kind == "ABCAST.SEQ"
+        and member != message.sender and message.payload["sequence"] == 4)
+    sim, lan, nodes, gcs = build_group(engine="fixed-sequencer")
+    delivered = {node.name: [] for node in nodes}
+    attach_consumers(sim, gcs, nodes, delivered)
+    view = gcs.membership.view
+    broadcast_sequentially(sim, gcs, nodes, 3)
+    for payload in ("m3", "m4", "m5"):
+        gcs.endpoint("s1").broadcast(payload)
+    sim.run(until=sim.now + 50.0)
+    assert dropped == [("s1", "s2"), ("s1", "s3")]
+    assert gcs.membership.view is view
     for node in nodes:
         assert delivered[node.name] == ["m0", "m1", "m2", "m3", "m4", "m5"]
 
