@@ -57,15 +57,16 @@ Catch-up is the per-member one of :mod:`repro.gcs.total_order`: a member
 reports its delivery horizon on ``ACK`` and on ``VC_STATE``, and a fill
 posts one ``SEQ`` per assignment of ``_assigned`` above the member's
 horizon, then one ``STABLE`` with the horizon the sequencer knows is
-stable.  So every view installation fills each member from its last
-report (a joiner from the lowest one on record), and an ``ACK`` whose
-``held`` falls short of its sequence (a ``SEQ`` below it was lost, or lies
-below the mark a joiner's state transfer installed) gets the assignments
-from its horizon up to that sequence; the member's ``ACK`` of the last
-one it lacked then reports all it holds.  A lost ``ACK`` needs no
-repair: the member's next one covers it.  A new sequencer holds only the assignments its
-takeover collected, and no follower keeps what it delivered, so a gap
-older than those stays open (ROADMAP ★24).
+stable.  An ``ACK`` whose ``held`` falls short of its sequence (a ``SEQ``
+below it was lost, or lies between the mark a rejoin installed and the
+first ``SEQ`` posted to the member after it) gets the assignments from
+its horizon up to that sequence; the member's ``ACK`` of the last one it
+lacked then reports all it holds.  A view installation fills no member:
+one the view kept or re-admitted shows what it lacks on its ``ACK`` of
+the next ``SEQ``.  A lost ``ACK`` needs no repair: the member's next one
+covers it.  A new sequencer holds only the assignments its takeover
+collected, and no follower keeps what it delivered, so a gap older than
+those stays open (ROADMAP ★24).
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ class FixedSequencerEngine(TotalOrderEngine):
                 self._post(self.KIND_DATA, coordinator, message.payload)
             return
         if self._collected and self._takeover_waiting is None:
-            return      # we stay sequencer: the view's fill caught members up
+            return      # we stay sequencer: members report what they lack
         # We just became the sequencer (or the view changed again before our
         # collection completed): collect the group's pending state so
         # assignments known to others survive the handoff.  Until a quorum
@@ -189,8 +190,7 @@ class FixedSequencerEngine(TotalOrderEngine):
         self._takeover_waiting = set(view.members)
         self._takeover_replies = set()
         self._stable_announced = 0
-        self._post_view(self.KIND_VC_REQUEST, {"view_id": view.view_id,
-                                               "from": self._delivered_seq})
+        self._post_view(self.KIND_VC_REQUEST, {"from": self._delivered_seq})
 
     def _on_excluded(self, view: Any) -> None:
         # Excluded while alive (partitioned away, not crashed): our

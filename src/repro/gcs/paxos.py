@@ -27,11 +27,11 @@ with Paxos over the same reliable-broadcast layer.
   with the fixed sequencer in :mod:`repro.gcs.total_order`): every member
   reports its delivery horizon to the leader, on ``PROMISE`` and
   piggybacked on ``ACCEPTED``, and a fill posts one ``LEARN`` per decided
-  slot of ``_chosen``.  A member whose ``PROMISE`` shows a gap gets the
-  decided slots above its horizon, point to point; every view
-  installation at the leader, and an ``ACCEPTED`` that shows a gap (a
-  slot learned above one not learned, or accepted above one neither
-  accepted nor learned), fill as the shared catch-up describes.  An
+  slot of ``_chosen``.  A member's ``PROMISE`` gets the decided slots
+  above its horizon, point to point, and an ``ACCEPTED`` that shows a
+  gap (a slot learned above one not learned, or accepted above one
+  neither accepted nor learned) fills as the shared catch-up describes;
+  a view installation at the leader fills no member.  An
   ``ACCEPTED`` also shows, to the leader that counts the answers, each
   earlier undecided slot of its ballot the member never answered: the
   leader posts that slot's ``ACCEPT`` to the member again.  A ``LEARN``
@@ -201,7 +201,6 @@ class MultiPaxosEngine(TotalOrderEngine):
         self._established = False
         self._prepare_votes = {}
         self._prepare_from = self._delivered_seq + 1
-        self._horizons = {}             # a new term: its PROMISEs report anew
         self.prepare_count += 1
         self._post_view(self.KIND_PREPARE, {"ballot": self._ballot,
                                             "from": self._prepare_from})
@@ -289,7 +288,6 @@ class MultiPaxosEngine(TotalOrderEngine):
             return
         member, horizon = payload["member"], payload["horizon"]
         if horizon is not None and member != self.member_name:
-            self._horizons[member] = horizon
             self._fill(member, horizon)
         if not self._preparing:
             return  # a late promise: its gap is filled, the ballot stands

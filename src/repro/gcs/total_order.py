@@ -44,15 +44,15 @@ Catch-up is per member, on both engines, and it is the one repair path for
 a lost ordering message, whether a crash, a split or a lossy link lost it.
 Every member reports its delivery horizon to the coordinator on the
 engine's acknowledgements (and on its answer to a leader change), and the
-coordinator keeps the last report of each view member.  Every view
-installation makes the coordinator fill every view member from its last
-report, point to point, and a joiner, which has none, from the lowest
-horizon the others reported.  Between view changes the evidence of a loss
-is the one fact a FIFO link gives: a member that holds an entry above one
-it lacks (:meth:`TotalOrderEngine._lacks_below`) lost that one, and says
-so on the acknowledgement of the entry it holds.  The coordinator then
-fills it from its horizon up to that entry, once per loss: only a report
-on an entry posted after that fill went out asks again.  A Multi-Paxos
+coordinator acts on each report as it arrives.  The evidence of a loss is
+the one fact a FIFO link gives: a member that holds an entry above one it
+lacks (:meth:`TotalOrderEngine._lacks_below`) lost that one, and says so
+on the acknowledgement of the entry it holds.  The coordinator then fills
+it, point to point, from the horizon that report carries up to that
+entry, once per loss: only a report on an entry posted after that fill
+went out asks again.  A view installation fills no member: one that
+stayed in the view, a re-admitted member and a joiner each show what they
+lack on the first entry posted to them after it.  A Multi-Paxos
 member answers in order, so its ``ACCEPTED`` of a slot also shows the
 leader every earlier undecided slot it never answered, and the leader
 posts it that ``ACCEPT`` again (a fixed-sequencer ``ACK`` is cumulative,
@@ -63,7 +63,8 @@ answer, since its last answer went out before the gap showed
 each entry).  The same evidence serves a member's own
 broadcasts: one ordered while an older one is not yet ordered means the
 older submission was lost, and the member submits it again.  A rejoining
-member reports no horizon until its rejoin installed one.  An engine supplies only its log of decided entries
+member reports no horizon until its rejoin installed one.  An engine
+supplies only its log of decided entries
 (:meth:`TotalOrderEngine._decided_log`), the highest entry it posted, and
 how a run of decided entries is posted to one member
 (:meth:`TotalOrderEngine._post_fill`); a member can be filled only from
@@ -242,13 +243,9 @@ class TotalOrderEngine:
         self._unsequenced: Dict[str, Any] = {}
         # Replies to this member's JOIN, while its rejoin waits for one.
         self._join_replies: Optional[Store] = None
-        # The delivery horizon each view member last reported to this member
-        # as coordinator; for a joiner not heard from yet, the horizon it was
-        # filled from.
-        self._horizons: Dict[str, int] = {}
         # Per member, the highest sequence posted when the gap it reported
-        # was last filled (a view's fill clears it): a report on an entry at
-        # or below it was sent before that fill could arrive.
+        # was last filled: a report on an entry at or below it was sent
+        # before that fill could arrive.
         self._refilled: Dict[str, int] = {}
         self._reset_engine_state()
         self._started = False
@@ -414,10 +411,7 @@ class TotalOrderEngine:
             # ordering authority we held is void in the new view — engines
             # that hold coordinator state must drop it here, or a later
             # rejoin re-asserts stale assignments over sequences the
-            # surviving majority has meanwhile given to other messages.  The
-            # views installed while it is out go unseen here, so none of the
-            # horizon reports it holds can be trusted when it is back.
-            self._horizons = {}
+            # surviving majority has meanwhile given to other messages.
             self._on_excluded(view)
             return
         coordinator = self.coordinator()
@@ -427,10 +421,6 @@ class TotalOrderEngine:
         # new) coordinator.
         for broadcast_id, payload in list(self._unsequenced.items()):
             self._submit(broadcast_id, payload, coordinator)
-        for member in [m for m in self._horizons if m not in view]:
-            del self._horizons[member]   # it left, and may rejoin with less
-        if coordinator == self.member_name:
-            self._fill_view(view)
         self._on_coordinator_change(view, coordinator)
 
     # ------------------------------------------------------------------ catch-up
@@ -455,19 +445,6 @@ class TotalOrderEngine:
         if entries:
             self._post_fill(member, entries)
 
-    def _fill_view(self, view: Any) -> None:
-        """A view was installed: fill every member from its last report, a
-        joiner from the lowest horizon the others reported (the first gap
-        it reports fills whatever its state transfer installed below
-        that)."""
-        floor = min([self._delivered_seq] +
-                    [self._horizons[m] for m in view.members
-                     if m in self._horizons])
-        self._refilled = {}
-        for member in view.members:
-            if member != self.member_name:
-                self._fill(member, self._horizons.setdefault(member, floor))
-
     def _lacks_below(self, entry: int) -> bool:
         """Whether this member, holding ``entry``, lacks an entry below it.
         Only the entry after the horizon is looked at: a gap above that
@@ -476,13 +453,12 @@ class TotalOrderEngine:
         return entry > lacking and lacking not in self._pending
 
     def _note_report(self, report: Dict[str, Any], entry: int = 0) -> None:
-        """Record a member's report.  One that shows a gap below ``entry``
+        """Act on a member's report.  One that shows a gap below ``entry``
         gets the entries from its horizon up to that entry, unless the gap
         was filled after ``entry`` was posted: that fill is on its way."""
         member, horizon = report["member"], report["horizon"]
         if horizon is None or member == self.member_name:
             return
-        self._horizons[member] = horizon
         if report["gap"] and entry > self._refilled.get(member, 0):
             self._refilled[member] = self._posted_up_to()
             self._fill(member, horizon, entry - 1)

@@ -232,10 +232,10 @@ def test_a_joiner_installs_the_delivery_its_checkpoint_reflects(engine):
     nodes[2].spawn(recovery())
     sim.run(until=60.0)
     assert installed == [1]
-    # A new broadcast is what makes a Multi-Paxos leader see the joiner's
-    # horizon (its first ACCEPTED report).  The fixed sequencer filled s3
-    # from the lowest horizon on record when the rejoin view was installed;
-    # the held message waits in s3's pending until the next SEQ arrives.
+    # A new broadcast is what makes the coordinator see the joiner's
+    # horizon, on either engine: s3's report on the first entry posted to
+    # it after the rejoin (its ACK or ACCEPTED) shows that it lacks the
+    # held message, and the coordinator fills it from that report.
     gcs.endpoint("s2").broadcast("m3")
     sim.run(until=100.0)
     release.succeed()
@@ -467,27 +467,20 @@ def test_follower_crash_does_not_replay_history_once_per_reply(
     assert len(survivors) == 8 and cluster.gcs.endpoint("s1").is_sequencer
     assigned = cluster.gcs.endpoint("s1")._next_seq - 1
     assert assigned >= 200
-    # The sequencer stays, and the view change fills each member from the
-    # horizon it last reported: it re-posts what was in flight at the
-    # crash, none of the history, and every SEQ after the crash is
-    # acknowledged once per member at most.
+    # The sequencer stays, and the view change posts nothing: no member
+    # lost a SEQ, so none reports a gap and none of the history, not even
+    # what was in flight at the crash, goes out again.  Every SEQ after the
+    # crash is acknowledged once per member at most.
     before = max(payload["sequence"] for at, kind, _, payload in sent
                  if kind == "ABCAST.SEQ" and at < crashed_at)
-    reported = {payload["member"]: payload["horizon"]
-                for at, kind, _, payload in sent
-                if kind == "ABCAST.ACK" and at < crashed_at}
     after = [(kind, destination, payload)
              for at, kind, destination, payload in sent if at >= crashed_at]
     reposted = [(destination, payload["sequence"])
                 for kind, destination, payload in after
                 if kind == "ABCAST.SEQ" and payload["sequence"] <= before]
-    assert reposted and all(reported[member] < sequence
-                            for member, sequence in reposted)
-    in_flight = before - min(reported[name] for name in survivors
-                             if name != "s1")
-    assert len(reposted) <= in_flight * 7
+    assert reposted == []
     acks = Counter(kind for kind, _, _ in after)["ABCAST.ACK"]
-    assert acks <= (assigned - before) * 9 + len(reposted)
+    assert acks <= (assigned - before) * 9
     assert all(cluster.gcs.endpoint(name)._delivered_seq == assigned
                for name in survivors)
     report = SafetyAudit(cluster).report(clients.results)
@@ -650,12 +643,11 @@ def follower_rejoin_after(broadcasts):
 
 def test_a_follower_rejoin_costs_the_same_after_k_and_4k_broadcasts():
     """The fixed sequencer stays through a follower's crash and rejoin, so
-    it collects no pending state after the first view change, and each
-    view change fills every member from the horizon on record: s2 gets,
-    at each, the entry it delivered after its last report, and s3 what its
-    state transfer left out.  So as many SEQs and ACKs are delivered after
-    25 broadcasts as after 100 (re-posting the whole history to the view
-    made both grow with it)."""
+    it collects no pending state after the first view change, and no view
+    change posts a SEQ: s3 shows what its state transfer left out on its
+    ACK of the first SEQ posted after its rejoin, and gets that.  So as
+    many SEQs and ACKs are delivered after 25 broadcasts as after 100
+    (re-posting the whole history to the view made both grow with it)."""
     runs = {count: follower_rejoin_after(count) for count in (25, 100)}
     for count, (kinds, deliveries, delivered, restarts, trace) in \
             runs.items():
@@ -671,7 +663,7 @@ def test_a_follower_rejoin_costs_the_same_after_k_and_4k_broadcasts():
             deliveries, "fixed-sequencer", restarts) == []
     short, long = runs[25][0], runs[100][0]
     for kind in ("ABCAST.SEQ", "ABCAST.ACK"):
-        assert short[kind] == long[kind] == 11, kind
+        assert short[kind] == long[kind] == 8, kind
 
 
 def cut_off_from_the_leader(engine, view_change):
@@ -742,10 +734,11 @@ def test_a_member_cut_off_from_the_leader_catches_up_at_a_view_change(
     and the link heals.  With no view change, the first entry posted after
     the heal shows s3 holding an entry above the ones it lacks: its
     acknowledgement says so, and the leader fills the gap.  A view change
-    that comes first fills exactly what s3 lacks: a new Multi-Paxos leader
-    from s3's PROMISE, or s1 — when a view drops the crashed s2, and again
-    when one re-adds it — from the horizon s3 last reported.  s3 then
-    delivers every entry, in order.  A new fixed sequencer holds only the
+    that comes first fills s3 only where it has evidence of the gap: a new
+    Multi-Paxos leader from s3's PROMISE; s1, through a view that drops
+    the crashed s2 (and one that re-adds it), posts nothing at the view
+    and fills s3 from its report on the first entry posted after it.  s3
+    then delivers every entry, in order.  A new fixed sequencer holds only the
     assignments its takeover collected, and no follower keeps what it
     delivered, so s3's gap stays open after a leader crash there (strict
     xfail)."""
@@ -981,11 +974,10 @@ def test_a_learn_lost_after_the_last_accepted_is_reported(monkeypatch):
 @pytest.mark.parametrize("engine", engine_names())
 def test_a_follower_excluded_alive_catches_up_from_its_first_report(engine):
     """A netsplit cuts s3 off, the heartbeat detector excludes it, and s1
-    and s2 decide 12 entries without it.  s3 kept its state, so when the
-    view re-adds it the leader holds no report of it and counts it at the
-    others' horizon; s3's first report (an ACCEPTED, or its ACK of what
-    that fill sent) shows its own, lower one, and the leader sends the
-    entries in between."""
+    and s2 decide 12 entries without it.  s3 kept its state, and the view
+    that re-adds it posts it nothing; its report on the first entry posted
+    to it after that (an ACCEPTED, or an ACK) shows its horizon, and the
+    leader sends the entries in between."""
     sim, lan, nodes, gcs = build_group(
         engine=engine, detector_mode="heartbeat",
         heartbeat_period=10.0, heartbeat_timeout=50.0)
@@ -1001,10 +993,8 @@ def test_a_follower_excluded_alive_catches_up_from_its_first_report(engine):
     lan.remove_fault("cut-s3")
     sim.run(until=sim.now + 100.0)
     assert gcs.membership.view.members == ("s1", "s2", "s3")
-    # A Multi-Paxos member first reports on the ACCEPTED of the next slot;
-    # a fixed-sequencer one on its ACK of the fill the view re-add sent it.
-    assert len(delivered["s3"]) == {"multi-paxos": 6,
-                                    "fixed-sequencer": 18}[engine]
+    # Nothing was posted to s3 since the re-add, so it has reported no gap.
+    assert len(delivered["s3"]) == 6
 
     broadcast_sequentially(sim, gcs, nodes[:2], 2)
     assert delivered["s3"] == delivered["s1"]
@@ -1052,22 +1042,21 @@ def test_a_rejoined_leader_leads_phase_1_from_the_horizon_it_installed():
     promised = [slot for _, kind, _, payload in sent
                 if kind == "PAXOS.PROMISE" for slot in payload["accepted"]]
     assert promised == []
-    # The new proposal is the only slot accepted; the view that re-added
-    # s1 refilled only slot 7, whose LEARN no report had covered yet.
+    # The new proposal is the only slot accepted and the only one learned:
+    # the view that re-added s1 posted no LEARN.
     assert kinds_sent(sent)["PAXOS.ACCEPT"] == len(nodes)
     learned = {payload["slot"] for _, kind, _, payload in sent
                if kind == "PAXOS.LEARN"}
-    assert learned == {7, 8}
+    assert learned == {8}
 
 
 @pytest.mark.parametrize("engine", engine_names())
 def test_a_rejoining_member_reports_no_horizon_until_it_installed_one(
         engine):
     """s3 rejoins while its JOIN crawls to its peers; it takes a new entry
-    meanwhile, and its reports (its ACCEPTED of it, or its ACKs of the fill
-    and of it) carry no horizon (its empty state is not one), so the leader
-    sends it no history: the rejoin view's fill from the lowest horizon on
-    record, and the new entry."""
+    meanwhile, and its report on it (its ACCEPTED or its ACK) carries no
+    horizon (its empty state is not one), so the leader sends it no
+    history: the new entry only."""
     report_kinds, post_kind, key = CATCH_UP_KINDS[engine]
     sim, lan, nodes, gcs = build_group(engine=engine)
     delivered = {node.name: [] for node in nodes}
@@ -1091,8 +1080,61 @@ def test_a_rejoining_member_reports_no_horizon_until_it_installed_one(
     assert delivered["s1"][-1] == delivered["s2"][-1] == "while-s3-rejoins"
     reports = [payload["horizon"] for _, kind, _, payload in sent
                if kind in report_kinds and payload["member"] == "s3"]
-    assert reports == {"multi-paxos": [None],
-                       "fixed-sequencer": [None, None]}[engine]
+    assert reports == [None]
     to_s3 = sorted(payload[key] for _, kind, destination, payload in sent
                    if kind == post_kind and destination == "s3")
-    assert to_s3 == [10, 11]
+    assert to_s3 == [11]
+
+
+@pytest.mark.parametrize("engine", engine_names())
+def test_a_view_installation_posts_nothing(engine):
+    """s2 crashes and later rejoins.  Neither view the two changes install
+    makes the coordinator post an ordering message in that instant: a
+    member shows what it lacks on its report of the next entry posted to
+    it, so a view has nothing to repair.  A fill at the view would re-post
+    to s3 the entry it delivered after its last report, since a member
+    reports its horizon before it delivers the entry it acknowledges.
+    Every member ends with the same deliveries."""
+    sim, lan, nodes, gcs = build_group(engine=engine)
+    delivered = {node.name: [] for node in nodes}
+    attach_consumers(sim, gcs, nodes, delivered)
+    posted = []
+    for node in nodes:
+        rb = gcs.endpoint(node.name).rb
+        send, broadcast = rb.send, rb.broadcast
+
+        def recording_send(message, send=send):
+            posted.append((sim.now, message.kind, message.destination))
+            send(message)
+
+        def recording_broadcast(message, destinations, broadcast=broadcast):
+            posted.append((sim.now, message.kind, message.destination))
+            broadcast(message, destinations)
+
+        rb.send, rb.broadcast = recording_send, recording_broadcast
+    broadcast_sequentially(sim, gcs, nodes, 6)
+    nodes[1].crash()
+    sim.run(until=sim.now + 20.0)
+    broadcast_sequentially(sim, gcs, [nodes[0], nodes[2]], 2)
+    nodes[1].recover()
+    delivered["s2"] = []
+
+    def rejoin():
+        yield from gcs.endpoint("s2").recover(rejoin_timeout=20.0)
+        attach_consumers(sim, gcs, [nodes[1]], delivered)
+
+    nodes[1].spawn(rejoin())
+    sim.run(until=sim.now + 20.0)
+    broadcast_sequentially(sim, gcs, nodes, 3)
+
+    views = gcs.membership.history[1:]
+    assert [view.members for view in views] == [("s1", "s3"),
+                                                 ("s1", "s2", "s3")]
+    ordering = {"ABCAST.SEQ", "ABCAST.STABLE", "PAXOS.ACCEPT", "PAXOS.LEARN"}
+    installed_at = {view.installed_at for view in views}
+    assert [post for post in posted
+            if post[0] in installed_at and post[1] in ordering] == []
+    assert delivered["s1"] == delivered["s3"]
+    assert len(delivered["s1"]) == 11
+    assert delivered["s2"] == delivered["s1"][-3:]
+    assert {gcs.endpoint(node.name)._delivered_seq for node in nodes} == {11}
