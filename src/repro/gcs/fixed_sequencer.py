@@ -61,12 +61,16 @@ stable.  An ``ACK`` whose ``held`` falls short of its sequence (a ``SEQ``
 below it was lost, or lies between the mark a rejoin installed and the
 first ``SEQ`` posted to the member after it) gets the assignments from
 its horizon up to that sequence; the member's ``ACK`` of the last one it
-lacked then reports all it holds.  A view installation fills no member:
-one the view kept or re-admitted shows what it lacks on its ``ACK`` of
-the next ``SEQ``.  A lost ``ACK`` needs no repair: the member's next one
-covers it.  A new sequencer holds only the assignments its takeover
-collected, and no follower keeps what it delivered, so a gap older than
-those stays open (ROADMAP ★24).
+lacked then reports all it holds.  A ``VC_STATE`` gets the stable
+assignments above what its member holds.  A view installation fills no
+member: one the view kept shows what it lacks on its ``ACK`` of the next
+``SEQ``.  One the view re-admits after excluding it alive posts its
+``VC_STATE`` to the sequencer at once, unasked: nothing was posted to it
+while it was out, and only the sequencer holds what was assigned
+meanwhile.  A lost ``ACK`` needs no repair: the member's next one covers
+it.  A new sequencer holds only the assignments its takeover collected,
+and no follower keeps what it delivered, so a gap older than those stays
+open (ROADMAP ★24).
 """
 
 from __future__ import annotations
@@ -113,6 +117,9 @@ class FixedSequencerEngine(TotalOrderEngine):
         # Whether this member collected the group's pending state since it
         # last became sequencer.
         self._collected = False
+        # Whether this member was excluded from a view while alive and has
+        # not been in one since.
+        self._excluded = False
         # Sequencer-only state.
         self._next_seq = 1
         self._assigned: Dict[int, _PendingMessage] = {}
@@ -169,6 +176,7 @@ class FixedSequencerEngine(TotalOrderEngine):
             self._post(self.KIND_SEQ, member, seq)
 
     def _on_coordinator_change(self, view: Any, coordinator: str) -> None:
+        readmitted, self._excluded = self._excluded, False
         if coordinator != self.member_name:
             # Someone else sequences now; anything buffered during an
             # abandoned takeover of ours belongs to them.
@@ -177,6 +185,10 @@ class FixedSequencerEngine(TotalOrderEngine):
             buffered, self._takeover_buffer = self._takeover_buffer, []
             for message in buffered:
                 self._post(self.KIND_DATA, coordinator, message.payload)
+            if readmitted:
+                # Nothing was posted to us while we were out, and only the
+                # sequencer holds what it assigned meanwhile: report now.
+                self._post_state(coordinator, self._delivered_seq)
             return
         if self._collected and self._takeover_waiting is None:
             return      # we stay sequencer: members report what they lack
@@ -207,6 +219,7 @@ class FixedSequencerEngine(TotalOrderEngine):
                     entry.broadcast_id not in self._delivered_ids:
                 self._unsequenced.setdefault(entry.broadcast_id,
                                              entry.payload)
+        self._excluded = True
         self._pending.clear()
         self._assigned = {}
         self._acked = {}
@@ -304,16 +317,19 @@ class FixedSequencerEngine(TotalOrderEngine):
 
     # ------------------------------------------------------------------ sequencer handoff
     def _on_vc_request(self, message: Message) -> None:
-        # What this member holds undelivered, and the assignments above the
-        # collector's horizon it announced stable itself as sequencer (one
-        # its stable horizon covers but it never announced may have been
-        # given to another message since).
+        self._post_state(message.sender, message.payload["from"])
+
+    def _post_state(self, sequencer: str, above: int) -> None:
+        # What this member holds undelivered, and the assignments above
+        # ``above`` it announced stable itself as sequencer (one its stable
+        # horizon covers but it never announced may have been given to
+        # another message since).
         held = {seq: entry for seq, entry in self._assigned.items()
-                if message.payload["from"] < seq <= self._stable_announced}
+                if above < seq <= self._stable_announced}
         held.update(self._pending)
         pending = {seq: (entry.broadcast_id, entry.payload, entry.sender)
                    for seq, entry in held.items()}
-        self._post(self.KIND_VC_STATE, message.sender,
+        self._post(self.KIND_VC_STATE, sequencer,
                    {"pending": pending, "delivered_seq": self._delivered_seq,
                     "stable_up_to": self._stable_up_to, **self._report()})
 
@@ -321,7 +337,6 @@ class FixedSequencerEngine(TotalOrderEngine):
         if not self.is_sequencer:
             return
         payload = message.payload
-        self._note_report(payload)
         learned = []
         for sequence, (broadcast_id, data, origin) in payload["pending"].items():
             if sequence not in self._assigned:
@@ -340,6 +355,13 @@ class FixedSequencerEngine(TotalOrderEngine):
         self._next_seq = max(self._next_seq, highest_known + 1)
         self._stable_up_to = max(self._stable_up_to,
                                  min(payload["stable_up_to"], highest_known))
+        # The member lacks every stable assignment above what it holds.
+        member, held = payload["member"], payload["horizon"]
+        if held is not None and member != self.member_name:
+            while held + 1 in payload["pending"]:
+                held += 1
+            self._fill(member, held,
+                       max(self._stable_up_to, self._stable_announced))
         # Re-propagate what this reply taught us so that all members can
         # (re-)acknowledge it; receivers ignore what they already delivered.
         for sequence in sorted(learned):

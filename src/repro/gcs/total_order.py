@@ -52,7 +52,9 @@ it, point to point, from the horizon that report carries up to that
 entry, once per loss: only a report on an entry posted after that fill
 went out asks again.  A view installation fills no member: one that
 stayed in the view, a re-admitted member and a joiner each show what they
-lack on the first entry posted to them after it.  A Multi-Paxos
+lack on the first entry posted to them after it (a fixed-sequencer member
+re-admitted after an exclusion reports at once: only its sequencer holds
+what it lacks).  A Multi-Paxos
 member answers in order, so its ``ACCEPTED`` of a slot also shows the
 leader every earlier undecided slot it never answered, and the leader
 posts it that ``ACCEPT`` again (a fixed-sequencer ``ACK`` is cumulative,
@@ -411,7 +413,9 @@ class TotalOrderEngine:
             # ordering authority we held is void in the new view — engines
             # that hold coordinator state must drop it here, or a later
             # rejoin re-asserts stale assignments over sequences the
-            # surviving majority has meanwhile given to other messages.
+            # surviving majority has meanwhile given to other messages.  A
+            # later tenure marks its own refills.
+            self._refilled = {}
             self._on_excluded(view)
             return
         coordinator = self.coordinator()

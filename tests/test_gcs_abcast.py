@@ -971,13 +971,9 @@ def test_a_learn_lost_after_the_last_accepted_is_reported(monkeypatch):
     assert trace.check_uniform_agreement(["s1", "s2", "s3"])
 
 
-@pytest.mark.parametrize("engine", engine_names())
-def test_a_follower_excluded_alive_catches_up_from_its_first_report(engine):
-    """A netsplit cuts s3 off, the heartbeat detector excludes it, and s1
-    and s2 decide 12 entries without it.  s3 kept its state, and the view
-    that re-adds it posts it nothing; its report on the first entry posted
-    to it after that (an ACCEPTED, or an ACK) shows its horizon, and the
-    leader sends the entries in between."""
+def excluded_alive_and_readmitted(engine):
+    """A netsplit cuts s3 off, the heartbeat detector excludes it, s1 and
+    s2 decide 12 entries without it, and the view re-adds it."""
     sim, lan, nodes, gcs = build_group(
         engine=engine, detector_mode="heartbeat",
         heartbeat_period=10.0, heartbeat_timeout=50.0)
@@ -993,8 +989,23 @@ def test_a_follower_excluded_alive_catches_up_from_its_first_report(engine):
     lan.remove_fault("cut-s3")
     sim.run(until=sim.now + 100.0)
     assert gcs.membership.view.members == ("s1", "s2", "s3")
-    # Nothing was posted to s3 since the re-add, so it has reported no gap.
-    assert len(delivered["s3"]) == 6
+    return sim, nodes, gcs, obs, delivered, deliveries
+
+
+@pytest.mark.parametrize("engine", engine_names())
+def test_a_follower_excluded_alive_catches_up_from_its_first_report(engine):
+    """s3 was excluded alive and kept its state, and the view that re-adds
+    it posts it nothing.  On Multi-Paxos its report on the first entry
+    posted to it after that (an ACCEPTED) shows its horizon; a
+    fixed-sequencer follower reports it (a VC_STATE) as the view re-adds
+    it, since only the sequencer holds the entries it lacks.  The leader
+    sends the entries in between."""
+    sim, nodes, gcs, obs, delivered, deliveries = \
+        excluded_alive_and_readmitted(engine)
+    # Nothing was posted to s3 since the re-add: only a fixed-sequencer
+    # follower has reported its horizon.
+    assert len(delivered["s3"]) == {"fixed-sequencer": 18,
+                                    "multi-paxos": 6}[engine]
 
     broadcast_sequentially(sim, gcs, nodes[:2], 2)
     assert delivered["s3"] == delivered["s1"]
@@ -1003,6 +1014,29 @@ def test_a_follower_excluded_alive_catches_up_from_its_first_report(engine):
     assert trace.check_total_order() and trace.check_integrity()
     assert trace.check_uniform_agreement(["s1", "s2", "s3"])
     assert posts_at_or_below_a_reported_horizon(deliveries, engine) == []
+
+
+@pytest.mark.parametrize("engine", engine_names())
+def test_a_readmitted_follower_catches_up_though_the_leader_crashes(engine):
+    """s3 was excluded alive while s1 and s2 decided 12 entries, and is
+    re-added; s1 then crashes before anything else is broadcast.  On the
+    fixed sequencer only s1 held those 12 entries, so s3 got them from the
+    report it made as the view re-added it; on Multi-Paxos the new leader
+    s2 fills s3 from its PROMISE.  Both survivors deliver every entry, and
+    the group goes on delivering."""
+    sim, nodes, gcs, obs, delivered, _deliveries = \
+        excluded_alive_and_readmitted(engine)
+    nodes[0].crash()
+    sim.run(until=sim.now + 100.0)
+    assert gcs.membership.view.members == ("s2", "s3")
+
+    broadcast_sequentially(sim, gcs, nodes[1:], 2)
+    sim.run(until=sim.now + 50.0)
+    assert len(delivered["s2"]) == 20
+    assert delivered["s3"] == delivered["s2"]
+    trace = broadcast_trace(obs)
+    assert trace.check_total_order() and trace.check_integrity()
+    assert trace.check_uniform_agreement(["s2", "s3"])
 
 
 def test_a_rejoined_leader_leads_phase_1_from_the_horizon_it_installed():

@@ -219,10 +219,7 @@ GOLDEN = {
     # Re-pinned once more for a protocol change (old → new in CHANGES.md):
     # phase 1 starts at the new leader's delivery horizon and a view change
     # re-posts no history, so fewer ACCEPT, ACCEPTED and LEARN messages are
-    # sent; ``(committed, responded)`` did not move.  Re-pinned once more
-    # (old → new in CHANGES.md) when a view installation stopped filling
-    # members from their last reports: two LEARNs fewer; every reply
-    # (index, response time, committed) is unchanged.
+    # sent; ``(committed, responded)`` did not move.
     "paxos-heartbeat-crash": dict(
         technique="group-safe", engine="multi-paxos", detector="heartbeat",
         crash=True, log_time=0.0,
@@ -240,8 +237,7 @@ GOLDEN = {
 #: 23 → 25); the crash-free run below kept every count.  The per-member
 #: catch-up moved only the kinds it names (ACCEPT / ACCEPTED 107 → 65:
 #: phase 1 re-proposes no delivered slot; LEARN 149 → 67: no view change
-#: re-posts the chosen slots); every other kind kept its count.  Dropping
-#: the view installation's fill moved LEARN alone, 67 → 65.
+#: re-posts the chosen slots); every other kind kept its count.
 HEARTBEAT_SCENARIO_DELIVERIES = {
     "ABCAST.JOIN": 3, "ABCAST.JOIN_REPLY": 2, "PAXOS.ACCEPT": 65,
     "PAXOS.ACCEPTED": 65, "PAXOS.LEARN": 65, "PAXOS.NACK": 2,

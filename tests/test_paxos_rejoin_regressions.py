@@ -335,7 +335,6 @@ def test_known_failure_signatures_do_not_grow(replay_follower_run,
     have: a change that makes a bug bigger (or smaller) fails here and must
     re-pin the signature knowingly.  The fix of a bug deletes its line here
     together with its xfail marker."""
-    # 78 → 76 missing when a view installation stopped filling members.
     assert replay_follower_run == (76, 100)
     assert replay_coordinator_runs == {2: (63, 99), 11: (65, 100)}
     # The fixed sequencer's unfilled gap: s3 delivers 6 of 22 messages.
