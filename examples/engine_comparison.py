@@ -6,10 +6,11 @@ parameter (``SimulationParameters.broadcast_engine``).  This example runs
 the identical 30-transaction workload over every engine twice —
 once undisturbed, once crashing the initial coordinator/leader mid-run —
 and prints committed counts, mean response time and message cost side by
-side.  On a quiet LAN the two commit the same transactions at comparable
-latency; their message economies differ, and under leader loss Multi-Paxos
-rides through via ballot changeover while the sequencer re-routes through a
-view change.
+side.  Both names run one ordering engine under two leader policies (the
+view's primary, or Omega from the failure detector), so on a quiet LAN they
+commit the same transactions with the same message bill; under leader loss
+the sequencer changes with the view, and Multi-Paxos's leader with the
+detector.
 
 Run it with::
 
@@ -79,8 +80,8 @@ def main() -> None:
         ("engine", "scenario", "committed/responded", "mean response",
          "LAN messages"),
         rows))
-    print("\nSame techniques, same workload, same seed — only the ordering"
-          "\nprotocol differs.  Select an engine with"
+    print("\nSame techniques, same workload, same seed — only the leader"
+          "\npolicy differs.  Select an engine with"
           "\nSimulationParameters.broadcast_engine or the CLIs' --engine.")
 
 

@@ -2,8 +2,9 @@
 
 The package is a layered protocol stack matching
 :data:`repro.core.layers.LAYER_ORDER`: a reliable-broadcast layer over the
-LAN, a perfect failure detector, two total-order engines (fixed
-sequencer and Multi-Paxos, selected through :mod:`repro.gcs.engines`),
+LAN, a perfect failure detector, one total-order engine under two leader
+policies (fixed sequencer and Multi-Paxos, selected through
+:mod:`repro.gcs.engines`),
 view-based membership, and the stable message log used for log-based
 recovery (handed to an engine as its ``journal``, it makes the broadcast
 end-to-end).  An engine moves a checkpoint for state transfer as opaque

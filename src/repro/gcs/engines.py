@@ -2,17 +2,20 @@
 
 The replication techniques are written against the
 :class:`~repro.gcs.total_order.TotalOrderEngine` endpoint surface and never
-name an ordering protocol; which protocol runs underneath is selected by
-name through :data:`ENGINES` — ``SimulationParameters.broadcast_engine`` /
-the ``--engine`` flag of the experiment CLIs end up here.
+name an ordering protocol.  There is one: Multi-Paxos with a cumulative
+decision, in :class:`~repro.gcs.total_order.TotalOrderEngine`; a name in
+:data:`ENGINES` selects its leader policy and message kinds —
+``SimulationParameters.broadcast_engine`` / the ``--engine`` flag of the
+experiment CLIs end up here.
 
 ``fixed-sequencer`` (default)
-    The classical LAN scheme of the seed
+    The classical LAN scheme of the seed: the leader is the view's primary
     (:class:`~repro.gcs.fixed_sequencer.FixedSequencerEngine`);
-    bit-identical event schedules to the pre-decomposition code.
+    bit-identical failure-free event schedules to the pre-decomposition
+    code.
 ``multi-paxos``
-    Per-slot prepare/accept/learn Multi-Paxos with the leader read off the
-    failure detector (:class:`~repro.gcs.paxos.MultiPaxosEngine`).
+    The leader is Ω, read off the failure detector
+    (:class:`~repro.gcs.paxos.MultiPaxosEngine`).
 """
 
 from __future__ import annotations
@@ -30,10 +33,10 @@ DEFAULT_ENGINE = "fixed-sequencer"
 ENGINES: Dict[str, Tuple[Type[TotalOrderEngine], str]] = {
     "fixed-sequencer": (
         FixedSequencerEngine,
-        "fixed sequencer with explicit stability (the seed scheme)"),
+        "leader is the view's primary: the fixed sequencer (the seed scheme)"),
     "multi-paxos": (
         MultiPaxosEngine,
-        "per-slot Multi-Paxos, leader from the failure detector"),
+        "leader is Omega, from the failure detector: Multi-Paxos"),
 }
 
 

@@ -1,18 +1,20 @@
-"""Total-order broadcast engines: shared machinery and the engine contract.
+"""Total-order broadcast: one ordering engine under two leader policies.
 
 The paper's replication techniques are written against *atomic broadcast*
 (Sect. 2.3) and do not care how the total order is produced.  This module
 captures exactly that boundary: :class:`TotalOrderEngine` is the per-member
 endpoint the application sees (``broadcast`` / ``deliveries`` /
-``acknowledge`` / ``recover``), plus everything every ordering protocol
-needs — the served delivery queue, duplicate suppression, the JOIN rejoin
-exchange, the per-member catch-up, and the optional end-to-end delivery
-journal — while the ordering protocol itself lives in a subclass:
+``acknowledge`` / ``recover``), plus the one ordering protocol under it —
+Multi-Paxos with a cumulative decision — and everything around it: the
+served delivery queue, duplicate suppression, the JOIN rejoin exchange, the
+per-member catch-up and the optional end-to-end delivery journal.  A
+subclass names only its leader policy and its message kinds:
 
-* :class:`repro.gcs.fixed_sequencer.FixedSequencerEngine` — the classical
-  fixed-sequencer scheme (the seed behaviour, bit-identical schedules);
-* :class:`repro.gcs.paxos.MultiPaxosEngine` — per-slot accept/learn
-  Multi-Paxos with the leader taken from the failure detector.
+* :class:`repro.gcs.fixed_sequencer.FixedSequencerEngine` — the leader is
+  the view's primary: the classical fixed sequencer, whose failure-free
+  schedule is the seed's, bit for bit;
+* :class:`repro.gcs.paxos.MultiPaxosEngine` — the leader is Ω, the
+  lowest-ranked member the failure detector trusts.
 
 Engines sit *below* the membership layer in the stack
 (:data:`repro.core.layers.LAYER_ORDER`), so they must not call upward into
@@ -40,44 +42,59 @@ joiner through the ordering protocol.  With the journal ``have_up_to`` is the
 highest logged sequence, and a peer answers with its logged deliveries above
 it.
 
-Catch-up is per member, on both engines, and it is the one repair path for
-a lost ordering message, whether a crash, a split or a lossy link lost it.
-Every member reports its delivery horizon to the coordinator on the
-engine's acknowledgements (and on its answer to a leader change), and the
-coordinator acts on each report as it arrives.  The evidence of a loss is
-the one fact a FIFO link gives: a member that holds an entry above one it
-lacks (:meth:`TotalOrderEngine._lacks_below`) lost that one, and says so
-on the acknowledgement of the entry it holds.  The coordinator then fills
-it, point to point, from the horizon that report carries up to that
-entry, once per loss: only a report on an entry posted after that fill
-went out asks again.  A view installation fills no member: one that
-stayed in the view, a re-admitted member and a joiner each show what they
-lack on the first entry posted to them after it (a fixed-sequencer member
-re-admitted after an exclusion reports at once: only its sequencer holds
-what it lacks).  A Multi-Paxos
-member answers in order, so its ``ACCEPTED`` of a slot also shows the
-leader every earlier undecided slot it never answered, and the leader
-posts it that ``ACCEPT`` again (a fixed-sequencer ``ACK`` is cumulative,
-so the next one covers a lost one).  A member that learns an entry
-above one it answered but never learned reports the gap with a fresh
-answer, since its last answer went out before the gap showed
-(Multi-Paxos; a fixed-sequencer member learns the stable horizon, not
-each entry).  The same evidence serves a member's own
-broadcasts: one ordered while an older one is not yet ordered means the
-older submission was lost, and the member submits it again.  A rejoining
-member reports no horizon until its rejoin installed one.  An engine
-supplies only its log of decided entries
-(:meth:`TotalOrderEngine._decided_log`), the highest entry it posted, and
-how a run of decided entries is posted to one member
-(:meth:`TotalOrderEngine._post_fill`); a member can be filled only from
-what its coordinator's log holds.
+Ordering (fixed-policy kind names first, Multi-Paxos's second).  A
+broadcast is submitted to the leader (``DATA`` / ``PROPOSE``), which gives
+it the next sequence number and posts it to the view with its ballot
+(``SEQ`` / ``ACCEPT``).  Every member keeps what it accepted, with the
+ballot that assigned it, and answers (``ACK`` / ``ACCEPTED``) with
+``held``: the highest sequence it holds with every one below it, counting
+what it delivered and only the entries of that ballot.  Once a quorum
+(majority of the static group) holds a sequence, the leader posts the
+decision ``up_to`` (``STABLE`` / ``LEARN``) once; it is cumulative, so a
+later one subsumes an earlier one.  A member delivers, in order, each entry
+at or below the decision that it holds at the decision's ballot, so an
+entry an older leader assigned is never delivered over a newer one's.  A
+broadcast to N members therefore costs 1 + N + N + at most N = 3N + 1
+messages in a quiet run, and delivery is uniform: no member delivers what
+the crash of a minority could lose.
+
+Leader change.  A new leader claims a higher ballot and collects from its
+own delivery horizon: ``PREPARE(ballot, from)`` / ``PROMISE``
+(``VC_REQUEST`` / ``VC_STATE``), each promise carrying what its member
+accepted from there on.  Once a quorum promised, the leader posts at its
+ballot, per sequence, the entry of the highest ballot any promise carried,
+and a no-op for a sequence no promise carried above every promiser's
+horizon (Lamport, *Paxos Made Simple*, 2001, §3); a no-op is never handed
+up.  Nothing is assigned before then: submissions wait.  On a fresh start
+the first leader holds the first ballot without a collection, since nobody
+holds anything yet; a rejoin or an exclusion never re-establishes a ballot
+without one, and a rejoining leader collects once its rejoin installed a
+horizon.  Each policy says how a ballot is claimed
+(:meth:`TotalOrderEngine._new_ballot`); a member that promised a ballot
+ignores a lower one (Multi-Paxos answers it with a ``NACK``).
+
+Catch-up is per member, and it is the one repair path for a lost ordering
+message, whether a crash, a split, a lossy link or a takeover lost it.  A
+member's answer that holds less than the entry it answers (``held <
+entry``) shows a loss: a lost post, an entry an older leader assigned, a
+gap older than the leader's tenure, what a state transfer left out.  The
+leader then posts that member, point to point, each entry of its log from
+``held`` up to that entry at its own ballot, then its decision, once per
+loss: only an answer on an entry posted after that fill asks again.  A view
+installation fills no member.  A lost answer needs no repair (the next one
+covers it), nor does a lost decision (the next one subsumes it).  The same
+evidence serves a member's own broadcasts: one delivered while an older one
+is not yet means the older submission was lost or its entry superseded, and
+the member submits it again.  A rejoining member reports no horizon until
+its rejoin installed one, and a member can be filled only from what its
+leader's log holds.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from ..core.layers import implements, uses
 from ..network.dispatch import Dispatcher
@@ -107,6 +124,11 @@ class _PendingMessage:
     broadcast_id: str
     payload: Any
     sender: str
+
+
+#: An accepted entry: the ballot that assigned it, and the message (``None``
+#: for a no-op).
+_Accepted = Tuple[int, Optional[_PendingMessage]]
 
 
 def _broadcast_number(broadcast_id: str) -> int:
@@ -139,11 +161,16 @@ class MembershipPort:
 @implements("total_order")
 @uses("reliable_broadcast")
 class TotalOrderEngine:
-    """Base class: the endpoint surface shared by every ordering engine."""
+    """Base class: the endpoint and the ordering protocol; a subclass names
+    its leader policy and its message kinds."""
 
-    #: Message-kind namespace shared by every engine on the dispatcher.
     KIND_JOIN = "ABCAST.JOIN"
     KIND_JOIN_REPLY = "ABCAST.JOIN_REPLY"
+    #: The policy's kinds: a submission to the leader, the leader's post of
+    #: an entry, a member's answer, the decision, the collection's request
+    #: and its answer.
+    KIND_SUBMIT = KIND_ORDER = KIND_ANSWER = KIND_DECIDE = ""
+    KIND_PREPARE = KIND_PROMISE = ""
 
     def __init__(self, sim: Simulator, node: Node, dispatcher: Dispatcher,
                  broadcast_layer: ReliableBroadcastLayer, group: MembershipPort,
@@ -159,8 +186,8 @@ class TotalOrderEngine:
         #: Stable message log of the end-to-end composition, or ``None``
         #: for the classical primitive.
         self.journal = journal
-        #: The group's failure detector, for engines that take their leader
-        #: from it (the fixed sequencer takes its coordinator from the view).
+        #: The group's failure detector, for a policy that takes its leader
+        #: from it (the fixed policy takes it from the view).
         self.failure_detector = failure_detector
         #: Deliveries ready for the application (A-deliver), in total order.
         self.deliveries: Store = Store(sim, name=f"{self.member_name}.deliveries")
@@ -174,82 +201,70 @@ class TotalOrderEngine:
         # True while a rejoin has not installed a horizon yet (a JOIN reply,
         # or the journal and its catch-up): this member has none to report.
         self._rejoining = False
-        self._register_base_handlers()
-        self._register_engine_handlers()
+        self._register_handlers()
         self.node.add_listener(self._on_node_event)
         self._reset_volatile()
+        # A fresh start: nobody holds anything yet, so the first leader
+        # holds the first ballot without a collection.
+        self._established = self.is_sequencer
 
         #: Statistics.
         self.broadcast_count = 0
         self.delivered_count = 0
         self.ack_count = 0
         self.replayed_count = 0
+        self.prepare_count = 0
 
-    # ------------------------------------------------------------------ engine contract
+    # ------------------------------------------------------------------ leader policy
     def coordinator(self) -> Optional[str]:
         """The member new broadcasts should be submitted to (or ``None``)."""
         raise NotImplementedError
 
-    def _register_engine_handlers(self) -> None:
-        """Register the engine's own message kinds on the dispatcher."""
+    def _new_ballot(self) -> int:
+        """A ballot higher than any this member promised or led, that no
+        other member can claim."""
         raise NotImplementedError
 
-    def _reset_engine_state(self) -> None:
-        """Drop the engine's volatile ordering state."""
-        raise NotImplementedError
-
-    def _submit(self, broadcast_id: str, payload: Any, target: str) -> None:
-        """Ship an unordered message to ``target`` for sequencing."""
-        raise NotImplementedError
-
-    def _deliverable_up_to(self) -> float:
-        """Highest sequence currently safe to A-deliver."""
-        raise NotImplementedError
-
-    def _decided_log(self) -> Dict[int, Any]:
-        """Every entry this member knows is decided, by sequence: what a
-        member that lacks it may be sent."""
-        raise NotImplementedError
-
-    def _post_fill(self, member: str, entries: List[Tuple[int, Any]]) -> None:
-        """Post ``member`` the decided ``(sequence, entry)`` pairs, in
-        order, point to point."""
-        raise NotImplementedError
-
-    def _posted_up_to(self) -> int:
-        """Highest sequence this member, as coordinator, has posted to the
-        view for ordering."""
-        raise NotImplementedError
-
-    def _on_coordinator_change(self, view: Any, coordinator: str) -> None:
-        """React to a view change (run a takeover protocol if needed)."""
-        raise NotImplementedError
-
-    def _on_excluded(self, view: Any) -> None:
-        """React to being excluded from ``view`` while the node is alive.
-
-        Only reached through a false (or partition-induced) suspicion: a
-        crash resets the endpoint via the node listener before any view
-        excluding it is installed.  The default keeps all state — engines
-        whose ordering authority must not survive exclusion override this.
-        """
+    def _refuse(self, sender: str, ballot: int) -> None:
+        """``sender`` posted for ``ballot``, below this member's promise:
+        ignore it (a policy may tell the sender)."""
 
     # ------------------------------------------------------------------ state
     def _reset_volatile(self) -> None:
         """(Re)initialise every piece of state that does not survive a crash."""
         self.rb.reset()
         self._ready: Store = Store(self.sim, name=f"{self.member_name}.ready")
-        self._pending: Dict[int, _PendingMessage] = {}
         self._delivered_seq = 0
         self._delivered_ids: Set[str] = set()
         self._unsequenced: Dict[str, Any] = {}
         # Replies to this member's JOIN, while its rejoin waits for one.
         self._join_replies: Optional[Store] = None
+        # Acceptor state: the highest ballot promised, what was accepted (by
+        # sequence, delivered entries included) and the latest decision
+        # ``(ballot, up_to)``.
+        self._promised = 0
+        self._log: Dict[int, _Accepted] = {}
+        self._decided = (0, 0)
+        # Leader state: the ballot led, and whether it is established (its
+        # collection done) or collecting from ``_prepare_from``.
+        self._ballot = 0
+        self._established = False
+        self._preparing = False
+        self._prepare_from = 1
+        self._promises: Dict[str, Dict[str, Any]] = {}
+        self._next_seq = 1
+        # The broadcast ids this tenure gave a sequence, and the submissions
+        # waiting for its collection.
+        self._assigned_ids: Set[str] = set()
+        self._backlog: Dict[str, _PendingMessage] = {}
+        # Per member, the highest ``held`` its answers reported at this
+        # ballot, and the highest decision posted.
+        self._acked: Dict[str, int] = {}
+        self._announced = 0
         # Per member, the highest sequence posted when the gap it reported
         # was last filled: a report on an entry at or below it was sent
         # before that fill could arrive.
         self._refilled: Dict[str, int] = {}
-        self._reset_engine_state()
         self._started = False
 
     def _on_node_event(self, node: Node, event: str) -> None:
@@ -265,9 +280,17 @@ class TotalOrderEngine:
         self.deliveries.clear()
         self._reset_volatile()
 
-    def _register_base_handlers(self) -> None:
-        self.dispatcher.register(self.KIND_JOIN, self._on_join)
-        self.dispatcher.register(self.KIND_JOIN_REPLY, self._on_join_reply)
+    def _register_handlers(self) -> None:
+        for kind, handler in (
+                (self.KIND_JOIN, self._on_join),
+                (self.KIND_JOIN_REPLY, self._on_join_reply),
+                (self.KIND_SUBMIT, self._on_submit),
+                (self.KIND_ORDER, self._on_order),
+                (self.KIND_ANSWER, self._on_answer),
+                (self.KIND_DECIDE, self._on_decide),
+                (self.KIND_PREPARE, self._on_prepare),
+                (self.KIND_PROMISE, self._on_promise)):
+            self.dispatcher.register(kind, handler)
 
     # ------------------------------------------------------------------ lifecycle
     def start(self) -> None:
@@ -304,6 +327,12 @@ class TotalOrderEngine:
             self._submit(broadcast_id, payload, target)
         return broadcast_id
 
+    def _submit(self, broadcast_id: str, payload: Any, target: str) -> None:
+        """Ship an unordered message to ``target`` for sequencing."""
+        self._post(self.KIND_SUBMIT, target,
+                   {"broadcast_id": broadcast_id, "payload": payload,
+                    "origin": self.member_name})
+
     # ------------------------------------------------------------------ outbound
     def _post(self, kind: str, destination: str, payload: Any) -> None:
         """Hand one protocol message to the broadcast layer."""
@@ -319,27 +348,228 @@ class TotalOrderEngine:
                                   kind=kind, payload=payload),
                           self.group.view().members)
 
+    def _post_entry(self, sequence: int, entry: Optional[_PendingMessage],
+                    member: Optional[str] = None) -> None:
+        """Post ``entry`` at ``sequence`` and this member's ballot to the
+        view, or to ``member``."""
+        order = {"ballot": self._ballot, "sequence": sequence, "entry": entry}
+        if member is None:
+            self._post_view(self.KIND_ORDER, order)
+        else:
+            self._post(self.KIND_ORDER, member, order)
+
+    # ------------------------------------------------------------------ leader
+    def _on_submit(self, message: Message) -> None:
+        payload = message.payload
+        leader = self.coordinator()
+        if leader != self.member_name:
+            if leader is not None:   # a stale sender: forward to the leader
+                self._post(self.KIND_SUBMIT, leader, payload)
+            return
+        broadcast_id = payload["broadcast_id"]
+        if broadcast_id in self._assigned_ids or \
+                broadcast_id in self._delivered_ids:
+            return  # a duplicate resend after a leader change
+        entry = _PendingMessage(broadcast_id=broadcast_id,
+                                payload=payload["payload"],
+                                sender=payload["origin"])
+        if self._established:
+            self._assign(entry)
+        else:
+            self._backlog[broadcast_id] = entry
+            self._lead()
+
+    def _assign(self, entry: _PendingMessage) -> None:
+        # The leader accepts its entry as every member does, when its own
+        # copy of the post arrives: before any answer to it can.
+        sequence = self._next_seq
+        self._next_seq += 1
+        self._assigned_ids.add(entry.broadcast_id)
+        self._post_entry(sequence, entry)
+
+    def _lead(self) -> None:
+        """Collect, unless a collection runs, the ballot stands or this
+        member has no horizon yet."""
+        if not (self._established or self._preparing or self._rejoining):
+            self._begin_prepare()
+
+    def _begin_prepare(self) -> None:
+        """Claim a new ballot and collect from the first sequence this
+        member has not delivered."""
+        self._ballot = self._new_ballot()
+        self._preparing, self._established = True, False
+        self._promises, self._acked, self._refilled = {}, {}, {}
+        self._assigned_ids = set()
+        self._prepare_from = self._delivered_seq + 1
+        self.prepare_count += 1
+        self._post_view(self.KIND_PREPARE, {"ballot": self._ballot,
+                                            "from": self._prepare_from})
+
+    def _on_promise(self, message: Message) -> None:
+        payload = message.payload
+        if payload["ballot"] != self._ballot or not self._preparing:
+            return  # a late promise: the ballot stands, or was given up
+        self._promises[payload["member"]] = payload
+        if len(self._promises) < self.group.quorum_size():
+            return
+        self._preparing, self._established = False, True
+        # Per sequence, the entry of the highest ballot a promise carried,
+        # posted again at this ballot.  One at or below a promiser's horizon
+        # was delivered, so it is decided: this member takes it at its
+        # ballot without posting it, and no no-op goes there even if no
+        # promise carried it.
+        start = self._prepare_from
+        merged: Dict[int, _Accepted] = {}
+        floor = start - 1
+        for member in sorted(self._promises):
+            promise = self._promises[member]
+            if promise["horizon"] is not None:
+                floor = max(floor, promise["horizon"])
+            for sequence, (ballot, entry) in promise["accepted"].items():
+                if sequence not in merged or ballot > merged[sequence][0]:
+                    merged[sequence] = (ballot, entry)
+        top = max(merged, default=start - 1)
+        self._next_seq = max(top, floor) + 1
+        for sequence in range(start, top + 1):
+            known = merged.get(sequence)
+            if known is None and sequence <= floor:
+                continue
+            entry = None if known is None else known[1]
+            if entry is not None:
+                self._assigned_ids.add(entry.broadcast_id)
+            if sequence > floor:
+                self._post_entry(sequence, entry)
+            else:
+                self._log[sequence] = (self._ballot, entry)
+        self._announced = floor
+        self._decided = (self._ballot, floor)
+        self._try_deliver()
+        backlog, self._backlog = self._backlog, {}
+        for broadcast_id, entry in backlog.items():
+            if broadcast_id not in self._assigned_ids and \
+                    broadcast_id not in self._delivered_ids:
+                self._assign(entry)
+
+    def _on_answer(self, message: Message) -> None:
+        payload = message.payload
+        if payload["ballot"] != self._ballot or not self._established:
+            return
+        member, held, entry = \
+            payload["member"], payload["held"], payload["sequence"]
+        # A member holding less than the entry it answers lost what lies in
+        # between: fill it, unless a fill posted after that entry is on its
+        # way.  A rejoining member has nothing to fill from yet.
+        if held < entry and payload["horizon"] is not None and \
+                member != self.member_name and \
+                entry > self._refilled.get(member, 0):
+            self._refilled[member] = self._next_seq - 1
+            self._fill(member, held, entry - 1)
+        self._acked[member] = max(self._acked.get(member, 0), held)
+        # A sequence is decided once a quorum holds it: announce the
+        # contiguous prefix of the log up to the quorum-th largest ``held``.
+        quorum = self.group.quorum_size()
+        acked = sorted(self._acked.values(), reverse=True)
+        held_by_quorum = acked[quorum - 1] if len(acked) >= quorum else 0
+        up_to = self._announced
+        while up_to < held_by_quorum and up_to + 1 in self._log:
+            up_to += 1
+        if up_to > self._announced:
+            self._announced = up_to
+            self._post_view(self.KIND_DECIDE,
+                            {"ballot": self._ballot, "up_to": up_to})
+
+    def _fill(self, member: str, held: int, upto: int) -> None:
+        """Post ``member`` the entries of this member's log above ``held``
+        up to ``upto`` at this ballot, then the decision, point to point."""
+        entries = [(sequence, self._log[sequence][1])
+                   for sequence in range(held + 1, upto + 1)
+                   if sequence in self._log]
+        if not entries:
+            return
+        for sequence, entry in entries:
+            self._post_entry(sequence, entry, member)
+        self._post(self.KIND_DECIDE, member,
+                   {"ballot": self._ballot, "up_to": self._announced})
+
+    # ------------------------------------------------------------------ member
+    def _on_prepare(self, message: Message) -> None:
+        ballot = message.payload["ballot"]
+        if ballot <= self._promised:
+            self._refuse(message.sender, ballot)
+            return
+        self._promised = ballot
+        start = message.payload["from"]
+        accepted = {sequence: known for sequence, known in self._log.items()
+                    if sequence >= start}
+        self._post(self.KIND_PROMISE, message.sender,
+                   {"ballot": ballot, "accepted": accepted, **self._report()})
+
+    def _on_order(self, message: Message) -> None:
+        payload = message.payload
+        ballot = payload["ballot"]
+        if ballot < self._promised:
+            self._refuse(message.sender, ballot)
+            return
+        self._promised = ballot
+        sequence = payload["sequence"]
+        self._log[sequence] = (ballot, payload["entry"])
+        # Answer even what was delivered: the leader of a new ballot may
+        # still be counting towards its quorum.
+        held = self._delivered_seq
+        while self._log.get(held + 1, (None,))[0] == ballot:
+            held += 1
+        self._post(self.KIND_ANSWER, message.sender,
+                   {"ballot": ballot, "sequence": sequence, "held": held,
+                    **self._report()})
+        self._try_deliver()
+
+    def _on_decide(self, message: Message) -> None:
+        payload = message.payload
+        self._decided = max(self._decided,
+                            (payload["ballot"], payload["up_to"]))
+        self._try_deliver()
+
+    def _report(self) -> Dict[str, Any]:
+        """The report this member's answers carry to its leader: its name
+        and its delivery horizon (none until a rejoin installed one)."""
+        return {"member": self.member_name,
+                "horizon": None if self._rejoining else self._delivered_seq}
+
     # ------------------------------------------------------------------ ordering → delivery
     def _try_deliver(self) -> None:
-        """Queue contiguously ordered-and-safe messages for A-delivery."""
-        limit = self._deliverable_up_to()
-        while True:
-            next_seq = self._delivered_seq + 1
-            if next_seq > limit or next_seq not in self._pending:
+        """Queue, in order, each entry the decision covers that this member
+        holds at the decision's ballot; hand up no no-op and no duplicate."""
+        ballot, up_to = self._decided
+        while self._delivered_seq < up_to:
+            known = self._log.get(self._delivered_seq + 1)
+            if known is None or known[0] != ballot:
                 break
-            entry = self._pending.pop(next_seq)
-            self._delivered_seq = next_seq
-            if entry.broadcast_id in self._delivered_ids:
+            self._delivered_seq += 1
+            entry = known[1]
+            if entry is None or entry.broadcast_id in self._delivered_ids:
                 continue  # uniform integrity: never hand a duplicate upward
             self._delivered_ids.add(entry.broadcast_id)
-            self._ready.put((next_seq, entry, False))
+            self._ordered(entry.broadcast_id)
+            self._ready.put((self._delivered_seq, entry, False))
+
+    def _ordered(self, broadcast_id: str) -> None:
+        """``broadcast_id`` was delivered.  If it is one of ours, every
+        older one of ours not delivered yet was lost on its way to the
+        leader (the link is FIFO) or lost its sequence: submit it again."""
+        if broadcast_id not in self._unsequenced:
+            return
+        del self._unsequenced[broadcast_id]
+        number, target = _broadcast_number(broadcast_id), self.coordinator()
+        for older, payload in list(self._unsequenced.items()):
+            if target is not None and _broadcast_number(older) < number:
+                self._submit(older, payload, target)
 
     def _install_horizon(self, sequence: int) -> None:
         """Set the delivery horizon exactly (recovery from a log or reply);
         what was ordered at or below it is delivered or covered."""
         self._delivered_seq = sequence
-        self._pending = {seq: entry for seq, entry in self._pending.items()
-                         if seq > sequence}
+        self._log = {seq: known for seq, known in self._log.items()
+                     if seq > sequence}
 
     # ------------------------------------------------------------------ delivery
     def _hand_up(self, item: Tuple[int, _PendingMessage, bool]
@@ -407,77 +637,22 @@ class TotalOrderEngine:
         """Entry point for view installations (wired by the composition root)."""
         if self.node.is_crashed or not self._started:
             return
-        if self.member_name not in view.members:
-            # Excluded while alive: the failure detector suspected us (a
-            # netsplit, not a crash), so the node listener never fired.  Any
-            # ordering authority we held is void in the new view — engines
-            # that hold coordinator state must drop it here, or a later
-            # rejoin re-asserts stale assignments over sequences the
-            # surviving majority has meanwhile given to other messages.  A
-            # later tenure marks its own refills.
-            self._refilled = {}
-            self._on_excluded(view)
-            return
         coordinator = self.coordinator()
-        if coordinator is None:
+        if coordinator != self.member_name:
+            # Not leading this view (excluded alive, or another member
+            # leads): a later tenure collects again, and what waited for
+            # this one is submitted again by its origin, below.
+            self._established = self._preparing = False
+            self._backlog = {}
+        if self.member_name not in view.members or coordinator is None:
             return
-        # Re-send messages of ours that were never ordered to the (possibly
-        # new) coordinator.
+        # Re-send messages of ours not delivered yet to the (possibly new)
+        # leader.
         for broadcast_id, payload in list(self._unsequenced.items()):
             self._submit(broadcast_id, payload, coordinator)
-        self._on_coordinator_change(view, coordinator)
-
-    # ------------------------------------------------------------------ catch-up
-    def _report(self, entry: int = 0) -> Dict[str, Any]:
-        """The report this member's answers carry to its coordinator: its
-        name, its delivery horizon (none until a rejoin installed one), and
-        whether, holding ``entry``, it lacks an entry below it."""
-        return {"member": self.member_name,
-                "horizon": None if self._rejoining else self._delivered_seq,
-                "gap": self._lacks_below(entry)}
-
-    def _fill(self, member: str, horizon: int,
-              upto: Optional[int] = None) -> None:
-        """Post ``member`` every decided entry above ``horizon`` (up to
-        ``upto``), point to point."""
-        log = self._decided_log()
-        if upto is None:
-            upto = max(log, default=horizon)
-        entries = [(sequence, log[sequence])
-                   for sequence in range(horizon + 1, upto + 1)
-                   if sequence in log]
-        if entries:
-            self._post_fill(member, entries)
-
-    def _lacks_below(self, entry: int) -> bool:
-        """Whether this member, holding ``entry``, lacks an entry below it.
-        Only the entry after the horizon is looked at: a gap above that
-        one shows once the horizon reaches it."""
-        lacking = self._delivered_seq + 1
-        return entry > lacking and lacking not in self._pending
-
-    def _note_report(self, report: Dict[str, Any], entry: int = 0) -> None:
-        """Act on a member's report.  One that shows a gap below ``entry``
-        gets the entries from its horizon up to that entry, unless the gap
-        was filled after ``entry`` was posted: that fill is on its way."""
-        member, horizon = report["member"], report["horizon"]
-        if horizon is None or member == self.member_name:
-            return
-        if report["gap"] and entry > self._refilled.get(member, 0):
-            self._refilled[member] = self._posted_up_to()
-            self._fill(member, horizon, entry - 1)
-
-    def _ordered(self, broadcast_id: str) -> None:
-        """``broadcast_id`` was ordered.  If it is one of ours, every older
-        one of ours still unordered was lost on its way to the coordinator
-        (the link is FIFO): submit it again."""
-        if broadcast_id not in self._unsequenced:
-            return
-        del self._unsequenced[broadcast_id]
-        number, target = _broadcast_number(broadcast_id), self.coordinator()
-        for older, payload in list(self._unsequenced.items()):
-            if target is not None and _broadcast_number(older) < number:
-                self._submit(older, payload, target)
+        if coordinator == self.member_name and not self._established and \
+                not self._rejoining:
+            self._begin_prepare()
 
     # ------------------------------------------------------------------ recovery
     def recover(self, rejoin_timeout: float = 10.0):
@@ -500,6 +675,9 @@ class TotalOrderEngine:
           unacknowledged message is replayed to the application, and the
           reply carries the messages live peers logged above that horizon;
           returns the replay count.
+
+        A member the policy makes leader collects once the horizon is
+        installed: the collection starts after it.
         """
         self._rejoining = True
         self._reset_volatile()
@@ -532,16 +710,19 @@ class TotalOrderEngine:
         first_reply = replies.get()
         outcome = yield self.sim.any_of([first_reply, timeout])
         self._join_replies = None
-        # What follows installs the horizon, or finds there is none to get.
+        reply = first_reply.value if first_reply in outcome else None
+        if reply is not None:
+            if journal is not None:
+                self._catch_up(reply["entries"])
+            else:
+                self._install_horizon(reply["sequence"])
+        # The horizon is installed, or there is none to get.
         self._rejoining = False
-        if first_reply not in outcome:
-            return None if journal is None else replayed
-        reply = first_reply.value
+        if self.is_sequencer:
+            self._lead()
         if journal is not None:
-            self._catch_up(reply["entries"])
             return replayed
-        self._install_horizon(reply["sequence"])
-        return reply["checkpoint"]
+        return None if reply is None else reply["checkpoint"]
 
     def _catch_up(self, entries) -> None:
         """Hand up the messages a peer logged while this member was down."""

@@ -65,7 +65,7 @@ class SimulationParameters:
     #: Total-order broadcast engine the group-based techniques run on, by
     #: registry name (see :mod:`repro.gcs.engines`).  The default is the
     #: seed's fixed-sequencer scheme; ``"multi-paxos"`` selects the
-    #: per-slot Paxos engine.  Not a Table 4 knob — it is the comparison
+    #: Multi-Paxos leader policy (Ω).  Not a Table 4 knob — it is the comparison
     #: axis the paper never measured.
     broadcast_engine: str = "fixed-sequencer"
 

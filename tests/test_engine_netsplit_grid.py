@@ -11,13 +11,14 @@ during the split reaches it through the engines' own catch-up.
 The regression half guards two fixed-sequencer bugs the netsplit injection
 originally exposed:
 
-* an alive-but-excluded sequencer kept its ordering state (``_assigned``,
-  ``_next_seq``) and re-asserted it on rejoin, delivering a *different*
-  message under an already-delivered sequence number — a split-brain
-  total-order violation (now voided by ``_on_excluded``);
-* a new sequencer assigned sequence numbers from its stale ``_next_seq``
-  before the ``VC_STATE`` collection completed, wedging the re-submitted
-  message forever (now prevented by the takeover barrier).
+* an alive-but-excluded sequencer re-asserted its ordering state on
+  rejoin, delivering a *different* message under an already-delivered
+  sequence number — a split-brain total-order violation (now every entry
+  carries the ballot that assigned it, and a member delivers an entry only
+  at the ballot of the decision that covers it);
+* a new sequencer assigned sequence numbers before its takeover collection
+  completed, wedging the re-submitted message forever (now nothing is
+  assigned before a quorum has promised).
 """
 
 from __future__ import annotations
@@ -28,8 +29,10 @@ from repro.db.operations import Operation, OperationType, TransactionProgram
 from repro.experiments.netsplit_matrix import run_group_netsplit_scenario
 from repro.gcs.engines import engine_names
 from repro.network import LinkFault
+from repro.obs.tracer import Observability
 from repro.replication.cluster import ReplicatedDatabaseCluster
 from repro.workload import SimulationParameters
+from tests.reference_broadcast import broadcast_trace
 
 ENGINES = tuple(engine_names())
 
@@ -111,18 +114,20 @@ def test_slow_detector_is_equivalent_to_blindness(engine):
 
 
 # ---------------------------------------------------------------- regressions
-def test_excluded_sequencer_forfeits_its_ordering_state():
+def test_an_excluded_sequencers_assignment_is_not_delivered_over_a_newer():
     """An alive member partitioned out of the view voids its tenancy.
 
-    The coordinator assigns a sequence number it can never stabilise
-    (no quorum on its side), then gets excluded by the heartbeat detector.
-    Exclusion must clear every piece of sequencer state — keeping it was
-    the split-brain bug: the stale assignment resurfaced on rejoin and a
-    different message was delivered under an already-used sequence number.
+    The coordinator assigns a sequence number it can never get decided (no
+    quorum on its side), then gets excluded by the heartbeat detector while
+    the majority goes on under a newer ballot.  After the heal no member
+    delivers the stale assignment: every sequence is delivered with one
+    message everywhere — keeping the old tenure's entry was the split-brain
+    bug — and the stranded write is answered, everywhere or nowhere.
     """
     cluster = _cluster("fixed-sequencer", failure_detector_mode="heartbeat",
                        heartbeat_period=10.0, heartbeat_timeout=60.0)
     sim, lan = cluster.sim, cluster.lan
+    obs = Observability(sim)
     waiter = cluster.run_transaction(
         _write_program("item-10", "warmup", client="warmup"), server="s1")
     sim.run_until_complete(waiter, limit=3_000.0)
@@ -136,24 +141,23 @@ def test_excluded_sequencer_forfeits_its_ordering_state():
         _write_program("item-20", "stranded", client="minority"),
         server="s1")))
     sim.run(until=600.0)
-
     endpoint = cluster.gcs.endpoint("s1")
     assert "s1" not in endpoint.group.view().members
-    # Tenancy voided: nothing assigned, nothing acknowledged, no sequenced
-    # ids that could suppress a legitimate reassignment after rejoin.
-    assert endpoint._assigned == {}
-    assert endpoint._acked == {}
-    assert endpoint._sequenced_ids == set()
-    assert endpoint._pending == {}
-    # The stranded broadcast went back to the unsequenced pool so the
-    # rejoin view change re-submits it for fresh sequencing.
-    assert len(endpoint._unsequenced) == 1
+    assert not endpoint._established
+    cluster.run_transaction(
+        _write_program("item-30", "majority", client="majority"),
+        server="s2")
 
     # Heal and require convergence with no server restarted: the stranded
     # write is answered, and it commits everywhere or nowhere.
     sim.run(until=2_200.0)
     names = cluster.server_names()
-    for key in ("item-10", "item-20"):
+    by_sequence = {}
+    for record in broadcast_trace(obs).deliveries:
+        by_sequence.setdefault(record.sequence, set()).add(
+            record.broadcast_id)
+    assert all(len(ids) == 1 for ids in by_sequence.values()), by_sequence
+    for key in ("item-10", "item-20", "item-30"):
         values = {repr(cluster.database(name).value_of(key))
                   for name in names}
         assert len(values) == 1, f"{key} diverged: {values}"
@@ -163,13 +167,15 @@ def test_excluded_sequencer_forfeits_its_ordering_state():
                    for name in names)
 
 
-def test_takeover_barrier_holds_until_state_is_collected():
-    """A new sequencer must not assign numbers before ``VC_STATE`` sync.
+def test_nothing_is_assigned_before_a_quorum_has_promised():
+    """A new sequencer must not assign numbers before its collection.
 
-    On the view change the successor raises the takeover barrier and only
-    sequences once a quorum has answered — sequencing immediately re-used
-    numbers the old sequencer had stabilised with a quorum that did not
-    include the successor, wedging the re-submitted message forever.
+    On the view change the successor collects (``VC_REQUEST`` /
+    ``VC_STATE``) and only sequences once a quorum has promised —
+    sequencing immediately re-used numbers the old sequencer had decided
+    with a quorum that did not include the successor, wedging the
+    re-submitted message forever.  A transaction submitted meanwhile waits
+    for the quorum, then commits everywhere.
     """
     cluster = _cluster("fixed-sequencer")
     sim = cluster.sim
@@ -178,25 +184,30 @@ def test_takeover_barrier_holds_until_state_is_collected():
     sim.run_until_complete(warmup, limit=3_000.0)
     assert warmup.value.committed
 
-    endpoint = cluster.gcs.endpoint("s2")
-    cluster.crash_server("s1")
-    # Advance just past the view change (the oracle detector's announcement
-    # is one event hop after the crash) — the successor is now collecting
-    # state and the barrier is up, but no VC_STATE reply has crossed the
-    # network yet (that takes a full round trip).
-    deadline = sim.now + 10.0
-    while endpoint._takeover_waiting is None and sim.now < deadline:
-        sim.run(until=sim.now + 0.1)
-    assert endpoint.coordinator() == "s2"
-    assert endpoint._takeover_waiting == {"s2", "s3"}
+    sent = []
+    admit = cluster.lan._admit
 
-    # A transaction submitted while the barrier is up must still commit —
-    # its DATA is buffered, then sequenced after the quorum answers.
+    def recording_admit(message):
+        sent.append((sim.now, message.kind, message.sender, message.payload))
+        return admit(message)
+
+    cluster.lan._admit = recording_admit
+    cluster.crash_server("s1")
     waiter = cluster.run_transaction(
         _write_program("item-20", "during-takeover", client="c1"),
         server="s2")
     sim.run_until_complete(waiter, limit=3_000.0)
-    assert endpoint._takeover_waiting is None
     assert waiter.value.committed
     for name in cluster.up_servers():
         assert cluster.database(name).value_of("item-20") == "during-takeover"
+
+    # The first SEQ s2 posts follows its quorum-th VC_STATE reply: s2's own
+    # and s3's, for the ballot its VC_REQUEST claimed.
+    request = next(payload for _, kind, sender, payload in sent
+                   if kind == "ABCAST.VC_REQUEST" and sender == "s2")
+    first_seq = next(index for index, (_, kind, sender, _) in enumerate(sent)
+                     if kind == "ABCAST.SEQ" and sender == "s2")
+    promises = {payload["member"] for _, kind, _, payload in sent[:first_seq]
+                if kind == "ABCAST.VC_STATE"
+                and payload["ballot"] == request["ballot"]}
+    assert promises == {"s2", "s3"}

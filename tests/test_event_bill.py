@@ -47,4 +47,4 @@ def test_a_group_safe_commit_is_billed_with_no_zero_time_hand_off():
     assert [site for site in wakes if site.startswith("total_order.")] == \
         ["total_order._deliver ← total_order._hand_up"]
     assert bill.sites("Request")[
-        "total_order._try_deliver ← fixed_sequencer._on_stable"] > 0
+        "total_order._try_deliver ← total_order._on_decide"] > 0

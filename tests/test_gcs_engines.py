@@ -131,47 +131,13 @@ def scenario_stats(cluster, results):
 # Scenarios at seed=11.  Stats are (committed, responded, lan sent, lan
 # delivered, scheduled events).  ``model`` pins what the model did (see
 # ``model_digest``): no refactor or kernel optimisation may move it or the
-# first four stats.  They were the seed's (pre-decomposition, fused
-# sequencer+membership) gcs stack until they were re-pinned, once, for the
-# announce-once protocol change, PR 21 (old → new in CHANGES.md): the
-# sequencer posts one STABLE per stability advance instead of one per late
-# ACK, so there are fewer LAN deliveries to digest.  ``(committed,
-# responded)`` did not move, and ``test_announce_once_removed_only_stable``
-# holds the crash-free scenarios to the parent's deliveries of every other
-# kind.  ``digest`` and the scheduled-event count pin the kernel's private
-# event list; re-pinned when a resource charge became one event instead of
-# two (PR 17), again with PR 21, and when zero-time hand-offs stopped being
-# events (PR 23: 5 → 3 events per LAN message, open gates and waiter-less
-# completions unqueued; ``model`` and the first four stats untouched).
-# The heartbeat scenario's kernel pins moved once more, alone, when the
-# per-member beat processes became one tick per phase.  Then a cost-model
-# change re-pinned all three on every scenario, once (old → new in
-# CHANGES.md): a view-wide post became one network operation — one send
-# charge, one LAN broadcast, every copy one latency later — so delivery
-# instants moved.  Per-kind delivery counts did not (the test below), and
-# of the first four stats only 2-safe-logged's committed did, 17 → 16.
-# A second cost-model change re-pinned all three once more (old → new in
-# CHANGES.md): a background write charges the CPU once per batch of up to
-# 16 pages, not once per page, so disk and CPU queues clear at other
-# instants and certification outcomes move.  The crash-free scenarios kept
-# their per-kind delivery counts; in the crash scenarios the crash instant
-# now cuts the message flow elsewhere, so those counts moved with it.
-# ``digest`` and the scheduled-event count were re-pinned alone once more
-# when the write-behind and group-commit loops stopped taking a kernel
-# event for a tick with nothing to do (``repro.sim.poll``), and again when
-# an A-delivery became a served store's charge, not a process's wake-up,
-# and a group-safe apply stopped being a process of its own.
-# 2-safe-crash's ``model`` alone was re-pinned once (old → new in
-# CHANGES.md) when the end-to-end catch-up became the JOIN exchange: the
-# rejoiner's request and its replies are named ``ABCAST.JOIN`` /
-# ``ABCAST.JOIN_REPLY``, not ``ABCAST.E2E.SYNC_REQUEST`` / ``_REPLY``.  The
-# parent's delivery list with those two kinds renamed hashes to the new
-# digest; its stats and ``digest`` did not move.  2-safe-crash alone was
-# re-pinned once more (old → new in CHANGES.md) when a new fixed sequencer
-# began collecting from its own horizon: the recovered s1 takes, in s2's
-# VC_STATE, the assignments 7-10 s2 made while s1 was down, and delivers
-# them at once instead of after its JOIN reply, so s1:19 is certified
-# against them and aborts.  No message count moved.
+# first four stats.  ``digest`` and the scheduled-event count pin the
+# kernel's private event list, which a change that only makes events fewer
+# may re-pin.  The three crash-free scenarios pin the fixed sequencer's
+# failure-free schedule (the seed's, with the announce-once STABLE); the two
+# crash scenarios pin a sequencer takeover and a rejoin, and the heartbeat
+# one a Multi-Paxos leader crash and rejoin on the heartbeat detector.
+# Every re-pin, old → new with what moved and why, is in CHANGES.md.
 GOLDEN = {
     "group-safe": dict(
         technique="group-safe", crash=False, log_time=0.0,
@@ -196,61 +162,44 @@ GOLDEN = {
         stats=(15, 24, 240, 240, 2217)),
     "group-safe-crash": dict(
         technique="group-safe", crash=True, log_time=0.0,
-        digest="106a57caa26ac581f81147c1d89169aca8ee55bb"
-               "62e357f2446fb942cdc3de22",
-        model="abd17a34e18ea5a1794aedce769e2886354d2257"
-              "30b134eb10285c5b0d4a2f13",
+        digest="d05ebf0e93e6659034835a07ec36f7f2fcb47764"
+               "da2342f2ffb0f14d7424b6d5",
+        model="7aa7f8e62d31aea2d375d94382bff0e78aaf0c57"
+              "40e496e9957c4f512e05c610",
         stats=(17, 24, 233, 233, 1531)),
     "2-safe-crash": dict(
         technique="2-safe", crash=True, log_time=0.05,
-        digest="2b7ff2a36731802a458c26fb19f16450e6ae59a4"
-               "3ee49dce0ea8e2fad4d32b20",
-        model="12720b756e3a997a89cd73faa6befbaa5e113686"
-              "87b3268ceb847d6b3968fce2",
-        stats=(15, 24, 233, 233, 2213)),
+        digest="f288e3a0ccf621b2d02a3f9d4167f826db11bb39"
+               "28c2dfe6be10e59dd59aa466",
+        model="57e1dc994ef2750e295b7e52df0b172a23d6e82a"
+              "a65624c46042f25a03cd0c1c",
+        stats=(15, 24, 233, 233, 2210)),
     # The one scenario on a heartbeat code path (the five above run the
     # perfect detector): Multi-Paxos, s1 — the leader — crashed and
     # recovered, so beats stop, a suspicion and a restore are swept, and the
-    # recovered member beats again at its own phase.  Re-pinned alone, once
-    # more (old → new in CHANGES.md), when a beat became a NIC-level
-    # keep-alive priced on the wire and not on a CPU: no reception charge
-    # means less CPU contention, so delivery instants moved; the first four
-    # stats and the per-kind delivery counts (the test below) did not.
-    # Re-pinned once more for a protocol change (old → new in CHANGES.md):
-    # phase 1 starts at the new leader's delivery horizon and a view change
-    # re-posts no history, so fewer ACCEPT, ACCEPTED and LEARN messages are
-    # sent; ``(committed, responded)`` did not move.
+    # recovered member beats again at its own phase.
     "paxos-heartbeat-crash": dict(
         technique="group-safe", engine="multi-paxos", detector="heartbeat",
         crash=True, log_time=0.0,
-        digest="8a51b122a805f0abe8039f7e68e088059fedec5c"
-               "7feb7bfd60658801f4a7879a",
-        model="f95f3182ef17626e725c1b9d2436b517b3ff9d48"
-              "bd27d72253b2ac2d5aa62b2b",
-        stats=(17, 24, 1075, 1047, 2204)),
+        digest="3ef7fc4b4c72ce0e4f9f1350b6ce0363b7ed5858"
+               "5a9e82dce9ce57717b518fb9",
+        model="28d681787b813c2f4fd60f3555f83a088f149d95"
+              "938b9e6b88a478d04c8c47a6",
+        stats=(17, 24, 1069, 1041, 2190)),
 }
 
-#: LAN deliveries per kind of the ``paxos-heartbeat-crash`` scenario, the
-#: same with beats received on a CPU (the parent of the keep-alive change)
-#: and on the wire.  Batched background writes moved where the crash cuts
-#: the ballot (ACCEPT / ACCEPTED 110 → 107, LEARN 154 → 149, PROPOSE
-#: 23 → 25); the crash-free run below kept every count.  The per-member
-#: catch-up moved only the kinds it names (ACCEPT / ACCEPTED 107 → 65:
-#: phase 1 re-proposes no delivered slot; LEARN 149 → 67: no view change
-#: re-posts the chosen slots); every other kind kept its count.
+#: LAN deliveries per kind of the ``paxos-heartbeat-crash`` scenario.
 HEARTBEAT_SCENARIO_DELIVERIES = {
     "ABCAST.JOIN": 3, "ABCAST.JOIN_REPLY": 2, "PAXOS.ACCEPT": 65,
     "PAXOS.ACCEPTED": 65, "PAXOS.LEARN": 65, "PAXOS.NACK": 2,
-    "PAXOS.PREPARE": 11, "PAXOS.PROMISE": 9, "PAXOS.PROPOSE": 25,
+    "PAXOS.PREPARE": 8, "PAXOS.PROMISE": 6, "PAXOS.PROPOSE": 25,
     "fd.heartbeat": 822}
 
 #: LAN deliveries per kind of the same Multi-Paxos heartbeat scenario with
-#: no crash, the same with background pages written one CPU charge each
-#: and one charge per batch.
+#: no crash: the first leader holds the first ballot, so no collection runs.
 CRASH_FREE_PAXOS_DELIVERIES = {
     "PAXOS.ACCEPT": 72, "PAXOS.ACCEPTED": 72, "PAXOS.LEARN": 72,
-    "PAXOS.PREPARE": 3, "PAXOS.PROMISE": 3, "PAXOS.PROPOSE": 24,
-    "fd.heartbeat": 840}
+    "PAXOS.PROPOSE": 24, "fd.heartbeat": 840}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -268,14 +217,14 @@ def test_fixed_sequencer_reproduces_the_seed_traces(name):
 
 #: Per engine, the key of each ordering message: a view post reaches each
 #: member once, and each member answers an ACCEPT once, so a second copy to
-#: a member is a repair (an ACCEPTED reporting a lost LEARN among them).
+#: a member is a repair.
 ENTRY_KEYS = {
     "fixed-sequencer": {"ABCAST.DATA": ("broadcast_id",),
                         "ABCAST.SEQ": ("sequence",)},
     "multi-paxos": {"PAXOS.PROPOSE": ("broadcast_id",),
-                    "PAXOS.ACCEPT": ("ballot", "slot"),
-                    "PAXOS.ACCEPTED": ("ballot", "slot", "member"),
-                    "PAXOS.LEARN": ("slot",)},
+                    "PAXOS.ACCEPT": ("ballot", "sequence"),
+                    "PAXOS.ACCEPTED": ("ballot", "sequence", "member"),
+                    "PAXOS.LEARN": ("ballot", "up_to")},
 }
 
 
@@ -284,8 +233,9 @@ def test_a_failure_free_run_repairs_nothing(engine, monkeypatch):
     """The gap repair fires only on the evidence of a loss: in a
     failure-free group-safe run loaded so that broadcasts overlap, no
     member is posted a SEQ, LEARN or ACCEPT twice (a fill, a re-posted SEQ
-    or ACCEPT), no member answers an ACCEPT twice (a lost LEARN reported),
-    and no broadcast is submitted twice (a lost submission sent again)."""
+    or ACCEPT), no member answers an ACCEPT twice, no decision is posted
+    to a member twice, and no broadcast is submitted twice (a lost
+    submission sent again)."""
     entry_keys = ENTRY_KEYS[engine]
     copies = Counter()
     deliver = Lan._deliver

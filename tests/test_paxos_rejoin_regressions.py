@@ -33,9 +33,7 @@ item_count=100)``, group-safe at 30 tps, the coordinator crashed at 500 ms,
 
 Each pinned run is made once, in a module fixture the xfails share with
 ``test_known_failure_signatures_do_not_grow``, which pins how large each
-failure is: a change that makes a known bug worse fails tier-1.  The gate
-also pins the fixed sequencer's unfilled gap of
-``tests/test_gcs_abcast.py`` (a strict xfail there).
+failure is: a change that makes a known bug worse fails tier-1.
 
 A pinned run that starts passing because its schedule moved, not because
 its bug was fixed, stays as a plain test, and a still-failing schedule of
@@ -55,7 +53,6 @@ import pytest
 from repro.core.audit import SafetyAudit
 from repro.replication import ReplicatedDatabaseCluster
 from repro.workload import OpenLoopClientPool, SimulationParameters
-from tests.test_gcs_abcast import cut_off_from_the_leader
 
 WARMUP_MS = 2_000.0
 WINDOW_MS = 20_000.0
@@ -337,7 +334,3 @@ def test_known_failure_signatures_do_not_grow(replay_follower_run,
     together with its xfail marker."""
     assert replay_follower_run == (76, 100)
     assert replay_coordinator_runs == {2: (63, 99), 11: (65, 100)}
-    # The fixed sequencer's unfilled gap: s3 delivers 6 of 22 messages.
-    delivered = cut_off_from_the_leader("fixed-sequencer",
-                                        "leader-crash")[0]
-    assert len(delivered["s3"]) == 6
