@@ -236,7 +236,9 @@ class TotalOrderEngine:
         self._ready: Store = Store(self.sim, name=f"{self.member_name}.ready")
         self._delivered_seq = 0
         self._delivered_ids: Set[str] = set()
-        self._unsequenced: Dict[str, Any] = {}
+        # This member's broadcasts it has not delivered yet: an entry a
+        # takeover superseded never is, so each new leader gets them again.
+        self._undelivered: Dict[str, Any] = {}
         # Replies to this member's JOIN, while its rejoin waits for one.
         self._join_replies: Optional[Store] = None
         # Acceptor state: the highest ballot promised, what was accepted (by
@@ -316,7 +318,7 @@ class TotalOrderEngine:
         Fig. 4: the sender learns the outcome by A-delivering its own message.
         """
         broadcast_id = f"{self.member_name}#{next(self._broadcast_counter)}"
-        self._unsequenced[broadcast_id] = payload
+        self._undelivered[broadcast_id] = payload
         obs = self.sim.obs
         if obs is not None:
             obs.instant("abcast.broadcast", track=f"gcs.{self.member_name}",
@@ -549,18 +551,18 @@ class TotalOrderEngine:
             if entry is None or entry.broadcast_id in self._delivered_ids:
                 continue  # uniform integrity: never hand a duplicate upward
             self._delivered_ids.add(entry.broadcast_id)
-            self._ordered(entry.broadcast_id)
+            self._delivered_own(entry.broadcast_id)
             self._ready.put((self._delivered_seq, entry, False))
 
-    def _ordered(self, broadcast_id: str) -> None:
+    def _delivered_own(self, broadcast_id: str) -> None:
         """``broadcast_id`` was delivered.  If it is one of ours, every
         older one of ours not delivered yet was lost on its way to the
         leader (the link is FIFO) or lost its sequence: submit it again."""
-        if broadcast_id not in self._unsequenced:
+        if broadcast_id not in self._undelivered:
             return
-        del self._unsequenced[broadcast_id]
+        del self._undelivered[broadcast_id]
         number, target = _broadcast_number(broadcast_id), self.coordinator()
-        for older, payload in list(self._unsequenced.items()):
+        for older, payload in list(self._undelivered.items()):
             if target is not None and _broadcast_number(older) < number:
                 self._submit(older, payload, target)
 
@@ -648,7 +650,7 @@ class TotalOrderEngine:
             return
         # Re-send messages of ours not delivered yet to the (possibly new)
         # leader.
-        for broadcast_id, payload in list(self._unsequenced.items()):
+        for broadcast_id, payload in list(self._undelivered.items()):
             self._submit(broadcast_id, payload, coordinator)
         if coordinator == self.member_name and not self._established and \
                 not self._rejoining:
