@@ -1001,11 +1001,11 @@ def wedge_run(engine, crash_at=1.0):
 @pytest.mark.parametrize("engine", engine_names())
 def test_an_entry_only_the_crashed_leader_held_gets_a_no_op(
         engine, entry, monkeypatch):
-    """★27's class (B): both followers lose the leader's post of one entry
-    (entry 2 on the fixed sequencer, entry 1 or 2 on Multi-Paxos left a
-    hole for good), and s1 crashes at 1.0 ms.  No promise carries the entry,
-    so the new leader posts a no-op there; its origin, which never
-    delivered it, submits it again, and the group goes on delivering."""
+    """★27's class (B): both followers lose the leader's post of entry 1
+    or 2, and s1 crashes at 1.0 ms.  No promise carries the entry, so the
+    new leader posts a no-op there instead of leaving a hole that stops
+    delivery for good; the entry's origin, if it survives, never delivered
+    it and submits it again, and the group goes on delivering."""
     order = ORDERING_KINDS[engine][1]
     dropped = drop_first_copies(
         monkeypatch, lambda message, member: message.kind == order
