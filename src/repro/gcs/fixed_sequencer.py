@@ -24,11 +24,12 @@ the crux of the paper — is any guarantee that the application has
 :class:`~repro.gcs.message_log.GcsMessageLog` passed as the engine's
 ``journal``.
 
-A sequencer's ballot is its tenure: the id of the view in which it took
-over.  Only one member is the primary of a view and view ids only grow, so
-a later tenure always holds a higher ballot and no stale tenure needs to be
-told (no ``NACK``).  A takeover is the engine's collection, under the names
-``VC_REQUEST(ballot, from)`` / ``VC_STATE``.
+A sequencer's ballot is its tenure.  A takeover is the engine's
+collection, under the names ``VC_REQUEST(ballot, from)`` / ``VC_STATE``,
+and a member that promised a higher ballot answers a stale one with
+``NACK(promised)``: a sequencer that crashed and recovered before the view
+dropped it leads the same view again, has lost the ballot it held there,
+and without that answer would wait for promises forever.
 """
 
 from __future__ import annotations
@@ -50,10 +51,8 @@ class FixedSequencerEngine(TotalOrderEngine):
     KIND_DECIDE = "ABCAST.STABLE"
     KIND_PREPARE = "ABCAST.VC_REQUEST"
     KIND_PROMISE = "ABCAST.VC_STATE"
+    KIND_NACK = "ABCAST.NACK"
 
     def coordinator(self) -> Optional[str]:
         """The sequencer: the first member of the current view."""
         return self.group.view().primary
-
-    def _new_ballot(self) -> int:
-        return self.group.view().view_id

@@ -3,20 +3,16 @@
 The ordering protocol is :mod:`repro.gcs.total_order`'s — Multi-Paxos with
 a cumulative decision — under the Paxos message kinds: ``PROPOSE`` to the
 leader, ``ACCEPT(ballot, seq, m)`` to the view, ``ACCEPTED(held)`` back,
-``LEARN(up_to)`` to the view, and ``PREPARE(ballot, from)`` / ``PROMISE``
-for a leader change.  A quiet broadcast to N members costs 3N + 1
-messages, as on the fixed sequencer; only the leader differs.
+``LEARN(up_to)`` to the view, ``PREPARE(ballot, from)`` / ``PROMISE`` for
+a leader change and ``NACK(promised)`` for a stale ballot.  A quiet
+broadcast to N members costs 3N + 1 messages, as on the fixed sequencer;
+only the leader differs.
 
-* The **leader** is the lowest-ranked member of the static group the
-  failure detector does not currently suspect (Chandra & Toueg's Ω read
-  off the detector).  It can change without a view change (a restored
-  member leads again once it is trusted), so a leader that finds itself
-  unestablished collects when a submission reaches it.
-* A **ballot** is the next one above any this member promised or led that
-  its rank owns (ballots are congruent to the rank modulo the group size).
-  A member that promised a higher one answers a ``PREPARE`` or ``ACCEPT``
-  of a lower one with ``NACK(promised)``; the leader that gets one for its
-  current ballot claims a higher ballot and collects again.
+The leader is the lowest-ranked member of the static group the failure
+detector does not currently suspect (Chandra & Toueg's Ω read off the
+detector).  It can change without a view change (a restored member leads
+again once it is trusted), so a leader that finds itself unestablished
+collects when a submission reaches it.
 """
 
 from __future__ import annotations
@@ -24,7 +20,6 @@ from __future__ import annotations
 from typing import Optional
 
 from ..core.layers import implements, uses
-from ..network.message import Message
 from .total_order import TotalOrderEngine
 
 
@@ -48,27 +43,3 @@ class MultiPaxosEngine(TotalOrderEngine):
             if not self.failure_detector.is_suspected(member):
                 return member
         return None
-
-    def _new_ballot(self) -> int:
-        size = len(self.group.members)
-        highest = max(self._promised, self._ballot)
-        return (highest // size + 1) * size + \
-            self.group.members.index(self.member_name)
-
-    def _register_handlers(self) -> None:
-        super()._register_handlers()
-        self.dispatcher.register(self.KIND_NACK, self._on_nack)
-
-    def _refuse(self, sender: str, ballot: int) -> None:
-        # Tell the stale leader what it is up against (it may have crashed
-        # and lost its ballot high-water mark) so it can claim a higher one.
-        self._post(self.KIND_NACK, sender,
-                   {"ballot": ballot, "promised": self._promised})
-
-    def _on_nack(self, message: Message) -> None:
-        payload = message.payload
-        if payload["ballot"] == self._ballot and self.is_sequencer and \
-                (self._preparing or self._established):
-            # Our ballot lost: claim one above the promise that beat it.
-            self._promised = max(self._promised, payload["promised"])
-            self._begin_prepare()

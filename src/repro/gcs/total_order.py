@@ -69,9 +69,11 @@ up.  Nothing is assigned before then: submissions wait.  On a fresh start
 the first leader holds the first ballot without a collection, since nobody
 holds anything yet; a rejoin or an exclusion never re-establishes a ballot
 without one, and a rejoining leader collects once its rejoin installed a
-horizon.  Each policy says how a ballot is claimed
-(:meth:`TotalOrderEngine._new_ballot`); a member that promised a ballot
-ignores a lower one (Multi-Paxos answers it with a ``NACK``).
+horizon.  Both policies claim ballots one way
+(:meth:`TotalOrderEngine._begin_prepare`).  A member that promised a
+ballot answers a collection at one no higher, or a post at a lower one,
+with ``NACK(promised)``, and a leader refused at its current ballot claims
+a higher one and collects again.
 
 Catch-up is per member, and it is the one repair path for a lost ordering
 message, whether a crash, a split, a lossy link or a takeover lost it.  A
@@ -168,9 +170,9 @@ class TotalOrderEngine:
     KIND_JOIN_REPLY = "ABCAST.JOIN_REPLY"
     #: The policy's kinds: a submission to the leader, the leader's post of
     #: an entry, a member's answer, the decision, the collection's request
-    #: and its answer.
+    #: and its answer, and a refusal of a stale ballot.
     KIND_SUBMIT = KIND_ORDER = KIND_ANSWER = KIND_DECIDE = ""
-    KIND_PREPARE = KIND_PROMISE = ""
+    KIND_PREPARE = KIND_PROMISE = KIND_NACK = ""
 
     def __init__(self, sim: Simulator, node: Node, dispatcher: Dispatcher,
                  broadcast_layer: ReliableBroadcastLayer, group: MembershipPort,
@@ -219,15 +221,6 @@ class TotalOrderEngine:
     def coordinator(self) -> Optional[str]:
         """The member new broadcasts should be submitted to (or ``None``)."""
         raise NotImplementedError
-
-    def _new_ballot(self) -> int:
-        """A ballot higher than any this member promised or led, that no
-        other member can claim."""
-        raise NotImplementedError
-
-    def _refuse(self, sender: str, ballot: int) -> None:
-        """``sender`` posted for ``ballot``, below this member's promise:
-        ignore it (a policy may tell the sender)."""
 
     # ------------------------------------------------------------------ state
     def _reset_volatile(self) -> None:
@@ -291,7 +284,8 @@ class TotalOrderEngine:
                 (self.KIND_ANSWER, self._on_answer),
                 (self.KIND_DECIDE, self._on_decide),
                 (self.KIND_PREPARE, self._on_prepare),
-                (self.KIND_PROMISE, self._on_promise)):
+                (self.KIND_PROMISE, self._on_promise),
+                (self.KIND_NACK, self._on_nack)):
             self.dispatcher.register(kind, handler)
 
     # ------------------------------------------------------------------ lifecycle
@@ -397,8 +391,21 @@ class TotalOrderEngine:
 
     def _begin_prepare(self) -> None:
         """Claim a new ballot and collect from the first sequence this
-        member has not delivered."""
-        self._ballot = self._new_ballot()
+        member has not delivered.
+
+        The ballot is the next one this member's rank owns (ballots are
+        congruent to the rank modulo the group size, so no two members
+        claim the same one) above any it promised or led and above
+        ``view_id`` group sizes.  That floor outbids one claim per earlier
+        view, so a leader that a view change made or re-admitted is not
+        refused after it lost its promise in a crash.  A leader back within
+        one view may claim a ballot it held before: the members that
+        promised it answer ``NACK`` and it claims a higher one."""
+        size = len(self.group.members)
+        highest = max(self._promised, self._ballot,
+                      self.group.view().view_id * size)
+        self._ballot = (highest // size + 1) * size + \
+            self.group.members.index(self.member_name)
         self._preparing, self._established = True, False
         self._promises, self._acked, self._refilled = {}, {}, {}
         self._assigned_ids = set()
@@ -524,6 +531,21 @@ class TotalOrderEngine:
                    {"ballot": ballot, "sequence": sequence, "held": held,
                     **self._report()})
         self._try_deliver()
+
+    def _refuse(self, sender: str, ballot: int) -> None:
+        """``sender`` posted for ``ballot``, at or below this member's
+        promise: tell it the promise that beats it (it may have crashed and
+        lost its high-water mark), so it can claim a higher ballot."""
+        self._post(self.KIND_NACK, sender,
+                   {"ballot": ballot, "promised": self._promised})
+
+    def _on_nack(self, message: Message) -> None:
+        payload = message.payload
+        if payload["ballot"] == self._ballot and self.is_sequencer and \
+                (self._preparing or self._established):
+            # Our ballot lost: claim one above the promise that beat it.
+            self._promised = max(self._promised, payload["promised"])
+            self._begin_prepare()
 
     def _on_decide(self, message: Message) -> None:
         payload = message.payload

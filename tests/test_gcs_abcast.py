@@ -1171,6 +1171,43 @@ def test_a_rejoined_leader_leads_phase_1_from_the_horizon_it_installed(
     assert decided == {installed + 1}
 
 
+@pytest.mark.parametrize("outages", (1, 2))
+@pytest.mark.parametrize("engine", engine_names())
+def test_a_leader_back_before_the_view_dropped_it_leads_again(
+        engine, outages):
+    """s1 crashes and recovers within the detector's delay, so no view
+    change drops it and it leads the same view again, having lost the
+    ballot it held there.  Its collection claims a ballot above the view's
+    floor, which beats the fresh start's; after a second such outage it
+    claims that ballot again, every other member refuses it with a NACK
+    naming its promise, and s1 claims a higher one.  Either way it takes
+    over: every member delivers what is broadcast next."""
+    sim, lan, nodes, gcs = build_group(engine=engine)
+    delivered = {node.name: [] for node in nodes}
+    attach_consumers(sim, gcs, nodes, delivered)
+    broadcast_sequentially(sim, gcs, nodes, 3)
+    sent = record_sends(lan)
+    for _ in range(outages):
+        nodes[0].crash()
+        sim.run(until=sim.now + 0.5)
+        nodes[0].recover()
+        rejoin = nodes[0].spawn(gcs.endpoint("s1").recover())
+        sim.run(until=sim.now + 20.0)
+        assert rejoin.ok
+    delivered["s1"] = []
+    attach_consumers(sim, gcs, nodes[:1], delivered)
+    assert gcs.membership.view.view_id == 0
+    for node in nodes:
+        gcs.endpoint(node.name).broadcast(f"{node.name}-after")
+    sim.run(until=sim.now + 50.0)
+
+    after = sorted(f"{node.name}-after" for node in nodes)
+    assert sorted(delivered["s1"]) == after
+    assert delivered["s2"][3:] == delivered["s3"][3:] == delivered["s1"]
+    nacks = kinds_sent(sent)[gcs.endpoint("s1").KIND_NACK]
+    assert nacks == (0 if outages == 1 else len(nodes) - 1)
+
+
 @pytest.mark.parametrize("engine", engine_names())
 def test_a_rejoining_member_reports_no_horizon_until_it_installed_one(
         engine):

@@ -181,18 +181,18 @@ GOLDEN = {
     "paxos-heartbeat-crash": dict(
         technique="group-safe", engine="multi-paxos", detector="heartbeat",
         crash=True, log_time=0.0,
-        digest="3ef7fc4b4c72ce0e4f9f1350b6ce0363b7ed5858"
-               "5a9e82dce9ce57717b518fb9",
-        model="28d681787b813c2f4fd60f3555f83a088f149d95"
-              "938b9e6b88a478d04c8c47a6",
-        stats=(17, 24, 1069, 1041, 2190)),
+        digest="fef939cd0614b3024dc04f767fa695c559c29407"
+               "67867f078a81b87f92d352aa",
+        model="da3111edcf778647e000d6d5a28336bc60b671da"
+              "1fbad1fdd95e598766db8139",
+        stats=(17, 24, 1063, 1035, 2176)),
 }
 
 #: LAN deliveries per kind of the ``paxos-heartbeat-crash`` scenario.
 HEARTBEAT_SCENARIO_DELIVERIES = {
     "ABCAST.JOIN": 3, "ABCAST.JOIN_REPLY": 2, "PAXOS.ACCEPT": 65,
-    "PAXOS.ACCEPTED": 65, "PAXOS.LEARN": 65, "PAXOS.NACK": 2,
-    "PAXOS.PREPARE": 8, "PAXOS.PROMISE": 6, "PAXOS.PROPOSE": 25,
+    "PAXOS.ACCEPTED": 65, "PAXOS.LEARN": 65,
+    "PAXOS.PREPARE": 5, "PAXOS.PROMISE": 5, "PAXOS.PROPOSE": 25,
     "fd.heartbeat": 822}
 
 #: LAN deliveries per kind of the same Multi-Paxos heartbeat scenario with
