@@ -17,9 +17,9 @@ reading or writing it): the time cost of touching an item lives in the buffer
 pool and disk models.
 
 The store is *sparse*.  A run touches a few thousand of its items, so the
-population ``prefix-0 … prefix-(item_count-1)`` is implicit — one key tuple
-and one membership set per ``(item_count, prefix)``, shared by every store of
-the process — and a store holds an :class:`Item` only for the keys that were
+population ``item-0 … item-(item_count-1)`` is implicit — one key tuple
+and one membership set per ``item_count``, shared by every store of the
+process — and a store holds an :class:`Item` only for the keys that were
 touched.  Everything else is in its initial state, :data:`INITIAL`.
 """
 
@@ -76,19 +76,19 @@ class Item:
 # for the life of the process; a store keeps its own universe alive, so an
 # eviction only ends the sharing, never the store.
 @lru_cache(maxsize=16)
-def item_keys(item_count: int, prefix: str = "item") -> Tuple[str, ...]:
-    """The conventional keys ``prefix-0 … prefix-(item_count-1)``, in order.
+def item_keys(item_count: int) -> Tuple[str, ...]:
+    """The conventional keys ``item-0 … item-(item_count-1)``, in order.
 
     One immutable tuple per population, shared by every item store and every
     workload generator of the process.
     """
-    return tuple(f"{prefix}-{index}" for index in range(item_count))
+    return tuple(f"item-{index}" for index in range(item_count))
 
 
 @lru_cache(maxsize=16)
-def _key_set(item_count: int, prefix: str) -> FrozenSet[str]:
+def _key_set(item_count: int) -> FrozenSet[str]:
     """Membership view of :func:`item_keys` (tested, never iterated)."""
-    return frozenset(item_keys(item_count, prefix))
+    return frozenset(item_keys(item_count))
 
 
 class _Overlay(dict):
@@ -124,9 +124,9 @@ class ItemStore:
     answer for the whole logical population without growing the store.
     """
 
-    def __init__(self, item_count: int = 0, prefix: str = "item") -> None:
-        self._keys = item_keys(item_count, prefix)
-        self._overlay = _Overlay(_key_set(item_count, prefix))
+    def __init__(self, item_count: int = 0) -> None:
+        self._keys = item_keys(item_count)
+        self._overlay = _Overlay(_key_set(item_count))
         #: The hot per-operation handle: the canonical item of a key, or
         #: None for unknown keys.  A bound C method of the overlay — a
         #: single dict probe once the key has been touched.

@@ -24,8 +24,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..workload.params import SimulationParameters
-from .harness import (SMOKE_TECHNIQUES, TECHNIQUES, TRACE_ARGUMENT, LossCell,
-                      loss_bars, loss_cell, matrix_cli, run_cells)
+from .harness import (SMOKE_TECHNIQUES, TECHNIQUES, LossCell, loss_bars,
+                      loss_cell, matrix_cli, run_cells)
 from .scenarios import FROZEN, run_crash_scenario
 
 #: The crash patterns exercised for every technique; those in
@@ -92,8 +92,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         run=lambda arguments, params: run_failure_matrix(
             techniques=SMOKE_TECHNIQUES if arguments.smoke else None,
             seed=arguments.seed, params=params, workers=arguments.workers),
-        render=render_matrix, bars=loss_bars,
-        extra_arguments=(TRACE_ARGUMENT,))
+        render=render_matrix, bars=loss_bars)
 
 
 if __name__ == "__main__":  # pragma: no cover - CLI entry

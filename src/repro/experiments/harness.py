@@ -119,7 +119,7 @@ def run_cells(cell_fn: Callable, cells: Iterable, workers: int = 1) -> List:
 
 @dataclass
 class LossCell:
-    """One (technique, shard count, crash pattern) cell of a loss matrix."""
+    """One (technique, crash pattern) cell of a loss matrix."""
 
     technique: str
     level: SafetyLevel
@@ -127,8 +127,6 @@ class LossCell:
     predicted_possible_loss: bool
     observed_loss: bool
     outcome: object
-    #: 1 for the single-group matrix.
-    shard_count: int = 1
     #: The pattern's loss-independent invariants (2PC atomicity, every client
     #: answered, routing-map crash consistency, post-pattern availability).
     invariants_ok: bool = True
@@ -188,20 +186,13 @@ def loss_bars(entries: Sequence[LossCell]) -> List[str]:
 
 
 # --------------------------------------------------------------------------- CLI gate
-TRACE_ARGUMENT = ("--trace", dict(
-    default=None, metavar="PATH",
-    help="also run the canonical traced scenario and write its Chrome "
-         "trace to PATH"))
-
-
 def matrix_cli(argv: Optional[List[str]], *, description: str,
                report_name: str,
                run: Callable[[object, SimulationParameters], Sequence],
                render: Callable[[Sequence], str],
                bars: Callable[[Sequence], List[str]],
                engines_of: Callable[[object], Sequence[str]]
-               = lambda arguments: [arguments.engine],
-               extra_arguments: Sequence[Tuple[str, dict]] = ()) -> int:
+               = lambda arguments: [arguments.engine]) -> int:
     """The shared CLI / CI gate of the failure matrices.
 
     ``run(arguments, params)`` executes the matrix (``params`` is the cell
@@ -218,8 +209,6 @@ def matrix_cli(argv: Optional[List[str]], *, description: str,
     import argparse
     from pathlib import Path
 
-    from .traced import maybe_write_scenario_trace
-
     parser = argparse.ArgumentParser(description=description)
     parser.add_argument("--smoke", action="store_true",
                         help="reduced cell set for CI")
@@ -234,14 +223,10 @@ def matrix_cli(argv: Optional[List[str]], *, description: str,
                              "report order stays deterministic)")
     parser.add_argument("--report-dir", default="benchmarks/benchmark_reports",
                         help="directory the matrix report is written to")
-    for flag, keywords in extra_arguments:
-        parser.add_argument(flag, **keywords)
     arguments = parser.parse_args(argv)
 
     entries = run(arguments,
                   small_parameters(broadcast_engine=arguments.engine))
-    maybe_write_scenario_trace(getattr(arguments, "trace", None),
-                               seed=arguments.seed)
     engines = list(engines_of(arguments))
     text = f"engine: {', '.join(engines)}\n{render(entries)}"
     print(text)

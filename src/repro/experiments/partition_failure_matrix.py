@@ -3,10 +3,11 @@
 The single-group failure matrix (:mod:`repro.experiments.failure_matrix`)
 confronts the paper's derived loss conditions with concrete crash schedules
 on one replica group.  This module extends the same discipline to the
-partitioned subsystem: every (technique, shard count, crash pattern) cell
-derives a predicted-loss verdict by composing the per-shard criteria with
-the 2PC blocking rules (:func:`repro.core.matrix.partitioned_loss_condition`),
-runs the pattern's workload against its fault plan
+partitioned subsystem: every (technique, crash pattern) cell, on a cluster of
+:data:`SHARD_COUNT` range shards, derives a predicted-loss verdict by
+composing the per-shard criteria with the 2PC blocking rules
+(:func:`repro.core.matrix.partitioned_loss_condition`), runs the pattern's
+workload against its fault plan
 (:class:`~repro.experiments.plans.PlanDriver`; the 2PC and migration crashes
 land through the failpoints of
 :class:`~repro.partition.cluster.PartitionedCluster`, deterministic crash
@@ -60,16 +61,21 @@ from ..partition.cluster import PartitionedCluster
 from ..partition.coordinator import CrossPartitionOutcome
 from ..partition.migration import MigrationReport
 from ..workload.params import SimulationParameters
-from .harness import (SMOKE_TECHNIQUES, TECHNIQUES, TRACE_ARGUMENT, LossCell,
-                      advance_until, confirm, demonstrated, loss_bars,
-                      loss_cell, matrix_cli, probe, run_cells,
-                      small_parameters, submit_writes, violations)
+from .harness import (SMOKE_TECHNIQUES, TECHNIQUES, LossCell, advance_until,
+                      confirm, demonstrated, loss_bars, loss_cell, matrix_cli,
+                      probe, run_cells, small_parameters, submit_writes,
+                      violations)
 from .plans import (DELEGATE, NON_DELEGATES, WORKLOAD, Plan, PlanDriver,
                     plan_entry)
 from .scenarios import CRASH_PLANS, FREEZE, FROZEN, SETTLE
 
 #: A pattern's entry: (workload, the group its plan addresses, plan).
 _Entry = Tuple[Callable, int, Plan]
+
+#: Shards of every scenario's cluster: shard 0 is the 2PC home and the
+#: migration source, the last shard the 2PC remote branch and the
+#: migration destination.
+SHARD_COUNT = 2
 
 #: Patterns every matrix run must include for the acceptance bars
 #: (whole-shard outage, a coordinator crash, two mid-migration points).
@@ -100,7 +106,6 @@ class PartitionedScenarioOutcome:
 
     technique: str
     crash_pattern: str
-    shard_count: int
     #: Was the audited transaction confirmed to its client?
     confirmed: bool
     #: Statuses of the shards the audited transaction's durability depends on.
@@ -200,28 +205,25 @@ def migrate_shard_zero(cluster: PartitionedCluster,
 
 # --------------------------------------------------------------------------- scenarios
 def run_partitioned_crash_scenario(technique: str, crash_pattern: str,
-                                   shard_count: int = 2, seed: int = 1,
+                                   seed: int = 1,
                                    params: Optional[SimulationParameters]
                                    = None) -> PartitionedScenarioOutcome:
     """Run one partitioned failure-injection scenario and audit it.
 
-    Builds a range-sharded cluster of ``shard_count`` groups (all running
+    Builds a range-sharded cluster of :data:`SHARD_COUNT` groups (all running
     ``technique``) and runs the pattern's workload against its plan
     (:data:`PARTITIONED_CRASH_PATTERNS`): the crashes land through a
     deterministic failpoint for the 2PC and migration patterns.
     """
     workload, shard, plan = plan_entry(PARTITIONED_CRASH_PATTERNS,
                                        crash_pattern, "crash pattern")
-    if shard_count < 2:
-        raise ValueError("the partitioned matrix needs at least 2 shards")
     cluster = PartitionedCluster(
         technique, seed=seed, strategy="range",
-        params=small_parameters(params, partition_count=shard_count,
+        params=small_parameters(params, partition_count=SHARD_COUNT,
                                 cross_partition_probability=0.0))
     cluster.start()
     outcome = PartitionedScenarioOutcome(
-        technique=technique, crash_pattern=crash_pattern,
-        shard_count=shard_count, confirmed=True)
+        technique=technique, crash_pattern=crash_pattern, confirmed=True)
     workload(cluster, outcome, PlanDriver(cluster, plan, shard=shard))
     return outcome
 
@@ -382,25 +384,23 @@ PARTITIONED_CRASH_PATTERNS: Dict[str, _Entry] = {
 
 # --------------------------------------------------------------------------- the matrix
 def _matrix_cell(cell) -> LossCell:
-    """Run one (technique, shard count, crash pattern) cell."""
-    technique, pattern, shard_count, seed, params = cell
-    outcome = run_partitioned_crash_scenario(
-        technique, pattern, shard_count=shard_count, seed=seed,
-        params=params)
+    """Run one (technique, crash pattern) cell."""
+    technique, pattern, seed, params = cell
+    outcome = run_partitioned_crash_scenario(technique, pattern, seed=seed,
+                                             params=params)
     return loss_cell(technique, pattern, outcome,
                      [(status.group_failed, status.delegate_crashed)
                       for status in outcome.audited_shards],
-                     shard_count=shard_count,
                      invariants_ok=outcome.invariants_ok)
 
 
 def run_partitioned_failure_matrix(techniques: Optional[Sequence[str]] = None,
                                    patterns: Optional[Sequence[str]] = None,
-                                   shard_count: int = 2, seed: int = 1,
+                                   seed: int = 1,
                                    params: Optional[SimulationParameters]
                                    = None,
                                    workers: int = 1) -> List[LossCell]:
-    """Run every (technique, shard count, crash pattern) cell, technique-major.
+    """Run every (technique, crash pattern) cell, technique-major.
 
     The predicted verdict composes the per-shard Table 3 conditions over the
     shards the audited transaction depends on
@@ -408,7 +408,7 @@ def run_partitioned_failure_matrix(techniques: Optional[Sequence[str]] = None,
     """
     return run_cells(
         _matrix_cell,
-        ((technique, pattern, shard_count, seed, params)
+        ((technique, pattern, seed, params)
          for technique in (TECHNIQUES if techniques is None else techniques)
          for pattern in (PARTITIONED_CRASH_PATTERNS if patterns is None
                          else patterns)), workers)
@@ -434,7 +434,7 @@ def render_partitioned_matrix(entries: Sequence[LossCell]) -> str:
         observed = "LOST" if entry.observed_loss else "kept"
         invariants = "ok" if entry.invariants_ok else "VIOLATED"
         lines.append(
-            f"{entry.technique:>14} | {entry.shard_count:>6} | "
+            f"{entry.technique:>14} | {SHARD_COUNT:>6} | "
             f"{entry.crash_pattern:>28} | {predicted:>10} | "
             f"{observed:>9} | {invariants:>10} | {entry.sound}")
     broken = violations(entries)
@@ -462,18 +462,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         report_name="partition_failure_matrix",
         run=lambda arguments, params: run_partitioned_failure_matrix(
             techniques=SMOKE_TECHNIQUES if arguments.smoke else TECHNIQUES,
-            shard_count=arguments.shards, seed=arguments.seed, params=params,
-            workers=arguments.workers),
+            seed=arguments.seed, params=params, workers=arguments.workers),
         render=render_partitioned_matrix,
         bars=lambda entries: [
             f"required pattern class not exercised: {label}"
             for label in missing_pattern_classes(entries)]
-        + loss_bars(entries),
-        extra_arguments=(
-            ("--shards", dict(type=int, default=2,
-                              help="shard count of every scenario "
-                                   "(default 2)")),
-            TRACE_ARGUMENT))
+        + loss_bars(entries))
 
 
 if __name__ == "__main__":  # pragma: no cover - CLI entry

@@ -228,24 +228,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"engine: {arguments.engine}")
     print(render_partition_sweep(points))
     if arguments.trace:
-        from pathlib import Path
-
-        from ..obs.export import write_chrome_trace, \
-            write_critical_path_report
+        from .traced import write_trace
         traced = run_partition_point(
             partition_count=counts[-1],
             cross_partition_probability=arguments.cross,
             duration_ms=duration, seed=arguments.seed, params=params,
             observability=True)
-        trace_path = Path(arguments.trace)
-        write_chrome_trace(trace_path, traced.obs,
-                           metadata={"scenario": "partition-scaling",
-                                     "partitions": counts[-1],
-                                     "seed": arguments.seed})
-        write_critical_path_report(trace_path.with_suffix(".txt"),
-                                   traced.obs)
-        print(f"trace written to {trace_path} (critical-path report: "
-              f"{trace_path.with_suffix('.txt')})")
+        write_trace(arguments.trace, traced.obs,
+                    metadata={"scenario": "partition-scaling",
+                              "partitions": counts[-1],
+                              "seed": arguments.seed})
     return 0
 
 

@@ -52,14 +52,12 @@ class GroupMembership:
     """Tracks the current view of a static set of potential members."""
 
     def __init__(self, sim: Simulator, members: Sequence[str],
-                 failure_detector: Optional[FailureDetector] = None,
-                 quorum_size: Optional[int] = None) -> None:
+                 failure_detector: Optional[FailureDetector] = None) -> None:
         if not members:
             raise ValueError("a group needs at least one member")
         self.sim = sim
         self.static_members: Tuple[str, ...] = tuple(members)
-        self.quorum_size = quorum_size if quorum_size is not None \
-            else len(self.static_members) // 2 + 1
+        self.quorum_size = len(self.static_members) // 2 + 1
         self._listeners: List[ViewListener] = []
         self._history: List[View] = []
         self._install(tuple(members))

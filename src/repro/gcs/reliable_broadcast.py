@@ -44,12 +44,11 @@ from ..sim.resources import Store
 class ReliableBroadcastLayer:
     """One member's outbound broadcast channel (a queue served by the CPU)."""
 
-    def __init__(self, sim: Simulator, lan: Lan, node: Node,
-                 member_name: Optional[str] = None) -> None:
+    def __init__(self, sim: Simulator, lan: Lan, node: Node) -> None:
         self.sim = sim
         self.lan = lan
         self.node = node
-        self.member_name = member_name or node.name
+        self.member_name = node.name
         self._outbox = Store(sim, name=f"{self.member_name}.outbox")
 
     # ------------------------------------------------------------------ lifecycle

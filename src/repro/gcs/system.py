@@ -41,7 +41,6 @@ class GroupCommunicationSystem:
                  end_to_end: bool = False,
                  delivery_log_time: float = 0.0,
                  detection_delay: float = 1.0,
-                 quorum_size: Optional[int] = None,
                  engine: str = DEFAULT_ENGINE,
                  detector_mode: str = "perfect",
                  heartbeat_period: float = 10.0,
@@ -61,7 +60,7 @@ class GroupCommunicationSystem:
             heartbeat_timeout=heartbeat_timeout)
         self.membership = GroupMembership(
             sim, [node.name for node in members],
-            failure_detector=self.failure_detector, quorum_size=quorum_size)
+            failure_detector=self.failure_detector)
         group_port = MembershipPort(
             members=tuple(node.name for node in members),
             view=lambda: self.membership.view,

@@ -176,7 +176,6 @@ class TotalOrderEngine:
 
     def __init__(self, sim: Simulator, node: Node, dispatcher: Dispatcher,
                  broadcast_layer: ReliableBroadcastLayer, group: MembershipPort,
-                 member_name: Optional[str] = None,
                  journal: Optional[GcsMessageLog] = None,
                  failure_detector: Any = None) -> None:
         self.sim = sim
@@ -184,7 +183,7 @@ class TotalOrderEngine:
         self.dispatcher = dispatcher
         self.rb = broadcast_layer
         self.group = group
-        self.member_name = member_name or node.name
+        self.member_name = node.name
         #: Stable message log of the end-to-end composition, or ``None``
         #: for the classical primitive.
         self.journal = journal

@@ -41,12 +41,15 @@ lives on).  If that delegate crashes after the decision is durable but
 before every branch is installed, the coordinator *dies with it*: phase 2
 halts and the client blocks — the classic 2PC blocked state.  When the home
 delegate recovers, :meth:`replay_decisions` scans its stable log for
-``DECISION`` records and resumes phase 2 for every decided-but-unfinished
-transaction, finally answering the client.  A decision record whose
-transaction was already reported aborted to the client (the flush raced the
-coordinator's bounded decision wait) is counted as an *orphan decision* and
-reconciled in favour of the client-visible abort — nothing was installed
-during prepare, so the abort answer was truthful.
+``DECISION`` records and runs phase 2 again for every decided-but-unfinished
+transaction, finally answering the client.  A replay is the same phase-2
+driver as the live commit, so it too dies with the home delegate: if the
+delegate crashes again mid-replay the client stays blocked until the next
+recovery replays once more.  A decision record whose transaction was
+already reported aborted to the client (the flush raced the coordinator's
+bounded decision wait) is counted as an *orphan decision* and reconciled in
+favour of the client-visible abort — nothing was installed during prepare,
+so the abort answer was truthful.
 
 **Isolation caveat.**  The coordinator guarantees *atomicity* (all-or-nothing
 across partitions) and per-branch durability at each group's safety level —
@@ -75,6 +78,7 @@ from ..db.wal import LogRecord, LogRecordType
 from ..sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
+    from ..network.node import Node
     from .cluster import PartitionedCluster
 
 #: Abort reasons the coordinator can produce.
@@ -82,6 +86,10 @@ ABORT_VALIDATION = "xpartition-validation"
 ABORT_TIMEOUT = "xpartition-prepare-timeout"
 ABORT_UNAVAILABLE = "xpartition-unavailable"
 ABORT_WRONG_EPOCH = "xpartition-wrong-epoch"
+#: When several branches vote no, the transaction aborts with the first of
+#: these reasons that some branch gave.
+_ABORT_PRECEDENCE = (ABORT_TIMEOUT, ABORT_UNAVAILABLE, ABORT_WRONG_EPOCH,
+                     ABORT_VALIDATION)
 
 #: Bound (ms) on the prepare phase and on the forced decision write.
 PREPARE_TIMEOUT_MS = 2_000.0
@@ -152,7 +160,7 @@ class _PendingDecision:
 
     Registered the moment the decision record is durable and removed when
     the client is answered; this is the state :meth:`CrossPartitionCoordinator.
-    replay_decisions` resumes from after a home-delegate crash.
+    replay_decisions` runs phase 2 again from after a home-delegate crash.
     """
 
     xid: str
@@ -160,9 +168,12 @@ class _PendingDecision:
     transactions: Dict[int, Transaction]
     delegates: Dict[int, str]
     response_event: Event
-    #: True once a replay pass took ownership of finishing phase 2 (the
-    #: original, possibly still-scheduled, commit branches stand down).
-    resuming: bool = False
+    #: The home delegate's node, which hosts the coordinator.
+    home: "Node"
+    #: ``home.crash_count`` the current phase-2 driver lives in (read before
+    #: the decision flush, and again by each replay that starts a driver):
+    #: the driver is dead once the node's count moves past it.
+    crash_count: int
 
 
 class CrossPartitionCoordinator:
@@ -264,14 +275,12 @@ class CrossPartitionCoordinator:
             # repro: allow(ordering-hazard): insertion order is the sorted partition order
             [self.sim.all_of(list(prepare_procs.values())), timeout])
 
-        timed_out = False
         transactions: Dict[int, Transaction] = {}
         for partition_id, process in prepare_procs.items():
             branch_outcome = outcome.branch(partition_id)
             if not process.triggered:
                 # The branch delegate crashed (or stalled) mid-prepare; its
                 # read events will never fire.  Vote no.
-                timed_out = True
                 branch_outcome.abort_reason = ABORT_TIMEOUT
                 continue
             transaction = process.value
@@ -308,28 +317,18 @@ class CrossPartitionCoordinator:
                 branch_outcome.voted_yes = False
                 branch_outcome.abort_reason = ABORT_WRONG_EPOCH
 
+        all_yes = all(branch.voted_yes for branch in outcome.branches)
         obs = self.sim.obs
         if obs is not None:
             obs.instant("2pc.vote", track="coordinator",
-                        labels={"xid": xid,
-                                "all_yes": all(branch.voted_yes
-                                               for branch in outcome.branches),
+                        labels={"xid": xid, "all_yes": all_yes,
                                 "partitions": len(partitions)})
-        all_yes = all(branch.voted_yes for branch in outcome.branches)
         if not all_yes:
-            if timed_out:
-                reason = ABORT_TIMEOUT
-            elif any(branch.abort_reason == ABORT_UNAVAILABLE
-                     for branch in outcome.branches):
-                reason = ABORT_UNAVAILABLE
-            elif any(branch.abort_reason == ABORT_WRONG_EPOCH
-                     for branch in outcome.branches):
-                reason = ABORT_WRONG_EPOCH
-            else:
-                reason = ABORT_VALIDATION
+            reasons = [branch.abort_reason for branch in outcome.branches]
             # Nothing was installed during prepare, so aborting everywhere is
             # just a matter of answering the client.
-            self._finish(outcome, reason, response_event)
+            self._finish(outcome, next(reason for reason in _ABORT_PRECEDENCE
+                                       if reason in reasons), response_event)
             return
 
         # -- decision: force-log it on the home partition's delegate --------
@@ -349,6 +348,7 @@ class CrossPartitionCoordinator:
         self.cluster.fire_failpoint("2pc.prepared", xid=xid, home=home,
                                     delegates=dict(delegates))
         home_node = self.cluster.group(home).node(delegates[home])
+        crash_count = home_node.crash_count
         home_db = self.cluster.group(home).database(delegates[home])
         self.active_installs[xid] = frozenset(
             key for transaction in transactions.values()
@@ -374,45 +374,45 @@ class CrossPartitionCoordinator:
 
         # The decision is durable: from here on the transaction *will*
         # commit, even across a crash of the coordinator itself (which is
-        # co-located with the home delegate) — replay_decisions resumes the
-        # registered pending state when the delegate recovers.
-        self.decided_pending[xid] = _PendingDecision(
+        # co-located with the home delegate) — replay_decisions runs phase 2
+        # again from the registered pending state when the delegate recovers.
+        # The crash count is the one read before the flush, so a crash of
+        # the home delegate since then already reads as a dead coordinator.
+        pending = self.decided_pending[xid] = _PendingDecision(
             xid=xid, outcome=outcome, transactions=transactions,
-            delegates=dict(delegates), response_event=response_event)
+            delegates=dict(delegates), response_event=response_event,
+            home=home_node, crash_count=crash_count)
         self.cluster.fire_failpoint("2pc.decided", xid=xid, home=home,
                                     delegates=dict(delegates))
+        yield from self._phase_two(pending)
 
-        # -- phase 2: make every write branch durable via its group ---------
+    def _phase_two(self, pending: _PendingDecision):
+        """Generator: make every write branch durable via its group, then answer.
+
+        The one phase-2 driver: the live commit enters it and decision replay
+        spawns it.  It runs on the home delegate and dies with it — once the
+        node's crash count moves past ``pending.crash_count`` as this driver
+        read it, its branches stop retrying and nobody answers the client;
+        the next replay starts a new driver.
+        """
+        outcome = pending.outcome
+        crash_count = pending.crash_count
         commit_procs = []
-        for partition_id in partitions:
-            transaction = transactions[partition_id]
+        for partition_id, transaction in pending.transactions.items():
+            branch = outcome.branch(partition_id)
+            if branch.committed:
+                continue
             if not transaction.write_values:
                 # Read-only branch: it voted, there is nothing to install.
-                outcome.branch(partition_id).committed = True
+                branch.committed = True
                 continue
             commit_procs.append(self.sim.spawn(
-                self._commit_branch(partition_id, delegates[partition_id],
-                                    transaction, xid,
-                                    outcome.branch(partition_id),
-                                    home_node=home_node),
-                name=f"xp.commit.{xid}.p{partition_id}"))
+                self._commit_branch(pending, partition_id, crash_count),
+                name=f"xp.commit.{pending.xid}.p{partition_id}"))
         if commit_procs:
             yield self.sim.all_of(commit_procs)
-
-        pending = self.decided_pending.get(xid)
-        if pending is None or pending.resuming:
-            # A recovery replay took the transaction over (and may already
-            # have finished it — the pending entry is popped by _finish);
-            # standing down here is what keeps the outcome from being
-            # recorded twice.
-            return
-        if (not all(branch.committed for branch in outcome.branches)
-                and home_node.is_crashed):
-            # The coordinator died with its home delegate mid-phase-2.  The
-            # decision is durable and registered; replay finishes the job
-            # (and answers the client) when the delegate recovers.
-            return
-        self._finish(outcome, None, response_event)
+        if pending.home.crash_count == crash_count:
+            self._finish(outcome, None, pending.response_event)
 
     def _prepare(self, partition_id: int, delegate: str,
                  branch: TransactionProgram, xid: str):
@@ -452,10 +452,8 @@ class CrossPartitionCoordinator:
             if span is not None:
                 obs.end(span)
 
-    def _commit_branch(self, partition_id: int, delegate: str,
-                       transaction: Transaction, xid: str,
-                       branch_outcome: BranchOutcome,
-                       home_node=None):
+    def _commit_branch(self, pending: _PendingDecision, partition_id: int,
+                       crash_count: int):
         """Generator: drive the branch's write set to commit on its group.
 
         The global decision is already logged, so this *must* succeed: local
@@ -468,17 +466,18 @@ class CrossPartitionCoordinator:
         idempotent — it installs the same values on every attempt — so an
         at-least-once retry cannot violate atomicity.
 
-        ``home_node`` ties the coordinator's fate to its home delegate: if
-        that node crashes the branch stands down (the coordinator is dead)
-        and decision replay resumes the install on recovery.  Replay-driven
-        installs pass ``home_node=None`` — they answer to nobody but the
-        durable decision record.
+        The branch belongs to its phase-2 driver, which dies with the home
+        delegate: once the home node's crash count moves past
+        ``crash_count`` it stops retrying, and the driver a replay starts
+        takes the branch over — a replay's branches stand down the same way.
         """
+        xid = pending.xid
+        branch_outcome = pending.outcome.branch(partition_id)
         group = self.cluster.group(partition_id)
         write_operations = tuple(
-            Operation(OperationType.WRITE, key, value)
-            for key, value in transaction.write_values.items())
-        server = delegate
+            Operation(OperationType.WRITE, key, value) for key, value
+            in pending.transactions[partition_id].write_values.items())
+        server = pending.delegates[partition_id]
         attempt = 0
         obs = self.sim.obs
         span = None
@@ -487,16 +486,7 @@ class CrossPartitionCoordinator:
                              track="coordinator", parent=("xp", xid),
                              labels={"partition": partition_id})
         try:
-            while True:
-                if home_node is not None:
-                    pending = self.decided_pending.get(xid)
-                    if pending is not None and pending.resuming:
-                        # A replay pass owns this transaction now.
-                        return
-                    if home_node.is_crashed:
-                        # The coordinator died with its home delegate; the
-                        # durable decision record takes over via replay.
-                        return
+            while pending.home.crash_count == crash_count:
                 attempt += 1
                 backoff = min(RETRY_BACKOFF_MS * attempt, MAX_RETRY_BACKOFF_MS)
                 delegates = group.available_delegates()
@@ -532,67 +522,43 @@ class CrossPartitionCoordinator:
                                       "in_doubt": branch_outcome.in_doubt})
 
     # ------------------------------------------------------------------ decision replay
-    def replay_decisions(self, partition_id: int, server: str) -> int:
-        """Resume phase 2 for durable decisions found on a recovered server.
+    def replay_decisions(self, partition_id: int, server: str) -> None:
+        """Run phase 2 again for durable decisions found on a recovered server.
 
         Scans the server's stable write-ahead log for ``DECISION`` records.
-        A decided-but-unfinished transaction gets its remaining branches
-        re-driven to commit (resolving any in-doubt state) and its client
-        finally answered; a decision whose client already saw an abort is
-        counted as an orphan and left aborted — nothing was installed during
-        prepare, so the abort answer was truthful.  Returns the number of
-        transactions resumed.
+        A decided-but-unfinished transaction whose phase-2 driver died with
+        its home delegate gets a new driver (:meth:`_phase_two`), which
+        re-drives the remaining branches to commit (resolving any in-doubt
+        state) and finally answers the client; a decision whose client
+        already saw an abort is counted as an orphan and left aborted —
+        nothing was installed during prepare, so the abort answer was
+        truthful.
         """
         database = self.cluster.group(partition_id).database(server)
-        resumed = 0
+        outcomes = {outcome.xid: outcome for outcome in self.outcomes}
         for record in database.wal.stable_records():
             if record.record_type is not LogRecordType.DECISION:
                 continue
             xid = record.txn_id
             pending = self.decided_pending.get(xid)
             if pending is None:
-                outcome = next((outcome for outcome in self.outcomes
-                                if outcome.xid == xid), None)
+                outcome = outcomes.get(xid)
                 if (outcome is not None and not outcome.committed
                         and xid not in self._orphan_xids):
                     self._orphan_xids.add(xid)
                     self.orphan_decisions += 1
-                continue
-            if pending.resuming:
-                continue
-            pending.resuming = True
-            resumed += 1
-            self.sim.spawn(self._resume_decided(pending),
-                           name=f"xp.replay.{xid}")
-        return resumed
-
-    def _resume_decided(self, pending: _PendingDecision):
-        """Generator: finish phase 2 of a replayed decision and answer."""
-        outcome = pending.outcome
-        for partition_id, transaction in pending.transactions.items():
-            branch = outcome.branch(partition_id)
-            if branch.committed:
-                continue
-            if not transaction.write_values:
-                branch.committed = True
-                continue
-            yield from self._commit_branch(
-                partition_id, pending.delegates[partition_id], transaction,
-                pending.xid, branch, home_node=None)
-        self._finish(outcome, None, pending.response_event)
+            elif pending.home.crash_count != pending.crash_count:
+                pending.crash_count = pending.home.crash_count
+                self.sim.spawn(self._phase_two(pending),
+                               name=f"xp.replay.{xid}")
 
     # ------------------------------------------------------------------ bookkeeping
     def _finish(self, outcome: CrossPartitionOutcome, reason: Optional[str],
                 response_event: Event) -> None:
         self.active_installs.pop(outcome.xid, None)
         self.decided_pending.pop(outcome.xid, None)
-        outcome.committed = reason is None and all(
-            branch.committed for branch in outcome.branches)
-        if reason is None and not outcome.committed:
-            # Defensive: phase 2 retries until every branch commits, so this
-            # only triggers if a branch generator is changed to give up.
-            reason = next((branch.abort_reason for branch in outcome.branches
-                           if branch.abort_reason), "xpartition-in-doubt")
+        # Phase 2 answers only once every branch committed.
+        outcome.committed = reason is None
         outcome.abort_reason = reason
         outcome.responded_at = self.sim.now
         self.outcomes.append(outcome)

@@ -328,11 +328,6 @@ class RoutingTable:
         return self._epoch
 
     @property
-    def shard_count(self) -> int:
-        """Number of shards (>= group count after splits)."""
-        return len(self._assignments)
-
-    @property
     def partition_count(self) -> int:
         """Number of replica groups."""
         return self.group_count

@@ -32,7 +32,7 @@ experiments.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..db.operations import Operation, OperationType, TransactionProgram
 from ..sim.engine import Simulator
@@ -49,12 +49,8 @@ class PartitionedWorkloadGenerator(WorkloadGenerator):
     """Table 4 transactions, confined to or deliberately spanning partitions."""
 
     def __init__(self, sim: Simulator, params: SimulationParameters,
-                 routing: RoutingTable,
-                 item_keys: Optional[Sequence[str]] = None,
-                 stream_prefix: str = "workload",
-                 skew: Optional[float] = None) -> None:
-        super().__init__(sim, params, item_keys=item_keys,
-                         stream_prefix=stream_prefix, skew=skew)
+                 routing: RoutingTable) -> None:
+        super().__init__(sim, params)
         #: The ownership map.
         self.routing = routing
         if not 0.0 <= params.cross_partition_probability <= 1.0:
@@ -62,12 +58,9 @@ class PartitionedWorkloadGenerator(WorkloadGenerator):
         # Interned stream handles for the partition-specific draws (the base
         # class hoists the item/length/write/arrival streams).
         streams = sim.random
-        self._xpartition_stream = streams.stream(
-            f"{stream_prefix}.xpartition")
-        self._members_stream = streams.stream(
-            f"{stream_prefix}.xpartition.members")
-        self._op_partition_stream = streams.stream(
-            f"{stream_prefix}.op_partition")
+        self._xpartition_stream = streams.stream("workload.xpartition")
+        self._members_stream = streams.stream("workload.xpartition.members")
+        self._op_partition_stream = streams.stream("workload.op_partition")
         self._global_rank = {key: index for index, key in
                              enumerate(self.item_keys)} if self.skew > 0 \
             else {}

@@ -31,7 +31,7 @@ from bisect import bisect_left
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
-from ..db.items import item_keys as conventional_item_keys
+from ..db.items import item_keys
 from ..db.operations import Operation, OperationType, TransactionProgram
 from ..sim.engine import Simulator
 from .params import SimulationParameters
@@ -40,20 +40,15 @@ from .params import SimulationParameters
 class WorkloadGenerator:
     """Generates Table 4 transactions from the simulator's random streams."""
 
-    def __init__(self, sim: Simulator, params: SimulationParameters,
-                 item_keys: Optional[Sequence[str]] = None,
-                 stream_prefix: str = "workload",
-                 skew: Optional[float] = None) -> None:
+    def __init__(self, sim: Simulator, params: SimulationParameters) -> None:
         self.sim = sim
         self.params = params
-        #: The keyspace; by default the item stores' own (shared) key tuple.
-        self.item_keys: Sequence[str] = (
-            list(item_keys) if item_keys is not None
-            else conventional_item_keys(params.item_count))
+        #: The keyspace: the item stores' own (shared) key tuple.
+        self.item_keys: Sequence[str] = item_keys(params.item_count)
         if not self.item_keys:
             raise ValueError("the workload needs at least one item")
         #: Zipf skew of item accesses (0 = the paper's uniform model).
-        self.skew = params.zipf_skew if skew is None else skew
+        self.skew = params.zipf_skew
         if self.skew < 0:
             raise ValueError(f"zipf skew must be non-negative, got {self.skew!r}")
         if not 0.0 <= params.write_probability <= 1.0:
@@ -64,10 +59,10 @@ class WorkloadGenerator:
         # Interned stream handles: resolve the f-string names once, not per
         # draw.  Stream seeds depend only on the name, so this is draw-exact.
         streams = sim.random
-        self._item_stream = streams.stream(f"{stream_prefix}.item")
-        self._length_stream = streams.stream(f"{stream_prefix}.length")
-        self._write_stream = streams.stream(f"{stream_prefix}.write")
-        self._arrival_stream = streams.stream(f"{stream_prefix}.arrival")
+        self._item_stream = streams.stream("workload.item")
+        self._length_stream = streams.stream("workload.length")
+        self._write_stream = streams.stream("workload.write")
+        self._arrival_stream = streams.stream("workload.arrival")
         #: Number of programs generated so far.
         self.generated_count = 0
 

@@ -18,7 +18,7 @@ from repro.network import Node
 from repro.partition import PartitionedCluster
 from repro.partition.workload import PartitionedOpenLoopClients
 from repro.sim import Simulator
-from repro.workload import SimulationParameters
+from repro.workload import SimulationParameters, WorkloadGenerator
 from tests.conftest import make_program
 
 
@@ -79,6 +79,10 @@ def test_untouched_population_is_implicit_and_shared():
     # One key tuple per population and process, not one per store.
     assert item_keys(500) is item_keys(500)
     assert first.keys()[7] is second.keys()[7]
+    # The workload generator draws from the very same keys.
+    generator = WorkloadGenerator(Simulator(seed=1),
+                                  SimulationParameters.small(item_count=500))
+    assert generator.item_keys[7] is first.keys()[7]
     # Queries answer for the whole population without faulting anything in.
     assert len(first) == 500 and "item-499" in first
     assert first.committed("item-3") is INITIAL

@@ -11,8 +11,10 @@ import pytest
 
 from repro.db.transaction import WriteSetMessage
 from repro.db.wal import LogRecordType
-from repro.partition import (ABORT_VALIDATION, CrossPartitionOutcome,
+from repro.partition import (ABORT_TIMEOUT, ABORT_UNAVAILABLE,
+                             ABORT_VALIDATION, CrossPartitionOutcome,
                              PartitionedCluster, PartitionedOpenLoopClients)
+from repro.partition.coordinator import PREPARE_TIMEOUT_MS
 from repro.replication.results import TransactionResult
 from repro.workload import SimulationParameters
 from tests.conftest import make_program
@@ -137,6 +139,53 @@ def test_home_delegate_crash_during_decision_flush_aborts_cleanly():
     assert not outcome.committed
     assert not value_installed_somewhere(cluster, "poison-0")
     assert not value_installed_somewhere(cluster, "poison-1")
+
+
+def test_home_delegate_crash_before_the_decision_flush_aborts_unavailable():
+    # Every branch voted yes; the home delegate crashes before the DECISION
+    # record is force-logged, so the flush fails and nothing is decided.
+    cluster = build_cluster()
+    cluster.add_failpoint(
+        "2pc.prepared", lambda context: context["cluster"].crash_server(
+            context["home"], context["delegates"][context["home"]]))
+    program = make_program([("w", "item-10", "undecided-0"),
+                            ("w", "item-90", "undecided-1")])
+    waiter = cluster.run_transaction(program)
+    cluster.run(until=5_000)
+    outcome = waiter.value
+    assert not outcome.committed
+    assert outcome.abort_reason == ABORT_UNAVAILABLE
+    assert all(branch.voted_yes for branch in outcome.branches)
+    assert not cluster.coordinator.decided_pending
+    assert not value_installed_somewhere(cluster, "undecided-0")
+    assert not value_installed_somewhere(cluster, "undecided-1")
+
+
+def test_a_stalled_read_times_the_prepare_out_before_a_crashed_one():
+    # p0's delegate is alive but slow: its CPU charge per read (0.4 ms
+    # here) grows past the prepare bound, so its branch never votes.  p1's
+    # delegate crashes under its read, which then fails: that branch votes
+    # no as unavailable.  A timeout outranks an unavailable branch.
+    cluster = build_cluster(buffer_hit_ratio=0.0,
+                            read_time_min=5.0, read_time_max=5.0)
+    cluster.group(0).node("p0.s1").degrade_cpu(10_000.0)
+    program = make_program([("r", "item-10"), ("r", "item-90"),
+                            ("w", "item-10", "slow-0"),
+                            ("w", "item-90", "slow-1")])
+    waiter = cluster.run_transaction(program)
+    cluster.run(until=1.0)
+    cluster.crash_server(1, "p1.s1")
+    cluster.run(until=5_000)
+    outcome = waiter.value
+    assert [branch.delegate for branch in outcome.branches] == \
+        ["p0.s1", "p1.s1"]
+    assert outcome.branch(0).abort_reason == ABORT_TIMEOUT
+    assert outcome.branch(1).abort_reason == ABORT_UNAVAILABLE
+    assert not outcome.committed
+    assert outcome.abort_reason == ABORT_TIMEOUT
+    assert outcome.response_time == PREPARE_TIMEOUT_MS
+    assert not value_installed_somewhere(cluster, "slow-0")
+    assert not value_installed_somewhere(cluster, "slow-1")
 
 
 def test_queued_decision_flushes_never_hang_after_home_delegate_crash():

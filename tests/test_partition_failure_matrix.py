@@ -70,11 +70,9 @@ def test_crash_log_records_crashes_and_recoveries():
 
 
 # ------------------------------------------------------------------ scenarios
-def test_unknown_pattern_and_shard_count_rejected():
+def test_unknown_pattern_rejected():
     with pytest.raises(ValueError):
         run_partitioned_crash_scenario("group-safe", "not-a-pattern")
-    with pytest.raises(ValueError):
-        run_partitioned_crash_scenario("group-safe", "none", shard_count=1)
 
 
 def test_shard_outage_loses_under_group_safe_but_is_contained():

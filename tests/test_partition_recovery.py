@@ -77,6 +77,40 @@ def test_home_delegate_crash_after_decision_blocks_then_replays():
     assert cluster.coordinator.committed_count == 1
 
 
+def test_a_replay_whose_home_crashes_again_stands_down():
+    # A replay is phase 2 again, run by the coordinator on the home
+    # delegate: it dies with that delegate just as the live commit does.
+    cluster = build(buffer_hit_ratio=1.0,
+                    write_time_min=5.0, write_time_max=5.0)
+    program = make_program([("w", "item-10", "again-0"),
+                            ("w", "item-90", "again-1")])
+    waiter = cluster.run_transaction(program)
+    run_until_decided(cluster)
+    cluster.crash_server(0, "p0.s1")
+    cluster.run(until=3_000)
+    cluster.recover_server(0, "p0.s1")
+    cluster.run(until=3_000.5)
+    assert cluster.coordinator.decided_pending
+
+    # The home delegate crashes again mid-replay: nobody answers the client.
+    cluster.crash_server(0, "p0.s1")
+    cluster.run(until=8_000)
+    assert not waiter.triggered
+    assert cluster.coordinator.committed_count == 0
+
+    # The next recovery replays once more and answers exactly once.
+    cluster.recover_server(0, "p0.s1")
+    cluster.run(until=20_000)
+    outcome = waiter.value
+    assert outcome.committed
+    assert outcome.responded_at > 8_000
+    recorded = [entry for entry in cluster.cross_partition_outcomes()
+                if entry.xid == outcome.xid]
+    assert len(recorded) == 1
+    assert cluster.coordinator.committed_count == 1
+    assert not cluster.coordinator.decided_pending
+
+
 def test_replay_resolves_branches_left_in_doubt_by_a_group_outage():
     # Decision durable, then BOTH the home delegate and the whole remote
     # group crash: the branch is decided and in doubt, and the coordinator

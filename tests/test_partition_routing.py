@@ -25,7 +25,7 @@ def test_range_table_reproduces_the_seed_range_placement():
         key = f"item-{index}"
         assert table.partition_of(key) == index * 4 // 100
     assert table.epoch == 0
-    assert table.shard_count == 4
+    assert len(table.assignments) == 4
 
 
 def test_hash_table_reproduces_the_seed_hash_placement():
@@ -60,7 +60,7 @@ def test_split_bumps_epoch_and_keeps_owner_and_cover():
     table = range_table(2, 100)
     epoch = table.split(0, at=10)
     assert epoch == table.epoch == 1
-    assert table.shard_count == 3
+    assert len(table.assignments) == 3
     assert [assignment.key_range.lo for assignment in table.assignments] == \
         [0, 10, 50]
     # Both halves keep the owner; every key still routes to group 0.
@@ -182,7 +182,7 @@ def test_access_counts_growth_is_capped_by_cold_aggregation():
         table.note_access(f"item-{position}")
     for _ in range(100):
         table.note_access("item-3")
-    assert len(table.access_counts) <= 16 + table.shard_count
+    assert len(table.access_counts) <= 16 + len(table.assignments)
     # Folding the cold tail never loses mass: per-shard totals stay exact.
     assert sum(table._shard_totals) == 1_100
     assert table._shard_totals[0] == 600

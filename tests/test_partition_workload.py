@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from repro.db.items import item_keys
 from repro.partition import (PartitionedWorkloadGenerator, RoutingTable,
                              TransactionRouter)
 from repro.sim import Simulator
@@ -46,7 +47,8 @@ def test_different_seeds_differ():
 def test_zipf_skew_concentrates_accesses():
     params = SimulationParameters.small(item_count=200)
     uniform = WorkloadGenerator(Simulator(seed=5), params)
-    skewed = WorkloadGenerator(Simulator(seed=5), params, skew=1.2)
+    skewed = WorkloadGenerator(Simulator(seed=5),
+                               params.with_overrides(zipf_skew=1.2))
     counts_uniform: Counter = Counter()
     counts_skewed: Counter = Counter()
     for _ in range(2000):
@@ -61,17 +63,21 @@ def test_zipf_skew_concentrates_accesses():
 
 
 def test_zero_skew_reproduces_the_uniform_draws():
-    params = SimulationParameters.small(item_count=100)
-    plain = programs_signature(WorkloadGenerator(Simulator(seed=3), params), 20)
-    zero_skew = programs_signature(
-        WorkloadGenerator(Simulator(seed=3), params, skew=0.0), 20)
-    assert plain == zero_skew
+    # Skew 0 is the paper's model: a plain uniform choice over the keyspace
+    # on the named item stream, draw for draw.
+    generator = WorkloadGenerator(Simulator(seed=3),
+                                  SimulationParameters.small(item_count=100))
+    uniform = Simulator(seed=3).random.stream("workload.item")
+    keys = item_keys(100)
+    assert [generator.choose_key() for _ in range(50)] == \
+        [uniform.choice(keys) for _ in range(50)]
 
 
 def test_negative_skew_rejected():
-    params = SimulationParameters.small(item_count=10)
+    params = SimulationParameters.small(item_count=10).with_overrides(
+        zipf_skew=-0.5)
     with pytest.raises(ValueError):
-        WorkloadGenerator(Simulator(seed=1), params, skew=-0.5)
+        WorkloadGenerator(Simulator(seed=1), params)
 
 
 # ---------------------------------------------------------------- partition spanning

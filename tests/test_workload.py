@@ -108,7 +108,7 @@ def test_update_only_program_and_validation():
     assert program.length == 4
     assert all(op.is_write for op in program.operations)
     with pytest.raises(ValueError):
-        WorkloadGenerator(sim, SimulationParameters.small(), item_keys=[])
+        WorkloadGenerator(sim, SimulationParameters.small(item_count=0))
     with pytest.raises(ValueError):
         generator.interarrival_time(0.0)
 
