@@ -12,7 +12,7 @@ this component and of the group-communication component
 from .buffer import BufferPool
 from .engine import LocalDatabase
 from .errors import (DatabaseError, DeadlockError, InvalidTransactionState,
-                     LockError, TransactionAborted, UnknownItemError)
+                     UnknownItemError)
 from .items import Item, ItemStore, ItemVersion
 from .locks import LockManager, LockMode
 from .operations import (Operation, OperationType, TransactionProgram, read,
@@ -47,9 +47,7 @@ __all__ = [
     "SerializabilityReport",
     "check_one_copy_serializability",
     "DatabaseError",
-    "TransactionAborted",
     "DeadlockError",
-    "LockError",
     "UnknownItemError",
     "InvalidTransactionState",
 ]

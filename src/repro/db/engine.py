@@ -22,7 +22,7 @@ from typing import Iterable, Optional
 from ..network.node import Node
 from ..sim.engine import Simulator
 from .buffer import BufferPool
-from .errors import TransactionAborted, UnknownItemError
+from .errors import UnknownItemError
 from .items import ItemStore
 from .locks import LockManager, LockMode
 from .operations import TransactionProgram
@@ -200,20 +200,6 @@ class LocalDatabase:
         for key in keys:
             yield from self.buffer.write_item_sync(key)
 
-    # ------------------------------------------------------------------ logging
-    def log_commit(self, transaction_or_payload, commit_order: Optional[int],
-                   synchronous: bool):
-        """Generator: append (and optionally flush) the commit record.
-
-        Takes a :class:`Transaction` or a :class:`WriteSetMessage`; both
-        carry ``txn_id`` and ``write_values`` (the record copies the latter).
-        """
-        self.wal.append_commit(transaction_or_payload.txn_id,
-                               transaction_or_payload.write_values,
-                               commit_order=commit_order)
-        if synchronous:
-            yield from self.wal.flush()
-
     # ------------------------------------------------------------------ finalisation
     def finalize_commit(self, transaction: Optional[Transaction],
                         commit_order: Optional[int] = None) -> None:
@@ -246,7 +232,7 @@ class LocalDatabase:
 
         The durable truth is the flushed write-ahead log: the item store is
         reset to its initial state and every durable commit record is redone
-        in log order.  Returns the number of transactions redone.
+        in commit order.  Returns the number of transactions redone.
         """
         redone = redo_from_log(self.items, self.wal.stable_records())
         self.commit_counter = max(

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Set
 
 from ..sim.engine import Simulator
 from ..sim.events import Event
-from .errors import DeadlockError, LockError
+from .errors import DeadlockError
 
 
 class LockMode(Enum):

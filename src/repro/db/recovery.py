@@ -3,13 +3,15 @@
 The durable state of a server is the flushed prefix of its write-ahead log.
 Recovery therefore resets the in-memory item store (every touched item is
 dropped back to its initial state) and *redoes* every durable commit record
-in commit order, not log order: synchronous applies flush their records out
-of commit order, and an item's version counts its installs, so an older
-commit redone after a newer one on the same item (the Thomas write rule in
+in commit order, not log order: the lazy technique's remote apply appends
+its records after its page writes, so they reach the log out of commit
+order, and an item's version counts its installs, so an older commit redone
+after a newer one on the same item (the Thomas write rule in
 :meth:`~repro.db.items.Item.install` skips it) would leave the item a
-version short of its peers'.  Redo is idempotent, so repeating recovery —
-for instance because a server crashes again while recovering — is
-harmless.
+version short of its peers'.  Every database state machine level appends
+its COMMIT record at the decision, in delivery order.  Redo is idempotent,
+so repeating recovery — for instance because a server crashes again while
+recovering — is harmless.
 
 The checkpoint-based alternative used by the *state-transfer* recovery of
 classical group communication (Sect. 2.3 of the paper) replaces the local

@@ -48,7 +48,6 @@ class LoggedMessage:
     sequence: int
     broadcast_id: str
     payload: Any
-    delivered_at: float
     acknowledged: bool = False
     acknowledged_at: Optional[float] = None
 
@@ -67,14 +66,14 @@ class GcsMessageLog:
         self._storage: Dict[str, LoggedMessage] = {}
 
     # -- recording ----------------------------------------------------------------
-    def record_delivery(self, sequence: int, broadcast_id: str, payload: Any,
-                        delivered_at: float) -> LoggedMessage:
+    def record_delivery(self, sequence: int, broadcast_id: str,
+                        payload: Any) -> LoggedMessage:
         """Durably record that message ``broadcast_id`` was delivered."""
         existing = self._storage.get(broadcast_id)
         if existing is not None:
             return existing
         entry = LoggedMessage(sequence=sequence, broadcast_id=broadcast_id,
-                              payload=payload, delivered_at=delivered_at)
+                              payload=payload)
         self._storage[broadcast_id] = entry
         return entry
 

@@ -624,7 +624,7 @@ class TotalOrderEngine:
         sequence, entry, replayed = item
         if self.journal is not None:
             self.journal.record_delivery(sequence, entry.broadcast_id,
-                                         entry.payload, self.sim.now)
+                                         entry.payload)
         delivery = Delivery(payload=entry.payload,
                             broadcast_id=entry.broadcast_id,
                             sequence=sequence, delivered_at=self.sim.now,

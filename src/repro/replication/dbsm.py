@@ -24,13 +24,16 @@ level               client answered after ...
                     *group*, all disk writes happen asynchronously, outside
                     the transaction boundary — the technique's performance
                     advantage (Sect. 6)
-``GROUP_ONE_SAFE``  the delegate has additionally applied the writes and
+``GROUP_ONE_SAFE``  the delegate has additionally written the pages and
                     flushed the commit record to its own stable storage —
                     what most group-communication-based protocols provide
-                    (Sect. 5.1).  Sect. 5.2 argues the synchronous logging
-                    buys little in an update-everywhere setting; Sect. 6
-                    shows its price: the delegate's disks are on the
-                    critical path, so this curve of Fig. 9 degrades fastest
+                    (Sect. 5.1).  Every level appends that record at the
+                    decision, in delivery order; only this flush waits
+                    for the page writes.  Sect. 5.2 argues the synchronous
+                    logging buys little in an update-everywhere setting;
+                    Sect. 6 shows its price: the delegate's disks are on
+                    the critical path, so this curve of Fig. 9 degrades
+                    fastest
 ``TWO_SAFE``        same as group-1-safe, but over *end-to-end* atomic
                     broadcast (Sect. 4.2, Fig. 7): the group-communication
                     component logs deliveries and replays unacknowledged
@@ -130,9 +133,6 @@ class DatabaseStateMachineReplica(ReplicaServer):
         #: Sequence of the last delivery the certifier decided: the horizon
         #: a checkpoint of this database reflects.
         self._decided_seq = 0
-        #: txn id -> commit order of every commit whose synchronous apply
-        #: has not logged its COMMIT record yet.
-        self._applying: Dict[str, int] = {}
         #: Statistics.
         self.certified_count = 0
         self.certification_abort_count = 0
@@ -145,9 +145,6 @@ class DatabaseStateMachineReplica(ReplicaServer):
 
     def _take_checkpoint(self) -> Tuple[int, ApplicationCheckpoint]:
         checkpoint = take_checkpoint(self.db, self._decided_seq)
-        # The snapshot holds the writes of the commits whose synchronous
-        # apply has not appended its COMMIT record yet: name them too.
-        checkpoint.committed_transactions.update(self._applying)
         return checkpoint.sequence, checkpoint
 
     # ------------------------------------------------------------------ delegate side
@@ -246,7 +243,12 @@ class DatabaseStateMachineReplica(ReplicaServer):
                 obs.end_key(("order", payload.txn_id))
 
         if self.responds_after_logging:
-            self._applying[payload.txn_id] = commit_order
+            # Logged at the decision, in delivery order, so the flushed log
+            # is a prefix of the decisions: a replayed delivery is either
+            # answered from it or certified against a state that holds no
+            # later commit.  Only the flush waits for the page writes.
+            self.db.wal.append_commit(payload.txn_id, payload.write_values,
+                                      commit_order=commit_order)
             self.node.spawn(
                 self._apply(payload, delivery, commit_order, is_delegate,
                             transaction),
@@ -282,15 +284,14 @@ class DatabaseStateMachineReplica(ReplicaServer):
 
     def _apply(self, payload: WriteSetMessage, delivery: Delivery,
                commit_order: int, is_delegate: bool, transaction):
-        """Apply the certified write set and log the decision synchronously,
-        then answer (Fig. 2): the delegate's disks are on the commit
-        critical path, inside the root span."""
+        """Write the certified write set's pages and flush the COMMIT record
+        the certifier appended, then acknowledge and answer (Fig. 2): the
+        delegate's disks are on the commit critical path, inside the root
+        span."""
         span = self._begin_apply_span(payload, is_delegate)
         try:
             yield from self.db.apply_physical_writes(payload.write_set)
-            yield from self.db.log_commit(payload, commit_order,
-                                          synchronous=True)
-            del self._applying[payload.txn_id]
+            yield from self.db.wal.flush()
         finally:
             if span is not None:
                 self.sim.obs.end(span)
@@ -335,7 +336,6 @@ class DatabaseStateMachineReplica(ReplicaServer):
         """
         self.db.recover()
         self._decided_seq = 0
-        self._applying = {}
         outcome = yield from self.endpoint.recover()
         if isinstance(outcome, ApplicationCheckpoint):
             # Classical atomic broadcast handed us an application checkpoint

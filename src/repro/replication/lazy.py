@@ -30,7 +30,7 @@ from typing import List
 from ..core.layers import implements, uses
 from ..core.safety import LoggedOn, SafetyLevel
 from ..db.engine import LocalDatabase
-from ..db.errors import DeadlockError, TransactionAborted
+from ..db.errors import DeadlockError
 from ..db.transaction import WriteSetMessage
 from ..network.dispatch import Dispatcher
 from ..network.lan import Lan
@@ -92,10 +92,10 @@ class LazyReplica(ReplicaServer):
                 else:
                     yield from self.db.write_locked(transaction, operation.key,
                                                     operation.value)
-        except (DeadlockError, TransactionAborted) as error:
-            self.db.finalize_abort(transaction, getattr(error, "reason", "deadlock"))
+        except DeadlockError as error:
+            self.db.finalize_abort(transaction, error.reason)
             self.respond(transaction.txn_id, committed=False,
-                         abort_reason=getattr(error, "reason", "deadlock"))
+                         abort_reason=error.reason)
             return
 
         payload = transaction.certification_payload()
@@ -108,13 +108,16 @@ class LazyReplica(ReplicaServer):
             self.respond(transaction.txn_id, committed=True,
                          logged_on_delegate=False, delivered_to_group=False,
                          commit_order=commit_order)
-            yield from self.db.log_commit(transaction, commit_order,
-                                          synchronous=False)
+            self.db.wal.append_commit(transaction.txn_id,
+                                      transaction.write_values,
+                                      commit_order=commit_order)
             self.db.finalize_commit(transaction, commit_order)
         else:
             # 1-safe: flush the commit record on the delegate, then answer.
-            yield from self.db.log_commit(transaction, commit_order,
-                                          synchronous=True)
+            self.db.wal.append_commit(transaction.txn_id,
+                                      transaction.write_values,
+                                      commit_order=commit_order)
+            yield from self.db.wal.flush()
             self.db.finalize_commit(transaction, commit_order)
             self.respond(transaction.txn_id, committed=True,
                          logged_on_delegate=True, delivered_to_group=False,

@@ -43,7 +43,7 @@ class ProcessDeliveryEngine(FixedSequencerEngine):
                     yield self.node.cpu.use(self.node.cpu_time_per_io)
                     yield self.node.disk.use(journal.log_time)
                 journal.record_delivery(sequence, entry.broadcast_id,
-                                        entry.payload, self.sim.now)
+                                        entry.payload)
             delivery = Delivery(payload=entry.payload,
                                 broadcast_id=entry.broadcast_id,
                                 sequence=sequence, delivered_at=self.sim.now,

@@ -107,8 +107,9 @@ def test_full_commit_cycle_logs_and_finalizes(db_setup):
                 db.stage_write(txn, op.key, op.value)
         payload = txn.certification_payload()
         order = db.install_writes(payload)
+        db.wal.append_commit(txn.txn_id, txn.write_values, commit_order=order)
         yield from db.apply_physical_writes(payload.write_set)
-        yield from db.log_commit(txn, order, synchronous=True)
+        yield from db.wal.flush()
         db.finalize_commit(txn, order)
 
     run_generator(sim, node, body())
@@ -149,19 +150,14 @@ def test_recovery_replays_only_durable_commits(db_setup):
     db.stage_write(durable, "item-10", "durable")
     order = db.install_writes(durable.certification_payload())
 
-    def body():
-        yield from db.log_commit(durable, order, synchronous=True)
-
-    run_generator(sim, node, body())
+    db.wal.append_commit(durable.txn_id, durable.write_values,
+                         commit_order=order)
+    run_generator(sim, node, db.wal.flush())
 
     volatile = db.begin(make_program([("w", "item-11", "volatile")]))
     db.stage_write(volatile, "item-11", "volatile")
     db.install_writes(volatile.certification_payload())
-
-    def body2():
-        yield from db.log_commit(volatile, None, synchronous=False)
-
-    run_generator(sim, node, body2())
+    db.wal.append_commit(volatile.txn_id, volatile.write_values)
 
     node.crash()
     node.recover()

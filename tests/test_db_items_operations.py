@@ -139,9 +139,10 @@ def test_redo_from_log_drops_unlogged_state():
 
 
 def test_redo_from_log_redoes_in_commit_order_not_log_order():
-    # Synchronous applies flush out of commit order: the newer commit's
-    # record reached the log first.  Both installs count in the version,
-    # as they did on the replicas that applied them in commit order.
+    # The lazy technique's remote apply logs after its page writes, so a
+    # newer commit's record can reach the log first.  Both installs count
+    # in the version, as they did on the replicas that applied them in
+    # commit order.
     store = ItemStore(item_count=4)
     records = [
         LogRecord(LogRecordType.COMMIT, "newer", {"item-1": "b"},

@@ -148,18 +148,18 @@ GOLDEN = {
         stats=(18, 24, 240, 240, 1567)),
     "group-1-safe": dict(
         technique="group-1-safe", crash=False, log_time=0.0,
-        digest="e0ed729e6947627546bd429586a34f51ec687d80"
-               "88402f5e1e28b5e20e31d898",
-        model="ee1e6660965a5a800e1485d4318e82e19b81307f"
-              "6211aa2f174f83f8cf8a507a",
-        stats=(16, 24, 240, 240, 2015)),
+        digest="6b2cbadc7e4f15281d6764012c919885afd67476"
+               "d94c70edbc7f8ffef129bd7b",
+        model="5b93a15292aa9b663088a2f08fcc521fdd3635bc"
+              "fcf62890066dcc4862233c90",
+        stats=(18, 24, 240, 240, 2110)),
     "2-safe-logged": dict(
         technique="2-safe", crash=False, log_time=0.05,
-        digest="9d52029d941790eb05724715f1b90d87b4c06f62"
-               "92dd096701bc1dc997be2d5a",
-        model="bbd6e95bb1d6f7e38de3c0890256341286f90bdd"
-              "8feda743de910a3eb72d7c9d",
-        stats=(15, 24, 240, 240, 2217)),
+        digest="cf74a2b2069c034f5b1053bbbb586aeff236cc1b"
+               "78c5eee5c4bd288f517f58df",
+        model="3414b357efbc5cc1a0b7fa11bb6299168f904e43"
+              "999f492cfd6f6dc964b99da9",
+        stats=(17, 24, 240, 240, 2295)),
     "group-safe-crash": dict(
         technique="group-safe", crash=True, log_time=0.0,
         digest="d05ebf0e93e6659034835a07ec36f7f2fcb47764"
@@ -169,11 +169,11 @@ GOLDEN = {
         stats=(17, 24, 233, 233, 1531)),
     "2-safe-crash": dict(
         technique="2-safe", crash=True, log_time=0.05,
-        digest="f288e3a0ccf621b2d02a3f9d4167f826db11bb39"
-               "28c2dfe6be10e59dd59aa466",
-        model="57e1dc994ef2750e295b7e52df0b172a23d6e82a"
-              "a65624c46042f25a03cd0c1c",
-        stats=(15, 24, 233, 233, 2210)),
+        digest="8c6cbbe9593a67a728d08038ba0740a809778a32"
+               "19fc8093d179f5fb32494722",
+        model="3c0779de5a0f071377562fd2a075ac9b03a2de2f"
+              "6dcb68e57f3b2191b7b2da1c",
+        stats=(16, 24, 230, 230, 2245)),
     # The one scenario on a heartbeat code path (the five above run the
     # perfect detector): Multi-Paxos, s1 — the leader — crashed and
     # recovered, so beats stop, a suspicion and a restore are swept, and the

@@ -1,4 +1,4 @@
-"""Rejoin bugs: (i) and (ii) fixed, the 2-safe replay case pinned.
+"""Rejoin bugs: (i), (ii) and the 2-safe replay case, all fixed.
 
 Both were found while the perf ledger was being defined (benchmarks/ledger/
 README.md, "Found while measuring") and are why its ``paxos_leader_failover``
@@ -13,14 +13,14 @@ that did not yet reflect every delivery inside it, and now installs the
 sequence the checkpoint names.  Their tests are plain tests, together with
 every schedule known to have failed them.
 
-Two more holes on the same path are fixed and have a plain test each: a
+Three more holes on the same path are fixed and have plain tests: a
 group-1-safe checkpoint taken while a synchronous apply runs names that
-transaction, and crash recovery redoes the log in commit order.  The 2-safe
-replay case is not fixed: a replayed, unacknowledged delivery is certified
-against a redo state that already holds a later commit whose record flushed
-first.  Its tests state the property that must hold, and
-``xfail(strict=True)`` turns the day one of them starts passing into a
-failure that asks for the marker's removal.
+transaction, crash recovery redoes the log in commit order, and the 2-safe
+replay case.  That case certified a replayed, unacknowledged delivery
+against a redo state that already held a later commit whose record had
+flushed first.  Every level now appends its COMMIT record at the decision,
+in delivery order, so a flushed log is a prefix of the decisions and a
+replayed delivery that is already decided is answered from the log.
 
 Configuration of the pinned pair: the Table 4 cluster (9 servers, 10 000
 items), group-safe over ``multi-paxos`` with the heartbeat detector (10 ms
@@ -31,19 +31,14 @@ fraction of a second (``SimulationParameters.small(server_count=3,
 item_count=100)``, group-safe at 30 tps, the coordinator crashed at 500 ms,
 1 000 ms more load after its recovery, then 10 000 ms of quiet).
 
-Each pinned run is made once, in a module fixture the xfails share with
-``test_known_failure_signatures_do_not_grow``, which pins how large each
-failure is: a change that makes a known bug worse fails tier-1.
-
-A pinned run that starts passing because its schedule moved, not because
-its bug was fixed, stays as a plain test, and a still-failing schedule of
-the same rejoin sweep takes its strict-xfail place.  The Multi-Paxos
-per-member catch-up did that twice: the 9-server bug (i) run and the
-3-server bug (ii) run at seed 9 now pass.  Their places went to the fixed
-sequencer with the heartbeat detector (seed 10, a 3 000 ms outage: no
-Multi-Paxos rejoin schedule of seeds 1-1 000 on 3 servers, 1-300 on 5 and
-1-300 on 9 leaves a request unanswered any more) and to Multi-Paxos at seed
-637.
+Two pinned runs started passing before their bugs were fixed, because the
+Multi-Paxos per-member catch-up moved their schedules: the 9-server bug (i)
+run and the 3-server bug (ii) run at seed 9.  They stayed as plain tests,
+and still-failing schedules of the same rejoin sweep were pinned beside
+them: the fixed sequencer with the heartbeat detector (seed 10, a 3 000 ms
+outage: no Multi-Paxos rejoin schedule of seeds 1-1 000 on 3 servers,
+1-300 on 5 and 1-300 on 9 leaves a request unanswered any more) and
+Multi-Paxos at seed 637.
 """
 
 from __future__ import annotations
@@ -51,6 +46,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.audit import SafetyAudit
+from repro.db import LogRecordType
 from repro.replication import ReplicatedDatabaseCluster
 from repro.workload import OpenLoopClientPool, SimulationParameters
 
@@ -272,10 +268,10 @@ def _missing_and_divergent(cluster, clients, leader):
     "multi-paxos-heartbeat",            # 7 missing
 ])
 def test_a_group_1_safe_checkpoint_names_the_commits_it_holds(overrides):
-    # Seed 58, a 6 000 ms coordinator outage.  A synchronous apply installs
-    # its writes at certification and appends its COMMIT record after its
-    # disk writes; a checkpoint taken in between held the writes but not
-    # the transaction id, so the joiner never held that commit.
+    # Seed 58, a 6 000 ms coordinator outage.  A synchronous apply used to
+    # append its COMMIT record after its disk writes, not at the decision;
+    # a checkpoint taken in between held the writes but not the
+    # transaction id, so the joiner never held that commit.
     signature = _rejoin_signature(*_small_outage(
         seed=58, recover_at_ms=6_500.0, technique="group-1-safe",
         **overrides))
@@ -284,53 +280,63 @@ def test_a_group_1_safe_checkpoint_names_the_commits_it_holds(overrides):
 
 def test_a_2_safe_follower_redoes_its_log_in_commit_order():
     # Seed 4, s3 recovered at 3 500 ms on the fixed sequencer.  Synchronous
-    # applies flush out of commit order, and redo in log order skipped an
-    # older install under the Thomas write rule, so an item came back a
-    # version short of its peers': 62 commits missing, 100 items divergent.
+    # applies used to flush out of commit order, and redo in log order
+    # skipped an older install under the Thomas write rule, so an item came
+    # back a version short of its peers': 62 commits missing, 100 items
+    # divergent.
     signature = _rejoin_signature(*_small_outage(
         seed=4, recover_at_ms=3_500.0, technique="2-safe", follower=True))
     assert signature == (True, [], [])
 
 
-@pytest.fixture(scope="module")
-def replay_follower_run():
-    """The 2-safe replay case: fixed sequencer, perfect detector, seed 36,
-    the follower s3 recovered at 3 500 ms."""
-    return _missing_and_divergent(*_small_outage(
-        seed=36, recover_at_ms=3_500.0, technique="2-safe", follower=True))
+def test_a_2_safe_follower_holds_every_confirmed_transaction():
+    # The 2-safe replay case, fixed sequencer, perfect detector, seed 36,
+    # the follower s3 recovered at 3 500 ms: 76 missing, 100 divergent
+    # while a later commit's record could flush before an earlier one's.
+    assert _missing_and_divergent(*_small_outage(
+        seed=36, recover_at_ms=3_500.0, technique="2-safe",
+        follower=True)) == (0, 0)
 
 
-@pytest.fixture(scope="module")
-def replay_coordinator_runs():
-    """The 2-safe replay case on a coordinator rejoin: fixed sequencer,
-    perfect detector, seeds 2 and 11, s1 recovered at 3 500 ms."""
-    return {seed: _missing_and_divergent(*_small_outage(
-        seed=seed, recover_at_ms=3_500.0, technique="2-safe"))
-        for seed in (2, 11)}
+#: The 3-server coordinator-rejoin schedules on which 2-safe lost
+#: confirmed commits (63-266 missing each) while a synchronous apply
+#: appended its COMMIT record after its page writes: seeds 2 and 11 x
+#: outages of 3, 6 and 14 s x both engines x both detectors.
+REPLAY_SCHEDULES = [
+    (engine, detector, seed, outage_ms)
+    for engine in ("fixed-sequencer", "multi-paxos")
+    for detector in ("perfect", "heartbeat")
+    for seed in (2, 11)
+    for outage_ms in (3_000.0, 6_000.0, 14_000.0)]
 
 
-_REPLAY = pytest.mark.xfail(
-    strict=True, reason="a replayed delivery is certified against a redo "
-    "state that already holds a later commit whose record flushed first")
-
-
-@_REPLAY
-def test_a_2_safe_follower_holds_every_confirmed_transaction(
-        replay_follower_run):
-    assert replay_follower_run == (0, 0)
-
-
-@_REPLAY
+@pytest.mark.parametrize("engine,detector,seed,outage_ms", REPLAY_SCHEDULES)
 def test_a_2_safe_coordinator_holds_every_confirmed_transaction(
-        replay_coordinator_runs):
-    assert set(replay_coordinator_runs.values()) == {(0, 0)}
+        engine, detector, seed, outage_ms):
+    overrides = dict(broadcast_engine=engine)
+    if detector == "heartbeat":
+        overrides.update(HEARTBEAT)
+    assert _missing_and_divergent(*_small_outage(
+        seed=seed, recover_at_ms=500.0 + outage_ms, technique="2-safe",
+        **overrides)) == (0, 0)
 
 
-def test_known_failure_signatures_do_not_grow(replay_follower_run,
-                                              replay_coordinator_runs):
-    """The strict xfails fail for the reasons they name, at the size they
-    have: a change that makes a bug bigger (or smaller) fails here and must
-    re-pin the signature knowingly.  The fix of a bug deletes its line here
-    together with its xfail marker."""
-    assert replay_follower_run == (76, 100)
-    assert replay_coordinator_runs == {2: (63, 99), 11: (65, 100)}
+@pytest.mark.parametrize("technique", ["group-safe", "group-1-safe",
+                                       "2-safe"])
+def test_synchronous_levels_log_commits_in_commit_order(technique):
+    # 3 servers, 30 tps for 2 000 ms, seed 1, no crash.  While the
+    # synchronous levels appended their COMMIT after the page writes, 23
+    # of the 125 stable COMMIT records on each followed one with a higher
+    # commit order; a redo or a replay then saw a later commit without an
+    # earlier one.
+    params = SimulationParameters.small(server_count=3, item_count=100)
+    cluster = ReplicatedDatabaseCluster(technique, params=params, seed=1)
+    cluster.start()
+    OpenLoopClientPool(cluster, load_tps=30.0).start()
+    cluster.run(until=2_000.0)
+    for name in cluster.server_names():
+        orders = [record.commit_order
+                  for record in cluster.database(name).wal.stable_records()
+                  if record.record_type is LogRecordType.COMMIT]
+        assert len(orders) > 40
+        assert orders == sorted(orders), name
