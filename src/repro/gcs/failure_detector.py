@@ -17,7 +17,7 @@ detectors share the oracle-layer contract of :class:`_SuspicionOracle`
 * the :class:`HeartbeatFailureDetector` is an *imperfect*, timeout-based
   detector driven by real heartbeat traffic over the LAN
   (``SimulationParameters.failure_detector_mode = "heartbeat"``).  Every
-  watched member broadcasts a small heartbeat message each
+  watched member sends a keep-alive to every peer each
   ``heartbeat_period``; a member is suspected once fewer than a majority of
   the group (counting the member's own local beat) has heard from it within
   ``timeout``.  Partitions, message loss and slow links therefore *are*
@@ -37,16 +37,15 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Sequence
 
 from ..core.layers import implements, uses
+from ..network.faults import LinkPair
 from ..network.lan import Lan
-from ..network.message import Message
 from ..network.node import Node
 from ..sim.engine import Simulator
 
 #: Callback signature: listener(member_name, event) with event "suspect"/"restore".
 SuspicionListener = Callable[[str, str], None]
 
-#: Message kind of the heartbeat traffic (consumed by each watched node's
-#: network interface on arrival, never by its dispatcher).
+#: Kind of the heartbeat traffic (keep-alives, never dispatched).
 HEARTBEAT_KIND = "fd.heartbeat"
 
 
@@ -127,20 +126,20 @@ class HeartbeatFailureDetector(_SuspicionOracle):
     Presents the same contract as the perfect :class:`FailureDetector`, so
     membership and the total-order engines run unchanged on top of it.
 
-    Mechanics: each watched member broadcasts a :data:`HEARTBEAT_KIND`
-    message to every peer each ``period`` ms.  Beats are sent by *ticks*:
-    the members watched at construction share one chain of ticks, and each
-    tick stamps every live member's own beat, then hands all their beats to
-    the LAN at once (:meth:`~repro.network.lan.Lan.send_all` — one wire
-    event per run of equal delays, so one per tick on a healthy LAN).  A
-    crash takes the member off its chain; a member that starts later
-    (recovery) gets a chain of its own, at its own phase.
-    A beat is a NIC-level keep-alive: priced on the wire, not on a CPU.
-    Each watched node consumes :data:`HEARTBEAT_KIND` on arrival
-    (:meth:`~repro.network.node.Node.on_arrival`), so a beat that survives
-    the LAN's drop checks records the observer's last-heard time the
-    instant it lands, with no reception charge and no dispatcher.  Table 4
-    prices no failure-detector traffic; this price is the project's choice.
+    Mechanics: each watched member beats every peer each ``period`` ms.
+    Beats are sent by *ticks*: the members watched at construction share
+    one chain of ticks, and each tick stamps every live member's own beat,
+    then hands all their beats to the LAN at once as ``(sender, peer)``
+    pairs (:meth:`~repro.network.lan.Lan.send_beats` — one wire event per
+    run of equal delays, so one per tick on a healthy LAN).  A crash takes
+    the member off its chain; a member that starts later (recovery) gets a
+    chain of its own, at its own phase.
+    A beat is a NIC-level keep-alive of kind :data:`HEARTBEAT_KIND`: no
+    envelope, priced on the wire and not on a CPU, admitted and dropped
+    like a message.  The beats that survive the LAN's drop checks record
+    each observer's last-heard time the instant they land, with no
+    reception charge and no dispatcher.  Table 4 prices no
+    failure-detector traffic; this price is the project's choice.
     The member's own beat counts as a local self-observation.  A periodic
     sweep suspects member ``M`` exactly when fewer than a majority of the
     group has heard from ``M`` within ``timeout`` — so a netsplit suspects
@@ -187,7 +186,6 @@ class HeartbeatFailureDetector(_SuspicionOracle):
             self._last_heard[(other, name)] = self.sim.now
             self._last_heard[(name, other)] = self.sim.now
         node.add_listener(self._on_node_event)
-        node.on_arrival(HEARTBEAT_KIND, self._on_heartbeat)
 
     # -- heartbeat traffic ------------------------------------------------------
     def _start_beating(self, names: List[str]) -> None:
@@ -200,16 +198,18 @@ class HeartbeatFailureDetector(_SuspicionOracle):
         if not chain:
             return      # every member of the chain crashed
         now = self.sim.now
-        beats = []
         for name in chain:
             self._last_heard[(name, name)] = now
-            beats += [Message(name, peer, HEARTBEAT_KIND)
-                      for peer in self._members if peer != name]
-        self.lan.send_all(beats)
+        self.lan.send_beats(HEARTBEAT_KIND, [
+            (name, peer) for name in chain for peer in self._members
+            if peer != name], self._on_beats)
         self.sim.call_after(self.period, self._tick, chain)
 
-    def _on_heartbeat(self, message: Message) -> None:
-        self._last_heard[(message.destination, message.sender)] = self.sim.now
+    def _on_beats(self, pairs: List[LinkPair]) -> None:
+        now = self.sim.now
+        last_heard = self._last_heard
+        for sender, observer in pairs:
+            last_heard[(observer, sender)] = now
 
     def _on_node_event(self, node: Node, event: str) -> None:
         # Crash detection itself is timeout-driven (the beats stop); the

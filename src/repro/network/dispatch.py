@@ -11,11 +11,10 @@ with it the dispatcher stops until it is started again.
 The served inbox charges the Table 4 CPU cost of a network operation
 (0.07 ms, read from the node when each charge starts) for every received
 message before the handler is invoked — that charge is the only kernel event
-of a reception.  A kind the node consumes on arrival
-(:meth:`~repro.network.node.Node.on_arrival`, the heartbeats) never reaches
-the inbox, so it is neither charged nor dispatched.  Handlers are plain
-callables executed at delivery; anything that needs to consume simulated
-time spawns its own process on the node.
+of a reception.  A keep-alive (:meth:`~repro.network.lan.Lan.send_beats`,
+the heartbeats) never reaches the inbox, so it is neither charged nor
+dispatched.  Handlers are plain callables executed at delivery; anything
+that needs to consume simulated time spawns its own process on the node.
 """
 
 from __future__ import annotations

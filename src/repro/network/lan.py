@@ -12,10 +12,10 @@ any messages issued together (:meth:`Lan.send_all`), that share a delay
 travel as one wire event.
 
 An arriving message goes to the destination's inbox, whose dispatcher pays
-the reception charge, unless the node consumes its kind in the network
-interface (:meth:`~repro.network.node.Node.on_arrival`): heartbeats are
-NIC-level keep-alives, priced on the wire and never on a CPU.  Either way it
-passed the same admission and in-flight drop checks.
+the reception charge.  Keep-alives (:meth:`Lan.send_beats`, the heartbeats)
+are ``(sender, destination)`` pairs with no envelope, priced on the wire and
+never on a CPU: the LAN hands the pairs of each wire arrival to the
+sender's callback.  Both pass the same admission and in-flight drop checks.
 
 Messages addressed to a crashed node are dropped, as are messages whose
 sender and destination are separated by an installed
@@ -37,12 +37,14 @@ draws happen, and the event schedule is bit-identical to the seed.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from itertools import groupby
+from operator import itemgetter
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..core.layers import implements
 from ..sim.engine import Simulator
 from ..sim.events import Deferred
-from .faults import FaultTables, LinkFault
+from .faults import FaultTables, LinkFault, LinkPair
 from .message import Message
 from .node import Node
 
@@ -64,12 +66,12 @@ class Lan:
         self._faults: Dict[str, LinkFault] = {}
         #: Combined effect of the installed faults (hot-path tables).
         self._fault_tables = FaultTables()
-        #: Count of messages handed to the network (before drops).
+        #: Count of messages and keep-alives handed to the network (before
+        #: drops).
         self.sent_count = 0
-        #: Count of messages actually delivered (to an inbox, or to an
-        #: arrival handler of the destination node).
+        #: Count of messages and keep-alives actually delivered.
         self.delivered_count = 0
-        #: Count of messages dropped, total over all causes.
+        #: Count of messages and keep-alives dropped, over all causes.
         self.dropped_count = 0
         #: Drops split by cause (destination-unknown, destination-crashed,
         #: partitioned, lossy-link), cause -> count.
@@ -155,9 +157,14 @@ class Lan:
         re-sent, already-stamped message travels as a stamped copy, so the
         earlier delivery keeps its own ``sent_at``.
         """
-        admitted = self._admit(message)
+        admitted = self._admit(message.kind, message.sender,
+                               message.destination)
         if admitted is not None:
-            Deferred(self.sim, admitted[0], self._deliver, admitted[1])
+            if message.sent_at is not None:
+                message = message.with_destination(message.destination)
+            message.sent_at = self.sim.now
+            Deferred(self.sim, admitted[0], self._deliver,
+                     (message, admitted[1]))
 
     def broadcast(self, message: Message,
                   destinations: Optional[Iterable[str]] = None) -> None:
@@ -175,56 +182,78 @@ class Lan:
 
         Each is sent as :meth:`send` would (its own drop checks, loss draw
         and ``sent_at``); consecutive ones with the same delay travel as one
-        wire event that delivers them in the order given — sent one by one,
-        they would hold consecutive tie-break tickets at their arrival
-        instant, so nothing could sort between them.
+        wire event (:meth:`_wire`).
         """
-        run_delay: Optional[float] = None
-        run: List[Tuple[Message, Node]] = []
+        now = self.sim.now
+        admitted = []
         for message in messages:
-            admitted = self._admit(message)
-            if admitted is None:
-                continue
-            delay, delivery = admitted
-            if delay != run_delay:
-                if run:
-                    Deferred(self.sim, run_delay, self._deliver_run, (run,))
-                run_delay, run = delay, []
-            run.append(delivery)
-        if run:
-            Deferred(self.sim, run_delay, self._deliver_run, (run,))
+            verdict = self._admit(message.kind, message.sender,
+                                  message.destination)
+            if verdict is not None:
+                if message.sent_at is not None:
+                    message = message.with_destination(message.destination)
+                message.sent_at = now
+                admitted.append((verdict[0], (message, verdict[1])))
+        self._wire(admitted, self._deliver_run)
 
-    def _admit(self, message: Message
-               ) -> Optional[Tuple[float, Tuple[Message, Node]]]:
-        """Account one send; the delay and the :meth:`_deliver` arguments
-        ``(stamped message, destination node)``, or ``None`` when the
-        network drops the message at the sender."""
+    def send_beats(self, kind: str, pairs: List[LinkPair],
+                   on_arrival: Callable[[List[LinkPair]], None]) -> None:
+        """Send keep-alives of ``kind``: one per ``(sender, destination)``
+        pair, issued at one instant, with no envelope.
+
+        Each pair is admitted, carried and dropped exactly as a message of
+        ``kind`` between the two would be; at each wire arrival
+        ``on_arrival`` receives the pairs that survived, in the order given.
+        A keep-alive never reaches an inbox.  With no fault installed and
+        every destination attached, the pairs are admitted as one run,
+        with no call per pair.
+        """
+        tables = self._fault_tables
+        if pairs and not (tables.blocked or tables.loss or tables.latency) \
+                and self._nodes.keys() >= {pair[1] for pair in pairs}:
+            self.sent_count += len(pairs)
+            Deferred(self.sim, self.latency, self._deliver_beats,
+                     (kind, on_arrival, pairs))
+            return
+        admitted = [(verdict[0], pair) for pair in pairs
+                    if (verdict := self._admit(kind, *pair)) is not None]
+        self._wire(admitted, self._deliver_beats, kind, on_arrival)
+
+    def _admit(self, kind: str, sender: str, destination: str
+               ) -> Optional[Tuple[float, Node]]:
+        """The admission rule of every send: account it, and return the
+        delay and the destination node, or ``None`` when the network drops
+        it at the sender."""
         self.sent_count += 1
-        destination = self._nodes.get(message.destination)
-        if destination is None:
-            self._drop(message, "destination-unknown")
+        node = self._nodes.get(destination)
+        if node is None:
+            self._drop(kind, sender, destination, "destination-unknown")
             return None
         tables = self._fault_tables
-        if tables.blocked and \
-                (message.sender, message.destination) in tables.blocked:
-            self._drop(message, "partitioned")
+        if tables.blocked and (sender, destination) in tables.blocked:
+            self._drop(kind, sender, destination, "partitioned")
             return None
         delay = self.latency
         if tables.loss or tables.latency:
-            pair = (message.sender, message.destination)
+            pair = (sender, destination)
             probability = tables.loss.get(pair)
             if probability and self._loss_stream.random() < probability:
-                self._drop(message, "lossy-link")
+                self._drop(kind, sender, destination, "lossy-link")
                 return None
             factor = tables.latency.get(pair)
             if factor is not None:
                 delay *= factor
-        if message.sent_at is not None:
-            # Re-send of an already-stamped envelope (retransmission): copy
-            # it so the earlier in-flight delivery keeps its own timestamp.
-            message = message.with_destination(message.destination)
-        message.sent_at = self.sim.now
-        return delay, (message, destination)
+        return delay, node
+
+    def _wire(self, admitted: List[Tuple[float, Any]],
+              deliver: Callable[..., None], *args: Any) -> None:
+        """Put ``(delay, item)`` sends issued at one instant on the wire:
+        consecutive ones with the same delay travel as one wire event, which
+        calls ``deliver(*args, run)`` with their items in the order given —
+        sent one by one, they would hold consecutive tie-break tickets at
+        their arrival instant, so nothing could sort between them."""
+        for delay, run in groupby(admitted, itemgetter(0)):
+            Deferred(self.sim, delay, deliver, (*args, [i for _, i in run]))
 
     def _deliver_run(self, run: List[Tuple[Message, Node]]) -> None:
         for message, destination in run:
@@ -233,31 +262,49 @@ class Lan:
     def _deliver(self, message: Message, destination: Node) -> None:
         if destination._crashed:
             # The destination crashed while the message was in flight.
-            self._drop(message, "destination-crashed")
+            self._drop(message.kind, message.sender, message.destination,
+                       "destination-crashed")
             return
         blocked = self._fault_tables.blocked
         if blocked and (message.sender, message.destination) in blocked:
             # A partition came up while the message was in flight.
-            self._drop(message, "partitioned")
+            self._drop(message.kind, message.sender, message.destination,
+                       "partitioned")
             return
         self.delivered_count += 1
-        handler = destination._arrival_handlers.get(message.kind)
-        if handler is None:
-            destination.inbox.put(message)
-        else:
-            handler(message)
+        destination.inbox.put(message)
 
-    def _drop(self, message: Message, cause: str) -> None:
-        """Account one dropped message (total, per cause, span tracer)."""
+    def _deliver_beats(self, kind: str,
+                       on_arrival: Callable[[List[LinkPair]], None],
+                       run: List[LinkPair]) -> None:
+        """A wire arrival of keep-alives: :meth:`_deliver`'s in-flight drop
+        checks, per pair only while a partition is installed or a node is
+        down."""
+        blocked = self._fault_tables.blocked
+        nodes = self._nodes
+        if blocked or any(node._crashed for node in nodes.values()):
+            survivors = []
+            for pair in run:
+                if nodes[pair[1]]._crashed:
+                    self._drop(kind, *pair, "destination-crashed")
+                elif blocked and pair in blocked:
+                    self._drop(kind, *pair, "partitioned")
+                else:
+                    survivors.append(pair)
+            run = survivors
+        self.delivered_count += len(run)
+        on_arrival(run)
+
+    def _drop(self, kind: str, sender: str, destination: str,
+              cause: str) -> None:
+        """Account one dropped send (total, per cause, span tracer)."""
         self.dropped_count += 1
         self.dropped_by_cause[cause] = self.dropped_by_cause.get(cause, 0) + 1
         obs = self.sim.obs
         if obs is not None:
             obs.instant("lan.drop", track="lan",
-                        labels={"kind": message.kind,
-                                "sender": message.sender,
-                                "destination": message.destination,
-                                "reason": cause})
+                        labels={"kind": kind, "sender": sender,
+                                "destination": destination, "reason": cause})
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"<Lan nodes={len(self._nodes)} sent={self.sent_count} "

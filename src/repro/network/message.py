@@ -50,9 +50,9 @@ class Message:
     payload: Any = None
     message_id: int = field(default_factory=next_message_id)
     #: Stamped by the LAN when the message is admitted
-    #: (:meth:`repro.network.lan.Lan._admit`), so it is excluded from
-    #: equality — a stored message compares the same before and after it
-    #: is sent.
+    #: (:meth:`repro.network.lan.Lan.send` / ``send_all``), so it is
+    #: excluded from equality — a stored message compares the same before
+    #: and after it is sent.
     sent_at: Optional[float] = field(default=None, compare=False)
 
     def with_destination(self, destination: str) -> "Message":

@@ -6,8 +6,7 @@ replication logic of one server all reside in the same process and therefore
 fail together):
 
 * a set of CPUs and disks modelled as FIFO :class:`~repro.sim.resources.Resource`s,
-* a network endpoint (the inbox used by the LAN, and the message kinds the
-  network interface itself consumes on arrival, see :meth:`Node.on_arrival`),
+* a network endpoint (the inbox used by the LAN),
 * a registry of *volatile* simulated processes, all killed on crash,
 * crash / recovery state with listeners (failure detectors, experiments);
   what survives a crash is decided by each component's crash listener.
@@ -18,7 +17,7 @@ defaults here.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import Any, Callable, Generator, List, Optional
 
 from ..core.layers import implements
 from ..sim.engine import Simulator
@@ -51,9 +50,6 @@ class Node:
         self._base_cpu_time_per_io = cpu_time_per_io
         self._base_cpu_time_per_network_op = cpu_time_per_network_op
         self.inbox = Store(sim, name=f"{name}.inbox")
-        #: Message kind -> handler the LAN calls at arrival instead of
-        #: queueing the message in :attr:`inbox` (see :meth:`on_arrival`).
-        self._arrival_handlers: Dict[str, Callable[[Any], None]] = {}
         self._crashed = False
         self._processes: List[Process] = []
         self._prune_at = 64
@@ -103,17 +99,6 @@ class Node:
 
     def _network_op_cost(self) -> float:
         return self.cpu_time_per_network_op
-
-    def on_arrival(self, kind: str, handler: Callable[[Any], None]) -> None:
-        """Consume messages of ``kind`` in the network interface.
-
-        The LAN hands such a message to ``handler`` the instant it arrives,
-        instead of queueing it in the inbox: it takes no CPU charge and never
-        reaches the dispatcher — a NIC-level keep-alive.  It still pays the
-        wire and is still dropped like any message (at a crashed node, across
-        a partition, on a lossy link).  The registration survives crashes.
-        """
-        self._arrival_handlers[kind] = handler
 
     def _prune_finished(self) -> None:
         # Doubling threshold: pruning on a fixed bound made every spawn scan

@@ -185,13 +185,23 @@ def test_nothing_is_assigned_before_a_quorum_has_promised():
     assert warmup.value.committed
 
     sent = []
-    admit = cluster.lan._admit
+    lan = cluster.lan
+    send, send_all = lan.send, lan.send_all
 
-    def recording_admit(message):
+    def record(message):
         sent.append((sim.now, message.kind, message.sender, message.payload))
-        return admit(message)
 
-    cluster.lan._admit = recording_admit
+    def recording_send(message):
+        record(message)
+        send(message)
+
+    def recording_send_all(messages):
+        messages = list(messages)
+        for message in messages:
+            record(message)
+        send_all(messages)
+
+    lan.send, lan.send_all = recording_send, recording_send_all
     cluster.crash_server("s1")
     waiter = cluster.run_transaction(
         _write_program("item-20", "during-takeover", client="c1"),

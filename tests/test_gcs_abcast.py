@@ -304,14 +304,23 @@ def record_sends(lan):
     """Record, from outside the program, every message handed to the LAN
     (before drops) as ``(time, kind, destination, payload)``."""
     sent = []
-    admit = lan._admit
+    send, send_all = lan.send, lan.send_all
 
-    def recording_admit(message):
+    def record(message):
         sent.append((lan.sim.now, message.kind, message.destination,
                      message.payload))
-        return admit(message)
 
-    lan._admit = recording_admit
+    def recording_send(message):
+        record(message)
+        send(message)
+
+    def recording_send_all(messages):
+        messages = list(messages)
+        for message in messages:
+            record(message)
+        send_all(messages)
+
+    lan.send, lan.send_all = recording_send, recording_send_all
     return sent
 
 

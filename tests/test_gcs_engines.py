@@ -74,7 +74,8 @@ def run_scenario(technique, *, seed=11, engine=DEFAULT_ENGINE,
     Returns ``(cluster, results, trace, deliveries)`` — the same driver the
     golden digests were captured with, byte for byte.  ``traced`` records
     the kernel's event trace and, from outside the program, every LAN
-    delivery (both ``None`` otherwise).
+    delivery, keep-alives included, at wire arrival (both ``None``
+    otherwise).
     """
     params = SimulationParameters.small(server_count=3, item_count=120) \
         .with_overrides(broadcast_engine=engine,
@@ -85,14 +86,21 @@ def run_scenario(technique, *, seed=11, engine=DEFAULT_ENGINE,
     if traced:
         trace = cluster.sim.enable_trace()
         deliveries = []
-        lan, deliver = cluster.lan, cluster.lan._deliver
+        lan = cluster.lan
+        deliver, deliver_beats = lan._deliver, lan._deliver_beats
 
         def recording_deliver(message, destination):
             deliveries.append((lan.sim.now, message.sender,
                                message.destination, message.kind))
             deliver(message, destination)
 
-        lan._deliver = recording_deliver
+        def recording_deliver_beats(kind, on_arrival, run):
+            deliveries.extend((lan.sim.now, sender, destination, kind)
+                              for sender, destination in run)
+            deliver_beats(kind, on_arrival, run)
+
+        lan._deliver, lan._deliver_beats = \
+            recording_deliver, recording_deliver_beats
     cluster.start()
     servers = cluster.server_names()
     results = []

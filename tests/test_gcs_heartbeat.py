@@ -8,6 +8,7 @@ fault, and the mode selection plumbed through the GCS composition root.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import partial
 
 import pytest
@@ -15,10 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gcs import GroupCommunicationSystem
-from repro.gcs.failure_detector import (FailureDetector,
+from repro.gcs.failure_detector import (HEARTBEAT_KIND, FailureDetector,
                                         HeartbeatFailureDetector,
                                         build_failure_detector)
 from repro.network import Dispatcher, Lan, LinkFault, Node
+from repro.network.message import next_message_id
+from repro.obs import Observability
 from repro.sim import Simulator
 from tests.reference_heartbeat import ReferenceHeartbeatDetector
 
@@ -125,7 +128,8 @@ def test_a_healthy_period_is_one_tick_one_wire_one_sweep():
     3 events.  A beat is priced on the wire only: it lands in the freshness
     map at wire arrival, and the node's running dispatcher never sees it, so
     no CPU is granted or busy for it (each beat used to take a reception
-    charge, 9 events a period)."""
+    charge, 9 events a period).  A beat has no envelope either: ten
+    periods draw no message id (the probe's own draw is the one step)."""
     sim, lan, nodes, detector = build_detector()
     dispatchers = [Dispatcher(sim, node) for node in nodes]
     for dispatcher in dispatchers:
@@ -133,7 +137,9 @@ def test_a_healthy_period_is_one_tick_one_wire_one_sweep():
     sim.run(until=95.0)
     events = sim.scheduled_events
     delivered = lan.delivered_count
+    message_id = next_message_id()
     sim.run(until=195.0)
+    assert next_message_id() - message_id == 1
     assert sim.scheduled_events - events == 10 * (1 + 1 + 1)
     assert lan.delivered_count - delivered == 10 * 6
     assert detector._last_heard[("s2", "s1")] == 190.0 + lan.latency
@@ -141,6 +147,52 @@ def test_a_healthy_period_is_one_tick_one_wire_one_sweep():
         [0, 0, 0]
     assert [(node.cpu.granted_count, node.cpu.busy_time)
             for node in nodes] == [(0, 0.0)] * 3
+    assert detector.suspicion_count == 0
+
+
+def test_a_lone_member_beats_nobody():
+    """A one-member group has no peer to beat: each period is its tick and
+    its sweep, and nothing goes on the wire."""
+    sim, lan, nodes, detector = build_detector(member_count=1)
+    sim.run(until=95.0)
+    events = sim.scheduled_events
+    sim.run(until=195.0)
+    assert sim.scheduled_events - events == 10 * (1 + 1)
+    assert lan.sent_count == 0
+    assert not detector.is_suspected("s1")
+
+
+def test_dropped_beats_are_traced_like_dropped_messages():
+    """A beat pays the message drop rules and leaves the same trace: one
+    ``lan.drop`` instant per dropped beat, of kind ``fd.heartbeat``, with
+    its cause — in flight to a node that crashes (at 100.07), in flight
+    across a partition installed meanwhile (at 110.07), and sampled away
+    on a lossy link at admission (at 120)."""
+    sim, lan, (s1, s2, s3), detector = build_detector()
+    obs = Observability(sim)
+    sim.call_at(100.03, s3.crash)
+    sim.call_at(105.0, s3.recover)              # beats again from 105 on
+    lan.schedule_fault(LinkFault.partition("split", ["s1"], ["s2", "s3"]),
+                       at=110.03, until=112.0)
+    sim.call_at(112.0, lambda: lan.install_fault(
+        LinkFault.lossy("lost", ["s1"], ["s2"], 1.0)))
+    sim.run(until=121.0)
+    drops = [(instant.at, instant.labels["reason"], instant.labels["sender"],
+              instant.labels["destination"])
+             for instant in obs.instants if instant.name == "lan.drop"]
+    assert drops == [
+        (100.07, "destination-crashed", "s1", "s3"),
+        (100.07, "destination-crashed", "s2", "s3"),
+        (110.07, "partitioned", "s1", "s2"),
+        (110.07, "partitioned", "s1", "s3"),
+        (110.07, "partitioned", "s2", "s1"),
+        (120.0, "lossy-link", "s1", "s2"),
+        (120.0, "lossy-link", "s2", "s1")]
+    assert {instant.labels["kind"] for instant in obs.instants
+            if instant.name == "lan.drop"} == {HEARTBEAT_KIND}
+    assert lan.dropped_by_cause == dict(Counter(
+        reason for _, reason, _, _ in drops))
+    assert lan.dropped_count == len(drops)
     assert detector.suspicion_count == 0
 
 
