@@ -125,7 +125,8 @@ class ItemStore:
     """
 
     def __init__(self, item_count: int = 0) -> None:
-        self._keys = item_keys(item_count)
+        #: The implicit keys ``item-0 … item-(item_count-1)``, in order.
+        self.population = item_keys(item_count)
         self._overlay = _Overlay(_key_set(item_count))
         #: The hot per-operation handle: the canonical item of a key, or
         #: None for unknown keys.  A bound C method of the overlay — a
@@ -177,7 +178,7 @@ class ItemStore:
         return key in self._overlay.implicit or key in self._overlay.created
 
     def __len__(self) -> int:
-        return len(self._keys) + len(self._overlay.created)
+        return len(self.population) + len(self._overlay.created)
 
     def __iter__(self) -> Iterator[Item]:
         """Every item in creation order (materialises the whole population)."""
@@ -185,7 +186,11 @@ class ItemStore:
 
     def keys(self) -> List[str]:
         """All item keys in creation order."""
-        return [*self._keys, *self._overlay.created]
+        return [*self.population, *self._overlay.created]
+
+    def created_keys(self) -> List[str]:
+        """The keys added by :meth:`create`, in creation order."""
+        return list(self._overlay.created)
 
     # -- snapshots -----------------------------------------------------------
     def snapshot(self) -> Dict[str, ItemVersion]:

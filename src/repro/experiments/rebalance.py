@@ -130,9 +130,7 @@ def audit_commit_integrity(cluster: PartitionedCluster,
         if not up_servers:
             continue
         database = group.database(up_servers[0])
-        for key in database.items.keys():
-            if not report.key_range.contains(cluster.routing.position_of(key)):
-                continue
+        for key in cluster.routing.keys_in(database.items, report.key_range):
             writer = database.items.committed(key).writer
             if writer is not None and writer not in allowed:
                 failures.append(f"unknown writer {writer!r} for migrated "

@@ -293,10 +293,8 @@ class Migration:
             delegates = source.available_delegates()
             if not delegates:
                 return self._abort("source-unavailable")
-            delegate = delegates[0]
-            # repro: allow(ordering-hazard): ItemStore.keys() is a list in creation order
-            keys = [key for key in source.database(delegate).items.keys()
-                    if self._in_range(key)]
+            keys = routing.keys_in(source.database(delegates[0]).items,
+                                   self.key_range)
             versions_seen: Dict[str, int] = {}
             pending: List[Process] = []
             failure: Optional[str] = None

@@ -43,20 +43,24 @@ from __future__ import annotations
 import zlib
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from ..db.items import ItemStore, item_keys
 from ..db.wal import LogRecord, LogRecordType
 
 #: Strategy names accepted by :meth:`RoutingTable.from_strategy`.
 STRATEGIES = ("hash", "range")
 
-#: Entry cap shared by the routing memo caches (key -> position / group /
-#: shard).  Far above any configured item count, so in practice the caches
-#: never evict; the cap only guards pathological keyspaces from growing a
-#: per-key dict without bound (the same concern ``max_tracked_positions``
-#: addresses for the access counters).  Eviction is a wholesale clear — the
-#: caches rebuild in O(1) amortised per lookup.
-MEMO_CACHE_LIMIT = 1 << 16
+#: Entries the routing memo caches (key -> position / group / shard) hold
+#: beyond a table's ``slots`` before they clear.  A range table has one slot
+#: per item, so every key of its population fits at any keyspace size; a
+#: hash table (one slot per group) clears them every ``slots + MEMO_SPARE``
+#: distinct keys.  The cap only keeps a per-key dict from growing without
+#: bound (the concern ``max_tracked_positions`` addresses for the access
+#: counters).  Eviction is a wholesale clear — the caches rebuild in O(1)
+#: amortised per lookup.
+MEMO_SPARE = 1 << 16
 
 
 class WrongEpochError(RuntimeError):
@@ -152,7 +156,7 @@ class RoutingSnapshot:
         cache = self._position_cache
         position = cache.get(key)
         if position is None:
-            if len(cache) >= MEMO_CACHE_LIMIT:
+            if len(cache) >= self.slots + MEMO_SPARE:
                 cache.clear()
             position = cache[key] = position_of_key(key, self.slots,
                                                     self.strategy)
@@ -163,7 +167,7 @@ class RoutingSnapshot:
         cache = self._group_cache
         group_id = cache.get(key)
         if group_id is None:
-            if len(cache) >= MEMO_CACHE_LIMIT:
+            if len(cache) >= self.slots + MEMO_SPARE:
                 cache.clear()
             group_id = cache[key] = self.assignments[
                 bisect_right(self._bounds, self.position_of(key)) - 1].group_id
@@ -195,19 +199,6 @@ class RoutingSnapshot:
             return [first]
         return sorted(extra)
 
-    def partition_keys(self, keys: Iterable[str]) -> Dict[int, List[str]]:
-        """Group ``keys`` by owning group, preserving order within each."""
-        partition_of = self.partition_of
-        grouped: Dict[int, List[str]] = {}
-        for key in keys:
-            group_id = partition_of(key)
-            bucket = grouped.get(group_id)
-            if bucket is None:
-                grouped[group_id] = [key]
-            else:
-                bucket.append(key)
-        return grouped
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"<RoutingSnapshot epoch={self.epoch} "
                 f"shards={len(self.assignments)}>")
@@ -236,6 +227,8 @@ class RoutingTable:
         #: (positions depend only on the fixed slots/strategy pair, so the
         #: memo survives epoch bumps).
         self._position_cache: Dict[str, int] = {}
+        #: Population size -> key ranks per hash slot (see :meth:`gather`).
+        self._slot_ranks: Dict[int, List[List[int]]] = {}
         #: Ranges currently write-fenced by a live migration.
         self._fenced: List[KeyRange] = []
         #: Per-position access counters feeding the skew-aware split points.
@@ -354,18 +347,52 @@ class RoutingTable:
         """Id of the replica group currently owning ``key``."""
         return self.snapshot().partition_of(key)
 
-    def partition_keys(self, keys: Iterable[str]) -> Dict[int, List[str]]:
-        """Group ``keys`` by current owner, preserving order within each."""
-        return self.snapshot().partition_keys(keys)
+    def gather(self, values: Sequence, key_ranges: Iterable[KeyRange]
+               ) -> Iterable:
+        """The entries of ``values`` whose keys lie in ``key_ranges``.
+
+        ``values`` holds one entry per key of the population ``item-0 …
+        item-(n-1)``, ``n = len(values)``, in key order: the keys
+        themselves, or one weight per rank.  ``key_ranges`` ascend, and the
+        entries come out in key order.  No key is routed, since positions
+        never change for a table: the range strategy puts ``item-<i>`` at
+        position ``min(i, slots - 1)``, so a range is one slice; the hash
+        strategy groups the population by slot once and merges a request's
+        slots back into key order.
+        """
+        if self.strategy == "range":
+            # The last shard also holds the keys clamped onto its last slot.
+            return chain.from_iterable(
+                values[key_range.lo:
+                       None if key_range.hi == self.slots else key_range.hi]
+                for key_range in key_ranges)
+        count = len(values)
+        by_slot = self._slot_ranks.get(count)
+        if by_slot is None:
+            by_slot = self._slot_ranks[count] = [[] for _ in range(self.slots)]
+            for rank, key in enumerate(item_keys(count)):
+                by_slot[position_of_key(key, self.slots, "hash")].append(rank)
+        ranks = sorted(chain.from_iterable(
+            by_slot[position] for key_range in key_ranges
+            for position in range(key_range.lo, key_range.hi)))
+        return map(values.__getitem__, ranks)
+
+    def keys_in(self, store: ItemStore, key_range: KeyRange) -> List[str]:
+        """The keys of ``store`` that ``key_range`` covers, in creation order.
+
+        The population's share is one :meth:`gather`; only the keys
+        :meth:`ItemStore.create` added are routed, one by one.
+        """
+        return [*self.gather(store.population, [key_range]),
+                *(key for key in store.created_keys()
+                  if key_range.contains(self.position_of(key)))]
 
     # -- shard addressing ---------------------------------------------------------------
     def range_of(self, shard: Union[int, KeyRange]) -> KeyRange:
         """Normalise ``shard`` (index or exact range) to its key range."""
         if isinstance(shard, KeyRange):
-            for assignment in self._assignments:
-                if assignment.key_range == shard:
-                    return shard
-            raise ValueError(f"no shard with range {shard!r}")
+            self.shard_index(shard)     # raises for a range no shard has
+            return shard
         return self._assignments[shard].key_range
 
     def shard_index(self, key_range: KeyRange) -> int:
@@ -487,7 +514,7 @@ class RoutingTable:
         """Record one access to ``key`` for load accounting."""
         entry = self._note_cache.get(key)
         if entry is None:
-            if len(self._note_cache) >= MEMO_CACHE_LIMIT:
+            if len(self._note_cache) >= self.slots + MEMO_SPARE:
                 self._note_cache.clear()
             position = self.position_of(key)
             entry = (position, bisect_right(self._bounds, position) - 1)

@@ -11,9 +11,14 @@ the two knobs the partitioned experiments sweep:
 
 The generator reads ownership from the cluster's epoch-versioned
 :class:`~repro.partition.routing.RoutingTable`: when a shard split or a live
-migration bumps the epoch, the per-partition key caches are rebuilt lazily,
-so "single-partition" transactions keep landing on one *current* owner — the
-whole point of moving a hot range is that the traffic follows it.
+migration bumps the epoch, the next program rebuilds the per-partition key
+and weight tables, so "single-partition" transactions keep landing on one
+*current* owner — the whole point of moving a hot range is that the traffic
+follows it.  A rebuild routes no key: each group's keys are the slices of
+the shared key tuple its shards cover (:meth:`~repro.partition.routing.
+RoutingTable.gather`), and its weight table accumulates the same slices of
+one per-rank weight tuple, so an ownership change costs O(shards) Python
+work plus C-level copies, whatever the keyspace size.
 
 Every draw comes from named random streams, so two runs with the same seed —
 or two *techniques* compared under the same seed — see exactly the same
@@ -32,14 +37,15 @@ experiments.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from itertools import accumulate
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..db.operations import Operation, OperationType, TransactionProgram
 from ..sim.engine import Simulator
 from ..workload.clients import OpenLoopClientPool
-from ..workload.generator import WorkloadGenerator
+from ..workload.generator import WorkloadGenerator, zipf_weights
 from ..workload.params import SimulationParameters
-from .routing import RoutingTable
+from .routing import KeyRange, RoutingTable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from .cluster import PartitionedCluster
@@ -61,10 +67,6 @@ class PartitionedWorkloadGenerator(WorkloadGenerator):
         self._xpartition_stream = streams.stream("workload.xpartition")
         self._members_stream = streams.stream("workload.xpartition.members")
         self._op_partition_stream = streams.stream("workload.op_partition")
-        self._global_rank = {key: index for index, key in
-                             enumerate(self.item_keys)} if self.skew > 0 \
-            else {}
-        self._seen_epoch = routing.epoch
         self._refresh_partition_caches(strict=True)
         #: Statistics.
         self.single_partition_generated = 0
@@ -76,38 +78,39 @@ class PartitionedWorkloadGenerator(WorkloadGenerator):
 
         ``strict`` (construction time) refuses empty partitions — a
         mis-sized initial layout is a configuration error.  Later refreshes
-        tolerate them: after migrations a group may legitimately own
-        nothing, and the generator simply stops targeting it.
+        (the first program of each new epoch) tolerate them: after
+        migrations a group may legitimately own nothing, and the generator
+        simply stops targeting it.
         """
-        self._keys_by_partition: Dict[int, List[str]] = \
-            self.routing.partition_keys(self.item_keys)
-        empty = [pid for pid in range(self.routing.partition_count)
+        routing = self.routing
+        self._seen_epoch = routing.epoch
+        ranges_by_partition: Dict[int, List[KeyRange]] = {}
+        for assignment in routing.assignments:
+            ranges_by_partition.setdefault(assignment.group_id, []).append(
+                assignment.key_range)
+        self._keys_by_partition: Dict[int, Tuple[str, ...]] = {
+            partition_id: tuple(routing.gather(self.item_keys, key_ranges))
+            for partition_id, key_ranges in ranges_by_partition.items()}
+        empty = [pid for pid in range(routing.partition_count)
                  if not self._keys_by_partition.get(pid)]
         if empty and strict:
             raise ValueError(
                 f"partitions {empty} own no items; use more items or fewer "
                 f"partitions")
         self._nonempty_partitions: List[int] = [
-            pid for pid in range(self.routing.partition_count)
+            pid for pid in range(routing.partition_count)
             if self._keys_by_partition.get(pid)]
-        # Per-partition cumulative weight tables for skewed draws: each key
-        # keeps the weight of its *global* rank, so restricting a transaction
-        # to one partition preserves the shape of the hot set.
-        self._cumulative_by_partition: Dict[int, List[float]] = {}
-        if self.skew > 0:
-            for partition_id, keys in self._keys_by_partition.items():
-                total = 0.0
-                cumulative: List[float] = []
-                for key in keys:
-                    total += (self._global_rank[key] + 1) ** -self.skew
-                    cumulative.append(total)
-                self._cumulative_by_partition[partition_id] = cumulative
-
-    def _refresh_if_stale(self) -> None:
-        epoch = self.routing.epoch
-        if epoch != self._seen_epoch:
-            self._seen_epoch = epoch
-            self._refresh_partition_caches(strict=False)
+        # Per-partition cumulative weight tables for skewed draws (none for
+        # uniform ones): each key keeps the weight of its *global* rank, so
+        # restricting a transaction to one partition preserves the shape of
+        # the hot set.
+        weights = (zipf_weights(len(self.item_keys), self.skew)
+                   if self.skew > 0 else ())
+        self._cumulative_by_partition: Dict[int, Tuple[float, ...]] = {
+            partition_id: tuple(accumulate(routing.gather(weights,
+                                                          key_ranges)))
+            for partition_id, key_ranges in ranges_by_partition.items()
+            if weights}
 
     # -- generation ----------------------------------------------------------------------
     def next_program(self, client: str = "client") -> TransactionProgram:
@@ -124,7 +127,8 @@ class PartitionedWorkloadGenerator(WorkloadGenerator):
         of ``cross_partition_span`` uniformly sampled partitions and spread
         the rest across the involved set.
         """
-        self._refresh_if_stale()
+        if self.routing.epoch != self._seen_epoch:
+            self._refresh_partition_caches()
         length = self._length_stream.randint(
             self.params.transaction_length_min,
             self.params.transaction_length_max)

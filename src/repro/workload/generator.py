@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
+from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
 from ..db.items import item_keys
@@ -87,10 +88,7 @@ class WorkloadGenerator:
         if weights is None:
             return stream.choice(population)
         position = stream.uniform(0.0, weights[-1])
-        index = bisect_left(weights, position)
-        if index >= len(population):
-            index = len(population) - 1
-        return population[index]
+        return population[bisect_left(weights, position)]
 
     # -- single transactions ---------------------------------------------------------
     def next_program(self, client: str = "client") -> TransactionProgram:
@@ -147,19 +145,23 @@ class WorkloadGenerator:
 
 
 @lru_cache(maxsize=16)
-def zipf_cumulative(population_size: int, skew: float) -> Tuple[float, ...]:
-    """Cumulative (unnormalised) Zipf weights for ranks ``1..population_size``.
+def zipf_weights(population_size: int, skew: float) -> Tuple[float, ...]:
+    """Unnormalised Zipf weights for ranks ``1..population_size``.
 
-    Rank ``r`` carries weight ``r ** -skew``; drawing a uniform position in
-    ``[0, total]`` and bisecting into this table samples the distribution.
-    One immutable table per ``(population_size, skew)`` and process: every
-    generator of a partitioned cluster draws from the same one.
+    Rank ``r`` carries weight ``r ** -skew``.  One immutable tuple per
+    ``(population_size, skew)`` and process: the whole keyspace's table and
+    every partition's table accumulate slices of it.
     """
-    if population_size <= 0:
-        raise ValueError("population must be non-empty")
-    cumulative: List[float] = []
-    total = 0.0
-    for rank in range(1, population_size + 1):
-        total += rank ** -skew
-        cumulative.append(total)
-    return tuple(cumulative)
+    return tuple(rank ** -skew for rank in range(1, population_size + 1))
+
+
+@lru_cache(maxsize=16)
+def zipf_cumulative(population_size: int, skew: float) -> Tuple[float, ...]:
+    """Cumulative :func:`zipf_weights`, summed in rank order.
+
+    Drawing a uniform position in ``[0, total]`` and bisecting into this
+    table samples the distribution.  One immutable table per
+    ``(population_size, skew)`` and process: every generator of a
+    partitioned cluster draws from the same one.
+    """
+    return tuple(accumulate(zipf_weights(population_size, skew)))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.db.items import item_keys
 from repro.partition import RoutingTable, TransactionRouter
 from tests.conftest import make_program
 
@@ -39,12 +40,16 @@ def test_range_layout_handles_non_conventional_keys():
     assert table.partition_of("item-500") == 2
 
 
-def test_partition_keys_groups_without_losing_keys():
+def test_gather_groups_without_losing_keys():
     table = RoutingTable.from_strategy("hash", 3)
-    keys = [f"item-{index}" for index in range(60)]
-    grouped = table.partition_keys(keys)
+    keys = item_keys(60)
+    grouped = {assignment.group_id: list(table.gather(
+        keys, [assignment.key_range])) for assignment in table.assignments}
     regrouped = [key for pid in sorted(grouped) for key in grouped[pid]]
     assert sorted(regrouped) == sorted(keys)
+    # Within a group the keys keep key order.
+    for members in grouped.values():
+        assert members == sorted(members, key=keys.index)
 
 
 def test_layout_validation():

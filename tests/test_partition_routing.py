@@ -6,6 +6,7 @@ import pytest
 
 import zlib
 
+from repro.db.items import item_keys
 from repro.db.wal import LogRecord, LogRecordType
 from repro.partition import (KeyRange, RoutingTable, ShardAssignment,
                              WrongEpochError)
@@ -249,7 +250,13 @@ def test_payload_after_migrate_is_the_write_ahead_image():
 
 
 # ---------------------------------------------------------------- protocol
-def test_table_and_snapshot_agree_on_partition_keys():
+def test_table_gather_agrees_with_snapshot_routing():
     table = range_table(4, 100)
-    keys = [f"item-{i}" for i in range(100)]
-    assert table.partition_keys(keys) == table.snapshot().partition_keys(keys)
+    table.split(1)
+    keys = item_keys(100)
+    snapshot = table.snapshot()
+    for group in range(4):
+        key_ranges = [assignment.key_range for assignment in table.assignments
+                      if assignment.group_id == group]
+        assert list(table.gather(keys, key_ranges)) == \
+            [key for key in keys if snapshot.partition_of(key) == group]
