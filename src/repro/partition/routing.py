@@ -43,8 +43,10 @@ from __future__ import annotations
 import zlib
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+                    Union)
 
 from ..db.items import ItemStore, item_keys
 from ..db.wal import LogRecord, LogRecordType
@@ -86,6 +88,22 @@ def position_of_key(key: str, slots: int, strategy: str) -> int:
             return min(int(suffix), slots - 1)
     return zlib.crc32(key.encode("utf-8")) % slots
 
+
+
+@lru_cache(maxsize=4)
+def hash_slot_ranks(population_size: int, slots: int
+                    ) -> Tuple[Tuple[int, ...], ...]:
+    """The ranks of ``item-0 … item-(population_size-1)`` in each hash slot.
+
+    Entry ``p`` lists, ascending, the ranks of the keys the hash strategy
+    puts at position ``p``.  Positions depend only on the key and ``slots``,
+    so one table per ``(population_size, slots)`` and process serves every
+    epoch of every hash table of that size.
+    """
+    by_slot: List[List[int]] = [[] for _ in range(slots)]
+    for rank, key in enumerate(item_keys(population_size)):
+        by_slot[position_of_key(key, slots, "hash")].append(rank)
+    return tuple(map(tuple, by_slot))
 
 @dataclass(frozen=True)
 class KeyRange:
@@ -227,8 +245,6 @@ class RoutingTable:
         #: (positions depend only on the fixed slots/strategy pair, so the
         #: memo survives epoch bumps).
         self._position_cache: Dict[str, int] = {}
-        #: Population size -> key ranks per hash slot (see :meth:`gather`).
-        self._slot_ranks: Dict[int, List[List[int]]] = {}
         #: Ranges currently write-fenced by a live migration.
         self._fenced: List[KeyRange] = []
         #: Per-position access counters feeding the skew-aware split points.
@@ -347,43 +363,42 @@ class RoutingTable:
         """Id of the replica group currently owning ``key``."""
         return self.snapshot().partition_of(key)
 
-    def gather(self, values: Sequence, key_ranges: Iterable[KeyRange]
-               ) -> Iterable:
-        """The entries of ``values`` whose keys lie in ``key_ranges``.
+    def selector(self, population_size: int,
+                 key_ranges: Iterable[KeyRange]
+                 ) -> Callable[[Sequence], Iterable]:
+        """A picker of the entries whose keys lie in ``key_ranges``.
 
-        ``values`` holds one entry per key of the population ``item-0 …
-        item-(n-1)``, ``n = len(values)``, in key order: the keys
-        themselves, or one weight per rank.  ``key_ranges`` ascend, and the
-        entries come out in key order.  No key is routed, since positions
-        never change for a table: the range strategy puts ``item-<i>`` at
-        position ``min(i, slots - 1)``, so a range is one slice; the hash
-        strategy groups the population by slot once and merges a request's
-        slots back into key order.
+        The picker takes any sequence with one entry per key of the
+        population ``item-0 … item-(population_size-1)``, in key order (the
+        keys themselves, or one weight per rank), and yields the entries of
+        the keys ``key_ranges`` cover, in key order; ``key_ranges`` ascend.
+        No key is routed, since a table's positions never change: the range
+        strategy puts ``item-<i>`` at position ``min(i, slots - 1)``, so a
+        range is one slice; the hash strategy merges the ranges' slots of
+        :func:`hash_slot_ranks` back into key order once per call, and every
+        sequence the picker takes reuses the merged ranks.
         """
         if self.strategy == "range":
             # The last shard also holds the keys clamped onto its last slot.
-            return chain.from_iterable(
-                values[key_range.lo:
-                       None if key_range.hi == self.slots else key_range.hi]
-                for key_range in key_ranges)
-        count = len(values)
-        by_slot = self._slot_ranks.get(count)
-        if by_slot is None:
-            by_slot = self._slot_ranks[count] = [[] for _ in range(self.slots)]
-            for rank, key in enumerate(item_keys(count)):
-                by_slot[position_of_key(key, self.slots, "hash")].append(rank)
+            cuts = [slice(key_range.lo,
+                          None if key_range.hi == self.slots else key_range.hi)
+                    for key_range in key_ranges]
+            return lambda values: chain.from_iterable(map(values.__getitem__,
+                                                          cuts))
+        by_slot = hash_slot_ranks(population_size, self.slots)
         ranks = sorted(chain.from_iterable(
             by_slot[position] for key_range in key_ranges
             for position in range(key_range.lo, key_range.hi)))
-        return map(values.__getitem__, ranks)
+        return lambda values: map(values.__getitem__, ranks)
 
     def keys_in(self, store: ItemStore, key_range: KeyRange) -> List[str]:
         """The keys of ``store`` that ``key_range`` covers, in creation order.
 
-        The population's share is one :meth:`gather`; only the keys
+        The population's share is one :meth:`selector` pick; only the keys
         :meth:`ItemStore.create` added are routed, one by one.
         """
-        return [*self.gather(store.population, [key_range]),
+        population = store.population
+        return [*self.selector(len(population), [key_range])(population),
                 *(key for key in store.created_keys()
                   if key_range.contains(self.position_of(key)))]
 
@@ -391,8 +406,10 @@ class RoutingTable:
     def range_of(self, shard: Union[int, KeyRange]) -> KeyRange:
         """Normalise ``shard`` (index or exact range) to its key range."""
         if isinstance(shard, KeyRange):
-            self.shard_index(shard)     # raises for a range no shard has
-            return shard
+            for assignment in self._assignments:
+                if assignment.key_range == shard:
+                    return shard
+            raise ValueError(f"no shard with range {shard!r}")
         return self._assignments[shard].key_range
 
     def shard_index(self, key_range: KeyRange) -> int:

@@ -16,8 +16,8 @@ and weight tables, so "single-partition" transactions keep landing on one
 *current* owner — the whole point of moving a hot range is that the traffic
 follows it.  A rebuild routes no key: each group's keys are the slices of
 the shared key tuple its shards cover (:meth:`~repro.partition.routing.
-RoutingTable.gather`), and its weight table accumulates the same slices of
-one per-rank weight tuple, so an ownership change costs O(shards) Python
+RoutingTable.selector`), and its weight table accumulates the same slices
+of one per-rank weight tuple, so an ownership change costs O(shards) Python
 work plus C-level copies, whatever the keyspace size.
 
 Every draw comes from named random streams, so two runs with the same seed —
@@ -45,7 +45,7 @@ from ..sim.engine import Simulator
 from ..workload.clients import OpenLoopClientPool
 from ..workload.generator import WorkloadGenerator, zipf_weights
 from ..workload.params import SimulationParameters
-from .routing import KeyRange, RoutingTable
+from .routing import RoutingTable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from .cluster import PartitionedCluster
@@ -84,33 +84,32 @@ class PartitionedWorkloadGenerator(WorkloadGenerator):
         """
         routing = self.routing
         self._seen_epoch = routing.epoch
-        ranges_by_partition: Dict[int, List[KeyRange]] = {}
-        for assignment in routing.assignments:
-            ranges_by_partition.setdefault(assignment.group_id, []).append(
-                assignment.key_range)
-        self._keys_by_partition: Dict[int, Tuple[str, ...]] = {
-            partition_id: tuple(routing.gather(self.item_keys, key_ranges))
-            for partition_id, key_ranges in ranges_by_partition.items()}
-        empty = [pid for pid in range(routing.partition_count)
-                 if not self._keys_by_partition.get(pid)]
-        if empty and strict:
-            raise ValueError(
-                f"partitions {empty} own no items; use more items or fewer "
-                f"partitions")
-        self._nonempty_partitions: List[int] = [
-            pid for pid in range(routing.partition_count)
-            if self._keys_by_partition.get(pid)]
+        assignments = routing.assignments
         # Per-partition cumulative weight tables for skewed draws (none for
         # uniform ones): each key keeps the weight of its *global* rank, so
         # restricting a transaction to one partition preserves the shape of
         # the hot set.
         weights = (zipf_weights(len(self.item_keys), self.skew)
-                   if self.skew > 0 else ())
-        self._cumulative_by_partition: Dict[int, Tuple[float, ...]] = {
-            partition_id: tuple(accumulate(routing.gather(weights,
-                                                          key_ranges)))
-            for partition_id, key_ranges in ranges_by_partition.items()
-            if weights}
+                   if self.skew > 0 else None)
+        self._keys_by_partition: Dict[int, Tuple[str, ...]] = {}
+        self._cumulative_by_partition: Dict[int, Tuple[float, ...]] = {}
+        for partition_id in range(routing.partition_count):
+            pick = routing.selector(len(self.item_keys), [
+                assignment.key_range for assignment in assignments
+                if assignment.group_id == partition_id])
+            self._keys_by_partition[partition_id] = tuple(pick(self.item_keys))
+            if weights is not None:
+                self._cumulative_by_partition[partition_id] = tuple(
+                    accumulate(pick(weights)))
+        empty = [partition_id for partition_id, keys
+                 in self._keys_by_partition.items() if not keys]
+        if empty and strict:
+            raise ValueError(
+                f"partitions {empty} own no items; use more items or fewer "
+                f"partitions")
+        self._nonempty_partitions: List[int] = [
+            partition_id for partition_id, keys
+            in self._keys_by_partition.items() if keys]
 
     # -- generation ----------------------------------------------------------------------
     def next_program(self, client: str = "client") -> TransactionProgram:

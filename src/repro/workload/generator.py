@@ -88,7 +88,10 @@ class WorkloadGenerator:
         if weights is None:
             return stream.choice(population)
         position = stream.uniform(0.0, weights[-1])
-        return population[bisect_left(weights, position)]
+        index = bisect_left(weights, position)
+        if index >= len(population):
+            index = len(population) - 1
+        return population[index]
 
     # -- single transactions ---------------------------------------------------------
     def next_program(self, client: str = "client") -> TransactionProgram:
@@ -152,6 +155,8 @@ def zipf_weights(population_size: int, skew: float) -> Tuple[float, ...]:
     ``(population_size, skew)`` and process: the whole keyspace's table and
     every partition's table accumulate slices of it.
     """
+    if population_size <= 0:
+        raise ValueError("population must be non-empty")
     return tuple(rank ** -skew for rank in range(1, population_size + 1))
 
 

@@ -2,7 +2,7 @@
 
 :class:`~repro.partition.workload.PartitionedWorkloadGenerator` cuts each
 group's key list and Zipf cumulative table from its shard ranges
-(:meth:`~repro.partition.routing.RoutingTable.gather`), and a migration cuts
+(:meth:`~repro.partition.routing.RoutingTable.selector`), and a migration cuts
 its copy list the same way.  This module keeps the way they were built
 before: route every key of the keyspace one by one, and sum each group's
 weights key by key from the key's global rank.  The tables of the two must be

@@ -40,11 +40,12 @@ def test_range_layout_handles_non_conventional_keys():
     assert table.partition_of("item-500") == 2
 
 
-def test_gather_groups_without_losing_keys():
+def test_selector_groups_without_losing_keys():
     table = RoutingTable.from_strategy("hash", 3)
     keys = item_keys(60)
-    grouped = {assignment.group_id: list(table.gather(
-        keys, [assignment.key_range])) for assignment in table.assignments}
+    grouped = {assignment.group_id: list(table.selector(
+        len(keys), [assignment.key_range])(keys))
+        for assignment in table.assignments}
     regrouped = [key for pid in sorted(grouped) for key in grouped[pid]]
     assert sorted(regrouped) == sorted(keys)
     # Within a group the keys keep key order.

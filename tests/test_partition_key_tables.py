@@ -128,6 +128,11 @@ def test_zipf_cumulative_sums_in_rank_order(skew):
         reference.zipf_cumulative(ITEMS, skew)
 
 
+def test_zipf_tables_refuse_an_empty_population():
+    with pytest.raises(ValueError):
+        zipf_cumulative(0, 0.6)
+
+
 @pytest.mark.parametrize("make_table", [range_table, wide_hash_table],
                          ids=["range", "hash"])
 def test_copy_list_matches_the_filtered_store_keys(make_table):
@@ -206,3 +211,30 @@ def test_an_ownership_change_routes_no_key_for_the_tables(monkeypatch):
     assert len(routed) == len(set(routed))
     for snapshot in snapshots:
         assert set(snapshot._group_cache) <= first_keys
+
+
+def test_a_hash_table_groups_its_keys_by_slot_once(monkeypatch):
+    # The slot grouping routes each key of the population once; later
+    # epochs merge the grouped ranks and route only the programs' keys.
+    routed = []
+    position_of_key = routing_module.position_of_key
+
+    def counting_position_of_key(key, slots, strategy):
+        routed.append(key)
+        return position_of_key(key, slots, strategy)
+
+    monkeypatch.setattr(routing_module, "position_of_key",
+                        counting_position_of_key)
+    routing_module.hash_slot_ranks.cache_clear()
+    table = wide_hash_table()
+    generator = make_generator(table, 0.6)
+    assert routed == list(item_keys(ITEMS))
+    del routed[:]
+    programs = [generator.next_program()]
+    table.split(0)
+    programs.append(generator.next_program())
+    table.migrate(1, destination_group=1)
+    programs.append(generator.next_program())
+    assert set(routed) <= {operation.key for program in programs
+                           for operation in program.operations}
+    routing_module.hash_slot_ranks.cache_clear()

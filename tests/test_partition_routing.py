@@ -250,7 +250,7 @@ def test_payload_after_migrate_is_the_write_ahead_image():
 
 
 # ---------------------------------------------------------------- protocol
-def test_table_gather_agrees_with_snapshot_routing():
+def test_table_selector_agrees_with_snapshot_routing():
     table = range_table(4, 100)
     table.split(1)
     keys = item_keys(100)
@@ -258,5 +258,10 @@ def test_table_gather_agrees_with_snapshot_routing():
     for group in range(4):
         key_ranges = [assignment.key_range for assignment in table.assignments
                       if assignment.group_id == group]
-        assert list(table.gather(keys, key_ranges)) == \
+        pick = table.selector(len(keys), key_ranges)
+        assert list(pick(keys)) == \
             [key for key in keys if snapshot.partition_of(key) == group]
+        # One selection picks from any sequence in key order.
+        assert list(pick(range(len(keys)))) == \
+            [rank for rank, key in enumerate(keys)
+             if snapshot.partition_of(key) == group]
