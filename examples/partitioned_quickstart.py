@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Quickstart for the partitioned replication subsystem.
 
-The example shards a small database across four replica groups (each running
-the group-safe technique on its own atomic broadcast), drives it with a mixed
-workload in which one transaction in five spans two partitions, and prints:
+The example shards a small database across four replica groups (each owning
+one contiguous range of the keyspace and running the group-safe technique on
+its own atomic broadcast), drives it with a mixed workload in which one
+transaction in five spans two partitions, and prints:
 
 * the per-partition routing and commit counts,
 * the fast-path vs. coordinated (2PC) response times,

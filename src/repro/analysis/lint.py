@@ -37,9 +37,6 @@ def main(argv=None) -> int:
         "--rules", default=None,
         help="comma-separated rule names to run (default: all)")
     parser.add_argument(
-        "--strict-layers", action="store_true",
-        help="also fail on skip-layer dependencies in the layer contract")
-    parser.add_argument(
         "--verbose", action="store_true",
         help="include suppressed findings in the human report")
     parser.add_argument(
@@ -47,7 +44,7 @@ def main(argv=None) -> int:
         help="print the rule catalogue and exit")
     args = parser.parse_args(argv)
 
-    rules = default_rules(strict_layers=args.strict_layers)
+    rules = default_rules()
     if args.list_rules:
         for rule in rules:
             print(f"{rule.name}: {rule.description}")

@@ -380,7 +380,7 @@ _ORACLE_LAYERS: FrozenSet[str] = frozenset({"failure_detector"})
 
 #: The top of the stack is the application, not a protocol layer —
 #: replication composition roots legitimately wire every layer below them,
-#: so strict adjacency does not constrain them.
+#: so the adjacency check does not constrain them.
 _TOP_LAYER_INDEX = len(_LAYER_ORDER) - 1
 
 
@@ -412,21 +412,20 @@ class LayerContractRule(Rule):
     layers) and the import graph between annotated modules.  A class using a
     layer *above* its own, or an annotated module importing an annotated
     module of a higher layer, is an error; equal-layer dependencies are
-    allowed (a total-order endpoint may extend another).  With
-    ``strict_adjacency=True`` a protocol class must route through the layer
-    directly below it.  Two structural exemptions keep that check honest:
-    oracle layers (the failure detector) carry hints rather than data, so
-    any layer may consult them and they are transparent when computing
-    adjacency; and the top ``replication`` layer is the application, whose
-    composition roots wire the whole stack by design.
+    allowed (a total-order endpoint may extend another).  A protocol class
+    must also route through the layer directly below it: a skip-layer
+    dependency is an error too.  Two structural exemptions keep that check
+    honest: oracle layers (the failure detector) carry hints rather than
+    data, so any layer may consult them and they are transparent when
+    computing adjacency; and the top ``replication`` layer is the
+    application, whose composition roots wire the whole stack by design.
     """
 
     name = "layer-contract"
     description = ("@implements/@uses layer declarations and imports must "
                    "only depend downward in the protocol stack")
 
-    def __init__(self, strict_adjacency: bool = False):
-        self.strict_adjacency = strict_adjacency
+    def __init__(self):
         self._modules: List[_ModuleInfo] = []
 
     def check_module(self, module: ParsedModule) -> Iterator[Finding]:
@@ -504,8 +503,8 @@ class LayerContractRule(Rule):
         return targets
 
     @staticmethod
-    def _strict_adjacent_below(own: int) -> Optional[int]:
-        """The layer strict adjacency expects ``own`` to route through.
+    def _adjacent_below(own: int) -> Optional[int]:
+        """The layer the adjacency check expects ``own`` to route through.
 
         ``None`` means the implementing layer is exempt: the application on
         top of the stack, or the bottom with nothing below it.  Oracle
@@ -547,9 +546,8 @@ class LayerContractRule(Rule):
                             message=f"upward dependency: {annotated.name} "
                                     f"implements {_LAYER_ORDER[own]!r} but "
                                     f"uses higher layer {layer!r}")
-                    elif self.strict_adjacency \
-                            and layer not in _ORACLE_LAYERS:
-                        adjacent = self._strict_adjacent_below(own)
+                    elif layer not in _ORACLE_LAYERS:
+                        adjacent = self._adjacent_below(own)
                         if adjacent is not None and used < adjacent:
                             yield Finding(
                                 path=info.relpath, line=lineno, column=1,
@@ -722,7 +720,7 @@ class UnusedSurfaceRule(Rule):
 # -- registry -----------------------------------------------------------------------------
 
 
-def default_rules(*, strict_layers: bool = False) -> List[Rule]:
+def default_rules() -> List[Rule]:
     """Fresh instances of every rule (rules hold per-run state)."""
     return [
         WallClockRule(),
@@ -730,6 +728,6 @@ def default_rules(*, strict_layers: bool = False) -> List[Rule]:
         OrderingHazardRule(),
         SlotsConsistencyRule(),
         FloatTimeArithRule(),
-        LayerContractRule(strict_adjacency=strict_layers),
+        LayerContractRule(),
         UnusedSurfaceRule(),
     ]

@@ -40,10 +40,8 @@ from ..sim.poll import Parked, Poller
 class LogRecordType(Enum):
     """Kinds of records a server writes to its WAL."""
 
-    UPDATE = "update"
     COMMIT = "commit"
     ABORT = "abort"
-    CHECKPOINT = "checkpoint"
     #: Atomic-commit decision of a cross-partition coordinator.  Not a
     #: transaction commit: recovery redo, the safety audit and
     #: :meth:`WriteAheadLog.is_logged` all ignore it.

@@ -333,7 +333,7 @@ def _partitioned_cell(engine: str, pattern: str,
                       ) -> Tuple[NetsplitCellOutcome, PartitionedCluster]:
     """The outcome of a partitioned cell, and its started two-shard cluster."""
     cluster = PartitionedCluster(
-        GROUP_TECHNIQUE, seed=seed, strategy="range",
+        GROUP_TECHNIQUE, seed=seed,
         params=small_parameters(params, partition_count=2,
                                 broadcast_engine=engine,
                                 cross_partition_probability=0.0))

@@ -172,7 +172,7 @@ def branch_writes(cluster: PartitionedCluster, cross: CrossPartitionOutcome,
 
 def _shard_keys(cluster: PartitionedCluster, shard: int,
                 count: int = 3) -> List[str]:
-    """Distinct item keys inside ``shard``'s current range (range strategy)."""
+    """Distinct item keys inside ``shard``'s current range."""
     key_range = cluster.routing.range_of(shard)
     width = key_range.width
     positions = sorted({key_range.lo + (index + 1) * width // (count + 1)
@@ -218,7 +218,7 @@ def run_partitioned_crash_scenario(technique: str, crash_pattern: str,
     workload, shard, plan = plan_entry(PARTITIONED_CRASH_PATTERNS,
                                        crash_pattern, "crash pattern")
     cluster = PartitionedCluster(
-        technique, seed=seed, strategy="range",
+        technique, seed=seed,
         params=small_parameters(params, partition_count=SHARD_COUNT,
                                 cross_partition_probability=0.0))
     cluster.start()

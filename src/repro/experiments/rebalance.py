@@ -157,8 +157,7 @@ def run_rebalance_experiment(rebalance: bool = True) -> RebalanceOutcome:
     parameters = SimulationParameters.small(
         server_count=3, item_count=400).with_overrides(
         partition_count=4, zipf_skew=1.1, cross_partition_probability=0.05)
-    cluster = PartitionedCluster("group-safe", params=parameters, seed=33,
-                                 strategy="range")
+    cluster = PartitionedCluster("group-safe", params=parameters, seed=33)
     cluster.start()
     clients = PartitionedOpenLoopClients(cluster, load_tps=150.0)
     clients.start()

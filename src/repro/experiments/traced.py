@@ -43,8 +43,7 @@ def run_traced_scenario(seed: int = _SEED, rebalance_at_ms: float = 1_500.0,
     parameters = SimulationParameters.small(
         server_count=3, item_count=240).with_overrides(
         partition_count=4, zipf_skew=1.1, cross_partition_probability=0.1)
-    cluster = PartitionedCluster("group-safe", params=parameters, seed=seed,
-                                 strategy="range")
+    cluster = PartitionedCluster("group-safe", params=parameters, seed=seed)
     observability = cluster.enable_observability()
     cluster.start()
     clients = PartitionedOpenLoopClients(cluster, load_tps=120.0)

@@ -11,8 +11,9 @@ keep submitting.
 
 * :mod:`~repro.partition.routing` — the epoch-versioned ownership map:
   key-range -> group assignments, split/migrate, fences,
-  WAL-recoverable epoch bumps (``RoutingTable.from_strategy`` builds the
-  static hash/range layouts the retired partitioner shims used to provide);
+  WAL-recoverable epoch bumps (``RoutingTable.even_ranges`` builds the
+  epoch-0 layout: one contiguous key range per group), and the per-position
+  access counts ``rebalance()`` reads its shard loads from;
 * :mod:`~repro.partition.router` — snapshot-based single- vs.
   multi-partition classification and program splitting;
 * :mod:`~repro.partition.coordinator` — the cross-partition atomic-commit
@@ -36,7 +37,7 @@ from .coordinator import (ABORT_TIMEOUT, ABORT_UNAVAILABLE, ABORT_VALIDATION,
                           CrossPartitionCoordinator, CrossPartitionOutcome)
 from .migration import MigrationReport
 from .router import TransactionRouter
-from .routing import (STRATEGIES, KeyRange, RoutingSnapshot, RoutingTable,
+from .routing import (KeyRange, RoutingSnapshot, RoutingTable,
                       ShardAssignment, WrongEpochError, position_of_key)
 from .workload import PartitionedOpenLoopClients, PartitionedWorkloadGenerator
 
@@ -56,7 +57,6 @@ __all__ = [
     "KeyRange",
     "WrongEpochError",
     "position_of_key",
-    "STRATEGIES",
     "TransactionRouter",
     "PartitionedWorkloadGenerator",
     "PartitionedOpenLoopClients",

@@ -30,8 +30,7 @@ Typical use::
 
     params = SimulationParameters.small().with_overrides(
         partition_count=4, cross_partition_probability=0.1)
-    cluster = PartitionedCluster("group-safe", params=params, seed=42,
-                                 strategy="range")
+    cluster = PartitionedCluster("group-safe", params=params, seed=42)
     cluster.start()
     outcome = cluster.run_transaction(cluster.workload.next_program())
     cluster.rebalance()                  # move the hottest half-shard away
@@ -76,13 +75,16 @@ class PartitionedCluster:
 
     def __init__(self, technique: str = "group-safe",
                  params: Optional[SimulationParameters] = None,
-                 seed: int = 0, partition_count: Optional[int] = None,
-                 strategy: str = "hash",
-                 sim: Optional[Simulator] = None,
+                 seed: int = 0, strategy: str = "range",
                  techniques: Optional[Sequence[str]] = None) -> None:
+        # Range shards are the only placement; ``strategy`` is kept so that
+        # callers still naming it keep working.
+        if strategy != "range":
+            raise ValueError(
+                f"unknown routing strategy {strategy!r}; only 'range' "
+                f"shards exist")
         self.params = params or SimulationParameters.paper()
-        self.partition_count = (partition_count if partition_count is not None
-                                else self.params.partition_count)
+        self.partition_count = self.params.partition_count
         if self.partition_count < 1:
             raise ValueError(
                 f"partition count must be >= 1, got {self.partition_count!r}")
@@ -98,12 +100,11 @@ class PartitionedCluster:
                 raise ValueError(
                     f"unknown technique {name!r}; expected one of {TECHNIQUES}")
         self.techniques = techniques
-        self.strategy = strategy
-        self.sim = sim or Simulator(seed=seed)
+        self.sim = Simulator(seed=seed)
         self.lan = Lan(self.sim, latency=self.params.network_latency)
         #: The live, epoch-versioned ownership map.
-        self.routing: RoutingTable = RoutingTable.from_strategy(
-            strategy, self.partition_count, self.params.item_count)
+        self.routing: RoutingTable = RoutingTable.even_ranges(
+            self.partition_count, self.params.item_count)
         #: One full replica group per partition, named ``p<id>.s<j>``.
         self.groups: List[ReplicatedDatabaseCluster] = [
             ReplicatedDatabaseCluster(
@@ -440,13 +441,12 @@ class PartitionedCluster:
         """The ownership map a *restarted* cluster would recover and serve.
 
         Rebuilt purely from stable storage: the highest force-logged EPOCH
-        record wins, falling back to the epoch-0 strategy layout.  This is
+        record wins, falling back to the epoch-0 layout.  This is
         the crash-consistency contract of live migration — before the bump
         record is durable the old owner serves, after it the new one.
         """
         return RoutingTable.recover(
-            self.stable_log_records(), strategy=self.strategy,
-            group_count=self.partition_count,
+            self.stable_log_records(), group_count=self.partition_count,
             item_count=self.params.item_count)
 
     # ------------------------------------------------------------------ results

@@ -30,12 +30,15 @@ the new owner does.  :meth:`RoutingTable.recover` rebuilds the map from the
 stable records of a restarted cluster.
 
 Key positions: the table routes over an integer *position space*
-``[0, slots)``.  The ``"range"`` strategy uses one slot per item (the
-``item-<i>`` convention), so ranges are contiguous in the keyspace and
-splits can land on skew-aware boundaries; the ``"hash"`` strategy keeps the
-historical ``crc32(key) % partition_count`` placement (one slot per group),
-which spreads load but makes shards indivisible (width-1 ranges cannot be
-split — migrate whole slots instead).
+``[0, slots)`` with one slot per item (the ``item-<i>`` convention), so
+shards are contiguous key ranges and splits can land on skew-aware
+boundaries.
+
+Load accounting: :meth:`RoutingTable.note_access` counts accesses per
+position; :meth:`RoutingTable.hottest_shard` and
+:meth:`RoutingTable.coolest_group` sum those counts per shard when
+:meth:`~repro.partition.cluster.PartitionedCluster.rebalance` asks, so a
+submitted key pays one counter update and nothing per shard.
 """
 
 from __future__ import annotations
@@ -43,25 +46,20 @@ from __future__ import annotations
 import zlib
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
                     Union)
 
-from ..db.items import ItemStore, item_keys
+from ..db.items import ItemStore
 from ..db.wal import LogRecord, LogRecordType
 
-#: Strategy names accepted by :meth:`RoutingTable.from_strategy`.
-STRATEGIES = ("hash", "range")
-
-#: Entries the routing memo caches (key -> position / group / shard) hold
-#: beyond a table's ``slots`` before they clear.  A range table has one slot
-#: per item, so every key of its population fits at any keyspace size; a
-#: hash table (one slot per group) clears them every ``slots + MEMO_SPARE``
-#: distinct keys.  The cap only keeps a per-key dict from growing without
-#: bound (the concern ``max_tracked_positions`` addresses for the access
-#: counters).  Eviction is a wholesale clear — the caches rebuild in O(1)
-#: amortised per lookup.
+#: Entries the routing memos (key -> position / group) hold beyond a table's
+#: ``slots`` before they clear.  A table has one slot per item, so every key
+#: of its population fits at any keyspace size, and the spare is room for
+#: the keys outside it (created keys, names without an ``item-<i>`` index).
+#: The cap only keeps a per-key dict from growing without bound (the concern
+#: ``max_tracked_positions`` addresses for the access counters).  Eviction
+#: is a wholesale clear — the memos rebuild in O(1) amortised per lookup.
 MEMO_SPARE = 1 << 16
 
 
@@ -74,36 +72,18 @@ class WrongEpochError(RuntimeError):
     """
 
 
-def position_of_key(key: str, slots: int, strategy: str) -> int:
+def position_of_key(key: str, slots: int) -> int:
     """Map ``key`` to its routing position in ``[0, slots)``.
 
-    Range strategy: the numeric suffix of the conventional ``item-<i>`` keys
-    (clamped into the slot space); keys without one fall back to a stable
-    hash so the mapping stays total.  Hash strategy: ``crc32(key) % slots``,
-    bit-identical to the original :class:`HashPartitioner` placement.
+    The numeric suffix of the conventional ``item-<i>`` keys (clamped into
+    the slot space); keys without one fall back to a stable hash so the
+    mapping stays total.
     """
-    if strategy == "range":
-        _prefix, _sep, suffix = key.rpartition("-")
-        if suffix.isdigit():
-            return min(int(suffix), slots - 1)
+    _prefix, _sep, suffix = key.rpartition("-")
+    if suffix.isdigit():
+        return min(int(suffix), slots - 1)
     return zlib.crc32(key.encode("utf-8")) % slots
 
-
-
-@lru_cache(maxsize=4)
-def hash_slot_ranks(population_size: int, slots: int
-                    ) -> Tuple[Tuple[int, ...], ...]:
-    """The ranks of ``item-0 … item-(population_size-1)`` in each hash slot.
-
-    Entry ``p`` lists, ascending, the ranks of the keys the hash strategy
-    puts at position ``p``.  Positions depend only on the key and ``slots``,
-    so one table per ``(population_size, slots)`` and process serves every
-    epoch of every hash table of that size.
-    """
-    by_slot: List[List[int]] = [[] for _ in range(slots)]
-    for rank, key in enumerate(item_keys(population_size)):
-        by_slot[position_of_key(key, slots, "hash")].append(rank)
-    return tuple(map(tuple, by_slot))
 
 @dataclass(frozen=True)
 class KeyRange:
@@ -149,20 +129,19 @@ class RoutingSnapshot:
     """An immutable view of the ownership map at one epoch."""
 
     def __init__(self, epoch: int, assignments: Sequence[ShardAssignment],
-                 slots: int, strategy: str, group_count: int,
+                 slots: int, group_count: int,
                  position_cache: Optional[Dict[str, int]] = None) -> None:
         self.epoch = epoch
         self.assignments: Tuple[ShardAssignment, ...] = tuple(assignments)
         self.slots = slots
-        self.strategy = strategy
         #: Number of replica groups (NOT shards; shards can outnumber groups
         #: after splits).
         self.partition_count = group_count
         self._bounds = [assignment.key_range.lo
                         for assignment in self.assignments]
-        #: key -> position memo.  Positions depend only on (slots, strategy),
-        #: so a :class:`RoutingTable` shares one cache across all its
-        #: snapshots; a standalone snapshot gets its own.
+        #: key -> position memo.  Positions depend only on ``slots``, so a
+        #: :class:`RoutingTable` shares one cache across all its snapshots;
+        #: a standalone snapshot gets its own.
         self._position_cache: Dict[str, int] = (
             {} if position_cache is None else position_cache)
         #: key -> owning-group memo, valid for this epoch only (per snapshot).
@@ -176,8 +155,7 @@ class RoutingSnapshot:
         if position is None:
             if len(cache) >= self.slots + MEMO_SPARE:
                 cache.clear()
-            position = cache[key] = position_of_key(key, self.slots,
-                                                    self.strategy)
+            position = cache[key] = position_of_key(key, self.slots)
         return position
 
     def partition_of(self, key: str) -> int:
@@ -226,24 +204,22 @@ class RoutingTable:
     """The epoch-versioned, mutable ownership map of a partitioned cluster."""
 
     def __init__(self, assignments: Sequence[ShardAssignment], slots: int,
-                 strategy: str, group_count: int, epoch: int = 0) -> None:
-        if strategy not in STRATEGIES:
-            raise ValueError(
-                f"unknown routing strategy {strategy!r}; expected one of "
-                f"{STRATEGIES}")
+                 group_count: int, epoch: int = 0) -> None:
         if group_count < 1:
             raise ValueError(f"group count must be >= 1, got {group_count!r}")
         self.slots = slots
-        self.strategy = strategy
         self.group_count = group_count
         self._assignments: List[ShardAssignment] = sorted(
             assignments, key=lambda assignment: assignment.key_range.lo)
         self._validate_cover()
         self._epoch = epoch
         self._snapshot: Optional[RoutingSnapshot] = None
+        #: Each shard's lo position, in shard order (refreshed by every bump).
+        self._bounds = [assignment.key_range.lo
+                        for assignment in self._assignments]
         #: key -> position memo shared with every snapshot of this table
-        #: (positions depend only on the fixed slots/strategy pair, so the
-        #: memo survives epoch bumps).
+        #: (positions depend only on the fixed ``slots``, so the memo
+        #: survives epoch bumps).
         self._position_cache: Dict[str, int] = {}
         #: Ranges currently write-fenced by a live migration.
         self._fenced: List[KeyRange] = []
@@ -253,47 +229,39 @@ class RoutingTable:
         #: positions are folded into their shard's lo position so wide
         #: keyspaces cannot grow the counter dict without bound.
         self.max_tracked_positions: int = 4096
-        self._rebuild_access_index()
 
     # -- construction -------------------------------------------------------------------
     @classmethod
-    def from_strategy(cls, strategy: str, group_count: int,
-                      item_count: int = 0) -> "RoutingTable":
-        """Build the epoch-0 table reproducing the seed partitioner exactly."""
-        if strategy == "hash":
-            assignments = [
-                ShardAssignment(KeyRange(group_id, group_id + 1), group_id)
-                for group_id in range(group_count)]
-            return cls(assignments, slots=group_count, strategy="hash",
-                       group_count=group_count)
-        if strategy == "range":
-            if item_count < group_count:
-                raise ValueError(
-                    f"cannot range-partition {item_count} items into "
-                    f"{group_count} partitions")
-            bounds = [-(-group_id * item_count // group_count)
-                      for group_id in range(group_count)] + [item_count]
-            assignments = [
-                ShardAssignment(KeyRange(bounds[group_id],
-                                         bounds[group_id + 1]), group_id)
-                for group_id in range(group_count)]
-            return cls(assignments, slots=item_count, strategy="range",
-                       group_count=group_count)
-        raise ValueError(
-            f"unknown routing strategy {strategy!r}; expected one of "
-            f"{STRATEGIES}")
+    def even_ranges(cls, group_count: int, item_count: int) -> "RoutingTable":
+        """The epoch-0 table: one contiguous range of items per group.
+
+        Group ``g`` starts at item ``ceil(g * item_count / group_count)``,
+        the seed's range placement.
+        """
+        if item_count < group_count:
+            raise ValueError(
+                f"cannot range-partition {item_count} items into "
+                f"{group_count} partitions")
+        bounds = [-(-group_id * item_count // group_count)
+                  for group_id in range(group_count)] + [item_count]
+        assignments = [
+            ShardAssignment(KeyRange(bounds[group_id], bounds[group_id + 1]),
+                            group_id)
+            for group_id in range(group_count)]
+        return cls(assignments, slots=item_count, group_count=group_count)
 
     @classmethod
-    def recover(cls, records: Iterable[LogRecord], strategy: str,
-                group_count: int, item_count: int = 0) -> "RoutingTable":
+    def recover(cls, records: Iterable[LogRecord], group_count: int,
+                item_count: int) -> "RoutingTable":
         """Rebuild the ownership map a restarted cluster would serve with.
 
         Scans stable write-ahead-log ``records`` for ``EPOCH`` records and
         installs the highest durable epoch; with no durable epoch record the
-        map falls back to the epoch-0 strategy layout.  This is the recovery
-        contract of online migration: the epoch bump is force-logged before
-        the new map is served, so a crash before the flush recovers to the
-        old owner and a crash after it to the new one — never to a mix.
+        map falls back to the epoch-0 :meth:`even_ranges` layout.  This is
+        the recovery contract of online migration: the epoch bump is
+        force-logged before the new map is served, so a crash before the
+        flush recovers to the old owner and a crash after it to the new one
+        — never to a mix.
         """
         best: Optional[Dict[str, object]] = None
         for record in records:
@@ -303,13 +271,12 @@ class RoutingTable:
             if best is None or payload["epoch"] > best["epoch"]:
                 best = payload
         if best is None:
-            return cls.from_strategy(strategy, group_count, item_count)
+            return cls.even_ranges(group_count, item_count)
         assignments = [
             ShardAssignment(KeyRange(int(lo), int(hi)), int(group_id))
             for lo, hi, group_id in best["assignments"]]
         return cls(assignments, slots=int(best["slots"]),
-                   strategy=str(best["strategy"]), group_count=group_count,
-                   epoch=int(best["epoch"]))
+                   group_count=group_count, epoch=int(best["epoch"]))
 
     # -- invariants ---------------------------------------------------------------------
     def _validate_cover(self) -> None:
@@ -350,46 +317,36 @@ class RoutingTable:
         """The immutable view of the current epoch (cached until a bump)."""
         if self._snapshot is None or self._snapshot.epoch != self._epoch:
             self._snapshot = RoutingSnapshot(
-                self._epoch, self._assignments, self.slots, self.strategy,
-                self.group_count, position_cache=self._position_cache)
+                self._epoch, self._assignments, self.slots, self.group_count,
+                position_cache=self._position_cache)
         return self._snapshot
 
     # -- lookups (delegate to the current snapshot) -------------------------------------
     #: The snapshot's memoized lookup, shared as is: a table carries the
-    #: same ``slots``, ``strategy`` and position cache as its snapshots.
+    #: same ``slots`` and position cache as its snapshots.
     position_of = RoutingSnapshot.position_of
 
     def partition_of(self, key: str) -> int:
         """Id of the replica group currently owning ``key``."""
         return self.snapshot().partition_of(key)
 
-    def selector(self, population_size: int,
-                 key_ranges: Iterable[KeyRange]
+    def selector(self, key_ranges: Iterable[KeyRange]
                  ) -> Callable[[Sequence], Iterable]:
         """A picker of the entries whose keys lie in ``key_ranges``.
 
         The picker takes any sequence with one entry per key of the
-        population ``item-0 … item-(population_size-1)``, in key order (the
-        keys themselves, or one weight per rank), and yields the entries of
-        the keys ``key_ranges`` cover, in key order; ``key_ranges`` ascend.
-        No key is routed, since a table's positions never change: the range
-        strategy puts ``item-<i>`` at position ``min(i, slots - 1)``, so a
-        range is one slice; the hash strategy merges the ranges' slots of
-        :func:`hash_slot_ranks` back into key order once per call, and every
-        sequence the picker takes reuses the merged ranks.
+        population ``item-0 … item-(n-1)``, in key order (the keys
+        themselves, or one weight per rank), and yields the entries of the
+        keys ``key_ranges`` cover, in key order; ``key_ranges`` ascend.  No
+        key is routed: ``item-<i>`` sits at position ``min(i, slots - 1)``,
+        so a range is one slice.
         """
-        if self.strategy == "range":
-            # The last shard also holds the keys clamped onto its last slot.
-            cuts = [slice(key_range.lo,
-                          None if key_range.hi == self.slots else key_range.hi)
-                    for key_range in key_ranges]
-            return lambda values: chain.from_iterable(map(values.__getitem__,
-                                                          cuts))
-        by_slot = hash_slot_ranks(population_size, self.slots)
-        ranks = sorted(chain.from_iterable(
-            by_slot[position] for key_range in key_ranges
-            for position in range(key_range.lo, key_range.hi)))
-        return lambda values: map(values.__getitem__, ranks)
+        # The last shard also holds the keys clamped onto its last slot.
+        cuts = [slice(key_range.lo,
+                      None if key_range.hi == self.slots else key_range.hi)
+                for key_range in key_ranges]
+        return lambda values: chain.from_iterable(map(values.__getitem__,
+                                                      cuts))
 
     def keys_in(self, store: ItemStore, key_range: KeyRange) -> List[str]:
         """The keys of ``store`` that ``key_range`` covers, in creation order.
@@ -397,8 +354,7 @@ class RoutingTable:
         The population's share is one :meth:`selector` pick; only the keys
         :meth:`ItemStore.create` added are routed, one by one.
         """
-        population = store.population
-        return [*self.selector(len(population), [key_range])(population),
+        return [*self.selector([key_range])(store.population),
                 *(key for key in store.created_keys()
                   if key_range.contains(self.position_of(key)))]
 
@@ -427,7 +383,8 @@ class RoutingTable:
     def _bump(self) -> int:
         self._epoch += 1
         self._snapshot = None
-        self._rebuild_access_index()
+        self._bounds = [assignment.key_range.lo
+                        for assignment in self._assignments]
         return self._epoch
 
     def _check_not_fenced(self, key_range: KeyRange) -> None:
@@ -510,33 +467,11 @@ class RoutingTable:
         return False
 
     # -- access accounting (feeds the skew-aware rebalancer) ----------------------------
-    def _rebuild_access_index(self) -> None:
-        """Recompute the per-shard totals after the shard list changed.
-
-        :meth:`note_access` maintains the totals incrementally (O(log shards)
-        per access); split and migrate re-attribute the tracked
-        positions to the new shard list in one pass.
-        """
-        self._bounds = [assignment.key_range.lo
-                        for assignment in self._assignments]
-        totals = [0] * len(self._assignments)
-        for position, count in self.access_counts.items():
-            totals[bisect_right(self._bounds, position) - 1] += count
-        self._shard_totals = totals
-        #: key -> (position, shard index) memo for :meth:`note_access`,
-        #: valid until the shard list changes again.
-        self._note_cache: Dict[str, Tuple[int, int]] = {}
-
     def note_access(self, key: str) -> None:
         """Record one access to ``key`` for load accounting."""
-        entry = self._note_cache.get(key)
-        if entry is None:
-            if len(self._note_cache) >= self.slots + MEMO_SPARE:
-                self._note_cache.clear()
+        position = self._position_cache.get(key)
+        if position is None:
             position = self.position_of(key)
-            entry = (position, bisect_right(self._bounds, position) - 1)
-            self._note_cache[key] = entry
-        position, shard_index = entry
         counts = self.access_counts
         count = counts.get(position)
         if count is None and len(counts) >= self.max_tracked_positions:
@@ -546,7 +481,6 @@ class RoutingTable:
             counts = self.access_counts
             count = counts.get(position)
         counts[position] = 1 if count is None else count + 1
-        self._shard_totals[shard_index] += 1
 
     def note_keys(self, keys: Iterable[str]) -> None:
         """Record one access per key of ``keys``."""
@@ -567,17 +501,29 @@ class RoutingTable:
                          key=self.access_counts.__getitem__, reverse=True)
         compacted = {position: self.access_counts[position]
                      for position in by_heat[:keep]}
+        bounds = self._bounds
         for position in by_heat[keep:]:
-            shard = bisect_right(self._bounds, position) - 1
-            anchor = self._assignments[shard].key_range.lo
+            anchor = bounds[bisect_right(bounds, position) - 1]
             compacted[anchor] = (compacted.get(anchor, 0) +
                                  self.access_counts[position])
         self.access_counts = compacted
 
+    def _shard_loads(self) -> List[int]:
+        """Each shard's observed accesses, in shard order.
+
+        Summed from :attr:`access_counts` on every call: compaction folds a
+        position only into its own shard's lo, so the sums are exact.
+        """
+        bounds = self._bounds
+        loads = [0] * len(bounds)
+        for position, count in self.access_counts.items():
+            loads[bisect_right(bounds, position) - 1] += count
+        return loads
+
     def hottest_shard(self) -> int:
         """Index of the shard with the most observed accesses."""
-        return max(range(len(self._shard_totals)),
-                   key=self._shard_totals.__getitem__)
+        loads = self._shard_loads()
+        return max(range(len(loads)), key=loads.__getitem__)
 
     def coolest_group(self, exclude: Iterable[int] = ()) -> int:
         """Group with the fewest observed accesses (ties -> lowest id)."""
@@ -586,9 +532,9 @@ class RoutingTable:
                   if group_id not in excluded}
         if not totals:
             raise ValueError("every group is excluded")
-        for index, assignment in enumerate(self._assignments):
+        for assignment, load in zip(self._assignments, self._shard_loads()):
             if assignment.group_id in totals:
-                totals[assignment.group_id] += self._shard_totals[index]
+                totals[assignment.group_id] += load
         return min(sorted(totals), key=totals.__getitem__)
 
     def hot_split_position(self, shard: Union[int, KeyRange]
@@ -631,7 +577,6 @@ class RoutingTable:
         return {
             "epoch": epoch,
             "slots": self.slots,
-            "strategy": self.strategy,
             "assignments": [
                 [assignment.key_range.lo, assignment.key_range.hi,
                  assignment.group_id]

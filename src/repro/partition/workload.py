@@ -94,7 +94,7 @@ class PartitionedWorkloadGenerator(WorkloadGenerator):
         self._keys_by_partition: Dict[int, Tuple[str, ...]] = {}
         self._cumulative_by_partition: Dict[int, Tuple[float, ...]] = {}
         for partition_id in range(routing.partition_count):
-            pick = routing.selector(len(self.item_keys), [
+            pick = routing.selector([
                 assignment.key_range for assignment in assignments
                 if assignment.group_id == partition_id])
             self._keys_by_partition[partition_id] = tuple(pick(self.item_keys))

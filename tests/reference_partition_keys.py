@@ -20,7 +20,7 @@ from repro.partition.routing import KeyRange, RoutingSnapshot, RoutingTable
 def fresh_snapshot(table: RoutingTable) -> RoutingSnapshot:
     """A standalone snapshot of ``table``'s current map (its own memos)."""
     return RoutingSnapshot(table.epoch, table.assignments, table.slots,
-                           table.strategy, table.group_count)
+                           table.group_count)
 
 
 def partition_keys(snapshot: RoutingSnapshot,

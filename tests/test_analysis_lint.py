@@ -299,7 +299,7 @@ def test_layer_rule_allows_downward_and_equal_layer_uses(tmp_path):
     report = lint_tree(tmp_path, {
         "stack.py": _LAYER_PRELUDE + textwrap.dedent("""\
             @implements("total_order")
-            @uses("links")
+            @uses("reliable_broadcast")
             class Sequencer:
                 pass
 
@@ -333,25 +333,21 @@ def test_layer_rule_flags_upward_import_between_modules(tmp_path):
     assert report.findings[0].path == "low.py"
 
 
-def test_layer_rule_strict_adjacency_flags_skip_layer(tmp_path):
-    files = {
+def test_layer_rule_flags_skip_layer(tmp_path):
+    report = lint_tree(tmp_path, {
         "stack.py": _LAYER_PRELUDE + textwrap.dedent("""\
             @implements("membership")
             @uses("links")
             class SkipsPastTotalOrder:
                 pass
             """),
-    }
-    relaxed = lint_tree(tmp_path / "a", files, [LayerContractRule()])
-    strict = lint_tree(tmp_path / "b", files,
-                       [LayerContractRule(strict_adjacency=True)])
-    assert relaxed.findings == []
-    assert rule_names(strict) == ["layer-contract"]
-    assert "skip-layer" in strict.findings[0].message
-    assert "past 'total_order'" in strict.findings[0].message
+    }, [LayerContractRule()])
+    assert rule_names(report) == ["layer-contract"]
+    assert "skip-layer" in report.findings[0].message
+    assert "past 'total_order'" in report.findings[0].message
 
 
-def test_layer_rule_strict_adjacency_treats_failure_detector_as_oracle(
+def test_layer_rule_adjacency_treats_failure_detector_as_oracle(
         tmp_path):
     # The failure detector is consulted, never routed through: any layer may
     # reach down to it, and it is transparent when computing adjacency (a
@@ -369,11 +365,11 @@ def test_layer_rule_strict_adjacency_treats_failure_detector_as_oracle(
             class ViewManager:
                 pass
             """),
-    }, [LayerContractRule(strict_adjacency=True)])
+    }, [LayerContractRule()])
     assert report.findings == []
 
 
-def test_layer_rule_strict_adjacency_exempts_the_application_layer(tmp_path):
+def test_layer_rule_adjacency_exempts_the_application_layer(tmp_path):
     # The top of the stack is the application: replication composition
     # roots wire every layer below them by design.
     report = lint_tree(tmp_path, {
@@ -385,7 +381,7 @@ def test_layer_rule_strict_adjacency_exempts_the_application_layer(tmp_path):
             class CompositionRoot:
                 pass
             """),
-    }, [LayerContractRule(strict_adjacency=True)])
+    }, [LayerContractRule()])
     assert report.findings == []
 
 
@@ -549,17 +545,9 @@ def test_repo_lints_clean_with_active_suppressions():
         by_rule[finding.rule] = by_rule.get(finding.rule, 0) + 1
     assert by_rule == {"ordering-hazard": 6, "unused-surface": 14}
     assert report.files > 50
-
-
-def test_repo_lints_clean_under_strict_layers():
     # The decomposed broadcast stack routes every layer through its
-    # neighbour: strict adjacency passes with no layer-contract suppression
-    # anywhere in the tree.
-    root = Path(repro.__file__).resolve().parent
-    report = run_lint(root, default_rules(strict_layers=True))
-    assert report.findings == []
-    assert all(finding.rule != "layer-contract"
-               for finding, _ in report.suppressed)
+    # neighbour: the layer contract, skip-layer check included, passes with
+    # no layer-contract suppression anywhere in the tree.
 
 
 def test_fixture_tree_fails_with_one_finding_per_rule():

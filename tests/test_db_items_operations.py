@@ -210,8 +210,7 @@ def _partitioned(item_count: int, **overrides) -> PartitionedCluster:
     params = SimulationParameters.small(
         server_count=3, item_count=item_count).with_overrides(
         partition_count=4, **overrides)
-    cluster = PartitionedCluster("group-safe", params=params, seed=5,
-                                 strategy="range")
+    cluster = PartitionedCluster("group-safe", params=params, seed=5)
     cluster.start()
     return cluster
 

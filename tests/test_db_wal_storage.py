@@ -110,7 +110,7 @@ def test_wal_abort_records_are_not_commits():
     node = Node(sim, "s1")
     wal = WriteAheadLog(sim, node)
     wal.append_abort("t1")
-    wal.append(LogRecord(LogRecordType.CHECKPOINT, "chk"))
+    wal.append(LogRecord.decision("chk"))
 
     def flusher():
         yield from wal.flush()

@@ -25,7 +25,7 @@ def _group():
 
 def _sharded():
     cluster = PartitionedCluster(
-        "group-safe", seed=1, strategy="range",
+        "group-safe", seed=1,
         params=small_parameters(partition_count=2,
                                 cross_partition_probability=0.0))
     cluster.start()

@@ -42,8 +42,7 @@ def _mixed_run(seed: int):
     params = SimulationParameters.small(server_count=3,
                                         item_count=240).with_overrides(
         partition_count=4, zipf_skew=1.1, cross_partition_probability=0.1)
-    cluster = PartitionedCluster("group-safe", params=params, seed=seed,
-                                 strategy="range")
+    cluster = PartitionedCluster("group-safe", params=params, seed=seed)
     trace = cluster.sim.enable_trace()
     cluster.start()
     clients = PartitionedOpenLoopClients(cluster, load_tps=120.0)
@@ -109,9 +108,9 @@ class TestPinnedMigrationRuns:
         assert stats[5:] == (4780, 4780, 208, 29080)
 
     def test_aborted_migration_is_pinned(self):
-        params = SimulationParameters.small(server_count=3, item_count=120)
-        cluster = PartitionedCluster("group-safe", params=params, seed=5,
-                                     partition_count=2, strategy="range")
+        params = SimulationParameters.small(
+            server_count=3, item_count=120).with_overrides(partition_count=2)
+        cluster = PartitionedCluster("group-safe", params=params, seed=5)
         trace = cluster.sim.enable_trace()
         cluster.start()
         clients = PartitionedOpenLoopClients(cluster, load_tps=40.0)

@@ -249,8 +249,7 @@ def test_netsplit_surfaces_in_drop_causes_and_suspicions():
         .with_overrides(partition_count=2,
                         failure_detector_mode="heartbeat",
                         heartbeat_period=10.0, heartbeat_timeout=60.0)
-    cluster = PartitionedCluster("group-1-safe", params=params, seed=3,
-                                 strategy="range")
+    cluster = PartitionedCluster("group-1-safe", params=params, seed=3)
     cluster.start()
     cluster.lan.schedule_fault(
         LinkFault.partition("split", ("p0.s3",), ("p0.s1", "p0.s2")),

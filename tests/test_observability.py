@@ -50,8 +50,7 @@ def _mixed_digest(observability: bool):
     params = SimulationParameters.small(
         server_count=3, item_count=240).with_overrides(
         partition_count=4, zipf_skew=1.1, cross_partition_probability=0.1)
-    cluster = PartitionedCluster("group-safe", params=params, seed=7,
-                                 strategy="range")
+    cluster = PartitionedCluster("group-safe", params=params, seed=7)
     trace = cluster.sim.enable_trace()
     if observability:
         cluster.enable_observability()

@@ -23,11 +23,10 @@ from tests.conftest import make_program
 def build_cluster(technique="group-safe", partitions=2, items=100, seed=7,
                   techniques=None, **overrides):
     """A started partitioned cluster with range sharding (key control)."""
-    params = SimulationParameters.small(server_count=3, item_count=items)
-    if overrides:
-        params = params.with_overrides(**overrides)
+    params = SimulationParameters.small(
+        server_count=3, item_count=items).with_overrides(
+            partition_count=partitions, **overrides)
     cluster = PartitionedCluster(technique, params=params, seed=seed,
-                                 partition_count=partitions, strategy="range",
                                  techniques=techniques)
     cluster.start()
     return cluster

@@ -10,19 +10,8 @@ from tests.conftest import make_program
 
 
 # ---------------------------------------------------------------- static layouts
-def test_hash_layout_is_deterministic_and_total():
-    table = RoutingTable.from_strategy("hash", 4)
-    keys = [f"item-{index}" for index in range(200)]
-    first = [table.partition_of(key) for key in keys]
-    second = [table.partition_of(key) for key in keys]
-    assert first == second
-    assert all(0 <= pid < 4 for pid in first)
-    # 200 keys over 4 hash buckets: every partition owns something.
-    assert set(first) == {0, 1, 2, 3}
-
-
 def test_range_layout_keeps_ranges_contiguous():
-    table = RoutingTable.from_strategy("range", 4, item_count=100)
+    table = RoutingTable.even_ranges(4, item_count=100)
     assignments = [table.partition_of(f"item-{index}")
                    for index in range(100)]
     assert assignments == sorted(assignments)
@@ -32,7 +21,7 @@ def test_range_layout_keeps_ranges_contiguous():
 
 
 def test_range_layout_handles_non_conventional_keys():
-    table = RoutingTable.from_strategy("range", 3, item_count=90)
+    table = RoutingTable.even_ranges(3, item_count=90)
     # Keys without a numeric suffix still get a stable home.
     assert table.partition_of("x") == table.partition_of("x")
     assert 0 <= table.partition_of("x") < 3
@@ -41,31 +30,27 @@ def test_range_layout_handles_non_conventional_keys():
 
 
 def test_selector_groups_without_losing_keys():
-    table = RoutingTable.from_strategy("hash", 3)
+    table = RoutingTable.even_ranges(3, 60)
+    table.split(1)
     keys = item_keys(60)
-    grouped = {assignment.group_id: list(table.selector(
-        len(keys), [assignment.key_range])(keys))
-        for assignment in table.assignments}
-    regrouped = [key for pid in sorted(grouped) for key in grouped[pid]]
-    assert sorted(regrouped) == sorted(keys)
-    # Within a group the keys keep key order.
-    for members in grouped.values():
-        assert members == sorted(members, key=keys.index)
+    picked = [list(table.selector([assignment.key_range])(keys))
+              for assignment in table.assignments]
+    # The shards' picks tile the keys in key order, none lost or repeated.
+    assert [key for members in picked for key in members] == list(keys)
+    assert all(picked)
 
 
 def test_layout_validation():
     with pytest.raises(ValueError):
-        RoutingTable.from_strategy("hash", 0)
+        RoutingTable.even_ranges(0, item_count=10)
     with pytest.raises(ValueError):
-        RoutingTable.from_strategy("range", 8, item_count=4)
-    with pytest.raises(ValueError):
-        RoutingTable.from_strategy("consistent-hashing", 4)
+        RoutingTable.even_ranges(8, item_count=4)
 
 
 # ---------------------------------------------------------------- router
 def router_over_ranges():
     return TransactionRouter(
-        RoutingTable.from_strategy("range", 4, item_count=100))
+        RoutingTable.even_ranges(4, item_count=100))
 
 
 def test_router_classifies_single_partition():

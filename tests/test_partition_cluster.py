@@ -12,11 +12,10 @@ from repro.workload import SimulationParameters
 
 def build(partitions=2, technique="group-safe", seed=5, items=200,
           **overrides):
-    params = SimulationParameters.small(server_count=3, item_count=items)
-    if overrides:
-        params = params.with_overrides(**overrides)
-    cluster = PartitionedCluster(technique, params=params, seed=seed,
-                                 partition_count=partitions)
+    params = SimulationParameters.small(
+        server_count=3, item_count=items).with_overrides(
+            partition_count=partitions, **overrides)
+    cluster = PartitionedCluster(technique, params=params, seed=seed)
     cluster.start()
     return cluster
 
@@ -48,21 +47,20 @@ def test_partition_count_from_params():
 def test_constructor_validation():
     params = SimulationParameters.small(item_count=100)
     with pytest.raises(ValueError):
-        PartitionedCluster(params=params, partition_count=0)
+        PartitionedCluster(params=params.with_overrides(partition_count=0))
+    params = params.with_overrides(partition_count=2)
     with pytest.raises(ValueError):
-        PartitionedCluster(params=params, partition_count=2,
-                           techniques=["group-safe"])
+        PartitionedCluster(params=params, techniques=["group-safe"])
     with pytest.raises(ValueError):
-        PartitionedCluster(params=params, partition_count=2,
-                           techniques=["group-safe", "3-safe"])
+        PartitionedCluster(params=params, techniques=["group-safe", "3-safe"])
     with pytest.raises(ValueError):
-        PartitionedCluster(params=params, partition_count=2,
-                           strategy="alphabetical")
+        PartitionedCluster(params=params, strategy="hash")
 
 
 def test_mixed_techniques_per_partition():
-    params = SimulationParameters.small(server_count=3, item_count=100)
-    cluster = PartitionedCluster(params=params, partition_count=2,
+    params = SimulationParameters.small(
+        server_count=3, item_count=100).with_overrides(partition_count=2)
+    cluster = PartitionedCluster(params=params,
                                  techniques=["group-safe", "1-safe"])
     assert cluster.group(0).technique == "group-safe"
     assert cluster.group(1).technique == "1-safe"
@@ -104,7 +102,7 @@ def test_partition_crash_leaves_other_partitions_serving():
 def test_run_transaction_to_dead_partition_aborts_instead_of_raising():
     cluster = build(partitions=2)
     cluster.crash_partition(0)
-    # item-1 hashes somewhere; find a key owned by the dead partition.
+    # Find a key owned by the dead partition.
     key = next(f"item-{i}" for i in range(100)
                if cluster.partition_of(f"item-{i}") == 0)
     from tests.conftest import make_program

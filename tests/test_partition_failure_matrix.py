@@ -21,9 +21,10 @@ from repro.workload import SimulationParameters
 
 
 def build(partitions=2, technique="group-safe", seed=7, items=100):
-    params = SimulationParameters.small(server_count=3, item_count=items)
-    cluster = PartitionedCluster(technique, params=params, seed=seed,
-                                 partition_count=partitions, strategy="range")
+    params = SimulationParameters.small(
+        server_count=3, item_count=items).with_overrides(
+            partition_count=partitions)
+    cluster = PartitionedCluster(technique, params=params, seed=seed)
     cluster.start()
     return cluster
 

@@ -13,8 +13,7 @@ import pytest
 from repro.db.items import ItemStore, item_keys
 from repro.db.wal import LogRecord
 from repro.partition import (KeyRange, PartitionedCluster,
-                             PartitionedWorkloadGenerator, RoutingTable,
-                             ShardAssignment)
+                             PartitionedWorkloadGenerator, RoutingTable)
 from repro.partition import migration as migration_module
 from repro.partition import routing as routing_module
 from repro.sim import Simulator
@@ -26,14 +25,7 @@ ITEMS = 240
 
 
 def range_table(slots=ITEMS):
-    return RoutingTable.from_strategy("range", 4, slots)
-
-
-def wide_hash_table():
-    # Eight hash slots, two per group: every group's keys merge two slots.
-    return RoutingTable(
-        [ShardAssignment(KeyRange(2 * group, 2 * group + 2), group)
-         for group in range(4)], slots=8, strategy="hash", group_count=4)
+    return RoutingTable.even_ranges(4, slots)
 
 
 def make_generator(table, skew, items=ITEMS):
@@ -61,7 +53,7 @@ def assert_tables_match_reference(generator):
 def recovered(table):
     payload = table.as_payload()
     return RoutingTable.recover(
-        [LogRecord.epoch(payload["epoch"], payload)], strategy=table.strategy,
+        [LogRecord.epoch(payload["epoch"], payload)],
         group_count=table.group_count, item_count=table.slots)
 
 
@@ -89,28 +81,11 @@ def test_range_tables_match_the_per_key_grouping(skew, slots):
 
 
 @pytest.mark.parametrize("skew", [0.0, 0.6])
-def test_hash_tables_match_the_per_key_grouping(skew):
-    table = wide_hash_table()
+def test_tables_after_a_group_is_emptied_match_the_per_key_grouping(skew):
+    table = range_table()
     generator = make_generator(table, skew)
     assert_tables_match_reference(generator)
-    table.split(0)
-    generator.next_program()
-    assert_tables_match_reference(generator)
-    # Group 1 now owns slots 1, 2 and 3.
-    table.migrate(1, destination_group=1)
-    generator.next_program()
-    assert_tables_match_reference(generator)
-    restarted = make_generator(recovered(table), skew)
-    assert_tables_match_reference(restarted)
-    assert restarted._keys_by_partition == generator._keys_by_partition
-
-
-@pytest.mark.parametrize("skew", [0.0, 0.6])
-def test_one_slot_hash_tables_match_the_per_key_grouping(skew):
-    table = RoutingTable.from_strategy("hash", 4)
-    generator = make_generator(table, skew)
-    assert_tables_match_reference(generator)
-    table.migrate(0, destination_group=1)     # group 1: slots 0 and 1
+    table.migrate(0, destination_group=1)     # group 1: two adjacent ranges
     generator.next_program()
     assert_tables_match_reference(generator)
     # Group 0 owns nothing now, which a new generator refuses: rebuild this
@@ -133,17 +108,14 @@ def test_zipf_tables_refuse_an_empty_population():
         zipf_cumulative(0, 0.6)
 
 
-@pytest.mark.parametrize("make_table", [range_table, wide_hash_table],
-                         ids=["range", "hash"])
-def test_copy_list_matches_the_filtered_store_keys(make_table):
-    table = make_table()
+def test_copy_list_matches_the_filtered_store_keys():
+    table = range_table()
     store = ItemStore(ITEMS)
-    # One created key with a conventional suffix (position 7 in a range
-    # table), one routed by its hash in either strategy.
+    # One created key with a conventional suffix (position 7), one routed by
+    # its hash.
     store.create("extra-7")
     store.create("zz")
-    if table.strategy == "range":
-        table.split(0, at=30)
+    table.split(0, at=30)
     for assignment in table.assignments:
         key_range = assignment.key_range
         assert table.keys_in(store, key_range) == \
@@ -154,9 +126,9 @@ def test_copy_list_matches_the_filtered_store_keys(make_table):
 
 
 def test_a_live_migration_copies_the_filtered_store_keys(monkeypatch):
-    params = SimulationParameters.small(server_count=3, item_count=120)
-    cluster = PartitionedCluster("group-safe", params=params, seed=11,
-                                 partition_count=2, strategy="range")
+    params = SimulationParameters.small(
+        server_count=3, item_count=120).with_overrides(partition_count=2)
+    cluster = PartitionedCluster("group-safe", params=params, seed=11)
     for group in cluster.groups:
         for database in group.databases.values():
             database.items.create("extra-7")
@@ -189,13 +161,13 @@ def test_an_ownership_change_routes_no_key_for_the_tables(monkeypatch):
     routed = []
     position_of_key = routing_module.position_of_key
 
-    def counting_position_of_key(key, slots, strategy):
+    def counting_position_of_key(key, slots):
         routed.append(key)
-        return position_of_key(key, slots, strategy)
+        return position_of_key(key, slots)
 
     monkeypatch.setattr(routing_module, "position_of_key",
                         counting_position_of_key)
-    table = RoutingTable.from_strategy("range", 4, 65_536)
+    table = RoutingTable.even_ranges(4, 65_536)
     generator = make_generator(table, 0.6, items=65_536)
     snapshots = [table.snapshot()]
     assert routed == []
@@ -212,29 +184,3 @@ def test_an_ownership_change_routes_no_key_for_the_tables(monkeypatch):
     for snapshot in snapshots:
         assert set(snapshot._group_cache) <= first_keys
 
-
-def test_a_hash_table_groups_its_keys_by_slot_once(monkeypatch):
-    # The slot grouping routes each key of the population once; later
-    # epochs merge the grouped ranks and route only the programs' keys.
-    routed = []
-    position_of_key = routing_module.position_of_key
-
-    def counting_position_of_key(key, slots, strategy):
-        routed.append(key)
-        return position_of_key(key, slots, strategy)
-
-    monkeypatch.setattr(routing_module, "position_of_key",
-                        counting_position_of_key)
-    routing_module.hash_slot_ranks.cache_clear()
-    table = wide_hash_table()
-    generator = make_generator(table, 0.6)
-    assert routed == list(item_keys(ITEMS))
-    del routed[:]
-    programs = [generator.next_program()]
-    table.split(0)
-    programs.append(generator.next_program())
-    table.migrate(1, destination_group=1)
-    programs.append(generator.next_program())
-    assert set(routed) <= {operation.key for program in programs
-                           for operation in program.operations}
-    routing_module.hash_slot_ranks.cache_clear()

@@ -25,11 +25,10 @@ from tests.conftest import make_program
 
 def build(partitions=2, technique="group-safe", seed=11, items=120,
           **overrides):
-    params = SimulationParameters.small(server_count=3, item_count=items)
-    if overrides:
-        params = params.with_overrides(**overrides)
-    cluster = PartitionedCluster(technique, params=params, seed=seed,
-                                 partition_count=partitions, strategy="range")
+    params = SimulationParameters.small(
+        server_count=3, item_count=items).with_overrides(
+            partition_count=partitions, **overrides)
+    cluster = PartitionedCluster(technique, params=params, seed=seed)
     cluster.start()
     return cluster
 

@@ -20,11 +20,10 @@ from tests.conftest import make_program
 
 def build(partitions=2, technique="group-safe", seed=7, items=100,
           techniques=None, **overrides):
-    params = SimulationParameters.small(server_count=3, item_count=items)
-    if overrides:
-        params = params.with_overrides(**overrides)
+    params = SimulationParameters.small(
+        server_count=3, item_count=items).with_overrides(
+            partition_count=partitions, **overrides)
     cluster = PartitionedCluster(technique, params=params, seed=seed,
-                                 partition_count=partitions, strategy="range",
                                  techniques=techniques)
     cluster.start()
     return cluster

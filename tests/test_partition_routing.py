@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
-import pytest
+import random
+from collections import Counter
 
-import zlib
+import pytest
 
 from repro.db.items import item_keys
 from repro.db.wal import LogRecord, LogRecordType
 from repro.partition import (KeyRange, RoutingTable, ShardAssignment,
                              WrongEpochError)
+from tests.reference_shard_loads import IncrementalLoadTable
 
 
 def range_table(groups=4, items=100):
-    return RoutingTable.from_strategy("range", groups, items)
+    return RoutingTable.even_ranges(groups, items)
 
 
 # ---------------------------------------------------------------- construction
@@ -29,29 +31,18 @@ def test_range_table_reproduces_the_seed_range_placement():
     assert len(table.assignments) == 4
 
 
-def test_hash_table_reproduces_the_seed_hash_placement():
-    # The retired HashPartitioner placed keys by ``crc32(key) % count``.
-    table = RoutingTable.from_strategy("hash", 4)
-    for index in range(200):
-        key = f"item-{index}"
-        assert table.partition_of(key) == \
-            zlib.crc32(key.encode("utf-8")) % 4
-
-
-def test_table_validates_cover_and_strategy():
+def test_table_validates_cover():
     with pytest.raises(ValueError):
-        RoutingTable.from_strategy("consistent-hashing", 4)
-    with pytest.raises(ValueError):
-        RoutingTable.from_strategy("range", 8, item_count=4)
+        RoutingTable.even_ranges(8, item_count=4)
     with pytest.raises(ValueError):
         # Gap between the two shards.
         RoutingTable([ShardAssignment(KeyRange(0, 40), 0),
                       ShardAssignment(KeyRange(50, 100), 1)],
-                     slots=100, strategy="range", group_count=2)
+                     slots=100, group_count=2)
     with pytest.raises(ValueError):
         # Unknown owning group.
         RoutingTable([ShardAssignment(KeyRange(0, 100), 5)],
-                     slots=100, strategy="range", group_count=2)
+                     slots=100, group_count=2)
     with pytest.raises(ValueError):
         KeyRange(10, 10)
 
@@ -70,10 +61,10 @@ def test_split_bumps_epoch_and_keeps_owner_and_cover():
 
 
 def test_split_validation():
-    table = RoutingTable.from_strategy("hash", 2)
-    with pytest.raises(ValueError):
-        table.split(0)                      # width-1 hash slots cannot split
     table = range_table(2, 100)
+    table.split(0, at=1)
+    with pytest.raises(ValueError):
+        table.split(0)                      # width-1 ranges cannot split
     with pytest.raises(ValueError):
         table.split(0, at=0)                # boundary split is a no-op
     with pytest.raises(ValueError):
@@ -156,24 +147,38 @@ def test_access_counters_are_cumulative_with_decay_disabled():
     assert table.access_counts[1] == 3
 
 
+def shard_sums(table):
+    """Each shard's share of the recorded accesses, in shard order."""
+    return [sum(count for position, count in table.access_counts.items()
+                if assignment.key_range.contains(position))
+            for assignment in table.assignments]
+
+
 def test_shard_totals_stay_consistent_across_reshaping():
     table = range_table(4, 100)
+    accesses = Counter()
+
+    def access(position):
+        table.note_access(f"item-{position}")
+        accesses[position] += 1
+
+    def check():
+        expected = [sum(count for position, count in accesses.items()
+                        if assignment.key_range.contains(position))
+                    for assignment in table.assignments]
+        assert shard_sums(table) == expected
+        assert table.hottest_shard() == expected.index(max(expected))
+
     for position in range(0, 100, 3):
         for _ in range(position % 7 + 1):
-            table.note_access(f"item-{position}")
-
-    def brute_force():
-        return [sum(count for position, count in table.access_counts.items()
-                    if assignment.key_range.contains(position))
-                for assignment in table.assignments]
-
-    assert table._shard_totals == brute_force()
+            access(position)
+    check()
     table.split(0, at=10)
-    assert table._shard_totals == brute_force()
+    check()
     table.migrate(2, destination_group=3)
-    assert table._shard_totals == brute_force()
-    table.note_access("item-5")
-    assert table._shard_totals == brute_force()
+    check()
+    access(5)
+    check()
 
 
 def test_access_counts_growth_is_capped_by_cold_aggregation():
@@ -185,8 +190,8 @@ def test_access_counts_growth_is_capped_by_cold_aggregation():
         table.note_access("item-3")
     assert len(table.access_counts) <= 16 + len(table.assignments)
     # Folding the cold tail never loses mass: per-shard totals stay exact.
-    assert sum(table._shard_totals) == 1_100
-    assert table._shard_totals[0] == 600
+    assert sum(shard_sums(table)) == 1_100
+    assert shard_sums(table)[0] == 600
     # The hot position survives compaction at full resolution.
     assert table.access_counts[3] >= 100
     # The counters hold the same mass as the totals, including the access
@@ -195,8 +200,62 @@ def test_access_counts_growth_is_capped_by_cold_aggregation():
     assert sum(table.access_counts.values()) == 1_100
     table.split(0, at=250)
     assert sum(table.access_counts.values()) == 1_100
-    assert sum(table._shard_totals) == 1_100
-    assert table._shard_totals[0] + table._shard_totals[1] == 600
+    assert sum(shard_sums(table)) == 1_100
+    assert shard_sums(table)[0] + shard_sums(table)[1] == 600
+
+
+def assert_same_loads(table, reference):
+    assert list(table.access_counts.items()) == \
+        list(reference.access_counts.items())
+    assert table.assignments == reference.assignments
+    assert table.hottest_shard() == reference.hottest_shard()
+    for exclude in [()] + [(group,) for group in range(table.group_count)]:
+        assert table.coolest_group(exclude=exclude) == \
+            reference.coolest_group(exclude=exclude)
+    for shard in range(len(table.assignments)):
+        assert table.hot_split_position(shard) == \
+            reference.hot_split_position(shard)
+
+
+def test_derived_loads_match_the_incremental_reference():
+    # One seeded sequence of skewed accesses (a few to keys without an
+    # item index), splits at the access-weighted median and migrations
+    # drives the table and the reference that keeps per-shard totals on
+    # every access; 16 tracked positions make compaction fire often.
+    compactions = reshapes = 0
+    for seed in range(3):
+        rng = random.Random(seed)
+        tables = (RoutingTable.even_ranges(3, 300),
+                  IncrementalLoadTable.even_ranges(3, 300))
+        table = tables[0]
+        for each in tables:
+            each.max_tracked_positions = 16
+        for _ in range(600):
+            roll = rng.random()
+            shard = rng.randrange(len(table.assignments))
+            if roll < 0.9:
+                key = (f"item-{int(300 * rng.random() ** 3)}"
+                       if roll < 0.85 else f"created{rng.randrange(40)}")
+                counts = table.access_counts
+                for each in tables:
+                    each.note_access(key)
+                compactions += table.access_counts is not counts
+            elif roll < 0.95:
+                if table.range_of(shard).width < 2:
+                    continue
+                at = table.hot_split_position(shard)
+                for each in tables:
+                    each.split(shard, at=at)
+                reshapes += 1
+            else:
+                owner = table.assignments[shard].group_id
+                destination = rng.choice(
+                    [group for group in range(3) if group != owner])
+                for each in tables:
+                    each.migrate(shard, destination)
+                reshapes += 1
+            assert_same_loads(*tables)
+    assert compactions > 10 and reshapes > 50
 
 
 # ---------------------------------------------------------------- recovery
@@ -210,8 +269,7 @@ def test_payload_roundtrip_through_recover():
     table.split(0, at=10)
     table.migrate(0, destination_group=1)
     recovered = RoutingTable.recover([epoch_record(table.as_payload())],
-                                     strategy="range", group_count=2,
-                                     item_count=100)
+                                     group_count=2, item_count=100)
     assert recovered.epoch == table.epoch
     assert recovered.assignments == table.assignments
     assert recovered.partition_of("item-5") == 1
@@ -224,14 +282,13 @@ def test_recover_picks_the_highest_epoch():
     new = table.as_payload()
     recovered = RoutingTable.recover(
         [epoch_record(new), epoch_record(old)],
-        strategy="range", group_count=2, item_count=100)
+        group_count=2, item_count=100)
     assert recovered.epoch == new["epoch"]
     assert recovered.partition_of("item-10") == 1
 
 
-def test_recover_without_records_falls_back_to_strategy():
-    recovered = RoutingTable.recover([], strategy="range", group_count=4,
-                                     item_count=100)
+def test_recover_without_records_falls_back_to_even_ranges():
+    recovered = RoutingTable.recover([], group_count=4, item_count=100)
     assert recovered.epoch == 0
     assert recovered.assignments == range_table(4, 100).assignments
 
@@ -244,8 +301,7 @@ def test_payload_after_migrate_is_the_write_ahead_image():
     assert table.epoch == 0
     assert table.partition_of("item-10") == 0
     recovered = RoutingTable.recover([epoch_record(payload)],
-                                     strategy="range", group_count=2,
-                                     item_count=100)
+                                     group_count=2, item_count=100)
     assert recovered.partition_of("item-10") == 1
 
 
@@ -258,7 +314,7 @@ def test_table_selector_agrees_with_snapshot_routing():
     for group in range(4):
         key_ranges = [assignment.key_range for assignment in table.assignments
                       if assignment.group_id == group]
-        pick = table.selector(len(keys), key_ranges)
+        pick = table.selector(key_ranges)
         assert list(pick(keys)) == \
             [key for key in keys if snapshot.partition_of(key) == group]
         # One selection picks from any sequence in key order.

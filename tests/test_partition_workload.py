@@ -7,8 +7,8 @@ from collections import Counter
 import pytest
 
 from repro.db.items import item_keys
-from repro.partition import (PartitionedWorkloadGenerator, RoutingTable,
-                             TransactionRouter)
+from repro.partition import (KeyRange, PartitionedWorkloadGenerator,
+                             RoutingTable, ShardAssignment, TransactionRouter)
 from repro.sim import Simulator
 from repro.workload import SimulationParameters, WorkloadGenerator
 
@@ -84,7 +84,7 @@ def test_negative_skew_rejected():
 def make_generator(seed=7, cross=0.3, items=120, partitions=4, skew=0.0):
     params = SimulationParameters.small(item_count=items).with_overrides(
         cross_partition_probability=cross, zipf_skew=skew)
-    table = RoutingTable.from_strategy("hash", partitions)
+    table = RoutingTable.even_ranges(partitions, items)
     return (PartitionedWorkloadGenerator(Simulator(seed=seed), params,
                                          table),
             TransactionRouter(table))
@@ -114,7 +114,7 @@ def test_full_probability_generates_only_spanning_programs():
 def test_span_is_respected():
     params = SimulationParameters.small(item_count=120).with_overrides(
         cross_partition_probability=1.0, cross_partition_span=3)
-    table = RoutingTable.from_strategy("hash", 4)
+    table = RoutingTable.even_ranges(4, 120)
     generator = PartitionedWorkloadGenerator(Simulator(seed=2), params,
                                              table)
     router = TransactionRouter(table)
@@ -130,7 +130,7 @@ def test_single_partition_traffic_preserves_the_global_distribution():
     from collections import Counter
     params = SimulationParameters.small(item_count=400).with_overrides(
         zipf_skew=1.0)
-    table = RoutingTable.from_strategy("hash", 8)
+    table = RoutingTable.even_ranges(8, 400)
     generator = PartitionedWorkloadGenerator(Simulator(seed=2), params,
                                              table)
     key_counts: Counter = Counter()
@@ -152,18 +152,20 @@ def test_single_partition_traffic_preserves_the_global_distribution():
 
 
 def test_every_partition_must_own_items():
-    # 2 items cannot populate 8 hash buckets.
+    # Group 1's range starts past the last of the 2 items: it owns none.
     params = SimulationParameters.small(item_count=2)
+    table = RoutingTable([ShardAssignment(KeyRange(0, 2), 0),
+                          ShardAssignment(KeyRange(2, 4), 1)],
+                         slots=4, group_count=2)
     with pytest.raises(ValueError):
-        PartitionedWorkloadGenerator(Simulator(seed=1), params,
-                                     RoutingTable.from_strategy("hash", 8))
+        PartitionedWorkloadGenerator(Simulator(seed=1), params, table)
 
 
 # ---------------------------------------------------------------- epoch refresh
 def test_generator_follows_ownership_across_an_epoch_change():
     params = SimulationParameters.small(item_count=100).with_overrides(
         cross_partition_probability=0.0)
-    table = RoutingTable.from_strategy("range", 2, 100)
+    table = RoutingTable.even_ranges(2, 100)
     generator = PartitionedWorkloadGenerator(Simulator(seed=4), params, table)
     table.migrate(0, destination_group=1)
     # Every generated single-partition program now routes to group 1 — the
@@ -179,7 +181,7 @@ def test_generator_tolerates_emptied_partitions_after_migration():
     from repro.partition import RoutingTable
     params = SimulationParameters.small(item_count=100).with_overrides(
         cross_partition_probability=0.5, cross_partition_span=2)
-    table = RoutingTable.from_strategy("range", 2, 100)
+    table = RoutingTable.even_ranges(2, 100)
     generator = PartitionedWorkloadGenerator(Simulator(seed=4), params, table)
     table.migrate(0, destination_group=1)
     # With a single non-empty partition no cross-partition program can be

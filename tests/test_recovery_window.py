@@ -59,8 +59,9 @@ def test_single_group_run_survives_an_arrival_in_the_recovery_window():
 
 
 def test_partitioned_run_rejects_nothing_while_a_member_recovers():
-    cluster = PartitionedCluster("group-safe", params=_params(), seed=19,
-                                 partition_count=1)
+    cluster = PartitionedCluster(
+        "group-safe", params=_params().with_overrides(partition_count=1),
+        seed=19)
     clients = PartitionedOpenLoopClients(cluster, load_tps=30.0)
     _outage(cluster, clients, cluster.groups[0],
             lambda name: cluster.crash_server(0, name),
