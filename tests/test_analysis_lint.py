@@ -333,7 +333,7 @@ def test_layer_rule_flags_upward_import_between_modules(tmp_path):
     assert report.findings[0].path == "low.py"
 
 
-def test_layer_rule_flags_skip_layer(tmp_path):
+def test_layer_rule_strict_adjacency_flags_skip_layer(tmp_path):
     report = lint_tree(tmp_path, {
         "stack.py": _LAYER_PRELUDE + textwrap.dedent("""\
             @implements("membership")
@@ -347,7 +347,7 @@ def test_layer_rule_flags_skip_layer(tmp_path):
     assert "past 'total_order'" in report.findings[0].message
 
 
-def test_layer_rule_adjacency_treats_failure_detector_as_oracle(
+def test_layer_rule_strict_adjacency_treats_failure_detector_as_oracle(
         tmp_path):
     # The failure detector is consulted, never routed through: any layer may
     # reach down to it, and it is transparent when computing adjacency (a
@@ -369,7 +369,7 @@ def test_layer_rule_adjacency_treats_failure_detector_as_oracle(
     assert report.findings == []
 
 
-def test_layer_rule_adjacency_exempts_the_application_layer(tmp_path):
+def test_layer_rule_strict_adjacency_exempts_the_application_layer(tmp_path):
     # The top of the stack is the application: replication composition
     # roots wire every layer below them by design.
     report = lint_tree(tmp_path, {
@@ -545,9 +545,17 @@ def test_repo_lints_clean_with_active_suppressions():
         by_rule[finding.rule] = by_rule.get(finding.rule, 0) + 1
     assert by_rule == {"ordering-hazard": 6, "unused-surface": 14}
     assert report.files > 50
+
+
+def test_repo_lints_clean_under_strict_layers():
     # The decomposed broadcast stack routes every layer through its
     # neighbour: the layer contract, skip-layer check included, passes with
     # no layer-contract suppression anywhere in the tree.
+    root = Path(repro.__file__).resolve().parent
+    report = run_lint(root, [LayerContractRule()])
+    assert report.findings == []
+    assert report.suppressed == []
+    assert report.files > 50
 
 
 def test_fixture_tree_fails_with_one_finding_per_rule():

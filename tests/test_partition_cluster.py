@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.partition import (CrossPartitionOutcome, PartitionedCluster,
-                             PartitionedOpenLoopClients)
+                             PartitionedOpenLoopClients, RoutingTable)
 from repro.replication import RunStatistics
 from repro.workload import SimulationParameters
 
@@ -55,6 +55,18 @@ def test_constructor_validation():
         PartitionedCluster(params=params, techniques=["group-safe", "3-safe"])
     with pytest.raises(ValueError):
         PartitionedCluster(params=params, strategy="hash")
+
+
+def test_the_range_strategy_keyword_builds_the_default_map():
+    # Callers that still name the placement get the same cluster as those
+    # that do not.
+    params = SimulationParameters.small(
+        server_count=3, item_count=100).with_overrides(partition_count=3)
+    named = PartitionedCluster(params=params, seed=5, strategy="range")
+    default = PartitionedCluster(params=params, seed=5)
+    assert named.routing.assignments == default.routing.assignments
+    assert named.routing.assignments == \
+        RoutingTable.even_ranges(3, 100).assignments
 
 
 def test_mixed_techniques_per_partition():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import zlib
 from collections import Counter
 
 import pytest
@@ -11,6 +12,7 @@ from repro.db.items import item_keys
 from repro.db.wal import LogRecord, LogRecordType
 from repro.partition import (KeyRange, RoutingTable, ShardAssignment,
                              WrongEpochError)
+from repro.partition.routing import position_of_key
 from tests.reference_shard_loads import IncrementalLoadTable
 
 
@@ -29,6 +31,19 @@ def test_range_table_reproduces_the_seed_range_placement():
         assert table.partition_of(key) == index * 4 // 100
     assert table.epoch == 0
     assert len(table.assignments) == 4
+
+
+def test_position_of_key_clamps_item_indexes_and_hashes_other_keys():
+    assert [position_of_key(f"item-{index}", 100)
+            for index in (0, 42, 99, 100, 5_000)] == [0, 42, 99, 99, 99]
+    # A numeric suffix after any prefix counts as the item index.
+    assert position_of_key("extra-7", 100) == 7
+    # Keys without one take a stable crc32 position inside the slot space.
+    for key in ("zz", "created3", "item-", "a-b"):
+        position = position_of_key(key, 100)
+        assert position == zlib.crc32(key.encode("utf-8")) % 100
+        assert 0 <= position < 100
+        assert range_table(4, 100).partition_of(key) == position * 4 // 100
 
 
 def test_table_validates_cover():
@@ -217,19 +232,18 @@ def assert_same_loads(table, reference):
             reference.hot_split_position(shard)
 
 
-def test_derived_loads_match_the_incremental_reference():
-    # One seeded sequence of skewed accesses (a few to keys without an
-    # item index), splits at the access-weighted median and migrations
-    # drives the table and the reference that keeps per-shard totals on
-    # every access; 16 tracked positions make compaction fire often.
+def drive_against_the_incremental_reference(seeds, max_tracked_positions):
+    """Replay seeded accesses, splits and migrations on a table and on the
+    reference that keeps per-shard totals on every access, comparing their
+    loads after each step; returns (compactions, reshapes)."""
     compactions = reshapes = 0
-    for seed in range(3):
+    for seed in seeds:
         rng = random.Random(seed)
         tables = (RoutingTable.even_ranges(3, 300),
                   IncrementalLoadTable.even_ranges(3, 300))
         table = tables[0]
         for each in tables:
-            each.max_tracked_positions = 16
+            each.max_tracked_positions = max_tracked_positions
         for _ in range(600):
             roll = rng.random()
             shard = rng.randrange(len(table.assignments))
@@ -255,7 +269,33 @@ def test_derived_loads_match_the_incremental_reference():
                     each.migrate(shard, destination)
                 reshapes += 1
             assert_same_loads(*tables)
+    return compactions, reshapes
+
+
+def test_derived_loads_match_the_incremental_reference():
+    # One seeded sequence of skewed accesses (a few to keys without an
+    # item index), splits at the access-weighted median and migrations
+    # drives the table and the reference; 16 tracked positions make
+    # compaction fire often.
+    compactions, reshapes = drive_against_the_incremental_reference(
+        range(3), max_tracked_positions=16)
     assert compactions > 10 and reshapes > 50
+
+
+def test_derived_loads_match_the_incremental_reference_without_compaction():
+    # The default cap is never reached on a 300-position table: every
+    # position keeps its own counter and the sums see them all.
+    compactions, reshapes = drive_against_the_incremental_reference(
+        range(3, 6), max_tracked_positions=4096)
+    assert compactions == 0 and reshapes > 50
+
+
+def test_coolest_group_refuses_to_exclude_every_group():
+    table = range_table(2, 100)
+    table.note_access("item-1")
+    assert table.coolest_group(exclude=[0]) == 1
+    with pytest.raises(ValueError):
+        table.coolest_group(exclude=[0, 1])
 
 
 # ---------------------------------------------------------------- recovery
@@ -285,6 +325,21 @@ def test_recover_picks_the_highest_epoch():
         group_count=2, item_count=100)
     assert recovered.epoch == new["epoch"]
     assert recovered.partition_of("item-10") == 1
+
+
+def test_recover_reads_a_payload_that_still_names_its_strategy():
+    # EPOCH payloads no longer carry a placement name; one logged when they
+    # did (``"strategy": "range"``) still recovers to the same map.
+    table = range_table(2, 100)
+    table.split(1, at=70)
+    table.migrate(2, destination_group=0)
+    payload = table.as_payload()
+    assert sorted(payload) == ["assignments", "epoch", "slots"]
+    recovered = RoutingTable.recover(
+        [epoch_record(dict(payload, strategy="range"))],
+        group_count=2, item_count=100)
+    assert recovered.epoch == table.epoch
+    assert recovered.assignments == table.assignments
 
 
 def test_recover_without_records_falls_back_to_even_ranges():
